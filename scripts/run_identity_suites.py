@@ -4,7 +4,7 @@
 import argparse
 import time
 
-from sosxxz import sos, vertex as vx
+from sosxxz.cli import SUITES
 from sosxxz.params import generic_params
 
 
@@ -18,12 +18,10 @@ def main():
     for n in (2, 3):
         p = generic_params(n)
         print(f"\n== chain length N = {n} ==")
-        for chk in vx.VERTEX_CHECKS:
-            rep = vx.vertex_identity_suite(chk, p, seed=args.seed, trials=args.trials)
-            print(f"  vertex.{chk:28s} {rep.max_residual:.3e}")
-        for chk in sos.SOS_CHECKS:
-            rep = sos.sos_identity_suite(chk, p, seed=args.seed, trials=args.trials)
-            print(f"  sos.{chk:31s} {rep.max_residual:.3e}")
+        for suite, (checks, run_suite) in SUITES.items():
+            for chk in checks:
+                rep = run_suite(chk, p, seed=args.seed, trials=args.trials)
+                print(f"  {suite + '.' + chk:35s} {rep.max_residual:.3e}")
     print(f"\ntotal {time.monotonic() - t0:.1f}s")
 
 

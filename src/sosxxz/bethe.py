@@ -25,7 +25,7 @@ from . import sos
 from . import tensor as tn
 from . import vertex as vx
 from .errors import BadSector, CollapsedRoots, DegenerateParameter, NoConvergence, NullState
-from .params import DynParams, ModelParams
+from .params import ModelParams
 
 ROOT_SEP_DEFAULT = 1e-6
 BETHE_TOL_DEFAULT = 1e-9
@@ -342,9 +342,9 @@ def _lambda1(mu: complex, roots, pars, xis, eta: complex) -> complex:
     return t1 + t2
 
 
-def branch_theta(branch: str, p: ModelParams, dyn: DynParams | None = None) -> complex:
-    dyn = DynParams.from_boundary(p) if dyn is None else dyn
-    return dyn.theta if BRANCHES[branch].side == "minus" else dyn.theta_bar
+def branch_theta(branch: str, p: ModelParams) -> complex:
+    """delta - zeta for the minus families, delta_bar - zeta_bar for the plus ones."""
+    return p.delta - p.zeta if BRANCHES[branch].side == "minus" else p.delta_bar - p.zeta_bar
 
 
 def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndarray:
@@ -367,24 +367,18 @@ def vertex_eigenstate(
     solution: BetheSolution,
     p: ModelParams,
     gauge_theta: complex | None = None,
-    gauge_omega: complex | None = None,
 ) -> np.ndarray:
     """Vertex-picture eigenstate: the gauge row applied to the Bethe state.
 
     The minus families use S_-({xi}; theta, tau); the plus families
-    S_+({xi}; theta_bar, tau_bar).  Both gauge arguments can be overridden
-    to probe alternative bindings.
+    S_+({xi}; theta_bar, tau_bar).  ``gauge_theta`` overrides the
+    dynamical argument to probe alternative bindings.
     """
-    spec = BRANCHES[branch]
+    side = BRANCHES[branch].side
     psi = bethe_state(branch, solution, p)
-    if spec.side == "minus":
-        theta = p.delta - p.zeta if gauge_theta is None else gauge_theta
-        omega = p.tau if gauge_omega is None else gauge_omega
-        row = sos.gauge_row_minus(theta, omega, p)
-    else:
-        theta = p.delta_bar - p.zeta_bar if gauge_theta is None else gauge_theta
-        omega = p.tau_bar if gauge_omega is None else gauge_omega
-        row = sos.gauge_row_plus(theta, omega, p)
+    theta = branch_theta(branch, p) if gauge_theta is None else gauge_theta
+    omega = p.tau if side == "minus" else p.tau_bar
+    row = sos.gauge_row(theta, omega, side, p)
     v = row.data @ psi
     if np.linalg.norm(v) <= 1e-12 * np.linalg.norm(psi) * max(tn.max_abs(row), 1.0):
         raise NullState("vertex image collapsed below the norm floor")

@@ -16,10 +16,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +97,14 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-    n = int(data.get("N", getattr(overrides, "n", None) or 2))
-    if getattr(overrides, "n", None):
-        n = overrides.n
+    # a flag that is given wins over the config, the config over the default
+    def pick(flag: str, key: str, default: int) -> int:
+        value = getattr(overrides, flag, None)
+        return int(data.get(key, default)) if value is None else value
+
+    n = pick("n", "N", 2)
+    if n < 1:
+        raise ConfigError(f"chain length N = {n} must be at least 1")
     base = generic_params(n)
     try:
         xi = tuple(_pair2c(v) for v in data["xi"]) if "xi" in data else base.xi
@@ -124,28 +127,18 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     scale = getattr(overrides, "tol_scale", None) or 1.0
     for k in ("identity", "bethe", "partition"):
         tol[k] = tol[k] * scale
-    cfg = RunConfig(
+    trials = pick("trials", "trials", 20)
+    if trials < 1:
+        raise ConfigError(f"trials = {trials} must be at least 1")
+    return RunConfig(
         params=params,
-        sector_s=int(data.get("sector_s", getattr(overrides, "sector", None) or 0)),
+        sector_s=pick("sector", "sector_s", 0),
         constraint_n=int(data.get("constraint_n", 0)),
         constraint_m=int(data.get("constraint_m", 0)),
-        seed=int(data.get("seed", 0)),
-        trials=int(data.get("trials", 20)),
+        seed=pick("seed", "seed", 0),
+        trials=trials,
         tolerances=tol,
     )
-    if getattr(overrides, "seed", None) is not None:
-        cfg.seed = overrides.seed
-    if getattr(overrides, "trials", None) is not None:
-        cfg.trials = overrides.trials
-    return cfg
-
-
-def worker_count() -> int:
-    raw = os.environ.get("BETHE_SOS_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _row(check: str, digest: str, residual: float, tolerance: float) -> dict:
@@ -158,29 +151,24 @@ def _row(check: str, digest: str, residual: float, tolerance: float) -> dict:
     }
 
 
+# suite -> (its check registry, the function evaluating one check)
+SUITES = {
+    "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite),
+    "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite),
+}
+
+
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
+    if suite not in SUITES and suite != "all":
+        raise ConfigError(f"unknown suite {suite!r}")
     digest = cfg.digest()
     tol = cfg.tolerances["identity"]
-    jobs: list[tuple[str, callable]] = []
-    if suite in ("vertex", "all"):
-        for chk in vx.VERTEX_CHECKS:
-            jobs.append(
-                (f"vertex.{chk}", lambda c=chk: vx.vertex_identity_suite(c, cfg.params, cfg.seed, cfg.trials))
-            )
-    if suite in ("sos", "all"):
-        for chk in sos.SOS_CHECKS:
-            jobs.append(
-                (f"sos.{chk}", lambda c=chk: sos.sos_identity_suite(c, cfg.params, seed=cfg.seed, trials=cfg.trials))
-            )
-    if not jobs:
-        raise ConfigError(f"unknown suite {suite!r}")
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda job: job[1](), jobs))
-    else:
-        reports = [job[1]() for job in jobs]
-    rows = [_row(name, digest, rep.max_residual, tol) for (name, _), rep in zip(jobs, reports)]
+    rows = []
+    for name, (checks, run_suite) in SUITES.items():
+        if suite in (name, "all"):
+            for chk in checks:
+                rep = run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials)
+                rows.append(_row(f"{name}.{chk}", digest, rep.max_residual, tol))
     rows.sort(key=lambda r: r["check"])
     return rows, {"suite": suite}
 
@@ -296,9 +284,8 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
     else:
         value = pt.z_value(inp, method)
         extra[f"value_{method}"] = _c2pair(value)
-        for name, res in sorted(pt.z_property_suite(inp, seed=cfg.seed).items()):
-            if name.endswith(method):
-                rows.append(_row(f"partition.{kind}.{name}", digest, res, tol))
+        for name, res in sorted(pt.z_property_suite(inp, seed=cfg.seed, methods=(method,)).items()):
+            rows.append(_row(f"partition.{kind}.{name}", digest, res, tol))
     rows.sort(key=lambda r: r["check"])
     return rows, extra
 

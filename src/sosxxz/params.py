@@ -56,24 +56,6 @@ class ModelParams:
         return all(x == 0 for x in self.xi)
 
 
-@dataclass(frozen=True)
-class DynParams:
-    """Dynamical parameters of the height picture.
-
-    theta is tied to the left boundary (delta - zeta) and theta_bar to the
-    right one (delta_bar - zeta_bar) at the call sites that need it; omega
-    is the gauge shift of the vertex-face matrix.
-    """
-
-    theta: complex
-    theta_bar: complex
-    omega: complex
-
-    @classmethod
-    def from_boundary(cls, p: ModelParams) -> "DynParams":
-        return cls(theta=p.delta - p.zeta, theta_bar=p.delta_bar - p.zeta_bar, omega=p.tau)
-
-
 def pole_gaps(
     p: ModelParams,
     lams: Sequence[complex] = (),

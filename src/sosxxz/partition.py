@@ -290,12 +290,14 @@ def polynomial_degree_residual(
     return float(abs(coeffs[-1]) / max(np.max(np.abs(vals)), 1e-300))
 
 
-def z_property_suite(inp: PartitionInput, seed: int = 0) -> dict[str, float]:
-    """Symmetry, crossing, recursion, and degree checks on both evaluation paths."""
+def z_property_suite(
+    inp: PartitionInput, seed: int = 0, methods: tuple[str, ...] = ("det", "contract")
+) -> dict[str, float]:
+    """Symmetry, crossing, recursion, and degree checks on the given evaluation paths."""
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
     base = inp.replace(kind="bminus")
-    for method in ("det", "contract"):
+    for method in methods:
         z0 = z_value(base, method)
         scale = max(abs(z0), 1e-300)
         if inp.N >= 2:

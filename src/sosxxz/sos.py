@@ -10,7 +10,6 @@ realizes the normal ordering in which the sigma^z argument acts first.
 from __future__ import annotations
 
 from cmath import cosh, exp, sinh
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import tensor as tn
 from . import vertex as vx
 from .errors import ConstraintViolated, DegenerateParameter
-from .params import DynParams, ModelParams, sample_points
+from .params import ModelParams, sample_points
 from .report import ResidualReport
 from .tensor import Operator
 from .vertex import AUX, chain_legs, site_legs
@@ -65,14 +64,6 @@ def gauge_s_tilde2_inv(lam: complex, theta: complex, omega: complex, eps: float 
     return tn.SY @ gauge_s2_inv(lam, theta, omega, eps) @ tn.SY
 
 
-def gauge_s(lam: complex, theta: complex, omega: complex, leg: str = AUX) -> Operator:
-    return tn.on(gauge_s2(lam, theta, omega), (leg,))
-
-
-def gauge_s_tilde(lam: complex, theta: complex, omega: complex, leg: str = AUX) -> Operator:
-    return tn.on(gauge_s_tilde2(lam, theta, omega), (leg,))
-
-
 # ----------------------------------------------------------------------
 # dynamical R-matrix and crossed L-operators
 
@@ -111,16 +102,12 @@ def crossed_l4(lam: complex, theta: complex, eta: complex, kind: str = "L", eps:
     # untransposed matrix, then transpose the first leg
     if kind == "L":
         base = tn.charge_resolved(
-            _L_LEGS,
-            [("c1", +1)],
-            lambda c: tn.on(dyn_r4(lam, theta + eta * c, eta, eps), _L_LEGS),
+            _L_LEGS, [("c1", +1)], _L_LEGS, lambda c: dyn_r4(lam, theta + eta * c, eta, eps)
         )
         pref = np.array([sinh(theta - eta * s) / sinh(theta) for s in sz2])
     elif kind == "Lhat":
         base = tn.charge_resolved(
-            _L_LEGS,
-            [("c1", -1)],
-            lambda c: tn.on(tn.swapped4(dyn_r4(lam, theta + eta * c, eta, eps)), _L_LEGS),
+            _L_LEGS, [("c1", -1)], _L_LEGS, lambda c: tn.swapped4(dyn_r4(lam, theta + eta * c, eta, eps))
         )
         pref = np.array([sinh(theta + eta * s) / sinh(theta) for s in sz2])
     else:
@@ -167,6 +154,12 @@ def tilde_k2_minus(lam: complex, delta: complex, zeta: complex, eta: complex, ep
 # dynamical monodromy matrices
 
 
+# kind -> (hatted, weight of sigma^z_0 in the shift).  Hatted factors are
+# R_{k0}(lam + xi_k), the others R_{0k}(lam - xi_k); crossed factors
+# (nonzero weight) shift by the sites below k, the others by those above.
+_MONODROMY = {"T": (False, 0), "That": (True, 0), "V": (False, +1), "Vhat": (True, -1)}
+
+
 def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
     """Dynamical monodromy matrices on legs (aux, s1..sN).
 
@@ -175,74 +168,37 @@ def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Op
     kind "V":    L^{t0}_{0N}(lam-xi_N; th + eta sum_{i<N} sz_i) ... L^{t0}_{01}(lam-xi_1; th)
     kind "Vhat": Lhat^{t0}_{10}(lam+xi_1; th) ... Lhat^{t0}_{N0}(lam+xi_N; th + eta sum_{i<N} sz_i)
     """
+    if kind not in _MONODROMY:
+        raise ValueError(f"unknown monodromy kind {kind!r}")
+    hatted, aux_w = _MONODROMY[kind]
     N, eta, eps = p.N, p.eta, p.eps_pole
     legs = chain_legs(N)
 
-    def t_factor(k: int) -> Operator:
-        shift = [(f"s{i}", -1) for i in range(k + 1, N + 1)]
-        return tn.charge_resolved(
-            legs,
-            shift,
-            lambda c: tn.embed(
-                tn.on(dyn_r4(lam - p.xi[k - 1], theta + eta * c, eta, eps), (AUX, f"s{k}")), legs
-            ),
+    def factor(k: int) -> Operator:
+        site = f"s{k}"
+        x = lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1]
+        if aux_w == 0:
+            shift = [(f"s{i}", -1) for i in range(k + 1, N + 1)]
+        else:
+            shift = [(f"s{i}", +1) for i in range(1, k)] + [(AUX, aux_w)]
+        base = tn.charge_resolved(
+            legs, shift, (site, AUX) if hatted else (AUX, site), lambda c: dyn_r4(x, theta + eta * c, eta, eps)
         )
-
-    def that_factor(k: int) -> Operator:
-        shift = [(f"s{i}", -1) for i in range(k + 1, N + 1)]
-        return tn.charge_resolved(
-            legs,
-            shift,
-            lambda c: tn.embed(
-                tn.on(dyn_r4(lam + p.xi[k - 1], theta + eta * c, eta, eps), (f"s{k}", AUX)), legs
-            ),
-        )
-
-    def v_factor(k: int) -> Operator:
+        if aux_w == 0:
+            return base
         # sigma^z_0 resolves on columns of the untransposed factor, so the
         # auxiliary transposition is applied after the charge resolution
-        shift = [(f"s{i}", +1) for i in range(1, k)] + [(AUX, +1)]
-        base = tn.charge_resolved(
-            legs,
-            shift,
-            lambda c: tn.embed(
-                tn.on(dyn_r4(lam - p.xi[k - 1], theta + eta * c, eta, eps), (AUX, f"s{k}")), legs
-            ),
-        )
         below = tn.sz_sum(legs, [f"s{i}" for i in range(1, k)])
-        szk = tn.leg_sz(legs, f"s{k}")
+        szk = tn.leg_sz(legs, site)
         pref = np.array(
-            [sinh(theta + eta * (b - s)) / sinh(theta + eta * b) for b, s in zip(below, szk)]
+            [sinh(theta + eta * (b - aux_w * s)) / sinh(theta + eta * b) for b, s in zip(below, szk)]
         )
         return tn.partial_transpose(base, AUX) @ tn.column_diag(legs, pref)
 
-    def vhat_factor(k: int) -> Operator:
-        shift = [(f"s{i}", +1) for i in range(1, k)] + [(AUX, -1)]
-        base = tn.charge_resolved(
-            legs,
-            shift,
-            lambda c: tn.embed(
-                tn.on(dyn_r4(lam + p.xi[k - 1], theta + eta * c, eta, eps), (f"s{k}", AUX)), legs
-            ),
-        )
-        below = tn.sz_sum(legs, [f"s{i}" for i in range(1, k)])
-        szk = tn.leg_sz(legs, f"s{k}")
-        pref = np.array(
-            [sinh(theta + eta * (b + s)) / sinh(theta + eta * b) for b, s in zip(below, szk)]
-        )
-        return tn.partial_transpose(base, AUX) @ tn.column_diag(legs, pref)
-
-    if kind == "T":
-        factors = [t_factor(k) for k in range(1, N + 1)]
-    elif kind == "That":
-        factors = [that_factor(k) for k in reversed(range(1, N + 1))]
-    elif kind == "V":
-        factors = [v_factor(k) for k in reversed(range(1, N + 1))]
-    elif kind == "Vhat":
-        factors = [vhat_factor(k) for k in range(1, N + 1)]
-    else:
-        raise ValueError(f"unknown monodromy kind {kind!r}")
-    return reduce(lambda a, b: a @ b, factors)
+    sites = range(1, N + 1)
+    if hatted == (aux_w == 0):
+        sites = reversed(sites)
+    return reduce(lambda a, b: a @ b, [factor(k) for k in sites])
 
 
 def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
@@ -289,30 +245,9 @@ _BLOCK_INDEX = {
     "plus": {"A": (0, 0), "C": (0, 1), "B": (1, 0), "D": (1, 1)},
 }
 
-BLOCK_WEIGHT = {"A": 0, "D": 0, "B": -2, "C": +2}
-
-
 def dyn_block(lam: complex, theta: complex, side: str, name: str, p: ModelParams) -> Operator:
     r, c = _BLOCK_INDEX[side][name]
     return tn.block(dyn_double_row(lam, theta, side, p), AUX, r, c)
-
-
-@dataclass(frozen=True)
-class DynOperator:
-    """A dynamical-parameter-resolved operator with zero-weight metadata."""
-
-    eval: Callable[[complex], Operator]
-    weight: int
-
-    def at(self, theta: complex) -> Operator:
-        return self.eval(theta)
-
-
-def dyn_block_family(lam: complex, side: str, name: str, p: ModelParams) -> DynOperator:
-    return DynOperator(
-        eval=lambda theta: dyn_block(lam, theta, side, name, p),
-        weight=BLOCK_WEIGHT[name],
-    )
 
 
 def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
@@ -345,53 +280,38 @@ def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
 # gauge rows and auxiliary-space gauges with operator shifts
 
 
-def gauge_row_minus(
+def gauge_row(
     theta: complex,
     omega: complex,
+    side: str,
     p: ModelParams,
     legs=None,
     extra_shift: tuple[tuple[str, int], ...] = (),
 ) -> Operator:
-    """S_-({xi}; theta) = S_N(xi_N; theta) ... S_1(xi_1; theta - eta sum_{i>1} sz_i).
+    """Gauge row of the height picture.
+
+    side "minus": S_-({xi}; theta) = S_N(xi_N; theta) ... S_1(xi_1; theta - eta sum_{i>1} sz_i)
+    side "plus":  S_+({xi}; theta) = S_1(xi_1; theta) ... S_N(xi_N; theta + eta sum_{i<N} sz_i)
 
     ``extra_shift`` adds weighted legs to every factor's dynamical argument
     (used for the theta - eta sz_aux variants in the gauge relations).
     """
     legs = site_legs(p.N) if legs is None else tuple(legs)
+    if side not in ("minus", "plus"):
+        raise ValueError(f"unknown side {side!r}")
+    minus = side == "minus"
     factors = []
-    for k in reversed(range(1, p.N + 1)):
-        shift = [(f"s{i}", -1) for i in range(k + 1, p.N + 1)] + list(extra_shift)
+    for k in reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1):
+        if minus:
+            shift = [(f"s{i}", -1) for i in range(k + 1, p.N + 1)]
+        else:
+            shift = [(f"s{i}", +1) for i in range(1, k)]
         factors.append(
             tn.charge_resolved(
                 legs,
-                shift,
-                lambda c, k=k: tn.embed(
-                    tn.on(gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole), (f"s{k}",)), legs
-                ),
-            )
-        )
-    return reduce(lambda a, b: a @ b, factors)
-
-
-def gauge_row_plus(
-    theta: complex,
-    omega: complex,
-    p: ModelParams,
-    legs=None,
-    extra_shift: tuple[tuple[str, int], ...] = (),
-) -> Operator:
-    """S_+({xi}; theta) = S_1(xi_1; theta) ... S_N(xi_N; theta + eta sum_{i<N} sz_i)."""
-    legs = site_legs(p.N) if legs is None else tuple(legs)
-    factors = []
-    for k in range(1, p.N + 1):
-        shift = [(f"s{i}", +1) for i in range(1, k)] + list(extra_shift)
-        factors.append(
-            tn.charge_resolved(
-                legs,
-                shift,
-                lambda c, k=k: tn.embed(
-                    tn.on(gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole), (f"s{k}",)), legs
-                ),
+                shift + list(extra_shift),
+                (f"s{k}",),
+                lambda c, k=k: gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole),
             )
         )
     return reduce(lambda a, b: a @ b, factors)
@@ -405,13 +325,11 @@ def gauge_aux_shifted(
     sz_weight: int = -1,
     tilde: bool = False,
     inverse: bool = False,
-    eta_offset: int = 0,
 ) -> Operator:
-    """S_0(lam; theta + sz_weight * eta * S^z + eta_offset * eta) on the chain legs.
+    """S_0(lam; theta + sz_weight * eta * S^z) on the chain legs.
 
     ``tilde`` selects the sigma^y-conjugated gauge; ``inverse`` its inverse.
     """
-    legs = chain_legs(p.N)
     build2 = (
         gauge_s_tilde2_inv if (tilde and inverse)
         else gauge_s_tilde2 if tilde
@@ -420,11 +338,7 @@ def gauge_aux_shifted(
     )
     shift = [(l, sz_weight) for l in site_legs(p.N)]
     return tn.charge_resolved(
-        legs,
-        shift,
-        lambda c: tn.embed(
-            tn.on(build2(lam, theta + p.eta * (c + eta_offset), omega, p.eps_pole), (AUX,)), legs
-        ),
+        chain_legs(p.N), shift, (AUX,), lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole)
     )
 
 
@@ -487,11 +401,6 @@ def sector_indices(n_sites: int) -> dict[int, np.ndarray]:
     legs = site_legs(n_sites)
     sz = tn.sz_sum(legs, legs)
     return {int(s): np.nonzero(sz == s)[0] for s in np.unique(sz)}
-
-
-def restrict_to_sector(op: Operator, s: int) -> np.ndarray:
-    idx = sector_indices(len(op.legs))[s]
-    return op.data[np.ix_(idx, idx)]
 
 
 def sector_leakage(op: Operator, weight: int) -> float:
@@ -576,41 +485,27 @@ def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[Operator, Operator
 # named identity checks
 
 
-def _r3(x: complex, t: complex, eta: complex, a: str, b: str, legs) -> Operator:
-    return tn.embed(tn.on(dyn_r4(x, t, eta), (a, b)), legs)
-
-
-def _r3_shift(x, theta, eta, a, b, shift_leg, w, legs, swap=False):
-    mk = tn.swapped4 if swap else (lambda m: m)
-    return tn.charge_resolved(
-        legs, [(shift_leg, w)], lambda c: tn.embed(tn.on(mk(dyn_r4(x, theta + eta * c, eta)), (a, b)), legs)
-    )
-
-
 def dybe_residual(l1, l2, l3, theta, eta, form: int = 1) -> float:
+    """Dynamical Yang-Baxter equation on three legs.
+
+    Each R_{ab} appears once plain and once with theta shifted by w eta
+    sz of the third leg, w = -1 in form 1 and +1 in form 2.
+    """
     legs = ("v1", "v2", "v3")
+    w = -1 if form == 1 else +1
+    r = {}
+    for name, x, third in (("12", l1 - l2, "v3"), ("13", l1 - l3, "v2"), ("23", l2 - l3, "v1")):
+        pair = tuple(f"v{i}" for i in name)
+        for weight in (0, w):
+            r[name, weight] = tn.charge_resolved(
+                legs, [(third, weight)], pair, lambda c, x=x: dyn_r4(x, theta + eta * c, eta)
+            )
     if form == 1:
-        lhs = (
-            _r3_shift(l1 - l2, theta, eta, "v1", "v2", "v3", -1, legs)
-            @ _r3(l1 - l3, theta, eta, "v1", "v3", legs)
-            @ _r3_shift(l2 - l3, theta, eta, "v2", "v3", "v1", -1, legs)
-        )
-        rhs = (
-            _r3(l2 - l3, theta, eta, "v2", "v3", legs)
-            @ _r3_shift(l1 - l3, theta, eta, "v1", "v3", "v2", -1, legs)
-            @ _r3(l1 - l2, theta, eta, "v1", "v2", legs)
-        )
+        lhs = r["12", w] @ r["13", 0] @ r["23", w]
+        rhs = r["23", 0] @ r["13", w] @ r["12", 0]
     else:
-        lhs = (
-            _r3(l1 - l2, theta, eta, "v1", "v2", legs)
-            @ _r3_shift(l1 - l3, theta, eta, "v1", "v3", "v2", +1, legs)
-            @ _r3(l2 - l3, theta, eta, "v2", "v3", legs)
-        )
-        rhs = (
-            _r3_shift(l2 - l3, theta, eta, "v2", "v3", "v1", +1, legs)
-            @ _r3(l1 - l3, theta, eta, "v1", "v3", legs)
-            @ _r3_shift(l1 - l2, theta, eta, "v1", "v2", "v3", +1, legs)
-        )
+        lhs = r["12", 0] @ r["13", w] @ r["23", 0]
+        rhs = r["23", w] @ r["13", 0] @ r["12", w]
     return tn.rel_residual(lhs, rhs)
 
 
@@ -631,15 +526,13 @@ def dyn_crossing_residual(lam, theta, eta, form: int = 1) -> float:
     y1 = np.kron(tn.SY, tn.ID2)
     sz2 = tn.leg_sz(legs, "c2")
     if form == 1:
-        base = tn.charge_resolved(
-            legs, [("c1", +1)], lambda c: tn.on(dyn_r4(-lam - eta, theta + eta * c, eta), legs)
-        )
+        base = tn.charge_resolved(legs, [("c1", +1)], legs, lambda c: dyn_r4(-lam - eta, theta + eta * c, eta))
         pref = np.diag([sinh(theta - eta * s) / sinh(theta) for s in sz2])
         lhs = -y1 @ tn.transpose_first4(base.data) @ y1 @ pref
         rhs = tn.swapped4(dyn_r4(lam, theta, eta))
     else:
         base = tn.charge_resolved(
-            legs, [("c1", -1)], lambda c: tn.on(tn.swapped4(dyn_r4(-lam - eta, theta + eta * c, eta)), legs)
+            legs, [("c1", -1)], legs, lambda c: tn.swapped4(dyn_r4(-lam - eta, theta + eta * c, eta))
         )
         pref = np.diag([sinh(theta + eta * s) / sinh(theta) for s in sz2])
         lhs = -y1 @ tn.transpose_first4(base.data) @ y1 @ pref
@@ -682,24 +575,28 @@ def crossed_l_parity_residual(lam, theta, eta) -> float:
 
 
 def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
+    """Vertex-face correspondence R S_1 S_2 = S_2 S_1 R(theta) on two legs.
+
+    The inner gauge factor of each side carries theta + w eta sz of the
+    outer one's leg, w = -1 in form 1 and +1 in form 2.
+    """
     legs = _L_LEGS
+    w = -1 if form == 1 else +1
 
-    def s_at(leg, x, t):
-        return tn.embed(tn.on(gauge_s2(x, t, omega), (leg,)), legs)
-
-    def s_shift(leg, x, shift_leg, w):
-        return tn.charge_resolved(
-            legs, [(shift_leg, w)], lambda c: tn.embed(tn.on(gauge_s2(x, theta + eta * c, omega), (leg,)), legs)
-        )
-
+    s = {}
+    for leg, other, x in (("c1", "c2", l1), ("c2", "c1", l2)):
+        for weight in (0, w):
+            s[leg, weight] = tn.charge_resolved(
+                legs, [(other, weight)], (leg,), lambda c, x=x: gauge_s2(x, theta + eta * c, omega)
+            )
     rv = tn.on(vx.r4(l1 - l2, eta), legs)
     rd = tn.on(dyn_r4(l1 - l2, theta, eta), legs)
     if form == 1:
-        lhs = rv @ s_at("c1", l1, theta) @ s_shift("c2", l2, "c1", -1)
-        rhs = s_at("c2", l2, theta) @ s_shift("c1", l1, "c2", -1) @ rd
+        lhs = rv @ s["c1", 0] @ s["c2", w]
+        rhs = s["c2", 0] @ s["c1", w] @ rd
     else:
-        lhs = rv @ s_at("c2", l2, theta) @ s_shift("c1", l1, "c2", +1)
-        rhs = s_at("c1", l1, theta) @ s_shift("c2", l2, "c1", +1) @ rd
+        lhs = rv @ s["c2", 0] @ s["c1", w]
+        rhs = s["c1", 0] @ s["c2", w] @ rd
     return tn.rel_residual(lhs, rhs)
 
 
@@ -719,27 +616,20 @@ def k_plus_diag_residual(lam, p: ModelParams) -> float:
     return tn.rel_residual(lhs, k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole))
 
 
-def dyn_reflection_residual(l1, l2, p: ModelParams, dual: bool = False) -> float:
-    """Reflection equation for the diagonal height-picture boundary matrices."""
-    legs = _L_LEGS
-    eta = p.eta
-    if not dual:
+def dyn_reflection_residual(l1, l2, p: ModelParams, side: str) -> float:
+    """Reflection equation for the diagonal height-picture K_- ("minus") or K_+ ("plus")."""
+    if side == "minus":
         theta = p.delta - p.zeta
-        k1 = tn.embed(tn.on(k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)), legs)
-        k2_ = tn.embed(tn.on(k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)), legs)
-        rr = lambda x: tn.on(dyn_r4(x, theta, eta), legs)
-        rs = lambda x: tn.on(tn.swapped4(dyn_r4(x, theta, eta)), legs)
-        lhs = rr(l1 - l2) @ k1 @ rs(l1 + l2) @ k2_
-        rhs = k2_ @ rr(l1 + l2) @ k1 @ rs(l1 - l2)
+        k = lambda lam: k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole)
     else:
-        tb = p.delta_bar - p.zeta_bar
-        k1 = tn.embed(tn.on(k2_plus_diag(l1, p.delta_bar, p.zeta_bar, eta, p.eps_pole), ("c1",)), legs)
-        k2_ = tn.embed(tn.on(k2_plus_diag(l2, p.delta_bar, p.zeta_bar, eta, p.eps_pole), ("c2",)), legs)
-        rr = lambda x: tn.on(dyn_r4(x, tb, eta), legs)
-        rs = lambda x: tn.on(tn.swapped4(dyn_r4(x, tb, eta)), legs)
-        lhs = rr(l2 - l1) @ k1 @ rs(-(l1 + l2) - 2 * eta) @ k2_
-        rhs = k2_ @ rr(-(l1 + l2) - 2 * eta) @ k1 @ rs(l2 - l1)
-    return tn.rel_residual(lhs, rhs)
+        theta = p.delta_bar - p.zeta_bar
+        k = lambda lam: k2_plus_diag(lam, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole)
+    legs = _L_LEGS
+    return vx.reflection_type_residual(
+        lambda x, c: dyn_r4(x, theta, p.eta),
+        lambda lam, leg: tn.embed(tn.on(k(lam), (leg,)), legs),
+        legs, (), side, l1, l2, p.eta,
+    )
 
 
 def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
@@ -759,20 +649,18 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     k2v = tn.embed(tn.on(vx.k2(l2, "minus", p), ("c2",)), legs)
     lhs = rr_v(l1 - l2) @ k1v @ rs_v(l1 + l2) @ k2v
 
-    def s_shift(leg, x, shift_leg, w, inverse=False):
-        b2 = gauge_s2_inv if inverse else gauge_s2
-        return tn.charge_resolved(
-            legs, [(shift_leg, w)], lambda c: tn.embed(tn.on(b2(x, theta + eta * c, om, p.eps_pole), (leg,)), legs)
-        )
-
     k1d = tn.embed(tn.on(k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)), legs)
     k2d = tn.embed(tn.on(k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)), legs)
     rr = lambda x: tn.on(dyn_r4(x, theta, eta), legs)
     rs = lambda x: tn.on(tn.swapped4(dyn_r4(x, theta, eta)), legs)
     s2 = tn.embed(tn.on(gauge_s2(l2, theta, om, p.eps_pole), ("c2",)), legs)
-    s1sh = s_shift("c1", l1, "c2", -1)
+    s1sh = tn.charge_resolved(
+        legs, [("c2", -1)], ("c1",), lambda c: gauge_s2(l1, theta + eta * c, om, p.eps_pole)
+    )
     sos_mid = rr(l1 - l2) @ k1d @ rs(l1 + l2) @ k2d
-    s1inv = s_shift("c1", -l1, "c2", -1, inverse=True)
+    s1inv = tn.charge_resolved(
+        legs, [("c2", -1)], ("c1",), lambda c: gauge_s2_inv(-l1, theta + eta * c, om, p.eps_pole)
+    )
     s2inv = tn.embed(tn.on(gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)), legs)
     rhs = s2 @ s1sh @ sos_mid @ s1inv @ s2inv
     return tn.rel_residual(lhs, rhs)
@@ -791,67 +679,58 @@ def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
     return tn.rel_residual(direct, via)
 
 
-def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, dual: bool = False) -> float:
+def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> float:
+    """Gauge relation between the dynamical monodromy T ("minus") or V ("plus") and the vertex one."""
     legs = chain_legs(p.N)
-    if not dual:
-        srow = tn.embed(gauge_row_minus(theta, omega, p), legs)
+    if side == "minus":
+        srow = tn.embed(gauge_row(theta, omega, "minus", p), legs)
         lhs = srow @ gauge_aux_shifted(lam, theta, omega, p, -1) @ dyn_monodromy(lam, theta, "T", p)
         t0 = vx.bulk_monodromy(lam, p)
         s0 = tn.embed(tn.on(gauge_s2(lam, theta, omega, p.eps_pole), (AUX,)), legs)
-        srow_aux = gauge_row_minus(theta, omega, p, legs=legs, extra_shift=((AUX, -1),))
+        srow_aux = gauge_row(theta, omega, "minus", p, legs=legs, extra_shift=((AUX, -1),))
         rhs = t0 @ s0 @ srow_aux
     else:
-        srow = tn.embed(gauge_row_plus(theta, omega, p), legs)
+        srow = tn.embed(gauge_row(theta, omega, "plus", p), legs)
         lhs = srow @ gauge_aux_shifted(lam + p.eta, theta, omega, p, +1, tilde=True) @ dyn_monodromy(lam, theta, "V", p)
         t0t = tn.partial_transpose(vx.bulk_monodromy(lam, p), AUX)
         s0t = tn.embed(tn.on(gauge_s_tilde2(lam + p.eta, theta, omega, p.eps_pole), (AUX,)), legs)
-        srow_aux = gauge_row_plus(theta, omega, p, legs=legs, extra_shift=((AUX, -1),))
+        srow_aux = gauge_row(theta, omega, "plus", p, legs=legs, extra_shift=((AUX, -1),))
         rhs = t0t @ s0t @ srow_aux
     return tn.rel_residual(lhs, rhs)
 
 
-def sos_algebra_residual(l1, l2, p: ModelParams, dual: bool = False) -> float:
-    """Dynamical reflection algebra of the double-row matrices (minus or plus)."""
-    a1, a2 = "x1", "x2"
-    legs = (a1, a2) + site_legs(p.N)
-    eta = p.eta
-    slegs = site_legs(p.N)
+def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
+    """Dynamical reflection algebra of the double-row matrices (minus or plus).
 
-    def rsh(x, theta, w, swap=False):
-        mk = tn.swapped4 if swap else (lambda m: m)
-        return tn.charge_resolved(
-            legs, [(s, w) for s in slegs],
-            lambda c: tn.embed(tn.on(mk(dyn_r4(x, theta + eta * c, eta)), (a1, a2)), legs),
-        )
-
-    if not dual:
-        theta = p.delta - p.zeta
-        u1 = tn.embed(dyn_double_row(l1, theta, "minus", p), legs, target_legs=(a1,) + slegs)
-        u2 = tn.embed(dyn_double_row(l2, theta, "minus", p), legs, target_legs=(a2,) + slegs)
-        lhs = rsh(l1 - l2, theta, -1) @ u1 @ rsh(l1 + l2, theta, -1, swap=True) @ u2
-        rhs = u2 @ rsh(l1 + l2, theta, -1) @ u1 @ rsh(l1 - l2, theta, -1, swap=True)
+    The R-matrices carry theta - eta S^z ("minus") or theta + eta S^z
+    ("plus") of the quantum sites.
+    """
+    if side == "minus":
+        theta, w = p.delta - p.zeta, -1
     else:
-        tb = p.delta_bar - p.zeta_bar
-        u1 = tn.embed(dyn_double_row(l1, tb, "plus", p), legs, target_legs=(a1,) + slegs)
-        u2 = tn.embed(dyn_double_row(l2, tb, "plus", p), legs, target_legs=(a2,) + slegs)
-        lhs = rsh(l2 - l1, tb, +1) @ u1 @ rsh(-(l1 + l2) - 2 * eta, tb, +1, swap=True) @ u2
-        rhs = u2 @ rsh(-(l1 + l2) - 2 * eta, tb, +1) @ u1 @ rsh(l2 - l1, tb, +1, swap=True)
-    return tn.rel_residual(lhs, rhs)
+        theta, w = p.delta_bar - p.zeta_bar, +1
+    slegs = site_legs(p.N)
+    legs = ("x1", "x2") + slegs
+    return vx.reflection_type_residual(
+        lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta),
+        lambda lam, leg: tn.embed(dyn_double_row(lam, theta, side, p), legs, target_legs=(leg,) + slegs),
+        legs, [(s, w) for s in slegs], side, l1, l2, p.eta,
+    )
 
 
-def vsos_state_residual(lam, p: ModelParams, dual: bool = False) -> float:
-    """Double-row vertex-face relations between the two pictures."""
+def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
+    """Double-row vertex-face relation between the two pictures, minus or plus side."""
     legs = chain_legs(p.N)
-    if not dual:
+    if side == "minus":
         theta = p.delta - p.zeta
         om = p.tau
-        srow = tn.embed(gauge_row_minus(theta, om, p), legs)
+        srow = tn.embed(gauge_row(theta, om, "minus", p), legs)
         lhs = srow @ gauge_aux_shifted(lam, theta, om, p, -1) @ dyn_double_row(lam, theta, "minus", p)
         rhs = vx.double_row(lam, "minus", p) @ srow @ gauge_aux_shifted(-lam, theta, om, p, -1)
     else:
         tb = p.delta_bar - p.zeta_bar
         om = p.tau_bar
-        srow = tn.embed(gauge_row_plus(tb, om, p), legs)
+        srow = tn.embed(gauge_row(tb, om, "plus", p), legs)
         lhs = srow @ gauge_aux_shifted(lam + p.eta, tb, om, p, +1, tilde=True) @ dyn_double_row(lam, tb, "plus", p)
         rhs = vx.double_row(lam, "plus", p) @ srow @ gauge_aux_shifted(-lam - p.eta, tb, om, p, +1, tilde=True)
     return tn.rel_residual(lhs, rhs)
@@ -922,47 +801,53 @@ def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
     return tn.rel_residual(dt1 @ b2, rhs)
 
 
-SOS_CHECKS = (
-    "dybe1",
-    "dybe2",
-    "ice",
-    "unitarity",
-    "crossing1",
-    "crossing2",
-    "parity",
-    "l_unitarity",
-    "l_ice",
-    "l_parity",
-    "vertex_face1",
-    "vertex_face2",
-    "k_minus_diag",
-    "k_plus_diag",
-    "dyn_reflection",
-    "dual_dyn_reflection",
-    "reflection_equivalence",
-    "zero_weight",
-    "that_inverse",
-    "vhat_inverse",
-    "monodromy_gauge",
-    "dual_monodromy_gauge",
-    "sos_algebra",
-    "dual_sos_algebra",
-    "vsos_state",
-    "dual_vsos_state",
-    "gamma_parity",
-    "isomorphism",
-    "commutation_ab",
-    "commutation_dtb",
-)
+# name -> residual at three seeded spectral points and a free theta
+SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]] = {
+    "dybe1": lambda l, th, p: dybe_residual(l[0], l[1], l[2], th, p.eta, form=1),
+    "dybe2": lambda l, th, p: dybe_residual(l[0], l[1], l[2], th, p.eta, form=2),
+    "ice": lambda l, th, p: dyn_ice_residual(l[0], th, p.eta),
+    "unitarity": lambda l, th, p: dyn_unitarity_residual(l[0], th, p.eta),
+    "crossing1": lambda l, th, p: dyn_crossing_residual(l[0], th, p.eta, form=1),
+    "crossing2": lambda l, th, p: dyn_crossing_residual(l[0], th, p.eta, form=2),
+    "parity": lambda l, th, p: dyn_parity_residual(l[0], th, p.eta),
+    "l_unitarity": lambda l, th, p: crossed_l_unitarity_residual(l[0], th, p.eta),
+    "l_ice": lambda l, th, p: crossed_l_ice_residual(l[0], th, p.eta),
+    "l_parity": lambda l, th, p: crossed_l_parity_residual(l[0], th, p.eta),
+    "vertex_face1": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=1),
+    "vertex_face2": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=2),
+    "k_minus_diag": lambda l, th, p: k_minus_diag_residual(l[0], p),
+    "k_plus_diag": lambda l, th, p: k_plus_diag_residual(l[0], p),
+    "dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "minus"),
+    "dual_dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "plus"),
+    "reflection_equivalence": lambda l, th, p: reflection_equivalence_residual(l[0], l[1], p),
+    "zero_weight": lambda l, th, p: zero_weight_residual(l[0], th, p),
+    "that_inverse": lambda l, th, p: monodromy_inverse_residual(l[0], th, p, "That"),
+    "vhat_inverse": lambda l, th, p: monodromy_inverse_residual(l[0], th, p, "Vhat"),
+    "monodromy_gauge": lambda l, th, p: monodromy_gauge_residual(l[0], th, p.tau, p, "minus"),
+    "dual_monodromy_gauge": lambda l, th, p: monodromy_gauge_residual(l[0], th, p.tau, p, "plus"),
+    "sos_algebra": lambda l, th, p: sos_algebra_residual(l[0], l[1], p, "minus"),
+    "dual_sos_algebra": lambda l, th, p: sos_algebra_residual(l[0], l[1], p, "plus"),
+    "vsos_state": lambda l, th, p: vsos_state_residual(l[0], p, "minus"),
+    "dual_vsos_state": lambda l, th, p: vsos_state_residual(l[0], p, "plus"),
+    "gamma_parity": lambda l, th, p: gamma_parity_residual(l[0], p),
+    "isomorphism": lambda l, th, p: isomorphism_residual(l[0], th, p),
+    "commutation_ab": lambda l, th, p: commutation_ab_residual(l[0], l[1], p),
+    "commutation_dtb": lambda l, th, p: commutation_dtb_residual(l[0], l[1], p),
+}
+SOS_CHECKS = tuple(SOS_RESIDUALS)
 
 
-def sos_identity_suite(
-    check: str, p: ModelParams, dyn: DynParams | None = None, seed: int = 0, trials: int = 20
-) -> ResidualReport:
-    """Evaluate one named height-picture identity at seeded random points."""
-    dyn = DynParams.from_boundary(p) if dyn is None else dyn
+def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> ResidualReport:
+    """Evaluate one named height-picture identity at seeded random points.
+
+    Each trial draws three spectral points, then a free dynamical parameter.
+    """
+    if check not in SOS_RESIDUALS:
+        raise ValueError(f"unknown height-picture check {check!r}")
+    residual = SOS_RESIDUALS[check]
     rng = np.random.default_rng(seed)
     eta = p.eta
+    thetas = (p.delta - p.zeta, p.delta_bar - p.zeta_bar)
 
     def draw_theta():
         for _ in range(10_000):
@@ -973,69 +858,6 @@ def sos_identity_suite(
 
     residuals = []
     for _ in range(trials):
-        pts = sample_points(rng, p, 3, thetas=(dyn.theta, dyn.theta_bar))
-        free_theta = draw_theta()
-        l1, l2, l3 = pts
-        if check == "dybe1":
-            residuals.append(dybe_residual(l1, l2, l3, free_theta, eta, form=1))
-        elif check == "dybe2":
-            residuals.append(dybe_residual(l1, l2, l3, free_theta, eta, form=2))
-        elif check == "ice":
-            residuals.append(dyn_ice_residual(l1, free_theta, eta))
-        elif check == "unitarity":
-            residuals.append(dyn_unitarity_residual(l1, free_theta, eta))
-        elif check == "crossing1":
-            residuals.append(dyn_crossing_residual(l1, free_theta, eta, form=1))
-        elif check == "crossing2":
-            residuals.append(dyn_crossing_residual(l1, free_theta, eta, form=2))
-        elif check == "parity":
-            residuals.append(dyn_parity_residual(l1, free_theta, eta))
-        elif check == "l_unitarity":
-            residuals.append(crossed_l_unitarity_residual(l1, free_theta, eta))
-        elif check == "l_ice":
-            residuals.append(crossed_l_ice_residual(l1, free_theta, eta))
-        elif check == "l_parity":
-            residuals.append(crossed_l_parity_residual(l1, free_theta, eta))
-        elif check == "vertex_face1":
-            residuals.append(vertex_face_residual(l1, l2, free_theta, dyn.omega, eta, form=1))
-        elif check == "vertex_face2":
-            residuals.append(vertex_face_residual(l1, l2, free_theta, dyn.omega, eta, form=2))
-        elif check == "k_minus_diag":
-            residuals.append(k_minus_diag_residual(l1, p))
-        elif check == "k_plus_diag":
-            residuals.append(k_plus_diag_residual(l1, p))
-        elif check == "dyn_reflection":
-            residuals.append(dyn_reflection_residual(l1, l2, p, dual=False))
-        elif check == "dual_dyn_reflection":
-            residuals.append(dyn_reflection_residual(l1, l2, p, dual=True))
-        elif check == "reflection_equivalence":
-            residuals.append(reflection_equivalence_residual(l1, l2, p))
-        elif check == "zero_weight":
-            residuals.append(zero_weight_residual(l1, free_theta, p))
-        elif check == "that_inverse":
-            residuals.append(monodromy_inverse_residual(l1, free_theta, p, "That"))
-        elif check == "vhat_inverse":
-            residuals.append(monodromy_inverse_residual(l1, free_theta, p, "Vhat"))
-        elif check == "monodromy_gauge":
-            residuals.append(monodromy_gauge_residual(l1, free_theta, dyn.omega, p, dual=False))
-        elif check == "dual_monodromy_gauge":
-            residuals.append(monodromy_gauge_residual(l1, free_theta, dyn.omega, p, dual=True))
-        elif check == "sos_algebra":
-            residuals.append(sos_algebra_residual(l1, l2, p, dual=False))
-        elif check == "dual_sos_algebra":
-            residuals.append(sos_algebra_residual(l1, l2, p, dual=True))
-        elif check == "vsos_state":
-            residuals.append(vsos_state_residual(l1, p, dual=False))
-        elif check == "dual_vsos_state":
-            residuals.append(vsos_state_residual(l1, p, dual=True))
-        elif check == "gamma_parity":
-            residuals.append(gamma_parity_residual(l1, p))
-        elif check == "isomorphism":
-            residuals.append(isomorphism_residual(l1, free_theta, p))
-        elif check == "commutation_ab":
-            residuals.append(commutation_ab_residual(l1, l2, p))
-        elif check == "commutation_dtb":
-            residuals.append(commutation_dtb_residual(l1, l2, p))
-        else:
-            raise ValueError(f"unknown height-picture check {check!r}")
+        pts = sample_points(rng, p, 3, thetas=thetas)
+        residuals.append(residual(pts, draw_theta(), p))
     return ResidualReport(check=check, residuals=tuple(residuals), seed=seed)

@@ -201,21 +201,23 @@ def weighted_sz(full_legs: Sequence[str], weighted_legs: Sequence[tuple[str, int
 def charge_resolved(
     full_legs: Sequence[str],
     weighted_legs: Sequence[tuple[str, int]],
-    build: Callable[[int], Operator],
+    legs: Sequence[str],
+    block: Callable[[int], np.ndarray],
 ) -> Operator:
-    """Assemble an operator whose construction depends on sigma^z charges.
+    """Dynamical gate: a local block whose entries depend on sigma^z charges.
 
     The charge c = sum of w * sigma^z(leg) is read off the input (column)
-    basis state; ``build(c)`` must return an operator on ``full_legs``.
-    This realizes the convention that operator-valued dynamical arguments
-    act first, before the matrix they parameterize.
+    basis state; ``block(c)`` returns the raw matrix acting on ``legs``,
+    which is embedded into ``full_legs``.  This realizes the convention
+    that operator-valued dynamical arguments act first, before the matrix
+    they parameterize.
     """
     full_legs = tuple(full_legs)
     charges = weighted_sz(full_legs, weighted_legs)
     out = np.zeros((2 ** len(full_legs),) * 2, dtype=complex)
     for c in np.unique(charges):
         cols = np.nonzero(charges == c)[0]
-        out[:, cols] = build(int(c)).data[:, cols]
+        out[:, cols] = embed(on(block(int(c)), legs), full_legs).data[:, cols]
     return Operator(out, full_legs)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from cmath import cosh, exp, sinh
 from functools import reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ def site_legs(N: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(1, N + 1))
 
 
-def chain_legs(N: int, aux: str = AUX) -> tuple[str, ...]:
-    return (aux,) + site_legs(N)
+def chain_legs(N: int) -> tuple[str, ...]:
+    return (AUX,) + site_legs(N)
 
 
 def gamma_sign(N: int) -> complex:
@@ -82,10 +83,6 @@ def dr4(lam: complex, eta: complex) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def r_matrix(lam: complex, p: ModelParams, legs=("v1", "v2")) -> Operator:
-    return tn.on(r4(lam, p.eta), legs)
 
 
 def k2_minus(lam: complex, delta: complex, zeta: complex, tau: complex, eps: float) -> np.ndarray:
@@ -149,25 +146,25 @@ def k_matrix(lam: complex, side: str, p: ModelParams, leg: str = AUX) -> Operato
     return tn.on(k2(lam, side, p), (leg,))
 
 
-def bulk_monodromy(lam: complex, p: ModelParams, aux: str = AUX) -> Operator:
+def bulk_monodromy(lam: complex, p: ModelParams) -> Operator:
     """T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N)."""
-    legs = chain_legs(p.N, aux)
+    legs = chain_legs(p.N)
     factors = [
-        tn.embed(tn.on(r4(lam - p.xi[k], p.eta), (aux, f"s{k + 1}")), legs)
+        tn.embed(tn.on(r4(lam - p.xi[k], p.eta), (AUX, f"s{k + 1}")), legs)
         for k in range(p.N)
     ]
     return reduce(lambda a, b: a @ b, factors)
 
 
-def hat_monodromy(lam: complex, p: ModelParams, aux: str = AUX, via_inverse: bool = False) -> Operator:
+def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> Operator:
     """That_0(lam) = R_{N0}(lam + xi_N) ... R_{10}(lam + xi_1).
 
     With ``via_inverse`` the equivalent form gamma_hat(lam) T_0(-lam)^{-1}
     is used instead (raises DegenerateParameter if T_0(-lam) is singular).
     """
-    legs = chain_legs(p.N, aux)
+    legs = chain_legs(p.N)
     if via_inverse:
-        t = bulk_monodromy(-lam, p, aux)
+        t = bulk_monodromy(-lam, p)
         try:
             inv = np.linalg.inv(t.data)
         except np.linalg.LinAlgError as exc:
@@ -176,41 +173,27 @@ def hat_monodromy(lam: complex, p: ModelParams, aux: str = AUX, via_inverse: boo
             raise DegenerateParameter("T_0(-lam) is numerically singular")
         return tn.on(gamma_hat(lam, p) * inv, legs)
     factors = [
-        tn.embed(tn.on(r4(lam + p.xi[k], p.eta), (f"s{k + 1}", aux)), legs)
+        tn.embed(tn.on(r4(lam + p.xi[k], p.eta), (f"s{k + 1}", AUX)), legs)
         for k in reversed(range(p.N))
     ]
     return reduce(lambda a, b: a @ b, factors)
 
 
-def double_row(lam: complex, side: str, p: ModelParams, aux: str = AUX) -> Operator:
+def double_row(lam: complex, side: str, p: ModelParams) -> Operator:
     """Double-row monodromy: U_- for side "minus", U_+^{t_0} for side "plus"."""
     assert_generic(p, [lam])
-    legs = chain_legs(p.N, aux)
+    legs = chain_legs(p.N)
     if side == "minus":
-        t = bulk_monodromy(lam, p, aux)
-        that = hat_monodromy(lam, p, aux)
-        km = tn.embed(k_matrix(lam, "minus", p, aux), legs)
+        t = bulk_monodromy(lam, p)
+        that = hat_monodromy(lam, p)
+        km = tn.embed(k_matrix(lam, "minus", p), legs)
         return t @ km @ that
     if side == "plus":
-        t_t = tn.partial_transpose(bulk_monodromy(lam, p, aux), aux)
-        that_t = tn.partial_transpose(hat_monodromy(lam, p, aux), aux)
-        kp_t = tn.embed(tn.on(k2(lam, "plus", p).T, (aux,)), legs)
+        t_t = tn.partial_transpose(bulk_monodromy(lam, p), AUX)
+        that_t = tn.partial_transpose(hat_monodromy(lam, p), AUX)
+        kp_t = tn.embed(tn.on(k2(lam, "plus", p).T, (AUX,)), legs)
         return t_t @ kp_t @ that_t
     raise ValueError(f"unknown side {side!r}")
-
-
-def double_row_blocks(lam: complex, side: str, p: ModelParams) -> dict[str, Operator]:
-    """Named 2x2 blocks over the auxiliary space of the double-row matrix.
-
-    The "plus" side follows the transposed layout, whose off-diagonal
-    blocks are C_+ (upper) and B_+ (lower).
-    """
-    u = double_row(lam, side, p)
-    if side == "minus":
-        names = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
-    else:
-        names = {"A": (0, 0), "C": (0, 1), "B": (1, 0), "D": (1, 1)}
-    return {name: tn.block(u, AUX, r, c) for name, (r, c) in names.items()}
 
 
 def transfer_xxz(lam: complex, p: ModelParams, tol: float = 1e-11) -> Operator:
@@ -363,116 +346,86 @@ def crossing_residual(lam: complex, eta: complex) -> float:
     return tn.rel_residual(lhs, rhs)
 
 
-def reflection_residual(l1: complex, l2: complex, p: ModelParams) -> float:
-    """Boundary Yang-Baxter equation for K_- on two auxiliary legs."""
+def reflection_type_residual(
+    r4fn: Callable[[complex, int], np.ndarray],
+    boundary: Callable[[complex, str], Operator],
+    legs: tuple[str, ...],
+    shift: Sequence[tuple[str, int]],
+    side: str,
+    l1: complex,
+    l2: complex,
+    eta: complex,
+) -> float:
+    """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``.
+
+    The first two legs are the auxiliary pair.  ``r4fn(x, c)`` is the raw
+    R-matrix block at spectral argument x and charge c of the weighted
+    ``shift`` legs; ``boundary(lam, leg)`` is the boundary object at lam on
+    one auxiliary leg, X1 = boundary(l1, legs[0]) and X2 = boundary(l2,
+    legs[1]).  The side picks the spectral pair: (a, b) = (l1 - l2,
+    l1 + l2) for "minus", (l2 - l1, -l1 - l2 - 2 eta) for "plus".
+    """
+    if side == "minus":
+        a, b = l1 - l2, l1 + l2
+    elif side == "plus":
+        a, b = l2 - l1, -(l1 + l2) - 2 * eta
+    else:
+        raise ValueError(f"unknown side {side!r}")
+
+    def gate(x, swapped):
+        return tn.charge_resolved(
+            legs, shift, legs[:2], lambda c: tn.swapped4(r4fn(x, c)) if swapped else r4fn(x, c)
+        )
+
+    x1, x2 = boundary(l1, legs[0]), boundary(l2, legs[1])
+    lhs = gate(a, False) @ x1 @ gate(b, True) @ x2
+    rhs = x2 @ gate(b, False) @ x1 @ gate(a, True)
+    return tn.rel_residual(lhs, rhs)
+
+
+def reflection_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:
+    """Boundary Yang-Baxter equation for K_- ("minus"), or the dual one for K_+^t ("plus")."""
     legs = ("v1", "v2")
-    eta = p.eta
 
-    def rr(x):
-        return tn.on(r4(x, eta), legs)
+    def k(lam, leg):
+        m = k2(lam, side, p)
+        return tn.embed(tn.on(m.T if side == "plus" else m, (leg,)), legs)
 
-    def rs(x):
-        return tn.on(tn.swapped4(r4(x, eta)), legs)
-
-    k1 = tn.embed(tn.on(k2(l1, "minus", p), ("v1",)), legs)
-    k2_ = tn.embed(tn.on(k2(l2, "minus", p), ("v2",)), legs)
-    lhs = rr(l1 - l2) @ k1 @ rs(l1 + l2) @ k2_
-    rhs = k2_ @ rr(l1 + l2) @ k1 @ rs(l1 - l2)
-    return tn.rel_residual(lhs, rhs)
+    return reflection_type_residual(lambda x, c: r4(x, p.eta), k, legs, (), side, l1, l2, p.eta)
 
 
-def dual_reflection_residual(l1: complex, l2: complex, p: ModelParams) -> float:
-    """Dual boundary Yang-Baxter equation for K_+."""
-    legs = ("v1", "v2")
-    eta = p.eta
+def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:
+    """Reflection algebra of U_- ("minus"), or the dual one of U_+^{t_0} ("plus")."""
+    slegs = site_legs(p.N)
+    legs = ("x1", "x2") + slegs
 
-    def rr(x):
-        return tn.on(r4(x, eta), legs)
+    def u(lam, leg):
+        return tn.embed(double_row(lam, side, p), legs, target_legs=(leg,) + slegs)
 
-    def rs(x):
-        return tn.on(tn.swapped4(r4(x, eta)), legs)
-
-    k1 = tn.embed(tn.on(k2(l1, "plus", p).T, ("v1",)), legs)
-    k2_ = tn.embed(tn.on(k2(l2, "plus", p).T, ("v2",)), legs)
-    lhs = rr(l2 - l1) @ k1 @ rs(-(l1 + l2) - 2 * eta) @ k2_
-    rhs = k2_ @ rr(-(l1 + l2) - 2 * eta) @ k1 @ rs(l2 - l1)
-    return tn.rel_residual(lhs, rhs)
+    return reflection_type_residual(lambda x, c: r4(x, p.eta), u, legs, (), side, l1, l2, p.eta)
 
 
-def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams) -> float:
-    """Reflection-algebra relation satisfied by the double-row matrix U_-."""
-    a1, a2 = "x1", "x2"
-    legs = (a1, a2) + site_legs(p.N)
-    eta = p.eta
-
-    def rr(x):
-        return tn.embed(tn.on(r4(x, eta), (a1, a2)), legs)
-
-    def rs(x):
-        return tn.embed(tn.on(tn.swapped4(r4(x, eta)), (a1, a2)), legs)
-
-    u1 = tn.embed(double_row(l1, "minus", p), legs, target_legs=(a1,) + site_legs(p.N))
-    u2 = tn.embed(double_row(l2, "minus", p), legs, target_legs=(a2,) + site_legs(p.N))
-    lhs = rr(l1 - l2) @ u1 @ rs(l1 + l2) @ u2
-    rhs = u2 @ rr(l1 + l2) @ u1 @ rs(l1 - l2)
-    return tn.rel_residual(lhs, rhs)
-
-
-def dual_reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams) -> float:
-    """Dual reflection-algebra relation satisfied by U_+^{t_0}."""
-    a1, a2 = "x1", "x2"
-    legs = (a1, a2) + site_legs(p.N)
-    eta = p.eta
-
-    def rr(x):
-        return tn.embed(tn.on(r4(x, eta), (a1, a2)), legs)
-
-    def rs(x):
-        return tn.embed(tn.on(tn.swapped4(r4(x, eta)), (a1, a2)), legs)
-
-    u1 = tn.embed(double_row(l1, "plus", p), legs, target_legs=(a1,) + site_legs(p.N))
-    u2 = tn.embed(double_row(l2, "plus", p), legs, target_legs=(a2,) + site_legs(p.N))
-    lhs = rr(l2 - l1) @ u1 @ rs(-(l1 + l2) - 2 * eta) @ u2
-    rhs = u2 @ rr(-(l1 + l2) - 2 * eta) @ u1 @ rs(l2 - l1)
-    return tn.rel_residual(lhs, rhs)
-
-
-VERTEX_CHECKS = (
-    "ybe",
-    "unitarity",
-    "z2",
-    "crossing",
-    "reflection",
-    "dual_reflection",
-    "reflection_algebra",
-    "dual_reflection_algebra",
-)
+# name -> residual at three seeded spectral points
+VERTEX_RESIDUALS: dict[str, Callable[[list[complex], ModelParams], float]] = {
+    "ybe": lambda pts, p: ybe_residual(pts[0], pts[1], pts[2], p.eta),
+    "unitarity": lambda pts, p: unitarity_residual(pts[0], p.eta),
+    "z2": lambda pts, p: z2_residual(pts[0], p.eta),
+    "crossing": lambda pts, p: crossing_residual(pts[0], p.eta),
+    "reflection": lambda pts, p: reflection_residual(pts[0], pts[1], p, "minus"),
+    "dual_reflection": lambda pts, p: reflection_residual(pts[0], pts[1], p, "plus"),
+    "reflection_algebra": lambda pts, p: reflection_algebra_residual(pts[0], pts[1], p, "minus"),
+    "dual_reflection_algebra": lambda pts, p: reflection_algebra_residual(pts[0], pts[1], p, "plus"),
+}
+VERTEX_CHECKS = tuple(VERTEX_RESIDUALS)
 
 
 def vertex_identity_suite(
     check: str, p: ModelParams, seed: int = 0, trials: int = 20
 ) -> ResidualReport:
     """Evaluate one named vertex identity at seeded random spectral points."""
+    if check not in VERTEX_RESIDUALS:
+        raise ValueError(f"unknown vertex check {check!r}")
+    residual = VERTEX_RESIDUALS[check]
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(trials):
-        pts = sample_points(rng, p, 3)
-        if check == "ybe":
-            residuals.append(ybe_residual(pts[0], pts[1], pts[2], p.eta))
-        elif check == "unitarity":
-            residuals.append(unitarity_residual(pts[0], p.eta))
-        elif check == "z2":
-            residuals.append(z2_residual(pts[0], p.eta))
-        elif check == "crossing":
-            residuals.append(crossing_residual(pts[0], p.eta))
-        elif check == "reflection":
-            residuals.append(reflection_residual(pts[0], pts[1], p))
-        elif check == "dual_reflection":
-            residuals.append(dual_reflection_residual(pts[0], pts[1], p))
-        elif check == "reflection_algebra":
-            residuals.append(reflection_algebra_residual(pts[0], pts[1], p))
-        elif check == "dual_reflection_algebra":
-            residuals.append(dual_reflection_algebra_residual(pts[0], pts[1], p))
-        else:
-            raise ValueError(f"unknown vertex check {check!r}")
-    return ResidualReport(check=check, residuals=tuple(residuals), seed=seed)
+    residuals = tuple(residual(sample_points(rng, p, 3), p) for _ in range(trials))
+    return ResidualReport(check=check, residuals=residuals, seed=seed)

@@ -130,12 +130,26 @@ def test_exit_code_solver_failure(tmp_path):
     )
 
 
-def test_worker_env_does_not_change_report(tmp_path, monkeypatch):
-    args = ["verify", "--suite", "vertex", "--n", "2", "--seed", "11", "--trials", "3"]
-    _, serial = run_cli(args, tmp_path, "serial.jsonl")
-    monkeypatch.setenv("BETHE_SOS_THREADS", "4")
-    _, threaded = run_cli(args, tmp_path, "threaded.jsonl")
-    assert strip_wall_time(serial) == strip_wall_time(threaded)
+def test_sector_flag_wins_over_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 1, "sector_s": 2, "seed": 4}))
+    code, text = run_cli(["partition", "--n", "1", "--config", str(cfg_path), "--sector", "0"], tmp_path)
+    assert code == 0
+    _, summary = rows_and_summary(text)
+    assert summary["config"]["sector_s"] == 0
+    assert summary["config"]["seed"] == 4
+
+
+def test_n_zero_is_config_error(tmp_path):
+    assert cli.main(["verify", "--suite", "vertex", "--n", "0", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_negative_n_is_config_error(tmp_path):
+    assert cli.main(["verify", "--suite", "vertex", "--n", "-1", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_zero_trials_is_config_error(tmp_path):
+    assert cli.main(["verify", "--suite", "vertex", "--n", "1", "--trials", "0", "--out", str(tmp_path / "x")]) == 2
 
 
 def test_csv_format(tmp_path):

@@ -68,9 +68,8 @@ def test_block_weights(n):
     theta = 0.63 + 0.29j
     lam = 0.21 + 0.12j
     for name, weight in (("B", -2), ("C", +2), ("A", 0), ("D", 0)):
-        fam = sos.dyn_block_family(lam, "minus", name, p)
-        assert fam.weight == weight
-        assert sos.sector_leakage(fam.at(theta), weight) < 1e-13
+        block = sos.dyn_block(lam, theta, "minus", name, p)
+        assert sos.sector_leakage(block, weight) < 1e-13
 
 
 def test_reference_state_actions(p2):
@@ -137,7 +136,7 @@ def test_transfer_gauge_identity(constrained2):
     lam = 0.21 + 0.12j
     theta = p.delta - p.zeta
     legs = vx.chain_legs(p.N)
-    srow = sos.gauge_row_minus(theta, p.tau, p)
+    srow = sos.gauge_row(theta, p.tau, "minus", p)
     t = vx.transfer_xxz(lam, p)
     w = (
         tn.embed(tn.on(vx.k2(lam, "plus", p), (vx.AUX,)), legs)

@@ -121,9 +121,7 @@ def test_partial_ops_unknown_leg():
 def test_charge_resolved_matches_column_diag():
     full = ("a", "s1", "s2")
     vals = tn.sz_sum(full, ("s1", "s2"))
-    built = tn.charge_resolved(
-        full, [("s1", 1), ("s2", 1)], lambda c: tn.on(np.eye(8) * complex(c), full)
-    )
+    built = tn.charge_resolved(full, [("s1", 1), ("s2", 1)], ("s2",), lambda c: np.eye(2) * complex(c))
     assert np.allclose(built.data, np.diag(vals.astype(complex)))
 
 

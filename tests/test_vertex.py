@@ -46,7 +46,7 @@ def test_k_matrix_pole_raises(p2):
 
 
 def test_k_reflection_equation(p2):
-    assert vx.reflection_residual(0.21 + 0.12j, -0.33 + 0.27j, p2) < 1e-11
+    assert vx.reflection_residual(0.21 + 0.12j, -0.33 + 0.27j, p2, "minus") < 1e-11
 
 
 def test_bulk_monodromy_initial_condition():
@@ -103,8 +103,8 @@ def test_diagonal_boundary_annihilates_reference(p2):
 
 
 def test_reflection_algebra_of_double_row(p2):
-    assert vx.reflection_algebra_residual(0.21 + 0.12j, -0.33 + 0.27j, p2) < 1e-10
-    assert vx.dual_reflection_algebra_residual(0.21 + 0.12j, -0.33 + 0.27j, p2) < 1e-10
+    assert vx.reflection_algebra_residual(0.21 + 0.12j, -0.33 + 0.27j, p2, "minus") < 1e-10
+    assert vx.reflection_algebra_residual(0.21 + 0.12j, -0.33 + 0.27j, p2, "plus") < 1e-10
 
 
 def test_transfer_matrices_commute(p2):
