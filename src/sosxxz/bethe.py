@@ -352,11 +352,15 @@ def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndar
     spec = BRANCHES[branch]
     theta = branch_theta(branch, p)
     v = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
+    # growth of the whole double-row column on each input; the state has
+    # collapsed when the creation rows keep almost none of it
     scale = 1.0
     for lam in reversed(solution.roots):
-        block = sos.dyn_block(lam, theta, spec.side, spec.creator, p)
-        scale *= max(tn.max_abs(block), 1e-300)
-        v = block.data @ v
+        created, other = sos.block_column(lam, theta, spec.side, spec.creator, p, v)
+        if not np.any(created):
+            raise NullState(f"{branch} state is exactly zero")
+        scale *= max(np.hypot(np.linalg.norm(created), np.linalg.norm(other)) / np.linalg.norm(v), 1e-300)
+        v = created
     if np.linalg.norm(v) <= 1e-10 * max(scale, 1.0):
         raise NullState(f"{branch} state collapsed below the norm floor")
     return v

@@ -36,6 +36,10 @@ from .errors import (
 from .params import ModelParams, generic_params, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
+# bytes of the largest single dense complex matrix a command may build; a
+# gate product holds its input, a transposed copy and its output at once,
+# so the peak memory is a few times this
+DENSE_BUDGET = 2**28
 
 
 @dataclass
@@ -124,7 +128,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(data.get("tolerances", {}))
-    scale = getattr(overrides, "tol_scale", None) or 1.0
+    scale = getattr(overrides, "tol_scale", None)
+    scale = 1.0 if scale is None else scale
+    if not (np.isfinite(scale) and scale > 0):
+        raise ConfigError(f"tolerance scale {scale} must be positive and finite")
     for k in ("identity", "bethe", "partition"):
         tol[k] = tol[k] * scale
     trials = pick("trials", "trials", 20)
@@ -139,6 +146,15 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         trials=trials,
         tolerances=tol,
     )
+
+
+def require_dense_budget(n_legs: int) -> None:
+    """Refuse a run whose largest matrix, 2^n_legs square, exceeds DENSE_BUDGET."""
+    need = 16 * 4**n_legs
+    if need > DENSE_BUDGET:
+        raise ConfigError(
+            f"a dense {2**n_legs}-square matrix needs {need / 1e9:.3g} GB, over the {DENSE_BUDGET / 1e9:.3g} GB budget"
+        )
 
 
 def _row(check: str, digest: str, residual: float, tolerance: float) -> dict:
@@ -161,6 +177,8 @@ SUITES = {
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     if suite not in SUITES and suite != "all":
         raise ConfigError(f"unknown suite {suite!r}")
+    # the reflection-algebra checks act on two auxiliary legs and the sites
+    require_dense_budget(cfg.params.N + 2)
     digest = cfg.digest()
     tol = cfg.tolerances["identity"]
     rows = []
@@ -174,6 +192,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
 
 
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
+    require_dense_budget(cfg.params.N + 1)
     digest = cfg.digest()
     p = cfg.params
     if constrained:
@@ -192,6 +211,7 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     for i, sol in enumerate(sols):
         rows.append(_row(f"bethe.{branch}.{i}.equation", digest, max(sol.residuals), tol_b))
         psi = bt.bethe_state(branch, sol, p)
+        v = bt.vertex_eigenstate(branch, sol, p) if constrained else None
         lam_rows = []
         worst_sos = 0.0
         worst_vertex = 0.0
@@ -203,7 +223,6 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
             )
             worst_sos = max(worst_sos, r_s)
             if constrained:
-                v = bt.vertex_eigenstate(branch, sol, p)
                 t_v = vx.transfer_xxz(mu, p)
                 r_v = float(np.linalg.norm(t_v.data @ v - lam * v) / (np.linalg.norm(v) * abs(lam)))
                 worst_vertex = max(worst_vertex, r_v)

@@ -107,7 +107,7 @@ def z_contraction(inp: PartitionInput) -> complex:
     n = inp.N
     v = tn.all_up(n) if creator == "B" else tn.all_down(n)
     for lam in reversed(inp.lambdas):
-        v = sos.dyn_block(lam, th, side, creator, p).data @ v
+        v = sos.block_column(lam, th, side, creator, p, v)[0]
     bra = tn.all_down(n) if creator == "B" else tn.all_up(n)
     return complex(bra @ v)
 

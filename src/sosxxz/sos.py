@@ -10,7 +10,7 @@ realizes the normal ordering in which the sigma^z argument acts first.
 from __future__ import annotations
 
 from cmath import cosh, exp, sinh
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -95,24 +95,19 @@ def crossed_l4(lam: complex, theta: complex, eta: complex, kind: str = "L", eps:
     kind "L":    L^{t1}_{12}(lam; th) = R^{t1}_{12}(lam; th + eta sz_1) sinh(th - eta sz_2)/sinh th
     kind "Lhat": Lhat^{t1}_{21}(lam; th) = R^{t1}_{21}(lam; th - eta sz_1) sinh(th + eta sz_2)/sinh th
     """
+    if kind not in ("L", "Lhat"):
+        raise ValueError(f"unknown crossed L kind {kind!r}")
     if abs(sinh(theta)) <= eps:
         raise DegenerateParameter("crossed L needs |sinh(theta)| > eps")
-    sz2 = tn.leg_sz(_L_LEGS, "c2")
-    # the sigma^z_1 argument acts first: resolve it on the columns of the
-    # untransposed matrix, then transpose the first leg
-    if kind == "L":
-        base = tn.charge_resolved(
-            _L_LEGS, [("c1", +1)], _L_LEGS, lambda c: dyn_r4(lam, theta + eta * c, eta, eps)
-        )
-        pref = np.array([sinh(theta - eta * s) / sinh(theta) for s in sz2])
-    elif kind == "Lhat":
-        base = tn.charge_resolved(
-            _L_LEGS, [("c1", -1)], _L_LEGS, lambda c: tn.swapped4(dyn_r4(lam, theta + eta * c, eta, eps))
-        )
-        pref = np.array([sinh(theta + eta * s) / sinh(theta) for s in sz2])
-    else:
-        raise ValueError(f"unknown crossed L kind {kind!r}")
-    return tn.transpose_first4(base.data) @ np.diag(pref)
+    w = 1 if kind == "L" else -1
+    r_up, r_down = (dyn_r4(lam, theta + w * s * eta, eta, eps) for s in (1, -1))
+    if kind == "Lhat":
+        r_up, r_down = tn.swapped4(r_up), tn.swapped4(r_down)
+    # the sigma^z_1 argument acts first: it picks the columns of the
+    # untransposed matrix (sz_1 = +1 are the first two), then leg 1 is transposed
+    base = np.concatenate([r_up[:, :2], r_down[:, 2:]], axis=1)
+    pref = [sinh(theta - w * eta * s) / sinh(theta) for s in (1, -1, 1, -1)]
+    return tn.transpose_first4(base) * np.array(pref)
 
 
 # ----------------------------------------------------------------------
@@ -154,14 +149,14 @@ def tilde_k2_minus(lam: complex, delta: complex, zeta: complex, eta: complex, ep
 # dynamical monodromy matrices
 
 
-# kind -> (hatted, weight of sigma^z_0 in the shift).  Hatted factors are
-# R_{k0}(lam + xi_k), the others R_{0k}(lam - xi_k); crossed factors
-# (nonzero weight) shift by the sites below k, the others by those above.
-_MONODROMY = {"T": (False, 0), "That": (True, 0), "V": (False, +1), "Vhat": (True, -1)}
+# kind -> (hatted, crossed).  Hatted factors take lam + xi_k, the others
+# lam - xi_k; crossed factors are L^{t0} gates shifted by the sites below k,
+# the others R gates shifted by the sites above k.
+_MONODROMY = {"T": (False, False), "That": (True, False), "V": (False, True), "Vhat": (True, True)}
 
 
-def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
-    """Dynamical monodromy matrices on legs (aux, s1..sN).
+def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams) -> list:
+    """Gates of the dynamical monodromy matrices on legs (aux, s1..sN), left to right.
 
     kind "T":    R_{01}(lam-xi_1; th - eta sum_{i>1} sz_i) ... R_{0N}(lam-xi_N; th)
     kind "That": R_{N0}(lam+xi_N; th) ... R_{10}(lam+xi_1; th - eta sum_{i>1} sz_i)
@@ -170,35 +165,27 @@ def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Op
     """
     if kind not in _MONODROMY:
         raise ValueError(f"unknown monodromy kind {kind!r}")
-    hatted, aux_w = _MONODROMY[kind]
+    hatted, crossed = _MONODROMY[kind]
     N, eta, eps = p.N, p.eta, p.eps_pole
-    legs = chain_legs(N)
 
-    def factor(k: int) -> Operator:
-        site = f"s{k}"
+    def gate(k):
         x = lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1]
-        if aux_w == 0:
-            shift = [(f"s{i}", -1) for i in range(k + 1, N + 1)]
-        else:
-            shift = [(f"s{i}", +1) for i in range(1, k)] + [(AUX, aux_w)]
-        base = tn.charge_resolved(
-            legs, shift, (site, AUX) if hatted else (AUX, site), lambda c: dyn_r4(x, theta + eta * c, eta, eps)
-        )
-        if aux_w == 0:
-            return base
-        # sigma^z_0 resolves on columns of the untransposed factor, so the
-        # auxiliary transposition is applied after the charge resolution
-        below = tn.sz_sum(legs, [f"s{i}" for i in range(1, k)])
-        szk = tn.leg_sz(legs, site)
-        pref = np.array(
-            [sinh(theta + eta * (b - aux_w * s)) / sinh(theta + eta * b) for b, s in zip(below, szk)]
-        )
-        return tn.partial_transpose(base, AUX) @ tn.column_diag(legs, pref)
+        if crossed:
+            l_kind = "Lhat" if hatted else "L"
+            block = lambda c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
+            return block, (AUX, f"s{k}"), [(f"s{i}", +1) for i in range(1, k)]
+        block = lambda c: dyn_r4(x, theta + eta * c, eta, eps)
+        on = (f"s{k}", AUX) if hatted else (AUX, f"s{k}")
+        return block, on, [(f"s{i}", -1) for i in range(k + 1, N + 1)]
 
     sites = range(1, N + 1)
-    if hatted == (aux_w == 0):
-        sites = reversed(sites)
-    return reduce(lambda a, b: a @ b, [factor(k) for k in sites])
+    return [gate(k) for k in (reversed(sites) if hatted != crossed else sites)]
+
+
+def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
+    """Dynamical monodromy matrix of the given kind (see ``dyn_monodromy_gates``)."""
+    legs = chain_legs(p.N)
+    return tn.on(tn.product(legs, dyn_monodromy_gates(lam, theta, kind, p)), legs)
 
 
 def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
@@ -217,26 +204,27 @@ def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: Model
 # dynamical double-row monodromy matrices and their blocks
 
 
-def dyn_double_row(lam: complex, theta: complex, side: str, p: ModelParams) -> Operator:
-    """U_-(lam; theta) for side "minus", U_+^{t_0}(lam; theta) for side "plus".
+def dyn_double_row_gates(lam: complex, theta: complex, side: str, p: ModelParams) -> list:
+    """Gates of U_-(lam; theta) = T K_- That for side "minus", of
+    U_+^{t_0}(lam; theta) = V K_+ Vhat for side "plus".
 
     The minus side uses the diagonal K_-(lam; delta, zeta); the plus side
     the diagonal K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar).
     """
-    legs = chain_legs(p.N)
     if side == "minus":
-        t = dyn_monodromy(lam, theta, "T", p)
-        that = dyn_monodromy(lam, theta, "That", p)
-        km = tn.embed(tn.on(k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole), (AUX,)), legs)
-        return t @ km @ that
-    if side == "plus":
-        v = dyn_monodromy(lam, theta, "V", p)
-        vhat = dyn_monodromy(lam, theta, "Vhat", p)
-        kp = tn.embed(
-            tn.on(k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole), (AUX,)), legs
-        )
-        return v @ kp @ vhat
-    raise ValueError(f"unknown side {side!r}")
+        k, kinds = k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole), ("T", "That")
+    elif side == "plus":
+        k, kinds = k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole), ("V", "Vhat")
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    left, right = (dyn_monodromy_gates(lam, theta, kind, p) for kind in kinds)
+    return [*left, (k, (AUX,)), *right]
+
+
+def dyn_double_row(lam: complex, theta: complex, side: str, p: ModelParams) -> Operator:
+    """U_-(lam; theta) for side "minus", U_+^{t_0}(lam; theta) for side "plus"."""
+    legs = chain_legs(p.N)
+    return tn.on(tn.product(legs, dyn_double_row_gates(lam, theta, side, p)), legs)
 
 
 _BLOCK_INDEX = {
@@ -245,16 +233,33 @@ _BLOCK_INDEX = {
     "plus": {"A": (0, 0), "C": (0, 1), "B": (1, 0), "D": (1, 1)},
 }
 
-def dyn_block(lam: complex, theta: complex, side: str, name: str, p: ModelParams) -> Operator:
+
+def block_column(
+    lam: complex, theta: complex, side: str, name: str, p: ModelParams, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block ``name`` = U[r, c] applied to v, and the other block U[1 - r, c] of its column.
+
+    Both are auxiliary rows of U(lam; theta)(e_c (x) v), built gate by gate
+    without the double-row matrix; v is a (2^N,) vector or a (2^N, m)
+    matrix, so the identity gives the blocks themselves.
+    """
     r, c = _BLOCK_INDEX[side][name]
-    return tn.block(dyn_double_row(lam, theta, side, p), AUX, r, c)
+    x = np.zeros((2,) + np.shape(v), dtype=complex)
+    x[c] = v
+    y = tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p), x.reshape((-1,) + x.shape[2:]))
+    y = y.reshape(x.shape)
+    return y[r], y[1 - r]
 
 
-def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
-    """Modified diagonal generator D-tilde of the minus reflection algebra."""
+def double_row_blocks(lam: complex, theta: complex, side: str, p: ModelParams) -> dict[str, np.ndarray]:
+    """All four blocks of one double row, as 2^N arrays."""
+    d = 2**p.N
+    u = tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p))
+    return {name: u[r * d:(r + 1) * d, c * d:(c + 1) * d] for name, (r, c) in _BLOCK_INDEX[side].items()}
+
+
+def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.ndarray]) -> np.ndarray:
     legs = site_legs(p.N)
-    a = dyn_block(lam, theta, "minus", "A", p)
-    d = dyn_block(lam, theta, "minus", "D", p)
     sz = tn.sz_sum(legs, legs)
     s2 = sinh(2 * lam + p.eta)
     if abs(s2) <= p.eps_pole:
@@ -271,24 +276,26 @@ def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
             for s in sz
         ]
     )
-    f = tn.column_diag(legs, front)
-    g = tn.column_diag(legs, inner)
-    return f @ (d - g @ a)
+    return front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
+
+
+def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
+    """Modified diagonal generator D-tilde of the minus reflection algebra."""
+    return tn.on(_d_tilde(lam, theta, p, double_row_blocks(lam, theta, "minus", p)), site_legs(p.N))
 
 
 # ----------------------------------------------------------------------
 # gauge rows and auxiliary-space gauges with operator shifts
 
 
-def gauge_row(
+def gauge_row_gates(
     theta: complex,
     omega: complex,
     side: str,
     p: ModelParams,
-    legs=None,
     extra_shift: tuple[tuple[str, int], ...] = (),
-) -> Operator:
-    """Gauge row of the height picture.
+) -> list:
+    """Gates of the gauge row of the height picture, left to right.
 
     side "minus": S_-({xi}; theta) = S_N(xi_N; theta) ... S_1(xi_1; theta - eta sum_{i>1} sz_i)
     side "plus":  S_+({xi}; theta) = S_1(xi_1; theta) ... S_N(xi_N; theta + eta sum_{i<N} sz_i)
@@ -296,28 +303,28 @@ def gauge_row(
     ``extra_shift`` adds weighted legs to every factor's dynamical argument
     (used for the theta - eta sz_aux variants in the gauge relations).
     """
-    legs = site_legs(p.N) if legs is None else tuple(legs)
     if side not in ("minus", "plus"):
         raise ValueError(f"unknown side {side!r}")
     minus = side == "minus"
-    factors = []
-    for k in reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1):
+
+    def gate(k):
         if minus:
             shift = [(f"s{i}", -1) for i in range(k + 1, p.N + 1)]
         else:
             shift = [(f"s{i}", +1) for i in range(1, k)]
-        factors.append(
-            tn.charge_resolved(
-                legs,
-                shift + list(extra_shift),
-                (f"s{k}",),
-                lambda c, k=k: gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole),
-            )
-        )
-    return reduce(lambda a, b: a @ b, factors)
+        block = lambda c: gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole)
+        return block, (f"s{k}",), shift + list(extra_shift)
+
+    return [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))]
 
 
-def gauge_aux_shifted(
+def gauge_row(theta: complex, omega: complex, side: str, p: ModelParams) -> Operator:
+    """Gauge row S_-({xi}; theta) or S_+({xi}; theta) on the sites (see ``gauge_row_gates``)."""
+    legs = site_legs(p.N)
+    return tn.on(tn.product(legs, gauge_row_gates(theta, omega, side, p)), legs)
+
+
+def gauge_aux_gate(
     lam: complex,
     theta: complex,
     omega: complex,
@@ -325,8 +332,8 @@ def gauge_aux_shifted(
     sz_weight: int = -1,
     tilde: bool = False,
     inverse: bool = False,
-) -> Operator:
-    """S_0(lam; theta + sz_weight * eta * S^z) on the chain legs.
+) -> tuple:
+    """Gate of S_0(lam; theta + sz_weight * eta * S^z) on the chain legs.
 
     ``tilde`` selects the sigma^y-conjugated gauge; ``inverse`` its inverse.
     """
@@ -337,9 +344,7 @@ def gauge_aux_shifted(
         else gauge_s2
     )
     shift = [(l, sz_weight) for l in site_legs(p.N)]
-    return tn.charge_resolved(
-        chain_legs(p.N), shift, (AUX,), lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole)
-    )
+    return lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole), (AUX,), shift
 
 
 # ----------------------------------------------------------------------
@@ -353,16 +358,13 @@ def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> Ope
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )
     """
     if which == "SOS1":
-        kt = tilde_k2_plus(mu, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole)
-        a = dyn_block(mu, theta, "minus", "A", p)
-        d = dyn_block(mu, theta, "minus", "D", p)
-        return kt[0, 0] * a + kt[1, 1] * d
-    if which == "SOS2":
-        kt = tilde_k2_minus(mu, p.delta, p.zeta, p.eta, p.eps_pole)
-        a = dyn_block(mu, theta, "plus", "A", p)
-        d = dyn_block(mu, theta, "plus", "D", p)
-        return kt[0, 0] * a + kt[1, 1] * d
-    raise ValueError(f"unknown transfer kind {which!r}")
+        kt, side = tilde_k2_plus(mu, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole), "minus"
+    elif which == "SOS2":
+        kt, side = tilde_k2_minus(mu, p.delta, p.zeta, p.eta, p.eps_pole), "plus"
+    else:
+        raise ValueError(f"unknown transfer kind {which!r}")
+    blocks = double_row_blocks(mu, theta, side, p)
+    return tn.on(kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"], site_legs(p.N))
 
 
 def constraint_residuals(p: ModelParams, s: int) -> tuple[float, float]:
@@ -463,7 +465,7 @@ def isomorphism_image(lam: complex, theta: complex, p: ModelParams) -> Operator:
     )
     u = dyn_double_row(-lam - p.eta, theta, "minus", mapped)
     legs = chain_legs(p.N)
-    gy = tn.embed(tn.on(string_operator(tn.SY, p.N), site_legs(p.N)), legs).data
+    gy = np.kron(tn.ID2, string_operator(tn.SY, p.N))
     perm = site_reversal_matrix(p.N + 1, p.N)
     return tn.on(gy @ perm @ u.data @ perm.T @ gy, legs)
 
@@ -473,12 +475,12 @@ def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[Operator, Operator
     sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
     legs = chain_legs(p.N)
     theta = p.delta - p.zeta
-    x0 = tn.embed(tn.on(tn.SX, (AUX,)), legs)
-    lhs = x0 @ dyn_double_row(lam, theta, "minus", p) @ x0
+    x0 = [(tn.SX, (AUX,))]
+    lhs = tn.product(legs, [*x0, *dyn_double_row_gates(lam, theta, "minus", p), *x0])
     swapped = p.replace(delta=p.zeta, zeta=p.delta)
-    gx = tn.embed(tn.on(string_operator(tn.SX, p.N), site_legs(p.N)), legs)
-    rhs = gx @ dyn_double_row(lam, -theta, "minus", swapped) @ gx
-    return lhs, rhs
+    gx = [(tn.SX, (s,)) for s in site_legs(p.N)]
+    rhs = tn.product(legs, [*gx, *dyn_double_row_gates(lam, -theta, "minus", swapped), *gx])
+    return tn.on(lhs, legs), tn.on(rhs, legs)
 
 
 # ----------------------------------------------------------------------
@@ -497,16 +499,14 @@ def dybe_residual(l1, l2, l3, theta, eta, form: int = 1) -> float:
     for name, x, third in (("12", l1 - l2, "v3"), ("13", l1 - l3, "v2"), ("23", l2 - l3, "v1")):
         pair = tuple(f"v{i}" for i in name)
         for weight in (0, w):
-            r[name, weight] = tn.charge_resolved(
-                legs, [(third, weight)], pair, lambda c, x=x: dyn_r4(x, theta + eta * c, eta)
-            )
+            r[name, weight] = (lambda c, x=x: dyn_r4(x, theta + eta * c, eta)), pair, [(third, weight)]
     if form == 1:
-        lhs = r["12", w] @ r["13", 0] @ r["23", w]
-        rhs = r["23", 0] @ r["13", w] @ r["12", 0]
+        lhs = [r["12", w], r["13", 0], r["23", w]]
+        rhs = [r["23", 0], r["13", w], r["12", 0]]
     else:
-        lhs = r["12", 0] @ r["13", w] @ r["23", 0]
-        rhs = r["23", w] @ r["13", 0] @ r["12", w]
-    return tn.rel_residual(lhs, rhs)
+        lhs = [r["12", 0], r["13", w], r["23", 0]]
+        rhs = [r["23", w], r["13", 0], r["12", w]]
+    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
 
 
 def dyn_ice_residual(lam, theta, eta) -> float:
@@ -522,21 +522,11 @@ def dyn_unitarity_residual(lam, theta, eta) -> float:
 
 
 def dyn_crossing_residual(lam, theta, eta, form: int = 1) -> float:
-    legs = _L_LEGS
+    """-y_1 L(-lam-eta) y_1 against R_21(lam) (form 1), or -y_1 Lhat(-lam-eta) y_1 against R_12(lam) (form 2)."""
     y1 = np.kron(tn.SY, tn.ID2)
-    sz2 = tn.leg_sz(legs, "c2")
-    if form == 1:
-        base = tn.charge_resolved(legs, [("c1", +1)], legs, lambda c: dyn_r4(-lam - eta, theta + eta * c, eta))
-        pref = np.diag([sinh(theta - eta * s) / sinh(theta) for s in sz2])
-        lhs = -y1 @ tn.transpose_first4(base.data) @ y1 @ pref
-        rhs = tn.swapped4(dyn_r4(lam, theta, eta))
-    else:
-        base = tn.charge_resolved(
-            legs, [("c1", -1)], legs, lambda c: tn.swapped4(dyn_r4(-lam - eta, theta + eta * c, eta))
-        )
-        pref = np.diag([sinh(theta + eta * s) / sinh(theta) for s in sz2])
-        lhs = -y1 @ tn.transpose_first4(base.data) @ y1 @ pref
-        rhs = dyn_r4(lam, theta, eta)
+    kind = "L" if form == 1 else "Lhat"
+    lhs = -y1 @ crossed_l4(-lam - eta, theta, eta, kind) @ y1
+    rhs = tn.swapped4(dyn_r4(lam, theta, eta)) if form == 1 else dyn_r4(lam, theta, eta)
     return tn.rel_residual(lhs, rhs)
 
 
@@ -586,18 +576,16 @@ def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
     s = {}
     for leg, other, x in (("c1", "c2", l1), ("c2", "c1", l2)):
         for weight in (0, w):
-            s[leg, weight] = tn.charge_resolved(
-                legs, [(other, weight)], (leg,), lambda c, x=x: gauge_s2(x, theta + eta * c, omega)
-            )
-    rv = tn.on(vx.r4(l1 - l2, eta), legs)
-    rd = tn.on(dyn_r4(l1 - l2, theta, eta), legs)
+            s[leg, weight] = (lambda c, x=x: gauge_s2(x, theta + eta * c, omega)), (leg,), [(other, weight)]
+    rv = (vx.r4(l1 - l2, eta), legs)
+    rd = (dyn_r4(l1 - l2, theta, eta), legs)
     if form == 1:
-        lhs = rv @ s["c1", 0] @ s["c2", w]
-        rhs = s["c2", 0] @ s["c1", w] @ rd
+        lhs = [rv, s["c1", 0], s["c2", w]]
+        rhs = [s["c2", 0], s["c1", w], rd]
     else:
-        lhs = rv @ s["c2", 0] @ s["c1", w]
-        rhs = s["c1", 0] @ s["c2", w] @ rd
-    return tn.rel_residual(lhs, rhs)
+        lhs = [rv, s["c2", 0], s["c1", w]]
+        rhs = [s["c1", 0], s["c2", w], rd]
+    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
 
 
 def k_minus_diag_residual(lam, p: ModelParams) -> float:
@@ -627,7 +615,7 @@ def dyn_reflection_residual(l1, l2, p: ModelParams, side: str) -> float:
     legs = _L_LEGS
     return vx.reflection_type_residual(
         lambda x, c: dyn_r4(x, theta, p.eta),
-        lambda lam, leg: tn.embed(tn.on(k(lam), (leg,)), legs),
+        lambda lam, leg: [(k(lam), (leg,))],
         legs, (), side, l1, l2, p.eta,
     )
 
@@ -639,38 +627,30 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     theta = p.delta - p.zeta
     om = p.tau
 
-    def rr_v(x):
-        return tn.on(vx.r4(x, eta), legs)
-
-    def rs_v(x):
-        return tn.on(tn.swapped4(vx.r4(x, eta)), legs)
-
-    k1v = tn.embed(tn.on(vx.k2(l1, "minus", p), ("c1",)), legs)
-    k2v = tn.embed(tn.on(vx.k2(l2, "minus", p), ("c2",)), legs)
-    lhs = rr_v(l1 - l2) @ k1v @ rs_v(l1 + l2) @ k2v
-
-    k1d = tn.embed(tn.on(k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)), legs)
-    k2d = tn.embed(tn.on(k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)), legs)
-    rr = lambda x: tn.on(dyn_r4(x, theta, eta), legs)
-    rs = lambda x: tn.on(tn.swapped4(dyn_r4(x, theta, eta)), legs)
-    s2 = tn.embed(tn.on(gauge_s2(l2, theta, om, p.eps_pole), ("c2",)), legs)
-    s1sh = tn.charge_resolved(
-        legs, [("c2", -1)], ("c1",), lambda c: gauge_s2(l1, theta + eta * c, om, p.eps_pole)
-    )
-    sos_mid = rr(l1 - l2) @ k1d @ rs(l1 + l2) @ k2d
-    s1inv = tn.charge_resolved(
-        legs, [("c2", -1)], ("c1",), lambda c: gauge_s2_inv(-l1, theta + eta * c, om, p.eps_pole)
-    )
-    s2inv = tn.embed(tn.on(gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)), legs)
-    rhs = s2 @ s1sh @ sos_mid @ s1inv @ s2inv
-    return tn.rel_residual(lhs, rhs)
+    lhs = [
+        (vx.r4(l1 - l2, eta), legs),
+        (vx.k2(l1, "minus", p), ("c1",)),
+        (tn.swapped4(vx.r4(l1 + l2, eta)), legs),
+        (vx.k2(l2, "minus", p), ("c2",)),
+    ]
+    rhs = [
+        (gauge_s2(l2, theta, om, p.eps_pole), ("c2",)),
+        (lambda c: gauge_s2(l1, theta + eta * c, om, p.eps_pole), ("c1",), [("c2", -1)]),
+        (dyn_r4(l1 - l2, theta, eta), legs),
+        (k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)),
+        (tn.swapped4(dyn_r4(l1 + l2, theta, eta)), legs),
+        (k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)),
+        (lambda c: gauge_s2_inv(-l1, theta + eta * c, om, p.eps_pole), ("c1",), [("c2", -1)]),
+        (gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)),
+    ]
+    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
 
 
 def zero_weight_residual(lam, theta, p: ModelParams) -> float:
     legs = chain_legs(p.N)
-    t = dyn_monodromy(lam, theta, "T", p)
-    q = tn.column_diag(legs, tn.sz_sum(legs, legs))
-    return tn.max_abs(t @ q - q @ t) / max(tn.max_abs(t), 1e-300)
+    t = dyn_monodromy(lam, theta, "T", p).data
+    q = tn.sz_sum(legs, legs)
+    return tn.max_abs(t * q - q[:, None] * t) / max(tn.max_abs(t), 1e-300)
 
 
 def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
@@ -681,22 +661,20 @@ def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
 
 def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> float:
     """Gauge relation between the dynamical monodromy T ("minus") or V ("plus") and the vertex one."""
-    legs = chain_legs(p.N)
+    eps = p.eps_pole
+    srow = gauge_row_gates(theta, omega, side, p)
+    srow_aux = gauge_row_gates(theta, omega, side, p, extra_shift=((AUX, -1),))
+    t0 = vx.monodromy_gates(lam, p)
     if side == "minus":
-        srow = tn.embed(gauge_row(theta, omega, "minus", p), legs)
-        lhs = srow @ gauge_aux_shifted(lam, theta, omega, p, -1) @ dyn_monodromy(lam, theta, "T", p)
-        t0 = vx.bulk_monodromy(lam, p)
-        s0 = tn.embed(tn.on(gauge_s2(lam, theta, omega, p.eps_pole), (AUX,)), legs)
-        srow_aux = gauge_row(theta, omega, "minus", p, legs=legs, extra_shift=((AUX, -1),))
-        rhs = t0 @ s0 @ srow_aux
+        lhs = [*srow, gauge_aux_gate(lam, theta, omega, p, -1), *dyn_monodromy_gates(lam, theta, "T", p)]
+        rhs = [*t0, (gauge_s2(lam, theta, omega, eps), (AUX,)), *srow_aux]
     else:
-        srow = tn.embed(gauge_row(theta, omega, "plus", p), legs)
-        lhs = srow @ gauge_aux_shifted(lam + p.eta, theta, omega, p, +1, tilde=True) @ dyn_monodromy(lam, theta, "V", p)
-        t0t = tn.partial_transpose(vx.bulk_monodromy(lam, p), AUX)
-        s0t = tn.embed(tn.on(gauge_s_tilde2(lam + p.eta, theta, omega, p.eps_pole), (AUX,)), legs)
-        srow_aux = gauge_row(theta, omega, "plus", p, legs=legs, extra_shift=((AUX, -1),))
-        rhs = t0t @ s0t @ srow_aux
-    return tn.rel_residual(lhs, rhs)
+        shifted = gauge_aux_gate(lam + p.eta, theta, omega, p, +1, tilde=True)
+        lhs = [*srow, shifted, *dyn_monodromy_gates(lam, theta, "V", p)]
+        s0t = (gauge_s_tilde2(lam + p.eta, theta, omega, eps), (AUX,))
+        rhs = [*vx.aux_transposed(t0), s0t, *srow_aux]
+    legs = chain_legs(p.N)
+    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
 
 
 def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
@@ -710,30 +688,28 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     else:
         theta, w = p.delta_bar - p.zeta_bar, +1
     slegs = site_legs(p.N)
-    legs = ("x1", "x2") + slegs
     return vx.reflection_type_residual(
         lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta),
-        lambda lam, leg: tn.embed(dyn_double_row(lam, theta, side, p), legs, target_legs=(leg,) + slegs),
-        legs, [(s, w) for s in slegs], side, l1, l2, p.eta,
+        lambda lam, leg: vx.on_aux(dyn_double_row_gates(lam, theta, side, p), leg),
+        ("x1", "x2") + slegs, [(s, w) for s in slegs], side, l1, l2, p.eta,
     )
 
 
 def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
     """Double-row vertex-face relation between the two pictures, minus or plus side."""
-    legs = chain_legs(p.N)
     if side == "minus":
-        theta = p.delta - p.zeta
-        om = p.tau
-        srow = tn.embed(gauge_row(theta, om, "minus", p), legs)
-        lhs = srow @ gauge_aux_shifted(lam, theta, om, p, -1) @ dyn_double_row(lam, theta, "minus", p)
-        rhs = vx.double_row(lam, "minus", p) @ srow @ gauge_aux_shifted(-lam, theta, om, p, -1)
+        theta, om = p.delta - p.zeta, p.tau
+        gate = lambda x: gauge_aux_gate(x, theta, om, p, -1)
+        left, right = gate(lam), gate(-lam)
     else:
-        tb = p.delta_bar - p.zeta_bar
-        om = p.tau_bar
-        srow = tn.embed(gauge_row(tb, om, "plus", p), legs)
-        lhs = srow @ gauge_aux_shifted(lam + p.eta, tb, om, p, +1, tilde=True) @ dyn_double_row(lam, tb, "plus", p)
-        rhs = vx.double_row(lam, "plus", p) @ srow @ gauge_aux_shifted(-lam - p.eta, tb, om, p, +1, tilde=True)
-    return tn.rel_residual(lhs, rhs)
+        theta, om = p.delta_bar - p.zeta_bar, p.tau_bar
+        gate = lambda x: gauge_aux_gate(x, theta, om, p, +1, tilde=True)
+        left, right = gate(lam + p.eta), gate(-lam - p.eta)
+    srow = gauge_row_gates(theta, om, side, p)
+    lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p)]
+    rhs = [*vx.double_row_gates(lam, side, p), *srow, right]
+    legs = chain_legs(p.N)
+    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
 
 
 def gamma_parity_residual(lam, p: ModelParams) -> float:
@@ -755,18 +731,17 @@ def commutation_ab_residual(l1, l2, p: ModelParams) -> float:
     szv = tn.sz_sum(slegs, slegs)
 
     def dg(fn):
-        return tn.column_diag(slegs, np.array([fn(s) for s in szv]))
+        return np.array([fn(s) for s in szv])[:, None]
 
-    a1 = dyn_block(l1, theta, "minus", "A", p)
-    b1 = dyn_block(l1, theta, "minus", "B", p)
-    a2 = dyn_block(l2, theta, "minus", "A", p)
-    b2 = dyn_block(l2, theta, "minus", "B", p)
-    dt2 = tn.on(modified_d_minus(l2, theta, p).data, slegs)
+    u1 = double_row_blocks(l1, theta, "minus", p)
+    u2 = double_row_blocks(l2, theta, "minus", p)
+    a1, b1, a2, b2 = u1["A"], u1["B"], u2["A"], u2["B"]
+    dt2 = _d_tilde(l2, theta, p, u2)
     lb, lm = l1 + l2, l1 - l2
     c1 = dg(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
     c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
     c3 = dg(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
-    rhs = c1 @ (b1 @ dt2) + c2 * (b2 @ a1) + c3 @ (b1 @ a2)
+    rhs = c1 * (b1 @ dt2) + c2 * (b2 @ a1) + c3 * (b1 @ a2)
     return tn.rel_residual(a1 @ b2, rhs)
 
 
@@ -778,13 +753,13 @@ def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
     szv = tn.sz_sum(slegs, slegs)
 
     def dg(fn):
-        return tn.column_diag(slegs, np.array([fn(s) for s in szv]))
+        return np.array([fn(s) for s in szv])[:, None]
 
-    b1 = dyn_block(l1, theta, "minus", "B", p)
-    a2 = dyn_block(l2, theta, "minus", "A", p)
-    b2 = dyn_block(l2, theta, "minus", "B", p)
-    dt1 = tn.on(modified_d_minus(l1, theta, p).data, slegs)
-    dt2 = tn.on(modified_d_minus(l2, theta, p).data, slegs)
+    u1 = double_row_blocks(l1, theta, "minus", p)
+    u2 = double_row_blocks(l2, theta, "minus", p)
+    b1, a2, b2 = u1["B"], u2["A"], u2["B"]
+    dt1 = _d_tilde(l1, theta, p, u1)
+    dt2 = _d_tilde(l2, theta, p, u2)
     lb, lm = l1 + l2, l1 - l2
     d1 = dg(
         lambda s: sinh(lb + theta - eta * s)
@@ -797,7 +772,7 @@ def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
         lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
         / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta))
     )
-    rhs = d1 @ (b1 @ a2) + d2 * (b2 @ dt1) + d3 @ (b1 @ dt2)
+    rhs = d1 * (b1 @ a2) + d2 * (b2 @ dt1) + d3 * (b1 @ dt2)
     return tn.rel_residual(dt1 @ b2, rhs)
 
 

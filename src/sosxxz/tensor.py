@@ -4,6 +4,9 @@ Every operator carries a tuple of leg labels, one per two-dimensional
 factor.  The first leg is the most significant bit of the basis index
 (numpy kron order), and basis value 0 of a leg is spin up (sigma^z = +1).
 All operators are immutable; every function returns a fresh one.
+
+Products of local gates are built by one kernel, ``apply_gate``, which
+applies a block on a few legs to a plain array; ``product`` chains it.
 """
 
 from __future__ import annotations
@@ -90,44 +93,6 @@ def on(matrix: np.ndarray, legs: Sequence[str]) -> Operator:
     return Operator(np.asarray(matrix, dtype=complex), tuple(legs))
 
 
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    return Operator(np.kron(a.data, b.data), a.legs + b.legs)
-
-
-def relabel(op: Operator, new_legs: Sequence[str]) -> Operator:
-    if len(new_legs) != len(op.legs):
-        raise ValueError("relabel needs one label per leg")
-    return Operator(op.data, tuple(new_legs))
-
-
-def permute_legs(op: Operator, new_legs: Sequence[str]) -> Operator:
-    """Reorder the legs of an operator (same leg set, new order)."""
-    new_legs = tuple(new_legs)
-    if set(new_legs) != set(op.legs) or len(new_legs) != len(op.legs):
-        raise UnknownLeg(f"cannot permute {op.legs} into {new_legs}")
-    n = len(op.legs)
-    axes = [op.legs.index(l) for l in new_legs]
-    t = op.data.reshape((2,) * (2 * n))
-    t = t.transpose(axes + [n + a for a in axes])
-    return Operator(t.reshape(2**n, 2**n), new_legs)
-
-
-def embed(op: Operator, full_legs: Sequence[str], target_legs: Sequence[str] | None = None) -> Operator:
-    """Extend an operator by the identity on all legs it does not act on.
-
-    ``target_legs`` optionally relabels the operator's own legs before
-    embedding (so a generic 4x4 block can be dropped onto any leg pair).
-    """
-    o = op if target_legs is None else relabel(op, target_legs)
-    full_legs = tuple(full_legs)
-    for l in o.legs:
-        if l not in full_legs:
-            raise UnknownLeg(f"target leg {l!r} absent from {full_legs}")
-    rest = tuple(l for l in full_legs if l not in o.legs)
-    big = Operator(np.kron(o.data, np.eye(2 ** len(rest), dtype=complex)), o.legs + rest)
-    return permute_legs(big, full_legs)
-
-
 def partial_transpose(op: Operator, leg: str) -> Operator:
     if leg not in op.legs:
         raise UnknownLeg(f"leg {leg!r} absent from {op.legs}")
@@ -191,39 +156,58 @@ def sz_sum(full_legs: Sequence[str], legs: Sequence[str]) -> np.ndarray:
     return total
 
 
-def weighted_sz(full_legs: Sequence[str], weighted_legs: Sequence[tuple[str, int]]) -> np.ndarray:
-    total = np.zeros(2 ** len(full_legs), dtype=int)
-    for l, w in weighted_legs:
-        total = total + w * leg_sz(full_legs, l)
-    return total
-
-
-def charge_resolved(
-    full_legs: Sequence[str],
-    weighted_legs: Sequence[tuple[str, int]],
+def apply_gate(
+    x: np.ndarray,
     legs: Sequence[str],
-    block: Callable[[int], np.ndarray],
-) -> Operator:
-    """Dynamical gate: a local block whose entries depend on sigma^z charges.
+    block: np.ndarray | Callable[[int], np.ndarray],
+    on: Sequence[str],
+    charge: Sequence[tuple[str, int]] = (),
+) -> np.ndarray:
+    """G @ x for a local block G on the legs ``on`` of ``legs``.
 
-    The charge c = sum of w * sigma^z(leg) is read off the input (column)
-    basis state; ``block(c)`` returns the raw matrix acting on ``legs``,
-    which is embedded into ``full_legs``.  This realizes the convention
+    ``x`` is a (2^n,) or (2^n, m) array.  The gate axes are moved last
+    and one batched matmul runs over the configurations of the other legs.
+    A callable ``block`` is a dynamical gate: it receives the charge
+    c = sum of w * sigma^z(leg) over ``charge`` for each configuration, so
+    the charge legs must lie outside ``on``.  This realizes the convention
     that operator-valued dynamical arguments act first, before the matrix
     they parameterize.
     """
-    full_legs = tuple(full_legs)
-    charges = weighted_sz(full_legs, weighted_legs)
-    out = np.zeros((2 ** len(full_legs),) * 2, dtype=complex)
-    for c in np.unique(charges):
-        cols = np.nonzero(charges == c)[0]
-        out[:, cols] = embed(on(block(int(c)), legs), full_legs).data[:, cols]
-    return Operator(out, full_legs)
+    legs, on = tuple(legs), tuple(on)
+    for l in on + tuple(l for l, _ in charge):
+        if l not in legs:
+            raise UnknownLeg(f"leg {l!r} absent from {legs}")
+    if any(l in on for l, _ in charge):
+        raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
+    n, k = len(legs), len(on)
+    axes = [legs.index(l) for l in on]
+    rest = [i for i in range(n) if i not in axes]
+    order = rest + axes + [n]
+    t = np.asarray(x).reshape((2,) * n + (-1,)).transpose(order).reshape(2 ** (n - k), 2**k, -1)
+    if callable(block):
+        rest_legs = [legs[i] for i in rest]
+        charges = np.zeros(2 ** (n - k), dtype=int)
+        for l, w in charge:
+            charges = charges + w * leg_sz(rest_legs, l)
+        values, which = np.unique(charges, return_inverse=True)
+        g = np.stack([np.asarray(block(int(c)), dtype=complex) for c in values])[which]
+    else:
+        g = np.asarray(block, dtype=complex)
+    out = np.matmul(g, t).reshape((2,) * n + (-1,)).transpose(np.argsort(order))
+    return out.reshape(np.shape(x))
 
 
-def column_diag(full_legs: Sequence[str], values: np.ndarray) -> Operator:
-    """Diagonal operator with one prescribed value per basis state."""
-    return Operator(np.diag(np.asarray(values, dtype=complex)), tuple(full_legs))
+def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
+    """g_1 g_2 ... g_m @ x for gates (block, on[, charge]) listed left to right.
+
+    The gates are applied right to left with ``apply_gate``; ``x``
+    defaults to the identity on ``legs``.
+    """
+    if x is None:
+        x = np.eye(2 ** len(legs), dtype=complex)
+    for gate in reversed(gates):
+        x = apply_gate(x, legs, *gate)
+    return x
 
 
 def basis_vector(nlegs: int, index: int) -> np.ndarray:
@@ -248,8 +232,8 @@ def max_abs(a) -> float:
 
 
 def rel_residual(lhs, rhs) -> float:
-    """Max-entry norm of (lhs - rhs), relative to the max-entry norm of lhs."""
+    """Max-entry norm of (lhs - rhs), relative to the larger max-entry norm of the two."""
     a = lhs.data if isinstance(lhs, Operator) else np.asarray(lhs)
     b = rhs.data if isinstance(rhs, Operator) else np.asarray(rhs)
-    scale = max(max_abs(a), 1e-300)
+    scale = max(max_abs(a), max_abs(b), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)

@@ -11,7 +11,6 @@ reconstruction from the transfer-matrix derivative.
 from __future__ import annotations
 
 from cmath import cosh, exp, sinh
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,18 +141,32 @@ def k2(lam: complex, side: str, p: ModelParams) -> np.ndarray:
     raise ValueError(f"unknown side {side!r}")
 
 
-def k_matrix(lam: complex, side: str, p: ModelParams, leg: str = AUX) -> Operator:
-    return tn.on(k2(lam, side, p), (leg,))
+def monodromy_gates(lam: complex, p: ModelParams, hatted: bool = False) -> list:
+    """Gates of T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N), left to right,
+    or with ``hatted`` of That_0(lam) = R_{N0}(lam + xi_N) ... R_{10}(lam + xi_1)."""
+    if hatted:
+        return [(r4(lam + p.xi[k], p.eta), (f"s{k + 1}", AUX)) for k in reversed(range(p.N))]
+    return [(r4(lam - p.xi[k], p.eta), (AUX, f"s{k + 1}")) for k in range(p.N)]
+
+
+def aux_transposed(gates: list) -> list:
+    """Gates of M^{t_0} for M a product of gates on AUX and distinct sites.
+
+    Factors on distinct sites commute, so the transposition reverses the
+    order and transposes each factor on its auxiliary leg.
+    """
+    return [(tn.partial_transpose(tn.on(block, on), AUX).data, on) for block, on in reversed(gates)]
+
+
+def on_aux(gates: list, leg: str) -> list:
+    """The same gates with the auxiliary leg renamed to ``leg``."""
+    return [(g[0], tuple(leg if l == AUX else l for l in g[1]), *g[2:]) for g in gates]
 
 
 def bulk_monodromy(lam: complex, p: ModelParams) -> Operator:
     """T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N)."""
     legs = chain_legs(p.N)
-    factors = [
-        tn.embed(tn.on(r4(lam - p.xi[k], p.eta), (AUX, f"s{k + 1}")), legs)
-        for k in range(p.N)
-    ]
-    return reduce(lambda a, b: a @ b, factors)
+    return tn.on(tn.product(legs, monodromy_gates(lam, p)), legs)
 
 
 def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> Operator:
@@ -172,40 +185,34 @@ def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> Op
         if not np.all(np.isfinite(inv.view(float))) or tn.max_abs(inv) * np.finfo(float).eps * t.dim > 1e-4:
             raise DegenerateParameter("T_0(-lam) is numerically singular")
         return tn.on(gamma_hat(lam, p) * inv, legs)
-    factors = [
-        tn.embed(tn.on(r4(lam + p.xi[k], p.eta), (f"s{k + 1}", AUX)), legs)
-        for k in reversed(range(p.N))
-    ]
-    return reduce(lambda a, b: a @ b, factors)
+    return tn.on(tn.product(legs, monodromy_gates(lam, p, hatted=True)), legs)
+
+
+def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
+    """Gates of U_- = T K_- That ("minus") or U_+^{t_0} = T^{t_0} K_+^t That^{t_0} ("plus")."""
+    assert_generic(p, [lam])
+    t, that = monodromy_gates(lam, p), monodromy_gates(lam, p, hatted=True)
+    if side == "minus":
+        return [*t, (k2(lam, "minus", p), (AUX,)), *that]
+    if side == "plus":
+        return [*aux_transposed(t), (k2(lam, "plus", p).T, (AUX,)), *aux_transposed(that)]
+    raise ValueError(f"unknown side {side!r}")
 
 
 def double_row(lam: complex, side: str, p: ModelParams) -> Operator:
     """Double-row monodromy: U_- for side "minus", U_+^{t_0} for side "plus"."""
-    assert_generic(p, [lam])
     legs = chain_legs(p.N)
-    if side == "minus":
-        t = bulk_monodromy(lam, p)
-        that = hat_monodromy(lam, p)
-        km = tn.embed(k_matrix(lam, "minus", p), legs)
-        return t @ km @ that
-    if side == "plus":
-        t_t = tn.partial_transpose(bulk_monodromy(lam, p), AUX)
-        that_t = tn.partial_transpose(hat_monodromy(lam, p), AUX)
-        kp_t = tn.embed(tn.on(k2(lam, "plus", p).T, (AUX,)), legs)
-        return t_t @ kp_t @ that_t
-    raise ValueError(f"unknown side {side!r}")
+    return tn.on(tn.product(legs, double_row_gates(lam, side, p)), legs)
 
 
 def transfer_xxz(lam: complex, p: ModelParams, tol: float = 1e-11) -> Operator:
     """Open-chain transfer matrix; both trace forms are computed and compared."""
     legs = chain_legs(p.N)
-    um = double_row(lam, "minus", p)
-    kp = tn.embed(tn.on(k2(lam, "plus", p), (AUX,)), legs)
-    form1 = tn.partial_trace(kp @ um, AUX)
+    kp_um = tn.product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)])
+    form1 = tn.partial_trace(tn.on(kp_um, legs), AUX)
 
-    up_t = double_row(lam, "plus", p)
-    km_t = tn.embed(tn.on(k2(lam, "minus", p).T, (AUX,)), legs)
-    form2 = tn.partial_trace(km_t @ up_t, AUX)
+    km_up = tn.product(legs, [(k2(lam, "minus", p).T, (AUX,)), *double_row_gates(lam, "plus", p)])
+    form2 = tn.partial_trace(tn.on(km_up, legs), AUX)
 
     res = tn.rel_residual(form1, form2)
     if res > tol:
@@ -223,23 +230,20 @@ def hamiltonian_direct(p: ModelParams) -> Operator:
     """
     N, eta = p.N, p.eta
     legs = site_legs(N)
-    h = Operator(np.zeros((2**N, 2**N), dtype=complex), legs)
-    for i in range(1, N):
-        a, b = f"s{i}", f"s{i + 1}"
-        h = h + tn.embed(tn.on(np.kron(tn.SX, tn.SX), (a, b)), legs)
-        h = h + tn.embed(tn.on(np.kron(tn.SY, tn.SY), (a, b)), legs)
-        h = h + cosh(eta) * tn.embed(tn.on(np.kron(tn.SZ, tn.SZ), (a, b)), legs)
+    eye = np.eye(2**N, dtype=complex)
+    bond = np.kron(tn.SX, tn.SX) + np.kron(tn.SY, tn.SY) + cosh(eta) * np.kron(tn.SZ, tn.SZ)
+    h = sum(tn.apply_gate(eye, legs, bond, (f"s{i}", f"s{i + 1}")) for i in range(1, N))
 
     def boundary_term(delta, zeta, tau, leg, z_sign, xy_sign):
         pref = sinh(eta) / (sinh(zeta) * sinh(delta))
         m = z_sign * cosh(zeta) * cosh(delta) * tn.SZ + xy_sign * (
             sinh(tau) * tn.SX - 1j * cosh(tau) * tn.SY
         )
-        return pref * tn.embed(tn.on(m, (leg,)), legs)
+        return tn.apply_gate(eye, legs, pref * m, (leg,))
 
     h = h + boundary_term(p.delta_bar, p.zeta_bar, p.tau_bar, "s1", +1, +1)
     h = h + boundary_term(p.delta, p.zeta, p.tau, f"s{N}", -1, -1)
-    return h
+    return tn.on(h, legs)
 
 
 def transfer_at_zero_scalar(p: ModelParams) -> complex:
@@ -263,31 +267,17 @@ def transfer_derivative_at_zero(p: ModelParams) -> Operator:
         raise NotHomogeneous("transfer-matrix derivative needs xi_m = 0")
     N = p.N
     legs = chain_legs(N)
+    # (factor, derivative) pairs of K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10}
+    pairs = [(k2(0, "plus", p), -dk2_minus(-p.eta, p.delta_bar, p.zeta_bar, p.tau_bar, p.eps_pole), (AUX,))]
+    pairs += [(r4(0, p.eta), dr4(0, p.eta), (AUX, f"s{k}")) for k in range(1, N + 1)]
+    pairs.append((k2(0, "minus", p), dk2_minus(0, p.delta, p.zeta, p.tau, p.eps_pole), (AUX,)))
+    pairs += [(r4(0, p.eta), dr4(0, p.eta), (f"s{k}", AUX)) for k in reversed(range(1, N + 1))]
 
-    def emb(mat, on_legs):
-        return tn.embed(tn.on(mat, on_legs), legs)
-
-    factors = []
-    dfactors = []
-    factors.append(emb(k2(0, "plus", p), (AUX,)))
-    dfactors.append(emb(-dk2_minus(-p.eta, p.delta_bar, p.zeta_bar, p.tau_bar, p.eps_pole), (AUX,)))
-    for k in range(1, N + 1):
-        factors.append(emb(r4(0, p.eta), (AUX, f"s{k}")))
-        dfactors.append(emb(dr4(0, p.eta), (AUX, f"s{k}")))
-    factors.append(emb(k2(0, "minus", p), (AUX,)))
-    dfactors.append(emb(dk2_minus(0, p.delta, p.zeta, p.tau, p.eps_pole), (AUX,)))
-    for k in reversed(range(1, N + 1)):
-        factors.append(emb(r4(0, p.eta), (f"s{k}", AUX)))
-        dfactors.append(emb(dr4(0, p.eta), (f"s{k}", AUX)))
-
-    total = Operator(np.zeros((2 ** (N + 1),) * 2, dtype=complex), legs)
-    for j in range(len(factors)):
-        prod = None
-        for i, f in enumerate(factors):
-            g = dfactors[i] if i == j else f
-            prod = g if prod is None else prod @ g
-        total = total + prod
-    return tn.partial_trace(total, AUX)
+    total = sum(
+        tn.product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)])
+        for j in range(len(pairs))
+    )
+    return tn.partial_trace(tn.on(total, legs), AUX)
 
 
 def hamiltonian(p: ModelParams, mode: str = "direct", tol: float = 1e-8):
@@ -318,13 +308,10 @@ def hamiltonian(p: ModelParams, mode: str = "direct", tol: float = 1e-8):
 
 def ybe_residual(l1: complex, l2: complex, l3: complex, eta: complex) -> float:
     legs = ("v1", "v2", "v3")
-
-    def rr(x, a, b):
-        return tn.embed(tn.on(r4(x, eta), (a, b)), legs)
-
-    lhs = rr(l1 - l2, "v1", "v2") @ rr(l1 - l3, "v1", "v3") @ rr(l2 - l3, "v2", "v3")
-    rhs = rr(l2 - l3, "v2", "v3") @ rr(l1 - l3, "v1", "v3") @ rr(l1 - l2, "v1", "v2")
-    return tn.rel_residual(lhs, rhs)
+    r12 = (r4(l1 - l2, eta), ("v1", "v2"))
+    r13 = (r4(l1 - l3, eta), ("v1", "v3"))
+    r23 = (r4(l2 - l3, eta), ("v2", "v3"))
+    return tn.rel_residual(tn.product(legs, [r12, r13, r23]), tn.product(legs, [r23, r13, r12]))
 
 
 def unitarity_residual(lam: complex, eta: complex) -> float:
@@ -348,7 +335,7 @@ def crossing_residual(lam: complex, eta: complex) -> float:
 
 def reflection_type_residual(
     r4fn: Callable[[complex, int], np.ndarray],
-    boundary: Callable[[complex, str], Operator],
+    boundary: Callable[[complex, str], list],
     legs: tuple[str, ...],
     shift: Sequence[tuple[str, int]],
     side: str,
@@ -360,9 +347,9 @@ def reflection_type_residual(
 
     The first two legs are the auxiliary pair.  ``r4fn(x, c)`` is the raw
     R-matrix block at spectral argument x and charge c of the weighted
-    ``shift`` legs; ``boundary(lam, leg)`` is the boundary object at lam on
-    one auxiliary leg, X1 = boundary(l1, legs[0]) and X2 = boundary(l2,
-    legs[1]).  The side picks the spectral pair: (a, b) = (l1 - l2,
+    ``shift`` legs; ``boundary(lam, leg)`` lists the gates of the boundary
+    object at lam on one auxiliary leg, X1 = boundary(l1, legs[0]) and
+    X2 = boundary(l2, legs[1]).  The side picks the spectral pair: (a, b) = (l1 - l2,
     l1 + l2) for "minus", (l2 - l1, -l1 - l2 - 2 eta) for "plus".
     """
     if side == "minus":
@@ -373,13 +360,11 @@ def reflection_type_residual(
         raise ValueError(f"unknown side {side!r}")
 
     def gate(x, swapped):
-        return tn.charge_resolved(
-            legs, shift, legs[:2], lambda c: tn.swapped4(r4fn(x, c)) if swapped else r4fn(x, c)
-        )
+        return (lambda c: tn.swapped4(r4fn(x, c)) if swapped else r4fn(x, c)), legs[:2], shift
 
     x1, x2 = boundary(l1, legs[0]), boundary(l2, legs[1])
-    lhs = gate(a, False) @ x1 @ gate(b, True) @ x2
-    rhs = x2 @ gate(b, False) @ x1 @ gate(a, True)
+    lhs = tn.product(legs, [gate(a, False), *x1, gate(b, True), *x2])
+    rhs = tn.product(legs, [*x2, gate(b, False), *x1, gate(a, True)])
     return tn.rel_residual(lhs, rhs)
 
 
@@ -389,18 +374,17 @@ def reflection_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> 
 
     def k(lam, leg):
         m = k2(lam, side, p)
-        return tn.embed(tn.on(m.T if side == "plus" else m, (leg,)), legs)
+        return [(m.T if side == "plus" else m, (leg,))]
 
     return reflection_type_residual(lambda x, c: r4(x, p.eta), k, legs, (), side, l1, l2, p.eta)
 
 
 def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:
     """Reflection algebra of U_- ("minus"), or the dual one of U_+^{t_0} ("plus")."""
-    slegs = site_legs(p.N)
-    legs = ("x1", "x2") + slegs
+    legs = ("x1", "x2") + site_legs(p.N)
 
     def u(lam, leg):
-        return tn.embed(double_row(lam, side, p), legs, target_legs=(leg,) + slegs)
+        return on_aux(double_row_gates(lam, side, p), leg)
 
     return reflection_type_residual(lambda x, c: r4(x, p.eta), u, legs, (), side, l1, l2, p.eta)
 

@@ -168,13 +168,13 @@ def test_criterion_6_inter_algebra_relations(n):
         worst = max(worst, sos.gamma_parity_residual(lam, p))
         worst = max(worst, sos.isomorphism_residual(lam, 0.63 + 0.29j, p))
         theta = p.delta_bar - p.zeta_bar
-        cp = sos.dyn_block(lam, theta, "plus", "C", p)
+        cp = sos.double_row_blocks(lam, theta, "plus", p)["C"]
         mapped = p.replace(delta=p.delta_bar, zeta=p.zeta_bar,
                            xi=tuple(-x for x in reversed(p.xi)))
-        bm = sos.dyn_block(-lam - p.eta, theta, "minus", "B", mapped)
+        bm = sos.double_row_blocks(-lam - p.eta, theta, "minus", mapped)["B"]
         gy = sos.string_operator(tn.SY, n)
         perm = sos.site_reversal_matrix(n, n)
-        worst = max(worst, tn.rel_residual(cp.data, gy @ perm @ bm.data @ perm.T @ gy))
+        worst = max(worst, tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy))
     assert worst < 1e-10
     report(f"6 inter-algebra relations (parity + isomorphism, operator level, N={n}): "
            f"max residual {worst:.2e} < 1e-10: PASS")

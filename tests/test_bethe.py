@@ -6,7 +6,7 @@ import pytest
 from sosxxz import bethe as bt
 from sosxxz import sos
 from sosxxz import vertex as vx
-from sosxxz.errors import BadSector, DegenerateParameter, NoConvergence
+from sosxxz.errors import BadSector, DegenerateParameter, NoConvergence, NullState
 from sosxxz.params import generic_params, sample_points
 
 
@@ -132,6 +132,16 @@ def test_all_families_give_eigenstates(branch, constrained2):
             v = bt.vertex_eigenstate(branch, sol, p)
             tv = vx.transfer_xxz(mu, p)
             assert np.linalg.norm(tv.data @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_too_many_roots_is_null_state(branch, p2):
+    # N + 2 creation blocks leave every sector the chain can reach, so the
+    # charge-conserving gates give an exactly zero state
+    roots = (0.21 + 0.12j, -0.33 + 0.27j, 0.41 - 0.18j, -0.52 - 0.09j)
+    sol = bt.BetheSolution(branch, roots, len(roots), (0.0,) * len(roots), 0)
+    with pytest.raises(NullState):
+        bt.bethe_state(branch, sol, p2)
 
 
 def test_minus_and_plus_families_build_the_same_states(constrained2):

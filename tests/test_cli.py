@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sosxxz import cli
 
 
@@ -150,6 +152,18 @@ def test_negative_n_is_config_error(tmp_path):
 
 def test_zero_trials_is_config_error(tmp_path):
     assert cli.main(["verify", "--suite", "vertex", "--n", "1", "--trials", "0", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+def test_bad_tol_scale_is_config_error(scale, tmp_path):
+    args = ["verify", "--suite", "vertex", "--n", "1", "--trials", "1", "--tol-scale", scale]
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("args", [["verify", "--n", "12"], ["verify", "--n", "30"], ["bethe", "--m", "1", "--n", "30"]])
+def test_dense_budget_is_config_error(args, tmp_path):
+    # refused before any matrix is built: 2^(N+2) square at N = 12 is 4.3 GB
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
 
 
 def test_csv_format(tmp_path):

@@ -67,8 +67,9 @@ def test_block_weights(n):
     p = generic_params(n)
     theta = 0.63 + 0.29j
     lam = 0.21 + 0.12j
+    blocks = sos.double_row_blocks(lam, theta, "minus", p)
     for name, weight in (("B", -2), ("C", +2), ("A", 0), ("D", 0)):
-        block = sos.dyn_block(lam, theta, "minus", name, p)
+        block = tn.on(blocks[name], vx.site_legs(n))
         assert sos.sector_leakage(block, weight) < 1e-13
 
 
@@ -78,12 +79,12 @@ def test_reference_state_actions(p2):
     lam = 0.21 + 0.12j
     theta = p2.delta - p2.zeta
     v0 = tn.all_up(p2.N)
-    blocks = {n: sos.dyn_block(lam, theta, "minus", n, p2) for n in "ACD"}
-    assert np.max(np.abs(blocks["C"].data @ v0)) < 1e-13 * tn.max_abs(blocks["C"])
+    blocks = sos.double_row_blocks(lam, theta, "minus", p2)
+    assert np.max(np.abs(blocks["C"] @ v0)) < 1e-13 * tn.max_abs(blocks["C"])
     ea = sinh(p2.delta - lam) / sinh(p2.delta + lam)
     for x in p2.xi:
         ea *= sinh(lam - x + p2.eta) * sinh(lam + x + p2.eta)
-    assert np.max(np.abs(blocks["A"].data @ v0 - ea * v0)) / abs(ea) < 1e-13
+    assert np.max(np.abs(blocks["A"] @ v0 - ea * v0)) / abs(ea) < 1e-13
     dt = sos.modified_d_minus(lam, theta, p2)
     ed = (
         sinh(2 * lam) * sinh(p2.zeta - lam - p2.eta) * sinh(p2.delta + lam + p2.eta)
@@ -109,25 +110,22 @@ def test_generalized_transfer_via_modified_d(p2):
     slegs = vx.site_legs(p2.N)
     szv = tn.sz_sum(slegs, slegs)
     dt = sos.modified_d_minus(lam, theta, p2)
-    a = sos.dyn_block(lam, theta, "minus", "A", p2)
+    blocks = sos.double_row_blocks(lam, theta, "minus", p2)
     d_co = sinh(zb + lam + eta) / sinh(zb - lam - eta)
-    a_co = tn.column_diag(
-        slegs,
-        np.array(
-            [
-                sinh(zb - lam) * sinh(zb + theta - eta * s + lam) * sinh(2 * lam + 2 * eta)
-                / (sinh(zb - lam - eta) * sinh(zb + theta - eta * s - lam - eta) * sinh(2 * lam + eta))
-                for s in szv
-            ]
-        ),
+    a_co = np.array(
+        [
+            sinh(zb - lam) * sinh(zb + theta - eta * s + lam) * sinh(2 * lam + 2 * eta)
+            / (sinh(zb - lam - eta) * sinh(zb + theta - eta * s - lam - eta) * sinh(2 * lam + eta))
+            for s in szv
+        ]
     )
-    t_via = d_co * dt + a_co @ a
-    out = np.zeros_like(t_via.data)
+    t_via = d_co * dt.data + a_co[:, None] * blocks["A"]
+    out = np.zeros_like(t_via)
     for s, idx in sos.sector_indices(p2.N).items():
         kt = sos.tilde_k2_plus(lam, theta + zb - eta * s, zb, eta)
-        block = kt[0, 0] * a.data + kt[1, 1] * sos.dyn_block(lam, theta, "minus", "D", p2).data
+        block = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
         out[:, idx] = block[:, idx]
-    assert tn.max_abs(t_via.data - out) / tn.max_abs(out) < 1e-12
+    assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
 
 
 def test_transfer_gauge_identity(constrained2):
@@ -139,12 +137,12 @@ def test_transfer_gauge_identity(constrained2):
     srow = sos.gauge_row(theta, p.tau, "minus", p)
     t = vx.transfer_xxz(lam, p)
     w = (
-        tn.embed(tn.on(vx.k2(lam, "plus", p), (vx.AUX,)), legs)
-        @ sos.gauge_aux_shifted(lam, theta, p.tau, p, -1)
-        @ sos.dyn_double_row(lam, theta, "minus", p)
-        @ sos.gauge_aux_shifted(-lam, theta, p.tau, p, -1, inverse=True)
+        tn.apply_gate(np.eye(2 ** (p.N + 1)), legs, vx.k2(lam, "plus", p), (vx.AUX,))
+        @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, p, -1)])
+        @ sos.dyn_double_row(lam, theta, "minus", p).data
+        @ tn.product(legs, [sos.gauge_aux_gate(-lam, theta, p.tau, p, -1, inverse=True)])
     )
-    trace = tn.partial_trace(w, vx.AUX)
+    trace = tn.partial_trace(tn.on(w, legs), vx.AUX)
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10
     # on the constrained sector the dressed trace is the height transfer matrix
     idx = sos.sector_indices(p.N)[0]
@@ -198,14 +196,14 @@ def test_isomorphism_operator_level(n):
 def test_isomorphism_block_form(p2):
     lam = 0.21 + 0.12j
     theta = p2.delta_bar - p2.zeta_bar
-    cp = sos.dyn_block(lam, theta, "plus", "C", p2)
+    cp = sos.double_row_blocks(lam, theta, "plus", p2)["C"]
     mapped = p2.replace(
         delta=p2.delta_bar, zeta=p2.zeta_bar, xi=tuple(-x for x in reversed(p2.xi))
     )
-    bm = sos.dyn_block(-lam - p2.eta, theta, "minus", "B", mapped)
+    bm = sos.double_row_blocks(-lam - p2.eta, theta, "minus", mapped)["B"]
     gy = sos.string_operator(tn.SY, p2.N)
     perm = sos.site_reversal_matrix(p2.N, p2.N)
-    assert tn.rel_residual(cp.data, gy @ perm @ bm.data @ perm.T @ gy) < 1e-10
+    assert tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy) < 1e-10
 
 
 def test_gamma_relation_for_transfer(p2):
@@ -218,3 +216,16 @@ def test_gamma_relation_for_transfer(p2):
     t2 = sos.sos_transfer(lam, -theta, "SOS1", swapped)
     gx = sos.string_operator(tn.SX, p2.N)
     assert tn.rel_residual(t1.data, gx @ t2.data @ gx) < 1e-10
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_block_string_matches_matrix_block(side, p3):
+    """Each block applied gate by gate to a vector equals the block of the full double row times it."""
+    lam, theta = 0.21 + 0.12j, 0.63 + 0.29j
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=2**p3.N) + 1j * rng.normal(size=2**p3.N)
+    blocks = sos.double_row_blocks(lam, theta, side, p3)
+    for name in "ABCD":
+        string = sos.block_column(lam, theta, side, name, p3, v)[0]
+        expect = blocks[name] @ v
+        assert np.max(np.abs(string - expect)) < 1e-13 * np.max(np.abs(expect)), name

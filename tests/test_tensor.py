@@ -18,57 +18,120 @@ def mat2(mag=3.0):
     )
 
 
+def embed_oracle(block, legs, on, charge=()):
+    """The full matrix of a gate from np.kron and an explicit bit permutation.
+
+    For a callable block, column j takes block(c) at the charge c of basis
+    state j (the dynamical argument acts first).
+    """
+    legs, on = tuple(legs), tuple(on)
+    n, k = len(legs), len(on)
+    rest = tuple(l for l in legs if l not in on)
+    order = on + rest
+    # perm[i] = index in leg order of the basis state with index i in (on + rest) order
+    perm = np.zeros(2**n, dtype=int)
+    for i in range(2**n):
+        bits = {l: (i >> (n - 1 - j)) & 1 for j, l in enumerate(order)}
+        perm[i] = sum(bits[l] << (n - 1 - j) for j, l in enumerate(legs))
+    p = np.zeros((2**n, 2**n))
+    p[perm, np.arange(2**n)] = 1.0
+
+    def full(mat):
+        return p @ np.kron(mat, np.eye(2 ** (n - k))) @ p.T
+
+    if not callable(block):
+        return full(block)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for j in range(2**n):
+        c = sum(w * (1 - 2 * ((j >> (n - 1 - legs.index(l))) & 1)) for l, w in charge)
+        out[:, j] = full(block(c))[:, j]
+    return out
+
+
+@st.composite
+def gate_cases(draw):
+    n = draw(st.integers(2, 5))
+    legs = tuple(f"l{i}" for i in range(n))
+    on = tuple(draw(st.permutations(legs))[: draw(st.integers(1, min(3, n)))])
+    rest = [l for l in legs if l not in on]
+    charge = tuple((l, draw(st.integers(-2, 2))) for l in rest if draw(st.booleans()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cols = draw(st.sampled_from([None, 1, 3]))
+    return legs, on, charge, seed, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_cases())
+def test_apply_gate_matches_kron_permutation_oracle(case):
+    legs, on, charge, seed, cols = case
+    rng = np.random.default_rng(seed)
+    d, dk = 2 ** len(legs), 2 ** len(on)
+    blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
+    block = (lambda c: blocks[c]) if charge else blocks[0]
+    shape = (d,) if cols is None else (d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = tn.apply_gate(x, legs, block, on, charge)
+    assert got.shape == x.shape
+    expect = embed_oracle(block, legs, on, charge) @ x
+    assert np.max(np.abs(got - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
+
+
+def test_apply_gate_rejects_charge_on_gate_leg():
+    with pytest.raises(ValueError):
+        tn.apply_gate(np.eye(4), ("a", "b"), lambda c: np.eye(2), ("a",), [("a", 1)])
+
+
 def test_tensor_product_identities():
-    i2 = tn.identity(("a",))
-    i4 = tn.tensor_product(i2, tn.identity(("b",)))
-    assert np.allclose(i4.data, np.eye(4))
-    zi = tn.tensor_product(tn.on(tn.SZ, ("a",)), tn.identity(("b",)))
-    assert zi.data[0, 0] == 1
-    assert zi.data[2, 2] == -1
+    legs = ("a", "b")
+    i4 = tn.apply_gate(np.eye(4), legs, tn.ID2, ("a",))
+    assert np.allclose(i4, np.eye(4))
+    zi = tn.apply_gate(np.eye(4), legs, tn.SZ, ("a",))
+    assert zi[0, 0] == 1
+    assert zi[2, 2] == -1
 
 
 @settings(max_examples=30, deadline=None)
 @given(mat2(), mat2(), mat2(), mat2())
 def test_mixed_product_property(a, b, c, d):
-    lhs = tn.tensor_product(tn.on(a, ("x",)), tn.on(b, ("y",))) @ tn.tensor_product(
-        tn.on(c, ("x",)), tn.on(d, ("y",))
-    )
-    rhs = tn.tensor_product(tn.on(a @ c, ("x",)), tn.on(b @ d, ("y",)))
+    legs = ("x", "y")
+    lhs = tn.product(legs, [(a, ("x",)), (b, ("y",)), (c, ("x",)), (d, ("y",))])
+    rhs = tn.product(legs, [(a @ c, ("x",)), (b @ d, ("y",))])
     bound = 1e-13 * max(tn.max_abs(a), 1) * max(tn.max_abs(b), 1) * max(tn.max_abs(c), 1) * max(tn.max_abs(d), 1)
-    assert tn.max_abs(lhs.data - rhs.data) < max(bound, 1e-13)
+    assert tn.max_abs(lhs - rhs) < max(bound, 1e-13)
 
 
 def test_embed_single_site():
     full = ("s1", "s2")
-    e = tn.embed(tn.on(tn.SX, ("s1",)), full)
-    assert np.allclose(e.data, np.kron(tn.SX, np.eye(2)))
+    e = tn.apply_gate(np.eye(4), full, tn.SX, ("s1",))
+    assert np.allclose(e, np.kron(tn.SX, np.eye(2)))
+    assert np.allclose(e, embed_oracle(tn.SX, full, ("s1",)))
 
 
 def test_embed_disjoint_supports_commute():
     rng = np.random.default_rng(0)
     full = ("s1", "s2", "s3")
-    x = tn.embed(tn.on(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s1",)), full)
-    y = tn.embed(tn.on(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s3",)), full)
-    assert tn.max_abs((x @ y - y @ x).data) < 1e-13
+    gx = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s1",))
+    gy = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s3",))
+    assert tn.max_abs(tn.product(full, [gx, gy]) - tn.product(full, [gy, gx])) < 1e-13
 
 
 def test_embed_middle_leg_permutation_oracle():
-    # embedding on (first, last) of three legs must equal conjugating the
+    # a gate on (first, last) of three legs must equal conjugating the
     # direct kron (R x Id) by the permutation swapping legs 2 and 3
     rng = np.random.default_rng(1)
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     full = ("a", "s1", "s2")
-    emb = tn.embed(tn.on(r, ("a", "s2")), full)
+    emb = tn.apply_gate(np.eye(8), full, r, ("a", "s2"))
     perm = np.eye(8)[[0, 2, 1, 3, 4, 6, 5, 7]]  # swap the two site legs
-    direct = perm @ np.kron(r.reshape(2, 2, 2, 2).transpose(0, 1, 2, 3).reshape(4, 4), np.eye(2))
-    # (R on legs 1,3) = P23 (R on legs 1,2 (x) Id) P23
-    direct = perm @ np.kron(r, np.eye(2)) @ perm
-    assert np.allclose(emb.data, direct)
+    assert np.allclose(emb, perm @ np.kron(r, np.eye(2)) @ perm)
+    assert np.allclose(emb, embed_oracle(r, full, ("a", "s2")))
 
 
 def test_embed_unknown_leg():
     with pytest.raises(UnknownLeg):
-        tn.embed(tn.on(tn.SX, ("q",)), ("s1", "s2"))
+        tn.apply_gate(np.eye(4), ("s1", "s2"), tn.SX, ("q",))
+    with pytest.raises(UnknownLeg):
+        tn.apply_gate(np.eye(4), ("s1", "s2"), lambda c: tn.SX, ("s1",), [("q", 1)])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -76,9 +139,9 @@ def test_embed_preserves_spectrum(n):
     rng = np.random.default_rng(2)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     full = tuple(f"s{i}" for i in range(n))
-    emb = tn.embed(tn.on(m, ("s0",)), full)
+    emb = tn.apply_gate(np.eye(2**n), full, m, ("s0",))
     small = np.sort_complex(np.linalg.eigvals(m))
-    big = np.sort_complex(np.linalg.eigvals(emb.data))
+    big = np.sort_complex(np.linalg.eigvals(emb))
     expect = np.sort_complex(np.repeat(small, 2 ** (n - 1)))
     assert np.max(np.abs(big - expect)) < 1e-10
 
@@ -97,7 +160,7 @@ def test_partial_trace_identity_and_product():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    prod = tn.tensor_product(tn.on(a, ("a",)), tn.on(b, ("b",)))
+    prod = tn.on(np.kron(a, b), ("a", "b"))
     tr = tn.partial_trace(prod, "a")
     assert tn.max_abs(tr.data - np.trace(a) * b) < 1e-13
 
@@ -119,10 +182,20 @@ def test_partial_ops_unknown_leg():
 
 
 def test_charge_resolved_matches_column_diag():
+    # a gate scaling by its charge is the diagonal of sz_1 + sz_2
     full = ("a", "s1", "s2")
     vals = tn.sz_sum(full, ("s1", "s2"))
-    built = tn.charge_resolved(full, [("s1", 1), ("s2", 1)], ("s2",), lambda c: np.eye(2) * complex(c))
-    assert np.allclose(built.data, np.diag(vals.astype(complex)))
+    charge = [("s1", 1), ("s2", 1)]
+    built = tn.apply_gate(np.eye(8), full, lambda c: np.eye(2) * complex(c), ("a",), charge)
+    assert np.allclose(built, np.diag(vals.astype(complex)))
+    block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
+    built = tn.apply_gate(np.eye(8), full, block, ("a",), charge)
+    assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
+
+
+def test_rel_residual_scales_by_larger_side():
+    assert tn.rel_residual(0.0, 1.0) == 1.0
+    assert tn.rel_residual(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 0.5
 
 
 def test_operator_rejects_nonfinite():

@@ -61,10 +61,10 @@ def test_bulk_monodromy_initial_condition():
 def test_yang_baxter_algebra(p2):
     l1, l2 = 0.21 + 0.12j, -0.33 + 0.27j
     legs = ("x1", "x2") + vx.site_legs(p2.N)
-    r12 = tn.embed(tn.on(vx.r4(l1 - l2, p2.eta), ("x1", "x2")), legs)
-    t1 = tn.embed(vx.bulk_monodromy(l1, p2), legs, target_legs=("x1",) + vx.site_legs(p2.N))
-    t2 = tn.embed(vx.bulk_monodromy(l2, p2), legs, target_legs=("x2",) + vx.site_legs(p2.N))
-    assert tn.rel_residual(r12 @ t1 @ t2, t2 @ t1 @ r12) < 1e-11
+    r12 = [(vx.r4(l1 - l2, p2.eta), ("x1", "x2"))]
+    t1 = vx.on_aux(vx.monodromy_gates(l1, p2), "x1")
+    t2 = vx.on_aux(vx.monodromy_gates(l2, p2), "x2")
+    assert tn.rel_residual(tn.product(legs, r12 + t1 + t2), tn.product(legs, t2 + t1 + r12)) < 1e-11
 
 
 def test_hat_monodromy_two_paths(p2):
@@ -80,8 +80,8 @@ def test_double_row_two_path_consistency(p2):
     lam = 0.27 - 0.19j
     legs = vx.chain_legs(p2.N)
     u_direct = vx.double_row(lam, "minus", p2)
-    km = tn.embed(vx.k_matrix(lam, "minus", p2), legs)
-    u_inverse = vx.bulk_monodromy(lam, p2) @ km @ vx.hat_monodromy(lam, p2, via_inverse=True)
+    that = vx.hat_monodromy(lam, p2, via_inverse=True).data
+    u_inverse = vx.bulk_monodromy(lam, p2).data @ tn.apply_gate(that, legs, vx.k2(lam, "minus", p2), (vx.AUX,))
     assert tn.rel_residual(u_direct, u_inverse) < 1e-10
 
 
@@ -92,9 +92,9 @@ def test_diagonal_boundary_annihilates_reference(p2):
     legs = vx.chain_legs(p2.N)
     from sosxxz.sos import k2_minus_diag
 
-    kd = tn.embed(tn.on(k2_minus_diag(lam, p2.delta, p2.zeta), ("a0",)), legs)
-    u = vx.bulk_monodromy(lam, p2) @ kd @ vx.hat_monodromy(lam, p2)
-    c_block = tn.block(u, "a0", 1, 0)
+    kd = (k2_minus_diag(lam, p2.delta, p2.zeta), ("a0",))
+    u = tn.product(legs, [*vx.monodromy_gates(lam, p2), kd, *vx.monodromy_gates(lam, p2, hatted=True)])
+    c_block = tn.block(tn.on(u, legs), "a0", 1, 0)
     v0 = tn.all_up(p2.N)
     assert np.max(np.abs(c_block.data @ v0)) < 1e-12 * tn.max_abs(c_block)
     u_gen = vx.double_row(lam, "minus", p2)
@@ -184,22 +184,25 @@ def test_hamiltonian_requires_homogeneous(p2):
 def test_hamiltonian_build_twice_determinism(p2):
     # termwise build against an independently ordered matrix sum
     h1 = vx.hamiltonian_direct(p2)
-    legs = vx.site_legs(p2.N)
-    total = np.zeros((4, 4), dtype=complex)
+    n = p2.N
+    total = np.zeros((2**n, 2**n), dtype=complex)
+
+    def at(mat, first):
+        # mat on the sites first, first + 1, ... as a kron with identities
+        k = int(np.log2(mat.shape[0]))
+        return np.kron(np.kron(np.eye(2 ** (first - 1)), mat), np.eye(2 ** (n - first - k + 1)))
+
     pieces = []
-    for i in range(1, p2.N):
-        a, b = f"s{i}", f"s{i + 1}"
+    for i in range(1, n):
         for pauli in (tn.SX, tn.SY):
-            pieces.append(tn.embed(tn.on(np.kron(pauli, pauli), (a, b)), legs).data)
-        pieces.append(cosh(p2.eta) * tn.embed(tn.on(np.kron(tn.SZ, tn.SZ), (a, b)), legs).data)
+            pieces.append(at(np.kron(pauli, pauli), i))
+        pieces.append(cosh(p2.eta) * at(np.kron(tn.SZ, tn.SZ), i))
     pref1 = sinh(p2.eta) / (sinh(p2.zeta_bar) * sinh(p2.delta_bar))
-    pieces.append(pref1 * tn.embed(tn.on(
-        cosh(p2.zeta_bar) * cosh(p2.delta_bar) * tn.SZ + sinh(p2.tau_bar) * tn.SX - 1j * cosh(p2.tau_bar) * tn.SY,
-        ("s1",)), legs).data)
+    pieces.append(pref1 * at(
+        cosh(p2.zeta_bar) * cosh(p2.delta_bar) * tn.SZ + sinh(p2.tau_bar) * tn.SX - 1j * cosh(p2.tau_bar) * tn.SY, 1))
     pref_n = sinh(p2.eta) / (sinh(p2.zeta) * sinh(p2.delta))
-    pieces.append(pref_n * tn.embed(tn.on(
-        -cosh(p2.zeta) * cosh(p2.delta) * tn.SZ - sinh(p2.tau) * tn.SX + 1j * cosh(p2.tau) * tn.SY,
-        (f"s{p2.N}",)), legs).data)
+    pieces.append(pref_n * at(
+        -cosh(p2.zeta) * cosh(p2.delta) * tn.SZ - sinh(p2.tau) * tn.SX + 1j * cosh(p2.tau) * tn.SY, n))
     for piece in reversed(pieces):
         total = total + piece
     assert tn.max_abs(h1.data - total) < 1e-13
