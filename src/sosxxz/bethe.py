@@ -15,7 +15,7 @@ eigenstates, all four families giving the same states.
 
 from __future__ import annotations
 
-from cmath import cosh, log, pi, sinh
+from cmath import cosh, pi, sinh
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,50 +120,61 @@ def bethe_residual(branch: str, roots: Sequence[complex], p: ModelParams, floor:
     return out
 
 
-def _log_mismatch(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
-    """log y(lam_i) - log y(-lam_i-eta), imaginary part folded to (-pi, pi]."""
-    out = np.empty(len(roots), dtype=complex)
-    for i, lam in enumerate(roots):
-        a = bethe_y(branch, lam, roots, i, p)
-        b = bethe_y(branch, -lam - p.eta, roots, i, p)
-        if a == 0 or b == 0 or not np.isfinite(abs(a)) or not np.isfinite(abs(b)):
-            raise ZeroDivisionError("y vanished during solve")
-        z = log(a) - log(b)
-        out[i] = complex(z.real, (z.imag + pi) % (2 * pi) - pi)
-    return out
+def _y_pair(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
+    """y(lam_i) and y(-lam_i-eta) for an (S, M) array of S starts, shape (2, S, M).
 
-
-def _dlog_y(branch: str, x: complex, roots: Sequence[complex], i: int, p: ModelParams) -> complex:
-    """d/dx log y(x) holding the other roots fixed."""
+    Each entry holds the other roots of its own start fixed, as bethe_y does
+    with i given: the self factor k = i is masked out of the root product.
+    """
     d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
     eta = p.eta
-    v = _coth(z + x) - _coth(d - x) - _coth(zb - x) + _coth(db + x)
-    for k, rk in enumerate(roots):
-        if k == i:
-            continue
-        v += _coth(x + rk) + _coth(x - rk - eta)
-    for xj in p.xi:
-        v += _coth(x + xj + eta) + _coth(x - xj + eta)
-    return v
+    x = np.stack([roots, -roots - eta])
+    col = x[..., None]
+    others = roots[None, :, None, :]
+    xis = np.asarray(p.xi, dtype=complex)
+    pairs = np.where(np.eye(roots.shape[1], dtype=bool), 1, np.sinh(col + others) * np.sinh(col - others - eta))
+    v = np.sinh(z + x) * np.sinh(d - x) * np.sinh(zb - x) * np.sinh(db + x)
+    v = v * np.prod(pairs, axis=-1)
+    return v * np.prod(np.sinh(col + xis + eta) * np.sinh(col - xis + eta), axis=-1)
 
 
-def _coth(x: complex) -> complex:
-    return cosh(x) / sinh(x)
+def _log_mismatch(branch: str, roots: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """log y(lam_i) - log y(-lam_i-eta) per start and root, imaginary part
+    folded to (-pi, pi], and per start whether every y is nonzero and finite."""
+    with np.errstate(all="ignore"):
+        a, b = _y_pair(branch, roots, p)
+        ok = np.all((a != 0) & (b != 0) & np.isfinite(np.abs(a)) & np.isfinite(np.abs(b)), axis=1)
+        f = np.log(a) - np.log(b)
+        f.imag = np.mod(f.imag + pi, 2 * pi) - pi
+    return f, ok
+
+
+def _coth(x: np.ndarray) -> np.ndarray:
+    return 1 / np.tanh(x)
 
 
 def _jacobian(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
+    """d mismatch_i / d lam_k for an (S, M) array of starts, shape (S, M, M)."""
+    d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
     eta = p.eta
-    m = len(roots)
-    jac = np.zeros((m, m), dtype=complex)
-    for i, lam in enumerate(roots):
-        jac[i, i] = _dlog_y(branch, lam, roots, i, p) + _dlog_y(branch, -lam - eta, roots, i, p)
-        for k in range(m):
-            if k == i:
-                continue
-            rk = roots[k]
-            jac[i, k] = (_coth(lam + rk) - _coth(lam - rk - eta)) - (
-                _coth(-lam - eta + rk) - _coth(-lam - eta - rk - eta)
-            )
+    diag = np.arange(roots.shape[1])
+    x = np.stack([roots, -roots - eta])
+    col = x[..., None]
+    others = roots[None, :, None, :]
+    xis = np.asarray(p.xi, dtype=complex)
+    with np.errstate(all="ignore"):
+        plus = _coth(col + others)
+        minus = _coth(col - others - eta)
+        plus[..., diag, diag] = 0
+        minus[..., diag, diag] = 0
+        # d/dx log y(x) at both arguments, holding the other roots fixed
+        dlog = (
+            _coth(z + x) - _coth(d - x) - _coth(zb - x) + _coth(db + x)
+            + (plus + minus).sum(axis=-1)
+            + (_coth(col + xis + eta) + _coth(col - xis + eta)).sum(axis=-1)
+        )
+    jac = (plus[0] - minus[0]) - (plus[1] - minus[1])
+    jac[:, diag, diag] = dlog[0] + dlog[1]
     return jac
 
 
@@ -192,37 +203,64 @@ def _separation_ok(roots: Sequence[complex], eta: complex, eps: float) -> bool:
     return True
 
 
-def _newton_solve(branch: str, start: np.ndarray, p: ModelParams, max_iter: int, tol: float):
-    roots = start.astype(complex).copy()
+def _newton_step(branch: str, roots: np.ndarray, f: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps J^-1 f for every start, and per start whether its
+    Jacobian was finite and nonsingular."""
+    jac = _jacobian(branch, roots, p)
+    ok = np.isfinite(jac).all(axis=(1, 2))
+    step = np.zeros_like(f)
+    try:
+        step[ok] = np.linalg.solve(jac[ok], f[ok][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # a singular Jacobian drops only its own start
+        for k in np.flatnonzero(ok):
+            try:
+                step[k] = np.linalg.solve(jac[k], f[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    return step, ok
+
+
+def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int, tol: float) -> list:
+    """Damped Newton on an (S, M) array of starts at once.
+
+    Returns, per start, its converged roots or None.  A start leaves the
+    batch when its largest mismatch is below ``tol``; it is dropped when a
+    y vanishes or is not finite, when its Jacobian is not finite or is
+    singular, when 20 halvings of its step give no decrease, or after
+    ``max_iter`` steps.
+    """
+    found = [None] * len(starts)
+    live = np.arange(len(starts))
+    roots = starts.astype(complex)
+    f, ok = _log_mismatch(branch, roots, p)
+    live, roots, f = live[ok], roots[ok], f[ok]
     for _ in range(max_iter):
-        try:
-            f = _log_mismatch(branch, roots, p)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return None
-        fn = np.max(np.abs(f))
-        if fn < tol:
-            return roots
-        try:
-            jac = _jacobian(branch, roots, p)
-            step = np.linalg.solve(jac, f)
-        except (np.linalg.LinAlgError, ZeroDivisionError, ValueError, OverflowError):
-            return None
-        # damped update: halve until the mismatch does not grow
+        if not len(live):
+            break
+        fn = np.abs(f).max(axis=1)
+        done = fn < tol
+        for k, r in zip(live[done], roots[done]):
+            found[k] = r
+        live, roots, f, fn = (a[~done] for a in (live, roots, f, fn))
+        step, ok = _newton_step(branch, roots, f, p)
+        live, roots, f, fn, step = (a[ok] for a in (live, roots, f, fn, step))
+        # damped update: each start halves its own step until its mismatch decreases
+        pending = np.ones(len(live), dtype=bool)
         scale = 1.0
         for _ in range(20):
-            cand = roots - scale * step
-            try:
-                fc = np.max(np.abs(_log_mismatch(branch, cand, p)))
-            except (ZeroDivisionError, ValueError, OverflowError):
-                scale /= 2
-                continue
-            if fc < fn or scale < 1e-6:
-                roots = cand
+            idx = np.flatnonzero(pending)
+            if not len(idx):
                 break
+            cand = roots[idx] - scale * step[idx]
+            fc, ok = _log_mismatch(branch, cand, p)
+            better = ok & (np.abs(fc).max(axis=1) < fn[idx])
+            roots[idx[better]] = cand[better]
+            f[idx[better]] = fc[better]
+            pending[idx[better]] = False
             scale /= 2
-        else:
-            return None
-    return None
+        live, roots, f = live[~pending], roots[~pending], f[~pending]
+    return found
 
 
 def _start_grid(m: int, rng: np.random.Generator, n_starts: int, eta: complex) -> list[np.ndarray]:
@@ -255,6 +293,10 @@ def find_bethe_solutions(
 ) -> list[BetheSolution]:
     """Multi-start damped-Newton search; returns deduplicated verified solutions.
 
+    All starts are solved together as one batch (``_newton_batch``); each
+    converged start is then filtered, deduplicated and verified by the
+    scalar ``bethe_residual`` in start order.
+
     Roots escaping beyond ``re_max`` in real part are discarded: under the
     boundary constraints the equations become asymptotically satisfied as
     Re(lam) grows, producing spurious runaway pseudo-solutions.
@@ -262,11 +304,11 @@ def find_bethe_solutions(
     spec = BRANCHES[branch]
     sector = p.N - 2 * M if spec.sign > 0 else -p.N + 2 * M
     rng = np.random.default_rng(seed)
-    starts = [np.asarray(g, dtype=complex) for g in guesses] if guesses else _start_grid(M, rng, n_starts, p.eta)
+    starts = list(guesses) if guesses else _start_grid(M, rng, n_starts, p.eta)
+    starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)
     found: list[BetheSolution] = []
     seen: list[tuple] = []
-    for start in starts:
-        roots = _newton_solve(branch, start, p, max_iter, 1e-13)
+    for roots in _newton_batch(branch, starts, p, max_iter, 1e-13):
         if roots is None:
             continue
         canon = tuple(sorted((canonical_root(z, p.eta) for z in roots), key=lambda z: (round(z.real, 9), round(z.imag, 9))))
@@ -324,22 +366,54 @@ def branch_eigenvalue(branch: str, mu: complex, roots: Sequence[complex], p: Mod
 
 
 def _lambda1(mu: complex, roots, pars, xis, eta: complex) -> complex:
+    return sum(_sinh_product(t) for t in _lambda_terms(mu, roots, pars, xis, eta))
+
+
+def _lambda_terms(mu: complex, roots, pars, xis, eta: complex) -> tuple[list, list]:
+    """The two products of Lambda_1 as lists of sinh factors
+    (argument, d argument / d mu, power +1 or -1)."""
     d, z, db, zb = pars
-    den = sinh(zb - mu - eta) * sinh(db - mu - eta) * sinh(d + mu) * sinh(2 * mu + eta)
-    if abs(den) == 0:
+    t1 = [
+        (zb - mu, -1, 1), (db + mu, 1, 1), (d - mu, -1, 1), (2 * mu + 2 * eta, 2, 1),
+        (zb - mu - eta, -1, -1), (db - mu - eta, -1, -1), (d + mu, 1, -1), (2 * mu + eta, 2, -1),
+    ]
+    t2 = [
+        (zb + mu + eta, 1, 1), (d + mu + eta, 1, 1), (z - mu - eta, -1, 1), (2 * mu, 2, 1),
+        (zb - mu - eta, -1, -1), (d + mu, 1, -1), (z + mu, 1, -1), (2 * mu + eta, 2, -1),
+    ]
+    for li in roots:
+        den = [(mu + li + eta, 1, -1), (mu - li, 1, -1)]
+        t1 += [(mu + li, 1, 1), (mu - li - eta, 1, 1), *den]
+        t2 += [(mu + li + 2 * eta, 1, 1), (mu - li + eta, 1, 1), *den]
+    for xj in xis:
+        t1 += [(mu + xj + eta, 1, 1), (mu - xj + eta, 1, 1)]
+        t2 += [(mu + xj, 1, 1), (mu - xj, 1, 1)]
+    return t1, t2
+
+
+def _sinh_product(factors) -> complex:
+    num = den = 1
+    for arg, _, power in factors:
+        if power > 0:
+            num *= sinh(arg)
+        else:
+            den *= sinh(arg)
+    if den == 0:
         raise DegenerateParameter("Lambda_1 evaluated at a pole")
-    t1 = sinh(zb - mu) * sinh(db + mu) * sinh(d - mu) * sinh(2 * mu + 2 * eta) / den
-    for li in roots:
-        t1 *= sinh(mu + li) * sinh(mu - li - eta) / (sinh(mu + li + eta) * sinh(mu - li))
-    for xj in xis:
-        t1 *= sinh(mu + xj + eta) * sinh(mu - xj + eta)
-    den2 = sinh(zb - mu - eta) * sinh(d + mu) * sinh(z + mu) * sinh(2 * mu + eta)
-    t2 = sinh(zb + mu + eta) * sinh(d + mu + eta) * sinh(z - mu - eta) * sinh(2 * mu) / den2
-    for li in roots:
-        t2 *= sinh(mu + li + 2 * eta) * sinh(mu - li + eta) / (sinh(mu + li + eta) * sinh(mu - li))
-    for xj in xis:
-        t2 *= sinh(mu + xj) * sinh(mu - xj)
-    return t1 + t2
+    return num / den
+
+
+def _sinh_product_derivative(factors) -> complex:
+    """d/dmu of a sinh product: the product times the coth sum
+    sum power * slope * coth(argument), or, where a numerator factor
+    vanishes, that factor's derivative times the rest."""
+    zeros = [k for k, (arg, _, power) in enumerate(factors) if power > 0 and sinh(arg) == 0]
+    if len(zeros) > 1:
+        return 0j
+    if zeros:
+        arg, slope, _ = factors[zeros[0]]
+        return slope * cosh(arg) * _sinh_product(factors[: zeros[0]] + factors[zeros[0] + 1 :])
+    return _sinh_product(factors) * sum(power * slope * cosh(arg) / sinh(arg) for arg, slope, power in factors)
 
 
 def branch_theta(branch: str, p: ModelParams) -> complex:
@@ -408,13 +482,11 @@ def energy(solution: BetheSolution, p: ModelParams) -> complex:
 def hamiltonian_energy(branch: str, solution: BetheSolution, p: ModelParams, kappa: complex) -> complex:
     """Hamiltonian eigenvalue sinh(eta) Lambda'(0)/Lambda(0) - kappa.
 
-    The derivative is taken with a five-point stencil; kappa is the
-    identity shift measured by the transfer-matrix reconstruction.
+    Lambda' is the analytic derivative of the two products of Lambda
+    (``_lambda_terms``); kappa is the identity shift measured by the
+    transfer-matrix reconstruction.
     """
-    h = 1e-4
-
-    def lam_at(mu):
-        return branch_eigenvalue(branch, mu, solution.roots, p)
-
-    lp = (-lam_at(2 * h) + 8 * lam_at(h) - 8 * lam_at(-h) + lam_at(-2 * h)) / (12 * h)
-    return sinh(p.eta) * lp / lam_at(0.0) - kappa
+    lam = branch_eigenvalue(branch, 0.0, solution.roots, p)
+    terms = _lambda_terms(0.0, solution.roots, _pars(p, BRANCHES[branch].eig_order), p.xi, p.eta)
+    dlam = sum(_sinh_product_derivative(t) for t in terms)
+    return sinh(p.eta) * dlam / lam - kappa

@@ -191,7 +191,13 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     return rows, {"suite": suite}
 
 
+def require_roots(m: int) -> None:
+    if m < 1:
+        raise ConfigError(f"M = {m} Bethe roots; a Bethe state needs at least one")
+
+
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
+    require_roots(m)
     require_dense_budget(cfg.params.N + 1)
     digest = cfg.digest()
     p = cfg.params
@@ -204,38 +210,39 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
         raise NoConvergence(f"no verified {branch} solutions with M = {m}")
     rng = np.random.default_rng(cfg.seed + 1)
     mus = sample_points(rng, p, 3)
-    rows = []
-    results = []
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
-    for i, sol in enumerate(sols):
-        rows.append(_row(f"bethe.{branch}.{i}.equation", digest, max(sol.residuals), tol_b))
+    states = []
+    for sol in sols:
         psi = bt.bethe_state(branch, sol, p)
         v = bt.vertex_eigenstate(branch, sol, p) if constrained else None
-        lam_rows = []
-        worst_sos = 0.0
-        worst_vertex = 0.0
-        for mu in mus:
-            lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
-            t_sos = sos.sos_transfer(mu, theta, spec.sos_kind, p)
-            r_s = float(
-                np.linalg.norm(t_sos.data @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam))
-            )
-            worst_sos = max(worst_sos, r_s)
+        states.append((psi, v, [bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus]))
+    worst_sos = [0.0] * len(sols)
+    worst_vertex = [0.0] * len(sols)
+    # each transfer matrix depends on mu alone: build it once for all solutions
+    for j, mu in enumerate(mus):
+        t_sos = sos.sos_transfer(mu, theta, spec.sos_kind, p).data
+        t_v = vx.transfer_xxz(mu, p).data if constrained else None
+        for i, (psi, v, lams) in enumerate(states):
+            lam = lams[j]
+            r_s = float(np.linalg.norm(t_sos @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)))
+            worst_sos[i] = max(worst_sos[i], r_s)
             if constrained:
-                t_v = vx.transfer_xxz(mu, p)
-                r_v = float(np.linalg.norm(t_v.data @ v - lam * v) / (np.linalg.norm(v) * abs(lam)))
-                worst_vertex = max(worst_vertex, r_v)
-            lam_rows.append({"mu": _c2pair(mu), "lambda": _c2pair(lam)})
-        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", digest, worst_sos, tol_eig))
+                r_v = float(np.linalg.norm(t_v @ v - lam * v) / (np.linalg.norm(v) * abs(lam)))
+                worst_vertex[i] = max(worst_vertex[i], r_v)
+    rows = []
+    results = []
+    for i, (sol, (_, _, lams)) in enumerate(zip(sols, states)):
+        rows.append(_row(f"bethe.{branch}.{i}.equation", digest, max(sol.residuals), tol_b))
+        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", digest, worst_sos[i], tol_eig))
         if constrained:
-            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", digest, worst_vertex, tol_eig))
+            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", digest, worst_vertex[i], tol_eig))
         results.append(
             {
                 "roots": [_c2pair(z) for z in sol.roots],
                 "equation_residuals": list(sol.residuals),
                 "sector": sol.sector,
-                "eigenvalues": lam_rows,
+                "eigenvalues": [{"mu": _c2pair(mu), "lambda": _c2pair(lam)} for mu, lam in zip(mus, lams)],
             }
         )
     rows.sort(key=lambda r: r["check"])
@@ -252,9 +259,11 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     tol = max(cfg.tolerances["bethe"] * 10, 1e-8)
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
-    t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p).data)
-    h_eigs = np.linalg.eigvals(vx.hamiltonian_direct(p).data)
     m = (p.N - cfg.sector_s) // 2
+    require_roots(m)
+    t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p).data)
+    # built for its finite check; only its dimension is reported
+    h_dim = vx.hamiltonian_direct(p).data.shape[0]
     sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
     rows = []
     matched = 0
@@ -270,7 +279,7 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     extra = {
         "mu": _c2pair(mu),
         "transfer_dimension": len(t_eigs),
-        "hamiltonian_dimension": len(h_eigs),
+        "hamiltonian_dimension": h_dim,
         "solutions_found": len(sols),
         "matched": matched,
         "unmatched_spectrum": len(t_eigs) - matched,

@@ -219,3 +219,107 @@ def test_hamiltonian_energy_matches_rayleigh(constrained2):
         e_disp = bt.energy(sol, p)
         offsets.append(rq - 2 * sinh(p.eta) / c1v * (e_disp - c1v * p.N * cosh(p.eta) / sinh(p.eta)))
     assert abs(offsets[0] - offsets[1]) < 1e-7 * max(abs(offsets[0]), 1.0)
+
+
+def _fold(z):
+    return complex(z.real, (z.imag + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _random_roots(rng, starts, m):
+    return rng.uniform(-1, 1, (starts, m)) + 1j * rng.uniform(-1.4, 1.4, (starts, m))
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_mismatch_matches_scalar_y(branch, m):
+    p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
+    roots = _random_roots(np.random.default_rng(10 * m + 1), 5, m)
+    # a root at 0 makes its own factor sinh(lam_i + lam_i) vanish: y stays
+    # nonzero only if the self term k = i is masked
+    roots[0, 0] = 0
+    f, ok = bt._log_mismatch(branch, roots, p)
+    assert ok.all()
+    for s, row in enumerate(roots):
+        for i, lam in enumerate(row):
+            a = bt.bethe_y(branch, lam, row, i, p)
+            b = bt.bethe_y(branch, -lam - p.eta, row, i, p)
+            assert abs(f[s, i] - _fold(np.log(a) - np.log(b))) < 1e-12 * max(abs(f[s, i]), 1.0)
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_jacobian_matches_finite_differences(branch, m):
+    p = bt.apply_constraints(generic_params(3), bt.BoundaryConstraint(s=1))
+    roots = _random_roots(np.random.default_rng(m), 4, m)
+    jac = bt._jacobian(branch, roots, p)
+    h = 1e-6
+    for k in range(m):
+        shift = np.zeros(m)
+        shift[k] = h
+        up, ok_up = bt._log_mismatch(branch, roots + shift, p)
+        down, ok_down = bt._log_mismatch(branch, roots - shift, p)
+        assert ok_up.all() and ok_down.all()
+        diff = up - down
+        diff.imag = np.mod(diff.imag + np.pi, 2 * np.pi) - np.pi
+        assert np.abs(jac[:, :, k] - diff / (2 * h)).max() < 1e-6 * max(np.abs(jac).max(), 1.0)
+
+
+@pytest.mark.parametrize("broken", [0.0, np.nan])
+def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
+    p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
+    starts = np.array(bt._start_grid(2, np.random.default_rng(0), 60, p.eta))
+    clean = bt._newton_batch("b2", starts, p, 80, 1e-13)
+    bad = next(k for k, roots in enumerate(clean) if roots is not None)
+    jacobian, mismatch = bt._jacobian, bt._log_mismatch
+    jac_sizes, mismatch_sizes = [], []
+
+    def first_call_broken(branch, roots, p):
+        jac = jacobian(branch, roots, p)
+        if not jac_sizes:
+            jac[bad] = broken  # all zero is singular; NaN is not finite
+        jac_sizes.append(len(roots))
+        return jac
+
+    def counted(branch, roots, p):
+        mismatch_sizes.append(len(roots))
+        return mismatch(branch, roots, p)
+
+    monkeypatch.setattr(bt, "_jacobian", first_call_broken)
+    monkeypatch.setattr(bt, "_log_mismatch", counted)
+    hit = bt._newton_batch("b2", starts, p, 80, 1e-13)
+    # the start leaves the batch before the first line search
+    assert mismatch_sizes[:2] == [len(starts), len(starts) - 1]
+    assert jac_sizes[0] == len(starts)
+    assert hit[bad] is None
+    for k, (a, b) in enumerate(zip(clean, hit)):
+        if k != bad:
+            assert (a is None) == (b is None)
+            assert a is None or np.abs(a - b).max() < 1e-12
+
+
+# counts and 8-digit canonical roots at seed 0, recorded from the scalar
+# per-start solver that the batched one replaced
+PINNED_SOLUTIONS = {
+    (4, 0, "b2"): [
+        [(-0.15363084, -0.31003948), (0.40789336, 0.72435387)],
+        [(0.58002119, 0.44658958), (0.77123539, -1.3825663)],
+        [(-0.11253066, -0.52482954), (0.44859931, 0.53553873)],
+    ],
+    (6, 2, "b1"): [
+        [(0.0194018, -0.99047567), (0.54365722, -0.44416935)],
+        [(0.16988592, -1.02134818), (0.6662886, -0.16412238)],
+        [(-0.08946119, -0.47070652), (0.61816813, -0.14815987)],
+    ],
+}
+PINNED_SOLUTIONS[4, 0, "p2"] = PINNED_SOLUTIONS[4, 0, "b2"]
+PINNED_SOLUTIONS[6, 2, "p1"] = PINNED_SOLUTIONS[6, 2, "b1"]
+
+
+@pytest.mark.parametrize("n, s", [(4, 0), (6, 2)])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_pinned_solutions_at_seed_0(n, s, branch):
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    sols = bt.find_bethe_solutions(branch, m, p, seed=0)
+    got = [[(round(z.real, 8), round(z.imag, 8)) for z in sol.roots] for sol in sols]
+    assert got == PINNED_SOLUTIONS.get((n, s, branch), [])

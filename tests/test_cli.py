@@ -166,6 +166,16 @@ def test_dense_budget_is_config_error(args, tmp_path):
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_bethe_without_roots_is_config_error(m, tmp_path):
+    assert cli.main(["bethe", "--m", m, "--n", "2", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_spectrum_without_roots_is_config_error(tmp_path):
+    # unconstrained, the sector is not checked against N: s = N gives M = 0
+    assert cli.main(["spectrum", "--n", "2", "--sector", "2", "--out", str(tmp_path / "x")]) == 2
+
+
 def test_csv_format(tmp_path):
     out = tmp_path / "rows.csv"
     code = cli.main(["verify", "--suite", "vertex", "--n", "1", "--seed", "7", "--trials", "2",
