@@ -10,12 +10,12 @@ from sosxxz import bethe as bt, sos, vertex as vx
 from sosxxz.params import generic_params, sample_points
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--sector", type=int, default=0)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = bt.apply_constraints(generic_params(args.n), bt.BoundaryConstraint(s=args.sector))
     rng = np.random.default_rng(args.seed)
@@ -44,7 +44,7 @@ def main():
                   f"{spec.sos_kind} eigenstate {worst_s:.2e}  vertex eigenstate {worst_v:.2e}")
 
     ph = p.replace(xi=(0,) * p.N)
-    _, kappa = vx.hamiltonian(ph, "from_transfer")
+    _, kappa = vx.hamiltonian(ph)
     print(f"\nhomogeneous chain: measured identity shift kappa = {kappa:.8f}")
     for sol in bt.find_bethe_solutions("b1", (p.N - args.sector) // 2, ph, seed=args.seed):
         e = bt.hamiltonian_energy("b1", sol, ph, kappa)

@@ -8,11 +8,11 @@ from sosxxz.cli import SUITES
 from sosxxz.params import generic_params
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.monotonic()
     for n in (2, 3):

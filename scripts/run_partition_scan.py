@@ -10,11 +10,11 @@ from sosxxz import partition as pt
 from sosxxz.params import generic_params, sample_points
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nmax", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     for n in range(1, args.nmax + 1):
         p = generic_params(n)

@@ -24,11 +24,12 @@ import numpy as np
 from . import sos
 from . import tensor as tn
 from . import vertex as vx
-from .errors import BadSector, CollapsedRoots, DegenerateParameter, NoConvergence, NullState
+from .errors import BadSector, ConfigError, DegenerateParameter, NullState
 from .params import ModelParams
 
-ROOT_SEP_DEFAULT = 1e-6
-BETHE_TOL_DEFAULT = 1e-9
+ROOT_SEP = 1e-6  # smallest |sinh| of root differences, sums + eta, 2 lam + eta
+BETHE_TOL = 1e-9  # largest per-root residual of an accepted solution
+RE_MAX = 2.5  # largest |Re| of an accepted root
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,13 @@ def bethe_y(branch: str, x: complex, roots: Sequence[complex], i: int | None, p:
     return _y1(x, roots, i, _pars(p, spec.y_order), p.xi, p.eta)
 
 
-def bethe_residual(branch: str, roots: Sequence[complex], p: ModelParams, floor: float = 1e-30) -> list[float]:
-    """Per-root residual |y(lam_i) - y(-lam_i - eta)| / max(|y|, floor)."""
+def bethe_residual(branch: str, roots: Sequence[complex], p: ModelParams) -> list[float]:
+    """Per-root residual |y(lam_i) - y(-lam_i - eta)| / max(|y|, 1e-30)."""
     out = []
     for i, lam in enumerate(roots):
         a = bethe_y(branch, lam, roots, i, p)
         b = bethe_y(branch, -lam - p.eta, roots, i, p)
-        out.append(abs(a - b) / max(abs(a), abs(b), floor))
+        out.append(abs(a - b) / max(abs(a), abs(b), 1e-30))
     return out
 
 
@@ -284,23 +285,21 @@ def find_bethe_solutions(
     M: int,
     p: ModelParams,
     guesses: Sequence[Sequence[complex]] | None = None,
-    max_iter: int = 80,
-    tol: float = BETHE_TOL_DEFAULT,
     n_starts: int = 60,
     seed: int = 0,
-    sep_eps: float = ROOT_SEP_DEFAULT,
-    re_max: float = 2.5,
 ) -> list[BetheSolution]:
     """Multi-start damped-Newton search; returns deduplicated verified solutions.
 
-    All starts are solved together as one batch (``_newton_batch``); each
-    converged start is then filtered, deduplicated and verified by the
-    scalar ``bethe_residual`` in start order.
+    All starts are solved together as one batch (``_newton_batch``, at most
+    80 steps each); each converged start is then filtered, deduplicated and
+    verified by the scalar ``bethe_residual`` in start order.
 
-    Roots escaping beyond ``re_max`` in real part are discarded: under the
+    Roots escaping beyond RE_MAX in real part are discarded: under the
     boundary constraints the equations become asymptotically satisfied as
     Re(lam) grows, producing spurious runaway pseudo-solutions.
     """
+    if M < 1:
+        raise ConfigError(f"M = {M} Bethe roots; a Bethe state needs at least one")
     spec = BRANCHES[branch]
     sector = p.N - 2 * M if spec.sign > 0 else -p.N + 2 * M
     rng = np.random.default_rng(seed)
@@ -308,50 +307,25 @@ def find_bethe_solutions(
     starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)
     found: list[BetheSolution] = []
     seen: list[tuple] = []
-    for roots in _newton_batch(branch, starts, p, max_iter, 1e-13):
+    for roots in _newton_batch(branch, starts, p, 80, 1e-13):
         if roots is None:
             continue
         canon = tuple(sorted((canonical_root(z, p.eta) for z in roots), key=lambda z: (round(z.real, 9), round(z.imag, 9))))
-        if any(abs(z.real) > re_max for z in canon):
+        if any(abs(z.real) > RE_MAX for z in canon):
             continue
-        if any(_near_fixed_point(z, p.eta, sep_eps) for z in canon):
+        if any(_near_fixed_point(z, p.eta, ROOT_SEP) for z in canon):
             continue
-        if not _separation_ok(canon, p.eta, sep_eps):
+        if not _separation_ok(canon, p.eta, ROOT_SEP):
             continue
         key = tuple((round(z.real, 8), round(z.imag, 8)) for z in canon)
         if key in seen:
             continue
         res = bethe_residual(branch, canon, p)
-        if max(res) > tol:
+        if max(res) > BETHE_TOL:
             continue
         seen.append(key)
         found.append(BetheSolution(branch=branch, roots=canon, M=M, residuals=tuple(res), sector=sector))
     return found
-
-
-def solve_bethe(
-    branch: str,
-    M: int,
-    p: ModelParams,
-    guesses: Sequence[Sequence[complex]] | None = None,
-    max_iter: int = 80,
-    tol: float = BETHE_TOL_DEFAULT,
-    seed: int = 0,
-) -> BetheSolution:
-    """First verified solution from the multi-start search."""
-    sols = find_bethe_solutions(branch, M, p, guesses=guesses, max_iter=max_iter, tol=tol, seed=seed)
-    if not sols:
-        raise NoConvergence(f"no verified {branch} solution with M = {M}")
-    sol = sols[0]
-    if not _separation_ok(sol.roots, p.eta, ROOT_SEP_DEFAULT):
-        raise CollapsedRoots("roots violate the separation requirement")
-    return sol
-
-
-def eigenvalue_lambda(which: str, mu: complex, roots: Sequence[complex], p: ModelParams) -> complex:
-    """Transfer-matrix eigenvalue Lambda_1 (or the swapped Lambda_2)."""
-    order = {"L1": "dzDZ", "L2": "zdZD"}[which]
-    return _lambda1(mu, roots, _pars(p, order), p.xi, p.eta)
 
 
 def branch_eigenvalue(branch: str, mu: complex, roots: Sequence[complex], p: ModelParams) -> complex:
@@ -440,21 +414,15 @@ def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndar
     return v
 
 
-def vertex_eigenstate(
-    branch: str,
-    solution: BetheSolution,
-    p: ModelParams,
-    gauge_theta: complex | None = None,
-) -> np.ndarray:
+def vertex_eigenstate(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndarray:
     """Vertex-picture eigenstate: the gauge row applied to the Bethe state.
 
     The minus families use S_-({xi}; theta, tau); the plus families
-    S_+({xi}; theta_bar, tau_bar).  ``gauge_theta`` overrides the
-    dynamical argument to probe alternative bindings.
+    S_+({xi}; theta_bar, tau_bar).
     """
     side = BRANCHES[branch].side
     psi = bethe_state(branch, solution, p)
-    theta = branch_theta(branch, p) if gauge_theta is None else gauge_theta
+    theta = branch_theta(branch, p)
     omega = p.tau if side == "minus" else p.tau_bar
     row = sos.gauge_row(theta, omega, side, p)
     v = row.data @ psi

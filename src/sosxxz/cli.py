@@ -26,13 +26,7 @@ from . import bethe as bt
 from . import partition as pt
 from . import sos
 from . import vertex as vx
-from .errors import (
-    CollapsedRoots,
-    ConfigError,
-    DegenerateParameter,
-    NoConvergence,
-    SosXxzError,
-)
+from .errors import ConfigError, DegenerateParameter, NoConvergence, SosXxzError
 from .params import ModelParams, generic_params, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
@@ -102,9 +96,14 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
     # a flag that is given wins over the config, the config over the default
-    def pick(flag: str, key: str, default: int) -> int:
-        value = getattr(overrides, flag, None)
-        return int(data.get(key, default)) if value is None else value
+    def pick(flag: str | None, key: str, default: int) -> int:
+        value = getattr(overrides, flag, None) if flag else None
+        if value is not None:
+            return value
+        try:
+            return int(data.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key!r} must be an integer: {exc}") from exc
 
     n = pick("n", "N", 2)
     if n < 1:
@@ -140,8 +139,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     return RunConfig(
         params=params,
         sector_s=pick("sector", "sector_s", 0),
-        constraint_n=int(data.get("constraint_n", 0)),
-        constraint_m=int(data.get("constraint_m", 0)),
+        constraint_n=pick(None, "constraint_n", 0),
+        constraint_m=pick(None, "constraint_m", 0),
         seed=pick("seed", "seed", 0),
         trials=trials,
         tolerances=tol,
@@ -191,13 +190,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     return rows, {"suite": suite}
 
 
-def require_roots(m: int) -> None:
-    if m < 1:
-        raise ConfigError(f"M = {m} Bethe roots; a Bethe state needs at least one")
-
-
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
-    require_roots(m)
     require_dense_budget(cfg.params.N + 1)
     digest = cfg.digest()
     p = cfg.params
@@ -260,7 +253,6 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
-    require_roots(m)
     t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p).data)
     # built for its finite check; only its dimension is reported
     h_dim = vx.hamiltonian_direct(p).data.shape[0]
@@ -300,21 +292,15 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
         N=p.N, lambdas=lams, xis=p.xi, delta=pair[0], zeta=pair[1], eta=p.eta, kind=kind,
         eps_pole=cfg.tolerances["pole"],
     )
-    rows = []
-    extra = {"kind": kind, "method": method, "lambdas": [_c2pair(z) for z in lams]}
+    methods = ("det", "contract") if method == "both" else (method,)
+    values = {m: pt.z_value(inp, m) for m in methods}
+    residuals = pt.z_property_suite(inp, seed=cfg.seed, methods=methods)
     if method == "both":
-        rep = pt.partition_report(inp, seed=cfg.seed, with_properties=True)
-        rows.append(_row(f"partition.{kind}.det_vs_contract", digest, rep.rel_disagreement, tol))
-        for name, res in sorted(rep.property_residuals.items()):
-            rows.append(_row(f"partition.{kind}.{name}", digest, res, tol))
-        extra["value_det"] = _c2pair(rep.value_det)
-        extra["value_contract"] = _c2pair(rep.value_contract)
-    else:
-        value = pt.z_value(inp, method)
-        extra[f"value_{method}"] = _c2pair(value)
-        for name, res in sorted(pt.z_property_suite(inp, seed=cfg.seed, methods=(method,)).items()):
-            rows.append(_row(f"partition.{kind}.{name}", digest, res, tol))
-    rows.sort(key=lambda r: r["check"])
+        residuals["det_vs_contract"] = pt.rel_disagreement(values["det"], values["contract"])
+    rows = sorted((_row(f"partition.{kind}.{name}", digest, res, tol) for name, res in residuals.items()),
+                  key=lambda r: r["check"])
+    extra = {"kind": kind, "method": method, "lambdas": [_c2pair(z) for z in lams]}
+    extra.update({f"value_{m}": _c2pair(z) for m, z in values.items()})
     return rows, extra
 
 
@@ -392,10 +378,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateParameter as exc:
+    except (DegenerateParameter, OverflowError) as exc:
+        # an overflowing sinh is a parameter too far from the generic range
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return 3
-    except (NoConvergence, CollapsedRoots) as exc:
+    except NoConvergence as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 5
     except SosXxzError as exc:

@@ -29,16 +29,8 @@ class ConstraintViolated(SosXxzError):
     """The boundary constraints required for a comparison do not hold."""
 
 
-class BadSector(SosXxzError):
-    """A spin sector is outside the admissible range or has wrong parity."""
-
-
 class NoConvergence(SosXxzError):
-    """An iterative solve exhausted its iteration budget."""
-
-
-class CollapsedRoots(SosXxzError):
-    """Bethe roots violate the pairwise separation requirement."""
+    """An iterative search found no verified solution."""
 
 
 class NullState(SosXxzError):
@@ -51,3 +43,7 @@ class SingularPrefactor(SosXxzError):
 
 class ConfigError(SosXxzError):
     """A run configuration failed to parse or validate."""
+
+
+class BadSector(ConfigError):
+    """A spin sector is outside the admissible range or has wrong parity."""

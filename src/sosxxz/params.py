@@ -100,18 +100,16 @@ def sample_points(
     p: ModelParams,
     count: int,
     thetas: Sequence[complex] = (),
-    margin: float = SAMPLE_MARGIN,
-    box: float = 1.0,
-    max_tries: int = 10_000,
 ) -> list[complex]:
-    """Draw spectral points from the [-box, box]^2 square, rejecting any
-    that come within ``margin`` of a pole of the standard denominators."""
+    """Draw spectral points from the [-1, 1]^2 square (at most 10,000 tries),
+    rejecting any that come within SAMPLE_MARGIN of a pole of the standard
+    denominators."""
     pts: list[complex] = []
-    for _ in range(max_tries):
+    for _ in range(10_000):
         if len(pts) == count:
             break
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if min_pole_gap(p, [z], thetas) > margin:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if min_pole_gap(p, [z], thetas) > SAMPLE_MARGIN:
             pts.append(z)
     if len(pts) < count:
         raise DegenerateParameter("could not sample generic spectral points")

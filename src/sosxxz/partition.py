@@ -10,7 +10,7 @@ ground truth; the determinant and recursion paths are checked against it.
 from __future__ import annotations
 
 from cmath import exp, pi, sinh
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import sos
@@ -64,7 +64,6 @@ class PartitionReport:
     value_det: complex
     value_contract: complex
     rel_disagreement: float
-    property_residuals: dict[str, float] = field(default_factory=dict)
 
 
 def _model_params(inp: PartitionInput) -> ModelParams:
@@ -329,15 +328,13 @@ def z_property_suite(
     return res
 
 
-def partition_report(inp: PartitionInput, seed: int = 0, with_properties: bool = False) -> PartitionReport:
+def partition_report(inp: PartitionInput) -> PartitionReport:
+    """Both evaluations of Z and their relative disagreement."""
     zd = z_determinant(inp)
     zc = z_contraction(inp)
-    rel = abs(zd - zc) / max(abs(zc), 1e-300)
-    props = z_property_suite(inp, seed) if with_properties else {}
-    return PartitionReport(
-        kind=inp.kind,
-        value_det=zd,
-        value_contract=zc,
-        rel_disagreement=rel,
-        property_residuals=props,
-    )
+    return PartitionReport(inp.kind, zd, zc, rel_disagreement(zd, zc))
+
+
+def rel_disagreement(zd: complex, zc: complex) -> float:
+    """|Z_det - Z_contract| relative to the contraction."""
+    return abs(zd - zc) / max(abs(zc), 1e-300)

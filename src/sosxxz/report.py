@@ -16,6 +16,3 @@ class ResidualReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
-
-    def passes(self, tol: float) -> bool:
-        return self.max_residual < tol

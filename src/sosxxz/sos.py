@@ -122,22 +122,11 @@ def k2_minus_diag(lam: complex, delta: complex, zeta: complex, eps: float = 0.0)
     return np.diag([sinh(delta - lam) / d1, sinh(zeta - lam) / d2]).astype(complex)
 
 
-def k2_plus_diag(lam: complex, delta_bar: complex, zeta_bar: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
-    """K_+ of the height picture: K_-(-lam - eta; delta_bar, zeta_bar)."""
-    return k2_minus_diag(-lam - eta, delta_bar, zeta_bar, eps)
+def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
+    """sinh(th - eta sz)/sinh(th) * K_-(lam; d, z), th = d - z (2x2 diagonal).
 
-
-def tilde_k2_plus(lam: complex, delta_bar: complex, zeta_bar: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
-    """sinh(tb - eta sz)/sinh(tb) * K_-(-lam-eta; db, zb), tb = db - zb (2x2 diagonal)."""
-    tb = delta_bar - zeta_bar
-    if abs(sinh(tb)) <= eps:
-        raise DegenerateParameter("|sinh(delta_bar - zeta_bar)| too small")
-    base = k2_minus_diag(-lam - eta, delta_bar, zeta_bar, eps)
-    return np.diag([sinh(tb - eta) / sinh(tb), sinh(tb + eta) / sinh(tb)]) @ base
-
-
-def tilde_k2_minus(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
-    """sinh(th - eta sz)/sinh(th) * K_+(-lam-eta; d, z) = ... * K_-(lam; d, z)."""
+    The dressed K_+(lam) of the barred pair is tilde_k2(-lam - eta, db, zb).
+    """
     th = delta - zeta
     if abs(sinh(th)) <= eps:
         raise DegenerateParameter("|sinh(delta - zeta)| too small")
@@ -324,27 +313,11 @@ def gauge_row(theta: complex, omega: complex, side: str, p: ModelParams) -> Oper
     return tn.on(tn.product(legs, gauge_row_gates(theta, omega, side, p)), legs)
 
 
-def gauge_aux_gate(
-    lam: complex,
-    theta: complex,
-    omega: complex,
-    p: ModelParams,
-    sz_weight: int = -1,
-    tilde: bool = False,
-    inverse: bool = False,
-) -> tuple:
-    """Gate of S_0(lam; theta + sz_weight * eta * S^z) on the chain legs.
-
-    ``tilde`` selects the sigma^y-conjugated gauge; ``inverse`` its inverse.
-    """
-    build2 = (
-        gauge_s_tilde2_inv if (tilde and inverse)
-        else gauge_s_tilde2 if tilde
-        else gauge_s2_inv if inverse
-        else gauge_s2
-    )
-    shift = [(l, sz_weight) for l in site_legs(p.N)]
-    return lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole), (AUX,), shift
+def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
+    """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
+    S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""
+    build2, w = (gauge_s2, -1) if side == "minus" else (gauge_s_tilde2, +1)
+    return lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole), (AUX,), [(l, w) for l in site_legs(p.N)]
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +331,9 @@ def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> Ope
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )
     """
     if which == "SOS1":
-        kt, side = tilde_k2_plus(mu, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole), "minus"
+        kt, side = tilde_k2(-mu - p.eta, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole), "minus"
     elif which == "SOS2":
-        kt, side = tilde_k2_minus(mu, p.delta, p.zeta, p.eta, p.eps_pole), "plus"
+        kt, side = tilde_k2(mu, p.delta, p.zeta, p.eta, p.eps_pole), "plus"
     else:
         raise ValueError(f"unknown transfer kind {which!r}")
     blocks = double_row_blocks(mu, theta, side, p)
@@ -611,7 +584,7 @@ def dyn_reflection_residual(l1, l2, p: ModelParams, side: str) -> float:
         k = lambda lam: k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole)
     else:
         theta = p.delta_bar - p.zeta_bar
-        k = lambda lam: k2_plus_diag(lam, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole)
+        k = lambda lam: k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole)
     legs = _L_LEGS
     return vx.reflection_type_residual(
         lambda x, c: dyn_r4(x, theta, p.eta),
@@ -666,10 +639,10 @@ def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> fl
     srow_aux = gauge_row_gates(theta, omega, side, p, extra_shift=((AUX, -1),))
     t0 = vx.monodromy_gates(lam, p)
     if side == "minus":
-        lhs = [*srow, gauge_aux_gate(lam, theta, omega, p, -1), *dyn_monodromy_gates(lam, theta, "T", p)]
+        lhs = [*srow, gauge_aux_gate(lam, theta, omega, side, p), *dyn_monodromy_gates(lam, theta, "T", p)]
         rhs = [*t0, (gauge_s2(lam, theta, omega, eps), (AUX,)), *srow_aux]
     else:
-        shifted = gauge_aux_gate(lam + p.eta, theta, omega, p, +1, tilde=True)
+        shifted = gauge_aux_gate(lam + p.eta, theta, omega, side, p)
         lhs = [*srow, shifted, *dyn_monodromy_gates(lam, theta, "V", p)]
         s0t = (gauge_s_tilde2(lam + p.eta, theta, omega, eps), (AUX,))
         rhs = [*vx.aux_transposed(t0), s0t, *srow_aux]
@@ -699,12 +672,11 @@ def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
     """Double-row vertex-face relation between the two pictures, minus or plus side."""
     if side == "minus":
         theta, om = p.delta - p.zeta, p.tau
-        gate = lambda x: gauge_aux_gate(x, theta, om, p, -1)
-        left, right = gate(lam), gate(-lam)
+        x = lam
     else:
         theta, om = p.delta_bar - p.zeta_bar, p.tau_bar
-        gate = lambda x: gauge_aux_gate(x, theta, om, p, +1, tilde=True)
-        left, right = gate(lam + p.eta), gate(-lam - p.eta)
+        x = lam + p.eta
+    left, right = (gauge_aux_gate(y, theta, om, side, p) for y in (x, -x))
     srow = gauge_row_gates(theta, om, side, p)
     lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p)]
     rhs = [*vx.double_row_gates(lam, side, p), *srow, right]
@@ -723,30 +695,8 @@ def isomorphism_residual(lam, theta, p: ModelParams) -> float:
     return tn.rel_residual(lhs, rhs)
 
 
-def commutation_ab_residual(l1, l2, p: ModelParams) -> float:
-    """Three-term exchange relation of A_- past B_- at theta = delta - zeta."""
-    eta = p.eta
-    theta = p.delta - p.zeta
-    slegs = site_legs(p.N)
-    szv = tn.sz_sum(slegs, slegs)
-
-    def dg(fn):
-        return np.array([fn(s) for s in szv])[:, None]
-
-    u1 = double_row_blocks(l1, theta, "minus", p)
-    u2 = double_row_blocks(l2, theta, "minus", p)
-    a1, b1, a2, b2 = u1["A"], u1["B"], u2["A"], u2["B"]
-    dt2 = _d_tilde(l2, theta, p, u2)
-    lb, lm = l1 + l2, l1 - l2
-    c1 = dg(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
-    c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
-    c3 = dg(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
-    rhs = c1 * (b1 @ dt2) + c2 * (b2 @ a1) + c3 * (b1 @ a2)
-    return tn.rel_residual(a1 @ b2, rhs)
-
-
-def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
-    """Three-term exchange relation of D-tilde_- past B_- at theta = delta - zeta."""
+def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
+    """Three-term exchange relation of A_- ("A") or D-tilde_- ("D") past B_- at theta = delta - zeta."""
     eta = p.eta
     theta = p.delta - p.zeta
     slegs = site_legs(p.N)
@@ -758,9 +708,15 @@ def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
     u1 = double_row_blocks(l1, theta, "minus", p)
     u2 = double_row_blocks(l2, theta, "minus", p)
     b1, a2, b2 = u1["B"], u2["A"], u2["B"]
-    dt1 = _d_tilde(l1, theta, p, u1)
     dt2 = _d_tilde(l2, theta, p, u2)
     lb, lm = l1 + l2, l1 - l2
+    if left == "A":
+        a1 = u1["A"]
+        c1 = dg(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
+        c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
+        c3 = dg(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
+        return tn.rel_residual(a1 @ b2, c1 * (b1 @ dt2) + c2 * (b2 @ a1) + c3 * (b1 @ a2))
+    dt1 = _d_tilde(l1, theta, p, u1)
     d1 = dg(
         lambda s: sinh(lb + theta - eta * s)
         / sinh(theta - eta * s - eta)
@@ -772,8 +728,7 @@ def commutation_dtb_residual(l1, l2, p: ModelParams) -> float:
         lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
         / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta))
     )
-    rhs = d1 * (b1 @ a2) + d2 * (b2 @ dt1) + d3 * (b1 @ dt2)
-    return tn.rel_residual(dt1 @ b2, rhs)
+    return tn.rel_residual(dt1 @ b2, d1 * (b1 @ a2) + d2 * (b2 @ dt1) + d3 * (b1 @ dt2))
 
 
 # name -> residual at three seeded spectral points and a free theta
@@ -806,8 +761,8 @@ SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]]
     "dual_vsos_state": lambda l, th, p: vsos_state_residual(l[0], p, "plus"),
     "gamma_parity": lambda l, th, p: gamma_parity_residual(l[0], p),
     "isomorphism": lambda l, th, p: isomorphism_residual(l[0], th, p),
-    "commutation_ab": lambda l, th, p: commutation_ab_residual(l[0], l[1], p),
-    "commutation_dtb": lambda l, th, p: commutation_dtb_residual(l[0], l[1], p),
+    "commutation_ab": lambda l, th, p: commutation_residual(l[0], l[1], p, "A"),
+    "commutation_dtb": lambda l, th, p: commutation_residual(l[0], l[1], p, "D"),
 }
 SOS_CHECKS = tuple(SOS_RESIDUALS)
 

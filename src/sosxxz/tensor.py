@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import UnknownLeg
+from .errors import DegenerateParameter, UnknownLeg
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,7 +51,7 @@ class Operator:
         if data.shape != (d, d):
             raise ValueError(f"matrix shape {data.shape} does not match legs {legs}")
         if not np.all(np.isfinite(data.view(float))):
-            raise ValueError("operator entries must be finite")
+            raise DegenerateParameter("operator entries must be finite")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "legs", legs)
 
@@ -59,29 +59,15 @@ class Operator:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def _check_same_legs(self, other: "Operator") -> None:
+    def __matmul__(self, other: "Operator") -> "Operator":
         if self.legs != other.legs:
             raise ValueError(f"leg mismatch: {self.legs} vs {other.legs}")
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_legs(other)
         return Operator(self.data @ other.data, self.legs)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_legs(other)
-        return Operator(self.data + other.data, self.legs)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_legs(other)
-        return Operator(self.data - other.data, self.legs)
 
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.data * scalar, self.legs)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.data, self.legs)
 
 
 def identity(legs: Sequence[str]) -> Operator:

@@ -134,9 +134,9 @@ def dk2_minus(lam: complex, delta: complex, zeta: complex, tau: complex, eps: fl
 
 def k2(lam: complex, side: str, p: ModelParams) -> np.ndarray:
     """Boundary block: K_- at lambda, or K_+(lam) = K_-(-lam-eta; barred)."""
-    if side in ("minus", "left"):
+    if side == "minus":
         return k2_minus(lam, p.delta, p.zeta, p.tau, p.eps_pole)
-    if side in ("plus", "right"):
+    if side == "plus":
         return k2_minus(-lam - p.eta, p.delta_bar, p.zeta_bar, p.tau_bar, p.eps_pole)
     raise ValueError(f"unknown side {side!r}")
 
@@ -205,8 +205,8 @@ def double_row(lam: complex, side: str, p: ModelParams) -> Operator:
     return tn.on(tn.product(legs, double_row_gates(lam, side, p)), legs)
 
 
-def transfer_xxz(lam: complex, p: ModelParams, tol: float = 1e-11) -> Operator:
-    """Open-chain transfer matrix; both trace forms are computed and compared."""
+def transfer_xxz(lam: complex, p: ModelParams) -> Operator:
+    """Open-chain transfer matrix; both trace forms are computed and must agree to 1e-11."""
     legs = chain_legs(p.N)
     kp_um = tn.product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)])
     form1 = tn.partial_trace(tn.on(kp_um, legs), AUX)
@@ -215,7 +215,7 @@ def transfer_xxz(lam: complex, p: ModelParams, tol: float = 1e-11) -> Operator:
     form2 = tn.partial_trace(tn.on(km_up, legs), AUX)
 
     res = tn.rel_residual(form1, form2)
-    if res > tol:
+    if res > 1e-11:
         raise FormMismatch(f"transfer-matrix trace forms disagree: {res:.3e}")
     return form1
 
@@ -280,24 +280,20 @@ def transfer_derivative_at_zero(p: ModelParams) -> Operator:
     return tn.partial_trace(tn.on(total, legs), AUX)
 
 
-def hamiltonian(p: ModelParams, mode: str = "direct", tol: float = 1e-8):
-    """Hamiltonian builder.
+def hamiltonian(p: ModelParams) -> tuple[Operator, complex]:
+    """The Hamiltonian reconstructed from the transfer matrix, with its identity shift.
 
-    mode "direct" returns (H, 0.0).  mode "from_transfer" returns
-    (H_candidate, kappa) with H_candidate = c1 * T'(0) and kappa the
-    measured identity shift H_candidate - H_direct = kappa * Id; raises
-    NonIdentityResidue if the difference is not a multiple of the identity.
+    Returns (H_candidate, kappa) with H_candidate = transfer_norm_constant *
+    T'(0) and kappa the measured identity shift H_candidate - H_direct =
+    kappa * Id; raises NonIdentityResidue if the difference is not a
+    multiple of the identity to 1e-8.
     """
-    if mode == "direct":
-        return hamiltonian_direct(p), 0.0
-    if mode != "from_transfer":
-        raise ValueError(f"unknown mode {mode!r}")
     h_cand = transfer_norm_constant(p) * transfer_derivative_at_zero(p)
     h_dir = hamiltonian_direct(p)
     diff = h_cand.data - h_dir.data
     kappa = complex(np.trace(diff) / diff.shape[0])
     resid = tn.max_abs(diff - kappa * np.eye(diff.shape[0])) / max(tn.max_abs(h_cand), 1e-300)
-    if resid > tol:
+    if resid > 1e-8:
         raise NonIdentityResidue(f"H_candidate - H_direct deviates from identity: {resid:.3e}")
     return h_cand, kappa
 

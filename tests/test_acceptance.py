@@ -68,7 +68,7 @@ def test_criterion_2_gauge_layer(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_criterion_3_hamiltonian_reconstruction(n):
     p = generic_params(n).replace(xi=(0,) * n)
-    h_cand, kappa = vx.hamiltonian(p, "from_transfer")
+    h_cand, kappa = vx.hamiltonian(p)
     h_dir = vx.hamiltonian_direct(p)
     resid = tn.max_abs(h_cand.data - h_dir.data - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
     assert resid < 1e-8

@@ -6,7 +6,7 @@ import pytest
 from sosxxz import bethe as bt
 from sosxxz import sos
 from sosxxz import vertex as vx
-from sosxxz.errors import BadSector, DegenerateParameter, NoConvergence, NullState
+from sosxxz.errors import BadSector, ConfigError, DegenerateParameter, NullState
 from sosxxz.params import generic_params, sample_points
 
 
@@ -51,13 +51,13 @@ def test_lambda2_is_swapped_lambda1(p2):
     mu = 0.17 - 0.23j
     roots = (0.31 + 0.21j,)
     swapped = p2.replace(delta=p2.zeta, zeta=p2.delta, delta_bar=p2.zeta_bar, zeta_bar=p2.delta_bar)
-    assert bt.eigenvalue_lambda("L2", mu, roots, p2) == bt.eigenvalue_lambda("L1", mu, roots, swapped)
+    assert bt.branch_eigenvalue("b2", mu, roots, p2) == bt.branch_eigenvalue("b1", mu, roots, swapped)
 
 
 def test_lambda1_second_term_vanishes_at_xi(p2):
     roots = (0.31 + 0.21j,)
     mu = p2.xi[0]
-    full = bt.eigenvalue_lambda("L1", mu, roots, p2)
+    full = bt.branch_eigenvalue("b1", mu, roots, p2)
     d, z, db, zb = p2.delta, p2.zeta, p2.delta_bar, p2.zeta_bar
     eta = p2.eta
     t1 = (
@@ -81,12 +81,18 @@ def test_solver_finds_verified_solutions(constrained2):
 
 def test_root_reflection_invariance(constrained2):
     p = constrained2
-    sol = bt.solve_bethe("b1", 1, p, seed=1)
+    sol = bt.find_bethe_solutions("b1", 1, p, seed=1)[0]
     lam = sol.roots[0]
     reflected = (-lam - p.eta,)
     r0 = bt.bethe_residual("b1", sol.roots, p)
     r1 = bt.bethe_residual("b1", reflected, p)
     assert max(r1) < max(max(r0) * 10, 1e-9)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_solver_without_roots_is_config_error(m, constrained2):
+    with pytest.raises(ConfigError):
+        bt.find_bethe_solutions("b1", m, constrained2)
 
 
 def test_sector_count_sanity(constrained2):
@@ -96,8 +102,8 @@ def test_sector_count_sanity(constrained2):
 
 
 def test_solver_no_convergence(constrained2):
-    with pytest.raises(NoConvergence):
-        bt.solve_bethe("b1", 1, constrained2, guesses=[[100.0 + 0.0j]], max_iter=2)
+    # a start far out on the real axis runs away; the search comes back empty
+    assert bt.find_bethe_solutions("b1", 1, constrained2, guesses=[[100.0 + 0.0j]]) == []
 
 
 def test_eigenvalue_matches_dense_diagonalization(constrained2):
@@ -171,7 +177,7 @@ def test_plus_family_gauge_binding(constrained3):
     good = bt.vertex_eigenstate("p1", sol, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv.data @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
-    bad = bt.vertex_eigenstate("p1", sol, p, gauge_theta=p.delta - p.zeta)
+    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p).data @ bt.bethe_state("p1", sol, p)
     r_bad = np.linalg.norm(tv.data @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
     assert r_bad > 1e-3
 
@@ -190,7 +196,7 @@ def test_energy_single_root_closed_form():
 
 def test_energy_reflection_invariant(constrained2):
     p = constrained2
-    sol = bt.solve_bethe("b1", 1, p, seed=1)
+    sol = bt.find_bethe_solutions("b1", 1, p, seed=1)[0]
     reflected = bt.BetheSolution("b1", tuple(-z - p.eta for z in sol.roots), 1, sol.residuals, 0)
     assert abs(bt.energy(sol, p) - bt.energy(reflected, p)) < 1e-12 * abs(bt.energy(sol, p))
 
@@ -204,7 +210,7 @@ def test_energy_pole_raises(p2):
 def test_hamiltonian_energy_matches_rayleigh(constrained2):
     p = constrained2.replace(xi=(0,) * constrained2.N)
     h_dir = vx.hamiltonian_direct(p)
-    _, kappa = vx.hamiltonian(p, "from_transfer")
+    _, kappa = vx.hamiltonian(p)
     sols = bt.find_bethe_solutions("b1", 1, p, seed=3)
     assert len(sols) >= 2
     c1v = vx.c1(p)

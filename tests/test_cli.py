@@ -171,6 +171,43 @@ def test_bethe_without_roots_is_config_error(m, tmp_path):
     assert cli.main(["bethe", "--m", m, "--n", "2", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--constrained", "--n", "3"],
+        ["bethe", "--constrained", "--n", "3", "--m", "1"],
+        ["bethe", "--constrained", "--n", "4", "--m", "1", "--sector", "4"],
+    ],
+)
+def test_bad_sector_is_config_error(args, tmp_path):
+    # the boundary constraints need N - s even and |s| < N
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "eta, args",
+    [
+        (800, ["verify"]),
+        (800, ["partition"]),
+        (300, ["spectrum", "--n", "3", "--sector", "1"]),
+        (100, ["verify", "--n", "3", "--trials", "1"]),
+    ],
+)
+def test_overflow_is_degenerate(eta, args, tmp_path):
+    # sinh(800) overflows a float; at eta = 100 or 300 an operator product does
+    cfg = tmp_path / "eta.json"
+    cfg.write_text(json.dumps({"eta": [eta, 0]}))
+    assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("entry", [{"N": "two"}, {"trials": 1e400}, {"constraint_n": [1]}])
+def test_non_integer_config_is_config_error(entry, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
 def test_spectrum_without_roots_is_config_error(tmp_path):
     # unconstrained, the sector is not checked against N: s = N gives M = 0
     assert cli.main(["spectrum", "--n", "2", "--sector", "2", "--out", str(tmp_path / "x")]) == 2

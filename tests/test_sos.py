@@ -97,8 +97,8 @@ def test_reference_state_actions(p2):
 
 def test_commutation_relations_full_operator(p3):
     l1, l2 = 0.21 + 0.12j, -0.33 + 0.27j
-    assert sos.commutation_ab_residual(l1, l2, p3) < 1e-10
-    assert sos.commutation_dtb_residual(l1, l2, p3) < 1e-10
+    assert sos.commutation_residual(l1, l2, p3, "A") < 1e-10
+    assert sos.commutation_residual(l1, l2, p3, "D") < 1e-10
 
 
 def test_generalized_transfer_via_modified_d(p2):
@@ -122,7 +122,7 @@ def test_generalized_transfer_via_modified_d(p2):
     t_via = d_co * dt.data + a_co[:, None] * blocks["A"]
     out = np.zeros_like(t_via)
     for s, idx in sos.sector_indices(p2.N).items():
-        kt = sos.tilde_k2_plus(lam, theta + zb - eta * s, zb, eta)
+        kt = sos.tilde_k2(-lam - eta, theta + zb - eta * s, zb, eta)
         block = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
         out[:, idx] = block[:, idx]
     assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
@@ -136,11 +136,14 @@ def test_transfer_gauge_identity(constrained2):
     legs = vx.chain_legs(p.N)
     srow = sos.gauge_row(theta, p.tau, "minus", p)
     t = vx.transfer_xxz(lam, p)
+    # S_0^{-1}(-lam; theta - eta S^z) as a dynamical gate
+    s_inv = (lambda c: sos.gauge_s2_inv(-lam, theta + p.eta * c, p.tau, p.eps_pole), (vx.AUX,),
+             [(l, -1) for l in vx.site_legs(p.N)])
     w = (
         tn.apply_gate(np.eye(2 ** (p.N + 1)), legs, vx.k2(lam, "plus", p), (vx.AUX,))
-        @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, p, -1)])
+        @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)])
         @ sos.dyn_double_row(lam, theta, "minus", p).data
-        @ tn.product(legs, [sos.gauge_aux_gate(-lam, theta, p.tau, p, -1, inverse=True)])
+        @ tn.product(legs, [s_inv])
     )
     trace = tn.partial_trace(tn.on(w, legs), vx.AUX)
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosxxz import tensor as tn
-from sosxxz.errors import UnknownLeg
+from sosxxz.errors import DegenerateParameter, UnknownLeg
 
 
 def finite_complex(mag=3.0):
@@ -199,5 +199,5 @@ def test_rel_residual_scales_by_larger_side():
 
 
 def test_operator_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateParameter):
         tn.on(np.array([[np.nan, 0], [0, 1]]), ("a",))

@@ -166,7 +166,7 @@ def test_hamiltonian_reconstruction(n):
     from sosxxz.params import generic_params
 
     p = generic_params(n).replace(xi=(0,) * n)
-    h_cand, kappa = vx.hamiltonian(p, "from_transfer")
+    h_cand, kappa = vx.hamiltonian(p)
     h_dir = vx.hamiltonian_direct(p)
     resid = tn.max_abs(h_cand.data - h_dir.data - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
     assert resid < 1e-8
@@ -178,7 +178,7 @@ def test_hamiltonian_reconstruction(n):
 
 def test_hamiltonian_requires_homogeneous(p2):
     with pytest.raises(NotHomogeneous):
-        vx.hamiltonian(p2, "from_transfer")
+        vx.hamiltonian(p2)
 
 
 def test_hamiltonian_build_twice_determinism(p2):
