@@ -33,10 +33,10 @@ def main(argv=None):
             for mu in mus:
                 lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
                 ts = sos.sos_transfer(mu, theta, spec.sos_kind, p)
-                worst_s = max(worst_s, np.linalg.norm(ts.data @ psi - lam * psi)
+                worst_s = max(worst_s, np.linalg.norm(ts @ psi - lam * psi)
                               / (np.linalg.norm(psi) * abs(lam)))
                 tv = vx.transfer_xxz(mu, p)
-                worst_v = max(worst_v, np.linalg.norm(tv.data @ v - lam * v)
+                worst_v = max(worst_v, np.linalg.norm(tv @ v - lam * v)
                               / (np.linalg.norm(v) * abs(lam)))
             roots = ", ".join(f"{z:.6f}" for z in sol.roots)
             print(f"  roots [{roots}]")

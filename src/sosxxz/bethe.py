@@ -425,7 +425,7 @@ def vertex_eigenstate(branch: str, solution: BetheSolution, p: ModelParams) -> n
     theta = branch_theta(branch, p)
     omega = p.tau if side == "minus" else p.tau_bar
     row = sos.gauge_row(theta, omega, side, p)
-    v = row.data @ psi
+    v = row @ psi
     if np.linalg.norm(v) <= 1e-12 * np.linalg.norm(psi) * max(tn.max_abs(row), 1.0):
         raise NullState("vertex image collapsed below the norm floor")
     return v

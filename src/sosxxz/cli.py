@@ -25,14 +25,15 @@ import numpy as np
 from . import bethe as bt
 from . import partition as pt
 from . import sos
+from . import tensor as tn
 from . import vertex as vx
 from .errors import ConfigError, DegenerateParameter, NoConvergence, SosXxzError
 from .params import ModelParams, generic_params, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
-# bytes of the largest single dense complex matrix a command may build; a
-# gate product holds its input, a transposed copy and its output at once,
-# so the peak memory is a few times this
+# bytes of the largest single dense complex matrix that verify, bethe or
+# spectrum may build; a gate product holds its input, a transposed copy and
+# its output at once, so the peak memory is a few times this
 DENSE_BUDGET = 2**28
 
 
@@ -157,10 +158,11 @@ def require_dense_budget(n_legs: int) -> None:
 
 
 def _row(check: str, digest: str, residual: float, tolerance: float) -> dict:
+    """One report row; a non-finite residual raises DegenerateParameter."""
     return {
         "check": check,
         "params_digest": digest,
-        "residual": float(residual),
+        "residual": float(tn.require_finite(residual)),
         "tolerance": float(tolerance),
         "pass": bool(residual < tolerance),
     }
@@ -184,8 +186,8 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     for name, (checks, run_suite) in SUITES.items():
         if suite in (name, "all"):
             for chk in checks:
-                rep = run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials)
-                rows.append(_row(f"{name}.{chk}", digest, rep.max_residual, tol))
+                worst = run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials)
+                rows.append(_row(f"{name}.{chk}", digest, worst, tol))
     rows.sort(key=lambda r: r["check"])
     return rows, {"suite": suite}
 
@@ -214,8 +216,8 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     worst_vertex = [0.0] * len(sols)
     # each transfer matrix depends on mu alone: build it once for all solutions
     for j, mu in enumerate(mus):
-        t_sos = sos.sos_transfer(mu, theta, spec.sos_kind, p).data
-        t_v = vx.transfer_xxz(mu, p).data if constrained else None
+        t_sos = sos.sos_transfer(mu, theta, spec.sos_kind, p)
+        t_v = vx.transfer_xxz(mu, p) if constrained else None
         for i, (psi, v, lams) in enumerate(states):
             lam = lams[j]
             r_s = float(np.linalg.norm(t_sos @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)))
@@ -243,19 +245,18 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
+    require_dense_budget(cfg.params.N + 1)
     digest = cfg.digest()
     p = cfg.params
-    if p.N > 8:
-        raise ConfigError("spectrum command supports N <= 8")
     if constrained:
         p = bt.apply_constraints(p, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
     tol = max(cfg.tolerances["bethe"] * 10, 1e-8)
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
-    t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p).data)
+    t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
     # built for its finite check; only its dimension is reported
-    h_dim = vx.hamiltonian_direct(p).data.shape[0]
+    h_dim = len(vx.hamiltonian_direct(p))
     sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
     rows = []
     matched = 0

@@ -19,8 +19,6 @@ from . import tensor as tn
 from . import vertex as vx
 from .errors import ConstraintViolated, DegenerateParameter
 from .params import ModelParams, sample_points
-from .report import ResidualReport
-from .tensor import Operator
 from .vertex import AUX, chain_legs, site_legs
 
 
@@ -171,21 +169,17 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
     return [gate(k) for k in (reversed(sites) if hatted != crossed else sites)]
 
 
-def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
+def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> np.ndarray:
     """Dynamical monodromy matrix of the given kind (see ``dyn_monodromy_gates``)."""
-    legs = chain_legs(p.N)
-    return tn.on(tn.product(legs, dyn_monodromy_gates(lam, theta, kind, p)), legs)
+    return tn.product(chain_legs(p.N), dyn_monodromy_gates(lam, theta, kind, p))
 
 
-def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: ModelParams) -> Operator:
+def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: ModelParams) -> np.ndarray:
     """That and Vhat from the inversion identities (two-path consistency)."""
-    legs = chain_legs(p.N)
     if kind == "That":
-        t = dyn_monodromy(-lam, theta, "T", p)
-        return tn.on(vx.gamma_hat(lam, p) * np.linalg.inv(t.data), legs)
+        return vx.gamma_hat(lam, p) * np.linalg.inv(dyn_monodromy(-lam, theta, "T", p))
     if kind == "Vhat":
-        v = dyn_monodromy(-lam - 2 * p.eta, theta, "V", p)
-        return tn.on(vx.gamma_tilde(lam, p) * np.linalg.inv(v.data), legs)
+        return vx.gamma_tilde(lam, p) * np.linalg.inv(dyn_monodromy(-lam - 2 * p.eta, theta, "V", p))
     raise ValueError(f"no inverse form for kind {kind!r}")
 
 
@@ -210,10 +204,9 @@ def dyn_double_row_gates(lam: complex, theta: complex, side: str, p: ModelParams
     return [*left, (k, (AUX,)), *right]
 
 
-def dyn_double_row(lam: complex, theta: complex, side: str, p: ModelParams) -> Operator:
+def dyn_double_row(lam: complex, theta: complex, side: str, p: ModelParams) -> np.ndarray:
     """U_-(lam; theta) for side "minus", U_+^{t_0}(lam; theta) for side "plus"."""
-    legs = chain_legs(p.N)
-    return tn.on(tn.product(legs, dyn_double_row_gates(lam, theta, side, p)), legs)
+    return tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p))
 
 
 _BLOCK_INDEX = {
@@ -268,9 +261,9 @@ def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.
     return front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
 
 
-def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> Operator:
+def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> np.ndarray:
     """Modified diagonal generator D-tilde of the minus reflection algebra."""
-    return tn.on(_d_tilde(lam, theta, p, double_row_blocks(lam, theta, "minus", p)), site_legs(p.N))
+    return _d_tilde(lam, theta, p, double_row_blocks(lam, theta, "minus", p))
 
 
 # ----------------------------------------------------------------------
@@ -307,10 +300,9 @@ def gauge_row_gates(
     return [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))]
 
 
-def gauge_row(theta: complex, omega: complex, side: str, p: ModelParams) -> Operator:
+def gauge_row(theta: complex, omega: complex, side: str, p: ModelParams) -> np.ndarray:
     """Gauge row S_-({xi}; theta) or S_+({xi}; theta) on the sites (see ``gauge_row_gates``)."""
-    legs = site_legs(p.N)
-    return tn.on(tn.product(legs, gauge_row_gates(theta, omega, side, p)), legs)
+    return tn.product(site_legs(p.N), gauge_row_gates(theta, omega, side, p))
 
 
 def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
@@ -324,7 +316,7 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
 # SOS transfer matrices
 
 
-def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> Operator:
+def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> np.ndarray:
     """Height-picture transfer matrices with diagonal dressed boundaries.
 
     "SOS1": Tr_0 ( K~_+(mu; db, zb) U_-(mu; theta) )
@@ -337,7 +329,7 @@ def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> Ope
     else:
         raise ValueError(f"unknown transfer kind {which!r}")
     blocks = double_row_blocks(mu, theta, side, p)
-    return tn.on(kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"], site_legs(p.N))
+    return kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
 
 
 def constraint_residuals(p: ModelParams, s: int) -> tuple[float, float]:
@@ -378,15 +370,16 @@ def sector_indices(n_sites: int) -> dict[int, np.ndarray]:
     return {int(s): np.nonzero(sz == s)[0] for s in np.unique(sz)}
 
 
-def sector_leakage(op: Operator, weight: int) -> float:
-    """Largest relative weight of the image outside the declared target sector."""
-    sectors = sector_indices(len(op.legs))
+def sector_leakage(op: np.ndarray, weight: int) -> float:
+    """Largest relative weight of the image outside the declared target sector
+    of an operator on the N sites."""
+    sectors = sector_indices(len(op).bit_length() - 1)
     worst = 0.0
     scale = max(tn.max_abs(op), 1e-300)
     for s, idx in sectors.items():
         target = sectors.get(s + weight)
-        cols = op.data[:, idx]
-        mask = np.ones(op.dim, dtype=bool)
+        cols = op[:, idx]
+        mask = np.ones(len(op), dtype=bool)
         if target is not None:
             mask[target] = False
         leak = np.max(np.abs(cols[mask, :])) if mask.any() and cols.size else 0.0
@@ -423,7 +416,7 @@ def site_reversal_matrix(n_legs: int, n_sites: int) -> np.ndarray:
     return mat
 
 
-def isomorphism_image(lam: complex, theta: complex, p: ModelParams) -> Operator:
+def isomorphism_image(lam: complex, theta: complex, p: ModelParams) -> np.ndarray:
     """Image of the minus double-row matrix under the algebra isomorphism.
 
     Returns Gy P U_-(-lam-eta; theta) P Gy built with the barred boundary
@@ -437,13 +430,12 @@ def isomorphism_image(lam: complex, theta: complex, p: ModelParams) -> Operator:
         xi=tuple(-x for x in reversed(p.xi)),
     )
     u = dyn_double_row(-lam - p.eta, theta, "minus", mapped)
-    legs = chain_legs(p.N)
     gy = np.kron(tn.ID2, string_operator(tn.SY, p.N))
     perm = site_reversal_matrix(p.N + 1, p.N)
-    return tn.on(gy @ perm @ u.data @ perm.T @ gy, legs)
+    return gy @ perm @ u @ perm.T @ gy
 
 
-def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[Operator, Operator]:
+def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the parity relation for the minus double-row matrix:
     sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
     legs = chain_legs(p.N)
@@ -453,7 +445,7 @@ def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[Operator, Operator
     swapped = p.replace(delta=p.zeta, zeta=p.delta)
     gx = [(tn.SX, (s,)) for s in site_legs(p.N)]
     rhs = tn.product(legs, [*gx, *dyn_double_row_gates(lam, -theta, "minus", swapped), *gx])
-    return tn.on(lhs, legs), tn.on(rhs, legs)
+    return lhs, rhs
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +613,7 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
 
 def zero_weight_residual(lam, theta, p: ModelParams) -> float:
     legs = chain_legs(p.N)
-    t = dyn_monodromy(lam, theta, "T", p).data
+    t = dyn_monodromy(lam, theta, "T", p)
     q = tn.sz_sum(legs, legs)
     return tn.max_abs(t * q - q[:, None] * t) / max(tn.max_abs(t), 1e-300)
 
@@ -767,8 +759,8 @@ SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]]
 SOS_CHECKS = tuple(SOS_RESIDUALS)
 
 
-def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> ResidualReport:
-    """Evaluate one named height-picture identity at seeded random points.
+def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> float:
+    """Largest residual of one named height-picture identity over seeded random points.
 
     Each trial draws three spectral points, then a free dynamical parameter.
     """
@@ -786,8 +778,6 @@ def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 
                 return t
         raise DegenerateParameter("could not sample a generic dynamical parameter")
 
-    residuals = []
-    for _ in range(trials):
-        pts = sample_points(rng, p, 3, thetas=thetas)
-        residuals.append(residual(pts, draw_theta(), p))
-    return ResidualReport(check=check, residuals=tuple(residuals), seed=seed)
+    # np.max keeps a NaN residual, which the caller's finite check then reports
+    residuals = [residual(sample_points(rng, p, 3, thetas=thetas), draw_theta(), p) for _ in range(trials)]
+    return float(np.max(residuals, initial=0.0))

@@ -1,17 +1,19 @@
-"""Dense operators on ordered tensor products of C^2 spaces.
+"""Dense matrices on ordered tensor products of C^2 spaces.
 
-Every operator carries a tuple of leg labels, one per two-dimensional
-factor.  The first leg is the most significant bit of the basis index
-(numpy kron order), and basis value 0 of a leg is spin up (sigma^z = +1).
-All operators are immutable; every function returns a fresh one.
+An operator is a plain square numpy array; its caller keeps the tuple of
+leg labels, one per two-dimensional factor, that names the factors.  The
+first leg is the most significant bit of the basis index (numpy kron
+order), and basis value 0 of a leg is spin up (sigma^z = +1).
 
 Products of local gates are built by one kernel, ``apply_gate``, which
 applies a block on a few legs to a plain array; ``product`` chains it.
+Entries are checked for finiteness with ``require_finite`` where values
+are compared or reported (``rel_residual`` and the callers that report),
+not on every construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,82 +37,32 @@ PERM4 = np.array(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A dense square matrix tagged with its ordered tensor-leg layout."""
-
-    data: np.ndarray
-    legs: tuple[str, ...]
-
-    def __post_init__(self):
-        legs = tuple(self.legs)
-        if len(set(legs)) != len(legs):
-            raise ValueError(f"duplicate leg labels: {legs}")
-        data = np.ascontiguousarray(self.data, dtype=complex)
-        d = 2 ** len(legs)
-        if data.shape != (d, d):
-            raise ValueError(f"matrix shape {data.shape} does not match legs {legs}")
-        if not np.all(np.isfinite(data.view(float))):
-            raise DegenerateParameter("operator entries must be finite")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "legs", legs)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.legs != other.legs:
-            raise ValueError(f"leg mismatch: {self.legs} vs {other.legs}")
-        return Operator(self.data @ other.data, self.legs)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.data * scalar, self.legs)
-
-    __rmul__ = __mul__
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """Return ``a``, or raise DegenerateParameter if any entry is not finite."""
+    if not np.all(np.isfinite(a)):
+        raise DegenerateParameter("non-finite entries: a parameter is too far from the generic range")
+    return a
 
 
-def identity(legs: Sequence[str]) -> Operator:
-    return Operator(np.eye(2 ** len(legs), dtype=complex), tuple(legs))
+def _leg_index(legs: tuple[str, ...], leg: str) -> int:
+    if leg not in legs:
+        raise UnknownLeg(f"leg {leg!r} absent from {legs}")
+    return legs.index(leg)
 
 
-def on(matrix: np.ndarray, legs: Sequence[str]) -> Operator:
-    """Wrap a raw matrix as an operator acting on the given legs."""
-    return Operator(np.asarray(matrix, dtype=complex), tuple(legs))
+def partial_transpose(a: np.ndarray, legs: Sequence[str], leg: str) -> np.ndarray:
+    """Transpose of the square matrix ``a`` on ``legs`` over one leg."""
+    legs = tuple(legs)
+    n, i = len(legs), _leg_index(legs, leg)
+    return np.asarray(a).reshape((2,) * (2 * n)).swapaxes(i, n + i).reshape(2**n, 2**n)
 
 
-def partial_transpose(op: Operator, leg: str) -> Operator:
-    if leg not in op.legs:
-        raise UnknownLeg(f"leg {leg!r} absent from {op.legs}")
-    n = len(op.legs)
-    i = op.legs.index(leg)
-    t = op.data.reshape((2,) * (2 * n)).swapaxes(i, n + i)
-    return Operator(t.reshape(2**n, 2**n), op.legs)
-
-
-def partial_trace(op: Operator, leg: str) -> Operator:
-    if leg not in op.legs:
-        raise UnknownLeg(f"leg {leg!r} absent from {op.legs}")
-    n = len(op.legs)
-    i = op.legs.index(leg)
-    t = op.data.reshape((2,) * (2 * n))
-    t = np.trace(t, axis1=i, axis2=n + i)
-    legs = tuple(l for l in op.legs if l != leg)
-    d = 2 ** len(legs)
-    return Operator(t.reshape(d, d), legs)
-
-
-def block(op: Operator, leg: str, row: int, col: int) -> Operator:
-    """Extract one 2x2 block over the given leg (row/col eigenvalue index)."""
-    if leg not in op.legs:
-        raise UnknownLeg(f"leg {leg!r} absent from {op.legs}")
-    n = len(op.legs)
-    i = op.legs.index(leg)
-    t = op.data.reshape((2,) * (2 * n))
-    t = np.take(np.take(t, row, axis=i), col, axis=n - 1 + i)
-    legs = tuple(l for l in op.legs if l != leg)
-    d = 2 ** len(legs)
-    return Operator(t.reshape(d, d), legs)
+def partial_trace(a: np.ndarray, legs: Sequence[str], leg: str) -> np.ndarray:
+    """Trace of the square matrix ``a`` on ``legs`` over one leg."""
+    legs = tuple(legs)
+    n, i = len(legs), _leg_index(legs, leg)
+    t = np.trace(np.asarray(a).reshape((2,) * (2 * n)), axis1=i, axis2=n + i)
+    return t.reshape(2 ** (n - 1), 2 ** (n - 1))
 
 
 def swapped4(matrix: np.ndarray) -> np.ndarray:
@@ -211,15 +163,19 @@ def all_down(nlegs: int) -> np.ndarray:
 
 
 def max_abs(a) -> float:
-    data = a.data if isinstance(a, Operator) else np.asarray(a)
-    if data.size == 0:
+    a = np.asarray(a)
+    if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(data)))
+    return float(np.max(np.abs(a)))
 
 
 def rel_residual(lhs, rhs) -> float:
-    """Max-entry norm of (lhs - rhs), relative to the larger max-entry norm of the two."""
-    a = lhs.data if isinstance(lhs, Operator) else np.asarray(lhs)
-    b = rhs.data if isinstance(rhs, Operator) else np.asarray(rhs)
+    """Max-entry norm of (lhs - rhs), relative to the larger max-entry norm of the two.
+
+    Both sides must be finite (DegenerateParameter otherwise): a NaN would
+    make every comparison with a tolerance false.
+    """
+    a = require_finite(np.asarray(lhs))
+    b = require_finite(np.asarray(rhs))
     scale = max(max_abs(a), max_abs(b), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)

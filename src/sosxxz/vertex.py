@@ -18,8 +18,6 @@ import numpy as np
 from . import tensor as tn
 from .errors import DegenerateParameter, FormMismatch, NonIdentityResidue, NotHomogeneous
 from .params import ModelParams, assert_generic, sample_points
-from .report import ResidualReport
-from .tensor import Operator
 
 AUX = "a0"
 
@@ -155,7 +153,7 @@ def aux_transposed(gates: list) -> list:
     Factors on distinct sites commute, so the transposition reverses the
     order and transposes each factor on its auxiliary leg.
     """
-    return [(tn.partial_transpose(tn.on(block, on), AUX).data, on) for block, on in reversed(gates)]
+    return [(tn.partial_transpose(block, on, AUX), on) for block, on in reversed(gates)]
 
 
 def on_aux(gates: list, leg: str) -> list:
@@ -163,29 +161,27 @@ def on_aux(gates: list, leg: str) -> list:
     return [(g[0], tuple(leg if l == AUX else l for l in g[1]), *g[2:]) for g in gates]
 
 
-def bulk_monodromy(lam: complex, p: ModelParams) -> Operator:
+def bulk_monodromy(lam: complex, p: ModelParams) -> np.ndarray:
     """T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N)."""
-    legs = chain_legs(p.N)
-    return tn.on(tn.product(legs, monodromy_gates(lam, p)), legs)
+    return tn.product(chain_legs(p.N), monodromy_gates(lam, p))
 
 
-def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> Operator:
+def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> np.ndarray:
     """That_0(lam) = R_{N0}(lam + xi_N) ... R_{10}(lam + xi_1).
 
     With ``via_inverse`` the equivalent form gamma_hat(lam) T_0(-lam)^{-1}
     is used instead (raises DegenerateParameter if T_0(-lam) is singular).
     """
-    legs = chain_legs(p.N)
     if via_inverse:
         t = bulk_monodromy(-lam, p)
         try:
-            inv = np.linalg.inv(t.data)
+            inv = np.linalg.inv(t)
         except np.linalg.LinAlgError as exc:
             raise DegenerateParameter("T_0(-lam) is singular") from exc
-        if not np.all(np.isfinite(inv.view(float))) or tn.max_abs(inv) * np.finfo(float).eps * t.dim > 1e-4:
+        if not np.all(np.isfinite(inv.view(float))) or tn.max_abs(inv) * np.finfo(float).eps * len(t) > 1e-4:
             raise DegenerateParameter("T_0(-lam) is numerically singular")
-        return tn.on(gamma_hat(lam, p) * inv, legs)
-    return tn.on(tn.product(legs, monodromy_gates(lam, p, hatted=True)), legs)
+        return gamma_hat(lam, p) * inv
+    return tn.product(chain_legs(p.N), monodromy_gates(lam, p, hatted=True))
 
 
 def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
@@ -199,20 +195,19 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     raise ValueError(f"unknown side {side!r}")
 
 
-def double_row(lam: complex, side: str, p: ModelParams) -> Operator:
+def double_row(lam: complex, side: str, p: ModelParams) -> np.ndarray:
     """Double-row monodromy: U_- for side "minus", U_+^{t_0} for side "plus"."""
-    legs = chain_legs(p.N)
-    return tn.on(tn.product(legs, double_row_gates(lam, side, p)), legs)
+    return tn.product(chain_legs(p.N), double_row_gates(lam, side, p))
 
 
-def transfer_xxz(lam: complex, p: ModelParams) -> Operator:
+def transfer_xxz(lam: complex, p: ModelParams) -> np.ndarray:
     """Open-chain transfer matrix; both trace forms are computed and must agree to 1e-11."""
     legs = chain_legs(p.N)
     kp_um = tn.product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)])
-    form1 = tn.partial_trace(tn.on(kp_um, legs), AUX)
+    form1 = tn.partial_trace(kp_um, legs, AUX)
 
     km_up = tn.product(legs, [(k2(lam, "minus", p).T, (AUX,)), *double_row_gates(lam, "plus", p)])
-    form2 = tn.partial_trace(tn.on(km_up, legs), AUX)
+    form2 = tn.partial_trace(km_up, legs, AUX)
 
     res = tn.rel_residual(form1, form2)
     if res > 1e-11:
@@ -220,13 +215,14 @@ def transfer_xxz(lam: complex, p: ModelParams) -> Operator:
     return form1
 
 
-def hamiltonian_direct(p: ModelParams) -> Operator:
+def hamiltonian_direct(p: ModelParams) -> np.ndarray:
     """Open XXZ Hamiltonian with general non-diagonal boundary fields.
 
     This is the conserved charge produced by the transfer-matrix
     derivative for the K-matrices used here: site 1 carries the boundary
     adjacent to K_+ (barred parameters), site N the one adjacent to K_-.
     The sign pattern of the boundary fields is fixed by that derivative.
+    Raises DegenerateParameter if an entry is not finite.
     """
     N, eta = p.N, p.eta
     legs = site_legs(N)
@@ -243,7 +239,7 @@ def hamiltonian_direct(p: ModelParams) -> Operator:
 
     h = h + boundary_term(p.delta_bar, p.zeta_bar, p.tau_bar, "s1", +1, +1)
     h = h + boundary_term(p.delta, p.zeta, p.tau, f"s{N}", -1, -1)
-    return tn.on(h, legs)
+    return tn.require_finite(h)
 
 
 def transfer_at_zero_scalar(p: ModelParams) -> complex:
@@ -257,7 +253,7 @@ def transfer_norm_constant(p: ModelParams) -> complex:
     return sinh(p.eta) / transfer_at_zero_scalar(p)
 
 
-def transfer_derivative_at_zero(p: ModelParams) -> Operator:
+def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
     """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain).
 
     Each factor of tr_0 { K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10} } is
@@ -277,20 +273,21 @@ def transfer_derivative_at_zero(p: ModelParams) -> Operator:
         tn.product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)])
         for j in range(len(pairs))
     )
-    return tn.partial_trace(tn.on(total, legs), AUX)
+    return tn.partial_trace(total, legs, AUX)
 
 
-def hamiltonian(p: ModelParams) -> tuple[Operator, complex]:
+def hamiltonian(p: ModelParams) -> tuple[np.ndarray, complex]:
     """The Hamiltonian reconstructed from the transfer matrix, with its identity shift.
 
     Returns (H_candidate, kappa) with H_candidate = transfer_norm_constant *
     T'(0) and kappa the measured identity shift H_candidate - H_direct =
     kappa * Id; raises NonIdentityResidue if the difference is not a
-    multiple of the identity to 1e-8.
+    multiple of the identity to 1e-8, and DegenerateParameter if H_candidate
+    is not finite.
     """
-    h_cand = transfer_norm_constant(p) * transfer_derivative_at_zero(p)
+    h_cand = tn.require_finite(transfer_norm_constant(p) * transfer_derivative_at_zero(p))
     h_dir = hamiltonian_direct(p)
-    diff = h_cand.data - h_dir.data
+    diff = h_cand - h_dir
     kappa = complex(np.trace(diff) / diff.shape[0])
     resid = tn.max_abs(diff - kappa * np.eye(diff.shape[0])) / max(tn.max_abs(h_cand), 1e-300)
     if resid > 1e-8:
@@ -399,13 +396,11 @@ VERTEX_RESIDUALS: dict[str, Callable[[list[complex], ModelParams], float]] = {
 VERTEX_CHECKS = tuple(VERTEX_RESIDUALS)
 
 
-def vertex_identity_suite(
-    check: str, p: ModelParams, seed: int = 0, trials: int = 20
-) -> ResidualReport:
-    """Evaluate one named vertex identity at seeded random spectral points."""
+def vertex_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> float:
+    """Largest residual of one named vertex identity over seeded random spectral points."""
     if check not in VERTEX_RESIDUALS:
         raise ValueError(f"unknown vertex check {check!r}")
     residual = VERTEX_RESIDUALS[check]
     rng = np.random.default_rng(seed)
-    residuals = tuple(residual(sample_points(rng, p, 3), p) for _ in range(trials))
-    return ResidualReport(check=check, residuals=residuals, seed=seed)
+    # np.max keeps a NaN residual, which the caller's finite check then reports
+    return float(np.max([residual(sample_points(rng, p, 3), p) for _ in range(trials)], initial=0.0))

@@ -112,7 +112,7 @@ def test_eigenvalue_matches_dense_diagonalization(constrained2):
     theta = p.delta - p.zeta
     sols = bt.find_bethe_solutions("b1", 1, p, seed=1)
     idx = sos.sector_indices(p.N)[0]
-    block = sos.sos_transfer(mu, theta, "SOS1", p).data[np.ix_(idx, idx)]
+    block = sos.sos_transfer(mu, theta, "SOS1", p)[np.ix_(idx, idx)]
     eigs = np.linalg.eigvals(block)
     for sol in sols:
         lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
@@ -134,10 +134,10 @@ def test_all_families_give_eigenstates(branch, constrained2):
         for mu in mus:
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
             t = sos.sos_transfer(mu, theta, spec.sos_kind, p)
-            assert np.linalg.norm(t.data @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)) < 1e-8
+            assert np.linalg.norm(t @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)) < 1e-8
             v = bt.vertex_eigenstate(branch, sol, p)
             tv = vx.transfer_xxz(mu, p)
-            assert np.linalg.norm(tv.data @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
+            assert np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
 
 
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
@@ -175,10 +175,10 @@ def test_plus_family_gauge_binding(constrained3):
     lam = bt.branch_eigenvalue("p1", mu, sol.roots, p)
     tv = vx.transfer_xxz(mu, p)
     good = bt.vertex_eigenstate("p1", sol, p)  # defaults to (theta_bar, tau_bar)
-    r_good = np.linalg.norm(tv.data @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
+    r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
-    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p).data @ bt.bethe_state("p1", sol, p)
-    r_bad = np.linalg.norm(tv.data @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
+    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ bt.bethe_state("p1", sol, p)
+    r_bad = np.linalg.norm(tv @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
     assert r_bad > 1e-3
 
 
@@ -217,7 +217,7 @@ def test_hamiltonian_energy_matches_rayleigh(constrained2):
     offsets = []
     for sol in sols:
         v = bt.vertex_eigenstate("b1", sol, p)
-        rq = (np.conj(v) @ (h_dir.data @ v)) / (np.conj(v) @ v)
+        rq = (np.conj(v) @ (h_dir @ v)) / (np.conj(v) @ v)
         he = bt.hamiltonian_energy("b1", sol, p, kappa)
         assert abs(rq - he) < 1e-7 * abs(rq)
         # the conventional energy formula is affine in the eigenvalue with slope

@@ -201,6 +201,22 @@ def test_overflow_is_degenerate(eta, args, tmp_path):
     assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_is_degenerate(tmp_path):
+    # at eta = 100 the dual reflection algebra's gate products overflow to NaN
+    cfg = tmp_path / "eta.json"
+    cfg.write_text(json.dumps({"eta": [100, 0]}))
+    code, text = run_cli(["verify", "--n", "3", "--suite", "vertex", "--trials", "1", "--config", str(cfg)], tmp_path)
+    assert code == 3
+    assert "NaN" not in text
+
+
+def test_spectrum_obeys_dense_budget(monkeypatch, tmp_path):
+    # the transfer matrix on the auxiliary leg and 5 sites is 64-square, 64 KiB
+    monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * 4**5)
+    assert cli.main(["spectrum", "--n", "5", "--out", str(tmp_path / "x")]) == 2
+
+
 @pytest.mark.parametrize("entry", [{"N": "two"}, {"trials": 1e400}, {"constraint_n": [1]}])
 def test_non_integer_config_is_config_error(entry, tmp_path):
     cfg = tmp_path / "cfg.json"

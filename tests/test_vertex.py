@@ -54,7 +54,7 @@ def test_bulk_monodromy_initial_condition():
 
     p = generic_params(1)
     t = vx.bulk_monodromy(p.xi[0], p)
-    expected = sinh(p.eta) * tn.on(tn.PERM4, ("a0", "s1"))
+    expected = sinh(p.eta) * tn.PERM4
     assert tn.rel_residual(t, expected) < 1e-14
 
 
@@ -73,15 +73,15 @@ def test_hat_monodromy_two_paths(p2):
     inverse = vx.hat_monodromy(lam, p2, via_inverse=True)
     assert tn.rel_residual(direct, inverse) < 1e-11
     prod = direct @ vx.bulk_monodromy(-lam, p2)
-    assert tn.rel_residual(prod, vx.gamma_hat(lam, p2) * tn.identity(direct.legs)) < 1e-11
+    assert tn.rel_residual(prod, vx.gamma_hat(lam, p2) * np.eye(len(direct))) < 1e-11
 
 
 def test_double_row_two_path_consistency(p2):
     lam = 0.27 - 0.19j
     legs = vx.chain_legs(p2.N)
     u_direct = vx.double_row(lam, "minus", p2)
-    that = vx.hat_monodromy(lam, p2, via_inverse=True).data
-    u_inverse = vx.bulk_monodromy(lam, p2).data @ tn.apply_gate(that, legs, vx.k2(lam, "minus", p2), (vx.AUX,))
+    that = vx.hat_monodromy(lam, p2, via_inverse=True)
+    u_inverse = vx.bulk_monodromy(lam, p2) @ tn.apply_gate(that, legs, vx.k2(lam, "minus", p2), (vx.AUX,))
     assert tn.rel_residual(u_direct, u_inverse) < 1e-10
 
 
@@ -94,12 +94,13 @@ def test_diagonal_boundary_annihilates_reference(p2):
 
     kd = (k2_minus_diag(lam, p2.delta, p2.zeta), ("a0",))
     u = tn.product(legs, [*vx.monodromy_gates(lam, p2), kd, *vx.monodromy_gates(lam, p2, hatted=True)])
-    c_block = tn.block(tn.on(u, legs), "a0", 1, 0)
+    d = 2**p2.N
+    c_block = u[d:, :d]
     v0 = tn.all_up(p2.N)
-    assert np.max(np.abs(c_block.data @ v0)) < 1e-12 * tn.max_abs(c_block)
+    assert np.max(np.abs(c_block @ v0)) < 1e-12 * tn.max_abs(c_block)
     u_gen = vx.double_row(lam, "minus", p2)
-    c_gen = tn.block(u_gen, "a0", 1, 0)
-    assert np.max(np.abs(c_gen.data @ v0)) > 1e-6 * tn.max_abs(c_gen)
+    c_gen = u_gen[d:, :d]
+    assert np.max(np.abs(c_gen @ v0)) > 1e-6 * tn.max_abs(c_gen)
 
 
 def test_reflection_algebra_of_double_row(p2):
@@ -137,14 +138,14 @@ def test_transfer_n1_hand_expansion(p1):
     lam = 0.19 - 0.27j
     hand = _transfer_n1_by_hand(lam, p1)
     built = vx.transfer_xxz(lam, p1)
-    assert tn.max_abs(hand - built.data) / tn.max_abs(hand) < 1e-12
+    assert tn.max_abs(hand - built) / tn.max_abs(hand) < 1e-12
 
 
 def test_transfer_spectrum_symmetric_in_inhomogeneities(p2):
     mu = 0.21 - 0.17j
-    e1 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, p2).data))
+    e1 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, p2)))
     swapped = p2.replace(xi=(p2.xi[1], p2.xi[0]))
-    e2 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, swapped).data))
+    e2 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, swapped)))
     assert np.max(np.abs(e1 - e2)) / np.max(np.abs(e1)) < 1e-9
 
 
@@ -155,9 +156,9 @@ def _match_spectra(a, b):
 
 
 def test_hamiltonian_spectrum_symmetric_in_boundary_swap(p2):
-    h0 = np.linalg.eigvals(vx.hamiltonian_direct(p2).data)
+    h0 = np.linalg.eigvals(vx.hamiltonian_direct(p2))
     swapped = p2.replace(delta=p2.zeta, zeta=p2.delta, delta_bar=p2.zeta_bar, zeta_bar=p2.delta_bar)
-    h1 = np.linalg.eigvals(vx.hamiltonian_direct(swapped).data)
+    h1 = np.linalg.eigvals(vx.hamiltonian_direct(swapped))
     assert _match_spectra(h0, h1) / np.max(np.abs(h0)) < 1e-9
 
 
@@ -168,7 +169,7 @@ def test_hamiltonian_reconstruction(n):
     p = generic_params(n).replace(xi=(0,) * n)
     h_cand, kappa = vx.hamiltonian(p)
     h_dir = vx.hamiltonian_direct(p)
-    resid = tn.max_abs(h_cand.data - h_dir.data - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
+    resid = tn.max_abs(h_cand - h_dir - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
     assert resid < 1e-8
     rng = np.random.default_rng(9)
     for mu in sample_points(rng, p, 3):
@@ -205,10 +206,10 @@ def test_hamiltonian_build_twice_determinism(p2):
         -cosh(p2.zeta) * cosh(p2.delta) * tn.SZ - sinh(p2.tau) * tn.SX + 1j * cosh(p2.tau) * tn.SY, n))
     for piece in reversed(pieces):
         total = total + piece
-    assert tn.max_abs(h1.data - total) < 1e-13
+    assert tn.max_abs(h1 - total) < 1e-13
 
 
 @pytest.mark.parametrize("check", vx.VERTEX_CHECKS)
 def test_vertex_identity_suite(check, p2):
-    rep = vx.vertex_identity_suite(check, p2, seed=7, trials=5)
-    assert rep.max_residual < 1e-10, (check, rep.max_residual)
+    res = vx.vertex_identity_suite(check, p2, seed=7, trials=5)
+    assert res < 1e-10, (check, res)
