@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,9 +32,9 @@ from .errors import ConfigError, DegenerateParameter, NoConvergence, SosXxzError
 from .params import ModelParams, generic_params, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
-# bytes of the largest single dense complex matrix that verify, bethe or
-# spectrum may build; a gate product holds its input, a transposed copy and
-# its output at once, so the peak memory is a few times this
+# bytes of the largest single dense complex array that verify, bethe,
+# spectrum or partition may build; a gate product holds its input, a
+# transposed copy and its output at once, so the peak memory is a few times this
 DENSE_BUDGET = 2**28
 
 
@@ -96,19 +97,35 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-    # a flag that is given wins over the config, the config over the default
+    # a flag that is given wins over the config, the config over the default;
+    # the config value is checked either way
     def pick(flag: str | None, key: str, default: int) -> int:
-        value = getattr(overrides, flag, None) if flag else None
-        if value is not None:
-            return value
-        try:
-            return int(data.get(key, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config key {key!r} must be an integer: {exc}") from exc
+        value = data.get(key, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        override = getattr(overrides, flag, None) if flag else None
+        return value if override is None else override
 
     n = pick("n", "N", 2)
     if n < 1:
         raise ConfigError(f"chain length N = {n} must be at least 1")
+    tol = dict(DEFAULT_TOLERANCES)
+    given = data.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config key 'tolerances' must be an object, got {given!r}")
+    tol.update(given)
+    for k, v in tol.items():
+        try:
+            ok = not isinstance(v, bool) and math.isfinite(v) and (v >= 0 if k == "pole" else v > 0)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            sign = "non-negative" if k == "pole" else "positive"
+            raise ConfigError(f"tolerance {k!r} must be a finite {sign} number, got {v!r}")
+    if not isinstance(data.get("xi", []), list):
+        raise ConfigError(f"config key 'xi' must be a list, got {data['xi']!r}")
     base = generic_params(n)
     try:
         xi = tuple(_pair2c(v) for v in data["xi"]) if "xi" in data else base.xi
@@ -122,12 +139,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             delta_bar=_pair2c(data.get("delta_bar", _c2pair(base.delta_bar))),
             zeta_bar=_pair2c(data.get("zeta_bar", _c2pair(base.zeta_bar))),
             tau_bar=_pair2c(data.get("tau_bar", _c2pair(base.tau_bar))),
-            eps_pole=float(data.get("tolerances", {}).get("pole", DEFAULT_TOLERANCES["pole"])),
+            eps_pole=float(tol["pole"]),
         )
-    except (ValueError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(data.get("tolerances", {}))
     scale = getattr(overrides, "tol_scale", None)
     scale = 1.0 if scale is None else scale
     if not (np.isfinite(scale) and scale > 0):
@@ -148,12 +163,13 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     )
 
 
-def require_dense_budget(n_legs: int) -> None:
-    """Refuse a run whose largest matrix, 2^n_legs square, exceeds DENSE_BUDGET."""
-    need = 16 * 4**n_legs
-    if need > DENSE_BUDGET:
+def require_dense_budget(entries: int) -> None:
+    """Refuse a run whose largest complex array, of this many entries, exceeds DENSE_BUDGET."""
+    if 16 * entries > DENSE_BUDGET:
+        # the size as a power of two: a huge entry count has no float or decimal form
         raise ConfigError(
-            f"a dense {2**n_legs}-square matrix needs {need / 1e9:.3g} GB, over the {DENSE_BUDGET / 1e9:.3g} GB budget"
+            f"a dense array of at least 2^{entries.bit_length() - 1} complex entries is over "
+            f"the {DENSE_BUDGET / 1e9:.3g} GB budget"
         )
 
 
@@ -179,7 +195,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     if suite not in SUITES and suite != "all":
         raise ConfigError(f"unknown suite {suite!r}")
     # the reflection-algebra checks act on two auxiliary legs and the sites
-    require_dense_budget(cfg.params.N + 2)
+    require_dense_budget(4 ** (cfg.params.N + 2))
     digest = cfg.digest()
     tol = cfg.tolerances["identity"]
     rows = []
@@ -193,7 +209,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
 
 
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
-    require_dense_budget(cfg.params.N + 1)
+    require_dense_budget(4 ** (cfg.params.N + 1))
     digest = cfg.digest()
     p = cfg.params
     if constrained:
@@ -245,7 +261,7 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
-    require_dense_budget(cfg.params.N + 1)
+    require_dense_budget(4 ** (cfg.params.N + 1))
     digest = cfg.digest()
     p = cfg.params
     if constrained:
@@ -283,19 +299,17 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
 
 
 def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], dict]:
+    # the block string acts on a vector over the auxiliary leg and the sites;
+    # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
+    require_dense_budget(2 ** (cfg.params.N + 3))
     digest = cfg.digest()
     p = cfg.params
     tol = cfg.tolerances["partition"]
     rng = np.random.default_rng(cfg.seed)
-    lams = tuple(sample_points(rng, p, p.N))
-    pair = (p.delta, p.zeta) if kind.endswith("minus") else (p.delta_bar, p.zeta_bar)
-    inp = pt.PartitionInput(
-        N=p.N, lambdas=lams, xis=p.xi, delta=pair[0], zeta=pair[1], eta=p.eta, kind=kind,
-        eps_pole=cfg.tolerances["pole"],
-    )
+    lams = sample_points(rng, p, p.N)
     methods = ("det", "contract") if method == "both" else (method,)
-    values = {m: pt.z_value(inp, m) for m in methods}
-    residuals = pt.z_property_suite(inp, seed=cfg.seed, methods=methods)
+    values = {m: pt.z_value(p, lams, kind, m) for m in methods}
+    residuals = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods)
     if method == "both":
         residuals["det_vs_contract"] = pt.rel_disagreement(values["det"], values["contract"])
     rows = sorted((_row(f"partition.{kind}.{name}", digest, res, tol) for name, res in residuals.items()),

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as tn
 from . import vertex as vx
 from .errors import ConstraintViolated, DegenerateParameter
-from .params import ModelParams, sample_points
+from .params import SAMPLE_MARGIN, ModelParams, min_pole_gap, sample_points
 from .vertex import AUX, chain_legs, site_legs
 
 
@@ -768,13 +768,12 @@ def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 
         raise ValueError(f"unknown height-picture check {check!r}")
     residual = SOS_RESIDUALS[check]
     rng = np.random.default_rng(seed)
-    eta = p.eta
     thetas = (p.delta - p.zeta, p.delta_bar - p.zeta_bar)
 
     def draw_theta():
         for _ in range(10_000):
             t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if min(abs(sinh(t + k * eta)) for k in range(-(p.N + 2), p.N + 3)) > 1e-2:
+            if min_pole_gap(p, (), [t]) > SAMPLE_MARGIN:
                 return t
         raise DegenerateParameter("could not sample a generic dynamical parameter")
 

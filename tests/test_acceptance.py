@@ -123,32 +123,23 @@ def test_criterion_5_partition_functions():
     for n in (1, 2, 3, 4):
         p = generic_params(n)
         for kind in pt.KINDS:
-            pair = (p.delta, p.zeta) if kind.endswith("minus") else (p.delta_bar, p.zeta_bar)
             for trial in range(10):
                 rng = np.random.default_rng(SEED + 100 * n + trial)
                 lams = sample_points(rng, p, n)
-                inp = pt.PartitionInput(
-                    N=n, lambdas=tuple(lams), xis=p.xi, delta=pair[0], zeta=pair[1],
-                    eta=p.eta, kind=kind,
-                )
-                rep = pt.partition_report(inp)
-                assert rep.rel_disagreement < 1e-9, (n, kind, trial, rep.rel_disagreement)
-                worst = max(worst, rep.rel_disagreement)
+                rel = pt.rel_disagreement(pt.z_determinant(p, lams, kind), pt.z_contraction(p, lams, kind))
+                assert rel < 1e-9, (n, kind, trial, rel)
+                worst = max(worst, rel)
     p1 = generic_params(1)
     lam = 0.21 + 0.12j
-    inp1 = pt.PartitionInput(N=1, lambdas=(lam,), xis=p1.xi, delta=p1.delta, zeta=p1.zeta,
-                             eta=p1.eta, kind="bminus")
     closed = pt.closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
-    assert abs(pt.z_determinant(inp1) - closed) < 1e-12 * abs(closed)
-    assert abs(pt.z_contraction(inp1) - closed) < 1e-12 * abs(closed)
+    assert abs(pt.z_determinant(p1, (lam,), "bminus") - closed) < 1e-12 * abs(closed)
+    assert abs(pt.z_contraction(p1, (lam,), "bminus") - closed) < 1e-12 * abs(closed)
     prop_worst = 0.0
     for n in (2, 3):
         p = generic_params(n)
         rng = np.random.default_rng(SEED + n)
         lams = sample_points(rng, p, n)
-        inp = pt.PartitionInput(N=n, lambdas=tuple(lams), xis=p.xi, delta=p.delta,
-                                zeta=p.zeta, eta=p.eta, kind="bminus")
-        for name, res in pt.z_property_suite(inp, seed=SEED).items():
+        for name, res in pt.z_property_suite(p, lams, "bminus", seed=SEED).items():
             tol = 1e-8 if name.startswith("degree") else 1e-9
             assert res < tol, (n, name, res)
             prop_worst = max(prop_worst, res)

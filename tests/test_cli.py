@@ -160,10 +160,26 @@ def test_bad_tol_scale_is_config_error(scale, tmp_path):
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("args", [["verify", "--n", "12"], ["verify", "--n", "30"], ["bethe", "--m", "1", "--n", "30"]])
-def test_dense_budget_is_config_error(args, tmp_path):
-    # refused before any matrix is built: 2^(N+2) square at N = 12 is 4.3 GB
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n", "12"],
+        ["verify", "--n", "30"],
+        ["bethe", "--m", "1", "--n", "30"],
+        ["partition", "--n", "40"],
+        ["verify", "--n", "700"],
+    ],
+)
+def test_dense_budget_is_config_error(args, monkeypatch, tmp_path, capsys):
+    # refused before any matrix is built: 2^(N+2) square at N = 12 is 4.3 GB,
+    # and a gate stack of the N = 40 block string holds 2^43 entries, 141 TB;
+    # at N = 700 the byte count is past the float range
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run went past the dense budget")
+
+    monkeypatch.setattr(cli, "sample_points", unreachable)
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])
@@ -211,17 +227,57 @@ def test_nan_residual_is_degenerate(tmp_path):
     assert "NaN" not in text
 
 
-def test_spectrum_obeys_dense_budget(monkeypatch, tmp_path):
-    # the transfer matrix on the auxiliary leg and 5 sites is 64-square, 64 KiB
-    monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * 4**5)
-    assert cli.main(["spectrum", "--n", "5", "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize(
+    "command, entries",
+    [("spectrum", 4**6), ("partition", 2**8)],
+    ids=["spectrum", "partition"],
+)
+def test_spectrum_obeys_dense_budget(command, entries, monkeypatch, tmp_path):
+    # at N = 5 the transfer matrix on the auxiliary leg and the sites is
+    # 64-square, and each two-leg gate of the partition block string is a
+    # stack of 16 4 x 4 blocks; the budget is one entry short of either
+    monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * (entries - 1))
+    assert cli.main([command, "--n", "5", "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("entry", [{"N": "two"}, {"trials": 1e400}, {"constraint_n": [1]}])
+@pytest.mark.parametrize(
+    "entry",
+    [{"N": "two"}, {"trials": 1e400}, {"constraint_n": [1]}, {"N": 2.7}, {"seed": 1.9}, {"trials": True}],
+)
 def test_non_integer_config_is_config_error(entry, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"N": 2.7},  # checked although --n overrides it
+        {"xi": 5},
+        {"tolerances": [1]},
+        {"tolerances": {"identity": "x"}},
+        {"tolerances": {"partition": None}},
+        {"tolerances": {"pole": [1, 2]}},
+        {"tolerances": {"bethe": 0}},
+        {"tolerances": {"pole": -1e-8}},
+        {"tolerances": {"identity": 1e400}},
+    ],
+)
+def test_malformed_config_is_config_error(entry, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert cli.main(["partition", "--n", "2", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_integral_float_config_is_accepted(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 1.0, "seed": 4.0, "tolerances": {"pole": 0}}))
+    code, text = run_cli(["partition", "--config", str(cfg_path)], tmp_path)
+    assert code == 0
+    _, summary = rows_and_summary(text)
+    assert (summary["config"]["N"], summary["config"]["seed"]) == (1, 4)
 
 
 def test_spectrum_without_roots_is_config_error(tmp_path):
