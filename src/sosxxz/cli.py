@@ -36,6 +36,16 @@ DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition
 # spectrum or partition may build; a gate product holds its input, a
 # transposed copy and its output at once, so the peak memory is a few times this
 DENSE_BUDGET = 2**28
+# command -> entry count of the largest dense complex array it builds at chain length N
+DENSE_ENTRIES = {
+    # the reflection-algebra checks act on two auxiliary legs and the sites
+    "verify": lambda n: 4 ** (n + 2),
+    "bethe": lambda n: 4 ** (n + 1),
+    "spectrum": lambda n: 4 ** (n + 1),
+    # the block string acts on a vector over the auxiliary leg and the sites;
+    # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
+    "partition": lambda n: 2 ** (n + 3),
+}
 
 
 @dataclass
@@ -126,6 +136,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"tolerance {k!r} must be a finite {sign} number, got {v!r}")
     if not isinstance(data.get("xi", []), list):
         raise ConfigError(f"config key 'xi' must be a list, got {data['xi']!r}")
+    # before any parameter is built: their cost grows with N
+    command = getattr(overrides, "command", None)
+    if command in DENSE_ENTRIES:
+        require_dense_budget(DENSE_ENTRIES[command](n))
     base = generic_params(n)
     try:
         xi = tuple(_pair2c(v) for v in data["xi"]) if "xi" in data else base.xi
@@ -194,8 +208,6 @@ SUITES = {
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
     if suite not in SUITES and suite != "all":
         raise ConfigError(f"unknown suite {suite!r}")
-    # the reflection-algebra checks act on two auxiliary legs and the sites
-    require_dense_budget(4 ** (cfg.params.N + 2))
     digest = cfg.digest()
     tol = cfg.tolerances["identity"]
     rows = []
@@ -209,7 +221,6 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
 
 
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
-    require_dense_budget(4 ** (cfg.params.N + 1))
     digest = cfg.digest()
     p = cfg.params
     if constrained:
@@ -261,7 +272,6 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
-    require_dense_budget(4 ** (cfg.params.N + 1))
     digest = cfg.digest()
     p = cfg.params
     if constrained:
@@ -299,9 +309,6 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
 
 
 def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], dict]:
-    # the block string acts on a vector over the auxiliary leg and the sites;
-    # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
-    require_dense_budget(2 ** (cfg.params.N + 3))
     digest = cfg.digest()
     p = cfg.params
     tol = cfg.tolerances["partition"]

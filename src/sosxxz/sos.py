@@ -471,7 +471,7 @@ def dybe_residual(l1, l2, l3, theta, eta, form: int = 1) -> float:
     else:
         lhs = [r["12", 0], r["13", w], r["23", 0]]
         rhs = [r["23", w], r["13", 0], r["12", w]]
-    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def dyn_ice_residual(lam, theta, eta) -> float:
@@ -550,7 +550,7 @@ def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
     else:
         lhs = [rv, s["c2", 0], s["c1", w]]
         rhs = [s["c1", 0], s["c2", w], rd]
-    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def k_minus_diag_residual(lam, p: ModelParams) -> float:
@@ -608,7 +608,7 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
         (lambda c: gauge_s2_inv(-l1, theta + eta * c, om, p.eps_pole), ("c1",), [("c2", -1)]),
         (gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)),
     ]
-    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def zero_weight_residual(lam, theta, p: ModelParams) -> float:
@@ -639,7 +639,7 @@ def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> fl
         s0t = (gauge_s_tilde2(lam + p.eta, theta, omega, eps), (AUX,))
         rhs = [*vx.aux_transposed(t0), s0t, *srow_aux]
     legs = chain_legs(p.N)
-    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
@@ -673,7 +673,7 @@ def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
     lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p)]
     rhs = [*vx.double_row_gates(lam, side, p), *srow, right]
     legs = chain_legs(p.N)
-    return tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def gamma_parity_residual(lam, p: ModelParams) -> float:

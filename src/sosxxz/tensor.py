@@ -5,11 +5,15 @@ leg labels, one per two-dimensional factor, that names the factors.  The
 first leg is the most significant bit of the basis index (numpy kron
 order), and basis value 0 of a leg is spin up (sigma^z = +1).
 
-Products of local gates are built by one kernel, ``apply_gate``, which
-applies a block on a few legs to a plain array; ``product`` chains it.
-Entries are checked for finiteness with ``require_finite`` where values
-are compared or reported (``rel_residual`` and the callers that report),
-not on every construction.
+Products of local gates are built by one kernel, ``product``, which
+applies a list of blocks, each on a few legs, to a plain array kept in a
+running axis order, so each gate costs one transposed copy and one
+batched matmul; ``apply_gate`` is its one-gate case.  ``product_residual``
+compares two products over column blocks of the identity, so it never
+holds a whole operator.  Entries are checked for finiteness with
+``require_finite`` where values are compared or reported
+(``rel_residual``, ``product_residual`` and the callers that report), not
+on every construction.
 """
 
 from __future__ import annotations
@@ -101,51 +105,100 @@ def apply_gate(
     on: Sequence[str],
     charge: Sequence[tuple[str, int]] = (),
 ) -> np.ndarray:
-    """G @ x for a local block G on the legs ``on`` of ``legs``.
+    """G @ x for a local block G on the legs ``on`` of ``legs``: ``product`` of one gate.
 
-    ``x`` is a (2^n,) or (2^n, m) array.  The gate axes are moved last
-    and one batched matmul runs over the configurations of the other legs.
-    A callable ``block`` is a dynamical gate: it receives the charge
-    c = sum of w * sigma^z(leg) over ``charge`` for each configuration, so
-    the charge legs must lie outside ``on``.  This realizes the convention
-    that operator-valued dynamical arguments act first, before the matrix
-    they parameterize.
+    ``x`` is a (2^n,) or (2^n, m) array.  A callable ``block`` is a
+    dynamical gate: it receives the charge c = sum of w * sigma^z(leg) over
+    ``charge`` for each configuration, so the charge legs must lie outside
+    ``on``.  This realizes the convention that operator-valued dynamical
+    arguments act first, before the matrix they parameterize.
     """
-    legs, on = tuple(legs), tuple(on)
-    for l in on + tuple(l for l, _ in charge):
-        if l not in legs:
-            raise UnknownLeg(f"leg {l!r} absent from {legs}")
-    if any(l in on for l, _ in charge):
-        raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
-    n, k = len(legs), len(on)
-    axes = [legs.index(l) for l in on]
-    rest = [i for i in range(n) if i not in axes]
-    order = rest + axes + [n]
-    t = np.asarray(x).reshape((2,) * n + (-1,)).transpose(order).reshape(2 ** (n - k), 2**k, -1)
-    if callable(block):
-        rest_legs = [legs[i] for i in rest]
-        charges = np.zeros(2 ** (n - k), dtype=int)
-        for l, w in charge:
-            charges = charges + w * leg_sz(rest_legs, l)
-        values, which = np.unique(charges, return_inverse=True)
-        g = np.stack([np.asarray(block(int(c)), dtype=complex) for c in values])[which]
-    else:
-        g = np.asarray(block, dtype=complex)
-    out = np.matmul(g, t).reshape((2,) * n + (-1,)).transpose(np.argsort(order))
-    return out.reshape(np.shape(x))
+    return product(legs, [(block, on, charge)], x)
 
 
 def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
     """g_1 g_2 ... g_m @ x for gates (block, on[, charge]) listed left to right.
 
-    The gates are applied right to left with ``apply_gate``; ``x``
-    defaults to the identity on ``legs``.
+    ``x`` is a (2^n,) or (2^n, m) array and defaults to the identity on
+    ``legs``; each gate is as in ``apply_gate``.  The gates are applied
+    right to left to an array of one axis per leg and one column axis,
+    whose axis order runs with the gates: each gate transposes it once, to
+    [charge legs, gate legs, other legs, columns], and applies its block by
+    one matmul batched over the charge-leg configurations.  The caller's
+    axis order is restored once, at the end.
+
+    A single column instead puts the gate legs after the other legs, so
+    each configuration is its own matrix-vector product (BLAS gemv): gemv
+    rounds differently from the gemm of the batched layout, and this keeps
+    the rounding of Bethe states and partition contractions fixed.
     """
+    legs = tuple(legs)
+    n = len(legs)
     if x is None:
-        x = np.eye(2 ** len(legs), dtype=complex)
-    for gate in reversed(gates):
-        x = apply_gate(x, legs, *gate)
-    return x
+        x = np.eye(2**n, dtype=complex)
+    t = np.asarray(x).reshape((2,) * n + (-1,))
+    vector = t.shape[-1] == 1
+    # order[i] is the caller's axis held at axis i of t; axis n is the columns
+    order = list(range(n + 1))
+    for block, on, *charge in reversed(gates):
+        on, charge = tuple(on), tuple(charge[0]) if charge else ()
+        for l in on + tuple(l for l, _ in charge):
+            if l not in legs:
+                raise UnknownLeg(f"leg {l!r} absent from {legs}")
+        if any(l in on for l, _ in charge):
+            raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
+        charge_legs = tuple(dict.fromkeys(l for l, _ in charge)) if callable(block) else ()
+        front = [legs.index(l) for l in charge_legs]
+        gate = [legs.index(l) for l in on]
+        other = [a for a in order[:-1] if a not in front + gate]
+        c, k, o = len(front), len(gate), len(other)
+        if vector:
+            new, shape = front + other + gate + [n], (2**c, 2**o, 2**k, 1)
+        else:
+            new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
+        t = t.transpose([order.index(a) for a in new]).reshape(shape)
+        if callable(block):
+            charges = np.zeros(2**c, dtype=int)
+            for l, w in charge:
+                charges = charges + w * leg_sz(charge_legs, l)
+            values, which = np.unique(charges, return_inverse=True)
+            g = np.stack([np.asarray(block(int(v)), dtype=complex) for v in values])[which, None]
+        else:
+            g = np.asarray(block, dtype=complex)
+        t = np.matmul(g, t).reshape((2,) * n + (-1,))
+        order = new
+    return t.transpose(np.argsort(order)).reshape(np.shape(x))
+
+
+# complex entries (16 MiB) per block of ``product_residual``: 32 MiB blocks
+# measured 2-2.5x slower per entry at N = 9 and 10, and splitting the
+# 2^18-entry sides at N = 7 measured slower than one block
+BLOCK_ENTRIES = 2**20
+
+
+def product_residual(legs: Sequence[str], lhs, rhs, width: int | None = None) -> float:
+    """``rel_residual`` of ``product(legs, lhs)`` against ``product(legs, rhs)``.
+
+    Both products are built over blocks of ``width`` columns of the
+    identity (by default ``BLOCK_ENTRIES`` entries, at least 4 columns),
+    each block checked by ``require_finite``, and the max-entry norms are
+    reduced block by block, so only one block of each side is held at a
+    time.  With ``width`` a multiple of 4 the residual is the whole-matrix
+    one bit for bit: the BLAS matmul rounds the columns of a trailing group
+    of fewer than four differently, and then no block has one.
+    """
+    d = 2 ** len(legs)
+    width = width or max(4, BLOCK_ENTRIES // d)
+    diff = scale = 0.0
+    for j in range(0, d, width):
+        w = min(width, d - j)
+        x = np.zeros((d, w), dtype=complex)
+        x[j + np.arange(w), np.arange(w)] = 1.0
+        a = require_finite(product(legs, lhs, x))
+        b = require_finite(product(legs, rhs, x))
+        scale = max(scale, max_abs(a), max_abs(b))
+        diff = max(diff, max_abs(a - b))
+    return diff / max(scale, 1e-300)
 
 
 def basis_vector(nlegs: int, index: int) -> np.ndarray:

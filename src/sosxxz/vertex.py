@@ -304,7 +304,7 @@ def ybe_residual(l1: complex, l2: complex, l3: complex, eta: complex) -> float:
     r12 = (r4(l1 - l2, eta), ("v1", "v2"))
     r13 = (r4(l1 - l3, eta), ("v1", "v3"))
     r23 = (r4(l2 - l3, eta), ("v2", "v3"))
-    return tn.rel_residual(tn.product(legs, [r12, r13, r23]), tn.product(legs, [r23, r13, r12]))
+    return tn.product_residual(legs, [r12, r13, r23], [r23, r13, r12])
 
 
 def unitarity_residual(lam: complex, eta: complex) -> float:
@@ -336,7 +336,8 @@ def reflection_type_residual(
     l2: complex,
     eta: complex,
 ) -> float:
-    """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``.
+    """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``, built
+    over column blocks of the identity (``tn.product_residual``).
 
     The first two legs are the auxiliary pair.  ``r4fn(x, c)`` is the raw
     R-matrix block at spectral argument x and charge c of the weighted
@@ -356,9 +357,9 @@ def reflection_type_residual(
         return (lambda c: tn.swapped4(r4fn(x, c)) if swapped else r4fn(x, c)), legs[:2], shift
 
     x1, x2 = boundary(l1, legs[0]), boundary(l2, legs[1])
-    lhs = tn.product(legs, [gate(a, False), *x1, gate(b, True), *x2])
-    rhs = tn.product(legs, [*x2, gate(b, False), *x1, gate(a, True)])
-    return tn.rel_residual(lhs, rhs)
+    lhs = [gate(a, False), *x1, gate(b, True), *x2]
+    rhs = [*x2, gate(b, False), *x1, gate(a, True)]
+    return tn.product_residual(legs, lhs, rhs)
 
 
 def reflection_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:

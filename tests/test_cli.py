@@ -182,6 +182,25 @@ def test_dense_budget_is_config_error(args, monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n", "11"],
+        ["bethe", "--m", "1", "--n", "12"],
+        ["spectrum", "--n", "12"],
+        ["partition", "--n", "1000000"],
+    ],
+)
+def test_dense_budget_refused_before_parameters(args, monkeypatch, tmp_path, capsys):
+    # building the parameters costs time and memory linear in N
+    def unreachable(*args, **kwargs):
+        raise AssertionError("parameters built before the dense budget was checked")
+
+    monkeypatch.setattr(cli, "generic_params", unreachable)
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_bethe_without_roots_is_config_error(m, tmp_path):
     assert cli.main(["bethe", "--m", m, "--n", "2", "--out", str(tmp_path / "x")]) == 2

@@ -76,6 +76,44 @@ def test_apply_gate_matches_kron_permutation_oracle(case):
     assert np.max(np.abs(got - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
 
 
+@st.composite
+def gate_lists(draw):
+    n = draw(st.integers(2, 5))
+    legs = tuple(draw(st.permutations([f"l{i}" for i in range(n)])))
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        on = tuple(draw(st.permutations(legs))[: draw(st.integers(1, min(3, n)))])
+        rest = [l for l in legs if l not in on]
+        charge = tuple((l, draw(st.integers(-2, 2))) for l in rest if draw(st.booleans()))
+        gates.append((on, charge, draw(st.booleans())))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cols = draw(st.sampled_from([None, 1, 2, 5]))
+    return legs, gates, seed, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_lists())
+def test_product_matches_one_gate_oracle(case):
+    # static and dynamical gates in one product, over a shuffled leg order;
+    # a static block ignores its charge legs
+    legs, drawn, seed, cols = case
+    rng = np.random.default_rng(seed)
+    gates = []
+    for on, charge, dynamical in drawn:
+        dk = 2 ** len(on)
+        blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
+        gates.append(((lambda c, b=blocks: b[c]) if dynamical else blocks[0], on, charge))
+    d = 2 ** len(legs)
+    shape = (d,) if cols is None else (d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = tn.product(legs, gates, x)
+    assert got.shape == x.shape
+    expect = x
+    for block, on, charge in reversed(gates):
+        expect = embed_oracle(block, legs, on, charge) @ expect
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 def test_apply_gate_rejects_charge_on_gate_leg():
     with pytest.raises(ValueError):
         tn.apply_gate(np.eye(4), ("a", "b"), lambda c: np.eye(2), ("a",), [("a", 1)])
@@ -221,3 +259,34 @@ def test_rel_residual_rejects_nonfinite_side():
         tn.rel_residual(bad, good)
     with pytest.raises(DegenerateParameter):
         tn.rel_residual(good, np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("width", [4, 8, 12, 16])
+def test_product_residual_blocks_match_whole_matrix(width):
+    # 12 does not divide the 16 columns: blocks of 12 and 4
+    rng = np.random.default_rng(6)
+    legs = ("a", "b", "c", "d")
+    dyn = {c: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for c in (-3, -1, 1, 3)}
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    lhs = [(r, ("a", "c")), (lambda c: dyn[c], ("b", "a"), [("c", 1), ("d", 2)])]
+    rhs = [(lambda c: dyn[c], ("b", "a"), [("c", 1), ("d", 2)]), (r, ("a", "c"))]
+    whole = tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+    assert whole > 0
+    assert tn.product_residual(legs, lhs, rhs, width) == whole
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("col", [0, 11, 12, 15])
+def test_product_residual_nonfinite_block_raises(side, col):
+    # the squared diagonal overflows in one identity column only, so one of
+    # the blocks of width 12 (columns 0-11 and 12-15) is not finite
+    legs = ("a", "b", "c", "d")
+    diag = np.ones(16, dtype=complex)
+    diag[col] = 1e300
+    big = [(np.diag(diag), legs), (np.diag(diag), legs)]
+    plain = [(np.eye(16), legs)]
+    lhs, rhs = (big, plain) if side == "lhs" else (plain, big)
+    assert tn.product_residual(legs, plain, plain, 12) == 0.0
+    with pytest.raises(DegenerateParameter):
+        tn.product_residual(legs, lhs, rhs, 12)

@@ -3,10 +3,11 @@ from cmath import cosh, sinh
 import numpy as np
 import pytest
 
+from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter, NotHomogeneous
-from sosxxz.params import sample_points
+from sosxxz.params import generic_params, sample_points
 
 
 def test_r_matrix_entries(p2):
@@ -213,3 +214,33 @@ def test_hamiltonian_build_twice_determinism(p2):
 def test_vertex_identity_suite(check, p2):
     res = vx.vertex_identity_suite(check, p2, seed=7, trials=5)
     assert res < 1e-10, (check, res)
+
+
+ALGEBRA_CHECKS = [
+    ("vertex", "reflection_algebra"),
+    ("vertex", "dual_reflection_algebra"),
+    ("sos", "sos_algebra"),
+    ("sos", "dual_sos_algebra"),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("suite, check", ALGEBRA_CHECKS)
+def test_algebra_residual_column_blocks_match_whole_matrix(suite, check, n, monkeypatch):
+    # blocked sides give the residual of the whole 2^(N+2)-square sides
+    # exactly: half the columns, and 12, which divides no power of two
+    blocked = tn.product_residual
+    seen = []
+
+    def compare(legs, lhs, rhs):
+        d = 2 ** len(legs)
+        whole = tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
+        for width in (d // 2, 12):
+            assert blocked(legs, lhs, rhs, width) == whole
+        seen.append(d)
+        return blocked(legs, lhs, rhs)
+
+    monkeypatch.setattr(tn, "product_residual", compare)
+    run = vx.vertex_identity_suite if suite == "vertex" else sos.sos_identity_suite
+    assert run(check, generic_params(n), seed=n, trials=2) < 1e-10
+    assert seen == [2 ** (n + 2)] * 2
