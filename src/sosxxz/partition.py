@@ -9,8 +9,9 @@ ground truth; the determinant and recursion paths are checked against it.
 
 from __future__ import annotations
 
+import functools
 from cmath import exp, pi, sinh
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,18 +41,51 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
 
 
+def _apply_blocks(q: ModelParams, lams: Sequence[complex], kind: str, v: np.ndarray) -> np.ndarray:
+    """B(lams[0]) ... B(lams[-1]) v for the b kinds, C(...) for the c kinds,
+    of ``_kind_params`` output q; the last block is applied first."""
+    side = "minus" if kind.endswith("minus") else "plus"
+    creator = "B" if kind.startswith("b") else "C"
+    for lam in reversed(lams):
+        v = sos.block_column(lam, q.delta - q.zeta, side, creator, q, v)[0]
+    return v
+
+
+def _ends(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ket, bra): the reference state the block string acts on, and the one it ends in."""
+    up, down = tn.all_up(n), tn.all_down(n)
+    return (up, down) if kind.startswith("b") else (down, up)
+
+
 def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
     """Matrix element of the defining block string between reference states."""
     q, lams = _kind_params(p, lambdas, kind)
-    th = q.delta - q.zeta
-    params.assert_generic(q, lams, [th])
-    side = "minus" if kind.endswith("minus") else "plus"
-    creator = "B" if kind.startswith("b") else "C"
-    v = tn.all_up(q.N) if creator == "B" else tn.all_down(q.N)
-    for lam in reversed(lams):
-        v = sos.block_column(lam, th, side, creator, q, v)[0]
-    bra = tn.all_down(q.N) if creator == "B" else tn.all_up(q.N)
-    return complex(bra @ v)
+    params.assert_generic(q, lams, [q.delta - q.zeta])
+    ket, bra = _ends(q.N, kind)
+    return complex(bra @ _apply_blocks(q, lams, kind, ket))
+
+
+def _point_contraction(
+    p: ModelParams, lambdas: tuple[complex, ...], i: int, kind: str
+) -> Callable[[complex], complex]:
+    """``lam -> z_contraction(p, lambdas with lambdas[i] = lam, kind)``.
+
+    The tail B(lambdas[i+1]) ... B(lambdas[N-1]) |ref> is contracted once,
+    by the first call that gets that far, and each call applies only the
+    blocks of lambdas[0..i] to it.  These are z_contraction's operations
+    in its order, so the values are bit-identical to it.
+    """
+    tail: list[np.ndarray] = []
+
+    def z(lam: complex) -> complex:
+        q, lams = _kind_params(p, lambdas[:i] + (lam,) + lambdas[i + 1:], kind)
+        params.assert_generic(q, lams, [q.delta - q.zeta])
+        ket, bra = _ends(q.N, kind)
+        if not tail:
+            tail.append(_apply_blocks(q, lams[i + 1:], kind, ket))
+        return complex(bra @ _apply_blocks(q, lams[:i + 1], kind, tail[0]))
+
+    return z
 
 
 def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> complex:
@@ -170,12 +204,25 @@ def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, meth
     return coeff * z_value(q.replace(N=n - 1, xi=xis[1:]), rest, "bminus", method)
 
 
+def _degree_weight(p: ModelParams, lam: complex) -> complex:
+    """exp((2N+2) lam) sinh(delta + lam) sinh(zeta + lam), the factor that
+    makes Z a polynomial in exp(2 lam)."""
+    return exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
+
+
 def normalized_z(p: ModelParams, lambdas: Sequence[complex], i: int, method: str) -> complex:
     """exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, the
     combination polynomial of degree <= 2N+2 in exp(2 lam_i), for the
     bminus function of p's (delta, zeta)."""
-    lam = lambdas[i]
-    return exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam) * z_value(p, lambdas, "bminus", method)
+    return _degree_weight(p, lambdas[i]) * z_value(p, lambdas, "bminus", method)
+
+
+def _at_point(q: ModelParams, lams: tuple[complex, ...], i: int, method: str) -> Callable[[complex], complex]:
+    """``lam -> Z`` of the bminus function at lams with lams[i] = lam, by
+    ``method``; the contraction shares one tail (``_point_contraction``)."""
+    if method == "contract":
+        return _point_contraction(q, lams, i, "bminus")
+    return lambda lam: z_value(q, lams[:i] + (lam,) + lams[i + 1:], "bminus", method)
 
 
 def polynomial_degree_residual(
@@ -193,6 +240,17 @@ def polynomial_degree_residual(
     true degree-(2N+2) polynomial leaves it at rounding level.
     """
     q, lams = _kind_params(p, lambdas, "bminus")
+    return _degree_residual(q, lams, i, _at_point(q, lams, i, method), rng)
+
+
+def _degree_residual(
+    q: ModelParams,
+    lams: tuple[complex, ...],
+    i: int,
+    z_at: Callable[[complex], complex],
+    rng: np.random.Generator | None,
+) -> float:
+    """``polynomial_degree_residual`` with Z at the sampled lam_i given by ``z_at``."""
     rng = np.random.default_rng(0) if rng is None else rng
     n_pts = 2 * q.N + 4
     nodes, vals = [], []
@@ -204,7 +262,7 @@ def polynomial_degree_residual(
         trial = lams[:i] + (lam,) + lams[i + 1:]
         try:
             params.assert_generic(q, trial, [q.delta - q.zeta])
-            vals.append(normalized_z(q, trial, i, method))
+            vals.append(_degree_weight(q, lam) * z_at(lam))
             nodes.append(lam)
         except DegenerateParameter:
             continue
@@ -224,35 +282,44 @@ def z_property_suite(
     methods: tuple[str, ...] = ("det", "contract"),
 ) -> dict[str, float]:
     """Symmetry, crossing, recursion, and degree checks on the given evaluation
-    paths, for the bminus function of the pair that ``kind`` reflects on."""
+    paths, for the bminus function of the pair that ``kind`` reflects on.
+
+    Every contracted value that varies only lam_1 (Z itself, the crossed
+    point, the lam_1 = xi_1 recursion and the degree samples) applies one
+    block to a single shared tail B(lam_2) ... B(lam_N) |ref>, and each
+    recursion's left side is contracted once, whatever the methods.
+    """
     q, lams = _kind_params(p, lambdas, kind)
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
+    z1 = _point_contraction(q, lams, 0, "bminus")
+    # at the substitution points the determinant kernel is singular
+    # (removable), so the left sides are always contracted directly
+    z_at1 = functools.cache(lambda: z1(q.xi[0]))
+    z_atn = functools.cache(lambda: z_contraction(q, lams[:-1] + (-q.xi[0],), "bminus"))
     for method in methods:
-        z0 = z_value(q, lams, "bminus", method)
+        z_of1 = z1 if method == "contract" else _at_point(q, lams, 0, method)
+        z0 = z_of1(lams[0])
         scale = max(abs(z0), 1e-300)
         if q.N >= 2:
             swapped = (lams[1], lams[0]) + lams[2:]
             res[f"lambda_swap_{method}"] = abs(z_value(q, swapped, "bminus", method) - z0) / scale
             xs = q.replace(xi=(q.xi[1], q.xi[0]) + q.xi[2:])
             res[f"xi_swap_{method}"] = abs(z_value(xs, lams, "bminus", method) - z0) / scale
-        crossed = (-lams[0] - q.eta,) + lams[1:]
         pred = crossing_factor(lams[0], q.delta, q.zeta, q.eta) * z0
-        res[f"crossing_{method}"] = abs(z_value(q, crossed, "bminus", method) - pred) / max(abs(pred), 1e-300)
+        res[f"crossing_{method}"] = abs(z_of1(-lams[0] - q.eta) - pred) / max(abs(pred), 1e-300)
         if q.N >= 2:
-            # at the substitution point the determinant kernel is singular
-            # (removable), so the left side is always contracted directly
             at1 = (q.xi[0],) + lams[1:]
-            z_at1 = z_contraction(q, at1, "bminus")
+            lhs = z_at1()
             res[f"recursion_lam1_{method}"] = abs(
-                z_at1 - recursion_value(q, at1, "lam1=xi1", method)
-            ) / max(abs(z_at1), 1e-300)
+                lhs - recursion_value(q, at1, "lam1=xi1", method)
+            ) / max(abs(lhs), 1e-300)
             atn = lams[:-1] + (-q.xi[0],)
-            z_atn = z_contraction(q, atn, "bminus")
+            lhs = z_atn()
             res[f"recursion_lamN_{method}"] = abs(
-                z_atn - recursion_value(q, atn, "lamN=-xi1", method)
-            ) / max(abs(z_atn), 1e-300)
-        res[f"degree_{method}"] = polynomial_degree_residual(q, lams, 0, method, rng)
+                lhs - recursion_value(q, atn, "lamN=-xi1", method)
+            ) / max(abs(lhs), 1e-300)
+        res[f"degree_{method}"] = _degree_residual(q, lams, 0, z_of1, rng)
     return res
 
 

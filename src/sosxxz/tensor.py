@@ -8,16 +8,18 @@ order), and basis value 0 of a leg is spin up (sigma^z = +1).
 Products of local gates are built by one kernel, ``product``, which
 applies a list of blocks, each on a few legs, to a plain array kept in a
 running axis order, so each gate costs one transposed copy and one
-batched matmul; ``apply_gate`` is its one-gate case.  ``product_residual``
-compares two products over column blocks of the identity, so it never
-holds a whole operator.  Entries are checked for finiteness with
-``require_finite`` where values are compared or reported
-(``rel_residual``, ``product_residual`` and the callers that report), not
-on every construction.
+batched matmul; ``apply_gate`` is its one-gate case.  A dynamical gate's
+charge table is computed once per weight pattern (``charge_table``), not
+once per gate.  ``product_residual`` compares two products over column
+blocks of the identity, so it never holds a whole operator.  Entries are
+checked for finiteness with ``require_finite`` where values are compared
+or reported (``rel_residual``, ``product_residual`` and the callers that
+report), not on every construction.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +100,26 @@ def sz_sum(full_legs: Sequence[str], legs: Sequence[str]) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def charge_table(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(charges, return_inverse=True)`` of the charge sum_j
+    weights[j] * sigma^z_j over the 2^len(weights) configurations of the
+    charge legs (first leg most significant), both arrays read-only.
+
+    A gate's charge resolution depends only on this weight pattern, so it
+    is computed once per pattern; the dynamical gates of the chains carry
+    runs of +1 or -1, two patterns per length.
+    """
+    c = len(weights)
+    idx = np.arange(2**c)
+    charges = np.zeros(2**c, dtype=int)
+    for j, w in enumerate(weights):
+        charges = charges + w * (1 - 2 * ((idx >> (c - 1 - j)) & 1))
+    values, which = np.unique(charges, return_inverse=True)
+    values.flags.writeable = which.flags.writeable = False
+    return values, which
+
+
 def apply_gate(
     x: np.ndarray,
     legs: Sequence[str],
@@ -125,7 +147,10 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     whose axis order runs with the gates: each gate transposes it once, to
     [charge legs, gate legs, other legs, columns], and applies its block by
     one matmul batched over the charge-leg configurations.  The caller's
-    axis order is restored once, at the end.
+    axis order is restored once, at the end.  A dynamical gate's charge
+    table (the distinct charges and which one each configuration has) is
+    ``charge_table`` of the net weight of each charge leg, computed once
+    per weight pattern.
 
     A single column instead puts the gate legs after the other legs, so
     each configuration is its own matrix-vector product (BLAS gemv): gemv
@@ -147,8 +172,11 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
                 raise UnknownLeg(f"leg {l!r} absent from {legs}")
         if any(l in on for l, _ in charge):
             raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
-        charge_legs = tuple(dict.fromkeys(l for l, _ in charge)) if callable(block) else ()
-        front = [legs.index(l) for l in charge_legs]
+        # net weight of each charge leg, in order of first appearance
+        net: dict[str, int] = {}
+        for l, w in charge if callable(block) else ():
+            net[l] = net.get(l, 0) + w
+        front = [legs.index(l) for l in net]
         gate = [legs.index(l) for l in on]
         other = [a for a in order[:-1] if a not in front + gate]
         c, k, o = len(front), len(gate), len(other)
@@ -158,10 +186,7 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
             new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
         t = t.transpose([order.index(a) for a in new]).reshape(shape)
         if callable(block):
-            charges = np.zeros(2**c, dtype=int)
-            for l, w in charge:
-                charges = charges + w * leg_sz(charge_legs, l)
-            values, which = np.unique(charges, return_inverse=True)
+            values, which = charge_table(tuple(net.values()))
             g = np.stack([np.asarray(block(int(v)), dtype=complex) for v in values])[which, None]
         else:
             g = np.asarray(block, dtype=complex)

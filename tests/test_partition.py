@@ -1,3 +1,5 @@
+from cmath import exp, pi, sinh
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,47 @@ def test_property_suite(n):
     for name, res in residuals.items():
         tol = 1e-8 if name.startswith("degree") else 1e-9
         assert res < tol, (name, res)
+
+
+def degree_residual_oracle(p, lams, seed):
+    """polynomial_degree_residual(p, lams, 0, "contract", default_rng(seed)),
+    each node evaluated by a full z_contraction."""
+    rng = np.random.default_rng(seed)
+    n_pts = 2 * p.N + 4
+    nodes, vals = [], []
+    tries = 0
+    while len(nodes) < n_pts and tries < 200:
+        tries += 1
+        phase = pi * (len(nodes) + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
+        lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
+        weight = exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
+        try:
+            vals.append(weight * pt.z_contraction(p, (lam,) + lams[1:], "bminus"))
+            nodes.append(lam)
+        except DegenerateParameter:
+            continue
+    x = np.array([exp(2 * l) for l in nodes])
+    coeffs = np.linalg.solve(np.vander(x, N=n_pts, increasing=True), np.array(vals))
+    return float(abs(coeffs[-1]) / max(np.max(np.abs(vals)), 1e-300))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shared_tail_is_bit_identical_to_full_contractions(n):
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
+    rel = pt.polynomial_degree_residual(p, lams, 0, "contract", np.random.default_rng(7))
+    assert rel == degree_residual_oracle(p, lams, 7)
+
+    res = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
+    assert res["degree_contract"] == degree_residual_oracle(p, lams, 11)
+    z0 = pt.z_contraction(p, lams, "bminus")
+    pred = pt.crossing_factor(lams[0], p.delta, p.zeta, p.eta) * z0
+    crossed = pt.z_contraction(p, (-lams[0] - p.eta,) + lams[1:], "bminus")
+    assert res["crossing_contract"] == abs(crossed - pred) / max(abs(pred), 1e-300)
+    at1 = (p.xi[0],) + lams[1:]
+    lhs = pt.z_contraction(p, at1, "bminus")
+    rhs = pt.recursion_value(p, at1, "lam1=xi1", "contract")
+    assert res["recursion_lam1_contract"] == abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
 def test_recursion_against_n1_closed_form(p2):

@@ -233,6 +233,46 @@ def test_charge_resolved_matches_column_diag():
     assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
 
 
+def _unique_charges(charge):
+    """A gate's (values, which) the per-gate way: one leg_sz per listed leg, then np.unique."""
+    charge_legs = tuple(dict.fromkeys(l for l, _ in charge))
+    charges = np.zeros(2 ** len(charge_legs), dtype=int)
+    for l, w in charge:
+        charges = charges + w * tn.leg_sz(charge_legs, l)
+    return np.unique(charges, return_inverse=True)
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_charge_table_matches_per_gate_construction(length):
+    rng = np.random.default_rng(length)
+    legs = [f"s{j}" for j in range(length)]
+    for _ in range(20):
+        weights = tuple(int(w) for w in rng.integers(-2, 3, size=length))
+        values, which = tn.charge_table(weights)
+        expect_values, expect_which = _unique_charges(list(zip(legs, weights)))
+        assert values.shape == expect_values.shape and (values == expect_values).all()
+        assert which.shape == expect_which.shape and (which == expect_which).all()
+
+
+def test_charge_table_of_a_gate_listing_one_leg_twice():
+    charge = [("s1", 1), ("s2", -2), ("s1", 1)]
+    values, which = tn.charge_table((2, -2))
+    expect_values, expect_which = _unique_charges(charge)
+    assert (values == expect_values).all() and (which == expect_which).all()
+    full = ("a", "s1", "s2")
+    block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
+    built = tn.apply_gate(np.eye(8), full, block, ("a",), charge)
+    assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
+
+
+def test_charge_table_is_read_only():
+    values, which = tn.charge_table((1, -1, 1))
+    with pytest.raises(ValueError):
+        which[0] = 3
+    with pytest.raises(ValueError):
+        values[0] = 3
+
+
 def test_rel_residual_scales_by_larger_side():
     assert tn.rel_residual(0.0, 1.0) == 1.0
     assert tn.rel_residual(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 0.5
