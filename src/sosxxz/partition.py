@@ -57,23 +57,15 @@ def _ends(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return (up, down) if kind.startswith("b") else (down, up)
 
 
-def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
-    """Matrix element of the defining block string between reference states."""
-    q, lams = _kind_params(p, lambdas, kind)
-    params.assert_generic(q, lams, [q.delta - q.zeta])
-    ket, bra = _ends(q.N, kind)
-    return complex(bra @ _apply_blocks(q, lams, kind, ket))
-
-
 def _point_contraction(
     p: ModelParams, lambdas: tuple[complex, ...], i: int, kind: str
 ) -> Callable[[complex], complex]:
     """``lam -> z_contraction(p, lambdas with lambdas[i] = lam, kind)``.
 
     The tail B(lambdas[i+1]) ... B(lambdas[N-1]) |ref> is contracted once,
-    by the first call that gets that far, and each call applies only the
-    blocks of lambdas[0..i] to it.  These are z_contraction's operations
-    in its order, so the values are bit-identical to it.
+    by the first call that passes the pole guard, and each call applies
+    only the blocks of lambdas[0..i] to it, last block first.  This is the
+    one contraction: ``z_contraction`` is its i = 0 case.
     """
     tail: list[np.ndarray] = []
 
@@ -86,6 +78,12 @@ def _point_contraction(
         return complex(bra @ _apply_blocks(q, lams[:i + 1], kind, tail[0]))
 
     return z
+
+
+def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
+    """Matrix element of the defining block string between reference states."""
+    _, lams = _kind_params(p, lambdas, kind)
+    return _point_contraction(p, lams, 0, kind)(lams[0])
 
 
 def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> complex:
@@ -204,53 +202,24 @@ def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, meth
     return coeff * z_value(q.replace(N=n - 1, xi=xis[1:]), rest, "bminus", method)
 
 
-def _degree_weight(p: ModelParams, lam: complex) -> complex:
-    """exp((2N+2) lam) sinh(delta + lam) sinh(zeta + lam), the factor that
-    makes Z a polynomial in exp(2 lam)."""
-    return exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
-
-
-def normalized_z(p: ModelParams, lambdas: Sequence[complex], i: int, method: str) -> complex:
-    """exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, the
-    combination polynomial of degree <= 2N+2 in exp(2 lam_i), for the
-    bminus function of p's (delta, zeta)."""
-    return _degree_weight(p, lambdas[i]) * z_value(p, lambdas, "bminus", method)
-
-
-def _at_point(q: ModelParams, lams: tuple[complex, ...], i: int, method: str) -> Callable[[complex], complex]:
-    """``lam -> Z`` of the bminus function at lams with lams[i] = lam, by
-    ``method``; the contraction shares one tail (``_point_contraction``)."""
-    if method == "contract":
-        return _point_contraction(q, lams, i, "bminus")
-    return lambda lam: z_value(q, lams[:i] + (lam,) + lams[i + 1:], "bminus", method)
-
-
 def polynomial_degree_residual(
     p: ModelParams,
     lambdas: Sequence[complex],
-    i: int = 0,
-    method: str = "det",
+    i: int,
+    z_at: Callable[[complex], complex],
     rng: np.random.Generator | None = None,
 ) -> float:
     """Interpolation test of the degree bound in exp(2 lam_i) of the bminus
-    function of p's (delta, zeta).
+    function of p's (delta, zeta), with ``z_at(lam)`` its value at lambdas
+    with lambdas[i] = lam (``_point_contraction``, or any other method).
 
-    Samples 2N+4 points, fits the unique degree-(2N+3) interpolant, and
-    returns the top coefficient relative to the largest sampled value; a
-    true degree-(2N+2) polynomial leaves it at rounding level.
+    Samples 2N+4 points, fits the unique degree-(2N+3) interpolant to
+    exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, a
+    polynomial of degree <= 2N+2 in exp(2 lam_i), and returns the top
+    coefficient relative to the largest sampled value; a true
+    degree-(2N+2) polynomial leaves it at rounding level.
     """
     q, lams = _kind_params(p, lambdas, "bminus")
-    return _degree_residual(q, lams, i, _at_point(q, lams, i, method), rng)
-
-
-def _degree_residual(
-    q: ModelParams,
-    lams: tuple[complex, ...],
-    i: int,
-    z_at: Callable[[complex], complex],
-    rng: np.random.Generator | None,
-) -> float:
-    """``polynomial_degree_residual`` with Z at the sampled lam_i given by ``z_at``."""
     rng = np.random.default_rng(0) if rng is None else rng
     n_pts = 2 * q.N + 4
     nodes, vals = [], []
@@ -262,7 +231,8 @@ def _degree_residual(
         trial = lams[:i] + (lam,) + lams[i + 1:]
         try:
             params.assert_generic(q, trial, [q.delta - q.zeta])
-            vals.append(_degree_weight(q, lam) * z_at(lam))
+            weight = exp((2 * q.N + 2) * lam) * sinh(q.delta + lam) * sinh(q.zeta + lam)
+            vals.append(weight * z_at(lam))
             nodes.append(lam)
         except DegenerateParameter:
             continue
@@ -298,7 +268,9 @@ def z_property_suite(
     z_at1 = functools.cache(lambda: z1(q.xi[0]))
     z_atn = functools.cache(lambda: z_contraction(q, lams[:-1] + (-q.xi[0],), "bminus"))
     for method in methods:
-        z_of1 = z1 if method == "contract" else _at_point(q, lams, 0, method)
+        z_of1 = (
+            z1 if method == "contract" else lambda lam: z_value(q, (lam,) + lams[1:], "bminus", method)
+        )
         z0 = z_of1(lams[0])
         scale = max(abs(z0), 1e-300)
         if q.N >= 2:
@@ -319,7 +291,7 @@ def z_property_suite(
             res[f"recursion_lamN_{method}"] = abs(
                 lhs - recursion_value(q, atn, "lamN=-xi1", method)
             ) / max(abs(lhs), 1e-300)
-        res[f"degree_{method}"] = _degree_residual(q, lams, 0, z_of1, rng)
+        res[f"degree_{method}"] = polynomial_degree_residual(q, lams, 0, z_of1, rng)
     return res
 
 

@@ -110,11 +110,10 @@ def charge_table(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     is computed once per pattern; the dynamical gates of the chains carry
     runs of +1 or -1, two patterns per length.
     """
-    c = len(weights)
-    idx = np.arange(2**c)
-    charges = np.zeros(2**c, dtype=int)
+    legs = range(len(weights))
+    charges = np.zeros(2 ** len(weights), dtype=int)
     for j, w in enumerate(weights):
-        charges = charges + w * (1 - 2 * ((idx >> (c - 1 - j)) & 1))
+        charges = charges + w * leg_sz(legs, j)
     values, which = np.unique(charges, return_inverse=True)
     values.flags.writeable = which.flags.writeable = False
     return values, which

@@ -3,7 +3,10 @@ from cmath import exp, pi, sinh
 import numpy as np
 import pytest
 
+from sosxxz import params
 from sosxxz import partition as pt
+from sosxxz import sos
+from sosxxz import tensor as tn
 from sosxxz.errors import DegenerateParameter, SingularPrefactor
 from sosxxz.params import generic_params, sample_points
 
@@ -88,9 +91,20 @@ def test_property_suite(n):
         assert res < tol, (name, res)
 
 
-def degree_residual_oracle(p, lams, seed):
-    """polynomial_degree_residual(p, lams, 0, "contract", default_rng(seed)),
-    each node evaluated by a full z_contraction."""
+def full_contraction(p, lams):
+    """The bminus Z with every block applied in turn to the all-up state, last block first."""
+    q, lams = pt._kind_params(p, lams, "bminus")
+    params.assert_generic(q, lams, [q.delta - q.zeta])
+    v = tn.all_up(q.N)
+    for lam in reversed(lams):
+        v = sos.block_column(lam, q.delta - q.zeta, "minus", "B", q, v)[0]
+    return complex(tn.all_down(q.N) @ v)
+
+
+def degree_residual_oracle(p, lams, i, seed):
+    """polynomial_degree_residual of the shared-tail contraction at index i,
+    with the nodes redrawn from default_rng(seed) and each evaluated by
+    full_contraction."""
     rng = np.random.default_rng(seed)
     n_pts = 2 * p.N + 4
     nodes, vals = [], []
@@ -101,7 +115,7 @@ def degree_residual_oracle(p, lams, seed):
         lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
         weight = exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
         try:
-            vals.append(weight * pt.z_contraction(p, (lam,) + lams[1:], "bminus"))
+            vals.append(weight * full_contraction(p, lams[:i] + (lam,) + lams[i + 1:]))
             nodes.append(lam)
         except DegenerateParameter:
             continue
@@ -114,17 +128,20 @@ def degree_residual_oracle(p, lams, seed):
 def test_shared_tail_is_bit_identical_to_full_contractions(n):
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
-    rel = pt.polynomial_degree_residual(p, lams, 0, "contract", np.random.default_rng(7))
-    assert rel == degree_residual_oracle(p, lams, 7)
+    for i in (0, 1, n - 1):
+        z_at = pt._point_contraction(p, lams, i, "bminus")
+        rel = pt.polynomial_degree_residual(p, lams, i, z_at, np.random.default_rng(7))
+        assert rel == degree_residual_oracle(p, lams, i, 7), i
 
     res = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
-    assert res["degree_contract"] == degree_residual_oracle(p, lams, 11)
-    z0 = pt.z_contraction(p, lams, "bminus")
+    assert res["degree_contract"] == degree_residual_oracle(p, lams, 0, 11)
+    z0 = full_contraction(p, lams)
+    assert pt.z_contraction(p, lams, "bminus") == z0
     pred = pt.crossing_factor(lams[0], p.delta, p.zeta, p.eta) * z0
-    crossed = pt.z_contraction(p, (-lams[0] - p.eta,) + lams[1:], "bminus")
+    crossed = full_contraction(p, (-lams[0] - p.eta,) + lams[1:])
     assert res["crossing_contract"] == abs(crossed - pred) / max(abs(pred), 1e-300)
     at1 = (p.xi[0],) + lams[1:]
-    lhs = pt.z_contraction(p, at1, "bminus")
+    lhs = full_contraction(p, at1)
     rhs = pt.recursion_value(p, at1, "lam1=xi1", "contract")
     assert res["recursion_lam1_contract"] == abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
