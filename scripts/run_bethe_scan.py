@@ -28,7 +28,7 @@ def main(argv=None):
         theta = bt.branch_theta(branch, p)
         for sol in sols:
             psi = bt.bethe_state(branch, sol, p)
-            v = bt.vertex_eigenstate(branch, sol, p)
+            v = bt.vertex_eigenstate(branch, psi, p)
             worst_s = worst_v = 0.0
             for mu in mus:
                 lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)

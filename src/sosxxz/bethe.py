@@ -30,6 +30,7 @@ from .params import ModelParams
 ROOT_SEP = 1e-6  # smallest |sinh| of root differences, sums + eta, 2 lam + eta
 BETHE_TOL = 1e-9  # largest per-root residual of an accepted solution
 RE_MAX = 2.5  # largest |Re| of an accepted root
+N_STARTS = 60  # multi-start points of the grid search
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
     return found
 
 
-def _start_grid(m: int, rng: np.random.Generator, n_starts: int, eta: complex) -> list[np.ndarray]:
+def _start_grid(m: int, rng: np.random.Generator, eta: complex) -> list[np.ndarray]:
     """Deterministic multi-start points over the fundamental strip."""
     res = np.linspace(-1.0, 1.0, 7)
     ims = np.linspace(-pi / 2 + 0.12, pi / 2, 7)
@@ -274,10 +275,10 @@ def _start_grid(m: int, rng: np.random.Generator, n_starts: int, eta: complex) -
     if m == 1:
         starts = [np.array([z]) for z in singles]
     else:
-        for _ in range(n_starts * 4):
+        for _ in range(N_STARTS * 4):
             pick = rng.choice(len(singles), size=m, replace=False)
             starts.append(np.array([singles[int(k)] for k in pick]))
-    return starts[: max(n_starts, 1)]
+    return starts[:N_STARTS]
 
 
 def find_bethe_solutions(
@@ -285,7 +286,6 @@ def find_bethe_solutions(
     M: int,
     p: ModelParams,
     guesses: Sequence[Sequence[complex]] | None = None,
-    n_starts: int = 60,
     seed: int = 0,
 ) -> list[BetheSolution]:
     """Multi-start damped-Newton search; returns deduplicated verified solutions.
@@ -303,7 +303,7 @@ def find_bethe_solutions(
     spec = BRANCHES[branch]
     sector = p.N - 2 * M if spec.sign > 0 else -p.N + 2 * M
     rng = np.random.default_rng(seed)
-    starts = list(guesses) if guesses else _start_grid(M, rng, n_starts, p.eta)
+    starts = list(guesses) if guesses else _start_grid(M, rng, p.eta)
     starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)
     found: list[BetheSolution] = []
     seen: list[tuple] = []
@@ -414,14 +414,14 @@ def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndar
     return v
 
 
-def vertex_eigenstate(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndarray:
-    """Vertex-picture eigenstate: the gauge row applied to the Bethe state.
+def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Vertex-picture eigenstate: the gauge row applied to the family's
+    Bethe state ``psi`` (``bethe_state``).
 
     The minus families use S_-({xi}; theta, tau); the plus families
     S_+({xi}; theta_bar, tau_bar).
     """
     side = BRANCHES[branch].side
-    psi = bethe_state(branch, solution, p)
     theta = branch_theta(branch, p)
     omega = p.tau if side == "minus" else p.tau_bar
     row = sos.gauge_row(theta, omega, side, p)

@@ -237,7 +237,7 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     states = []
     for sol in sols:
         psi = bt.bethe_state(branch, sol, p)
-        v = bt.vertex_eigenstate(branch, sol, p) if constrained else None
+        v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
         states.append((psi, v, [bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus]))
     worst_sos = [0.0] * len(sols)
     worst_vertex = [0.0] * len(sols)

@@ -88,11 +88,10 @@ def min_pole_gap(p: ModelParams, lams=(), thetas=()) -> float:
     return min((g for _, g in gaps), default=np.inf)
 
 
-def assert_generic(p: ModelParams, lams=(), thetas=(), eps: float | None = None) -> None:
-    eps = p.eps_pole if eps is None else eps
+def assert_generic(p: ModelParams, lams=(), thetas=()) -> None:
     for label, gap in pole_gaps(p, lams, thetas):
-        if gap <= eps:
-            raise DegenerateParameter(f"|sinh({label})| = {gap:.3e} <= {eps:.1e}")
+        if gap <= p.eps_pole:
+            raise DegenerateParameter(f"|sinh({label})| = {gap:.3e} <= {p.eps_pole:.1e}")
 
 
 def sample_points(

@@ -204,11 +204,6 @@ def dyn_double_row_gates(lam: complex, theta: complex, side: str, p: ModelParams
     return [*left, (k, (AUX,)), *right]
 
 
-def dyn_double_row(lam: complex, theta: complex, side: str, p: ModelParams) -> np.ndarray:
-    """U_-(lam; theta) for side "minus", U_+^{t_0}(lam; theta) for side "plus"."""
-    return tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p))
-
-
 _BLOCK_INDEX = {
     "minus": {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)},
     # layout of U_+^{t_0}: upper-right block is C_+, lower-left is B_+
@@ -391,61 +386,38 @@ def sector_leakage(op: np.ndarray, weight: int) -> float:
 # discrete symmetries relating the two reflection algebras
 
 
-def string_operator(pauli: np.ndarray, n_sites: int) -> np.ndarray:
-    """Product of one Pauli matrix over all sites (2^N matrix)."""
-    out = np.eye(1, dtype=complex)
-    for _ in range(n_sites):
-        out = np.kron(out, pauli)
-    return out
+def gamma_parity_residual(lam, p: ModelParams) -> float:
+    """Both sides of the parity relation for the minus double-row matrix:
+    sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
+    theta = p.delta - p.zeta
+    x0 = [(tn.SX, (AUX,))]
+    lhs = [*x0, *dyn_double_row_gates(lam, theta, "minus", p), *x0]
+    swapped = p.replace(delta=p.zeta, zeta=p.delta)
+    gx = [(tn.SX, (s,)) for s in site_legs(p.N)]
+    rhs = [*gx, *dyn_double_row_gates(lam, -theta, "minus", swapped), *gx]
+    return tn.product_residual(chain_legs(p.N), lhs, rhs)
 
 
-def site_reversal_matrix(n_legs: int, n_sites: int) -> np.ndarray:
-    """Permutation reversing the site order; leading legs stay in place."""
-    fixed = n_legs - n_sites
-    d = 2**n_legs
-    perm = np.zeros(d, dtype=int)
-    for col in range(d):
-        bits = [(col >> (n_legs - 1 - j)) & 1 for j in range(n_legs)]
-        nb = bits[:fixed] + bits[fixed:][::-1]
-        row = 0
-        for bj in nb:
-            row = (row << 1) | bj
-        perm[col] = row
-    mat = np.zeros((d, d), dtype=complex)
-    mat[perm, np.arange(d)] = 1.0
-    return mat
+def isomorphism_residual(lam, theta, p: ModelParams) -> float:
+    """U_+^{t_0}(lam; theta) against the image of the minus double-row matrix
+    under the algebra isomorphism.
 
-
-def isomorphism_image(lam: complex, theta: complex, p: ModelParams) -> np.ndarray:
-    """Image of the minus double-row matrix under the algebra isomorphism.
-
-    Returns Gy P U_-(-lam-eta; theta) P Gy built with the barred boundary
-    pair and with inhomogeneities reversed and negated; this reproduces
-    U_+^{t_0}(lam; theta) exactly (Gy is the sigma^y string and P the
-    site-order reversal).
+    The image is Gy P U_-(-lam-eta; theta) P Gy built with the barred
+    boundary pair and with inhomogeneities reversed and negated; it
+    reproduces U_+^{t_0}(lam; theta) exactly.  Gy is the sigma^y string,
+    one gate per site, and P the site-order reversal, which relabels leg
+    s_k of the minus double row as s_{N+1-k}.
     """
+    lhs = dyn_double_row_gates(lam, theta, "plus", p)
     mapped = p.replace(
         delta=p.delta_bar,
         zeta=p.zeta_bar,
         xi=tuple(-x for x in reversed(p.xi)),
     )
-    u = dyn_double_row(-lam - p.eta, theta, "minus", mapped)
-    gy = np.kron(tn.ID2, string_operator(tn.SY, p.N))
-    perm = site_reversal_matrix(p.N + 1, p.N)
-    return gy @ perm @ u @ perm.T @ gy
-
-
-def gamma_parity_image(lam: complex, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the parity relation for the minus double-row matrix:
-    sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
-    legs = chain_legs(p.N)
-    theta = p.delta - p.zeta
-    x0 = [(tn.SX, (AUX,))]
-    lhs = tn.product(legs, [*x0, *dyn_double_row_gates(lam, theta, "minus", p), *x0])
-    swapped = p.replace(delta=p.zeta, zeta=p.delta)
-    gx = [(tn.SX, (s,)) for s in site_legs(p.N)]
-    rhs = tn.product(legs, [*gx, *dyn_double_row_gates(lam, -theta, "minus", swapped), *gx])
-    return lhs, rhs
+    reversal = {f"s{k}": f"s{p.N + 1 - k}" for k in range(1, p.N + 1)}
+    u = tn.relabel(dyn_double_row_gates(-lam - p.eta, theta, "minus", mapped), reversal)
+    gy = [(tn.SY, (s,)) for s in site_legs(p.N)]
+    return tn.product_residual(chain_legs(p.N), lhs, [*gy, *u, *gy])
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +627,7 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     slegs = site_legs(p.N)
     return vx.reflection_type_residual(
         lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta),
-        lambda lam, leg: vx.on_aux(dyn_double_row_gates(lam, theta, side, p), leg),
+        lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p), {AUX: leg}),
         ("x1", "x2") + slegs, [(s, w) for s in slegs], side, l1, l2, p.eta,
     )
 
@@ -674,17 +646,6 @@ def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
     rhs = [*vx.double_row_gates(lam, side, p), *srow, right]
     legs = chain_legs(p.N)
     return tn.product_residual(legs, lhs, rhs)
-
-
-def gamma_parity_residual(lam, p: ModelParams) -> float:
-    lhs, rhs = gamma_parity_image(lam, p)
-    return tn.rel_residual(lhs, rhs)
-
-
-def isomorphism_residual(lam, theta, p: ModelParams) -> float:
-    lhs = dyn_double_row(lam, theta, "plus", p)
-    rhs = isomorphism_image(lam, theta, p)
-    return tn.rel_residual(lhs, rhs)
 
 
 def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:

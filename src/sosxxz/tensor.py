@@ -10,11 +10,14 @@ applies a list of blocks, each on a few legs, to a plain array kept in a
 running axis order, so each gate costs one transposed copy and one
 batched matmul; ``apply_gate`` is its one-gate case.  A dynamical gate's
 charge table is computed once per weight pattern (``charge_table``), not
-once per gate.  ``product_residual`` compares two products over column
-blocks of the identity, so it never holds a whole operator.  Entries are
-checked for finiteness with ``require_finite`` where values are compared
-or reported (``rel_residual``, ``product_residual`` and the callers that
-report), not on every construction.
+once per gate.  ``relabel`` renames the legs of a gate list, its charge
+legs included, so a site reversal or a renamed auxiliary leg is a new
+list of labels, never a permutation matrix.  ``product_residual``
+compares two products over column blocks of the identity, so it never
+holds a whole operator.  Entries are checked for finiteness with
+``require_finite`` where values are compared or reported
+(``rel_residual``, ``product_residual`` and the callers that report), not
+on every construction.
 """
 
 from __future__ import annotations
@@ -135,6 +138,16 @@ def apply_gate(
     arguments act first, before the matrix they parameterize.
     """
     return product(legs, [(block, on, charge)], x)
+
+
+def relabel(gates, names: dict[str, str]) -> list:
+    """The same gates with each gate leg and charge leg renamed by ``names``
+    (legs it does not list keep their label); no block is touched."""
+    rename = lambda l: names.get(l, l)
+    return [
+        (block, tuple(map(rename, on)), *([(rename(l), w) for l, w in c] for c in charge))
+        for block, on, *charge in gates
+    ]
 
 
 def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:

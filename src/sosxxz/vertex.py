@@ -156,11 +156,6 @@ def aux_transposed(gates: list) -> list:
     return [(tn.partial_transpose(block, on, AUX), on) for block, on in reversed(gates)]
 
 
-def on_aux(gates: list, leg: str) -> list:
-    """The same gates with the auxiliary leg renamed to ``leg``."""
-    return [(g[0], tuple(leg if l == AUX else l for l in g[1]), *g[2:]) for g in gates]
-
-
 def bulk_monodromy(lam: complex, p: ModelParams) -> np.ndarray:
     """T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N)."""
     return tn.product(chain_legs(p.N), monodromy_gates(lam, p))
@@ -378,7 +373,7 @@ def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams, side: 
     legs = ("x1", "x2") + site_legs(p.N)
 
     def u(lam, leg):
-        return on_aux(double_row_gates(lam, side, p), leg)
+        return tn.relabel(double_row_gates(lam, side, p), {AUX: leg})
 
     return reflection_type_residual(lambda x, c: r4(x, p.eta), u, legs, (), side, l1, l2, p.eta)
 

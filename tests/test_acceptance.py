@@ -94,7 +94,7 @@ def test_criterion_4_bethe_verification():
     matched = 0
     for sol in sols:
         psi = bt.bethe_state("b1", sol, p)
-        v = bt.vertex_eigenstate("b1", sol, p)
+        v = bt.vertex_eigenstate("b1", psi, p)
         for mu in mus:
             lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
             ts = sos.sos_transfer(mu, theta, "SOS1", p)
@@ -151,7 +151,7 @@ def test_criterion_5_partition_functions():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_criterion_6_inter_algebra_relations(n):
+def test_criterion_6_inter_algebra_relations(n, dense_symmetry):
     p = generic_params(n)
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -163,8 +163,7 @@ def test_criterion_6_inter_algebra_relations(n):
         mapped = p.replace(delta=p.delta_bar, zeta=p.zeta_bar,
                            xi=tuple(-x for x in reversed(p.xi)))
         bm = sos.double_row_blocks(-lam - p.eta, theta, "minus", mapped)["B"]
-        gy = sos.string_operator(tn.SY, n)
-        perm = sos.site_reversal_matrix(n, n)
+        gy, perm = dense_symmetry(tn.SY, n)
         worst = max(worst, tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy))
     assert worst < 1e-10
     report(f"6 inter-algebra relations (parity + isomorphism, operator level, N={n}): "

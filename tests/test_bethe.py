@@ -135,7 +135,7 @@ def test_all_families_give_eigenstates(branch, constrained2):
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
             t = sos.sos_transfer(mu, theta, spec.sos_kind, p)
             assert np.linalg.norm(t @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)) < 1e-8
-            v = bt.vertex_eigenstate(branch, sol, p)
+            v = bt.vertex_eigenstate(branch, psi, p)
             tv = vx.transfer_xxz(mu, p)
             assert np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
 
@@ -158,8 +158,9 @@ def test_minus_and_plus_families_build_the_same_states(constrained2):
     roots_p = sorted((round(s.roots[0].real, 8), round(s.roots[0].imag, 8)) for s in sols_p)
     assert roots_m == roots_p
     sol = sols_m[0]
-    a = bt.vertex_eigenstate("b1", sol, p)
-    b = bt.vertex_eigenstate("p1", bt.BetheSolution("p1", sol.roots, 1, sol.residuals, sol.sector), p)
+    a = bt.vertex_eigenstate("b1", bt.bethe_state("b1", sol, p), p)
+    plus = bt.BetheSolution("p1", sol.roots, 1, sol.residuals, sol.sector)
+    b = bt.vertex_eigenstate("p1", bt.bethe_state("p1", plus, p), p)
     overlap = 1 - abs(np.conj(a) @ b) ** 2 / ((np.conj(a) @ a).real * (np.conj(b) @ b).real)
     assert abs(overlap) < 1e-8
 
@@ -174,10 +175,11 @@ def test_plus_family_gauge_binding(constrained3):
     sol = sols[0]
     lam = bt.branch_eigenvalue("p1", mu, sol.roots, p)
     tv = vx.transfer_xxz(mu, p)
-    good = bt.vertex_eigenstate("p1", sol, p)  # defaults to (theta_bar, tau_bar)
+    psi = bt.bethe_state("p1", sol, p)
+    good = bt.vertex_eigenstate("p1", psi, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
-    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ bt.bethe_state("p1", sol, p)
+    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ psi
     r_bad = np.linalg.norm(tv @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
     assert r_bad > 1e-3
 
@@ -216,7 +218,7 @@ def test_hamiltonian_energy_matches_rayleigh(constrained2):
     c1v = vx.c1(p)
     offsets = []
     for sol in sols:
-        v = bt.vertex_eigenstate("b1", sol, p)
+        v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", sol, p), p)
         rq = (np.conj(v) @ (h_dir @ v)) / (np.conj(v) @ v)
         he = bt.hamiltonian_energy("b1", sol, p, kappa)
         assert abs(rq - he) < 1e-7 * abs(rq)
@@ -273,7 +275,7 @@ def test_batched_jacobian_matches_finite_differences(branch, m):
 @pytest.mark.parametrize("broken", [0.0, np.nan])
 def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
     p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
-    starts = np.array(bt._start_grid(2, np.random.default_rng(0), 60, p.eta))
+    starts = np.array(bt._start_grid(2, np.random.default_rng(0), p.eta))
     clean = bt._newton_batch("b2", starts, p, 80, 1e-13)
     bad = next(k for k, roots in enumerate(clean) if roots is not None)
     jacobian, mismatch = bt._jacobian, bt._log_mismatch

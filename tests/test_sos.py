@@ -9,7 +9,7 @@ from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.errors import ConstraintViolated, DegenerateParameter
-from sosxxz.params import generic_params
+from sosxxz.params import generic_params, sample_points
 
 
 def bounded_complex(lo=0.15, hi=1.2):
@@ -141,7 +141,7 @@ def test_transfer_gauge_identity(constrained2):
     w = (
         tn.apply_gate(np.eye(2 ** (p.N + 1)), legs, vx.k2(lam, "plus", p), (vx.AUX,))
         @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)])
-        @ sos.dyn_double_row(lam, theta, "minus", p)
+        @ tn.product(legs, sos.dyn_double_row_gates(lam, theta, "minus", p))
         @ tn.product(legs, [s_inv])
     )
     trace = tn.partial_trace(w, legs, vx.AUX)
@@ -195,7 +195,7 @@ def test_isomorphism_operator_level(n):
     assert sos.isomorphism_residual(0.21 + 0.12j, 0.63 + 0.29j, p) < 1e-10
 
 
-def test_isomorphism_block_form(p2):
+def test_isomorphism_block_form(p2, dense_symmetry):
     lam = 0.21 + 0.12j
     theta = p2.delta_bar - p2.zeta_bar
     cp = sos.double_row_blocks(lam, theta, "plus", p2)["C"]
@@ -203,12 +203,11 @@ def test_isomorphism_block_form(p2):
         delta=p2.delta_bar, zeta=p2.zeta_bar, xi=tuple(-x for x in reversed(p2.xi))
     )
     bm = sos.double_row_blocks(-lam - p2.eta, theta, "minus", mapped)["B"]
-    gy = sos.string_operator(tn.SY, p2.N)
-    perm = sos.site_reversal_matrix(p2.N, p2.N)
+    gy, perm = dense_symmetry(tn.SY, p2.N)
     assert tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy) < 1e-10
 
 
-def test_gamma_relation_for_transfer(p2):
+def test_gamma_relation_for_transfer(p2, dense_symmetry):
     lam = 0.21 + 0.12j
     theta = p2.delta - p2.zeta
     swapped = p2.replace(
@@ -216,8 +215,25 @@ def test_gamma_relation_for_transfer(p2):
     )
     t1 = sos.sos_transfer(lam, theta, "SOS1", p2)
     t2 = sos.sos_transfer(lam, -theta, "SOS1", swapped)
-    gx = sos.string_operator(tn.SX, p2.N)
+    gx, _ = dense_symmetry(tn.SX, p2.N)
     assert tn.rel_residual(t1, gx @ t2 @ gx) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_isomorphism_gate_form_matches_dense_oracle(n, dense_symmetry):
+    """The gate-list isomorphism check equals, bit for bit, the dense
+    rel_residual(U_+, Gy P U_- P^T Gy) with the sigma^y string and the
+    site-reversal permutation as matrices."""
+    p = generic_params(n)
+    legs = vx.chain_legs(n)
+    gy, perm = dense_symmetry(tn.SY, n, n + 1)
+    mapped = p.replace(delta=p.delta_bar, zeta=p.zeta_bar, xi=tuple(-x for x in reversed(p.xi)))
+    lams = sample_points(np.random.default_rng(40 + n), p, 3)
+    for lam, theta in zip(lams, (0.63 + 0.29j, -0.41 + 0.37j, 0.27 - 0.52j)):
+        u_plus = tn.product(legs, sos.dyn_double_row_gates(lam, theta, "plus", p))
+        u_minus = tn.product(legs, sos.dyn_double_row_gates(-lam - p.eta, theta, "minus", mapped))
+        dense = tn.rel_residual(u_plus, gy @ perm @ u_minus @ perm.T @ gy)
+        assert sos.isomorphism_residual(lam, theta, p) == dense
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])

@@ -273,6 +273,19 @@ def test_charge_table_is_read_only():
         values[0] = 3
 
 
+def test_relabel_renames_gate_and_charge_legs():
+    rng = np.random.default_rng(9)
+    dyn = {c: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for c in (-3, -1, 1, 3)}
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    gates = [(r, ("a", "b")), (lambda c: dyn[c], ("b", "c"), [("a", 1), ("d", 2)])]
+    swap = {"a": "d", "d": "a"}
+    renamed = tn.relabel(gates, swap)
+    assert [g[1:] for g in renamed] == [(("d", "b"),), (("b", "c"), [("d", 1), ("a", 2)])]
+    assert renamed[0][0] is r and renamed[1][0] is gates[1][0]
+    # the renamed list on legs (a, b, c, d) is the original on (d, b, c, a)
+    assert (tn.product(("a", "b", "c", "d"), renamed) == tn.product(("d", "b", "c", "a"), gates)).all()
+
+
 def test_rel_residual_scales_by_larger_side():
     assert tn.rel_residual(0.0, 1.0) == 1.0
     assert tn.rel_residual(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 0.5

@@ -63,8 +63,8 @@ def test_yang_baxter_algebra(p2):
     l1, l2 = 0.21 + 0.12j, -0.33 + 0.27j
     legs = ("x1", "x2") + vx.site_legs(p2.N)
     r12 = [(vx.r4(l1 - l2, p2.eta), ("x1", "x2"))]
-    t1 = vx.on_aux(vx.monodromy_gates(l1, p2), "x1")
-    t2 = vx.on_aux(vx.monodromy_gates(l2, p2), "x2")
+    t1 = tn.relabel(vx.monodromy_gates(l1, p2), {vx.AUX: "x1"})
+    t2 = tn.relabel(vx.monodromy_gates(l2, p2), {vx.AUX: "x2"})
     assert tn.rel_residual(tn.product(legs, r12 + t1 + t2), tn.product(legs, t2 + t1 + r12)) < 1e-11
 
 
