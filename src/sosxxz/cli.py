@@ -38,8 +38,10 @@ DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition
 DENSE_BUDGET = 2**28
 # command -> entry count of the largest dense complex array it builds at chain length N
 DENSE_ENTRIES = {
-    # the reflection-algebra checks act on two auxiliary legs and the sites
-    "verify": lambda n: 4 ** (n + 2),
+    # the reflection-algebra checks apply their gate lists to a (2^(N+2), 8)
+    # probe block over two auxiliary legs and the sites; no dynamical gate's
+    # stack (at most 2^N 4 x 4 blocks) or two-group block string is larger
+    "verify": lambda n: 2 ** (n + 5),
     "bethe": lambda n: 4 ** (n + 1),
     "spectrum": lambda n: 4 ** (n + 1),
     # the block string acts on a vector over the auxiliary leg and the sites;
@@ -315,8 +317,10 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
     rng = np.random.default_rng(cfg.seed)
     lams = sample_points(rng, p, p.N)
     methods = ("det", "contract") if method == "both" else (method,)
-    values = {m: pt.z_value(p, lams, kind, m) for m in methods}
-    residuals = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods)
+    suite_values: dict[str, complex] = {}
+    residuals = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods, values=suite_values)
+    # the suite checks the bminus function of the kind's pair: for bminus, Z itself
+    values = suite_values if kind == "bminus" else {m: pt.z_value(p, lams, kind, m) for m in methods}
     if method == "both":
         residuals["det_vs_contract"] = pt.rel_disagreement(values["det"], values["contract"])
     rows = sorted((_row(f"partition.{kind}.{name}", digest, res, tol) for name, res in residuals.items()),

@@ -250,6 +250,7 @@ def z_property_suite(
     kind: str,
     seed: int = 0,
     methods: tuple[str, ...] = ("det", "contract"),
+    values: dict[str, complex] | None = None,
 ) -> dict[str, float]:
     """Symmetry, crossing, recursion, and degree checks on the given evaluation
     paths, for the bminus function of the pair that ``kind`` reflects on.
@@ -257,7 +258,9 @@ def z_property_suite(
     Every contracted value that varies only lam_1 (Z itself, the crossed
     point, the lam_1 = xi_1 recursion and the degree samples) applies one
     block to a single shared tail B(lam_2) ... B(lam_N) |ref>, and each
-    recursion's left side is contracted once, whatever the methods.
+    recursion's left side is contracted once, whatever the methods.  A
+    ``values`` dict receives that function's value at ``lambdas`` by method,
+    so a caller need not evaluate it again.
     """
     q, lams = _kind_params(p, lambdas, kind)
     rng = np.random.default_rng(seed)
@@ -272,6 +275,8 @@ def z_property_suite(
             z1 if method == "contract" else lambda lam: z_value(q, (lam,) + lams[1:], "bminus", method)
         )
         z0 = z_of1(lams[0])
+        if values is not None:
+            values[method] = z0
         scale = max(abs(z0), 1e-300)
         if q.N >= 2:
             swapped = (lams[1], lams[0]) + lams[2:]

@@ -174,15 +174,6 @@ def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> np
     return tn.product(chain_legs(p.N), dyn_monodromy_gates(lam, theta, kind, p))
 
 
-def dyn_monodromy_inverse_form(lam: complex, theta: complex, kind: str, p: ModelParams) -> np.ndarray:
-    """That and Vhat from the inversion identities (two-path consistency)."""
-    if kind == "That":
-        return vx.gamma_hat(lam, p) * np.linalg.inv(dyn_monodromy(-lam, theta, "T", p))
-    if kind == "Vhat":
-        return vx.gamma_tilde(lam, p) * np.linalg.inv(dyn_monodromy(-lam - 2 * p.eta, theta, "V", p))
-    raise ValueError(f"no inverse form for kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # dynamical double-row monodromy matrices and their blocks
 
@@ -584,16 +575,27 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
 
 
 def zero_weight_residual(lam, theta, p: ModelParams) -> float:
+    """T(lam; theta) commutes with the total sigma^z q of the auxiliary leg
+    and the sites: T (q X) against q (T X) on the probe block X."""
     legs = chain_legs(p.N)
-    t = dyn_monodromy(lam, theta, "T", p)
-    q = tn.sz_sum(legs, legs)
-    return tn.max_abs(t * q - q[:, None] * t) / max(tn.max_abs(t), 1e-300)
+    t = dyn_monodromy_gates(lam, theta, "T", p)
+    q = tn.sz_sum(legs, legs)[:, None]
+    x = tn.probe_block(len(legs))
+    return tn.rel_residual(tn.product(legs, t, q * x), q * tn.product(legs, t, x))
 
 
 def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
-    direct = dyn_monodromy(lam, theta, kind, p)
-    via = dyn_monodromy_inverse_form(lam, theta, kind, p)
-    return tn.rel_residual(direct, via)
+    """Inversion relation That(lam) T(-lam) = gamma_hat(lam) ("That") or
+    Vhat(lam) V(-lam - 2 eta) = gamma_tilde(lam) ("Vhat"): both monodromies
+    as gate lists, the right side a scalar on the auxiliary leg."""
+    if kind == "That":
+        inverse, gamma = dyn_monodromy_gates(-lam, theta, "T", p), vx.gamma_hat(lam, p)
+    elif kind == "Vhat":
+        inverse, gamma = dyn_monodromy_gates(-lam - 2 * p.eta, theta, "V", p), vx.gamma_tilde(lam, p)
+    else:
+        raise ValueError(f"no inversion relation for kind {kind!r}")
+    lhs = [*dyn_monodromy_gates(lam, theta, kind, p), *inverse]
+    return tn.product_residual(chain_legs(p.N), lhs, [(gamma * tn.ID2, (AUX,))])
 
 
 def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> float:
@@ -658,18 +660,27 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     def dg(fn):
         return np.array([fn(s) for s in szv])[:, None]
 
-    u1 = double_row_blocks(l1, theta, "minus", p)
-    u2 = double_row_blocks(l2, theta, "minus", p)
-    b1, a2, b2 = u1["B"], u2["A"], u2["B"]
-    dt2 = _d_tilde(l2, theta, p, u2)
+    def blocks(lam, v):
+        """A, B and D-tilde at (lam, theta) applied to v, from two block strings."""
+        a, _ = block_column(lam, theta, "minus", "A", p, v)
+        d, b = block_column(lam, theta, "minus", "D", p, v)
+        return a, b, _d_tilde(lam, theta, p, {"A": a, "D": d})
+
+    def b2(v):
+        return block_column(l2, theta, "minus", "B", p, v)[0]
+
+    # every product of two blocks acts on the probe block x; each l1 block
+    # string acts on two column groups at once
+    x = tn.probe_block(p.N)
+    a2x, b2x, dt2x = blocks(l2, x)
+    (a1x, a1b2x), _, (dt1x, dt1b2x) = (np.hsplit(m, 2) for m in blocks(l1, np.hstack([x, b2x])))
+    b1a2x, b1dt2x = np.hsplit(block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
     lb, lm = l1 + l2, l1 - l2
     if left == "A":
-        a1 = u1["A"]
         c1 = dg(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
         c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
         c3 = dg(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
-        return tn.rel_residual(a1 @ b2, c1 * (b1 @ dt2) + c2 * (b2 @ a1) + c3 * (b1 @ a2))
-    dt1 = _d_tilde(l1, theta, p, u1)
+        return tn.rel_residual(a1b2x, c1 * b1dt2x + c2 * b2(a1x) + c3 * b1a2x)
     d1 = dg(
         lambda s: sinh(lb + theta - eta * s)
         / sinh(theta - eta * s - eta)
@@ -681,7 +692,7 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
         lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
         / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta))
     )
-    return tn.rel_residual(dt1 @ b2, d1 * (b1 @ a2) + d2 * (b2 @ dt1) + d3 * (b1 @ dt2))
+    return tn.rel_residual(dt1b2x, d1 * b1a2x + d2 * b2(dt1x) + d3 * b1dt2x)
 
 
 # name -> residual at three seeded spectral points and a free theta

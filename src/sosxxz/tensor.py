@@ -13,11 +13,13 @@ charge table is computed once per weight pattern (``charge_table``), not
 once per gate.  ``relabel`` renames the legs of a gate list, its charge
 legs included, so a site reversal or a renamed auxiliary leg is a new
 list of labels, never a permutation matrix.  ``product_residual``
-compares two products over column blocks of the identity, so it never
-holds a whole operator.  Entries are checked for finiteness with
-``require_finite`` where values are compared or reported
-(``rel_residual``, ``product_residual`` and the callers that report), not
-on every construction.
+checks an operator identity, two gate lists, on a seeded block of
+``PROBES`` random columns (``probe_block``) instead of the identity, so
+its cost and memory grow as 2^n, not 4^n, and it never builds an
+operator.  Entries are checked for finiteness with ``require_finite``
+where values are compared or reported (``rel_residual``,
+``product_residual`` and the callers that report), not on every
+construction.
 """
 
 from __future__ import annotations
@@ -207,35 +209,38 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     return t.transpose(np.argsort(order)).reshape(np.shape(x))
 
 
-# complex entries (16 MiB) per block of ``product_residual``: 32 MiB blocks
-# measured 2-2.5x slower per entry at N = 9 and 10, and splitting the
-# 2^18-entry sides at N = 7 measured slower than one block
-BLOCK_ENTRIES = 2**20
+# columns of the seeded probe block that ``product_residual`` applies both sides to
+PROBES = 8
 
 
-def product_residual(legs: Sequence[str], lhs, rhs, width: int | None = None) -> float:
-    """``rel_residual`` of ``product(legs, lhs)`` against ``product(legs, rhs)``.
+@functools.lru_cache(maxsize=None)
+def probe_block(nlegs: int) -> np.ndarray:
+    """The read-only (2^nlegs, PROBES) complex Gaussian block of ``product_residual``.
 
-    Both products are built over blocks of ``width`` columns of the
-    identity (by default ``BLOCK_ENTRIES`` entries, at least 4 columns),
-    each block checked by ``require_finite``, and the max-entry norms are
-    reduced block by block, so only one block of each side is held at a
-    time.  With ``width`` a multiple of 4 the residual is the whole-matrix
-    one bit for bit: the BLAS matmul rounds the columns of a trailing group
-    of fewer than four differently, and then no block has one.
+    It is drawn from a fixed seed, so it depends on the leg count alone: a
+    residual does not depend on which checks ran before it.
     """
-    d = 2 ** len(legs)
-    width = width or max(4, BLOCK_ENTRIES // d)
-    diff = scale = 0.0
-    for j in range(0, d, width):
-        w = min(width, d - j)
-        x = np.zeros((d, w), dtype=complex)
-        x[j + np.arange(w), np.arange(w)] = 1.0
-        a = require_finite(product(legs, lhs, x))
-        b = require_finite(product(legs, rhs, x))
-        scale = max(scale, max_abs(a), max_abs(b))
-        diff = max(diff, max_abs(a - b))
-    return diff / max(scale, 1e-300)
+    rng = np.random.default_rng(0)
+    shape = (2**nlegs, PROBES)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x.flags.writeable = False
+    return x
+
+
+def product_residual(legs: Sequence[str], lhs, rhs) -> float:
+    """Residual of the operator identity ``product(legs, lhs) = product(legs, rhs)``.
+
+    Both gate lists are applied to the seeded probe block X
+    (``probe_block``), and the result is ``rel_residual(A X, B X)``: the
+    max-entry norm of (A - B) X relative to the larger of those of A X and
+    B X, each side checked by ``require_finite``.  No operator is built.
+    This is Freivalds' randomized product check: an entry of (A - B) X is
+    a complex Gaussian whose spread is the 2-norm of the matching row of
+    A - B, so a wrong identity escapes all PROBES columns only with
+    vanishing probability, and a correct one reads at rounding level.
+    """
+    x = probe_block(len(legs))
+    return rel_residual(product(legs, lhs, x), product(legs, rhs, x))
 
 
 def basis_vector(nlegs: int, index: int) -> np.ndarray:

@@ -331,8 +331,8 @@ def reflection_type_residual(
     l2: complex,
     eta: complex,
 ) -> float:
-    """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``, built
-    over column blocks of the identity (``tn.product_residual``).
+    """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``, both
+    sides applied to the seeded probe block (``tn.product_residual``).
 
     The first two legs are the auxiliary pair.  ``r4fn(x, c)`` is the raw
     R-matrix block at spectral argument x and charge c of the weighted

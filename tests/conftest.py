@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sosxxz import bethe as bt
+from sosxxz import tensor as tn
 from sosxxz.params import generic_params
 
 
@@ -58,3 +59,75 @@ def dense_symmetry():
     """``(pauli, n_sites, n_legs=None) -> (string, reversal)``: the dense
     reference for the gate-list Pauli strings and site relabellings."""
     return _string_and_reversal
+
+
+def _within_10x(a: float, b: float) -> bool:
+    """Two residuals agree within 10x either way, both floored at the
+    double-precision epsilon, below which a residual is rounding alone."""
+    eps = np.finfo(float).eps
+    a, b = max(a, eps), max(b, eps)
+    return a <= 10 * b and b <= 10 * a
+
+
+@pytest.fixture(scope="session")
+def within_10x():
+    return _within_10x
+
+
+@pytest.fixture
+def whole_identity(monkeypatch):
+    """``run -> (probe, whole)``: ``run()`` on the seeded probe block, and
+    ``run()`` again with the identity in its place, which gives the residual
+    of the whole operators (the dense oracle of every probe residual).  It
+    fails unless the two agree within 10x (``within_10x``)."""
+    probe_block = tn.probe_block
+
+    def both(run):
+        used = []
+
+        def identity(nlegs):
+            used.append(nlegs)
+            return np.eye(2**nlegs, dtype=complex)
+
+        probe = run()
+        monkeypatch.setattr(tn, "probe_block", identity)
+        try:
+            whole = run()
+        finally:
+            monkeypatch.setattr(tn, "probe_block", probe_block)
+        assert used, "the residual never read the probe block"
+        assert _within_10x(probe, whole), (probe, whole)
+        return probe, whole
+
+    return both
+
+
+@pytest.fixture
+def perturb_first_product(monkeypatch):
+    """``eps -> None``: afterwards the first ``tn.product`` call perturbs the
+    leftmost gate of its list by eps times its largest entry times fixed
+    complex Gaussian noise (at every charge, for a dynamical gate).  The first
+    product of a residual is one side of its identity, so only that side moves."""
+    product = tn.product
+
+    def install(eps):
+        calls = []
+
+        def perturbed(legs, gates, x=None):
+            if not calls:
+                block, on, *rest = gates[0]
+                rng = np.random.default_rng(0)
+                size = (2 ** len(on),) * 2
+                noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+                def nudge(b):
+                    return b + eps * tn.max_abs(b) * noise
+
+                moved = (lambda c: nudge(block(c))) if callable(block) else nudge(block)
+                gates = [(moved, on, *rest), *gates[1:]]
+            calls.append(True)
+            return product(legs, gates, x)
+
+        monkeypatch.setattr(tn, "product", perturbed)
+
+    return install

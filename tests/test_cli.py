@@ -163,7 +163,7 @@ def test_bad_tol_scale_is_config_error(scale, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "--n", "12"],
+        ["verify", "--n", "20"],
         ["verify", "--n", "30"],
         ["bethe", "--m", "1", "--n", "30"],
         ["partition", "--n", "40"],
@@ -171,8 +171,8 @@ def test_bad_tol_scale_is_config_error(scale, tmp_path):
     ],
 )
 def test_dense_budget_is_config_error(args, monkeypatch, tmp_path, capsys):
-    # refused before any matrix is built: 2^(N+2) square at N = 12 is 4.3 GB,
-    # and a gate stack of the N = 40 block string holds 2^43 entries, 141 TB;
+    # refused before any matrix is built: the (2^(N+2), 8) probe block at
+    # N = 20 is 537 MB, and a gate stack of the N = 40 block string holds 2^43 entries, 141 TB;
     # at N = 700 the byte count is past the float range
     def unreachable(*args, **kwargs):
         raise AssertionError("the run went past the dense budget")
@@ -185,7 +185,7 @@ def test_dense_budget_is_config_error(args, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "--n", "11"],
+        ["verify", "--n", "20"],
         ["bethe", "--m", "1", "--n", "12"],
         ["spectrum", "--n", "12"],
         ["partition", "--n", "1000000"],
@@ -248,13 +248,14 @@ def test_nan_residual_is_degenerate(tmp_path):
 
 @pytest.mark.parametrize(
     "command, entries",
-    [("spectrum", 4**6), ("partition", 2**8)],
-    ids=["spectrum", "partition"],
+    [("spectrum", 4**6), ("partition", 2**8), ("verify", 2**10)],
+    ids=["spectrum", "partition", "verify"],
 )
 def test_spectrum_obeys_dense_budget(command, entries, monkeypatch, tmp_path):
     # at N = 5 the transfer matrix on the auxiliary leg and the sites is
-    # 64-square, and each two-leg gate of the partition block string is a
-    # stack of 16 4 x 4 blocks; the budget is one entry short of either
+    # 64-square, each two-leg gate of the partition block string is a
+    # stack of 16 4 x 4 blocks, and the verify probe block on two auxiliary
+    # legs and the sites is 128 x 8; the budget is one entry short of each
     monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * (entries - 1))
     assert cli.main([command, "--n", "5", "--out", str(tmp_path / "x")]) == 2
 

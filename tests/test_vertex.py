@@ -224,23 +224,59 @@ ALGEBRA_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# every check whose residual applies its operators to the seeded probe block
+PROBE_CHECKS = [
+    *[("vertex", c) for c in ("ybe", "reflection", "dual_reflection")],
+    *[("sos", c) for c in (
+        "dybe1", "dybe2", "vertex_face1", "vertex_face2", "dyn_reflection", "dual_dyn_reflection",
+        "reflection_equivalence", "zero_weight", "that_inverse", "vhat_inverse", "monodromy_gauge",
+        "dual_monodromy_gauge", "vsos_state", "dual_vsos_state", "gamma_parity", "isomorphism",
+        "commutation_ab", "commutation_dtb",
+    )],
+]
+
+
+def _suite(suite):
+    return vx.vertex_identity_suite if suite == "vertex" else sos.sos_identity_suite
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("suite, check", ALGEBRA_CHECKS)
-def test_algebra_residual_column_blocks_match_whole_matrix(suite, check, n, monkeypatch):
-    # blocked sides give the residual of the whole 2^(N+2)-square sides
-    # exactly: half the columns, and 12, which divides no power of two
-    blocked = tn.product_residual
-    seen = []
+def test_algebra_residual_column_blocks_match_whole_matrix(suite, check, n, whole_identity):
+    # the residual on the column block of seeded probes reads what the
+    # whole 2^(N+2)-square sides read, within 10x
+    p = generic_params(n)
+    probe, _ = whole_identity(lambda: _suite(suite)(check, p, seed=n, trials=1))
+    assert probe < 1e-10
 
-    def compare(legs, lhs, rhs):
-        d = 2 ** len(legs)
-        whole = tn.rel_residual(tn.product(legs, lhs), tn.product(legs, rhs))
-        for width in (d // 2, 12):
-            assert blocked(legs, lhs, rhs, width) == whole
-        seen.append(d)
-        return blocked(legs, lhs, rhs)
 
-    monkeypatch.setattr(tn, "product_residual", compare)
-    run = vx.vertex_identity_suite if suite == "vertex" else sos.sos_identity_suite
-    assert run(check, generic_params(n), seed=n, trials=2) < 1e-10
-    assert seen == [2 ** (n + 2)] * 2
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("suite, check", PROBE_CHECKS)
+def test_probe_residual_matches_whole_identity(suite, check, n, whole_identity):
+    p = generic_params(n)
+    probe, _ = whole_identity(lambda: _suite(suite)(check, p, seed=n, trials=1))
+    assert probe < 1e-10
+
+
+@pytest.mark.parametrize(
+    "suite, check",
+    [
+        ("vertex", "ybe"),
+        ("vertex", "reflection_algebra"),
+        ("sos", "sos_algebra"),
+        ("sos", "isomorphism"),
+        ("sos", "that_inverse"),
+        ("sos", "vhat_inverse"),
+        ("sos", "zero_weight"),
+        ("sos", "commutation_ab"),
+        ("sos", "commutation_dtb"),
+    ],
+)
+def test_probe_residual_sees_one_perturbed_gate(suite, check, p3, perturb_first_product):
+    # plain gate lists, the inversion relations, zero weight and the exchange
+    # relations: one gate of one side moved by eps reads at least eps / 10
+    eps = 1e-9
+    run = lambda: _suite(suite)(check, p3, seed=3, trials=1)
+    assert run() < 1e-13
+    perturb_first_product(eps)
+    assert run() >= 0.1 * eps
