@@ -25,10 +25,6 @@ class NonIdentityResidue(SosXxzError):
     """A difference expected to be a multiple of the identity is not."""
 
 
-class ConstraintViolated(SosXxzError):
-    """The boundary constraints required for a comparison do not hold."""
-
-
 class NoConvergence(SosXxzError):
     """An iterative search found no verified solution."""
 

@@ -149,20 +149,6 @@ def z_value(p: ModelParams, lambdas: Sequence[complex], kind: str, method: str) 
     raise ValueError(f"unknown method {method!r}")
 
 
-def closed_form_n1(lam: complex, xi: complex, delta: complex, zeta: complex, eta: complex) -> complex:
-    """The N = 1 partition function for the bminus kind in closed form."""
-    th = delta - zeta
-    return (
-        sinh(eta)
-        * sinh(th - eta)
-        / sinh(th) ** 2
-        * (
-            sinh(delta - lam) / sinh(delta + lam) * sinh(lam - xi) * sinh(th + lam + xi)
-            + sinh(zeta - lam) / sinh(zeta + lam) * sinh(lam + xi) * sinh(th - lam + xi)
-        )
-    )
-
-
 def crossing_factor(lam: complex, delta: complex, zeta: complex, eta: complex) -> complex:
     """Prefactor relating Z at lam_i -> -lam_i - eta to Z at lam_i."""
     return (

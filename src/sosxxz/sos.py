@@ -9,15 +9,14 @@ realizes the normal ordering in which the sigma^z argument acts first.
 
 from __future__ import annotations
 
-from cmath import cosh, exp, sinh
-from functools import lru_cache
+from cmath import exp, sinh
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as tn
 from . import vertex as vx
-from .errors import ConstraintViolated, DegenerateParameter
+from .errors import DegenerateParameter
 from .params import SAMPLE_MARGIN, ModelParams, min_pole_gap, sample_points
 from .vertex import AUX, chain_legs, site_legs
 
@@ -169,11 +168,6 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
     return [gate(k) for k in (reversed(sites) if hatted != crossed else sites)]
 
 
-def dyn_monodromy(lam: complex, theta: complex, kind: str, p: ModelParams) -> np.ndarray:
-    """Dynamical monodromy matrix of the given kind (see ``dyn_monodromy_gates``)."""
-    return tn.product(chain_legs(p.N), dyn_monodromy_gates(lam, theta, kind, p))
-
-
 # ----------------------------------------------------------------------
 # dynamical double-row monodromy matrices and their blocks
 
@@ -219,13 +213,6 @@ def block_column(
     return y[r], y[1 - r]
 
 
-def double_row_blocks(lam: complex, theta: complex, side: str, p: ModelParams) -> dict[str, np.ndarray]:
-    """All four blocks of one double row, as 2^N arrays."""
-    d = 2**p.N
-    u = tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p))
-    return {name: u[r * d:(r + 1) * d, c * d:(c + 1) * d] for name, (r, c) in _BLOCK_INDEX[side].items()}
-
-
 def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.ndarray]) -> np.ndarray:
     legs = site_legs(p.N)
     sz = tn.sz_sum(legs, legs)
@@ -245,11 +232,6 @@ def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.
         ]
     )
     return front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
-
-
-def modified_d_minus(lam: complex, theta: complex, p: ModelParams) -> np.ndarray:
-    """Modified diagonal generator D-tilde of the minus reflection algebra."""
-    return _d_tilde(lam, theta, p, double_row_blocks(lam, theta, "minus", p))
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +284,17 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
 # SOS transfer matrices
 
 
-def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> np.ndarray:
-    """Height-picture transfer matrices with diagonal dressed boundaries.
+def sos_transfer(
+    mu: complex, theta: complex, which: str, p: ModelParams, x: np.ndarray | None = None
+) -> np.ndarray:
+    """Height-picture transfer matrices with diagonal dressed boundaries,
+    applied to ``x`` (default: the matrix itself) as traced gate lists.
 
     "SOS1": Tr_0 ( K~_+(mu; db, zb) U_-(mu; theta) )
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )
+
+    Both put the diagonal K~ first, the trace being cyclic over an
+    operator on the auxiliary leg alone.
     """
     if which == "SOS1":
         kt, side = tilde_k2(-mu - p.eta, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole), "minus"
@@ -314,63 +302,7 @@ def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams) -> np.
         kt, side = tilde_k2(mu, p.delta, p.zeta, p.eta, p.eps_pole), "plus"
     else:
         raise ValueError(f"unknown transfer kind {which!r}")
-    blocks = double_row_blocks(mu, theta, side, p)
-    return kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
-
-
-def constraint_residuals(p: ModelParams, s: int) -> tuple[float, float]:
-    """Residuals of the two boundary constraints at sector s."""
-    lhs = cosh(p.delta_bar - p.zeta_bar)
-    base = p.delta - p.zeta - p.eta * s
-    r1 = abs(lhs - cosh(base + p.tau_bar - p.tau - p.eta))
-    r2 = abs(lhs - cosh(base - p.tau_bar + p.tau + p.eta))
-    return float(r1), float(r2)
-
-
-def require_constraints(p: ModelParams, s: int, tol: float = 1e-10) -> None:
-    r1, r2 = constraint_residuals(p, s)
-    if r1 > tol or r2 > tol:
-        raise ConstraintViolated(
-            f"boundary constraints fail at sector {s}: residuals {r1:.3e}, {r2:.3e}"
-        )
-
-
-def gauge_coefficient_matrix(lam: complex, s: int, shift: int, p: ModelParams) -> np.ndarray:
-    """S^{-1}(-lam; th - eta s) K_+(lam) S(lam; th - eta (s + shift)) with th = delta - zeta.
-
-    The off-diagonal entries of this 2x2 matrix must vanish (shift = -2 for
-    the B coefficient, +2 for the C one) when the boundary constraints hold.
-    """
-    th = p.delta - p.zeta
-    sinv = gauge_s2_inv(-lam, th - p.eta * s, p.tau, p.eps_pole)
-    kp = vx.k2(lam, "plus", p)
-    sm = gauge_s2(lam, th - p.eta * (s + shift), p.tau, p.eps_pole)
-    return sinv @ kp @ sm
-
-
-@lru_cache(maxsize=None)
-def sector_indices(n_sites: int) -> dict[int, np.ndarray]:
-    """Computational-basis indices per total-sigma^z eigenvalue."""
-    legs = site_legs(n_sites)
-    sz = tn.sz_sum(legs, legs)
-    return {int(s): np.nonzero(sz == s)[0] for s in np.unique(sz)}
-
-
-def sector_leakage(op: np.ndarray, weight: int) -> float:
-    """Largest relative weight of the image outside the declared target sector
-    of an operator on the N sites."""
-    sectors = sector_indices(len(op).bit_length() - 1)
-    worst = 0.0
-    scale = max(tn.max_abs(op), 1e-300)
-    for s, idx in sectors.items():
-        target = sectors.get(s + weight)
-        cols = op[:, idx]
-        mask = np.ones(len(op), dtype=bool)
-        if target is not None:
-            mask[target] = False
-        leak = np.max(np.abs(cols[mask, :])) if mask.any() and cols.size else 0.0
-        worst = max(worst, float(leak) / scale)
-    return worst
+    return tn.traced_product(chain_legs(p.N), [(kt, (AUX,)), *dyn_double_row_gates(mu, theta, side, p)], x)
 
 
 # ----------------------------------------------------------------------
@@ -728,7 +660,6 @@ SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]]
     "commutation_ab": lambda l, th, p: commutation_residual(l[0], l[1], p, "A"),
     "commutation_dtb": lambda l, th, p: commutation_residual(l[0], l[1], p, "D"),
 }
-SOS_CHECKS = tuple(SOS_RESIDUALS)
 
 
 def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> float:

@@ -8,24 +8,26 @@ order), and basis value 0 of a leg is spin up (sigma^z = +1).
 Products of local gates are built by one kernel, ``product``, which
 applies a list of blocks, each on a few legs, to a plain array kept in a
 running axis order, so each gate costs one transposed copy and one
-batched matmul; ``apply_gate`` is its one-gate case.  A dynamical gate's
-charge table is computed once per weight pattern (``charge_table``), not
-once per gate.  ``relabel`` renames the legs of a gate list, its charge
-legs included, so a site reversal or a renamed auxiliary leg is a new
-list of labels, never a permutation matrix.  ``product_residual``
-checks an operator identity, two gate lists, on a seeded block of
-``PROBES`` random columns (``probe_block``) instead of the identity, so
-its cost and memory grow as 2^n, not 4^n, and it never builds an
-operator.  Entries are checked for finiteness with ``require_finite``
-where values are compared or reported (``rel_residual``,
-``product_residual`` and the callers that report), not on every
-construction.
+batched matmul.  ``traced_product`` is the trace of such a product over
+its first (auxiliary) leg, applied to an array on the other legs: the
+open-chain transfer matrices, on a few states or on all of them.  A
+dynamical gate's charge table is computed once per weight pattern
+(``charge_table``), not once per gate.  ``relabel`` renames the legs of
+a gate list, its charge legs included, so a site reversal or a renamed
+auxiliary leg is a new list of labels, never a permutation matrix.
+``product_residual`` checks an operator identity, two gate lists, on a
+seeded block of ``PROBES`` random columns (``probe_block``) instead of
+the identity, so its cost and memory grow as 2^n, not 4^n, and it never
+builds an operator.  Entries are checked for finiteness with
+``require_finite`` where values are compared or reported
+(``rel_residual``, ``product_residual`` and the callers that report), not
+on every construction.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,17 +37,6 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-# Permutation operator on C^2 x C^2: P |a b> = |b a>.
-PERM4 = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
 
 
 def require_finite(a: np.ndarray) -> np.ndarray:
@@ -68,14 +59,6 @@ def partial_transpose(a: np.ndarray, legs: Sequence[str], leg: str) -> np.ndarra
     return np.asarray(a).reshape((2,) * (2 * n)).swapaxes(i, n + i).reshape(2**n, 2**n)
 
 
-def partial_trace(a: np.ndarray, legs: Sequence[str], leg: str) -> np.ndarray:
-    """Trace of the square matrix ``a`` on ``legs`` over one leg."""
-    legs = tuple(legs)
-    n, i = len(legs), _leg_index(legs, leg)
-    t = np.trace(np.asarray(a).reshape((2,) * (2 * n)), axis1=i, axis2=n + i)
-    return t.reshape(2 ** (n - 1), 2 ** (n - 1))
-
-
 def swapped4(matrix: np.ndarray) -> np.ndarray:
     """P M P for a 4x4 matrix on two C^2 legs (leg exchange)."""
     return np.asarray(matrix).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
@@ -89,12 +72,8 @@ def transpose_first4(matrix: np.ndarray) -> np.ndarray:
 def leg_sz(full_legs: Sequence[str], leg: str) -> np.ndarray:
     """Per-basis-state sigma^z value (+1/-1) of one leg."""
     full_legs = tuple(full_legs)
-    if leg not in full_legs:
-        raise UnknownLeg(f"leg {leg!r} absent from {full_legs}")
-    n = len(full_legs)
-    i = full_legs.index(leg)
-    idx = np.arange(2**n)
-    return 1 - 2 * ((idx >> (n - 1 - i)) & 1)
+    n, i = len(full_legs), _leg_index(full_legs, leg)
+    return 1 - 2 * ((np.arange(2**n) >> (n - 1 - i)) & 1)
 
 
 def sz_sum(full_legs: Sequence[str], legs: Sequence[str]) -> np.ndarray:
@@ -124,24 +103,6 @@ def charge_table(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return values, which
 
 
-def apply_gate(
-    x: np.ndarray,
-    legs: Sequence[str],
-    block: np.ndarray | Callable[[int], np.ndarray],
-    on: Sequence[str],
-    charge: Sequence[tuple[str, int]] = (),
-) -> np.ndarray:
-    """G @ x for a local block G on the legs ``on`` of ``legs``: ``product`` of one gate.
-
-    ``x`` is a (2^n,) or (2^n, m) array.  A callable ``block`` is a
-    dynamical gate: it receives the charge c = sum of w * sigma^z(leg) over
-    ``charge`` for each configuration, so the charge legs must lie outside
-    ``on``.  This realizes the convention that operator-valued dynamical
-    arguments act first, before the matrix they parameterize.
-    """
-    return product(legs, [(block, on, charge)], x)
-
-
 def relabel(gates, names: dict[str, str]) -> list:
     """The same gates with each gate leg and charge leg renamed by ``names``
     (legs it does not list keep their label); no block is touched."""
@@ -156,15 +117,21 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     """g_1 g_2 ... g_m @ x for gates (block, on[, charge]) listed left to right.
 
     ``x`` is a (2^n,) or (2^n, m) array and defaults to the identity on
-    ``legs``; each gate is as in ``apply_gate``.  The gates are applied
-    right to left to an array of one axis per leg and one column axis,
-    whose axis order runs with the gates: each gate transposes it once, to
-    [charge legs, gate legs, other legs, columns], and applies its block by
-    one matmul batched over the charge-leg configurations.  The caller's
-    axis order is restored once, at the end.  A dynamical gate's charge
-    table (the distinct charges and which one each configuration has) is
-    ``charge_table`` of the net weight of each charge leg, computed once
-    per weight pattern.
+    ``legs``.  A gate's ``block`` is a 2^k-square array on its k legs
+    ``on``, or a callable: a dynamical gate, which receives the charge
+    c = sum of w * sigma^z(leg) over ``charge`` for each configuration, so
+    the charge legs must lie outside ``on``.  This realizes the convention
+    that operator-valued dynamical arguments act first, before the matrix
+    they parameterize.
+
+    The gates are applied right to left to an array of one axis per leg
+    and one column axis, whose axis order runs with the gates: each gate
+    transposes it once, to [charge legs, gate legs, other legs, columns],
+    and applies its block by one matmul batched over the charge-leg
+    configurations.  The caller's axis order is restored once, at the end.
+    A dynamical gate's charge table (the distinct charges and which one
+    each configuration has) is ``charge_table`` of the net weight of each
+    charge leg, computed once per weight pattern.
 
     A single column instead puts the gate legs after the other legs, so
     each configuration is its own matrix-vector product (BLAS gemv): gemv
@@ -207,6 +174,28 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
         t = np.matmul(g, t).reshape((2,) * n + (-1,))
         order = new
     return t.transpose(np.argsort(order)).reshape(np.shape(x))
+
+
+def traced_product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
+    """tr_0(g_1 ... g_m) @ x, the trace of ``product(legs, gates)`` over its
+    first leg 0, for ``x`` a (2^(n-1),) or (2^(n-1), m) array on the other
+    legs (default: their identity).
+
+    The gates are applied to the columns [e_0 (x) x, e_1 (x) x], and row
+    block a of column group a is kept and summed over a.  For the default
+    identity those columns are the identity on ``legs``, so the result is
+    the trace of the whole product.  With a few columns the operator is
+    never built: its cost and memory grow as 2^n, not 4^n.
+    """
+    legs = tuple(legs)
+    d = 2 ** (len(legs) - 1)
+    if x is None:
+        x = np.eye(d, dtype=complex)
+    cols = np.asarray(x).reshape(d, -1)
+    e = np.zeros((2, d, 2, cols.shape[1]), dtype=np.result_type(cols, complex))
+    e[0, :, 0] = e[1, :, 1] = cols
+    y = product(legs, gates, e.reshape(2 * d, -1)).reshape(e.shape)
+    return (y[0, :, 0] + y[1, :, 1]).reshape(np.shape(x))
 
 
 # columns of the seeded probe block that ``product_residual`` applies both sides to

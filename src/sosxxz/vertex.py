@@ -2,9 +2,10 @@
 
 Everything here lives in the vertex picture: the trigonometric six-vertex
 R-matrix with crossing parameter eta, the general non-diagonal boundary
-matrices, the inhomogeneous bulk monodromy T and its hatted partner, the
-double-row monodromy matrices around either boundary, the open-chain
-transfer matrix, and the boundary Hamiltonian together with its
+matrices, the gate lists of the inhomogeneous bulk monodromy T, its
+hatted partner and the double-row monodromy matrices around either
+boundary, the open-chain transfer matrix as their trace over the
+auxiliary leg, and the boundary Hamiltonian together with its
 reconstruction from the transfer-matrix derivative.
 """
 
@@ -156,29 +157,6 @@ def aux_transposed(gates: list) -> list:
     return [(tn.partial_transpose(block, on, AUX), on) for block, on in reversed(gates)]
 
 
-def bulk_monodromy(lam: complex, p: ModelParams) -> np.ndarray:
-    """T_0(lam) = R_{01}(lam - xi_1) ... R_{0N}(lam - xi_N)."""
-    return tn.product(chain_legs(p.N), monodromy_gates(lam, p))
-
-
-def hat_monodromy(lam: complex, p: ModelParams, via_inverse: bool = False) -> np.ndarray:
-    """That_0(lam) = R_{N0}(lam + xi_N) ... R_{10}(lam + xi_1).
-
-    With ``via_inverse`` the equivalent form gamma_hat(lam) T_0(-lam)^{-1}
-    is used instead (raises DegenerateParameter if T_0(-lam) is singular).
-    """
-    if via_inverse:
-        t = bulk_monodromy(-lam, p)
-        try:
-            inv = np.linalg.inv(t)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateParameter("T_0(-lam) is singular") from exc
-        if not np.all(np.isfinite(inv.view(float))) or tn.max_abs(inv) * np.finfo(float).eps * len(t) > 1e-4:
-            raise DegenerateParameter("T_0(-lam) is numerically singular")
-        return gamma_hat(lam, p) * inv
-    return tn.product(chain_legs(p.N), monodromy_gates(lam, p, hatted=True))
-
-
 def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     """Gates of U_- = T K_- That ("minus") or U_+^{t_0} = T^{t_0} K_+^t That^{t_0} ("plus")."""
     assert_generic(p, [lam])
@@ -190,20 +168,15 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     raise ValueError(f"unknown side {side!r}")
 
 
-def double_row(lam: complex, side: str, p: ModelParams) -> np.ndarray:
-    """Double-row monodromy: U_- for side "minus", U_+^{t_0} for side "plus"."""
-    return tn.product(chain_legs(p.N), double_row_gates(lam, side, p))
+def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray | None = None) -> np.ndarray:
+    """Open-chain transfer matrix applied to ``x`` (default: the matrix itself).
 
-
-def transfer_xxz(lam: complex, p: ModelParams) -> np.ndarray:
-    """Open-chain transfer matrix; both trace forms are computed and must agree to 1e-11."""
+    Both trace forms, tr_0 K_+ U_- and tr_0 K_-^t U_+^{t_0}, are traced gate
+    lists applied to ``x`` (``tn.traced_product``), and must agree to 1e-11.
+    """
     legs = chain_legs(p.N)
-    kp_um = tn.product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)])
-    form1 = tn.partial_trace(kp_um, legs, AUX)
-
-    km_up = tn.product(legs, [(k2(lam, "minus", p).T, (AUX,)), *double_row_gates(lam, "plus", p)])
-    form2 = tn.partial_trace(km_up, legs, AUX)
-
+    form1 = tn.traced_product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)], x)
+    form2 = tn.traced_product(legs, [(k2(lam, "minus", p).T, (AUX,)), *double_row_gates(lam, "plus", p)], x)
     res = tn.rel_residual(form1, form2)
     if res > 1e-11:
         raise FormMismatch(f"transfer-matrix trace forms disagree: {res:.3e}")
@@ -217,42 +190,35 @@ def hamiltonian_direct(p: ModelParams) -> np.ndarray:
     derivative for the K-matrices used here: site 1 carries the boundary
     adjacent to K_+ (barred parameters), site N the one adjacent to K_-.
     The sign pattern of the boundary fields is fixed by that derivative.
-    Raises DegenerateParameter if an entry is not finite.
+    Raises DegenerateParameter if sinh(zeta) sinh(delta) or its barred
+    partner is within eps_pole of zero, or if an entry is not finite.
     """
     N, eta = p.N, p.eta
     legs = site_legs(N)
-    eye = np.eye(2**N, dtype=complex)
     bond = np.kron(tn.SX, tn.SX) + np.kron(tn.SY, tn.SY) + cosh(eta) * np.kron(tn.SZ, tn.SZ)
-    h = sum(tn.apply_gate(eye, legs, bond, (f"s{i}", f"s{i + 1}")) for i in range(1, N))
+    h = sum(tn.product(legs, [(bond, (f"s{i}", f"s{i + 1}"))]) for i in range(1, N))
 
     def boundary_term(delta, zeta, tau, leg, z_sign, xy_sign):
-        pref = sinh(eta) / (sinh(zeta) * sinh(delta))
+        sz, sd = sinh(zeta), sinh(delta)
+        if abs(sz) <= p.eps_pole or abs(sd) <= p.eps_pole:
+            raise DegenerateParameter(f"boundary field on {leg}: sinh(zeta) sinh(delta) vanishes")
+        pref = sinh(eta) / (sz * sd)
         m = z_sign * cosh(zeta) * cosh(delta) * tn.SZ + xy_sign * (
             sinh(tau) * tn.SX - 1j * cosh(tau) * tn.SY
         )
-        return tn.apply_gate(eye, legs, pref * m, (leg,))
+        return tn.product(legs, [(pref * m, (leg,))])
 
     h = h + boundary_term(p.delta_bar, p.zeta_bar, p.tau_bar, "s1", +1, +1)
     h = h + boundary_term(p.delta, p.zeta, p.tau, f"s{N}", -1, -1)
     return tn.require_finite(h)
 
 
-def transfer_at_zero_scalar(p: ModelParams) -> complex:
-    """Scalar value of T_XXZ(0), which is a multiple of the identity."""
-    return sinh(p.eta) ** (2 * p.N) * complex(np.trace(k2(0, "plus", p)))
-
-
-def transfer_norm_constant(p: ModelParams) -> complex:
-    """Normalization making the transfer derivative reproduce the Hamiltonian:
-    H = transfer_norm_constant * d/dlam T_XXZ(lam)|_0 + const."""
-    return sinh(p.eta) / transfer_at_zero_scalar(p)
-
-
-def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
-    """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain).
+def transfer_derivative_at_zero(p: ModelParams, x: np.ndarray | None = None) -> np.ndarray:
+    """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain),
+    applied to ``x`` (default: the matrix itself).
 
     Each factor of tr_0 { K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10} } is
-    differentiated analytically.
+    differentiated analytically; each term is a traced gate list.
     """
     if not p.homogeneous():
         raise NotHomogeneous("transfer-matrix derivative needs xi_m = 0")
@@ -264,23 +230,24 @@ def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
     pairs.append((k2(0, "minus", p), dk2_minus(0, p.delta, p.zeta, p.tau, p.eps_pole), (AUX,)))
     pairs += [(r4(0, p.eta), dr4(0, p.eta), (f"s{k}", AUX)) for k in reversed(range(1, N + 1))]
 
-    total = sum(
-        tn.product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)])
+    return sum(
+        tn.traced_product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)], x)
         for j in range(len(pairs))
     )
-    return tn.partial_trace(total, legs, AUX)
 
 
 def hamiltonian(p: ModelParams) -> tuple[np.ndarray, complex]:
     """The Hamiltonian reconstructed from the transfer matrix, with its identity shift.
 
-    Returns (H_candidate, kappa) with H_candidate = transfer_norm_constant *
-    T'(0) and kappa the measured identity shift H_candidate - H_direct =
+    Returns (H_candidate, kappa) with H_candidate = sinh(eta) T'(0) / T(0),
+    where T(0) = sinh(eta)^(2N) tr K_+(0) is a multiple of the identity,
+    and kappa the measured identity shift H_candidate - H_direct =
     kappa * Id; raises NonIdentityResidue if the difference is not a
     multiple of the identity to 1e-8, and DegenerateParameter if H_candidate
     is not finite.
     """
-    h_cand = tn.require_finite(transfer_norm_constant(p) * transfer_derivative_at_zero(p))
+    t0 = sinh(p.eta) ** (2 * p.N) * complex(np.trace(k2(0, "plus", p)))
+    h_cand = tn.require_finite(sinh(p.eta) / t0 * transfer_derivative_at_zero(p))
     h_dir = hamiltonian_direct(p)
     diff = h_cand - h_dir
     kappa = complex(np.trace(diff) / diff.shape[0])
@@ -389,7 +356,6 @@ VERTEX_RESIDUALS: dict[str, Callable[[list[complex], ModelParams], float]] = {
     "reflection_algebra": lambda pts, p: reflection_algebra_residual(pts[0], pts[1], p, "minus"),
     "dual_reflection_algebra": lambda pts, p: reflection_algebra_residual(pts[0], pts[1], p, "plus"),
 }
-VERTEX_CHECKS = tuple(VERTEX_RESIDUALS)
 
 
 def vertex_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> float:

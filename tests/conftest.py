@@ -1,7 +1,10 @@
+from cmath import sinh
+
 import numpy as np
 import pytest
 
 from sosxxz import bethe as bt
+from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz.params import generic_params
 
@@ -59,6 +62,65 @@ def dense_symmetry():
     """``(pauli, n_sites, n_legs=None) -> (string, reversal)``: the dense
     reference for the gate-list Pauli strings and site relabellings."""
     return _string_and_reversal
+
+
+def _closed_form_n1(lam, xi, delta, zeta, eta):
+    """The N = 1 partition function for the bminus kind in closed form."""
+    th = delta - zeta
+    return (
+        sinh(eta)
+        * sinh(th - eta)
+        / sinh(th) ** 2
+        * (
+            sinh(delta - lam) / sinh(delta + lam) * sinh(lam - xi) * sinh(th + lam + xi)
+            + sinh(zeta - lam) / sinh(zeta + lam) * sinh(lam + xi) * sinh(th - lam + xi)
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def closed_form_n1():
+    """``(lam, xi, delta, zeta, eta) -> Z``: the N = 1 oracle of both partition methods."""
+    return _closed_form_n1
+
+
+def _sector_indices(n_sites):
+    """Computational-basis indices of the sites per total-sigma^z eigenvalue."""
+    sz = np.zeros(2**n_sites, dtype=int)
+    for i in range(n_sites):
+        sz += 1 - 2 * ((np.arange(2**n_sites) >> i) & 1)
+    return {int(s): np.nonzero(sz == s)[0] for s in np.unique(sz)}
+
+
+@pytest.fixture(scope="session")
+def sector_indices():
+    """``n_sites -> {S^z: basis indices}``."""
+    return _sector_indices
+
+
+def _double_row_blocks(lam, theta, side, p):
+    """The four 2^N-square blocks A, B, C, D of one dynamical double row,
+    each the block string applied to the identity (``sos.block_column``)."""
+    eye = np.eye(2**p.N, dtype=complex)
+    return {name: sos.block_column(lam, theta, side, name, p, eye)[0] for name in "ABCD"}
+
+
+@pytest.fixture(scope="session")
+def double_row_blocks():
+    """``(lam, theta, side, p) -> {"A": ..., "B": ..., "C": ..., "D": ...}``."""
+    return _double_row_blocks
+
+
+def _aux_trace(m):
+    """np.trace of a dense 2d-square matrix over its first (auxiliary) leg."""
+    d = len(m) // 2
+    return np.trace(np.asarray(m).reshape(2, d, 2, d), axis1=0, axis2=2)
+
+
+@pytest.fixture(scope="session")
+def aux_trace():
+    """``m -> tr_0 m``: the dense oracle of ``tn.traced_product``."""
+    return _aux_trace
 
 
 def _within_10x(a: float, b: float) -> bool:

@@ -83,14 +83,14 @@ def test_criterion_3_hamiltonian_reconstruction(n):
            f"[H, T(mu)] {worst_comm:.2e} < 1e-9 at 5 points: PASS")
 
 
-def test_criterion_4_bethe_verification():
+def test_criterion_4_bethe_verification(sector_indices):
     p = bt.apply_constraints(generic_params(2), bt.BoundaryConstraint(s=0, n=0, m=0))
     sols = bt.find_bethe_solutions("b1", 1, p, seed=SEED)
     assert len(sols) >= 1, "no psi_-^1 solution found"
     theta = p.delta - p.zeta
     rng = np.random.default_rng(SEED)
     mus = sample_points(rng, p, 3)
-    idx = sos.sector_indices(p.N)[0]
+    idx = sector_indices(p.N)[0]
     matched = 0
     for sol in sols:
         psi = bt.bethe_state("b1", sol, p)
@@ -117,7 +117,7 @@ def test_criterion_4_bethe_verification():
            f"(incompleteness expected): PASS")
 
 
-def test_criterion_5_partition_functions():
+def test_criterion_5_partition_functions(closed_form_n1):
     t0 = time.monotonic()
     worst = 0.0
     for n in (1, 2, 3, 4):
@@ -131,7 +131,7 @@ def test_criterion_5_partition_functions():
                 worst = max(worst, rel)
     p1 = generic_params(1)
     lam = 0.21 + 0.12j
-    closed = pt.closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
+    closed = closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
     assert abs(pt.z_determinant(p1, (lam,), "bminus") - closed) < 1e-12 * abs(closed)
     assert abs(pt.z_contraction(p1, (lam,), "bminus") - closed) < 1e-12 * abs(closed)
     prop_worst = 0.0
@@ -151,7 +151,7 @@ def test_criterion_5_partition_functions():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_criterion_6_inter_algebra_relations(n, dense_symmetry):
+def test_criterion_6_inter_algebra_relations(n, dense_symmetry, double_row_blocks):
     p = generic_params(n)
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -159,10 +159,10 @@ def test_criterion_6_inter_algebra_relations(n, dense_symmetry):
         worst = max(worst, sos.gamma_parity_residual(lam, p))
         worst = max(worst, sos.isomorphism_residual(lam, 0.63 + 0.29j, p))
         theta = p.delta_bar - p.zeta_bar
-        cp = sos.double_row_blocks(lam, theta, "plus", p)["C"]
+        cp = double_row_blocks(lam, theta, "plus", p)["C"]
         mapped = p.replace(delta=p.delta_bar, zeta=p.zeta_bar,
                            xi=tuple(-x for x in reversed(p.xi)))
-        bm = sos.double_row_blocks(-lam - p.eta, theta, "minus", mapped)["B"]
+        bm = double_row_blocks(-lam - p.eta, theta, "minus", mapped)["B"]
         gy, perm = dense_symmetry(tn.SY, n)
         worst = max(worst, tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy))
     assert worst < 1e-10

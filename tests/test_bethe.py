@@ -95,9 +95,9 @@ def test_solver_without_roots_is_config_error(m, constrained2):
         bt.find_bethe_solutions("b1", m, constrained2)
 
 
-def test_sector_count_sanity(constrained2):
+def test_sector_count_sanity(constrained2, sector_indices):
     sols = bt.find_bethe_solutions("b1", 1, constrained2, seed=1)
-    sector_dim = len(sos.sector_indices(constrained2.N)[0])
+    sector_dim = len(sector_indices(constrained2.N)[0])
     assert len(sols) <= sector_dim
 
 
@@ -106,12 +106,12 @@ def test_solver_no_convergence(constrained2):
     assert bt.find_bethe_solutions("b1", 1, constrained2, guesses=[[100.0 + 0.0j]]) == []
 
 
-def test_eigenvalue_matches_dense_diagonalization(constrained2):
+def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices):
     p = constrained2
     mu = 0.17 - 0.23j
     theta = p.delta - p.zeta
     sols = bt.find_bethe_solutions("b1", 1, p, seed=1)
-    idx = sos.sector_indices(p.N)[0]
+    idx = sector_indices(p.N)[0]
     block = sos.sos_transfer(mu, theta, "SOS1", p)[np.ix_(idx, idx)]
     eigs = np.linalg.eigvals(block)
     for sol in sols:

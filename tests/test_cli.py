@@ -25,20 +25,19 @@ def test_verify_vertex_passes(tmp_path):
     assert summary["all_pass"] is True
 
 
-def test_partition_n1_closed_form(tmp_path):
+def test_partition_n1_closed_form(tmp_path, closed_form_n1):
     code, text = run_cli(["partition", "--kind", "bminus", "--n", "1", "--method", "both", "--seed", "5"], tmp_path)
     assert code == 0
     rows, summary = rows_and_summary(text)
     det = complex(*summary["extra"]["value_det"])
     con = complex(*summary["extra"]["value_contract"])
     assert abs(det - con) < 1e-12 * abs(con)
-    from sosxxz import partition as pt
     from sosxxz.cli import load_config
     import argparse
 
     cfg = cli.load_config(None, argparse.Namespace(n=1, seed=5, trials=None, tol_scale=None, sector=None))
     lam = complex(*summary["extra"]["lambdas"][0])
-    closed = pt.closed_form_n1(lam, cfg.params.xi[0], cfg.params.delta, cfg.params.zeta, cfg.params.eta)
+    closed = closed_form_n1(lam, cfg.params.xi[0], cfg.params.delta, cfg.params.zeta, cfg.params.eta)
     assert abs(det - closed) < 1e-12 * abs(closed)
 
 
@@ -111,6 +110,21 @@ def test_exit_code_degenerate(tmp_path):
     cfg.write_text(json.dumps({"N": 1, "zeta": [0.83, -0.31], "delta": [0.83, -0.31]}))
     # delta = zeta makes theta = 0, a pole of every height-picture object
     assert cli.main(["partition", "--kind", "bminus", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize(
+    "coupling, constrained",
+    [(c, False) for c in ("zeta", "delta", "zeta_bar", "delta_bar")]
+    + [(c, True) for c in ("zeta", "delta", "zeta_bar")],
+)
+def test_spectrum_zero_boundary_coupling_is_degenerate(coupling, constrained, tmp_path, capsys):
+    # the Hamiltonian's boundary field divides by sinh(zeta) sinh(delta) and
+    # by its barred pair; the constraints overwrite delta_bar
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({coupling: 0}))
+    args = ["spectrum", "--n", "2", "--config", str(cfg), *(["--constrained"] if constrained else [])]
+    assert run_cli(args, tmp_path)[0] == 3
+    assert capsys.readouterr().err.startswith("degenerate parameters:")
 
 
 def test_exit_code_tolerance_failure(tmp_path):

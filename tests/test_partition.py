@@ -11,9 +11,9 @@ from sosxxz.errors import DegenerateParameter, SingularPrefactor
 from sosxxz.params import generic_params, sample_points
 
 
-def test_n1_closed_form(p1):
+def test_n1_closed_form(p1, closed_form_n1):
     lam = 0.21 + 0.12j
-    cf = pt.closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
+    cf = closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
     assert abs(pt.z_determinant(p1, (lam,), "bminus") - cf) < 1e-12 * abs(cf)
     assert abs(pt.z_contraction(p1, (lam,), "bminus") - cf) < 1e-12 * abs(cf)
 
@@ -146,14 +146,14 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
     assert res["recursion_lam1_contract"] == abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
-def test_recursion_against_n1_closed_form(p2):
+def test_recursion_against_n1_closed_form(p2, closed_form_n1):
     rng = np.random.default_rng(41)
     lams = sample_points(rng, p2, 2)
     at1 = (p2.xi[0], lams[1])
     lhs = pt.z_contraction(p2, at1, "bminus")
     rhs = pt.recursion_value(p2, at1, "lam1=xi1", method="det")
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
-    sub = pt.closed_form_n1(lams[1], p2.xi[1], p2.delta, p2.zeta, p2.eta)
+    sub = closed_form_n1(lams[1], p2.xi[1], p2.delta, p2.zeta, p2.eta)
     direct = pt.z_determinant(p2.replace(N=1, xi=(p2.xi[1],)), (lams[1],), "bminus")
     assert abs(sub - direct) < 1e-12 * abs(sub)
 

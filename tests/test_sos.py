@@ -1,4 +1,4 @@
-from cmath import exp, sinh
+from cmath import cosh, exp, sinh
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
-from sosxxz.errors import ConstraintViolated, DegenerateParameter
+from sosxxz.errors import DegenerateParameter
 from sosxxz.params import generic_params, sample_points
 
 
@@ -52,7 +52,7 @@ def test_dyn_r_entries(p2):
         sos.dyn_r4(lam, 0.0, p2.eta, eps=1e-8)
 
 
-@pytest.mark.parametrize("check", sos.SOS_CHECKS)
+@pytest.mark.parametrize("check", tuple(sos.SOS_RESIDUALS))
 def test_sos_identity_suite(check, p2):
     res = sos.sos_identity_suite(check, p2, seed=11, trials=4)
     assert res < 1e-10, (check, res)
@@ -62,29 +62,40 @@ def test_zero_weight_exact(p2):
     assert sos.zero_weight_residual(0.21 + 0.12j, 0.63 + 0.29j, p2) < 1e-13
 
 
+def sector_leakage(op, weight, sectors):
+    """Largest entry of an operator on the sites that maps a sector S^z = s
+    outside s + weight, relative to its largest entry."""
+    worst = 0.0
+    for s, idx in sectors.items():
+        outside = np.ones(len(op), dtype=bool)
+        outside[sectors.get(s + weight, [])] = False
+        worst = max(worst, tn.max_abs(op[np.ix_(outside, idx)]))
+    return worst / max(tn.max_abs(op), 1e-300)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_block_weights(n):
+def test_block_weights(n, double_row_blocks, sector_indices):
     p = generic_params(n)
     theta = 0.63 + 0.29j
     lam = 0.21 + 0.12j
-    blocks = sos.double_row_blocks(lam, theta, "minus", p)
+    blocks = double_row_blocks(lam, theta, "minus", p)
     for name, weight in (("B", -2), ("C", +2), ("A", 0), ("D", 0)):
-        assert sos.sector_leakage(blocks[name], weight) < 1e-13
+        assert sector_leakage(blocks[name], weight, sector_indices(n)) < 1e-13
 
 
-def test_reference_state_actions(p2):
+def test_reference_state_actions(p2, double_row_blocks):
     # the closed-form reference actions hold at the consistent binding
     # theta = delta - zeta of the minus reflection algebra
     lam = 0.21 + 0.12j
     theta = p2.delta - p2.zeta
     v0 = tn.all_up(p2.N)
-    blocks = sos.double_row_blocks(lam, theta, "minus", p2)
+    blocks = double_row_blocks(lam, theta, "minus", p2)
     assert np.max(np.abs(blocks["C"] @ v0)) < 1e-13 * tn.max_abs(blocks["C"])
     ea = sinh(p2.delta - lam) / sinh(p2.delta + lam)
     for x in p2.xi:
         ea *= sinh(lam - x + p2.eta) * sinh(lam + x + p2.eta)
     assert np.max(np.abs(blocks["A"] @ v0 - ea * v0)) / abs(ea) < 1e-13
-    dt = sos.modified_d_minus(lam, theta, p2)
+    dt = sos._d_tilde(lam, theta, p2, blocks)
     ed = (
         sinh(2 * lam) * sinh(p2.zeta - lam - p2.eta) * sinh(p2.delta + lam + p2.eta)
         / (sinh(2 * lam + p2.eta) * sinh(p2.zeta + lam) * sinh(p2.delta + lam))
@@ -100,7 +111,7 @@ def test_commutation_relations_full_operator(p3):
     assert sos.commutation_residual(l1, l2, p3, "D") < 1e-10
 
 
-def test_generalized_transfer_via_modified_d(p2):
+def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indices):
     """The transfer matrix decomposes through D-tilde with the right-end
     coupling tied to theta sector by sector, for free theta."""
     lam = 0.21 + 0.12j
@@ -108,8 +119,8 @@ def test_generalized_transfer_via_modified_d(p2):
     eta, zb = p2.eta, p2.zeta_bar
     slegs = vx.site_legs(p2.N)
     szv = tn.sz_sum(slegs, slegs)
-    dt = sos.modified_d_minus(lam, theta, p2)
-    blocks = sos.double_row_blocks(lam, theta, "minus", p2)
+    blocks = double_row_blocks(lam, theta, "minus", p2)
+    dt = sos._d_tilde(lam, theta, p2, blocks)
     d_co = sinh(zb + lam + eta) / sinh(zb - lam - eta)
     a_co = np.array(
         [
@@ -120,14 +131,14 @@ def test_generalized_transfer_via_modified_d(p2):
     )
     t_via = d_co * dt + a_co[:, None] * blocks["A"]
     out = np.zeros_like(t_via)
-    for s, idx in sos.sector_indices(p2.N).items():
+    for s, idx in sector_indices(p2.N).items():
         kt = sos.tilde_k2(-lam - eta, theta + zb - eta * s, zb, eta)
         block = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
         out[:, idx] = block[:, idx]
     assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
 
 
-def test_transfer_gauge_identity(constrained2):
+def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices):
     """T_XXZ conjugated by the gauge row equals the dressed height trace."""
     p = constrained2
     lam = 0.21 + 0.12j
@@ -139,42 +150,62 @@ def test_transfer_gauge_identity(constrained2):
     s_inv = (lambda c: sos.gauge_s2_inv(-lam, theta + p.eta * c, p.tau, p.eps_pole), (vx.AUX,),
              [(l, -1) for l in vx.site_legs(p.N)])
     w = (
-        tn.apply_gate(np.eye(2 ** (p.N + 1)), legs, vx.k2(lam, "plus", p), (vx.AUX,))
+        tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,))])
         @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)])
         @ tn.product(legs, sos.dyn_double_row_gates(lam, theta, "minus", p))
         @ tn.product(legs, [s_inv])
     )
-    trace = tn.partial_trace(w, legs, vx.AUX)
+    trace = aux_trace(w)
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10
     # on the constrained sector the dressed trace is the height transfer matrix
-    idx = sos.sector_indices(p.N)[0]
+    idx = sector_indices(p.N)[0]
     ts = sos.sos_transfer(lam, theta, "SOS1", p)
     diff = trace[np.ix_(idx, idx)] - ts[np.ix_(idx, idx)]
     assert np.max(np.abs(diff)) / np.max(np.abs(ts[np.ix_(idx, idx)])) < 1e-10
 
 
+def gauge_coefficient_matrix(lam, s, shift, p):
+    """S^{-1}(-lam; th - eta s) K_+(lam) S(lam; th - eta (s + shift)) with th = delta - zeta.
+
+    The off-diagonal entries of this 2x2 matrix must vanish (shift = -2 for
+    the B coefficient, +2 for the C one) when the boundary constraints hold.
+    """
+    th = p.delta - p.zeta
+    sinv = sos.gauge_s2_inv(-lam, th - p.eta * s, p.tau, p.eps_pole)
+    sm = sos.gauge_s2(lam, th - p.eta * (s + shift), p.tau, p.eps_pole)
+    return sinv @ vx.k2(lam, "plus", p) @ sm
+
+
 def test_gauge_coefficients_vanish_under_constraints(constrained2):
     p = constrained2
     lam = 0.21 + 0.12j
-    m_b = sos.gauge_coefficient_matrix(lam, 0, -2, p)
-    m_c = sos.gauge_coefficient_matrix(lam, 0, +2, p)
+    m_b = gauge_coefficient_matrix(lam, 0, -2, p)
+    m_c = gauge_coefficient_matrix(lam, 0, +2, p)
     scale = max(tn.max_abs(m_b), tn.max_abs(m_c))
     assert abs(m_b[1, 0]) < 1e-10 * scale
     assert abs(m_c[0, 1]) < 1e-10 * scale
 
 
-def test_require_constraints(p2, constrained2):
-    with pytest.raises(ConstraintViolated):
-        sos.require_constraints(p2, 0)
-    sos.require_constraints(constrained2, 0)
+def constraint_residuals(p, s):
+    """Residuals of the two boundary constraints at sector s."""
+    lhs = cosh(p.delta_bar - p.zeta_bar)
+    base = p.delta - p.zeta - p.eta * s
+    r1 = abs(lhs - cosh(base + p.tau_bar - p.tau - p.eta))
+    r2 = abs(lhs - cosh(base - p.tau_bar + p.tau + p.eta))
+    return float(r1), float(r2)
 
 
-def test_sos_transfer_commutes_on_sector(constrained2):
+def test_constraints_hold_only_where_imposed(p2, constrained2):
+    assert max(constraint_residuals(p2, 0)) > 1e-10
+    assert max(constraint_residuals(constrained2, 0)) < 1e-10
+
+
+def test_sos_transfer_commutes_on_sector(constrained2, sector_indices):
     p = constrained2
     theta = p.delta - p.zeta
     t1 = sos.sos_transfer(0.21 + 0.12j, theta, "SOS1", p)
     t2 = sos.sos_transfer(-0.31 + 0.24j, theta, "SOS1", p)
-    idx = sos.sector_indices(p.N)[0]
+    idx = sector_indices(p.N)[0]
     a = t1[np.ix_(idx, idx)]
     b = t2[np.ix_(idx, idx)]
     assert tn.max_abs(a @ b - b @ a) / tn.max_abs(a @ b) < 1e-9
@@ -195,14 +226,14 @@ def test_isomorphism_operator_level(n):
     assert sos.isomorphism_residual(0.21 + 0.12j, 0.63 + 0.29j, p) < 1e-10
 
 
-def test_isomorphism_block_form(p2, dense_symmetry):
+def test_isomorphism_block_form(p2, dense_symmetry, double_row_blocks):
     lam = 0.21 + 0.12j
     theta = p2.delta_bar - p2.zeta_bar
-    cp = sos.double_row_blocks(lam, theta, "plus", p2)["C"]
+    cp = double_row_blocks(lam, theta, "plus", p2)["C"]
     mapped = p2.replace(
         delta=p2.delta_bar, zeta=p2.zeta_bar, xi=tuple(-x for x in reversed(p2.xi))
     )
-    bm = sos.double_row_blocks(-lam - p2.eta, theta, "minus", mapped)["B"]
+    bm = double_row_blocks(-lam - p2.eta, theta, "minus", mapped)["B"]
     gy, perm = dense_symmetry(tn.SY, p2.N)
     assert tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy) < 1e-10
 
@@ -275,8 +306,25 @@ def test_block_string_matches_matrix_block(side, p3):
     lam, theta = 0.21 + 0.12j, 0.63 + 0.29j
     rng = np.random.default_rng(4)
     v = rng.normal(size=2**p3.N) + 1j * rng.normal(size=2**p3.N)
-    blocks = sos.double_row_blocks(lam, theta, side, p3)
+    u = tn.product(vx.chain_legs(p3.N), sos.dyn_double_row_gates(lam, theta, side, p3))
+    u = u.reshape(2, 2**p3.N, 2, 2**p3.N)
+    blocks = {name: u[r, :, c] for name, (r, c) in sos._BLOCK_INDEX[side].items()}
     for name in "ABCD":
         string = sos.block_column(lam, theta, side, name, p3, v)[0]
         expect = blocks[name] @ v
         assert np.max(np.abs(string - expect)) < 1e-13 * np.max(np.abs(expect)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks):
+    # the traced gate list against k_00 A + k_11 D from the block strings
+    p = generic_params(n)
+    theta = 0.63 + 0.29j
+    for mu in sample_points(np.random.default_rng(n), p, 2):
+        for which, side, kt in (
+            ("SOS1", "minus", sos.tilde_k2(-mu - p.eta, p.delta_bar, p.zeta_bar, p.eta)),
+            ("SOS2", "plus", sos.tilde_k2(mu, p.delta, p.zeta, p.eta)),
+        ):
+            blocks = double_row_blocks(mu, theta, side, p)
+            expect = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
+            assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p), expect) < 1e-15

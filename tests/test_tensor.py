@@ -62,7 +62,7 @@ def gate_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(gate_cases())
-def test_apply_gate_matches_kron_permutation_oracle(case):
+def test_one_gate_product_matches_kron_permutation_oracle(case):
     legs, on, charge, seed, cols = case
     rng = np.random.default_rng(seed)
     d, dk = 2 ** len(legs), 2 ** len(on)
@@ -70,7 +70,7 @@ def test_apply_gate_matches_kron_permutation_oracle(case):
     block = (lambda c: blocks[c]) if charge else blocks[0]
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.apply_gate(x, legs, block, on, charge)
+    got = tn.product(legs, [(block, on, charge)], x)
     assert got.shape == x.shape
     expect = embed_oracle(block, legs, on, charge) @ x
     assert np.max(np.abs(got - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
@@ -91,6 +91,16 @@ def gate_lists(draw):
     return legs, gates, seed, cols
 
 
+def random_gates(rng, drawn):
+    """Gates of random blocks on the drawn legs; a dynamical one draws a block per charge."""
+    gates = []
+    for on, charge, dynamical in drawn:
+        dk = 2 ** len(on)
+        blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
+        gates.append(((lambda c, b=blocks: b[c]) if dynamical else blocks[0], on, charge))
+    return gates
+
+
 @settings(max_examples=60, deadline=None)
 @given(gate_lists())
 def test_product_matches_one_gate_oracle(case):
@@ -98,11 +108,7 @@ def test_product_matches_one_gate_oracle(case):
     # a static block ignores its charge legs
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
-    gates = []
-    for on, charge, dynamical in drawn:
-        dk = 2 ** len(on)
-        blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
-        gates.append(((lambda c, b=blocks: b[c]) if dynamical else blocks[0], on, charge))
+    gates = random_gates(rng, drawn)
     d = 2 ** len(legs)
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -114,16 +120,16 @@ def test_product_matches_one_gate_oracle(case):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-def test_apply_gate_rejects_charge_on_gate_leg():
+def test_product_rejects_charge_on_gate_leg():
     with pytest.raises(ValueError):
-        tn.apply_gate(np.eye(4), ("a", "b"), lambda c: np.eye(2), ("a",), [("a", 1)])
+        tn.product(("a", "b"), [(lambda c: np.eye(2), ("a",), [("a", 1)])])
 
 
 def test_tensor_product_identities():
     legs = ("a", "b")
-    i4 = tn.apply_gate(np.eye(4), legs, tn.ID2, ("a",))
+    i4 = tn.product(legs, [(tn.ID2, ("a",))])
     assert np.allclose(i4, np.eye(4))
-    zi = tn.apply_gate(np.eye(4), legs, tn.SZ, ("a",))
+    zi = tn.product(legs, [(tn.SZ, ("a",))])
     assert zi[0, 0] == 1
     assert zi[2, 2] == -1
 
@@ -140,7 +146,7 @@ def test_mixed_product_property(a, b, c, d):
 
 def test_embed_single_site():
     full = ("s1", "s2")
-    e = tn.apply_gate(np.eye(4), full, tn.SX, ("s1",))
+    e = tn.product(full, [(tn.SX, ("s1",))])
     assert np.allclose(e, np.kron(tn.SX, np.eye(2)))
     assert np.allclose(e, embed_oracle(tn.SX, full, ("s1",)))
 
@@ -159,7 +165,7 @@ def test_embed_middle_leg_permutation_oracle():
     rng = np.random.default_rng(1)
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     full = ("a", "s1", "s2")
-    emb = tn.apply_gate(np.eye(8), full, r, ("a", "s2"))
+    emb = tn.product(full, [(r, ("a", "s2"))])
     perm = np.eye(8)[[0, 2, 1, 3, 4, 6, 5, 7]]  # swap the two site legs
     assert np.allclose(emb, perm @ np.kron(r, np.eye(2)) @ perm)
     assert np.allclose(emb, embed_oracle(r, full, ("a", "s2")))
@@ -167,9 +173,9 @@ def test_embed_middle_leg_permutation_oracle():
 
 def test_embed_unknown_leg():
     with pytest.raises(UnknownLeg):
-        tn.apply_gate(np.eye(4), ("s1", "s2"), tn.SX, ("q",))
+        tn.product(("s1", "s2"), [(tn.SX, ("q",))])
     with pytest.raises(UnknownLeg):
-        tn.apply_gate(np.eye(4), ("s1", "s2"), lambda c: tn.SX, ("s1",), [("q", 1)])
+        tn.product(("s1", "s2"), [(lambda c: tn.SX, ("s1",), [("q", 1)])])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -177,7 +183,7 @@ def test_embed_preserves_spectrum(n):
     rng = np.random.default_rng(2)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     full = tuple(f"s{i}" for i in range(n))
-    emb = tn.apply_gate(np.eye(2**n), full, m, ("s0",))
+    emb = tn.product(full, [(m, ("s0",))])
     small = np.sort_complex(np.linalg.eigvals(m))
     big = np.sort_complex(np.linalg.eigvals(emb))
     expect = np.sort_complex(np.repeat(small, 2 ** (n - 1)))
@@ -192,24 +198,41 @@ def test_partial_transpose_involution():
     assert np.array_equal(twice, op)
 
 
-def test_partial_trace_identity_and_product():
-    i4 = np.eye(4, dtype=complex)
-    tr = tn.partial_trace(i4, ("a", "b"), "a")
-    assert np.allclose(tr, 2 * np.eye(2))
+def test_traced_product_identity_and_kron():
+    legs = ("a", "b")
+    assert np.array_equal(tn.traced_product(legs, []), 2 * np.eye(2))
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    prod = np.kron(a, b)
-    tr = tn.partial_trace(prod, ("a", "b"), "a")
+    tr = tn.traced_product(legs, [(np.kron(a, b), legs)])
     assert tn.max_abs(tr - np.trace(a) * b) < 1e-13
 
 
-def test_partial_trace_transpose_invariant():
+@settings(max_examples=40, deadline=None)
+@given(gate_lists())
+def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
+    # the default identity gives the oracle bit for bit; a vector or a
+    # block of columns gives the oracle times it
+    legs, drawn, seed, cols = case
+    rng = np.random.default_rng(seed)
+    gates = random_gates(rng, drawn)
+    whole = aux_trace(tn.product(legs, gates))
+    assert np.array_equal(tn.traced_product(legs, gates), whole)
+    d = 2 ** (len(legs) - 1)
+    shape = (d,) if cols is None else (d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = tn.traced_product(legs, gates, x)
+    expect = whole @ x
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_traced_product_transpose_invariant():
     rng = np.random.default_rng(5)
     legs = ("a", "b", "c")
     op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    direct = tn.partial_trace(op, legs, "b")
-    via = tn.partial_trace(tn.partial_transpose(op, legs, "b"), legs, "b")
+    direct = tn.traced_product(legs, [(op, legs)])
+    via = tn.traced_product(legs, [(tn.partial_transpose(op, legs, "a"), legs)])
     assert tn.max_abs(direct - via) < 1e-14
 
 
@@ -218,7 +241,7 @@ def test_partial_ops_unknown_leg():
     with pytest.raises(UnknownLeg):
         tn.partial_transpose(op, ("a", "b"), "q")
     with pytest.raises(UnknownLeg):
-        tn.partial_trace(op, ("a", "b"), "q")
+        tn.traced_product(("a", "b"), [(tn.SX, ("q",))])
 
 
 def test_charge_resolved_matches_column_diag():
@@ -226,10 +249,10 @@ def test_charge_resolved_matches_column_diag():
     full = ("a", "s1", "s2")
     vals = tn.sz_sum(full, ("s1", "s2"))
     charge = [("s1", 1), ("s2", 1)]
-    built = tn.apply_gate(np.eye(8), full, lambda c: np.eye(2) * complex(c), ("a",), charge)
+    built = tn.product(full, [(lambda c: np.eye(2) * complex(c), ("a",), charge)])
     assert np.allclose(built, np.diag(vals.astype(complex)))
     block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
-    built = tn.apply_gate(np.eye(8), full, block, ("a",), charge)
+    built = tn.product(full, [(block, ("a",), charge)])
     assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
 
 
@@ -261,7 +284,7 @@ def test_charge_table_of_a_gate_listing_one_leg_twice():
     assert (values == expect_values).all() and (which == expect_which).all()
     full = ("a", "s1", "s2")
     block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
-    built = tn.apply_gate(np.eye(8), full, block, ("a",), charge)
+    built = tn.product(full, [(block, ("a",), charge)])
     assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
 
 

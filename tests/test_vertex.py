@@ -10,13 +10,17 @@ from sosxxz.errors import DegenerateParameter, NotHomogeneous
 from sosxxz.params import generic_params, sample_points
 
 
+# permutation operator on C^2 x C^2: P |a b> = |b a>
+PERM4 = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
 def test_r_matrix_entries(p2):
     lam = 0.31 + 0.17j
     r = vx.r4(lam, p2.eta)
     assert r[0, 0] == sinh(lam + p2.eta)
     assert r[1, 1] == sinh(lam)
     assert r[1, 2] == sinh(p2.eta)
-    assert tn.rel_residual(vx.r4(0, p2.eta), sinh(p2.eta) * tn.PERM4) < 1e-15
+    assert tn.rel_residual(vx.r4(0, p2.eta), sinh(p2.eta) * PERM4) < 1e-15
 
 
 def test_r_matrix_symmetric(p2):
@@ -51,11 +55,9 @@ def test_k_reflection_equation(p2):
 
 
 def test_bulk_monodromy_initial_condition():
-    from sosxxz.params import generic_params
-
     p = generic_params(1)
-    t = vx.bulk_monodromy(p.xi[0], p)
-    expected = sinh(p.eta) * tn.PERM4
+    t = tn.product(vx.chain_legs(1), vx.monodromy_gates(p.xi[0], p))
+    expected = sinh(p.eta) * PERM4
     assert tn.rel_residual(t, expected) < 1e-14
 
 
@@ -68,21 +70,30 @@ def test_yang_baxter_algebra(p2):
     assert tn.rel_residual(tn.product(legs, r12 + t1 + t2), tn.product(legs, t2 + t1 + r12)) < 1e-11
 
 
+def monodromy(lam, p, hatted=False):
+    return tn.product(vx.chain_legs(p.N), vx.monodromy_gates(lam, p, hatted))
+
+
+def hat_monodromy_via_inverse(lam, p):
+    """That_0(lam) in its inverse form gamma_hat(lam) T_0(-lam)^{-1}."""
+    return vx.gamma_hat(lam, p) * np.linalg.inv(monodromy(-lam, p))
+
+
 def test_hat_monodromy_two_paths(p2):
     lam = 0.31 + 0.17j
-    direct = vx.hat_monodromy(lam, p2)
-    inverse = vx.hat_monodromy(lam, p2, via_inverse=True)
+    direct = monodromy(lam, p2, hatted=True)
+    inverse = hat_monodromy_via_inverse(lam, p2)
     assert tn.rel_residual(direct, inverse) < 1e-11
-    prod = direct @ vx.bulk_monodromy(-lam, p2)
+    prod = direct @ monodromy(-lam, p2)
     assert tn.rel_residual(prod, vx.gamma_hat(lam, p2) * np.eye(len(direct))) < 1e-11
 
 
 def test_double_row_two_path_consistency(p2):
     lam = 0.27 - 0.19j
     legs = vx.chain_legs(p2.N)
-    u_direct = vx.double_row(lam, "minus", p2)
-    that = vx.hat_monodromy(lam, p2, via_inverse=True)
-    u_inverse = vx.bulk_monodromy(lam, p2) @ tn.apply_gate(that, legs, vx.k2(lam, "minus", p2), (vx.AUX,))
+    u_direct = tn.product(legs, vx.double_row_gates(lam, "minus", p2))
+    k_that = tn.product(legs, [(vx.k2(lam, "minus", p2), (vx.AUX,))], hat_monodromy_via_inverse(lam, p2))
+    u_inverse = monodromy(lam, p2) @ k_that
     assert tn.rel_residual(u_direct, u_inverse) < 1e-10
 
 
@@ -99,7 +110,7 @@ def test_diagonal_boundary_annihilates_reference(p2):
     c_block = u[d:, :d]
     v0 = tn.all_up(p2.N)
     assert np.max(np.abs(c_block @ v0)) < 1e-12 * tn.max_abs(c_block)
-    u_gen = vx.double_row(lam, "minus", p2)
+    u_gen = tn.product(legs, vx.double_row_gates(lam, "minus", p2))
     c_gen = u_gen[d:, :d]
     assert np.max(np.abs(c_gen @ v0)) > 1e-6 * tn.max_abs(c_gen)
 
@@ -150,6 +161,38 @@ def test_transfer_spectrum_symmetric_in_inhomogeneities(p2):
     assert np.max(np.abs(e1 - e2)) / np.max(np.abs(e1)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_transfer_xxz_is_trace_of_whole_product(n, aux_trace):
+    # with no x, the traced gate lists read the trace of the whole product bit for bit
+    p = generic_params(n)
+    legs = vx.chain_legs(n)
+    for lam in sample_points(np.random.default_rng(n), p, 2):
+        whole = tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,)), *vx.double_row_gates(lam, "minus", p)])
+        assert np.array_equal(vx.transfer_xxz(lam, p), aux_trace(whole))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transfer_matrices_on_a_block_match_dense(n):
+    """Each transfer matrix applied to a (2^N, k) block, or to one vector,
+    equals the dense matrix times it."""
+    p = generic_params(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    homogeneous = p.replace(xi=(0,) * n)
+    mu = sample_points(rng, p, 1)[0]
+    theta = 0.63 + 0.29j
+    transfers = [
+        lambda y=None: vx.transfer_xxz(mu, p, y),
+        lambda y=None: vx.transfer_derivative_at_zero(homogeneous, y),
+        lambda y=None: sos.sos_transfer(mu, theta, "SOS1", p, y),
+        lambda y=None: sos.sos_transfer(mu, theta, "SOS2", p, y),
+    ]
+    for transfer in transfers:
+        dense = transfer()
+        for y in (x, x[:, 0]):
+            assert tn.rel_residual(transfer(y), dense @ y) < 1e-13
+
+
 def _match_spectra(a, b):
     a = sorted(a, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     b = sorted(b, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
@@ -165,8 +208,6 @@ def test_hamiltonian_spectrum_symmetric_in_boundary_swap(p2):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hamiltonian_reconstruction(n):
-    from sosxxz.params import generic_params
-
     p = generic_params(n).replace(xi=(0,) * n)
     h_cand, kappa = vx.hamiltonian(p)
     h_dir = vx.hamiltonian_direct(p)
@@ -210,7 +251,7 @@ def test_hamiltonian_build_twice_determinism(p2):
     assert tn.max_abs(h1 - total) < 1e-13
 
 
-@pytest.mark.parametrize("check", vx.VERTEX_CHECKS)
+@pytest.mark.parametrize("check", tuple(vx.VERTEX_RESIDUALS))
 def test_vertex_identity_suite(check, p2):
     res = vx.vertex_identity_suite(check, p2, seed=7, trials=5)
     assert res < 1e-10, (check, res)
