@@ -244,24 +244,27 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
         v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
         states.append((psi, v, [bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus]))
     psis, vs, lams = zip(*states)
-    worst = {"sos": [0.0] * len(sols), "vertex": [0.0] * len(sols)}
     # each transfer matrix acts on all states at once, stacked as columns
+    psi = np.stack(psis, axis=1)
+    v = np.stack(vs, axis=1) if constrained else None
+    lam = np.array(lams)
+
+    def residuals(tx, x, j):
+        return np.linalg.norm(tx - x * lam[:, j], axis=0) / (np.linalg.norm(x, axis=0) * np.abs(lam[:, j]))
+
+    sos_worst = np.zeros(len(sols))
+    vertex_worst = np.zeros(len(sols))
     for j, mu in enumerate(mus):
-        applied = [("sos", psis, sos.sos_transfer(mu, theta, spec.sos_kind, p, np.stack(psis, axis=1)))]
+        sos_worst = np.maximum(sos_worst, residuals(sos.sos_transfer(mu, theta, spec.sos_kind, p, psi), psi, j))
         if constrained:
-            applied.append(("vertex", vs, vx.transfer_xxz(mu, p, np.stack(vs, axis=1))))
-        for name, vecs, tx in applied:
-            for i, v in enumerate(vecs):
-                lam = lams[i][j]
-                r = float(np.linalg.norm(tx[:, i] - lam * v) / (np.linalg.norm(v) * abs(lam)))
-                worst[name][i] = max(worst[name][i], r)
+            vertex_worst = np.maximum(vertex_worst, residuals(vx.transfer_xxz(mu, p, v), v, j))
     rows = []
     results = []
     for i, sol in enumerate(sols):
         rows.append(_row(f"bethe.{branch}.{i}.equation", digest, max(sol.residuals), tol_b))
-        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", digest, worst["sos"][i], tol_eig))
+        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", digest, sos_worst[i], tol_eig))
         if constrained:
-            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", digest, worst["vertex"][i], tol_eig))
+            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", digest, vertex_worst[i], tol_eig))
         results.append(
             {
                 "roots": [_c2pair(z) for z in sol.roots],

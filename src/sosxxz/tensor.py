@@ -72,8 +72,12 @@ def transpose_first4(matrix: np.ndarray) -> np.ndarray:
 def leg_sz(full_legs: Sequence[str], leg: str) -> np.ndarray:
     """Per-basis-state sigma^z value (+1/-1) of one leg."""
     full_legs = tuple(full_legs)
-    n, i = len(full_legs), _leg_index(full_legs, leg)
-    return 1 - 2 * ((np.arange(2**n) >> (n - 1 - i)) & 1)
+    if leg not in full_legs:
+        raise UnknownLeg(f"leg {leg!r} absent from {full_legs}")
+    n = len(full_legs)
+    i = full_legs.index(leg)
+    idx = np.arange(2**n)
+    return 1 - 2 * ((idx >> (n - 1 - i)) & 1)
 
 
 def sz_sum(full_legs: Sequence[str], legs: Sequence[str]) -> np.ndarray:

@@ -213,9 +213,8 @@ def hamiltonian_direct(p: ModelParams) -> np.ndarray:
     return tn.require_finite(h)
 
 
-def transfer_derivative_at_zero(p: ModelParams, x: np.ndarray | None = None) -> np.ndarray:
-    """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain),
-    applied to ``x`` (default: the matrix itself).
+def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
+    """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain).
 
     Each factor of tr_0 { K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10} } is
     differentiated analytically; each term is a traced gate list.
@@ -231,7 +230,7 @@ def transfer_derivative_at_zero(p: ModelParams, x: np.ndarray | None = None) -> 
     pairs += [(r4(0, p.eta), dr4(0, p.eta), (f"s{k}", AUX)) for k in reversed(range(1, N + 1))]
 
     return sum(
-        tn.traced_product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)], x)
+        tn.traced_product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)])
         for j in range(len(pairs))
     )
 

@@ -240,8 +240,6 @@ def test_partial_ops_unknown_leg():
     op = np.eye(4, dtype=complex)
     with pytest.raises(UnknownLeg):
         tn.partial_transpose(op, ("a", "b"), "q")
-    with pytest.raises(UnknownLeg):
-        tn.traced_product(("a", "b"), [(tn.SX, ("q",))])
 
 
 def test_charge_resolved_matches_column_diag():

@@ -178,12 +178,10 @@ def test_transfer_matrices_on_a_block_match_dense(n):
     p = generic_params(n)
     rng = np.random.default_rng(n)
     x = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-    homogeneous = p.replace(xi=(0,) * n)
     mu = sample_points(rng, p, 1)[0]
     theta = 0.63 + 0.29j
     transfers = [
         lambda y=None: vx.transfer_xxz(mu, p, y),
-        lambda y=None: vx.transfer_derivative_at_zero(homogeneous, y),
         lambda y=None: sos.sos_transfer(mu, theta, "SOS1", p, y),
         lambda y=None: sos.sos_transfer(mu, theta, "SOS2", p, y),
     ]
