@@ -151,30 +151,49 @@ def _log_mismatch(branch: str, roots: np.ndarray, p: ModelParams) -> tuple[np.nd
     return f, ok
 
 
-def _coth(x: np.ndarray) -> np.ndarray:
-    return 1 / np.tanh(x)
+def _coth(neg: np.ndarray, w: np.ndarray, w_inv: np.ndarray) -> np.ndarray:
+    """coth u from w = e^u and w_inv = e^-u, where ``neg`` marks Re u <= 0.
+
+    coth u = 1 + 2 / (w^2 - 1) = -1 - 2 / (w_inv^2 - 1): each entry squares
+    the exponential inside the unit disc, so no square overflows, and coth
+    reads -1 or +1 where that exponential underflows.
+    """
+    v = np.where(neg, w, w_inv)
+    c = 2 / (v * v - 1)
+    return np.where(neg, 1 + c, -1 - c)
 
 
 def _jacobian(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
-    """d mismatch_i / d lam_k for an (S, M) array of starts, shape (S, M, M)."""
+    """d mismatch_i / d lam_k for an (S, M) array of starts, shape (S, M, M).
+
+    Every coth argument is a sum of two of x = (lam, -lam - eta) and the
+    constants, so its exponential is a product of exponentials taken once
+    per root and once per constant: O(S M) transcendentals, not O(S M (M + N)).
+    """
     d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
     eta = p.eta
     diag = np.arange(roots.shape[1])
-    x = np.stack([roots, -roots - eta])
-    col = x[..., None]
-    others = roots[None, :, None, :]
     xis = np.asarray(p.xi, dtype=complex)
+    # y(x) has the factors sinh(x + c) with c = z, db, xi + eta, -xi + eta, and
+    # sinh(x - c) with c = d, zb, whose log-derivatives are coth(x + c) and coth(x - c)
+    consts = np.concatenate([[z, -d, -zb, db], xis + eta, -xis + eta])
+    x = np.stack([roots, -roots - eta])
     with np.errstate(all="ignore"):
-        plus = _coth(col + others)
-        minus = _coth(col - others - eta)
-        plus[..., diag, diag] = 0
-        minus[..., diag, diag] = 0
-        # d/dx log y(x) at both arguments, holding the other roots fixed
-        dlog = (
-            _coth(z + x) - _coth(d - x) - _coth(zb - x) + _coth(db + x)
-            + (plus + minus).sum(axis=-1)
-            + (_coth(col + xis + eta) + _coth(col - xis + eta)).sum(axis=-1)
+        e = np.exp(x)
+        e_inv = e[::-1] * np.exp(eta)  # e^-lam = e^(-lam-eta) e^eta, and back
+        re = x.real
+        # pair[a, b, s, i, k] = coth(x_a[s, i] + x_b[s, k]): b = 0 is the factor
+        # sinh(x + lam_k) of y, b = 1 the factor sinh(x - lam_k - eta)
+        pair = _coth(
+            re[:, None, :, :, None] + re[None, :, :, None, :] <= 0,
+            e[:, None, :, :, None] * e[None, :, :, None, :],
+            e_inv[:, None, :, :, None] * e_inv[None, :, :, None, :],
         )
+        pair[..., diag, diag] = 0
+        plus, minus = pair[:, 0], pair[:, 1]
+        fixed = _coth(re[..., None] + consts.real <= 0, e[..., None] * np.exp(consts), e_inv[..., None] * np.exp(-consts))
+        # d/dx log y(x) at both arguments, holding the other roots fixed
+        dlog = fixed.sum(axis=-1) + (plus + minus).sum(axis=-1)
     jac = (plus[0] - minus[0]) - (plus[1] - minus[1])
     jac[:, diag, diag] = dlog[0] + dlog[1]
     return jac
@@ -271,14 +290,10 @@ def _start_grid(m: int, rng: np.random.Generator, eta: complex) -> list[np.ndarr
     ims = np.linspace(-pi / 2 + 0.12, pi / 2, 7)
     singles = [complex(r, i) for r in res for i in ims if abs(sinh(2 * complex(r, i) + eta)) > 1e-3]
     rng.shuffle(singles)
-    starts = []
     if m == 1:
-        starts = [np.array([z]) for z in singles]
-    else:
-        for _ in range(N_STARTS * 4):
-            pick = rng.choice(len(singles), size=m, replace=False)
-            starts.append(np.array([singles[int(k)] for k in pick]))
-    return starts[:N_STARTS]
+        return [np.array([z]) for z in singles[:N_STARTS]]
+    picks = (rng.choice(len(singles), size=m, replace=False) for _ in range(N_STARTS))
+    return [np.array([singles[int(k)] for k in pick]) for pick in picks]
 
 
 def find_bethe_solutions(
@@ -415,18 +430,27 @@ def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndar
 
 
 def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Vertex-picture eigenstate: the gauge row applied to the family's
-    Bethe state ``psi`` (``bethe_state``).
+    """Vertex-picture eigenstates: the gauge row applied, as a gate list, to
+    the family's Bethe state ``psi`` (``bethe_state``), a (2^N,) vector or
+    a (2^N, m) block of states as columns.
 
     The minus families use S_-({xi}; theta, tau); the plus families
-    S_+({xi}; theta_bar, tau_bar).
+    S_+({xi}; theta_bar, tau_bar).  Each column must keep a norm above
+    1e-12 times its input norm and the row's scale (NullState otherwise).
+    An entry of the row is a product of one entry per site gate, so the
+    scale is the product over gates of the largest entry over the charges
+    that gate meets: a bound on the row's largest entry without the row.
     """
     side = BRANCHES[branch].side
     theta = branch_theta(branch, p)
     omega = p.tau if side == "minus" else p.tau_bar
-    row = sos.gauge_row(theta, omega, side, p)
-    v = row @ psi
-    if np.linalg.norm(v) <= 1e-12 * np.linalg.norm(psi) * max(tn.max_abs(row), 1.0):
+    gates = sos.gauge_row_gates(theta, omega, side, p)
+    v = tn.product(vx.site_legs(p.N), gates, psi)
+    scale = 1.0
+    for block, _, charge in gates:
+        values, _ = tn.charge_table(tuple(w for _, w in charge))
+        scale *= max(tn.max_abs(block(int(c))) for c in values)
+    if np.any(np.linalg.norm(v, axis=0) <= 1e-12 * np.linalg.norm(psi, axis=0) * max(scale, 1.0)):
         raise NullState("vertex image collapsed below the norm floor")
     return v
 

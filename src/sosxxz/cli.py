@@ -42,8 +42,9 @@ DENSE_ENTRIES = {
     # probe block over two auxiliary legs and the sites; no dynamical gate's
     # stack (at most 2^N 4 x 4 blocks) or two-group block string is larger
     "verify": lambda n: 2 ** (n + 5),
-    # bethe applies both transfer matrices to its few states and builds at
-    # most the 2^N-square gauge row, but keeps the bound of spectrum
+    # bethe applies the gauge row and both transfer matrices to its few
+    # stacked states as gate lists and builds no square matrix, but keeps
+    # the bound of spectrum, so the two commands refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
     "spectrum": lambda n: 4 ** (n + 1),
     # the block string acts on a vector over the auxiliary leg and the sites;
@@ -238,15 +239,13 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     mus = sample_points(rng, p, 3)
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
-    states = []
+    psis, lams = [], []
     for sol in sols:
-        psi = bt.bethe_state(branch, sol, p)
-        v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
-        states.append((psi, v, [bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus]))
-    psis, vs, lams = zip(*states)
-    # each transfer matrix acts on all states at once, stacked as columns
+        psis.append(bt.bethe_state(branch, sol, p))
+        lams.append([bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus])
+    # the gauge row and each transfer matrix act on all states at once, stacked as columns
     psi = np.stack(psis, axis=1)
-    v = np.stack(vs, axis=1) if constrained else None
+    v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
     lam = np.array(lams)
 
     def residuals(tx, x, j):

@@ -268,11 +268,6 @@ def gauge_row_gates(
     return [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))]
 
 
-def gauge_row(theta: complex, omega: complex, side: str, p: ModelParams) -> np.ndarray:
-    """Gauge row S_-({xi}; theta) or S_+({xi}; theta) on the sites (see ``gauge_row_gates``)."""
-    return tn.product(site_legs(p.N), gauge_row_gates(theta, omega, side, p))
-
-
 def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
     """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
     S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""

@@ -111,6 +111,30 @@ def double_row_blocks():
     return _double_row_blocks
 
 
+def _gauge_row(theta, omega, side, p):
+    """The dense gauge row S_-({xi}; theta) or S_+({xi}; theta) on the sites,
+    entry by entry: entry (out, in) is the product over sites k of
+    S(xi_k; theta + eta c_k)[out_k, in_k], with c_k = -sum_{i>k} sz_i
+    ("minus") or +sum_{i<k} sz_i ("plus") of the input configuration, which
+    every factor reads before the factors that act on those sites."""
+    n, d = p.N, 2**p.N
+    bits = (np.arange(d)[:, None] >> (n - 1 - np.arange(n))) & 1
+    sz = 1 - 2 * bits
+    row = np.ones((d, d), dtype=complex)
+    for k in range(n):
+        charge = -sz[:, k + 1 :].sum(axis=1) if side == "minus" else sz[:, :k].sum(axis=1)
+        for col in range(d):
+            s = sos.gauge_s2(p.xi[k], theta + p.eta * int(charge[col]), omega, p.eps_pole)
+            row[:, col] *= s[bits[:, k], bits[col, k]]
+    return row
+
+
+@pytest.fixture(scope="session")
+def gauge_row():
+    """``(theta, omega, side, p) -> S``: the dense oracle of ``sos.gauge_row_gates``."""
+    return _gauge_row
+
+
 def _aux_trace(m):
     """np.trace of a dense 2d-square matrix over its first (auxiliary) leg."""
     d = len(m) // 2

@@ -5,6 +5,7 @@ import pytest
 
 from sosxxz import bethe as bt
 from sosxxz import sos
+from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.errors import BadSector, ConfigError, DegenerateParameter, NullState
 from sosxxz.params import generic_params, sample_points
@@ -165,7 +166,7 @@ def test_minus_and_plus_families_build_the_same_states(constrained2):
     assert abs(overlap) < 1e-8
 
 
-def test_plus_family_gauge_binding(constrained3):
+def test_plus_family_gauge_binding(constrained3, gauge_row):
     """At s = 1 the two dynamical parameters differ; only the barred pair
     (theta_bar, tau_bar) sends plus states to vertex eigenstates."""
     p = constrained3
@@ -179,9 +180,34 @@ def test_plus_family_gauge_binding(constrained3):
     good = bt.vertex_eigenstate("p1", psi, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
-    bad = sos.gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ psi
+    bad = gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ psi
     r_bad = np.linalg.norm(tv @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
     assert r_bad > 1e-3
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (5, 1)])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_vertex_image_matches_dense_gauge_row(n, s, branch, gauge_row):
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    sols = bt.find_bethe_solutions(branch, m, p, seed=0)
+    assert sols
+    psi = np.stack([bt.bethe_state(branch, sol, p) for sol in sols], axis=1)
+    side = bt.BRANCHES[branch].side
+    row = gauge_row(bt.branch_theta(branch, p), p.tau if side == "minus" else p.tau_bar, side, p)
+    block = bt.vertex_eigenstate(branch, psi, p)
+    assert tn.rel_residual(block, row @ psi) < 1e-13
+    assert tn.rel_residual(bt.vertex_eigenstate(branch, psi[:, 0], p), row @ psi[:, 0]) < 1e-13
+
+
+def test_vertex_image_of_a_zero_state_is_null(constrained3):
+    p = constrained3
+    psi = bt.bethe_state("b1", bt.find_bethe_solutions("b1", 1, p, seed=0)[0], p)
+    with pytest.raises(NullState):
+        bt.vertex_eigenstate("b1", np.zeros_like(psi), p)
+    # one zero column fails the whole block
+    with pytest.raises(NullState):
+        bt.vertex_eigenstate("b1", np.stack([psi, np.zeros_like(psi)], axis=1), p)
 
 
 def test_energy_single_root_closed_form():
@@ -270,6 +296,94 @@ def test_batched_jacobian_matches_finite_differences(branch, m):
         diff = up - down
         diff.imag = np.mod(diff.imag + np.pi, 2 * np.pi) - np.pi
         assert np.abs(jac[:, :, k] - diff / (2 * h)).max() < 1e-6 * max(np.abs(jac).max(), 1.0)
+
+
+def _coth_jacobian(branch, roots, p):
+    """The Jacobian with every coth from np.tanh of its own argument: the
+    oracle of the exponential form of ``bt._jacobian``."""
+    d, z, db, zb = bt._pars(p, bt.BRANCHES[branch].y_order)
+    eta = p.eta
+    diag = np.arange(roots.shape[1])
+    x = np.stack([roots, -roots - eta])
+    col = x[..., None]
+    others = roots[None, :, None, :]
+    xis = np.asarray(p.xi, dtype=complex)
+    with np.errstate(all="ignore"):
+        coth = lambda u: 1 / np.tanh(u)
+        plus = coth(col + others)
+        minus = coth(col - others - eta)
+        plus[..., diag, diag] = 0
+        minus[..., diag, diag] = 0
+        dlog = (
+            coth(z + x) - coth(d - x) - coth(zb - x) + coth(db + x)
+            + (plus + minus).sum(axis=-1)
+            + (coth(col + xis + eta) + coth(col - xis + eta)).sum(axis=-1)
+        )
+    jac = (plus[0] - minus[0]) - (plus[1] - minus[1])
+    jac[:, diag, diag] = dlog[0] + dlog[1]
+    return jac
+
+
+def _rel_diff(jac, oracle):
+    """Per start, the largest entry of jac - oracle relative to the oracle's
+    largest entry, floored at 1: an entry sums O(M + N) coth terms, and
+    where they cancel (a far root, whose y-factors all saturate) the
+    rounding of either form is absolute."""
+    return np.abs(jac - oracle).max(axis=(1, 2)) / np.maximum(np.abs(oracle).max(axis=(1, 2)), 1.0)
+
+
+def _far_rows(branch, m, p):
+    """Rows with one root pushed out to Re lam = +-R, for every R up to the
+    last one at which the mismatch is still finite and nonzero."""
+    rows = []
+    base = _random_roots(np.random.default_rng(7), 1, m)[0]
+    for r in np.arange(2.0, 400.0, 2.0):
+        batch = np.array([base, base])
+        batch[0, 0] = r + 0.3j
+        batch[1, -1] = -r - 0.2j
+        if not bt._log_mismatch(branch, batch, p)[1].all():
+            break
+        rows.append(batch)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+@pytest.mark.parametrize("n, s, m", [(3, 1, 1), (3, 1, 2), (4, 0, 3), (6, 2, 4)])
+def test_jacobian_matches_coth_oracle(branch, n, s, m):
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
+    random_rows = _random_roots(np.random.default_rng(n + 10 * m), 40, m)
+    far = _far_rows(branch, m, p)
+    assert np.abs(far.real).max() > 30
+    for roots in (random_rows, far):
+        jac, oracle = bt._jacobian(branch, roots, p), _coth_jacobian(branch, roots, p)
+        assert np.isfinite(oracle).all() and np.isfinite(jac).all()
+        assert (_rel_diff(jac, oracle) <= 1e-12).all()
+
+
+def test_jacobian_finite_where_coth_oracle_is():
+    # past where the mismatch overflows, the exponentials no longer square
+    # safely as (W^2 + 1) / (W^2 - 1); the oracle reads coth = +-1 there
+    p = generic_params(2)
+    roots = np.array([[400 + 0.3j, -0.2 + 0.1j], [-400 - 0.3j, 0.4 - 0.5j], [400.0, 400.1 + 0.2j]])
+    oracle = _coth_jacobian("b1", roots, p)
+    assert np.isfinite(oracle).all()
+    jac = bt._jacobian("b1", roots, p)
+    assert np.isfinite(jac).all()
+    assert (_rel_diff(jac, oracle) <= 1e-12).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_search_finds_the_same_solutions_under_the_coth_jacobian(n, branch, monkeypatch):
+    s = n % 2
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    new = bt.find_bethe_solutions(branch, m, p, seed=0)
+    monkeypatch.setattr(bt, "_jacobian", _coth_jacobian)
+    old = bt.find_bethe_solutions(branch, m, p, seed=0)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert np.abs(np.subtract(a.roots, b.roots)).max() < 1e-12
 
 
 @pytest.mark.parametrize("broken", [0.0, np.nan])

@@ -138,13 +138,13 @@ def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indic
     assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
 
 
-def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices):
+def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_row):
     """T_XXZ conjugated by the gauge row equals the dressed height trace."""
     p = constrained2
     lam = 0.21 + 0.12j
     theta = p.delta - p.zeta
     legs = vx.chain_legs(p.N)
-    srow = sos.gauge_row(theta, p.tau, "minus", p)
+    srow = gauge_row(theta, p.tau, "minus", p)
     t = vx.transfer_xxz(lam, p)
     # S_0^{-1}(-lam; theta - eta S^z) as a dynamical gate
     s_inv = (lambda c: sos.gauge_s2_inv(-lam, theta + p.eta * c, p.tau, p.eps_pole), (vx.AUX,),
