@@ -438,8 +438,9 @@ def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarra
     S_+({xi}; theta_bar, tau_bar).  Each column must keep a norm above
     1e-12 times its input norm and the row's scale (NullState otherwise).
     An entry of the row is a product of one entry per site gate, so the
-    scale is the product over gates of the largest entry over the charges
-    that gate meets: a bound on the row's largest entry without the row.
+    scale is the product over gates of the largest entry of the gate's
+    stack, one block per charge it meets: a bound on the row's largest
+    entry without the row.
     """
     side = BRANCHES[branch].side
     theta = branch_theta(branch, p)
@@ -447,9 +448,8 @@ def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarra
     gates = sos.gauge_row_gates(theta, omega, side, p)
     v = tn.product(vx.site_legs(p.N), gates, psi)
     scale = 1.0
-    for block, _, charge in gates:
-        values, _ = tn.charge_table(tuple(w for _, w in charge))
-        scale *= max(tn.max_abs(block(int(c))) for c in values)
+    for stack, _, _ in gates:
+        scale *= tn.max_abs(stack)
     if np.any(np.linalg.norm(v, axis=0) <= 1e-12 * np.linalg.norm(psi, axis=0) * max(scale, 1.0)):
         raise NullState("vertex image collapsed below the norm floor")
     return v

@@ -56,41 +56,46 @@ class ModelParams:
         return all(x == 0 for x in self.xi)
 
 
-def pole_gaps(
-    p: ModelParams,
-    lams: Sequence[complex] = (),
-    thetas: Sequence[complex] = (),
-) -> list[tuple[str, float]]:
+# the denominators of one spectral point lam, in the order _gaps lists them
+_LAM_LABELS = tuple(
+    f"{name}{sign}lam" for name in ("delta", "zeta", "delta_bar", "zeta_bar") for sign in "+-"
+) + ("2lam+eta",)
+
+
+def _gaps(p: ModelParams, lams: Sequence[complex], thetas: Sequence[complex]) -> list[float]:
     """|sinh| of every denominator the constructions can form.
 
     Covers delta +- lam, zeta +- lam (both boundaries), 2 lam + eta, and
-    theta + k eta for |k| <= N + 2.
+    theta + k eta for |k| <= N + 2; ``_gap_label`` names each by position,
+    so no label is formed unless a gap fails.
     """
-    gaps: list[tuple[str, float]] = []
+    gaps: list[float] = []
     for lam in lams:
-        for name, base in (
-            ("delta", p.delta),
-            ("zeta", p.zeta),
-            ("delta_bar", p.delta_bar),
-            ("zeta_bar", p.zeta_bar),
-        ):
-            gaps.append((f"{name}+lam", abs(sinh(base + lam))))
-            gaps.append((f"{name}-lam", abs(sinh(base - lam))))
-        gaps.append(("2lam+eta", abs(sinh(2 * lam + p.eta))))
+        for base in (p.delta, p.zeta, p.delta_bar, p.zeta_bar):
+            gaps.append(abs(sinh(base + lam)))
+            gaps.append(abs(sinh(base - lam)))
+        gaps.append(abs(sinh(2 * lam + p.eta)))
     for th in thetas:
-        for k in range(-(p.N + 2), p.N + 3):
-            gaps.append((f"theta{k:+d}eta", abs(sinh(th + k * p.eta))))
+        gaps.extend(abs(sinh(th + k * p.eta)) for k in range(-(p.N + 2), p.N + 3))
     return gaps
 
 
+def _gap_label(p: ModelParams, n_lams: int, i: int) -> str:
+    """Label of the i-th gap of ``_gaps`` for n_lams spectral points."""
+    if i < len(_LAM_LABELS) * n_lams:
+        return _LAM_LABELS[i % len(_LAM_LABELS)]
+    k = (i - len(_LAM_LABELS) * n_lams) % (2 * p.N + 5) - (p.N + 2)
+    return f"theta{k:+d}eta"
+
+
 def min_pole_gap(p: ModelParams, lams=(), thetas=()) -> float:
-    gaps = pole_gaps(p, lams, thetas)
-    return min((g for _, g in gaps), default=np.inf)
+    return min(_gaps(p, lams, thetas), default=np.inf)
 
 
 def assert_generic(p: ModelParams, lams=(), thetas=()) -> None:
-    for label, gap in pole_gaps(p, lams, thetas):
+    for i, gap in enumerate(_gaps(p, lams, thetas)):
         if gap <= p.eps_pole:
+            label = _gap_label(p, len(lams), i)
             raise DegenerateParameter(f"|sinh({label})| = {gap:.3e} <= {p.eps_pole:.1e}")
 
 

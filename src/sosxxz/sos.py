@@ -5,11 +5,16 @@ resolved per computational-basis configuration of the shift legs, read
 off the input (column) state.  For shifts involving the auxiliary space
 itself (which does not commute with the matrix it parameterizes) this
 realizes the normal ordering in which the sigma^z argument acts first.
+
+The local builders (``gauge_s2``, ``dyn_r4``, ``crossed_l4``, ...) take
+scalar or array spectral and dynamical arguments and return one block or
+a stack of blocks.  A gate list builds the stacks of all its dynamical
+gates, one block per charge each, in one call (``tn.dynamical_gates``).
 """
 
 from __future__ import annotations
 
-from cmath import exp, sinh
+from cmath import sinh
 from typing import Callable
 
 import numpy as np
@@ -25,39 +30,48 @@ from .vertex import AUX, chain_legs, site_legs
 # gauge (vertex-face) matrices
 
 
-def gauge_s2(lam: complex, theta: complex, omega: complex, eps: float = 0.0) -> np.ndarray:
-    """Local gauge matrix S(lam; theta, omega); det S = -2 e^{-omega} sinh(theta)."""
-    if abs(sinh(theta)) <= eps:
+def _arrays(lam, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral and dynamical arguments as complex arrays of one shape."""
+    return np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex))
+
+
+def _gauge_sinh(theta: np.ndarray, eps: float) -> np.ndarray:
+    st = np.sinh(theta)
+    if np.any(np.abs(st) <= eps):
         raise DegenerateParameter(f"gauge matrix singular: |sinh(theta)| <= {eps:.1e}")
-    return exp(lam / 2) * np.array(
-        [
-            [exp(-(lam + theta + omega)), exp(-(lam - theta + omega))],
-            [1.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    return st
 
 
-def gauge_s2_inv(lam: complex, theta: complex, omega: complex, eps: float = 0.0) -> np.ndarray:
-    """Closed-form inverse of the gauge matrix."""
-    if abs(sinh(theta)) <= eps:
-        raise DegenerateParameter(f"gauge matrix singular: |sinh(theta)| <= {eps:.1e}")
-    det_m = -2 * exp(-lam - omega) * sinh(theta)
-    return (exp(-lam / 2) / det_m) * np.array(
-        [
-            [1.0, -exp(-(lam - theta + omega))],
-            [-1.0, exp(-(lam + theta + omega))],
-        ],
-        dtype=complex,
-    )
+def gauge_s2(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarray:
+    """Local gauge matrix S(lam; theta, omega); det S = -2 e^{-omega} sinh(theta).
+
+    Array lam and theta (broadcast together) give a (..., 2, 2) stack.
+    """
+    lam, theta = _arrays(lam, theta)
+    _gauge_sinh(theta, eps)
+    s = np.ones(lam.shape + (2, 2), dtype=complex)
+    s[..., 0, 0] = np.exp(-(lam + theta + omega))
+    s[..., 0, 1] = np.exp(-(lam - theta + omega))
+    return np.exp(lam / 2)[..., None, None] * s
 
 
-def gauge_s_tilde2(lam: complex, theta: complex, omega: complex, eps: float = 0.0) -> np.ndarray:
-    """S-tilde = sigma^y S sigma^y."""
+def gauge_s2_inv(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarray:
+    """Closed-form inverse of the gauge matrix (a stack for array arguments)."""
+    lam, theta = _arrays(lam, theta)
+    det_m = -2 * np.exp(-lam - omega) * _gauge_sinh(theta, eps)
+    s = np.empty(lam.shape + (2, 2), dtype=complex)
+    s[..., 0, 0], s[..., 1, 0] = 1.0, -1.0
+    s[..., 0, 1] = -np.exp(-(lam - theta + omega))
+    s[..., 1, 1] = np.exp(-(lam + theta + omega))
+    return (np.exp(-lam / 2) / det_m)[..., None, None] * s
+
+
+def gauge_s_tilde2(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarray:
+    """S-tilde = sigma^y S sigma^y (a stack for array arguments)."""
     return tn.SY @ gauge_s2(lam, theta, omega, eps) @ tn.SY
 
 
-def gauge_s_tilde2_inv(lam: complex, theta: complex, omega: complex, eps: float = 0.0) -> np.ndarray:
+def gauge_s_tilde2_inv(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarray:
     return tn.SY @ gauge_s2_inv(lam, theta, omega, eps) @ tn.SY
 
 
@@ -65,36 +79,38 @@ def gauge_s_tilde2_inv(lam: complex, theta: complex, omega: complex, eps: float 
 # dynamical R-matrix and crossed L-operators
 
 
-def dyn_r4(lam: complex, theta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
-    """Dynamical R-matrix (trigonometric SOS weights) as a raw 4x4 block."""
-    st = sinh(theta)
-    if abs(st) <= eps:
+def dyn_r4(lam, theta, eta: complex, eps: float = 0.0) -> np.ndarray:
+    """Dynamical R-matrix (trigonometric SOS weights) as a raw 4x4 block,
+    or a (..., 4, 4) stack for array lam and theta (broadcast together)."""
+    lam, theta = _arrays(lam, theta)
+    st = np.sinh(theta)
+    if np.any(np.abs(st) <= eps):
         raise DegenerateParameter(f"|sinh(theta)| <= {eps:.1e} in dynamical R")
-    sl, se = sinh(lam), sinh(eta)
-    sle = sinh(lam + eta)
-    return np.array(
-        [
-            [sle, 0, 0, 0],
-            [0, sl * sinh(theta - eta) / st, se * sinh(theta - lam) / st, 0],
-            [0, se * sinh(theta + lam) / st, sl * sinh(theta + eta) / st, 0],
-            [0, 0, 0, sle],
-        ],
-        dtype=complex,
-    )
+    sl, se = np.sinh(lam), np.sinh(eta)
+    r = np.zeros(lam.shape + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = np.sinh(lam + eta)
+    r[..., 1, 1] = sl * np.sinh(theta - eta) / st
+    r[..., 1, 2] = se * np.sinh(theta - lam) / st
+    r[..., 2, 1] = se * np.sinh(theta + lam) / st
+    r[..., 2, 2] = sl * np.sinh(theta + eta) / st
+    return r
 
 
 _L_LEGS = ("c1", "c2")
 
 
-def crossed_l4(lam: complex, theta: complex, eta: complex, kind: str = "L", eps: float = 0.0) -> np.ndarray:
-    """Crossed L-operator on two legs as a raw 4x4 block.
+def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> np.ndarray:
+    """Crossed L-operator on two legs as a raw 4x4 block, or a (..., 4, 4)
+    stack for array lam and theta (broadcast together).
 
     kind "L":    L^{t1}_{12}(lam; th) = R^{t1}_{12}(lam; th + eta sz_1) sinh(th - eta sz_2)/sinh th
     kind "Lhat": Lhat^{t1}_{21}(lam; th) = R^{t1}_{21}(lam; th - eta sz_1) sinh(th + eta sz_2)/sinh th
     """
     if kind not in ("L", "Lhat"):
         raise ValueError(f"unknown crossed L kind {kind!r}")
-    if abs(sinh(theta)) <= eps:
+    lam, theta = _arrays(lam, theta)
+    st = np.sinh(theta)
+    if np.any(np.abs(st) <= eps):
         raise DegenerateParameter("crossed L needs |sinh(theta)| > eps")
     w = 1 if kind == "L" else -1
     r_up, r_down = (dyn_r4(lam, theta + w * s * eta, eta, eps) for s in (1, -1))
@@ -102,9 +118,9 @@ def crossed_l4(lam: complex, theta: complex, eta: complex, kind: str = "L", eps:
         r_up, r_down = tn.swapped4(r_up), tn.swapped4(r_down)
     # the sigma^z_1 argument acts first: it picks the columns of the
     # untransposed matrix (sz_1 = +1 are the first two), then leg 1 is transposed
-    base = np.concatenate([r_up[:, :2], r_down[:, 2:]], axis=1)
-    pref = [sinh(theta - w * eta * s) / sinh(theta) for s in (1, -1, 1, -1)]
-    return tn.transpose_first4(base) * np.array(pref)
+    base = np.concatenate([r_up[..., :2], r_down[..., 2:]], axis=-1)
+    up, down = (np.sinh(theta - w * eta * s) / st for s in (1, -1))
+    return tn.transpose_first4(base) * np.stack([up, down, up, down], axis=-1)[..., None, :]
 
 
 # ----------------------------------------------------------------------
@@ -157,15 +173,17 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
     def gate(k):
         x = lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1]
         if crossed:
-            l_kind = "Lhat" if hatted else "L"
-            block = lambda c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
-            return block, (AUX, f"s{k}"), [(f"s{i}", +1) for i in range(1, k)]
-        block = lambda c: dyn_r4(x, theta + eta * c, eta, eps)
+            return x, (AUX, f"s{k}"), [(f"s{i}", +1) for i in range(1, k)]
         on = (f"s{k}", AUX) if hatted else (AUX, f"s{k}")
-        return block, on, [(f"s{i}", -1) for i in range(k + 1, N + 1)]
+        return x, on, [(f"s{i}", -1) for i in range(k + 1, N + 1)]
 
+    if crossed:
+        l_kind = "Lhat" if hatted else "L"
+        build = lambda x, c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
+    else:
+        build = lambda x, c: dyn_r4(x, theta + eta * c, eta, eps)
     sites = range(1, N + 1)
-    return [gate(k) for k in (reversed(sites) if hatted != crossed else sites)]
+    return tn.dynamical_gates(build, [gate(k) for k in (reversed(sites) if hatted != crossed else sites)])
 
 
 # ----------------------------------------------------------------------
@@ -219,18 +237,20 @@ def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.
     s2 = sinh(2 * lam + p.eta)
     if abs(s2) <= p.eps_pole:
         raise DegenerateParameter("|sinh(2 lam + eta)| too small for modified D_-")
-    for s in np.unique(sz):
+    # each coefficient once per distinct S^z, then gathered per basis state
+    values, which = np.unique(sz, return_inverse=True)
+    for s in values:
         if abs(sinh(theta - p.eta * s)) <= p.eps_pole:
             raise DegenerateParameter("|sinh(theta - eta S^z)| too small for modified D_-")
-    front = np.array([sinh(theta - p.eta * s + p.eta) / sinh(theta - p.eta * s) for s in sz])
+    front = np.array([sinh(theta - p.eta * s + p.eta) / sinh(theta - p.eta * s) for s in values])[which]
     inner = np.array(
         [
             sinh(theta - p.eta * s + 2 * lam + p.eta)
             * sinh(p.eta)
             / (s2 * sinh(theta - p.eta * s + p.eta))
-            for s in sz
+            for s in values
         ]
-    )
+    )[which]
     return front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
 
 
@@ -262,17 +282,18 @@ def gauge_row_gates(
             shift = [(f"s{i}", -1) for i in range(k + 1, p.N + 1)]
         else:
             shift = [(f"s{i}", +1) for i in range(1, k)]
-        block = lambda c: gauge_s2(p.xi[k - 1], theta + p.eta * c, omega, p.eps_pole)
-        return block, (f"s{k}",), shift + list(extra_shift)
+        return p.xi[k - 1], (f"s{k}",), shift + list(extra_shift)
 
-    return [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))]
+    build = lambda x, c: gauge_s2(x, theta + p.eta * c, omega, p.eps_pole)
+    return tn.dynamical_gates(build, [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))])
 
 
 def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
     """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
     S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""
     build2, w = (gauge_s2, -1) if side == "minus" else (gauge_s_tilde2, +1)
-    return lambda c: build2(lam, theta + p.eta * c, omega, p.eps_pole), (AUX,), [(l, w) for l in site_legs(p.N)]
+    charge = [(l, w) for l in site_legs(p.N)]
+    return build2(lam, theta + p.eta * tn.charge_values(charge), omega, p.eps_pole), (AUX,), charge
 
 
 # ----------------------------------------------------------------------
@@ -350,11 +371,13 @@ def dybe_residual(l1, l2, l3, theta, eta, form: int = 1) -> float:
     """
     legs = ("v1", "v2", "v3")
     w = -1 if form == 1 else +1
-    r = {}
+    keys, gates = [], []
     for name, x, third in (("12", l1 - l2, "v3"), ("13", l1 - l3, "v2"), ("23", l2 - l3, "v1")):
         pair = tuple(f"v{i}" for i in name)
         for weight in (0, w):
-            r[name, weight] = (lambda c, x=x: dyn_r4(x, theta + eta * c, eta)), pair, [(third, weight)]
+            keys.append((name, weight))
+            gates.append((x, pair, [(third, weight)]))
+    r = dict(zip(keys, tn.dynamical_gates(lambda x, c: dyn_r4(x, theta + eta * c, eta), gates)))
     if form == 1:
         lhs = [r["12", w], r["13", 0], r["23", w]]
         rhs = [r["23", 0], r["13", w], r["12", 0]]
@@ -427,11 +450,12 @@ def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
     """
     legs = _L_LEGS
     w = -1 if form == 1 else +1
-
-    s = {}
+    keys, gates = [], []
     for leg, other, x in (("c1", "c2", l1), ("c2", "c1", l2)):
         for weight in (0, w):
-            s[leg, weight] = (lambda c, x=x: gauge_s2(x, theta + eta * c, omega)), (leg,), [(other, weight)]
+            keys.append((leg, weight))
+            gates.append((x, (leg,), [(other, weight)]))
+    s = dict(zip(keys, tn.dynamical_gates(lambda x, c: gauge_s2(x, theta + eta * c, omega), gates)))
     rv = (vx.r4(l1 - l2, eta), legs)
     rd = (dyn_r4(l1 - l2, theta, eta), legs)
     if form == 1:
@@ -469,9 +493,9 @@ def dyn_reflection_residual(l1, l2, p: ModelParams, side: str) -> float:
         k = lambda lam: k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole)
     legs = _L_LEGS
     return vx.reflection_type_residual(
-        lambda x, c: dyn_r4(x, theta, p.eta),
+        lambda a, b: [(dyn_r4(x, theta, p.eta), legs) for x in (a, b)],
         lambda lam, leg: [(k(lam), (leg,))],
-        legs, (), side, l1, l2, p.eta,
+        legs, side, l1, l2, p.eta,
     )
 
 
@@ -481,6 +505,9 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     eta = p.eta
     theta = p.delta - p.zeta
     om = p.tau
+    # the inner gauge pair reads theta - eta sz_2
+    shift = [("c2", -1)]
+    th = theta + eta * tn.charge_values(shift)
 
     lhs = [
         (vx.r4(l1 - l2, eta), legs),
@@ -490,12 +517,12 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     ]
     rhs = [
         (gauge_s2(l2, theta, om, p.eps_pole), ("c2",)),
-        (lambda c: gauge_s2(l1, theta + eta * c, om, p.eps_pole), ("c1",), [("c2", -1)]),
+        (gauge_s2(l1, th, om, p.eps_pole), ("c1",), shift),
         (dyn_r4(l1 - l2, theta, eta), legs),
         (k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)),
         (tn.swapped4(dyn_r4(l1 + l2, theta, eta)), legs),
         (k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)),
-        (lambda c: gauge_s2_inv(-l1, theta + eta * c, om, p.eps_pole), ("c1",), [("c2", -1)]),
+        (gauge_s2_inv(-l1, th, om, p.eps_pole), ("c1",), shift),
         (gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)),
     ]
     return tn.product_residual(legs, lhs, rhs)
@@ -554,10 +581,12 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     else:
         theta, w = p.delta_bar - p.zeta_bar, +1
     slegs = site_legs(p.N)
+    shift = [(s, w) for s in slegs]
+    build = lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta)
     return vx.reflection_type_residual(
-        lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta),
+        lambda a, b: tn.dynamical_gates(build, [(x, ("x1", "x2"), shift) for x in (a, b)]),
         lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p), {AUX: leg}),
-        ("x1", "x2") + slegs, [(s, w) for s in slegs], side, l1, l2, p.eta,
+        ("x1", "x2") + slegs, side, l1, l2, p.eta,
     )
 
 
@@ -582,10 +611,11 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     eta = p.eta
     theta = p.delta - p.zeta
     slegs = site_legs(p.N)
-    szv = tn.sz_sum(slegs, slegs)
+    # an S^z-dependent coefficient is evaluated once per distinct S^z and gathered
+    values, which = np.unique(tn.sz_sum(slegs, slegs), return_inverse=True)
 
     def dg(fn):
-        return np.array([fn(s) for s in szv])[:, None]
+        return np.array([fn(s) for s in values])[which, None]
 
     def blocks(lam, v):
         """A, B and D-tilde at (lam, theta) applied to v, from two block strings."""

@@ -11,8 +11,12 @@ running axis order, so each gate costs one transposed copy and one
 batched matmul.  ``traced_product`` is the trace of such a product over
 its first (auxiliary) leg, applied to an array on the other legs: the
 open-chain transfer matrices, on a few states or on all of them.  A
-dynamical gate's charge table is computed once per weight pattern
-(``charge_table``), not once per gate.  ``relabel`` renames the legs of
+dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
+per distinct value of its charge in ascending order (``charge_values``),
+so the kernel indexes it and calls no code per charge; ``dynamical_gates``
+builds the stacks of a whole gate list in one vectorised call.  The charge
+table is computed once per weight pattern (``charge_table``), not once per
+gate.  ``relabel`` renames the legs of
 a gate list, its charge legs included, so a site reversal or a renamed
 auxiliary leg is a new list of labels, never a permutation matrix.
 ``product_residual`` checks an operator identity, two gate lists, on a
@@ -27,6 +31,7 @@ on every construction.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -60,13 +65,17 @@ def partial_transpose(a: np.ndarray, legs: Sequence[str], leg: str) -> np.ndarra
 
 
 def swapped4(matrix: np.ndarray) -> np.ndarray:
-    """P M P for a 4x4 matrix on two C^2 legs (leg exchange)."""
-    return np.asarray(matrix).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    """P M P for a 4x4 matrix on two C^2 legs (leg exchange), or for each
+    matrix of a (..., 4, 4) stack."""
+    m = np.asarray(matrix)
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -3).swapaxes(-2, -1).reshape(m.shape)
 
 
 def transpose_first4(matrix: np.ndarray) -> np.ndarray:
-    """Partial transpose on the first leg of a 4x4 matrix."""
-    return np.asarray(matrix).reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    """Partial transpose on the first leg of a 4x4 matrix, or of each
+    matrix of a (..., 4, 4) stack."""
+    m = np.asarray(matrix)
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(m.shape)
 
 
 def leg_sz(full_legs: Sequence[str], leg: str) -> np.ndarray:
@@ -107,6 +116,38 @@ def charge_table(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return values, which
 
 
+def _net_weights(charge) -> dict[str, int]:
+    """Net weight of each leg of a charge list, in order of first appearance."""
+    net: dict[str, int] = {}
+    for l, w in charge:
+        net[l] = net.get(l, 0) + w
+    return net
+
+
+def charge_values(charge) -> np.ndarray:
+    """The distinct values, ascending, of the charge sum of w * sigma^z(leg)
+    over a charge list [(leg, w), ...]: a dynamical gate on that list holds
+    one block per value, in this order (read-only)."""
+    return charge_table(tuple(_net_weights(charge).values()))[0]
+
+
+def dynamical_gates(build, gates) -> list:
+    """Dynamical gates (stack, on, charge) for the triples (x, on, charge),
+    with every stack from one call ``build(x, c)``.
+
+    ``c`` concatenates each gate's ``charge_values`` and ``x`` repeats each
+    gate's scalar x once per value, so ``build`` maps the two equal-length
+    arrays to a stack of blocks, one per entry; the stack is then split
+    back into one per gate.  A list of gates costs one vectorised call,
+    not one call per gate or per charge.
+    """
+    values = [charge_values(charge) for _, _, charge in gates]
+    sizes = [len(v) for v in values]
+    stack = build(np.repeat(np.array([g[0] for g in gates], dtype=complex), sizes), np.concatenate(values))
+    ends = list(itertools.accumulate(sizes))
+    return [(stack[j - n : j], on, charge) for j, n, (_, on, charge) in zip(ends, sizes, gates)]
+
+
 def relabel(gates, names: dict[str, str]) -> list:
     """The same gates with each gate leg and charge leg renamed by ``names``
     (legs it does not list keep their label); no block is touched."""
@@ -118,13 +159,16 @@ def relabel(gates, names: dict[str, str]) -> list:
 
 
 def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
-    """g_1 g_2 ... g_m @ x for gates (block, on[, charge]) listed left to right.
+    """g_1 g_2 ... g_m @ x for gates (block, on) or (stack, on, charge)
+    listed left to right.
 
     ``x`` is a (2^n,) or (2^n, m) array and defaults to the identity on
-    ``legs``.  A gate's ``block`` is a 2^k-square array on its k legs
-    ``on``, or a callable: a dynamical gate, which receives the charge
-    c = sum of w * sigma^z(leg) over ``charge`` for each configuration, so
-    the charge legs must lie outside ``on``.  This realizes the convention
+    ``legs``.  A gate (block, on) applies the 2^k-square ``block`` to its
+    k legs ``on``.  A dynamical gate (stack, on, charge) applies, on each
+    configuration of the legs, the block of the charge
+    c = sum of w * sigma^z(leg) over ``charge`` in that configuration:
+    ``stack[i]`` is the block at the i-th of ``charge_values(charge)``.
+    The charge legs must lie outside ``on``.  This realizes the convention
     that operator-valued dynamical arguments act first, before the matrix
     they parameterize.
 
@@ -151,16 +195,14 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     # order[i] is the caller's axis held at axis i of t; axis n is the columns
     order = list(range(n + 1))
     for block, on, *charge in reversed(gates):
+        dynamical = bool(charge)
         on, charge = tuple(on), tuple(charge[0]) if charge else ()
         for l in on + tuple(l for l, _ in charge):
             if l not in legs:
                 raise UnknownLeg(f"leg {l!r} absent from {legs}")
         if any(l in on for l, _ in charge):
             raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
-        # net weight of each charge leg, in order of first appearance
-        net: dict[str, int] = {}
-        for l, w in charge if callable(block) else ():
-            net[l] = net.get(l, 0) + w
+        net = _net_weights(charge)
         front = [legs.index(l) for l in net]
         gate = [legs.index(l) for l in on]
         other = [a for a in order[:-1] if a not in front + gate]
@@ -170,11 +212,12 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
         else:
             new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
         t = t.transpose([order.index(a) for a in new]).reshape(shape)
-        if callable(block):
+        g = np.asarray(block, dtype=complex)
+        if dynamical:
             values, which = charge_table(tuple(net.values()))
-            g = np.stack([np.asarray(block(int(v)), dtype=complex) for v in values])[which, None]
-        else:
-            g = np.asarray(block, dtype=complex)
+            if g.shape[:-2] != values.shape:
+                raise ValueError(f"a stack of shape {g.shape} for the {len(values)} charges of {charge}")
+            g = g[which, None]
         t = np.matmul(g, t).reshape((2,) * n + (-1,))
         order = new
     return t.transpose(np.argsort(order)).reshape(np.shape(x))

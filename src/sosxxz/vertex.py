@@ -12,7 +12,7 @@ reconstruction from the transfer-matrix derivative.
 from __future__ import annotations
 
 from cmath import cosh, exp, sinh
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -288,10 +288,9 @@ def crossing_residual(lam: complex, eta: complex) -> float:
 
 
 def reflection_type_residual(
-    r4fn: Callable[[complex, int], np.ndarray],
+    r_pair: Callable[[complex, complex], list],
     boundary: Callable[[complex, str], list],
     legs: tuple[str, ...],
-    shift: Sequence[tuple[str, int]],
     side: str,
     l1: complex,
     l2: complex,
@@ -300,11 +299,12 @@ def reflection_type_residual(
     """Residual of R(a) X1 R21(b) X2 = X2 R(b) X1 R21(a) on ``legs``, both
     sides applied to the seeded probe block (``tn.product_residual``).
 
-    The first two legs are the auxiliary pair.  ``r4fn(x, c)`` is the raw
-    R-matrix block at spectral argument x and charge c of the weighted
-    ``shift`` legs; ``boundary(lam, leg)`` lists the gates of the boundary
-    object at lam on one auxiliary leg, X1 = boundary(l1, legs[0]) and
-    X2 = boundary(l2, legs[1]).  The side picks the spectral pair: (a, b) = (l1 - l2,
+    The first two legs are the auxiliary pair.  ``r_pair(a, b)`` gives the
+    gates R(a) and R(b) on that pair, static or dynamical (a stack per
+    charge); R21 is each gate with its blocks' legs exchanged.
+    ``boundary(lam, leg)`` lists the gates of the boundary object at lam on
+    one auxiliary leg, X1 = boundary(l1, legs[0]) and X2 = boundary(l2,
+    legs[1]).  The side picks the spectral pair: (a, b) = (l1 - l2,
     l1 + l2) for "minus", (l2 - l1, -l1 - l2 - 2 eta) for "plus".
     """
     if side == "minus":
@@ -314,13 +314,17 @@ def reflection_type_residual(
     else:
         raise ValueError(f"unknown side {side!r}")
 
-    def gate(x, swapped):
-        return (lambda c: tn.swapped4(r4fn(x, c)) if swapped else r4fn(x, c)), legs[:2], shift
-
+    r_a, r_b = r_pair(a, b)
+    r21_a, r21_b = ((tn.swapped4(block), *rest) for block, *rest in (r_a, r_b))
     x1, x2 = boundary(l1, legs[0]), boundary(l2, legs[1])
-    lhs = [gate(a, False), *x1, gate(b, True), *x2]
-    rhs = [*x2, gate(b, False), *x1, gate(a, True)]
+    lhs = [r_a, *x1, r21_b, *x2]
+    rhs = [*x2, r_b, *x1, r21_a]
     return tn.product_residual(legs, lhs, rhs)
+
+
+def _r4_pair(legs: tuple[str, ...], eta: complex) -> Callable[[complex, complex], list]:
+    """``(a, b) -> [R(a), R(b)]`` as gates on the first two legs."""
+    return lambda a, b: [(r4(x, eta), legs[:2]) for x in (a, b)]
 
 
 def reflection_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:
@@ -331,7 +335,7 @@ def reflection_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> 
         m = k2(lam, side, p)
         return [(m.T if side == "plus" else m, (leg,))]
 
-    return reflection_type_residual(lambda x, c: r4(x, p.eta), k, legs, (), side, l1, l2, p.eta)
+    return reflection_type_residual(_r4_pair(legs, p.eta), k, legs, side, l1, l2, p.eta)
 
 
 def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams, side: str) -> float:
@@ -341,7 +345,7 @@ def reflection_algebra_residual(l1: complex, l2: complex, p: ModelParams, side: 
     def u(lam, leg):
         return tn.relabel(double_row_gates(lam, side, p), {AUX: leg})
 
-    return reflection_type_residual(lambda x, c: r4(x, p.eta), u, legs, (), side, l1, l2, p.eta)
+    return reflection_type_residual(_r4_pair(legs, p.eta), u, legs, side, l1, l2, p.eta)
 
 
 # name -> residual at three seeded spectral points

@@ -192,8 +192,9 @@ def whole_identity(monkeypatch):
 def perturb_first_product(monkeypatch):
     """``eps -> None``: afterwards the first ``tn.product`` call perturbs the
     leftmost gate of its list by eps times its largest entry times fixed
-    complex Gaussian noise (at every charge, for a dynamical gate).  The first
-    product of a residual is one side of its identity, so only that side moves."""
+    complex Gaussian noise (each block of a dynamical gate's stack by its
+    own largest entry).  The first product of a residual is one side of its
+    identity, so only that side moves."""
     product = tn.product
 
     def install(eps):
@@ -206,11 +207,8 @@ def perturb_first_product(monkeypatch):
                 size = (2 ** len(on),) * 2
                 noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
-                def nudge(b):
-                    return b + eps * tn.max_abs(b) * noise
-
-                moved = (lambda c: nudge(block(c))) if callable(block) else nudge(block)
-                gates = [(moved, on, *rest), *gates[1:]]
+                scale = np.max(np.abs(block), axis=(-2, -1), keepdims=True)
+                gates = [(block + eps * scale * noise, on, *rest), *gates[1:]]
             calls.append(True)
             return product(legs, gates, x)
 

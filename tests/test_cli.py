@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sosxxz import cli
+from sosxxz.params import generic_params
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -110,6 +111,17 @@ def test_exit_code_degenerate(tmp_path):
     cfg.write_text(json.dumps({"N": 1, "zeta": [0.83, -0.31], "delta": [0.83, -0.31]}))
     # delta = zeta makes theta = 0, a pole of every height-picture object
     assert cli.main(["partition", "--kind", "bminus", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+def test_pole_at_one_charge_is_degenerate(tmp_path, capsys):
+    # delta - zeta = 2 eta puts a pole at the charge -2 of the first gate of
+    # each N = 3 monodromy; the Bethe state's dynamical R stack finds it
+    p = generic_params(3)
+    delta = p.zeta + 2 * p.eta
+    cfg = tmp_path / "pole.json"
+    cfg.write_text(json.dumps({"N": 3, "delta": [delta.real, delta.imag]}))
+    assert run_cli(["bethe", "--n", "3", "--branch", "b1", "--m", "1", "--config", str(cfg)], tmp_path)[0] == 3
+    assert capsys.readouterr().err == "degenerate parameters: |sinh(theta)| <= 1.0e-08 in dynamical R\n"
 
 
 @pytest.mark.parametrize(

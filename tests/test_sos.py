@@ -1,3 +1,4 @@
+import itertools
 from cmath import cosh, exp, sinh
 
 import numpy as np
@@ -50,6 +51,146 @@ def test_dyn_r_entries(p2):
     assert all(r[i, j] == 0 for i, j in forced_zero)
     with pytest.raises(DegenerateParameter):
         sos.dyn_r4(lam, 0.0, p2.eta, eps=1e-8)
+
+
+# scalar oracles: the cmath builders of one block at one (lam, theta)
+
+SWAP4 = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _dyn_r4_scalar(lam, theta, eta):
+    st, sl, se, sle = sinh(theta), sinh(lam), sinh(eta), sinh(lam + eta)
+    return np.array(
+        [
+            [sle, 0, 0, 0],
+            [0, sl * sinh(theta - eta) / st, se * sinh(theta - lam) / st, 0],
+            [0, se * sinh(theta + lam) / st, sl * sinh(theta + eta) / st, 0],
+            [0, 0, 0, sle],
+        ],
+        dtype=complex,
+    )
+
+
+def _crossed_l4_scalar(lam, theta, eta, kind):
+    w = 1 if kind == "L" else -1
+    r_up, r_down = (_dyn_r4_scalar(lam, theta + w * s * eta, eta) for s in (1, -1))
+    if kind == "Lhat":
+        r_up, r_down = SWAP4 @ r_up @ SWAP4, SWAP4 @ r_down @ SWAP4
+    base = np.concatenate([r_up[:, :2], r_down[:, 2:]], axis=1)
+    # entry (a b, c d) of the leg-1 transpose is entry (c b, a d)
+    transposed = base.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    return transposed * np.array([sinh(theta - w * eta * s) / sinh(theta) for s in (1, -1, 1, -1)])
+
+
+def _gauge_s2_scalar(lam, theta, omega):
+    return exp(lam / 2) * np.array(
+        [[exp(-(lam + theta + omega)), exp(-(lam - theta + omega))], [1.0, 1.0]], dtype=complex
+    )
+
+
+def _gauge_s2_inv_scalar(lam, theta, omega):
+    det_m = -2 * exp(-lam - omega) * sinh(theta)
+    return (exp(-lam / 2) / det_m) * np.array(
+        [[1.0, -exp(-(lam - theta + omega))], [-1.0, exp(-(lam + theta + omega))]], dtype=complex
+    )
+
+
+# name -> (array builder, scalar oracle), each at (lam, theta, p)
+ARRAY_BUILDERS = {
+    "dyn_r4": (lambda l, t, p: sos.dyn_r4(l, t, p.eta), lambda l, t, p: _dyn_r4_scalar(l, t, p.eta)),
+    "crossed_L": (
+        lambda l, t, p: sos.crossed_l4(l, t, p.eta, "L"),
+        lambda l, t, p: _crossed_l4_scalar(l, t, p.eta, "L"),
+    ),
+    "crossed_Lhat": (
+        lambda l, t, p: sos.crossed_l4(l, t, p.eta, "Lhat"),
+        lambda l, t, p: _crossed_l4_scalar(l, t, p.eta, "Lhat"),
+    ),
+    "gauge_s2": (lambda l, t, p: sos.gauge_s2(l, t, p.tau), lambda l, t, p: _gauge_s2_scalar(l, t, p.tau)),
+    "gauge_s2_inv": (
+        lambda l, t, p: sos.gauge_s2_inv(l, t, p.tau),
+        lambda l, t, p: _gauge_s2_inv_scalar(l, t, p.tau),
+    ),
+    "gauge_s_tilde2": (
+        lambda l, t, p: sos.gauge_s_tilde2(l, t, p.tau),
+        lambda l, t, p: tn.SY @ _gauge_s2_scalar(l, t, p.tau) @ tn.SY,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (2, 3)])
+@pytest.mark.parametrize("name", tuple(ARRAY_BUILDERS))
+def test_array_builder_matches_scalar_oracle(name, shape, p3):
+    # array lam and theta give one block per entry, each within 1e-15 of
+    # the cmath oracle relative to its largest entry; theta runs over the
+    # shifts theta0 + eta c of a dynamical gate
+    build, oracle = ARRAY_BUILDERS[name]
+    rng = np.random.default_rng(len(shape))
+    lam = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    theta = 0.63 + 0.29j + p3.eta * rng.integers(-3, 4, shape)
+    stack = build(lam, theta, p3)
+    assert stack.shape == shape + oracle(0.1, 0.6, p3).shape
+    for idx in np.ndindex(shape):
+        expect = oracle(complex(lam[idx]), complex(theta[idx]), p3)
+        assert tn.max_abs(stack[idx] - expect) <= 1e-15 * tn.max_abs(expect), (name, idx)
+
+
+@pytest.mark.parametrize("name", tuple(ARRAY_BUILDERS))
+def test_array_builder_broadcasts_a_scalar_argument(name, p3):
+    build, _ = ARRAY_BUILDERS[name]
+    theta = 0.63 + 0.29j + p3.eta * np.arange(-2, 3)
+    stack = build(0.31 + 0.17j, theta, p3)
+    for i, t in enumerate(theta):
+        assert tn.max_abs(stack[i] - build(0.31 + 0.17j, t, p3)) <= 1e-15 * tn.max_abs(stack[i])
+
+
+@pytest.mark.parametrize("kind", ["T", "That", "V", "Vhat"])
+def test_pole_at_one_charge_is_degenerate(kind, p3):
+    # at theta = 2 eta the shift theta + eta c vanishes at the charge c = -2
+    # of one gate's stack only; a small offset clears it
+    with pytest.raises(DegenerateParameter):
+        sos.dyn_monodromy_gates(0.21 + 0.12j, 2 * p3.eta, kind, p3)
+    gates = sos.dyn_monodromy_gates(0.21 + 0.12j, 2 * p3.eta + 1e-3, kind, p3)
+    assert all(np.all(np.isfinite(stack)) for stack, _, _ in gates)
+    with pytest.raises(DegenerateParameter):
+        sos.gauge_row_gates(2 * p3.eta, p3.tau, "minus" if kind in ("T", "That") else "plus", p3)
+
+
+@pytest.mark.parametrize("kind", ["T", "That", "V", "Vhat"])
+def test_monodromy_stacks_hold_the_block_of_each_charge(kind, p3):
+    # stack i of each gate is the block at the i-th of its charge values,
+    # ascending: checked against the scalar oracle at each charge
+    lam, theta = 0.21 + 0.12j, 0.63 + 0.29j
+    hatted, crossed = kind.endswith("hat"), kind in ("V", "Vhat")
+    for stack, on, charge in sos.dyn_monodromy_gates(lam, theta, kind, p3):
+        k = int(next(l for l in on if l != vx.AUX)[1:])
+        x = lam + p3.xi[k - 1] if hatted else lam - p3.xi[k - 1]
+        weights = [w for _, w in charge]
+        spins = itertools.product((1, -1), repeat=len(weights))
+        values = sorted({sum(w * s for w, s in zip(weights, sz)) for sz in spins})
+        assert len(stack) == len(values)
+        for block, c in zip(stack, values):
+            if crossed:
+                expect = _crossed_l4_scalar(x, theta + p3.eta * c, p3.eta, "Lhat" if hatted else "L")
+            else:
+                expect = _dyn_r4_scalar(x, theta + p3.eta * c, p3.eta)
+            assert tn.max_abs(block - expect) <= 1e-15 * tn.max_abs(expect)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_d_tilde_matches_per_state_coefficients(n):
+    # the S^z coefficients, once per distinct S^z and gathered, are the
+    # per-basis-state loop bit for bit
+    p = generic_params(n)
+    rng = np.random.default_rng(n)
+    blocks = {k: rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3)) for k in "AD"}
+    lam, theta, eta = 0.31 + 0.17j, p.delta - p.zeta, p.eta
+    sz = [sum(1 - 2 * ((i >> j) & 1) for j in range(n)) for i in range(2**n)]
+    s2 = sinh(2 * lam + eta)
+    front = np.array([sinh(theta - eta * s + eta) / sinh(theta - eta * s) for s in sz])
+    inner = np.array([sinh(theta - eta * s + 2 * lam + eta) * sinh(eta) / (s2 * sinh(theta - eta * s + eta)) for s in sz])
+    expect = front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
+    assert np.array_equal(sos._d_tilde(lam, theta, p, blocks), expect)
 
 
 @pytest.mark.parametrize("check", tuple(sos.SOS_RESIDUALS))
@@ -147,8 +288,8 @@ def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_
     srow = gauge_row(theta, p.tau, "minus", p)
     t = vx.transfer_xxz(lam, p)
     # S_0^{-1}(-lam; theta - eta S^z) as a dynamical gate
-    s_inv = (lambda c: sos.gauge_s2_inv(-lam, theta + p.eta * c, p.tau, p.eps_pole), (vx.AUX,),
-             [(l, -1) for l in vx.site_legs(p.N)])
+    charge = [(l, -1) for l in vx.site_legs(p.N)]
+    s_inv = (sos.gauge_s2_inv(-lam, theta + p.eta * tn.charge_values(charge), p.tau, p.eps_pole), (vx.AUX,), charge)
     w = (
         tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,))])
         @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)])

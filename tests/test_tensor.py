@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,29 @@ def mat2(mag=3.0):
     )
 
 
-def embed_oracle(block, legs, on, charge=()):
+def oracle_charge_values(charge):
+    """The distinct charges of a charge list, ascending, by enumerating
+    every configuration of its legs."""
+    legs = sorted({l for l, _ in charge})
+    values = set()
+    for spins in itertools.product((1, -1), repeat=len(legs)):
+        sz = dict(zip(legs, spins))
+        values.add(sum(w * sz[l] for l, w in charge))
+    return sorted(values)
+
+
+def random_stack(rng, charge, dk):
+    """A random stack of dk-square blocks, one per charge of the list."""
+    size = (len(oracle_charge_values(charge)), dk, dk)
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def embed_oracle(block, legs, on, charge=None):
     """The full matrix of a gate from np.kron and an explicit bit permutation.
 
-    For a callable block, column j takes block(c) at the charge c of basis
-    state j (the dynamical argument acts first).
+    For a dynamical gate (a charge list given), column j takes the block of
+    the stack at the charge c of basis state j (the dynamical argument acts
+    first), found among ``oracle_charge_values``.
     """
     legs, on = tuple(legs), tuple(on)
     n, k = len(legs), len(on)
@@ -39,12 +59,13 @@ def embed_oracle(block, legs, on, charge=()):
     def full(mat):
         return p @ np.kron(mat, np.eye(2 ** (n - k))) @ p.T
 
-    if not callable(block):
+    if charge is None:
         return full(block)
+    values = oracle_charge_values(charge)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for j in range(2**n):
         c = sum(w * (1 - 2 * ((j >> (n - 1 - legs.index(l))) & 1)) for l, w in charge)
-        out[:, j] = full(block(c))[:, j]
+        out[:, j] = full(block[values.index(c)])[:, j]
     return out
 
 
@@ -55,6 +76,8 @@ def gate_cases(draw):
     on = tuple(draw(st.permutations(legs))[: draw(st.integers(1, min(3, n)))])
     rest = [l for l in legs if l not in on]
     charge = tuple((l, draw(st.integers(-2, 2))) for l in rest if draw(st.booleans()))
+    # a static gate carries no charge list; a dynamical one may carry an empty one
+    charge = charge if draw(st.booleans()) else None
     seed = draw(st.integers(0, 2**32 - 1))
     cols = draw(st.sampled_from([None, 1, 3]))
     return legs, on, charge, seed, cols
@@ -66,11 +89,15 @@ def test_one_gate_product_matches_kron_permutation_oracle(case):
     legs, on, charge, seed, cols = case
     rng = np.random.default_rng(seed)
     d, dk = 2 ** len(legs), 2 ** len(on)
-    blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
-    block = (lambda c: blocks[c]) if charge else blocks[0]
+    if charge is None:
+        block = rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk))
+        gate = (block, on)
+    else:
+        block = random_stack(rng, charge, dk)
+        gate = (block, on, charge)
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.product(legs, [(block, on, charge)], x)
+    got = tn.product(legs, [gate], x)
     assert got.shape == x.shape
     expect = embed_oracle(block, legs, on, charge) @ x
     assert np.max(np.abs(got - expect)) < 1e-12 * max(np.max(np.abs(expect)), 1.0)
@@ -92,20 +119,22 @@ def gate_lists(draw):
 
 
 def random_gates(rng, drawn):
-    """Gates of random blocks on the drawn legs; a dynamical one draws a block per charge."""
+    """Gates of random blocks on the drawn legs; a dynamical one draws a
+    stack, a block per charge, and a static one drops its charge list."""
     gates = []
     for on, charge, dynamical in drawn:
         dk = 2 ** len(on)
-        blocks = {c: rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)) for c in range(-12, 13)}
-        gates.append(((lambda c, b=blocks: b[c]) if dynamical else blocks[0], on, charge))
+        if dynamical:
+            gates.append((random_stack(rng, charge, dk), on, charge))
+        else:
+            gates.append((rng.normal(size=(dk, dk)) + 1j * rng.normal(size=(dk, dk)), on))
     return gates
 
 
 @settings(max_examples=60, deadline=None)
 @given(gate_lists())
 def test_product_matches_one_gate_oracle(case):
-    # static and dynamical gates in one product, over a shuffled leg order;
-    # a static block ignores its charge legs
+    # static and dynamical gates in one product, over a shuffled leg order
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, drawn)
@@ -115,14 +144,23 @@ def test_product_matches_one_gate_oracle(case):
     got = tn.product(legs, gates, x)
     assert got.shape == x.shape
     expect = x
-    for block, on, charge in reversed(gates):
-        expect = embed_oracle(block, legs, on, charge) @ expect
+    for block, on, *charge in reversed(gates):
+        expect = embed_oracle(block, legs, on, *charge) @ expect
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_product_rejects_charge_on_gate_leg():
     with pytest.raises(ValueError):
-        tn.product(("a", "b"), [(lambda c: np.eye(2), ("a",), [("a", 1)])])
+        tn.product(("a", "b"), [(np.stack([np.eye(2)] * 2), ("a",), [("a", 1)])])
+
+
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_product_rejects_a_stack_of_the_wrong_length(size):
+    # the charge of b and c (weights 1, 1) takes three values; a static
+    # block or a stack of another length is refused, not misread
+    block = np.stack([np.eye(2)] * size) if size > 1 else np.eye(2)
+    with pytest.raises(ValueError, match="stack"):
+        tn.product(("a", "b", "c"), [(block, ("a",), [("b", 1), ("c", 1)])])
 
 
 def test_tensor_product_identities():
@@ -175,7 +213,7 @@ def test_embed_unknown_leg():
     with pytest.raises(UnknownLeg):
         tn.product(("s1", "s2"), [(tn.SX, ("q",))])
     with pytest.raises(UnknownLeg):
-        tn.product(("s1", "s2"), [(lambda c: tn.SX, ("s1",), [("q", 1)])])
+        tn.product(("s1", "s2"), [(np.stack([tn.SX] * 2), ("s1",), [("q", 1)])])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -247,11 +285,13 @@ def test_charge_resolved_matches_column_diag():
     full = ("a", "s1", "s2")
     vals = tn.sz_sum(full, ("s1", "s2"))
     charge = [("s1", 1), ("s2", 1)]
-    built = tn.product(full, [(lambda c: np.eye(2) * complex(c), ("a",), charge)])
+    values = oracle_charge_values(charge)
+    assert values == [-2, 0, 2] and list(tn.charge_values(charge)) == values
+    built = tn.product(full, [(np.stack([np.eye(2) * complex(c) for c in values]), ("a",), charge)])
     assert np.allclose(built, np.diag(vals.astype(complex)))
-    block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
-    built = tn.product(full, [(block, ("a",), charge)])
-    assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
+    stack = np.array([[[1.0, c], [0.5 * c, 2.0]] for c in values], dtype=complex)
+    built = tn.product(full, [(stack, ("a",), charge)])
+    assert np.allclose(built, embed_oracle(stack, full, ("a",), charge))
 
 
 def _unique_charges(charge):
@@ -281,9 +321,37 @@ def test_charge_table_of_a_gate_listing_one_leg_twice():
     expect_values, expect_which = _unique_charges(charge)
     assert (values == expect_values).all() and (which == expect_which).all()
     full = ("a", "s1", "s2")
-    block = lambda c: np.array([[1.0, c], [0.5 * c, 2.0]], dtype=complex)
-    built = tn.product(full, [(block, ("a",), charge)])
-    assert np.allclose(built, embed_oracle(block, full, ("a",), charge))
+    values = oracle_charge_values(charge)
+    assert list(tn.charge_values(charge)) == values
+    stack = np.array([[[1.0, c], [0.5 * c, 2.0]] for c in values], dtype=complex)
+    built = tn.product(full, [(stack, ("a",), charge)])
+    assert np.allclose(built, embed_oracle(stack, full, ("a",), charge))
+
+
+def test_dynamical_gates_build_every_stack_in_one_call():
+    calls = []
+
+    def build(x, c):
+        calls.append((x.copy(), c.copy()))
+        return (x + c)[:, None, None] * np.eye(2)
+
+    gates = [(0.5, ("a",), [("b", 1), ("c", 1)]), (2j, ("b",), []), (-1.0, ("c",), [("a", -1), ("b", 2)])]
+    built = tn.dynamical_gates(build, gates)
+    assert len(calls) == 1 and len(calls[0][0]) == 3 + 1 + 4
+    for (stack, on, charge), (x, on0, charge0) in zip(built, gates):
+        assert on == on0 and charge is charge0
+        expect = np.array([(x + c) * np.eye(2) for c in oracle_charge_values(charge)])
+        assert np.array_equal(stack, expect)
+
+
+def test_four_leg_maps_act_on_each_block_of_a_stack():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    for got_s, got_t, m in zip(tn.swapped4(stack), tn.transpose_first4(stack), stack):
+        assert np.array_equal(got_s, tn.swapped4(m)) and np.array_equal(got_s, swap @ m @ swap)
+        assert np.array_equal(got_t, tn.transpose_first4(m))
+        assert np.array_equal(got_t, tn.partial_transpose(m, ("a", "b"), "a"))
 
 
 def test_charge_table_is_read_only():
@@ -296,9 +364,9 @@ def test_charge_table_is_read_only():
 
 def test_relabel_renames_gate_and_charge_legs():
     rng = np.random.default_rng(9)
-    dyn = {c: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for c in (-3, -1, 1, 3)}
+    dyn = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    gates = [(r, ("a", "b")), (lambda c: dyn[c], ("b", "c"), [("a", 1), ("d", 2)])]
+    gates = [(r, ("a", "b")), (dyn, ("b", "c"), [("a", 1), ("d", 2)])]
     swap = {"a": "d", "d": "a"}
     renamed = tn.relabel(gates, swap)
     assert [g[1:] for g in renamed] == [(("d", "b"),), (("b", "c"), [("d", 1), ("a", 2)])]
@@ -351,10 +419,11 @@ def test_product_residual_matches_whole_matrix(seed, whole_identity):
     # reads the whole-matrix residual of the two orders within 10x
     rng = np.random.default_rng(seed)
     legs = ("a", "b", "c", "d")
-    dyn = {c: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for c in (-3, -1, 1, 3)}
+    # the charge c + 2 d takes the four values -3, -1, 1, 3
+    dyn = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lhs = [(r, ("a", "c")), (lambda c: dyn[c], ("b", "a"), [("c", 1), ("d", 2)])]
-    rhs = [(lambda c: dyn[c], ("b", "a"), [("c", 1), ("d", 2)]), (r, ("a", "c"))]
+    lhs = [(r, ("a", "c")), (dyn, ("b", "a"), [("c", 1), ("d", 2)])]
+    rhs = [(dyn, ("b", "a"), [("c", 1), ("d", 2)]), (r, ("a", "c"))]
     _, whole = whole_identity(lambda: tn.product_residual(legs, lhs, rhs))
     assert whole > 0.1
 
