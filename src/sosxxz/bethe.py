@@ -84,7 +84,7 @@ def apply_constraints(p: ModelParams, c: BoundaryConstraint) -> ModelParams:
         raise BadSector(f"sector |s| = {abs(c.s)} must be < N = {p.N}")
     return p.replace(
         tau_bar=p.tau + p.eta + 1j * pi * c.n,
-        delta_bar=p.zeta_bar + p.delta - p.zeta - p.eta * c.s + 1j * pi * c.n + 2j * pi * c.m,
+        delta_bar=p.zeta_bar + p.theta("minus") - p.eta * c.s + 1j * pi * c.n + 2j * pi * c.m,
     )
 
 
@@ -407,7 +407,7 @@ def _sinh_product_derivative(factors) -> complex:
 
 def branch_theta(branch: str, p: ModelParams) -> complex:
     """delta - zeta for the minus families, delta_bar - zeta_bar for the plus ones."""
-    return p.delta - p.zeta if BRANCHES[branch].side == "minus" else p.delta_bar - p.zeta_bar
+    return p.theta(BRANCHES[branch].side)
 
 
 def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndarray:
@@ -444,7 +444,7 @@ def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarra
     """
     side = BRANCHES[branch].side
     theta = branch_theta(branch, p)
-    omega = p.tau if side == "minus" else p.tau_bar
+    _, _, omega = p.boundary(side)
     gates = sos.gauge_row_gates(theta, omega, side, p)
     v = tn.product(vx.site_legs(p.N), gates, psi)
     scale = 1.0

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from cmath import sinh
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,13 +282,16 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     p = cfg.params
     if constrained:
         p = bt.apply_constraints(p, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
+    # the boundary fields of the open chain divide by sinh(zeta) sinh(delta) of either pair
+    for side in ("minus", "plus"):
+        delta, zeta, _ = p.boundary(side)
+        if abs(sinh(zeta)) <= p.eps_pole or abs(sinh(delta)) <= p.eps_pole:
+            raise DegenerateParameter(f"{side} boundary field: sinh(zeta) sinh(delta) vanishes")
     tol = max(cfg.tolerances["bethe"] * 10, 1e-8)
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
     t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
-    # built for its finite check; only its dimension is reported
-    h_dim = len(vx.hamiltonian_direct(p))
     sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
     rows = []
     matched = 0
@@ -303,7 +307,6 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     extra = {
         "mu": _c2pair(mu),
         "transfer_dimension": len(t_eigs),
-        "hamiltonian_dimension": h_dim,
         "solutions_found": len(sols),
         "matched": matched,
         "unmatched_spectrum": len(t_eigs) - matched,
@@ -393,22 +396,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.monotonic()
     try:
-        cfg = load_config(args.config, args)
-        if args.command == "verify":
-            rows, extra = run_verify(cfg, args.suite)
-        elif args.command == "bethe":
-            rows, extra = run_bethe(cfg, args.branch, args.m, args.constrained)
-        elif args.command == "spectrum":
-            rows, extra = run_spectrum(cfg, args.constrained)
-        elif args.command == "partition":
-            rows, extra = run_partition(cfg, args.kind, args.method)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        # numpy overflow, division by zero and invalid operations raise, so stderr
+        # holds one message line, not warnings; underflow stays silent
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.config, args)
+            if args.command == "verify":
+                rows, extra = run_verify(cfg, args.suite)
+            elif args.command == "bethe":
+                rows, extra = run_bethe(cfg, args.branch, args.m, args.constrained)
+            elif args.command == "spectrum":
+                rows, extra = run_spectrum(cfg, args.constrained)
+            elif args.command == "partition":
+                rows, extra = run_partition(cfg, args.kind, args.method)
+            else:  # pragma: no cover - argparse enforces the choices
+                raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateParameter, OverflowError) as exc:
-        # an overflowing sinh is a parameter too far from the generic range
+    except (DegenerateParameter, OverflowError, FloatingPointError) as exc:
+        # an overflowing sinh or product is a parameter too far from the generic range
         print(f"degenerate parameters: {exc}", file=sys.stderr)
         return 3
     except NoConvergence as exc:

@@ -55,6 +55,25 @@ class ModelParams:
     def homogeneous(self) -> bool:
         return all(x == 0 for x in self.xi)
 
+    def boundary(self, side: str) -> tuple[complex, complex, complex]:
+        """(delta, zeta, tau) of K_- for side "minus", (delta_bar, zeta_bar, tau_bar) of K_+ for "plus"."""
+        if side == "minus":
+            return self.delta, self.zeta, self.tau
+        if side == "plus":
+            return self.delta_bar, self.zeta_bar, self.tau_bar
+        raise ValueError(f"unknown side {side!r}")
+
+    def theta(self, side: str) -> complex:
+        """The height-picture parameter delta - zeta of ``side``'s couplings."""
+        delta, zeta, _ = self.boundary(side)
+        return delta - zeta
+
+    def k_point(self, lam: complex, side: str) -> complex:
+        """Where ``side``'s K evaluates K_- of its couplings: lam for "minus",
+        -lam - eta for "plus", as K_+(lam) = K_-(-lam - eta; barred)."""
+        self.boundary(side)  # rejects an unknown side
+        return lam if side == "minus" else -lam - self.eta
+
 
 # the denominators of one spectral point lam, in the order _gaps lists them
 _LAM_LABELS = tuple(

@@ -21,7 +21,8 @@ from . import tensor as tn
 from .errors import DegenerateParameter, SingularPrefactor
 from .params import ModelParams
 
-KINDS = ("bminus", "cminus", "bplus", "cplus")
+# kind -> (side, creator): the boundary its block string reflects on and its creation block
+KINDS = {"bminus": ("minus", "B"), "cminus": ("minus", "C"), "bplus": ("plus", "B"), "cplus": ("plus", "C")}
 
 
 def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple[ModelParams, tuple[complex, ...]]:
@@ -34,27 +35,27 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
     """
     if kind not in KINDS:
         raise ValueError(f"unknown partition kind {kind!r}")
+    side, _ = KINDS[kind]
     lams = tuple(complex(x) for x in lambdas)
     if len(lams) != p.N:
         raise ValueError("need exactly N spectral parameters")
-    d, z = (p.delta, p.zeta) if kind.endswith("minus") else (p.delta_bar, p.zeta_bar)
+    d, z, _ = p.boundary(side)
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
 
 
-def _apply_blocks(q: ModelParams, lams: Sequence[complex], kind: str, v: np.ndarray) -> np.ndarray:
-    """B(lams[0]) ... B(lams[-1]) v for the b kinds, C(...) for the c kinds,
-    of ``_kind_params`` output q; the last block is applied first."""
-    side = "minus" if kind.endswith("minus") else "plus"
-    creator = "B" if kind.startswith("b") else "C"
+def _apply_blocks(q: ModelParams, lams: Sequence[complex], side: str, creator: str, v: np.ndarray) -> np.ndarray:
+    """creator(lams[0]) ... creator(lams[-1]) v, the ``side`` blocks of
+    ``_kind_params`` output q; the last block is applied first."""
+    theta = q.theta(side)
     for lam in reversed(lams):
-        v = sos.block_column(lam, q.delta - q.zeta, side, creator, q, v)[0]
+        v = sos.block_column(lam, theta, side, creator, q, v)[0]
     return v
 
 
-def _ends(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _ends(n: int, creator: str) -> tuple[np.ndarray, np.ndarray]:
     """(ket, bra): the reference state the block string acts on, and the one it ends in."""
     up, down = tn.all_up(n), tn.all_down(n)
-    return (up, down) if kind.startswith("b") else (down, up)
+    return (up, down) if creator == "B" else (down, up)
 
 
 def _point_contraction(
@@ -67,15 +68,16 @@ def _point_contraction(
     only the blocks of lambdas[0..i] to it, last block first.  This is the
     one contraction: ``z_contraction`` is its i = 0 case.
     """
+    side, creator = KINDS[kind]
     tail: list[np.ndarray] = []
 
     def z(lam: complex) -> complex:
         q, lams = _kind_params(p, lambdas[:i] + (lam,) + lambdas[i + 1:], kind)
-        params.assert_generic(q, lams, [q.delta - q.zeta])
-        ket, bra = _ends(q.N, kind)
+        params.assert_generic(q, lams, [q.theta(side)])
+        ket, bra = _ends(q.N, creator)
         if not tail:
-            tail.append(_apply_blocks(q, lams[i + 1:], kind, ket))
-        return complex(bra @ _apply_blocks(q, lams[:i + 1], kind, tail[0]))
+            tail.append(_apply_blocks(q, lams[i + 1:], side, creator, ket))
+        return complex(bra @ _apply_blocks(q, lams[:i + 1], side, creator, tail[0]))
 
     return z
 
@@ -99,7 +101,7 @@ def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> compl
 
 
 def _z_determinant_bminus(q: ModelParams, lams: tuple[complex, ...]) -> complex:
-    params.assert_generic(q, lams, [q.delta - q.zeta])
+    params.assert_generic(q, lams, [q.theta("minus")])
     n, xis = q.N, q.xi
     d, z, eta = q.delta, q.zeta, q.eta
     m = np.array([[m_entry(i, j, q, lams) for j in range(n)] for i in range(n)], dtype=complex)
@@ -133,12 +135,13 @@ def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> comp
     inhomogeneities negated, and an overall (-1)^N.
     """
     q, lams = _kind_params(p, lambdas, kind)
+    side, _ = KINDS[kind]
     if kind in ("cminus", "bplus"):
         q = q.replace(delta=q.zeta, zeta=q.delta, delta_bar=q.zeta, zeta_bar=q.delta)
-    if kind.endswith("minus"):
+    if side == "minus":
         return _z_determinant_bminus(q, lams)
     reflected = q.replace(xi=tuple(-x for x in q.xi))
-    return (-1) ** q.N * _z_determinant_bminus(reflected, tuple(-l - q.eta for l in lams))
+    return (-1) ** q.N * _z_determinant_bminus(reflected, tuple(q.k_point(l, side) for l in lams))
 
 
 def z_value(p: ModelParams, lambdas: Sequence[complex], kind: str, method: str) -> complex:
@@ -169,7 +172,7 @@ def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, meth
     """
     q, lams = _kind_params(p, lambdas, "bminus")
     n, eta, xis = q.N, q.eta, q.xi
-    th = q.delta - q.zeta
+    th = q.theta("minus")
     # lam is the substituted point, member its boundary coupling, x0 = +-xi_1
     # the value lam takes there, and rest the points Z_{N-1} keeps
     if which == "lam1=xi1":
@@ -216,7 +219,7 @@ def polynomial_degree_residual(
         lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
         trial = lams[:i] + (lam,) + lams[i + 1:]
         try:
-            params.assert_generic(q, trial, [q.delta - q.zeta])
+            params.assert_generic(q, trial, [q.theta("minus")])
             weight = exp((2 * q.N + 2) * lam) * sinh(q.delta + lam) * sinh(q.zeta + lam)
             vals.append(weight * z_at(lam))
             nodes.append(lam)

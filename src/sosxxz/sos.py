@@ -135,11 +135,14 @@ def k2_minus_diag(lam: complex, delta: complex, zeta: complex, eps: float = 0.0)
     return np.diag([sinh(delta - lam) / d1, sinh(zeta - lam) / d2]).astype(complex)
 
 
-def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
-    """sinh(th - eta sz)/sinh(th) * K_-(lam; d, z), th = d - z (2x2 diagonal).
+def k_diag(lam: complex, side: str, p: ModelParams) -> np.ndarray:
+    """Diagonal K_-(lam; delta, zeta) ("minus") or K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar) ("plus")."""
+    delta, zeta, _ = p.boundary(side)
+    return k2_minus_diag(p.k_point(lam, side), delta, zeta, p.eps_pole)
 
-    The dressed K_+(lam) of the barred pair is tilde_k2(-lam - eta, db, zb).
-    """
+
+def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
+    """sinh(th - eta sz)/sinh(th) * K_-(lam; d, z), th = d - z (2x2 diagonal)."""
     th = delta - zeta
     if abs(sinh(th)) <= eps:
         raise DegenerateParameter("|sinh(delta - zeta)| too small")
@@ -150,6 +153,9 @@ def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: flo
 # ----------------------------------------------------------------------
 # dynamical monodromy matrices
 
+
+# side -> the monodromy kinds to the left and right of its K in the double row
+_DOUBLE_ROW = {"minus": ("T", "That"), "plus": ("V", "Vhat")}
 
 # kind -> (hatted, crossed).  Hatted factors take lam + xi_k, the others
 # lam - xi_k; crossed factors are L^{t0} gates shifted by the sites below k,
@@ -194,16 +200,10 @@ def dyn_double_row_gates(lam: complex, theta: complex, side: str, p: ModelParams
     """Gates of U_-(lam; theta) = T K_- That for side "minus", of
     U_+^{t_0}(lam; theta) = V K_+ Vhat for side "plus".
 
-    The minus side uses the diagonal K_-(lam; delta, zeta); the plus side
-    the diagonal K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar).
+    Each side's K is its diagonal ``k_diag``.
     """
-    if side == "minus":
-        k, kinds = k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole), ("T", "That")
-    elif side == "plus":
-        k, kinds = k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole), ("V", "Vhat")
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    left, right = (dyn_monodromy_gates(lam, theta, kind, p) for kind in kinds)
+    k = k_diag(lam, side, p)
+    left, right = (dyn_monodromy_gates(lam, theta, kind, p) for kind in _DOUBLE_ROW[side])
     return [*left, (k, (AUX,)), *right]
 
 
@@ -232,13 +232,11 @@ def block_column(
 
 
 def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.ndarray]) -> np.ndarray:
-    legs = site_legs(p.N)
-    sz = tn.sz_sum(legs, legs)
     s2 = sinh(2 * lam + p.eta)
     if abs(s2) <= p.eps_pole:
         raise DegenerateParameter("|sinh(2 lam + eta)| too small for modified D_-")
     # each coefficient once per distinct S^z, then gathered per basis state
-    values, which = np.unique(sz, return_inverse=True)
+    values, which = tn.charge_table((1,) * p.N)
     for s in values:
         if abs(sinh(theta - p.eta * s)) <= p.eps_pole:
             raise DegenerateParameter("|sinh(theta - eta S^z)| too small for modified D_-")
@@ -273,8 +271,7 @@ def gauge_row_gates(
     ``extra_shift`` adds weighted legs to every factor's dynamical argument
     (used for the theta - eta sz_aux variants in the gauge relations).
     """
-    if side not in ("minus", "plus"):
-        raise ValueError(f"unknown side {side!r}")
+    p.boundary(side)  # rejects an unknown side
     minus = side == "minus"
 
     def gate(k):
@@ -312,12 +309,12 @@ def sos_transfer(
     Both put the diagonal K~ first, the trace being cyclic over an
     operator on the auxiliary leg alone.
     """
-    if which == "SOS1":
-        kt, side = tilde_k2(-mu - p.eta, p.delta_bar, p.zeta_bar, p.eta, p.eps_pole), "minus"
-    elif which == "SOS2":
-        kt, side = tilde_k2(mu, p.delta, p.zeta, p.eta, p.eps_pole), "plus"
-    else:
+    if which not in ("SOS1", "SOS2"):
         raise ValueError(f"unknown transfer kind {which!r}")
+    # the dressed K~ sits at the boundary opposite the double row's
+    k_side, side = ("plus", "minus") if which == "SOS1" else ("minus", "plus")
+    delta, zeta, _ = p.boundary(k_side)
+    kt = tilde_k2(p.k_point(mu, k_side), delta, zeta, p.eta, p.eps_pole)
     return tn.traced_product(chain_legs(p.N), [(kt, (AUX,)), *dyn_double_row_gates(mu, theta, side, p)], x)
 
 
@@ -328,7 +325,7 @@ def sos_transfer(
 def gamma_parity_residual(lam, p: ModelParams) -> float:
     """Both sides of the parity relation for the minus double-row matrix:
     sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
-    theta = p.delta - p.zeta
+    theta = p.theta("minus")
     x0 = [(tn.SX, (AUX,))]
     lhs = [*x0, *dyn_double_row_gates(lam, theta, "minus", p), *x0]
     swapped = p.replace(delta=p.zeta, zeta=p.delta)
@@ -467,34 +464,26 @@ def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
     return tn.product_residual(legs, lhs, rhs)
 
 
-def k_minus_diag_residual(lam, p: ModelParams) -> float:
-    theta = p.delta - p.zeta
-    lhs = gauge_s2_inv(lam, theta, p.tau, p.eps_pole) @ vx.k2(lam, "minus", p) @ gauge_s2(-lam, theta, p.tau, p.eps_pole)
-    return tn.rel_residual(lhs, k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole))
-
-
-def k_plus_diag_residual(lam, p: ModelParams) -> float:
-    tb = p.delta_bar - p.zeta_bar
-    lhs = (
-        gauge_s_tilde2_inv(lam + p.eta, tb, p.tau_bar, p.eps_pole)
-        @ vx.k2(lam, "plus", p).T
-        @ gauge_s_tilde2(-lam - p.eta, tb, p.tau_bar, p.eps_pole)
-    )
-    return tn.rel_residual(lhs, k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole))
+def k_diag_residual(lam, p: ModelParams, side: str) -> float:
+    """Gauge diagonalization of the vertex K: S^-1(x) K_-(lam) S(-x) at x = lam
+    ("minus"), or S~^-1(x) K_+(lam)^t S~(-x) at x = lam + eta ("plus"), against
+    ``k_diag``, with the side's theta and tau."""
+    theta, (_, _, omega) = p.theta(side), p.boundary(side)
+    if side == "minus":
+        s, s_inv, k, x = gauge_s2, gauge_s2_inv, vx.k2(lam, side, p), lam
+    else:
+        s, s_inv, k, x = gauge_s_tilde2, gauge_s_tilde2_inv, vx.k2(lam, side, p).T, lam + p.eta
+    lhs = s_inv(x, theta, omega, p.eps_pole) @ k @ s(-x, theta, omega, p.eps_pole)
+    return tn.rel_residual(lhs, k_diag(lam, side, p))
 
 
 def dyn_reflection_residual(l1, l2, p: ModelParams, side: str) -> float:
     """Reflection equation for the diagonal height-picture K_- ("minus") or K_+ ("plus")."""
-    if side == "minus":
-        theta = p.delta - p.zeta
-        k = lambda lam: k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole)
-    else:
-        theta = p.delta_bar - p.zeta_bar
-        k = lambda lam: k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole)
+    theta = p.theta(side)
     legs = _L_LEGS
     return vx.reflection_type_residual(
         lambda a, b: [(dyn_r4(x, theta, p.eta), legs) for x in (a, b)],
-        lambda lam, leg: [(k(lam), (leg,))],
+        lambda lam, leg: [(k_diag(lam, side, p), (leg,))],
         legs, side, l1, l2, p.eta,
     )
 
@@ -503,7 +492,7 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     """Vertex reflection-equation side against its gauge-conjugated height form."""
     legs = _L_LEGS
     eta = p.eta
-    theta = p.delta - p.zeta
+    theta = p.theta("minus")
     om = p.tau
     # the inner gauge pair reads theta - eta sz_2
     shift = [("c2", -1)]
@@ -519,9 +508,9 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
         (gauge_s2(l2, theta, om, p.eps_pole), ("c2",)),
         (gauge_s2(l1, th, om, p.eps_pole), ("c1",), shift),
         (dyn_r4(l1 - l2, theta, eta), legs),
-        (k2_minus_diag(l1, p.delta, p.zeta, p.eps_pole), ("c1",)),
+        (k_diag(l1, "minus", p), ("c1",)),
         (tn.swapped4(dyn_r4(l1 + l2, theta, eta)), legs),
-        (k2_minus_diag(l2, p.delta, p.zeta, p.eps_pole), ("c2",)),
+        (k_diag(l2, "minus", p), ("c2",)),
         (gauge_s2_inv(-l1, th, om, p.eps_pole), ("c1",), shift),
         (gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)),
     ]
@@ -533,7 +522,8 @@ def zero_weight_residual(lam, theta, p: ModelParams) -> float:
     and the sites: T (q X) against q (T X) on the probe block X."""
     legs = chain_legs(p.N)
     t = dyn_monodromy_gates(lam, theta, "T", p)
-    q = tn.sz_sum(legs, legs)[:, None]
+    values, which = tn.charge_table((1,) * len(legs))
+    q = values[which][:, None]
     x = tn.probe_block(len(legs))
     return tn.rel_residual(tn.product(legs, t, q * x), q * tn.product(legs, t, x))
 
@@ -576,10 +566,7 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     The R-matrices carry theta - eta S^z ("minus") or theta + eta S^z
     ("plus") of the quantum sites.
     """
-    if side == "minus":
-        theta, w = p.delta - p.zeta, -1
-    else:
-        theta, w = p.delta_bar - p.zeta_bar, +1
+    theta, w = p.theta(side), -1 if side == "minus" else +1
     slegs = site_legs(p.N)
     shift = [(s, w) for s in slegs]
     build = lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta)
@@ -592,12 +579,8 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
 
 def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
     """Double-row vertex-face relation between the two pictures, minus or plus side."""
-    if side == "minus":
-        theta, om = p.delta - p.zeta, p.tau
-        x = lam
-    else:
-        theta, om = p.delta_bar - p.zeta_bar, p.tau_bar
-        x = lam + p.eta
+    theta, (_, _, om) = p.theta(side), p.boundary(side)
+    x = lam if side == "minus" else lam + p.eta
     left, right = (gauge_aux_gate(y, theta, om, side, p) for y in (x, -x))
     srow = gauge_row_gates(theta, om, side, p)
     lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p)]
@@ -609,10 +592,9 @@ def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
 def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     """Three-term exchange relation of A_- ("A") or D-tilde_- ("D") past B_- at theta = delta - zeta."""
     eta = p.eta
-    theta = p.delta - p.zeta
-    slegs = site_legs(p.N)
+    theta = p.theta("minus")
     # an S^z-dependent coefficient is evaluated once per distinct S^z and gathered
-    values, which = np.unique(tn.sz_sum(slegs, slegs), return_inverse=True)
+    values, which = tn.charge_table((1,) * p.N)
 
     def dg(fn):
         return np.array([fn(s) for s in values])[which, None]
@@ -666,8 +648,8 @@ SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]]
     "l_parity": lambda l, th, p: crossed_l_parity_residual(l[0], th, p.eta),
     "vertex_face1": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=1),
     "vertex_face2": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=2),
-    "k_minus_diag": lambda l, th, p: k_minus_diag_residual(l[0], p),
-    "k_plus_diag": lambda l, th, p: k_plus_diag_residual(l[0], p),
+    "k_minus_diag": lambda l, th, p: k_diag_residual(l[0], p, "minus"),
+    "k_plus_diag": lambda l, th, p: k_diag_residual(l[0], p, "plus"),
     "dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "minus"),
     "dual_dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "plus"),
     "reflection_equivalence": lambda l, th, p: reflection_equivalence_residual(l[0], l[1], p),
@@ -696,7 +678,7 @@ def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 
         raise ValueError(f"unknown height-picture check {check!r}")
     residual = SOS_RESIDUALS[check]
     rng = np.random.default_rng(seed)
-    thetas = (p.delta - p.zeta, p.delta_bar - p.zeta_bar)
+    thetas = (p.theta("minus"), p.theta("plus"))
 
     def draw_theta():
         for _ in range(10_000):

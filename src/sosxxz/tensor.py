@@ -89,14 +89,6 @@ def leg_sz(full_legs: Sequence[str], leg: str) -> np.ndarray:
     return 1 - 2 * ((idx >> (n - 1 - i)) & 1)
 
 
-def sz_sum(full_legs: Sequence[str], legs: Sequence[str]) -> np.ndarray:
-    """Per-basis-state sum of sigma^z over a subset of legs."""
-    total = np.zeros(2 ** len(full_legs), dtype=int)
-    for l in legs:
-        total = total + leg_sz(full_legs, l)
-    return total
-
-
 @functools.lru_cache(maxsize=None)
 def charge_table(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(charges, return_inverse=True)`` of the charge sum_j

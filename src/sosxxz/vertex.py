@@ -133,11 +133,7 @@ def dk2_minus(lam: complex, delta: complex, zeta: complex, tau: complex, eps: fl
 
 def k2(lam: complex, side: str, p: ModelParams) -> np.ndarray:
     """Boundary block: K_- at lambda, or K_+(lam) = K_-(-lam-eta; barred)."""
-    if side == "minus":
-        return k2_minus(lam, p.delta, p.zeta, p.tau, p.eps_pole)
-    if side == "plus":
-        return k2_minus(-lam - p.eta, p.delta_bar, p.zeta_bar, p.tau_bar, p.eps_pole)
-    raise ValueError(f"unknown side {side!r}")
+    return k2_minus(p.k_point(lam, side), *p.boundary(side), p.eps_pole)
 
 
 def monodromy_gates(lam: complex, p: ModelParams, hatted: bool = False) -> list:
@@ -161,11 +157,10 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     """Gates of U_- = T K_- That ("minus") or U_+^{t_0} = T^{t_0} K_+^t That^{t_0} ("plus")."""
     assert_generic(p, [lam])
     t, that = monodromy_gates(lam, p), monodromy_gates(lam, p, hatted=True)
+    k = k2(lam, side, p)
     if side == "minus":
-        return [*t, (k2(lam, "minus", p), (AUX,)), *that]
-    if side == "plus":
-        return [*aux_transposed(t), (k2(lam, "plus", p).T, (AUX,)), *aux_transposed(that)]
-    raise ValueError(f"unknown side {side!r}")
+        return [*t, (k, (AUX,)), *that]
+    return [*aux_transposed(t), (k.T, (AUX,)), *aux_transposed(that)]
 
 
 def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray | None = None) -> np.ndarray:
@@ -208,8 +203,8 @@ def hamiltonian_direct(p: ModelParams) -> np.ndarray:
         )
         return tn.product(legs, [(pref * m, (leg,))])
 
-    h = h + boundary_term(p.delta_bar, p.zeta_bar, p.tau_bar, "s1", +1, +1)
-    h = h + boundary_term(p.delta, p.zeta, p.tau, f"s{N}", -1, -1)
+    h = h + boundary_term(*p.boundary("plus"), "s1", +1, +1)
+    h = h + boundary_term(*p.boundary("minus"), f"s{N}", -1, -1)
     return tn.require_finite(h)
 
 
@@ -224,9 +219,9 @@ def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
     N = p.N
     legs = chain_legs(N)
     # (factor, derivative) pairs of K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10}
-    pairs = [(k2(0, "plus", p), -dk2_minus(-p.eta, p.delta_bar, p.zeta_bar, p.tau_bar, p.eps_pole), (AUX,))]
+    pairs = [(k2(0, "plus", p), -dk2_minus(-p.eta, *p.boundary("plus"), p.eps_pole), (AUX,))]
     pairs += [(r4(0, p.eta), dr4(0, p.eta), (AUX, f"s{k}")) for k in range(1, N + 1)]
-    pairs.append((k2(0, "minus", p), dk2_minus(0, p.delta, p.zeta, p.tau, p.eps_pole), (AUX,)))
+    pairs.append((k2(0, "minus", p), dk2_minus(0, *p.boundary("minus"), p.eps_pole), (AUX,)))
     pairs += [(r4(0, p.eta), dr4(0, p.eta), (f"s{k}", AUX)) for k in reversed(range(1, N + 1))]
 
     return sum(

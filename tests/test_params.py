@@ -3,6 +3,8 @@ from cmath import sinh
 import numpy as np
 import pytest
 
+from sosxxz import sos
+from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter
 from sosxxz.params import assert_generic, generic_params, min_pole_gap
 
@@ -54,3 +56,41 @@ def test_assert_generic_names_the_first_failing_gap(n, case):
     with pytest.raises(DegenerateParameter) as err:
         assert_generic(p, lams, thetas)
     assert str(err.value) == f"|sinh({label})| = {gap:.3e} <= {p.eps_pole:.1e}"
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_boundary_theta_and_k_point_of_each_side(n):
+    p = generic_params(n)
+    lam = 0.21 + 0.12j
+    assert p.boundary("minus") == (p.delta, p.zeta, p.tau)
+    assert p.boundary("plus") == (p.delta_bar, p.zeta_bar, p.tau_bar)
+    assert p.theta("minus") == p.delta - p.zeta
+    assert p.theta("plus") == p.delta_bar - p.zeta_bar
+    assert p.k_point(lam, "minus") == lam
+    assert p.k_point(lam, "plus") == -lam - p.eta
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p.boundary("left"),
+        lambda p: p.theta("left"),
+        lambda p: p.k_point(0.2, "left"),
+        lambda p: vx.k2(0.2, "left", p),
+        lambda p: sos.k_diag(0.2, "left", p),
+        lambda p: sos.dyn_double_row_gates(0.2, p.theta("minus"), "left", p),
+    ],
+    ids=["boundary", "theta", "k_point", "k2", "k_diag", "dyn_double_row_gates"],
+)
+def test_unknown_side_is_rejected(call):
+    with pytest.raises(ValueError, match="unknown side 'left'"):
+        call(generic_params(2))
+
+
+def test_k_diag_plus_is_k_minus_at_the_crossed_point_of_the_barred_pair():
+    p = generic_params(3)
+    for lam in (0.21 + 0.12j, -0.4 + 0.33j):
+        plus = sos.k2_minus_diag(-lam - p.eta, p.delta_bar, p.zeta_bar, p.eps_pole)
+        minus = sos.k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole)
+        assert np.array_equal(sos.k_diag(lam, "plus", p), plus)
+        assert np.array_equal(sos.k_diag(lam, "minus", p), minus)

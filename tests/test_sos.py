@@ -259,7 +259,7 @@ def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indic
     theta = 0.63 + 0.29j
     eta, zb = p2.eta, p2.zeta_bar
     slegs = vx.site_legs(p2.N)
-    szv = tn.sz_sum(slegs, slegs)
+    szv = sum(tn.leg_sz(slegs, l) for l in slegs)
     blocks = double_row_blocks(lam, theta, "minus", p2)
     dt = sos._d_tilde(lam, theta, p2, blocks)
     d_co = sinh(zb + lam + eta) / sinh(zb - lam - eta)

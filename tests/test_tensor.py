@@ -283,7 +283,7 @@ def test_partial_ops_unknown_leg():
 def test_charge_resolved_matches_column_diag():
     # a gate scaling by its charge is the diagonal of sz_1 + sz_2
     full = ("a", "s1", "s2")
-    vals = tn.sz_sum(full, ("s1", "s2"))
+    vals = tn.leg_sz(full, "s1") + tn.leg_sz(full, "s2")
     charge = [("s1", 1), ("s2", 1)]
     values = oracle_charge_values(charge)
     assert values == [-2, 0, 2] and list(tn.charge_values(charge)) == values
