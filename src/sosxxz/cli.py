@@ -30,7 +30,7 @@ from . import sos
 from . import tensor as tn
 from . import vertex as vx
 from .errors import ConfigError, DegenerateParameter, NoConvergence, SosXxzError
-from .params import ModelParams, generic_params, sample_points
+from .params import ModelParams, generic_params, min_pole_gap, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
 # bytes of the largest single dense complex array that verify, bethe,
@@ -47,6 +47,8 @@ DENSE_ENTRIES = {
     # stacked states as gate lists and builds no square matrix, but keeps
     # the bound of spectrum, so the two commands refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
+    # unconstrained, the traced product of the 2^(N+1)-square identity;
+    # constrained, only the C(N, M) basis columns of the sector
     "spectrum": lambda n: 4 ** (n + 1),
     # the block string acts on a vector over the auxiliary leg and the sites;
     # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
@@ -291,9 +293,24 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
-    t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
-    sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
     rows = []
+    if constrained:
+        # the height-picture transfer matrix keeps S^z: diagonalize its block of
+        # the sector, and check each eigenpair's gauge image in the vertex picture
+        idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s)
+        leakage = tn.max_abs(np.delete(cols, idx, axis=0)) / max(tn.max_abs(cols), 1e-300)
+        rows.append(_row("spectrum.sector_leakage", digest, leakage, tol))
+        t_eigs, vecs = np.linalg.eig(cols[idx])
+        psi = np.zeros_like(cols)
+        psi[idx] = vecs
+        v = bt.vertex_eigenstate("b1", psi, p)
+        res = np.linalg.norm(vx.transfer_xxz(mu, p, v) - v * t_eigs, axis=0) / (
+            np.linalg.norm(v, axis=0) * np.maximum(np.abs(t_eigs), 1e-300)
+        )
+        rows.append(_row("spectrum.sector_in_vertex", digest, np.max(res), tol))
+    else:
+        t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
+    sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
     matched = 0
     details = []
     for i, sol in enumerate(sols):
@@ -306,13 +323,15 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     rows.sort(key=lambda r: r["check"])
     extra = {
         "mu": _c2pair(mu),
-        "transfer_dimension": len(t_eigs),
+        "transfer_dimension": 2**p.N,
         "solutions_found": len(sols),
         "matched": matched,
-        "unmatched_spectrum": len(t_eigs) - matched,
+        "unmatched_spectrum": 2**p.N - matched,
         "note": "incomplete Bethe coverage is expected in the doubly-constrained case",
         "solutions": details,
     }
+    if constrained:
+        extra.update(sector_dimension=len(t_eigs), min_pole_gap=min_pole_gap(p, [mu]))
     return rows, extra
 
 
@@ -382,8 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, required=True, help="number of Bethe roots")
     b.add_argument("--constrained", action="store_true", help="impose the boundary constraints")
 
-    s = sub.add_parser("spectrum", parents=[common], help="dense diagonalization vs Bethe eigenvalues")
-    s.add_argument("--constrained", action="store_true")
+    s = sub.add_parser("spectrum", parents=[common], help="transfer-matrix eigenvalues vs Bethe eigenvalues")
+    s.add_argument(
+        "--constrained",
+        action="store_true",
+        help="impose the boundary constraints and diagonalize the S^z sector block "
+        "(default: the dense 2^N transfer matrix)",
+    )
 
     q = sub.add_parser("partition", parents=[common], help="domain-wall partition functions")
     q.add_argument("--kind", default="bminus", choices=pt.KINDS)

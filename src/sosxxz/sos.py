@@ -318,6 +318,18 @@ def sos_transfer(
     return tn.traced_product(chain_legs(p.N), [(kt, (AUX,)), *dyn_double_row_gates(mu, theta, side, p)], x)
 
 
+def sector_transfer(mu: complex, theta: complex, which: str, p: ModelParams, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sos_transfer`` applied to the basis columns of the sector
+    sum_i sigma^z_i = s: the C(N, M) basis indices of the sector, ascending
+    (M = (N - s)/2 spins down), and the (2^N, C(N, M)) columns they map to.
+    The sector's block is the rows at those indices."""
+    values, charge = tn.charge_table((1,) * p.N)
+    idx = np.flatnonzero(values[charge] == s)
+    x = np.zeros((2**p.N, len(idx)), dtype=complex)
+    x[idx, np.arange(len(idx))] = 1.0
+    return idx, sos_transfer(mu, theta, which, p, x)
+
+
 # ----------------------------------------------------------------------
 # discrete symmetries relating the two reflection algebras
 

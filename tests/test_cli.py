@@ -1,9 +1,14 @@
 import json
+from math import comb
 
+import numpy as np
 import pytest
 
+from sosxxz import bethe as bt
 from sosxxz import cli
-from sosxxz.params import generic_params
+from sosxxz import sos
+from sosxxz import vertex as vx
+from sosxxz.params import generic_params, min_pole_gap
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -59,6 +64,87 @@ def test_spectrum_reports_incompleteness_without_failing(tmp_path):
     extra = summary["extra"]
     assert extra["matched"] >= 1
     assert extra["matched"] + extra["unmatched_spectrum"] == extra["transfer_dimension"]
+
+
+def constrained_sectors(n):
+    """The sectors s the boundary constraints take at chain length n: N - s even, |s| < N."""
+    return range(-(n - 2), n - 1, 2)
+
+
+def spectrum_report(n, s, seed, tmp_path):
+    code, text = run_cli(["spectrum", "--constrained", "--n", str(n), "--sector", str(s), "--seed", str(seed)],
+                         tmp_path)
+    assert code == 0
+    rows, summary = rows_and_summary(text)
+    return {r["check"]: r for r in rows}, summary["extra"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_sector_rows_pass_in_every_constrained_sector(n, tmp_path):
+    for seed in range(3):
+        for s in constrained_sectors(n):
+            rows, _ = spectrum_report(n, s, seed, tmp_path)
+            assert rows["spectrum.sector_leakage"]["residual"] == 0.0
+            assert rows["spectrum.sector_in_vertex"]["residual"] < 1e-10
+            assert rows["spectrum.sector_leakage"]["pass"] and rows["spectrum.sector_in_vertex"]["pass"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sector_block_against_dense_vertex_spectrum(n, tmp_path):
+    # the dense eigenvalues of the vertex transfer matrix, which the sector path
+    # no longer builds, as the oracle of the block's eigenvalues and of the matches
+    for seed in range(3):
+        for s in constrained_sectors(n):
+            rows, extra = spectrum_report(n, s, seed, tmp_path)
+            p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
+            mu = complex(*extra["mu"])
+            dense = np.linalg.eigvals(vx.transfer_xxz(mu, p))
+            idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, s)
+            for lam in np.linalg.eigvals(cols[idx]):
+                assert np.min(np.abs(dense - lam)) < 1e-10 * abs(lam)
+            for i, sol in enumerate(extra["solutions"]):
+                lam = complex(*sol["lambda"])
+                dist = np.min(np.abs(dense - lam)) / abs(lam)
+                assert (dist < rows[f"spectrum.match.{i}"]["tolerance"]) == rows[f"spectrum.match.{i}"]["pass"]
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, -2), (6, 2)])
+def test_constrained_spectrum_reports_sector_and_pole_gap(n, s, tmp_path):
+    _, extra = spectrum_report(n, s, 0, tmp_path)
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
+    assert extra["sector_dimension"] == comb(n, (n - s) // 2)
+    # the Bethe coverage still counts against the whole space
+    assert extra["transfer_dimension"] == 2**n
+    assert extra["unmatched_spectrum"] == 2**n - extra["matched"]
+    assert extra["min_pole_gap"] == min_pole_gap(p, [complex(*extra["mu"])])
+    _, summary = rows_and_summary(run_cli(["spectrum", "--n", str(n), "--sector", str(s)], tmp_path)[1])
+    assert "sector_dimension" not in summary["extra"] and "min_pole_gap" not in summary["extra"]
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 2), (5, -3), (8, 2)])
+def test_sector_in_vertex_fails_on_the_opposite_sector(n, s, monkeypatch, tmp_path):
+    # the block of sector -s is not gauge-equivalent to the vertex transfer matrix
+    # under the constraints of sector s, so its gauge images are no eigenstates
+    block = sos.sector_transfer
+    monkeypatch.setattr(sos, "sector_transfer", lambda mu, theta, which, p, s: block(mu, theta, which, p, -s))
+    rows, _ = spectrum_report(n, s, 0, tmp_path)
+    assert rows["spectrum.sector_leakage"]["pass"]
+    assert not rows["spectrum.sector_in_vertex"]["pass"]
+    assert rows["spectrum.sector_in_vertex"]["residual"] > 0.1
+
+
+def test_sector_leakage_fails_on_the_vertex_columns(monkeypatch, tmp_path):
+    # the vertex transfer matrix, with its non-diagonal boundaries, does not keep S^z
+    block = sos.sector_transfer
+
+    def vertex_columns(mu, theta, which, p, s):
+        idx, _ = block(mu, theta, which, p, s)
+        return idx, vx.transfer_xxz(mu, p, np.eye(2**p.N, dtype=complex)[:, idx])
+
+    monkeypatch.setattr(sos, "sector_transfer", vertex_columns)
+    rows, _ = spectrum_report(4, 0, 0, tmp_path)
+    assert not rows["spectrum.sector_leakage"]["pass"]
+    assert rows["spectrum.sector_leakage"]["residual"] > 0.1
 
 
 def strip_wall_time(text):

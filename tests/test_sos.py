@@ -469,3 +469,20 @@ def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks):
             blocks = double_row_blocks(mu, theta, side, p)
             expect = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
             assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p), expect) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices):
+    # both transfer kinds keep S^z exactly at generic couplings: every column
+    # of a sector lands in it, and nothing leaves
+    p = generic_params(n)
+    theta = 0.63 + 0.29j
+    for mu in sample_points(np.random.default_rng(n), p, 2):
+        for which in ("SOS1", "SOS2"):
+            full = sos.sos_transfer(mu, theta, which, p)
+            for s, expect in sector_indices(n).items():
+                idx, cols = sos.sector_transfer(mu, theta, which, p, s)
+                assert np.array_equal(idx, np.sort(expect))
+                assert tn.rel_residual(cols, full[:, idx]) < 1e-15
+                outside = np.setdiff1d(np.arange(2**n), idx)
+                assert not np.any(cols[outside])
