@@ -15,7 +15,7 @@ eigenstates, all four families giving the same states.
 
 from __future__ import annotations
 
-from cmath import cosh, pi, sinh
+from cmath import pi, sinh
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -359,30 +359,29 @@ def _lambda1(mu: complex, roots, pars, xis, eta: complex) -> complex:
 
 
 def _lambda_terms(mu: complex, roots, pars, xis, eta: complex) -> tuple[list, list]:
-    """The two products of Lambda_1 as lists of sinh factors
-    (argument, d argument / d mu, power +1 or -1)."""
+    """The two products of Lambda_1 as lists of sinh factors (argument, power +1 or -1)."""
     d, z, db, zb = pars
     t1 = [
-        (zb - mu, -1, 1), (db + mu, 1, 1), (d - mu, -1, 1), (2 * mu + 2 * eta, 2, 1),
-        (zb - mu - eta, -1, -1), (db - mu - eta, -1, -1), (d + mu, 1, -1), (2 * mu + eta, 2, -1),
+        (zb - mu, 1), (db + mu, 1), (d - mu, 1), (2 * mu + 2 * eta, 1),
+        (zb - mu - eta, -1), (db - mu - eta, -1), (d + mu, -1), (2 * mu + eta, -1),
     ]
     t2 = [
-        (zb + mu + eta, 1, 1), (d + mu + eta, 1, 1), (z - mu - eta, -1, 1), (2 * mu, 2, 1),
-        (zb - mu - eta, -1, -1), (d + mu, 1, -1), (z + mu, 1, -1), (2 * mu + eta, 2, -1),
+        (zb + mu + eta, 1), (d + mu + eta, 1), (z - mu - eta, 1), (2 * mu, 1),
+        (zb - mu - eta, -1), (d + mu, -1), (z + mu, -1), (2 * mu + eta, -1),
     ]
     for li in roots:
-        den = [(mu + li + eta, 1, -1), (mu - li, 1, -1)]
-        t1 += [(mu + li, 1, 1), (mu - li - eta, 1, 1), *den]
-        t2 += [(mu + li + 2 * eta, 1, 1), (mu - li + eta, 1, 1), *den]
+        den = [(mu + li + eta, -1), (mu - li, -1)]
+        t1 += [(mu + li, 1), (mu - li - eta, 1), *den]
+        t2 += [(mu + li + 2 * eta, 1), (mu - li + eta, 1), *den]
     for xj in xis:
-        t1 += [(mu + xj + eta, 1, 1), (mu - xj + eta, 1, 1)]
-        t2 += [(mu + xj, 1, 1), (mu - xj, 1, 1)]
+        t1 += [(mu + xj + eta, 1), (mu - xj + eta, 1)]
+        t2 += [(mu + xj, 1), (mu - xj, 1)]
     return t1, t2
 
 
 def _sinh_product(factors) -> complex:
     num = den = 1
-    for arg, _, power in factors:
+    for arg, power in factors:
         if power > 0:
             num *= sinh(arg)
         else:
@@ -390,19 +389,6 @@ def _sinh_product(factors) -> complex:
     if den == 0:
         raise DegenerateParameter("Lambda_1 evaluated at a pole")
     return num / den
-
-
-def _sinh_product_derivative(factors) -> complex:
-    """d/dmu of a sinh product: the product times the coth sum
-    sum power * slope * coth(argument), or, where a numerator factor
-    vanishes, that factor's derivative times the rest."""
-    zeros = [k for k, (arg, _, power) in enumerate(factors) if power > 0 and sinh(arg) == 0]
-    if len(zeros) > 1:
-        return 0j
-    if zeros:
-        arg, slope, _ = factors[zeros[0]]
-        return slope * cosh(arg) * _sinh_product(factors[: zeros[0]] + factors[zeros[0] + 1 :])
-    return _sinh_product(factors) * sum(power * slope * cosh(arg) / sinh(arg) for arg, slope, power in factors)
 
 
 def branch_theta(branch: str, p: ModelParams) -> complex:
@@ -453,32 +439,3 @@ def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarra
     if np.any(np.linalg.norm(v, axis=0) <= 1e-12 * np.linalg.norm(psi, axis=0) * max(scale, 1.0)):
         raise NullState("vertex image collapsed below the norm floor")
     return v
-
-
-def energy(solution: BetheSolution, p: ModelParams) -> complex:
-    """Conventional energy formula: per-root terms plus an extensive constant.
-
-    E = sum_j c1 sinh(eta) / (sinh(lam_j + eta) sinh(lam_j)) + c1 N coth(eta).
-    This formula carries its own normalization; hamiltonian_energy gives
-    the eigenvalue of the Hamiltonian as built here.
-    """
-    c1v = vx.c1(p)
-    e = c1v * p.N * cosh(p.eta) / sinh(p.eta)
-    for lam in solution.roots:
-        if abs(sinh(lam)) <= p.eps_pole or abs(sinh(lam + p.eta)) <= p.eps_pole:
-            raise DegenerateParameter("energy summand at a pole")
-        e += c1v * sinh(p.eta) / (sinh(lam + p.eta) * sinh(lam))
-    return e
-
-
-def hamiltonian_energy(branch: str, solution: BetheSolution, p: ModelParams, kappa: complex) -> complex:
-    """Hamiltonian eigenvalue sinh(eta) Lambda'(0)/Lambda(0) - kappa.
-
-    Lambda' is the analytic derivative of the two products of Lambda
-    (``_lambda_terms``); kappa is the identity shift measured by the
-    transfer-matrix reconstruction.
-    """
-    lam = branch_eigenvalue(branch, 0.0, solution.roots, p)
-    terms = _lambda_terms(0.0, solution.roots, _pars(p, BRANCHES[branch].eig_order), p.xi, p.eta)
-    dlam = sum(_sinh_product_derivative(t) for t in terms)
-    return sinh(p.eta) * dlam / lam - kappa

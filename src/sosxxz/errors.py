@@ -17,14 +17,6 @@ class FormMismatch(SosXxzError):
     """Two supposedly equivalent constructions disagree beyond tolerance."""
 
 
-class NotHomogeneous(SosXxzError):
-    """An operation requiring a homogeneous chain got nonzero inhomogeneities."""
-
-
-class NonIdentityResidue(SosXxzError):
-    """A difference expected to be a multiple of the identity is not."""
-
-
 class NoConvergence(SosXxzError):
     """An iterative search found no verified solution."""
 

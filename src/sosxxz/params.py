@@ -52,9 +52,6 @@ class ModelParams:
     def replace(self, **kw) -> "ModelParams":
         return dataclasses.replace(self, **kw)
 
-    def homogeneous(self) -> bool:
-        return all(x == 0 for x in self.xi)
-
     def boundary(self, side: str) -> tuple[complex, complex, complex]:
         """(delta, zeta, tau) of K_- for side "minus", (delta_bar, zeta_bar, tau_bar) of K_+ for "plus"."""
         if side == "minus":

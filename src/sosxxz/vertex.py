@@ -4,9 +4,8 @@ Everything here lives in the vertex picture: the trigonometric six-vertex
 R-matrix with crossing parameter eta, the general non-diagonal boundary
 matrices, the gate lists of the inhomogeneous bulk monodromy T, its
 hatted partner and the double-row monodromy matrices around either
-boundary, the open-chain transfer matrix as their trace over the
-auxiliary leg, and the boundary Hamiltonian together with its
-reconstruction from the transfer-matrix derivative.
+boundary, and the open-chain transfer matrix as their trace over the
+auxiliary leg.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tn
-from .errors import DegenerateParameter, FormMismatch, NonIdentityResidue, NotHomogeneous
+from .errors import DegenerateParameter, FormMismatch
 from .params import ModelParams, assert_generic, sample_points
 
 AUX = "a0"
@@ -49,10 +48,6 @@ def gamma_tilde(lam: complex, p: ModelParams) -> complex:
     return v
 
 
-def c1(p: ModelParams) -> complex:
-    return -8 * sinh(p.delta) * sinh(p.delta_bar - p.eta) * sinh(p.zeta) * sinh(p.zeta_bar - p.eta)
-
-
 def r4(lam: complex, eta: complex) -> np.ndarray:
     """Six-vertex R-matrix as a raw 4x4 block."""
     sl, se = sinh(lam), sinh(eta)
@@ -63,21 +58,6 @@ def r4(lam: complex, eta: complex) -> np.ndarray:
             [0, sl, se, 0],
             [0, se, sl, 0],
             [0, 0, 0, sle],
-        ],
-        dtype=complex,
-    )
-
-
-def dr4(lam: complex, eta: complex) -> np.ndarray:
-    """Analytic lambda-derivative of the R-matrix block."""
-    cl = cosh(lam)
-    cle = cosh(lam + eta)
-    return np.array(
-        [
-            [cle, 0, 0, 0],
-            [0, cl, 0, 0],
-            [0, 0, cl, 0],
-            [0, 0, 0, cle],
         ],
         dtype=complex,
     )
@@ -100,35 +80,6 @@ def k2_minus(lam: complex, delta: complex, zeta: complex, tau: complex, eps: flo
         ],
         dtype=complex,
     )
-
-
-def dk2_minus(lam: complex, delta: complex, zeta: complex, tau: complex, eps: float) -> np.ndarray:
-    """Analytic lambda-derivative of the K_- block (quotient rule)."""
-    d1 = sinh(delta + lam)
-    d2 = sinh(zeta + lam)
-    if abs(d1) <= eps or abs(d2) <= eps:
-        raise DegenerateParameter("K_- denominator vanishes in derivative")
-    den = 2 * d1 * d2
-    dden = 2 * sinh(delta + zeta + 2 * lam)
-    cp = cosh(delta + zeta)
-    cm = cosh(delta - zeta)
-    s2 = sinh(2 * lam)
-    c2 = cosh(2 * lam)
-    num = np.array(
-        [
-            [cp * exp(-lam) - cm * exp(lam), exp(-tau) * s2],
-            [-exp(tau) * s2, cp * exp(lam) - cm * exp(-lam)],
-        ],
-        dtype=complex,
-    )
-    dnum = np.array(
-        [
-            [-cp * exp(-lam) - cm * exp(lam), 2 * exp(-tau) * c2],
-            [-2 * exp(tau) * c2, cp * exp(lam) + cm * exp(-lam)],
-        ],
-        dtype=complex,
-    )
-    return (dnum * den - num * dden) / den**2
 
 
 def k2(lam: complex, side: str, p: ModelParams) -> np.ndarray:
@@ -176,79 +127,6 @@ def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray | None = None) -> n
     if res > 1e-11:
         raise FormMismatch(f"transfer-matrix trace forms disagree: {res:.3e}")
     return form1
-
-
-def hamiltonian_direct(p: ModelParams) -> np.ndarray:
-    """Open XXZ Hamiltonian with general non-diagonal boundary fields.
-
-    This is the conserved charge produced by the transfer-matrix
-    derivative for the K-matrices used here: site 1 carries the boundary
-    adjacent to K_+ (barred parameters), site N the one adjacent to K_-.
-    The sign pattern of the boundary fields is fixed by that derivative.
-    Raises DegenerateParameter if sinh(zeta) sinh(delta) or its barred
-    partner is within eps_pole of zero, or if an entry is not finite.
-    """
-    N, eta = p.N, p.eta
-    legs = site_legs(N)
-    bond = np.kron(tn.SX, tn.SX) + np.kron(tn.SY, tn.SY) + cosh(eta) * np.kron(tn.SZ, tn.SZ)
-    h = sum(tn.product(legs, [(bond, (f"s{i}", f"s{i + 1}"))]) for i in range(1, N))
-
-    def boundary_term(delta, zeta, tau, leg, z_sign, xy_sign):
-        sz, sd = sinh(zeta), sinh(delta)
-        if abs(sz) <= p.eps_pole or abs(sd) <= p.eps_pole:
-            raise DegenerateParameter(f"boundary field on {leg}: sinh(zeta) sinh(delta) vanishes")
-        pref = sinh(eta) / (sz * sd)
-        m = z_sign * cosh(zeta) * cosh(delta) * tn.SZ + xy_sign * (
-            sinh(tau) * tn.SX - 1j * cosh(tau) * tn.SY
-        )
-        return tn.product(legs, [(pref * m, (leg,))])
-
-    h = h + boundary_term(*p.boundary("plus"), "s1", +1, +1)
-    h = h + boundary_term(*p.boundary("minus"), f"s{N}", -1, -1)
-    return tn.require_finite(h)
-
-
-def transfer_derivative_at_zero(p: ModelParams) -> np.ndarray:
-    """d/dlam T_XXZ(lam) at lam = 0 via the product rule (homogeneous chain).
-
-    Each factor of tr_0 { K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10} } is
-    differentiated analytically; each term is a traced gate list.
-    """
-    if not p.homogeneous():
-        raise NotHomogeneous("transfer-matrix derivative needs xi_m = 0")
-    N = p.N
-    legs = chain_legs(N)
-    # (factor, derivative) pairs of K_+ R_{01}..R_{0N} K_- R_{N0}..R_{10}
-    pairs = [(k2(0, "plus", p), -dk2_minus(-p.eta, *p.boundary("plus"), p.eps_pole), (AUX,))]
-    pairs += [(r4(0, p.eta), dr4(0, p.eta), (AUX, f"s{k}")) for k in range(1, N + 1)]
-    pairs.append((k2(0, "minus", p), dk2_minus(0, *p.boundary("minus"), p.eps_pole), (AUX,)))
-    pairs += [(r4(0, p.eta), dr4(0, p.eta), (f"s{k}", AUX)) for k in reversed(range(1, N + 1))]
-
-    return sum(
-        tn.traced_product(legs, [(d if i == j else f, on) for i, (f, d, on) in enumerate(pairs)])
-        for j in range(len(pairs))
-    )
-
-
-def hamiltonian(p: ModelParams) -> tuple[np.ndarray, complex]:
-    """The Hamiltonian reconstructed from the transfer matrix, with its identity shift.
-
-    Returns (H_candidate, kappa) with H_candidate = sinh(eta) T'(0) / T(0),
-    where T(0) = sinh(eta)^(2N) tr K_+(0) is a multiple of the identity,
-    and kappa the measured identity shift H_candidate - H_direct =
-    kappa * Id; raises NonIdentityResidue if the difference is not a
-    multiple of the identity to 1e-8, and DegenerateParameter if H_candidate
-    is not finite.
-    """
-    t0 = sinh(p.eta) ** (2 * p.N) * complex(np.trace(k2(0, "plus", p)))
-    h_cand = tn.require_finite(sinh(p.eta) / t0 * transfer_derivative_at_zero(p))
-    h_dir = hamiltonian_direct(p)
-    diff = h_cand - h_dir
-    kappa = complex(np.trace(diff) / diff.shape[0])
-    resid = tn.max_abs(diff - kappa * np.eye(diff.shape[0])) / max(tn.max_abs(h_cand), 1e-300)
-    if resid > 1e-8:
-        raise NonIdentityResidue(f"H_candidate - H_direct deviates from identity: {resid:.3e}")
-    return h_cand, kappa
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from cmath import sinh
+from cmath import cosh, sinh
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from sosxxz import bethe as bt
 from sosxxz import sos
 from sosxxz import tensor as tn
+from sosxxz import vertex as vx
+from sosxxz.errors import DegenerateParameter
 from sosxxz.params import generic_params
 
 
@@ -215,3 +217,128 @@ def perturb_first_product(monkeypatch):
         monkeypatch.setattr(tn, "product", perturbed)
 
     return install
+
+
+
+@pytest.fixture(scope="session")
+def d_dz():
+    """``(f, z0, r, k) -> f'(z0)`` by the trapezoid rule on the circle
+    |z - z0| = r with k nodes: sum_j f(z0 + r w^j) w^(-j) / (k r),
+    w = e^(2 pi i / k).  For f analytic within radius R of z0 the error
+    falls like (r / R)^k; ``f`` may return a scalar or an array."""
+
+    def derivative(f, z0, r, k):
+        w = np.exp(2j * np.pi * np.arange(k) / k)
+        return sum(f(z0 + r * wj) / wj for wj in w) / (k * r)
+
+    return derivative
+
+
+@pytest.fixture(scope="session")
+def hamiltonian_direct():
+    """``p -> H``: the open XXZ Hamiltonian with general non-diagonal
+    boundary fields, built term by term.
+
+    This is the conserved charge produced by the transfer-matrix
+    derivative for the K-matrices used here: site 1 couples to the barred
+    (K_+) parameters with +cosh(zeta_bar) cosh(delta_bar) sigma^z +
+    sinh(tau_bar) sigma^x - i cosh(tau_bar) sigma^y, site N to the unbarred
+    (K_-) ones with the opposite signs on all three terms; that derivative
+    fixes the sign pattern.  Raises DegenerateParameter if sinh(zeta)
+    sinh(delta) or its barred partner is within eps_pole of zero, or if an
+    entry is not finite.
+    """
+
+    def build(p):
+        N, eta = p.N, p.eta
+        legs = vx.site_legs(N)
+        bond = np.kron(tn.SX, tn.SX) + np.kron(tn.SY, tn.SY) + cosh(eta) * np.kron(tn.SZ, tn.SZ)
+        h = sum(tn.product(legs, [(bond, (f"s{i}", f"s{i + 1}"))]) for i in range(1, N))
+
+        def boundary_term(delta, zeta, tau, leg, z_sign, xy_sign):
+            sz, sd = sinh(zeta), sinh(delta)
+            if abs(sz) <= p.eps_pole or abs(sd) <= p.eps_pole:
+                raise DegenerateParameter(f"boundary field on {leg}: sinh(zeta) sinh(delta) vanishes")
+            pref = sinh(eta) / (sz * sd)
+            m = z_sign * cosh(zeta) * cosh(delta) * tn.SZ + xy_sign * (
+                sinh(tau) * tn.SX - 1j * cosh(tau) * tn.SY
+            )
+            return tn.product(legs, [(pref * m, (leg,))])
+
+        h = h + boundary_term(*p.boundary("plus"), "s1", +1, +1)
+        h = h + boundary_term(*p.boundary("minus"), f"s{N}", -1, -1)
+        return tn.require_finite(h)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def hamiltonian(d_dz, hamiltonian_direct):
+    """``p -> (H_candidate, kappa)`` for a homogeneous chain (every xi_m = 0):
+    the Hamiltonian reconstructed from the transfer matrix at the origin,
+    with its identity shift.
+
+    H_candidate = sinh(eta) T'(0) / T(0), with T the transfer matrix
+    ``vertex.transfer_xxz`` (both trace forms), T' its contour derivative
+    (r = 0.1, 32 nodes) and T(0) = sinh(eta)^(2N) tr K_+(0), a multiple of
+    the identity.  kappa is the mean diagonal entry of H_candidate -
+    H_direct; the caller checks that the difference is kappa times the
+    identity.
+    """
+
+    def reconstruct(p):
+        t0 = sinh(p.eta) ** (2 * p.N) * complex(np.trace(vx.k2(0, "plus", p)))
+        h_cand = tn.require_finite(sinh(p.eta) / t0 * d_dz(lambda z: vx.transfer_xxz(z, p), 0, 0.1, 32))
+        diff = h_cand - hamiltonian_direct(p)
+        return h_cand, complex(np.trace(diff) / diff.shape[0])
+
+    return reconstruct
+
+
+@pytest.fixture(scope="session")
+def hamiltonian_energy(d_dz):
+    """``(branch, solution, p, kappa) -> E``: the Hamiltonian eigenvalue
+    sinh(eta) Lambda'(0) / Lambda(0) - kappa of a Bethe solution, with
+    Lambda = ``bethe.branch_eigenvalue`` and Lambda' its contour derivative
+    (r = 0.05, 32 nodes); kappa is the identity shift of ``hamiltonian``."""
+
+    def eigenvalue(branch, solution, p, kappa):
+        def lam(mu):
+            return bt.branch_eigenvalue(branch, mu, solution.roots, p)
+
+        return sinh(p.eta) * d_dz(lam, 0, 0.05, 32) / lam(0) - kappa
+
+    return eigenvalue
+
+
+def _c1(p):
+    return -8 * sinh(p.delta) * sinh(p.delta_bar - p.eta) * sinh(p.zeta) * sinh(p.zeta_bar - p.eta)
+
+
+@pytest.fixture(scope="session")
+def c1():
+    """``p -> c1``: the normalization of the conventional energy formula."""
+    return _c1
+
+
+@pytest.fixture(scope="session")
+def energy():
+    """``(solution, p) -> E``: the conventional energy formula, per-root terms
+    plus an extensive constant,
+
+    E = sum_j c1 sinh(eta) / (sinh(lam_j + eta) sinh(lam_j)) + c1 N coth(eta).
+
+    This formula carries its own normalization; ``hamiltonian_energy``
+    gives the eigenvalue of the Hamiltonian as built here.
+    """
+
+    def formula(solution, p):
+        c1v = _c1(p)
+        e = c1v * p.N * cosh(p.eta) / sinh(p.eta)
+        for lam in solution.roots:
+            if abs(sinh(lam)) <= p.eps_pole or abs(sinh(lam + p.eta)) <= p.eps_pole:
+                raise DegenerateParameter("energy summand at a pole")
+            e += c1v * sinh(p.eta) / (sinh(lam + p.eta) * sinh(lam))
+        return e
+
+    return formula

@@ -66,10 +66,10 @@ def test_criterion_2_gauge_layer(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_criterion_3_hamiltonian_reconstruction(n):
+def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct):
     p = generic_params(n).replace(xi=(0,) * n)
-    h_cand, kappa = vx.hamiltonian(p)
-    h_dir = vx.hamiltonian_direct(p)
+    h_cand, kappa = hamiltonian(p)
+    h_dir = hamiltonian_direct(p)
     resid = tn.max_abs(h_cand - h_dir - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
     assert resid < 1e-8
     rng = np.random.default_rng(SEED)

@@ -210,47 +210,48 @@ def test_vertex_image_of_a_zero_state_is_null(constrained3):
         bt.vertex_eigenstate("b1", np.stack([psi, np.zeros_like(psi)], axis=1), p)
 
 
-def test_energy_single_root_closed_form():
+def test_energy_single_root_closed_form(c1, energy):
     p = generic_params(2)
-    c1v = vx.c1(p)
+    c1v = c1(p)
     lam = -p.eta / 2 + 0.3j  # a generic point, then the closed-form point
     sol = bt.BetheSolution("b1", (-p.eta / 2 + 0.5,), 1, (0.0,), 0)
     # epsilon at lam = -eta/2 equals -c1 sinh(eta) / sinh^2(eta/2)
     at = bt.BetheSolution("b1", (-p.eta / 2,), 1, (0.0,), 0)
-    e = bt.energy(at, p) - c1v * p.N * cosh(p.eta) / sinh(p.eta)
+    e = energy(at, p) - c1v * p.N * cosh(p.eta) / sinh(p.eta)
     expect = -c1v * sinh(p.eta) / sinh(p.eta / 2) ** 2
     assert abs(e - expect) < 1e-12 * abs(expect)
 
 
-def test_energy_reflection_invariant(constrained2):
+def test_energy_reflection_invariant(constrained2, energy):
     p = constrained2
     sol = bt.find_bethe_solutions("b1", 1, p, seed=1)[0]
     reflected = bt.BetheSolution("b1", tuple(-z - p.eta for z in sol.roots), 1, sol.residuals, 0)
-    assert abs(bt.energy(sol, p) - bt.energy(reflected, p)) < 1e-12 * abs(bt.energy(sol, p))
+    assert abs(energy(sol, p) - energy(reflected, p)) < 1e-12 * abs(energy(sol, p))
 
 
-def test_energy_pole_raises(p2):
+def test_energy_pole_raises(p2, energy):
     sol = bt.BetheSolution("b1", (0.0,), 1, (0.0,), 0)
     with pytest.raises(DegenerateParameter):
-        bt.energy(sol, p2)
+        energy(sol, p2)
 
 
-def test_hamiltonian_energy_matches_rayleigh(constrained2):
+def test_hamiltonian_energy_matches_rayleigh(constrained2, hamiltonian, hamiltonian_direct,
+                                             hamiltonian_energy, c1, energy):
     p = constrained2.replace(xi=(0,) * constrained2.N)
-    h_dir = vx.hamiltonian_direct(p)
-    _, kappa = vx.hamiltonian(p)
+    h_dir = hamiltonian_direct(p)
+    _, kappa = hamiltonian(p)
     sols = bt.find_bethe_solutions("b1", 1, p, seed=3)
     assert len(sols) >= 2
-    c1v = vx.c1(p)
+    c1v = c1(p)
     offsets = []
     for sol in sols:
         v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", sol, p), p)
         rq = (np.conj(v) @ (h_dir @ v)) / (np.conj(v) @ v)
-        he = bt.hamiltonian_energy("b1", sol, p, kappa)
+        he = hamiltonian_energy("b1", sol, p, kappa)
         assert abs(rq - he) < 1e-7 * abs(rq)
         # the conventional energy formula is affine in the eigenvalue with slope
         # 2 sinh(eta) / c1; the measured offset must be state-independent
-        e_disp = bt.energy(sol, p)
+        e_disp = energy(sol, p)
         offsets.append(rq - 2 * sinh(p.eta) / c1v * (e_disp - c1v * p.N * cosh(p.eta) / sinh(p.eta)))
     assert abs(offsets[0] - offsets[1]) < 1e-7 * max(abs(offsets[0]), 1.0)
 

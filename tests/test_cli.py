@@ -60,7 +60,9 @@ def test_bethe_constrained_run(tmp_path):
 def test_spectrum_reports_incompleteness_without_failing(tmp_path):
     code, text = run_cli(["spectrum", "--constrained", "--n", "2", "--seed", "3"], tmp_path)
     assert code == 0
-    _, summary = rows_and_summary(text)
+    rows, summary = rows_and_summary(text)
+    # the matches are counted in extra; only the sector checks are rows
+    assert [r["check"] for r in rows] == ["spectrum.sector_in_vertex", "spectrum.sector_leakage"]
     extra = summary["extra"]
     assert extra["matched"] >= 1
     assert extra["matched"] + extra["unmatched_spectrum"] == extra["transfer_dimension"]
@@ -71,10 +73,10 @@ def constrained_sectors(n):
     return range(-(n - 2), n - 1, 2)
 
 
-def spectrum_report(n, s, seed, tmp_path):
+def spectrum_report(n, s, seed, tmp_path, expect=0):
     code, text = run_cli(["spectrum", "--constrained", "--n", str(n), "--sector", str(s), "--seed", str(seed)],
                          tmp_path)
-    assert code == 0
+    assert code == expect
     rows, summary = rows_and_summary(text)
     return {r["check"]: r for r in rows}, summary["extra"]
 
@@ -96,16 +98,18 @@ def test_sector_block_against_dense_vertex_spectrum(n, tmp_path):
     for seed in range(3):
         for s in constrained_sectors(n):
             rows, extra = spectrum_report(n, s, seed, tmp_path)
+            tol = rows["spectrum.sector_in_vertex"]["tolerance"]
             p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
             mu = complex(*extra["mu"])
             dense = np.linalg.eigvals(vx.transfer_xxz(mu, p))
             idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, s)
             for lam in np.linalg.eigvals(cols[idx]):
                 assert np.min(np.abs(dense - lam)) < 1e-10 * abs(lam)
-            for i, sol in enumerate(extra["solutions"]):
+            for sol in extra["solutions"]:
                 lam = complex(*sol["lambda"])
                 dist = np.min(np.abs(dense - lam)) / abs(lam)
-                assert (dist < rows[f"spectrum.match.{i}"]["tolerance"]) == rows[f"spectrum.match.{i}"]["pass"]
+                assert (dist < tol) == (sol["match_residual"] < tol)
+            assert extra["matched"] == sum(sol["match_residual"] < tol for sol in extra["solutions"])
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (4, -2), (6, 2)])
@@ -127,7 +131,7 @@ def test_sector_in_vertex_fails_on_the_opposite_sector(n, s, monkeypatch, tmp_pa
     # under the constraints of sector s, so its gauge images are no eigenstates
     block = sos.sector_transfer
     monkeypatch.setattr(sos, "sector_transfer", lambda mu, theta, which, p, s: block(mu, theta, which, p, -s))
-    rows, _ = spectrum_report(n, s, 0, tmp_path)
+    rows, _ = spectrum_report(n, s, 0, tmp_path, expect=4)
     assert rows["spectrum.sector_leakage"]["pass"]
     assert not rows["spectrum.sector_in_vertex"]["pass"]
     assert rows["spectrum.sector_in_vertex"]["residual"] > 0.1
@@ -142,7 +146,7 @@ def test_sector_leakage_fails_on_the_vertex_columns(monkeypatch, tmp_path):
         return idx, vx.transfer_xxz(mu, p, np.eye(2**p.N, dtype=complex)[:, idx])
 
     monkeypatch.setattr(sos, "sector_transfer", vertex_columns)
-    rows, _ = spectrum_report(4, 0, 0, tmp_path)
+    rows, _ = spectrum_report(4, 0, 0, tmp_path, expect=4)
     assert not rows["spectrum.sector_leakage"]["pass"]
     assert rows["spectrum.sector_leakage"]["residual"] > 0.1
 
@@ -324,10 +328,12 @@ def test_bethe_without_roots_is_config_error(m, tmp_path):
         ["spectrum", "--constrained", "--n", "3"],
         ["bethe", "--constrained", "--n", "3", "--m", "1"],
         ["bethe", "--constrained", "--n", "4", "--m", "1", "--sector", "4"],
+        ["spectrum", "--n", "3"],
     ],
 )
 def test_bad_sector_is_config_error(args, tmp_path):
-    # the boundary constraints need N - s even and |s| < N
+    # the boundary constraints need N - s even and |s| < N; spectrum's
+    # M = (N - s) / 2 b1 roots need N - s even, constrained or not
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
 
 
@@ -368,9 +374,10 @@ def test_spectrum_obeys_dense_budget(command, entries, monkeypatch, tmp_path):
     # at N = 5 the transfer matrix on the auxiliary leg and the sites is
     # 64-square, each two-leg gate of the partition block string is a
     # stack of 16 4 x 4 blocks, and the verify probe block on two auxiliary
-    # legs and the sites is 128 x 8; the budget is one entry short of each
+    # legs and the sites is 128 x 8; the budget is one entry short of each.
+    # Sector 1 keeps N - s even, which spectrum needs
     monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * (entries - 1))
-    assert cli.main([command, "--n", "5", "--out", str(tmp_path / "x")]) == 2
+    assert cli.main([command, "--n", "5", "--sector", "1", "--out", str(tmp_path / "x")]) == 2
 
 
 @pytest.mark.parametrize(

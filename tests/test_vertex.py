@@ -6,7 +6,7 @@ import pytest
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
-from sosxxz.errors import DegenerateParameter, NotHomogeneous
+from sosxxz.errors import DegenerateParameter
 from sosxxz.params import generic_params, sample_points
 
 
@@ -197,18 +197,18 @@ def _match_spectra(a, b):
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def test_hamiltonian_spectrum_symmetric_in_boundary_swap(p2):
-    h0 = np.linalg.eigvals(vx.hamiltonian_direct(p2))
+def test_hamiltonian_spectrum_symmetric_in_boundary_swap(p2, hamiltonian_direct):
+    h0 = np.linalg.eigvals(hamiltonian_direct(p2))
     swapped = p2.replace(delta=p2.zeta, zeta=p2.delta, delta_bar=p2.zeta_bar, zeta_bar=p2.delta_bar)
-    h1 = np.linalg.eigvals(vx.hamiltonian_direct(swapped))
+    h1 = np.linalg.eigvals(hamiltonian_direct(swapped))
     assert _match_spectra(h0, h1) / np.max(np.abs(h0)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_hamiltonian_reconstruction(n):
+def test_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct):
     p = generic_params(n).replace(xi=(0,) * n)
-    h_cand, kappa = vx.hamiltonian(p)
-    h_dir = vx.hamiltonian_direct(p)
+    h_cand, kappa = hamiltonian(p)
+    h_dir = hamiltonian_direct(p)
     resid = tn.max_abs(h_cand - h_dir - kappa * np.eye(2**n)) / tn.max_abs(h_cand)
     assert resid < 1e-8
     rng = np.random.default_rng(9)
@@ -217,14 +217,23 @@ def test_hamiltonian_reconstruction(n):
         assert tn.rel_residual(h_dir @ t, t @ h_dir) < 1e-9
 
 
-def test_hamiltonian_requires_homogeneous(p2):
-    with pytest.raises(NotHomogeneous):
-        vx.hamiltonian(p2)
+def test_contour_derivative_of_sinh(d_dz):
+    z0 = 0.37 - 0.21j
+    assert abs(d_dz(sinh, z0, 0.1, 32) - cosh(z0)) < 1e-13 * abs(cosh(z0))
 
 
-def test_hamiltonian_build_twice_determinism(p2):
+@pytest.mark.parametrize("r", [0.05, 0.1])
+def test_contour_derivative_near_a_pole(r, d_dz):
+    # a pole at distance 3r: the trapezoid error falls like 3^-k
+    z0 = 0.2 + 0.1j
+    pole = z0 + 3 * r * np.exp(0.7j)
+    expect = -1 / (z0 - pole) ** 2
+    assert abs(d_dz(lambda z: 1 / (z - pole), z0, r, 32) - expect) < 1e-13 * abs(expect)
+
+
+def test_hamiltonian_build_twice_determinism(p2, hamiltonian_direct):
     # termwise build against an independently ordered matrix sum
-    h1 = vx.hamiltonian_direct(p2)
+    h1 = hamiltonian_direct(p2)
     n = p2.N
     total = np.zeros((2**n, 2**n), dtype=complex)
 
