@@ -174,12 +174,16 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     trials = pick("trials", "trials", 20)
     if trials < 1:
         raise ConfigError(f"trials = {trials} must be at least 1")
+    # numpy's generators take no negative seed
+    seed = pick("seed", "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed = {seed} must be non-negative")
     return RunConfig(
         params=params,
         sector_s=pick("sector", "sector_s", 0),
         constraint_n=pick(None, "constraint_n", 0),
         constraint_m=pick(None, "constraint_m", 0),
-        seed=pick("seed", "seed", 0),
+        seed=seed,
         trials=trials,
         tolerances=tol,
     )

@@ -123,13 +123,15 @@ def sample_points(
 ) -> list[complex]:
     """Draw spectral points from the [-1, 1]^2 square (at most 10,000 tries),
     rejecting any that come within SAMPLE_MARGIN of a pole of the standard
-    denominators."""
+    denominators.  The theta gaps do not depend on the point, so they are
+    taken once."""
+    theta_gap = min_pole_gap(p, (), thetas)
     pts: list[complex] = []
     for _ in range(10_000):
         if len(pts) == count:
             break
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if min_pole_gap(p, [z], thetas) > SAMPLE_MARGIN:
+        if min(min_pole_gap(p, [z]), theta_gap) > SAMPLE_MARGIN:
             pts.append(z)
     if len(pts) < count:
         raise DegenerateParameter("could not sample generic spectral points")

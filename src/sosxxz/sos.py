@@ -10,10 +10,15 @@ The local builders (``gauge_s2``, ``dyn_r4``, ``crossed_l4``, ...) take
 scalar or array spectral and dynamical arguments and return one block or
 a stack of blocks.  A gate list builds the stacks of all its dynamical
 gates, one block per charge each, in one call (``tn.dynamical_gates``).
+The leg and charge structure of the monodromy and gauge-row lists depends
+only on the kind or side and N, so it is built once per pair
+(``_monodromy_layout``, ``_gauge_row_layout``, ``_gauge_aux_layout``); a
+call computes only its spectral values.
 """
 
 from __future__ import annotations
 
+import functools
 from cmath import sinh
 from typing import Callable
 
@@ -163,6 +168,22 @@ _DOUBLE_ROW = {"minus": ("T", "That"), "plus": ("V", "Vhat")}
 _MONODROMY = {"T": (False, False), "That": (True, False), "V": (False, True), "Vhat": (True, True)}
 
 
+@functools.lru_cache(maxsize=None)
+def _monodromy_layout(kind: str, N: int) -> tuple:
+    """(k, on, charge) of each gate of ``dyn_monodromy_gates``, left to
+    right, with k the site whose xi_k the gate takes."""
+    hatted, crossed = _MONODROMY[kind]
+
+    def gate(k):
+        if crossed:
+            return k, (AUX, f"s{k}"), tuple((f"s{i}", +1) for i in range(1, k))
+        on = (f"s{k}", AUX) if hatted else (AUX, f"s{k}")
+        return k, on, tuple((f"s{i}", -1) for i in range(k + 1, N + 1))
+
+    sites = range(1, N + 1)
+    return tuple(gate(k) for k in (reversed(sites) if hatted != crossed else sites))
+
+
 def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams) -> list:
     """Gates of the dynamical monodromy matrices on legs (aux, s1..sN), left to right.
 
@@ -174,22 +195,17 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
     if kind not in _MONODROMY:
         raise ValueError(f"unknown monodromy kind {kind!r}")
     hatted, crossed = _MONODROMY[kind]
-    N, eta, eps = p.N, p.eta, p.eps_pole
-
-    def gate(k):
-        x = lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1]
-        if crossed:
-            return x, (AUX, f"s{k}"), [(f"s{i}", +1) for i in range(1, k)]
-        on = (f"s{k}", AUX) if hatted else (AUX, f"s{k}")
-        return x, on, [(f"s{i}", -1) for i in range(k + 1, N + 1)]
-
+    eta, eps = p.eta, p.eps_pole
     if crossed:
         l_kind = "Lhat" if hatted else "L"
         build = lambda x, c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
     else:
         build = lambda x, c: dyn_r4(x, theta + eta * c, eta, eps)
-    sites = range(1, N + 1)
-    return tn.dynamical_gates(build, [gate(k) for k in (reversed(sites) if hatted != crossed else sites)])
+    gates = [
+        (lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1], on, charge)
+        for k, on, charge in _monodromy_layout(kind, p.N)
+    ]
+    return tn.dynamical_gates(build, gates)
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +272,21 @@ def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.
 # gauge rows and auxiliary-space gauges with operator shifts
 
 
+@functools.lru_cache(maxsize=None)
+def _gauge_row_layout(side: str, N: int, extra_shift: tuple) -> tuple:
+    """(k, on, charge) of each gate of ``gauge_row_gates``, left to right."""
+    minus = side == "minus"
+
+    def gate(k):
+        if minus:
+            shift = tuple((f"s{i}", -1) for i in range(k + 1, N + 1))
+        else:
+            shift = tuple((f"s{i}", +1) for i in range(1, k))
+        return k, (f"s{k}",), shift + extra_shift
+
+    return tuple(gate(k) for k in (reversed(range(1, N + 1)) if minus else range(1, N + 1)))
+
+
 def gauge_row_gates(
     theta: complex,
     omega: complex,
@@ -272,25 +303,26 @@ def gauge_row_gates(
     (used for the theta - eta sz_aux variants in the gauge relations).
     """
     p.boundary(side)  # rejects an unknown side
-    minus = side == "minus"
-
-    def gate(k):
-        if minus:
-            shift = [(f"s{i}", -1) for i in range(k + 1, p.N + 1)]
-        else:
-            shift = [(f"s{i}", +1) for i in range(1, k)]
-        return p.xi[k - 1], (f"s{k}",), shift + list(extra_shift)
-
     build = lambda x, c: gauge_s2(x, theta + p.eta * c, omega, p.eps_pole)
-    return tn.dynamical_gates(build, [gate(k) for k in (reversed(range(1, p.N + 1)) if minus else range(1, p.N + 1))])
+    layout = _gauge_row_layout(side, p.N, tuple(extra_shift))
+    return tn.dynamical_gates(build, [(p.xi[k - 1], on, charge) for k, on, charge in layout])
+
+
+@functools.lru_cache(maxsize=None)
+def _gauge_aux_layout(side: str, N: int) -> tuple[tuple, np.ndarray]:
+    """The charge list of ``gauge_aux_gate``, the chain's S^z weighted -1
+    ("minus") or +1 ("plus"), and its ``charge_values``."""
+    w = -1 if side == "minus" else +1
+    charge = tuple((l, w) for l in site_legs(N))
+    return charge, tn.charge_values(charge)
 
 
 def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
     """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
     S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""
-    build2, w = (gauge_s2, -1) if side == "minus" else (gauge_s_tilde2, +1)
-    charge = [(l, w) for l in site_legs(p.N)]
-    return build2(lam, theta + p.eta * tn.charge_values(charge), omega, p.eps_pole), (AUX,), charge
+    build2 = gauge_s2 if side == "minus" else gauge_s_tilde2
+    charge, values = _gauge_aux_layout(side, p.N)
+    return build2(lam, theta + p.eta * values, omega, p.eps_pole), (AUX,), charge
 
 
 # ----------------------------------------------------------------------

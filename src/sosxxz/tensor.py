@@ -16,9 +16,15 @@ per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
 builds the stacks of a whole gate list in one vectorised call.  The charge
 table is computed once per weight pattern (``charge_table``), not once per
-gate.  ``relabel`` renames the legs of
-a gate list, its charge legs included, so a site reversal or a renamed
-auxiliary leg is a new list of labels, never a permutation matrix.
+gate.  Each gate's transpose, shapes and charge table depend only on the
+labels, so ``product`` takes them from a plan (``_plan``) cached per key:
+the leg tuple, each gate's (on, charge) with charge None for a static
+gate, and whether x is a single column.  A gate list rebuilt at new
+spectral values replays its plan, and ``dynamical_gates`` likewise takes
+its charge values per tuple of charge lists from a cache.  ``relabel``
+renames the legs of a gate list, its charge legs included, so a site
+reversal or a renamed auxiliary leg is a new list of labels, never a
+permutation matrix.
 ``product_residual`` checks an operator identity, two gate lists, on a
 seeded block of ``PROBES`` random columns (``probe_block``) instead of
 the identity, so its cost and memory grow as 2^n, not 4^n, and it never
@@ -123,6 +129,17 @@ def charge_values(charge) -> np.ndarray:
     return charge_table(tuple(_net_weights(charge).values()))[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _charge_layout(charges: tuple) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """The ``charge_values`` of each charge list, concatenated (read-only),
+    with each list's value count and the running ends of the counts."""
+    values = [charge_values(charge) for charge in charges]
+    sizes = tuple(len(v) for v in values)
+    c = np.concatenate(values)
+    c.flags.writeable = False
+    return c, sizes, tuple(itertools.accumulate(sizes))
+
+
 def dynamical_gates(build, gates) -> list:
     """Dynamical gates (stack, on, charge) for the triples (x, on, charge),
     with every stack from one call ``build(x, c)``.
@@ -131,12 +148,11 @@ def dynamical_gates(build, gates) -> list:
     gate's scalar x once per value, so ``build`` maps the two equal-length
     arrays to a stack of blocks, one per entry; the stack is then split
     back into one per gate.  A list of gates costs one vectorised call,
-    not one call per gate or per charge.
+    not one call per gate or per charge, and ``c`` and the split points are
+    computed once per tuple of charge lists (``_charge_layout``).
     """
-    values = [charge_values(charge) for _, _, charge in gates]
-    sizes = [len(v) for v in values]
-    stack = build(np.repeat(np.array([g[0] for g in gates], dtype=complex), sizes), np.concatenate(values))
-    ends = list(itertools.accumulate(sizes))
+    c, sizes, ends = _charge_layout(tuple(tuple(charge) for _, _, charge in gates))
+    stack = build(np.repeat(np.array([g[0] for g in gates], dtype=complex), sizes), c)
     return [(stack[j - n : j], on, charge) for j, n, (_, on, charge) in zip(ends, sizes, gates)]
 
 
@@ -148,6 +164,51 @@ def relabel(gates, names: dict[str, str]) -> list:
         (block, tuple(map(rename, on)), *([(rename(l), w) for l, w in c] for c in charge))
         for block, on, *charge in gates
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(legs: tuple[str, ...], layout: tuple, vector: bool) -> tuple[tuple, tuple[int, ...]]:
+    """The axis bookkeeping of ``product`` for one gate layout.
+
+    ``layout`` holds each gate's ``(on, charge)``, left to right, with
+    ``charge`` None for a static gate and a tuple of (leg, w) pairs for a
+    dynamical one; ``vector`` is whether ``x`` is a single column.  The
+    result is one step per gate, in the order they are applied (right to
+    left): the transpose permutation, the matmul shape and, for a dynamical
+    gate, its charge count and the ``which`` index of ``charge_table``
+    (None and None for a static gate); then the permutation that restores
+    the caller's axis order.  It depends on the labels alone, so a gate list
+    rebuilt at other spectral values replays it.  A leg outside ``legs``
+    raises UnknownLeg and a charge leg among the gate legs ValueError; the
+    cache stores no exception, so a bad layout raises on every call.
+    """
+    n = len(legs)
+    # order[i] is the caller's axis held at axis i of t; axis n is the columns
+    order = list(range(n + 1))
+    steps = []
+    for on, charge in reversed(layout):
+        pairs = charge or ()
+        for l in on + tuple(l for l, _ in pairs):
+            if l not in legs:
+                raise UnknownLeg(f"leg {l!r} absent from {legs}")
+        if any(l in on for l, _ in pairs):
+            raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
+        net = _net_weights(pairs)
+        front = [legs.index(l) for l in net]
+        gate = [legs.index(l) for l in on]
+        other = [a for a in order[:-1] if a not in front + gate]
+        c, k, o = len(front), len(gate), len(other)
+        if vector:
+            new, shape = front + other + gate + [n], (2**c, 2**o, 2**k, 1)
+        else:
+            new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
+        count, which = None, None
+        if charge is not None:
+            values, which = charge_table(tuple(net.values()))
+            count = len(values)
+        steps.append((tuple(order.index(a) for a in new), shape, count, which))
+        order = new
+    return tuple(steps), tuple(int(a) for a in np.argsort(order))
 
 
 def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
@@ -173,6 +234,14 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     each configuration has) is ``charge_table`` of the net weight of each
     charge leg, computed once per weight pattern.
 
+    That bookkeeping is a plan (``_plan``), cached per key: the leg tuple,
+    each gate's (on, charge) with charge None for a static gate, and
+    whether ``x`` is a single column.  The blocks are not part of the key,
+    so a gate list rebuilt at new spectral values replays its plan, and a
+    call only builds the key and runs transpose, reshape, ``stack[which]``
+    and matmul per gate.  The length of each stack is checked on every
+    call.
+
     A single column instead puts the gate legs after the other legs, so
     each configuration is its own matrix-vector product (BLAS gemv): gemv
     rounds differently from the gemm of the batched layout, and this keeps
@@ -183,36 +252,19 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     if x is None:
         x = np.eye(2**n, dtype=complex)
     t = np.asarray(x).reshape((2,) * n + (-1,))
-    vector = t.shape[-1] == 1
-    # order[i] is the caller's axis held at axis i of t; axis n is the columns
-    order = list(range(n + 1))
-    for block, on, *charge in reversed(gates):
-        dynamical = bool(charge)
-        on, charge = tuple(on), tuple(charge[0]) if charge else ()
-        for l in on + tuple(l for l, _ in charge):
-            if l not in legs:
-                raise UnknownLeg(f"leg {l!r} absent from {legs}")
-        if any(l in on for l, _ in charge):
-            raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
-        net = _net_weights(charge)
-        front = [legs.index(l) for l in net]
-        gate = [legs.index(l) for l in on]
-        other = [a for a in order[:-1] if a not in front + gate]
-        c, k, o = len(front), len(gate), len(other)
-        if vector:
-            new, shape = front + other + gate + [n], (2**c, 2**o, 2**k, 1)
-        else:
-            new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
-        t = t.transpose([order.index(a) for a in new]).reshape(shape)
-        g = np.asarray(block, dtype=complex)
-        if dynamical:
-            values, which = charge_table(tuple(net.values()))
-            if g.shape[:-2] != values.shape:
-                raise ValueError(f"a stack of shape {g.shape} for the {len(values)} charges of {charge}")
+    layout = tuple((tuple(on), tuple(charge[0]) if charge else None) for _, on, *charge in gates)
+    steps, restore = _plan(legs, layout, t.shape[-1] == 1)
+    for gate, (perm, shape, count, which) in zip(reversed(gates), steps):
+        # rebinding t to the transposed copy first frees the previous array
+        # before matmul allocates the next one
+        t = t.transpose(perm).reshape(shape)
+        g = np.asarray(gate[0], dtype=complex)
+        if which is not None:
+            if g.shape[:-2] != (count,):
+                raise ValueError(f"a stack of shape {g.shape} for the {count} charges of {tuple(gate[2])}")
             g = g[which, None]
         t = np.matmul(g, t).reshape((2,) * n + (-1,))
-        order = new
-    return t.transpose(np.argsort(order)).reshape(np.shape(x))
+    return t.transpose(restore).reshape(np.shape(x))
 
 
 def traced_product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:

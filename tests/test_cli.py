@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from sosxxz import bethe as bt
 from sosxxz import cli
 from sosxxz import sos
+from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.params import generic_params, min_pole_gap
 
@@ -165,6 +168,32 @@ def test_determinism_byte_identical(tmp_path):
     assert strip_wall_time(text1) == strip_wall_time(text2)
 
 
+def _benchmark_commands():
+    spec = importlib.util.spec_from_file_location("perfbench_run", Path(__file__).parents[1] / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return [c for commands in run.WORKLOADS.values() for c in commands]
+
+
+@pytest.mark.parametrize("args", _benchmark_commands(), ids=" ".join)
+def test_benchmark_command_same_bytes_cold_and_warm(args, tmp_path, capsys):
+    # the first run builds every gate-list plan and layout, the second
+    # replays them; the reports (none on a solver failure) and stderr must
+    # not tell the two apart
+    caches = (tn._plan, tn._charge_layout, sos._monodromy_layout, sos._gauge_row_layout, sos._gauge_aux_layout)
+    for cache in caches:
+        cache.cache_clear()
+
+    def run(name):
+        code, text = run_cli(args, tmp_path, name)
+        return code, strip_wall_time(text) if text else text, capsys.readouterr().err
+
+    cold = run("cold.jsonl")
+    built = tn._plan.cache_info().misses
+    assert run("warm.jsonl") == cold
+    assert tn._plan.cache_info().misses == built
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -256,6 +285,29 @@ def test_sector_flag_wins_over_config(tmp_path):
     _, summary = rows_and_summary(text)
     assert summary["config"]["sector_s"] == 0
     assert summary["config"]["seed"] == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "all", "--n", "2"],
+        ["bethe", "--branch", "b1", "--m", "1", "--n", "2"],
+        ["spectrum", "--constrained", "--n", "2"],
+        ["partition", "--kind", "bminus", "--n", "2"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_config_error(args, source, tmp_path, capsys):
+    # numpy's generators take no negative seed, so it is refused up front
+    if source == "flag":
+        given = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        given = ["--config", str(cfg)]
+    assert cli.main([*args, *given, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
 
 
 def test_n_zero_is_config_error(tmp_path):

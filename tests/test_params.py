@@ -6,7 +6,7 @@ import pytest
 from sosxxz import sos
 from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter
-from sosxxz.params import assert_generic, generic_params, min_pole_gap
+from sosxxz.params import SAMPLE_MARGIN, assert_generic, generic_params, min_pole_gap, sample_points
 
 
 def labelled_gaps(p, lams=(), thetas=()):
@@ -94,3 +94,19 @@ def test_k_diag_plus_is_k_minus_at_the_crossed_point_of_the_barred_pair():
         minus = sos.k2_minus_diag(lam, p.delta, p.zeta, p.eps_pole)
         assert np.array_equal(sos.k_diag(lam, "plus", p), plus)
         assert np.array_equal(sos.k_diag(lam, "minus", p), minus)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (5, 3), (7, 11)])
+def test_sample_points_match_the_per_point_rejection_loop(n, seed):
+    # the reference tests every theta gap again for each candidate point;
+    # taking them once must keep the draws and the points
+    p = generic_params(n)
+    thetas = [p.theta("minus"), 0.3 - 0.2j]
+    expect, rng = [], np.random.default_rng(seed)
+    while len(expect) < 3:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if min_pole_gap(p, [z], thetas) > SAMPLE_MARGIN:
+            expect.append(z)
+    got_rng = np.random.default_rng(seed)
+    assert sample_points(got_rng, p, 3, thetas=thetas) == expect
+    assert got_rng.uniform() == rng.uniform()

@@ -150,17 +150,59 @@ def test_product_matches_one_gate_oracle(case):
 
 
 def test_product_rejects_charge_on_gate_leg():
-    with pytest.raises(ValueError):
-        tn.product(("a", "b"), [(np.stack([np.eye(2)] * 2), ("a",), [("a", 1)])])
+    # the plan cache stores no exception: a repeated call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overlap"):
+            tn.product(("a", "b"), [(np.stack([np.eye(2)] * 2), ("a",), [("a", 1)])])
 
 
 @pytest.mark.parametrize("size", [1, 2, 4])
 def test_product_rejects_a_stack_of_the_wrong_length(size):
     # the charge of b and c (weights 1, 1) takes three values; a static
-    # block or a stack of another length is refused, not misread
+    # block or a stack of another length is refused, not misread, on every
+    # call, though the second replays the plan of the first
     block = np.stack([np.eye(2)] * size) if size > 1 else np.eye(2)
-    with pytest.raises(ValueError, match="stack"):
-        tn.product(("a", "b", "c"), [(block, ("a",), [("b", 1), ("c", 1)])])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="stack"):
+            tn.product(("a", "b", "c"), [(block, ("a",), [("b", 1), ("c", 1)])])
+
+
+def test_one_plan_replays_other_blocks():
+    # two gate lists of one layout, with other blocks: one plan, two results,
+    # each the product of its one-gate oracles
+    legs = ("a", "b", "c")
+    charge = [("c", 1), ("a", -1)]
+    x = np.random.default_rng(3).normal(size=(8, 3)) + 0j
+    tn._plan.cache_clear()
+    results = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        gates = [(random_stack(rng, charge, 2), ("b",), charge), (rng.normal(size=(4, 4)) + 0j, ("c", "a"))]
+        got = tn.product(legs, gates, x)
+        expect = x
+        for block, on, *c in reversed(gates):
+            expect = embed_oracle(block, legs, on, *c) @ expect
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        results.append(got)
+    info = tn._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not np.allclose(results[0], results[1])
+
+
+def test_a_charge_list_and_tuple_share_a_plan():
+    rng = np.random.default_rng(4)
+    legs = ("a", "b", "c", "d")
+    stack = random_stack(rng, [("b", 1), ("d", 2)], 4)
+    block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    as_list = [(stack, ("a", "c"), [("b", 1), ("d", 2)]), (block, ("b",))]
+    as_tuple = [(stack, ("a", "c"), (("b", 1), ("d", 2))), (block, ("b",))]
+    tn._plan.cache_clear()
+    assert np.array_equal(tn.product(legs, as_list), tn.product(legs, as_tuple))
+    assert tn._plan.cache_info().misses == 1
+    # renamed legs are another layout, so another plan
+    renamed = tn.relabel(as_list, {"b": "d", "d": "b"})
+    assert np.array_equal(tn.product(("a", "d", "c", "b"), renamed), tn.product(legs, as_list))
+    assert tn._plan.cache_info().misses == 2
 
 
 def test_tensor_product_identities():
@@ -210,10 +252,11 @@ def test_embed_middle_leg_permutation_oracle():
 
 
 def test_embed_unknown_leg():
-    with pytest.raises(UnknownLeg):
-        tn.product(("s1", "s2"), [(tn.SX, ("q",))])
-    with pytest.raises(UnknownLeg):
-        tn.product(("s1", "s2"), [(np.stack([tn.SX] * 2), ("s1",), [("q", 1)])])
+    for _ in range(2):
+        with pytest.raises(UnknownLeg):
+            tn.product(("s1", "s2"), [(tn.SX, ("q",))])
+        with pytest.raises(UnknownLeg):
+            tn.product(("s1", "s2"), [(np.stack([tn.SX] * 2), ("s1",), [("q", 1)])])
 
 
 @pytest.mark.parametrize("n", [2, 3])
