@@ -315,6 +315,9 @@ def find_bethe_solutions(
     """
     if M < 1:
         raise ConfigError(f"M = {M} Bethe roots; a Bethe state needs at least one")
+    if M > p.N:
+        # more creation blocks than sites leave every sector: the state is exactly zero
+        raise ConfigError(f"M = {M} Bethe roots; N = {p.N} sites take at most N")
     spec = BRANCHES[branch]
     sector = p.N - 2 * M if spec.sign > 0 else -p.N + 2 * M
     rng = np.random.default_rng(seed)

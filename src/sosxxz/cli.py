@@ -30,7 +30,7 @@ from . import sos
 from . import tensor as tn
 from . import vertex as vx
 from .errors import BadSector, ConfigError, DegenerateParameter, NoConvergence, SosXxzError
-from .params import ModelParams, generic_params, min_pole_gap, sample_points
+from .params import COUPLINGS, ModelParams, generic_params, min_pole_gap, sample_points
 
 DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition": 1e-9}
 # bytes of the largest single dense complex array that verify, bethe,
@@ -88,14 +88,8 @@ def config_to_json(cfg: RunConfig) -> dict:
     p = cfg.params
     return {
         "N": p.N,
-        "eta": _c2pair(p.eta),
         "xi": [_c2pair(x) for x in p.xi],
-        "delta": _c2pair(p.delta),
-        "zeta": _c2pair(p.zeta),
-        "tau": _c2pair(p.tau),
-        "delta_bar": _c2pair(p.delta_bar),
-        "zeta_bar": _c2pair(p.zeta_bar),
-        "tau_bar": _c2pair(p.tau_bar),
+        **{k: _c2pair(getattr(p, k)) for k in COUPLINGS},
         "sector_s": cfg.sector_s,
         "constraint_n": cfg.constraint_n,
         "constraint_m": cfg.constraint_m,
@@ -133,6 +127,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     given = data.get("tolerances", {})
     if not isinstance(given, dict):
         raise ConfigError(f"config key 'tolerances' must be an object, got {given!r}")
+    unknown = sorted(set(given) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ConfigError(f"unknown tolerance keys {unknown}; the keys are {sorted(DEFAULT_TOLERANCES)}")
     tol.update(given)
     for k, v in tol.items():
         try:
@@ -151,18 +148,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     base = generic_params(n)
     try:
         xi = tuple(_pair2c(v) for v in data["xi"]) if "xi" in data else base.xi
-        params = ModelParams(
-            N=n,
-            eta=_pair2c(data.get("eta", _c2pair(base.eta))),
-            xi=xi,
-            delta=_pair2c(data.get("delta", _c2pair(base.delta))),
-            zeta=_pair2c(data.get("zeta", _c2pair(base.zeta))),
-            tau=_pair2c(data.get("tau", _c2pair(base.tau))),
-            delta_bar=_pair2c(data.get("delta_bar", _c2pair(base.delta_bar))),
-            zeta_bar=_pair2c(data.get("zeta_bar", _c2pair(base.zeta_bar))),
-            tau_bar=_pair2c(data.get("tau_bar", _c2pair(base.tau_bar))),
-            eps_pole=float(tol["pole"]),
-        )
+        couplings = {k: _pair2c(data[k]) if k in data else getattr(base, k) for k in COUPLINGS}
+        params = ModelParams(N=n, xi=xi, **couplings, eps_pole=float(tol["pole"]))
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
     scale = getattr(overrides, "tol_scale", None)
@@ -199,46 +186,53 @@ def require_dense_budget(entries: int) -> None:
         )
 
 
-def _row(check: str, digest: str, residual: float, tolerance: float) -> dict:
-    """One report row; a non-finite residual raises DegenerateParameter."""
+def _row(check: str, residual: float, tolerance: float) -> dict:
+    """One report row, without its params digest; a non-finite residual raises DegenerateParameter."""
     return {
         "check": check,
-        "params_digest": digest,
         "residual": float(tn.require_finite(residual)),
         "tolerance": float(tolerance),
         "pass": bool(residual < tolerance),
     }
 
 
-# suite -> (its check registry, the function evaluating one check)
-SUITES = {
-    "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite),
-    "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite),
-}
+def _params(cfg: RunConfig, constrained: bool) -> ModelParams:
+    """The run's parameters, with the boundary constraints of its sector imposed if ``constrained``."""
+    if not constrained:
+        return cfg.params
+    return bt.apply_constraints(cfg.params, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
+
+
+def _eigen_tolerance(cfg: RunConfig) -> float:
+    """The tolerance of an eigenpair residual or an eigenvalue match."""
+    return max(cfg.tolerances["bethe"] * 10, 1e-8)
+
+
+def _eigen_residual(tx: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """||t x - lam x|| / (||x|| max(|lam|, 1e-300)) of each column x, its image tx and its eigenvalue lam."""
+    return np.linalg.norm(tx - x * lam, axis=0) / (np.linalg.norm(x, axis=0) * np.maximum(np.abs(lam), 1e-300))
 
 
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
-    if suite not in SUITES and suite != "all":
-        raise ConfigError(f"unknown suite {suite!r}")
-    digest = cfg.digest()
-    tol = cfg.tolerances["identity"]
-    rows = []
-    for name, (checks, run_suite) in SUITES.items():
-        if suite in (name, "all"):
-            for chk in checks:
-                worst = run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials)
-                rows.append(_row(f"{name}.{chk}", digest, worst, tol))
-    rows.sort(key=lambda r: r["check"])
+    # suite -> (its check registry, the function evaluating one check), looked
+    # up at call time so a wrapped suite function is the one that runs
+    suites = {
+        "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite),
+        "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite),
+    }
+    rows = [
+        _row(f"{name}.{chk}", run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials), cfg.tolerances["identity"])
+        for name, (checks, run_suite) in suites.items()
+        if suite in (name, "all")
+        for chk in checks
+    ]
     return rows, {"suite": suite}
 
 
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
-    digest = cfg.digest()
-    p = cfg.params
-    if constrained:
-        p = bt.apply_constraints(p, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
+    p = _params(cfg, constrained)
     tol_b = cfg.tolerances["bethe"]
-    tol_eig = max(cfg.tolerances["bethe"] * 10, 1e-8)
+    tol_eig = _eigen_tolerance(cfg)
     sols = bt.find_bethe_solutions(branch, m, p, seed=cfg.seed)
     if not sols:
         raise NoConvergence(f"no verified {branch} solutions with M = {m}")
@@ -254,23 +248,20 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     psi = np.stack(psis, axis=1)
     v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
     lam = np.array(lams)
-
-    def residuals(tx, x, j):
-        return np.linalg.norm(tx - x * lam[:, j], axis=0) / (np.linalg.norm(x, axis=0) * np.abs(lam[:, j]))
-
     sos_worst = np.zeros(len(sols))
     vertex_worst = np.zeros(len(sols))
     for j, mu in enumerate(mus):
-        sos_worst = np.maximum(sos_worst, residuals(sos.sos_transfer(mu, theta, spec.sos_kind, p, psi), psi, j))
+        t_psi = sos.sos_transfer(mu, theta, spec.sos_kind, p, psi)
+        sos_worst = np.maximum(sos_worst, _eigen_residual(t_psi, psi, lam[:, j]))
         if constrained:
-            vertex_worst = np.maximum(vertex_worst, residuals(vx.transfer_xxz(mu, p, v), v, j))
+            vertex_worst = np.maximum(vertex_worst, _eigen_residual(vx.transfer_xxz(mu, p, v), v, lam[:, j]))
     rows = []
     results = []
     for i, sol in enumerate(sols):
-        rows.append(_row(f"bethe.{branch}.{i}.equation", digest, max(sol.residuals), tol_b))
-        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", digest, sos_worst[i], tol_eig))
+        rows.append(_row(f"bethe.{branch}.{i}.equation", max(sol.residuals), tol_b))
+        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", sos_worst[i], tol_eig))
         if constrained:
-            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", digest, vertex_worst[i], tol_eig))
+            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", vertex_worst[i], tol_eig))
         results.append(
             {
                 "roots": [_c2pair(z) for z in sol.roots],
@@ -279,16 +270,12 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
                 "eigenvalues": [{"mu": _c2pair(mu), "lambda": _c2pair(lam)} for mu, lam in zip(mus, lams[i])],
             }
         )
-    rows.sort(key=lambda r: r["check"])
     return rows, {"branch": branch, "M": m, "solutions": results}
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
-    digest = cfg.digest()
-    p = cfg.params
-    if constrained:
-        p = bt.apply_constraints(p, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
-    elif (p.N - cfg.sector_s) % 2 != 0:
+    p = _params(cfg, constrained)
+    if not constrained and (p.N - cfg.sector_s) % 2 != 0:
         # M = (N - s) / 2 b1 roots reach sector s only when N - s is even
         raise BadSector(f"N - s = {p.N - cfg.sector_s} must be even")
     # the boundary fields of the open chain divide by sinh(zeta) sinh(delta) of either pair
@@ -296,7 +283,7 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         delta, zeta, _ = p.boundary(side)
         if abs(sinh(zeta)) <= p.eps_pole or abs(sinh(delta)) <= p.eps_pole:
             raise DegenerateParameter(f"{side} boundary field: sinh(zeta) sinh(delta) vanishes")
-    tol = max(cfg.tolerances["bethe"] * 10, 1e-8)
+    tol = _eigen_tolerance(cfg)
     rng = np.random.default_rng(cfg.seed + 2)
     mu = sample_points(rng, p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
@@ -306,15 +293,13 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         # the sector, and check each eigenpair's gauge image in the vertex picture
         idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s)
         leakage = tn.max_abs(np.delete(cols, idx, axis=0)) / max(tn.max_abs(cols), 1e-300)
-        rows.append(_row("spectrum.sector_leakage", digest, leakage, tol))
+        rows.append(_row("spectrum.sector_leakage", leakage, tol))
         t_eigs, vecs = np.linalg.eig(cols[idx])
         psi = np.zeros_like(cols)
         psi[idx] = vecs
         v = bt.vertex_eigenstate("b1", psi, p)
-        res = np.linalg.norm(vx.transfer_xxz(mu, p, v) - v * t_eigs, axis=0) / (
-            np.linalg.norm(v, axis=0) * np.maximum(np.abs(t_eigs), 1e-300)
-        )
-        rows.append(_row("spectrum.sector_in_vertex", digest, np.max(res), tol))
+        res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
+        rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
     else:
         t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
     sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
@@ -326,7 +311,6 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         if dist < tol:
             matched += 1
         details.append({"roots": [_c2pair(z) for z in sol.roots], "lambda": _c2pair(lam), "match_residual": dist})
-    rows.sort(key=lambda r: r["check"])
     extra = {
         "mu": _c2pair(mu),
         "transfer_dimension": 2**p.N,
@@ -342,7 +326,6 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
 
 
 def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], dict]:
-    digest = cfg.digest()
     p = cfg.params
     tol = cfg.tolerances["partition"]
     rng = np.random.default_rng(cfg.seed)
@@ -354,8 +337,7 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
     values = suite_values if kind == "bminus" else {m: pt.z_value(p, lams, kind, m) for m in methods}
     if method == "both":
         residuals["det_vs_contract"] = pt.rel_disagreement(values["det"], values["contract"])
-    rows = sorted((_row(f"partition.{kind}.{name}", digest, res, tol) for name, res in residuals.items()),
-                  key=lambda r: r["check"])
+    rows = [_row(f"partition.{kind}.{name}", res, tol) for name, res in residuals.items()]
     extra = {"kind": kind, "method": method, "lambdas": [_c2pair(z) for z in lams]}
     extra.update({f"value_{m}": _c2pair(z) for m, z in values.items()})
     return rows, extra
@@ -430,16 +412,14 @@ def main(argv=None) -> int:
         # holds one message line, not warnings; underflow stays silent
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = load_config(args.config, args)
-            if args.command == "verify":
-                rows, extra = run_verify(cfg, args.suite)
-            elif args.command == "bethe":
-                rows, extra = run_bethe(cfg, args.branch, args.m, args.constrained)
-            elif args.command == "spectrum":
-                rows, extra = run_spectrum(cfg, args.constrained)
-            elif args.command == "partition":
-                rows, extra = run_partition(cfg, args.kind, args.method)
-            else:  # pragma: no cover - argparse enforces the choices
-                raise ConfigError(f"unknown command {args.command!r}")
+            # built here, so a run function wrapped after import is the one that runs
+            run = {
+                "verify": lambda: run_verify(cfg, args.suite),
+                "bethe": lambda: run_bethe(cfg, args.branch, args.m, args.constrained),
+                "spectrum": lambda: run_spectrum(cfg, args.constrained),
+                "partition": lambda: run_partition(cfg, args.kind, args.method),
+            }[args.command]
+            rows, extra = run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -454,6 +434,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
+    digest = cfg.digest()
+    rows = sorted(({**r, "params_digest": digest} for r in rows), key=lambda r: r["check"])
     all_pass = all(r["pass"] for r in rows)
     summary = {
         "command": args.command,

@@ -10,7 +10,9 @@ class UnknownLeg(SosXxzError):
 
 
 class DegenerateParameter(SosXxzError):
-    """A sinh denominator is too close to zero for a stable evaluation."""
+    """A sinh denominator is too close to zero for a stable evaluation,
+    e.g. where coincident spectral or inhomogeneity parameters make a
+    prefactor blow up."""
 
 
 class FormMismatch(SosXxzError):
@@ -23,10 +25,6 @@ class NoConvergence(SosXxzError):
 
 class NullState(SosXxzError):
     """A constructed state vector has numerically vanishing norm."""
-
-
-class SingularPrefactor(SosXxzError):
-    """Coincident spectral or inhomogeneity parameters make a prefactor blow up."""
 
 
 class ConfigError(SosXxzError):

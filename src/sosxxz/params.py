@@ -19,6 +19,8 @@ POLE_EPS_DEFAULT = 1e-8
 # Rejection margin used when drawing random spectral points for identity
 # checks; larger than eps_pole so condition numbers stay tame.
 SAMPLE_MARGIN = 1e-2
+# the complex couplings of a parameter set besides the inhomogeneities
+COUPLINGS = ("eta", "delta", "zeta", "tau", "delta_bar", "zeta_bar", "tau_bar")
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class ModelParams:
         if len(xi) != self.N:
             raise ValueError(f"expected {self.N} inhomogeneities, got {len(xi)}")
         object.__setattr__(self, "xi", xi)
-        for name in ("eta", "delta", "zeta", "tau", "delta_bar", "zeta_bar", "tau_bar"):
+        for name in COUPLINGS:
             v = complex(getattr(self, name))
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise ValueError(f"parameter {name} must be finite")

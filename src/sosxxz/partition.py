@@ -18,7 +18,7 @@ import numpy as np
 from . import params
 from . import sos
 from . import tensor as tn
-from .errors import DegenerateParameter, SingularPrefactor
+from .errors import DegenerateParameter
 from .params import ModelParams
 
 # kind -> (side, creator): the boundary its block string reflects on and its creation block
@@ -94,7 +94,7 @@ def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> compl
     d, z, eta = p.delta, p.zeta, p.eta
     den = sinh(lam - xi + eta) * sinh(lam + xi + eta) * sinh(lam - xi) * sinh(lam + xi)
     if abs(den) <= p.eps_pole:
-        raise SingularPrefactor("coincident lambda/xi in the determinant kernel")
+        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
     return (
         sinh(d + xi) / sinh(d + lam) * sinh(z - xi) / sinh(z + lam) * sinh(2 * lam) * sinh(eta) / den
     )
@@ -122,7 +122,7 @@ def _z_determinant_bminus(q: ModelParams, lams: tuple[complex, ...]) -> complex:
                 * sinh(lams[j] + lams[i] + eta)
             )
             if abs(den) <= q.eps_pole:
-                raise SingularPrefactor("coincident spectral or inhomogeneity parameters")
+                raise DegenerateParameter("coincident spectral or inhomogeneity parameters")
             value /= den
     return complex(value)
 

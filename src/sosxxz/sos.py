@@ -10,10 +10,13 @@ The local builders (``gauge_s2``, ``dyn_r4``, ``crossed_l4``, ...) take
 scalar or array spectral and dynamical arguments and return one block or
 a stack of blocks.  A gate list builds the stacks of all its dynamical
 gates, one block per charge each, in one call (``tn.dynamical_gates``).
-The leg and charge structure of the monodromy and gauge-row lists depends
-only on the kind or side and N, so it is built once per pair
-(``_monodromy_layout``, ``_gauge_row_layout``, ``_gauge_aux_layout``); a
-call computes only its spectral values.
+Every dynamical monodromy (T, That, V, Vhat) and both gauge rows carry one
+of two height shifts at site k (``_shift``): theta - eta sum_{i>k} sz_i on
+the minus side, theta + eta sum_{i<k} sz_i on the plus side.  One table
+(``_CHAINS``) gives each chain its side, its site order and its gate legs,
+so its leg and charge structure depends only on the chain and N and is
+built once per pair (``_chain_layout``); a call computes only its spectral
+values.
 """
 
 from __future__ import annotations
@@ -162,26 +165,42 @@ def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: flo
 # side -> the monodromy kinds to the left and right of its K in the double row
 _DOUBLE_ROW = {"minus": ("T", "That"), "plus": ("V", "Vhat")}
 
-# kind -> (hatted, crossed).  Hatted factors take lam + xi_k, the others
-# lam - xi_k; crossed factors are L^{t0} gates shifted by the sites below k,
-# the others R gates shifted by the sites above k.
-_MONODROMY = {"T": (False, False), "That": (True, False), "V": (False, True), "Vhat": (True, True)}
+# chain -> (the side of its height shift, whether its sites run N..1, its
+# gate legs with "s{k}" for site k).  The monodromies of the plus side are
+# crossed L^{t0} gates, the others R gates; S_minus and S_plus are the
+# gauge rows.
+_CHAINS = {
+    "T": ("minus", False, (AUX, "s{k}")),
+    "That": ("minus", True, ("s{k}", AUX)),
+    "V": ("plus", True, (AUX, "s{k}")),
+    "Vhat": ("plus", False, (AUX, "s{k}")),
+    "S_minus": ("minus", True, ("s{k}",)),
+    "S_plus": ("plus", False, ("s{k}",)),
+}
+
+
+def _shift(side: str, N: int, k: int) -> tuple:
+    """Charge list of the height shift at site k: -eta sum_{i>k} sz_i ("minus")
+    or +eta sum_{i<k} sz_i ("plus").  k = 0 ("minus") or k = N + 1 ("plus")
+    shifts by the whole chain."""
+    if side == "minus":
+        return tuple((f"s{i}", -1) for i in range(k + 1, N + 1))
+    return tuple((f"s{i}", +1) for i in range(1, k))
+
+
+def _chain_shift(side: str, N: int) -> tuple:
+    """The whole-chain shift -eta S^z ("minus") or +eta S^z ("plus")."""
+    return _shift(side, N, 0 if side == "minus" else N + 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _monodromy_layout(kind: str, N: int) -> tuple:
-    """(k, on, charge) of each gate of ``dyn_monodromy_gates``, left to
-    right, with k the site whose xi_k the gate takes."""
-    hatted, crossed = _MONODROMY[kind]
-
-    def gate(k):
-        if crossed:
-            return k, (AUX, f"s{k}"), tuple((f"s{i}", +1) for i in range(1, k))
-        on = (f"s{k}", AUX) if hatted else (AUX, f"s{k}")
-        return k, on, tuple((f"s{i}", -1) for i in range(k + 1, N + 1))
-
-    sites = range(1, N + 1)
-    return tuple(gate(k) for k in (reversed(sites) if hatted != crossed else sites))
+def _chain_layout(chain: str, N: int, extra_shift: tuple) -> tuple:
+    """(k, on, charge) of each gate of a ``_CHAINS`` chain, left to right,
+    with k the site whose xi_k the gate takes; ``extra_shift`` is appended
+    to every charge list."""
+    side, descending, legs = _CHAINS[chain]
+    sites = range(N, 0, -1) if descending else range(1, N + 1)
+    return tuple((k, tuple(l.format(k=k) for l in legs), _shift(side, N, k) + extra_shift) for k in sites)
 
 
 def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams) -> list:
@@ -192,18 +211,18 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
     kind "V":    L^{t0}_{0N}(lam-xi_N; th + eta sum_{i<N} sz_i) ... L^{t0}_{01}(lam-xi_1; th)
     kind "Vhat": Lhat^{t0}_{10}(lam+xi_1; th) ... Lhat^{t0}_{N0}(lam+xi_N; th + eta sum_{i<N} sz_i)
     """
-    if kind not in _MONODROMY:
+    if kind not in _DOUBLE_ROW["minus"] + _DOUBLE_ROW["plus"]:
         raise ValueError(f"unknown monodromy kind {kind!r}")
-    hatted, crossed = _MONODROMY[kind]
+    hatted = kind.endswith("hat")
     eta, eps = p.eta, p.eps_pole
-    if crossed:
+    if kind in _DOUBLE_ROW["plus"]:
         l_kind = "Lhat" if hatted else "L"
         build = lambda x, c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
     else:
         build = lambda x, c: dyn_r4(x, theta + eta * c, eta, eps)
     gates = [
         (lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1], on, charge)
-        for k, on, charge in _monodromy_layout(kind, p.N)
+        for k, on, charge in _chain_layout(kind, p.N, ())
     ]
     return tn.dynamical_gates(build, gates)
 
@@ -247,44 +266,30 @@ def block_column(
     return y[r], y[1 - r]
 
 
+def _per_sz(N: int, fn: Callable[[int], complex]) -> np.ndarray:
+    """The S^z-diagonal coefficient fn(S^z) of the N sites as a (2^N, 1)
+    column, evaluated once per distinct S^z and gathered per basis state."""
+    values, which = tn.charge_table((1,) * N)
+    return np.array([fn(s) for s in values])[which, None]
+
+
 def _d_tilde(lam: complex, theta: complex, p: ModelParams, blocks: dict[str, np.ndarray]) -> np.ndarray:
     s2 = sinh(2 * lam + p.eta)
     if abs(s2) <= p.eps_pole:
         raise DegenerateParameter("|sinh(2 lam + eta)| too small for modified D_-")
-    # each coefficient once per distinct S^z, then gathered per basis state
-    values, which = tn.charge_table((1,) * p.N)
-    for s in values:
-        if abs(sinh(theta - p.eta * s)) <= p.eps_pole:
+
+    def front(s):
+        den = sinh(theta - p.eta * s)
+        if abs(den) <= p.eps_pole:
             raise DegenerateParameter("|sinh(theta - eta S^z)| too small for modified D_-")
-    front = np.array([sinh(theta - p.eta * s + p.eta) / sinh(theta - p.eta * s) for s in values])[which]
-    inner = np.array(
-        [
-            sinh(theta - p.eta * s + 2 * lam + p.eta)
-            * sinh(p.eta)
-            / (s2 * sinh(theta - p.eta * s + p.eta))
-            for s in values
-        ]
-    )[which]
-    return front[:, None] * (blocks["D"] - inner[:, None] * blocks["A"])
+        return sinh(theta - p.eta * s + p.eta) / den
+
+    inner = lambda s: sinh(theta - p.eta * s + 2 * lam + p.eta) * sinh(p.eta) / (s2 * sinh(theta - p.eta * s + p.eta))
+    return _per_sz(p.N, front) * (blocks["D"] - _per_sz(p.N, inner) * blocks["A"])
 
 
 # ----------------------------------------------------------------------
 # gauge rows and auxiliary-space gauges with operator shifts
-
-
-@functools.lru_cache(maxsize=None)
-def _gauge_row_layout(side: str, N: int, extra_shift: tuple) -> tuple:
-    """(k, on, charge) of each gate of ``gauge_row_gates``, left to right."""
-    minus = side == "minus"
-
-    def gate(k):
-        if minus:
-            shift = tuple((f"s{i}", -1) for i in range(k + 1, N + 1))
-        else:
-            shift = tuple((f"s{i}", +1) for i in range(1, k))
-        return k, (f"s{k}",), shift + extra_shift
-
-    return tuple(gate(k) for k in (reversed(range(1, N + 1)) if minus else range(1, N + 1)))
 
 
 def gauge_row_gates(
@@ -304,25 +309,16 @@ def gauge_row_gates(
     """
     p.boundary(side)  # rejects an unknown side
     build = lambda x, c: gauge_s2(x, theta + p.eta * c, omega, p.eps_pole)
-    layout = _gauge_row_layout(side, p.N, tuple(extra_shift))
+    layout = _chain_layout(f"S_{side}", p.N, tuple(extra_shift))
     return tn.dynamical_gates(build, [(p.xi[k - 1], on, charge) for k, on, charge in layout])
-
-
-@functools.lru_cache(maxsize=None)
-def _gauge_aux_layout(side: str, N: int) -> tuple[tuple, np.ndarray]:
-    """The charge list of ``gauge_aux_gate``, the chain's S^z weighted -1
-    ("minus") or +1 ("plus"), and its ``charge_values``."""
-    w = -1 if side == "minus" else +1
-    charge = tuple((l, w) for l in site_legs(N))
-    return charge, tn.charge_values(charge)
 
 
 def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: ModelParams) -> tuple:
     """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
     S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""
     build2 = gauge_s2 if side == "minus" else gauge_s_tilde2
-    charge, values = _gauge_aux_layout(side, p.N)
-    return build2(lam, theta + p.eta * values, omega, p.eps_pole), (AUX,), charge
+    build = lambda x, c: build2(x, theta + p.eta * c, omega, p.eps_pole)
+    return tn.dynamical_gates(build, [(lam, (AUX,), _chain_shift(side, p.N))])[0]
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +535,9 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     theta = p.theta("minus")
     om = p.tau
     # the inner gauge pair reads theta - eta sz_2
-    shift = [("c2", -1)]
-    th = theta + eta * tn.charge_values(shift)
+    inner = lambda build, x: tn.dynamical_gates(
+        lambda y, c: build(y, theta + eta * c, om, p.eps_pole), [(x, ("c1",), (("c2", -1),))]
+    )[0]
 
     lhs = [
         (vx.r4(l1 - l2, eta), legs),
@@ -550,12 +547,12 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     ]
     rhs = [
         (gauge_s2(l2, theta, om, p.eps_pole), ("c2",)),
-        (gauge_s2(l1, th, om, p.eps_pole), ("c1",), shift),
+        inner(gauge_s2, l1),
         (dyn_r4(l1 - l2, theta, eta), legs),
         (k_diag(l1, "minus", p), ("c1",)),
         (tn.swapped4(dyn_r4(l1 + l2, theta, eta)), legs),
         (k_diag(l2, "minus", p), ("c2",)),
-        (gauge_s2_inv(-l1, th, om, p.eps_pole), ("c1",), shift),
+        inner(gauge_s2_inv, -l1),
         (gauge_s2_inv(-l2, theta, om, p.eps_pole), ("c2",)),
     ]
     return tn.product_residual(legs, lhs, rhs)
@@ -610,14 +607,12 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     The R-matrices carry theta - eta S^z ("minus") or theta + eta S^z
     ("plus") of the quantum sites.
     """
-    theta, w = p.theta(side), -1 if side == "minus" else +1
-    slegs = site_legs(p.N)
-    shift = [(s, w) for s in slegs]
+    theta, shift = p.theta(side), _chain_shift(side, p.N)
     build = lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta)
     return vx.reflection_type_residual(
         lambda a, b: tn.dynamical_gates(build, [(x, ("x1", "x2"), shift) for x in (a, b)]),
         lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p), {AUX: leg}),
-        ("x1", "x2") + slegs, side, l1, l2, p.eta,
+        ("x1", "x2") + site_legs(p.N), side, l1, l2, p.eta,
     )
 
 
@@ -637,11 +632,6 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     """Three-term exchange relation of A_- ("A") or D-tilde_- ("D") past B_- at theta = delta - zeta."""
     eta = p.eta
     theta = p.theta("minus")
-    # an S^z-dependent coefficient is evaluated once per distinct S^z and gathered
-    values, which = tn.charge_table((1,) * p.N)
-
-    def dg(fn):
-        return np.array([fn(s) for s in values])[which, None]
 
     def blocks(lam, v):
         """A, B and D-tilde at (lam, theta) applied to v, from two block strings."""
@@ -660,21 +650,17 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     b1a2x, b1dt2x = np.hsplit(block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
     lb, lm = l1 + l2, l1 - l2
     if left == "A":
-        c1 = dg(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
+        c1 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
         c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
-        c3 = dg(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
+        c3 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
         return tn.rel_residual(a1b2x, c1 * b1dt2x + c2 * b2(a1x) + c3 * b1a2x)
-    d1 = dg(
-        lambda s: sinh(lb + theta - eta * s)
+    d1 = _per_sz(p.N, lambda s: sinh(lb + theta - eta * s)
         / sinh(theta - eta * s - eta)
         * sinh(eta) * sinh(2 * l2) * sinh(2 * l1 + 2 * eta)
-        / (sinh(lb + eta) * sinh(2 * l1 + eta) * sinh(2 * l2 + eta))
-    )
+        / (sinh(lb + eta) * sinh(2 * l1 + eta) * sinh(2 * l2 + eta)))
     d2 = sinh(lm + eta) * sinh(lb + 2 * eta) / (sinh(lm) * sinh(lb + eta))
-    d3 = dg(
-        lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
-        / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta))
-    )
+    d3 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
+        / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta)))
     return tn.rel_residual(dt1b2x, d1 * b1a2x + d2 * b2(dt1x) + d3 * b1dt2x)
 
 

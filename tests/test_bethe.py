@@ -90,7 +90,7 @@ def test_root_reflection_invariance(constrained2):
     assert max(r1) < max(max(r0) * 10, 1e-9)
 
 
-@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("m", [0, -1, 3, 50])
 def test_solver_without_roots_is_config_error(m, constrained2):
     with pytest.raises(ConfigError):
         bt.find_bethe_solutions("b1", m, constrained2)

@@ -180,7 +180,7 @@ def test_benchmark_command_same_bytes_cold_and_warm(args, tmp_path, capsys):
     # the first run builds every gate-list plan and layout, the second
     # replays them; the reports (none on a solver failure) and stderr must
     # not tell the two apart
-    caches = (tn._plan, tn._charge_layout, sos._monodromy_layout, sos._gauge_row_layout, sos._gauge_aux_layout)
+    caches = (tn._plan, tn._charge_layout, sos._chain_layout)
     for cache in caches:
         cache.cache_clear()
 
@@ -232,6 +232,43 @@ def test_exit_code_degenerate(tmp_path):
     assert cli.main(["partition", "--kind", "bminus", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("xi2", [[0.11, -0.07], [-0.11, 0.07]], ids=["xi2=xi1", "xi2=-xi1"])
+@pytest.mark.parametrize("method, code", [("det", 3), ("both", 3), ("contract", 0)])
+def test_coincident_inhomogeneities_are_degenerate(xi2, method, code, tmp_path, capsys):
+    # the determinant's prefactor divides by sinh(xi_2 + xi_1) sinh(xi_2 - xi_1);
+    # the contraction has no such pole
+    cfg = tmp_path / "xi.json"
+    cfg.write_text(json.dumps({"N": 2, "xi": [[0.11, -0.07], xi2]}))
+    assert run_cli(["partition", "--method", method, "--config", str(cfg)], tmp_path)[0] == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([] if code == 0 else ["degenerate parameters: coincident spectral or inhomogeneity parameters"])
+
+
+def test_main_calls_functions_wrapped_after_import(monkeypatch, tmp_path):
+    # a tracer wraps module attributes after import; the command table and
+    # the suite table must look them up when a command runs
+    calls = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cli, "run_partition"), (vx, "vertex_identity_suite"), (sos, "sos_identity_suite")):
+        counting(module, name)
+    assert run_cli(["verify", "--n", "2", "--trials", "1"], tmp_path)[0] == 0
+    assert run_cli(["partition", "--n", "2"], tmp_path)[0] == 0
+    assert calls == {
+        "vertex_identity_suite": len(vx.VERTEX_RESIDUALS),
+        "sos_identity_suite": len(sos.SOS_RESIDUALS),
+        "run_partition": 1,
+    }
+
+
 def test_pole_at_one_charge_is_degenerate(tmp_path, capsys):
     # delta - zeta = 2 eta puts a pole at the charge -2 of the first gate of
     # each N = 3 monodromy; the Bethe state's dynamical R stack finds it
@@ -269,12 +306,10 @@ def test_exit_code_tolerance_failure(tmp_path):
 
 
 def test_exit_code_solver_failure(tmp_path):
-    # five pairwise separated roots cannot be accommodated at N = 2 inside
-    # the search window, so the multi-start solve comes back empty
-    assert (
-        cli.main(["bethe", "--branch", "b1", "--m", "5", "--n", "2", "--seed", "1", "--out", str(tmp_path / "x")])
-        == 5
-    )
+    # an in-range root count whose seed-0 starts all miss (seeds 1 and 2 find
+    # solutions), so the multi-start solve comes back empty
+    args = ["bethe", "--constrained", "--n", "4", "--sector", "0", "--branch", "b1", "--m", "2", "--seed", "0"]
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 5
 
 
 def test_sector_flag_wins_over_config(tmp_path):
@@ -369,9 +404,11 @@ def test_dense_budget_refused_before_parameters(args, monkeypatch, tmp_path, cap
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("m", ["0", "-1"])
-def test_bethe_without_roots_is_config_error(m, tmp_path):
+@pytest.mark.parametrize("m", ["0", "-1", "3", "20", "50"])
+def test_bethe_without_roots_is_config_error(m, tmp_path, capsys):
+    # fewer than one root, or more roots than the N = 2 sites: such a state is exactly zero
     assert cli.main(["bethe", "--m", m, "--n", "2", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: M = ")
 
 
 @pytest.mark.parametrize(
@@ -454,6 +491,7 @@ def test_non_integer_config_is_config_error(entry, tmp_path):
         {"tolerances": {"bethe": 0}},
         {"tolerances": {"pole": -1e-8}},
         {"tolerances": {"identity": 1e400}},
+        {"tolerances": {"idenity": 1e-6}},
     ],
 )
 def test_malformed_config_is_config_error(entry, tmp_path, capsys):
@@ -473,8 +511,10 @@ def test_integral_float_config_is_accepted(tmp_path):
 
 
 def test_spectrum_without_roots_is_config_error(tmp_path):
-    # unconstrained, the sector is not checked against N: s = N gives M = 0
-    assert cli.main(["spectrum", "--n", "2", "--sector", "2", "--out", str(tmp_path / "x")]) == 2
+    # unconstrained, the sector is not checked against N: s = N gives M = 0,
+    # and s = -10 at N = 4 gives M = 7 > N
+    for n, s in ((2, 2), (4, -10)):
+        assert cli.main(["spectrum", "--n", str(n), "--sector", str(s), "--out", str(tmp_path / "x")]) == 2
 
 
 def test_csv_format(tmp_path):

@@ -7,7 +7,7 @@ from sosxxz import params
 from sosxxz import partition as pt
 from sosxxz import sos
 from sosxxz import tensor as tn
-from sosxxz.errors import DegenerateParameter, SingularPrefactor
+from sosxxz.errors import DegenerateParameter
 from sosxxz.params import generic_params, sample_points
 
 
@@ -160,7 +160,7 @@ def test_recursion_against_n1_closed_form(p2, closed_form_n1):
 
 def test_coincident_parameters_raise(p2):
     lams = (0.21 + 0.12j, 0.21 + 0.12j)
-    with pytest.raises(SingularPrefactor):
+    with pytest.raises(DegenerateParameter):
         pt.z_determinant(p2, lams, "bminus")
 
 
