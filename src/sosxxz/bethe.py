@@ -8,8 +8,9 @@ double-row matrices acting on the all-up or all-down reference state:
     p1:  B_+(lam_1; tb) ... B_+(lam_M; tb) |0>       M = (N - s)/2
     p2:  C_+(lam_1; tb) ... C_+(lam_M; tb) |0bar>    M = (N + s)/2
 
-with th = delta - zeta and tb = delta_bar - zeta_bar.  Under the boundary
-constraints the vertex images (gauge row applied) are transfer-matrix
+with th = delta - zeta and tb = delta_bar - zeta_bar.  Under the height
+condition of their sector they are SOS eigenstates; under the vertex
+condition too, their vertex images (gauge row applied) are transfer-matrix
 eigenstates, all four families giving the same states.
 """
 
@@ -70,22 +71,38 @@ class BetheSolution:
     sector: int
 
 
-def apply_constraints(p: ModelParams, c: BoundaryConstraint) -> ModelParams:
-    """Impose the boundary constraints solving both cosh conditions.
+def family_sector(branch: str, M: int, N: int) -> int:
+    """The S^z sector of ``branch``'s M-root states (1 <= M <= N): N - 2M for b1, p1, 2M - N for b2, p2."""
+    if M < 1:
+        raise ConfigError(f"M = {M} Bethe roots; a Bethe state needs at least one")
+    if M > N:
+        # more creation blocks than sites leave every sector: the state is exactly zero
+        raise ConfigError(f"M = {M} Bethe roots; N = {N} sites take at most N")
+    return BRANCHES[branch].sign * (N - 2 * M)
 
-    Sets tau_bar = tau + eta + i pi n and delta_bar = zeta_bar + delta -
-    zeta - eta s + i pi n + 2 i pi m, keeping zeta_bar free.  The i pi n
-    piece in delta_bar is required for odd n: without it the two cosh
-    conditions pick up a (-1)^n mismatch.
+
+def height_condition(p: ModelParams, c: BoundaryConstraint) -> ModelParams:
+    """Set delta_bar = zeta_bar + delta - zeta - eta s + i pi n + 2 i pi m: under
+    this alone the sector-s Bethe states are SOS eigenstates, for any tau_bar."""
+    return p.replace(delta_bar=p.zeta_bar + p.theta("minus") - p.eta * c.s + 1j * pi * c.n + 2j * pi * c.m)
+
+
+def vertex_condition(p: ModelParams, c: BoundaryConstraint) -> ModelParams:
+    """Set tau_bar = tau + eta + i pi n, which only the vertex picture needs on top of the height one."""
+    return p.replace(tau_bar=p.tau + p.eta + 1j * pi * c.n)
+
+
+def apply_constraints(p: ModelParams, c: BoundaryConstraint) -> ModelParams:
+    """Impose the height and the vertex condition, solving both cosh conditions.
+
+    The i pi n piece in delta_bar is required for odd n: without it the two
+    cosh conditions pick up a (-1)^n mismatch.
     """
     if (p.N - c.s) % 2 != 0:
         raise BadSector(f"N - s = {p.N - c.s} must be even")
     if abs(c.s) >= p.N:
         raise BadSector(f"sector |s| = {abs(c.s)} must be < N = {p.N}")
-    return p.replace(
-        tau_bar=p.tau + p.eta + 1j * pi * c.n,
-        delta_bar=p.zeta_bar + p.theta("minus") - p.eta * c.s + 1j * pi * c.n + 2j * pi * c.m,
-    )
+    return vertex_condition(height_condition(p, c), c)
 
 
 def _pars(p: ModelParams, order: str) -> tuple[complex, complex, complex, complex]:
@@ -313,13 +330,7 @@ def find_bethe_solutions(
     boundary constraints the equations become asymptotically satisfied as
     Re(lam) grows, producing spurious runaway pseudo-solutions.
     """
-    if M < 1:
-        raise ConfigError(f"M = {M} Bethe roots; a Bethe state needs at least one")
-    if M > p.N:
-        # more creation blocks than sites leave every sector: the state is exactly zero
-        raise ConfigError(f"M = {M} Bethe roots; N = {p.N} sites take at most N")
-    spec = BRANCHES[branch]
-    sector = p.N - 2 * M if spec.sign > 0 else -p.N + 2 * M
+    sector = family_sector(branch, M, p.N)
     rng = np.random.default_rng(seed)
     starts = list(guesses) if guesses else _start_grid(M, rng, p.eta)
     starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)

@@ -37,18 +37,20 @@ DEFAULT_TOLERANCES = {"pole": 1e-8, "identity": 1e-10, "bethe": 1e-9, "partition
 # spectrum or partition may build; a gate product holds its input, a
 # transposed copy and its output at once, so the peak memory is a few times this
 DENSE_BUDGET = 2**28
-# command -> entry count of the largest dense complex array it builds at chain length N
+# command -> entry count of the largest dense complex array it builds at
+# chain length N, or a bound above that count
 DENSE_ENTRIES = {
     # the reflection-algebra checks apply their gate lists to a (2^(N+2), 8)
     # probe block over two auxiliary legs and the sites; no dynamical gate's
     # stack (at most 2^N 4 x 4 blocks) or two-group block string is larger
     "verify": lambda n: 2 ** (n + 5),
     # bethe applies the gauge row and both transfer matrices to its few
-    # stacked states as gate lists and builds no square matrix, but keeps
-    # the bound of spectrum, so the two commands refuse the same N
+    # stacked states as gate lists, columns of 2^(N+1) entries, and builds no
+    # square matrix; it keeps the bound of spectrum, so the two refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
-    # unconstrained, the traced product of the 2^(N+1)-square identity;
-    # constrained, only the C(N, M) basis columns of the sector
+    # spectrum applies the transfer matrix to the C(N, M) <= 2^N basis columns
+    # of its sector, 2^(N+1) entries each: at most half this bound.  The bound
+    # refuses N >= 12, where the vertex images' norm floor rejects good states
     "spectrum": lambda n: 4 ** (n + 1),
     # the block string acts on a vector over the auxiliary leg and the sites;
     # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
@@ -196,13 +198,6 @@ def _row(check: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _params(cfg: RunConfig, constrained: bool) -> ModelParams:
-    """The run's parameters, with the boundary constraints of its sector imposed if ``constrained``."""
-    if not constrained:
-        return cfg.params
-    return bt.apply_constraints(cfg.params, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
-
-
 def _eigen_tolerance(cfg: RunConfig) -> float:
     """The tolerance of an eigenpair residual or an eigenvalue match."""
     return max(cfg.tolerances["bethe"] * 10, 1e-8)
@@ -230,38 +225,40 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
 
 
 def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[list[dict], dict]:
-    p = _params(cfg, constrained)
-    tol_b = cfg.tolerances["bethe"]
-    tol_eig = _eigen_tolerance(cfg)
+    # the SOS rows need the height condition at the family's sector; only the
+    # vertex rows, checked with --constrained, need the vertex condition too
+    sector = bt.family_sector(branch, m, cfg.params.N)
+    if constrained and cfg.sector_s != sector:
+        raise BadSector(f"sector s = {cfg.sector_s}, but M = {m} {branch} roots on N = {cfg.params.N} sites "
+                        f"make sector {sector}")
+    c = bt.BoundaryConstraint(sector, cfg.constraint_n, cfg.constraint_m)
+    p = bt.apply_constraints(cfg.params, c) if constrained else bt.height_condition(cfg.params, c)
     sols = bt.find_bethe_solutions(branch, m, p, seed=cfg.seed)
     if not sols:
         raise NoConvergence(f"no verified {branch} solutions with M = {m}")
-    rng = np.random.default_rng(cfg.seed + 1)
-    mus = sample_points(rng, p, 3)
+    mus = sample_points(np.random.default_rng(cfg.seed + 1), p, 3)
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
     psis, lams = [], []
     for sol in sols:
         psis.append(bt.bethe_state(branch, sol, p))
         lams.append([bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus])
-    # the gauge row and each transfer matrix act on all states at once, stacked as columns
+    # the gauge row and each transfer matrix act on all states at once, stacked
+    # as columns; each picture pairs its states with its transfer matrix at mu
     psi = np.stack(psis, axis=1)
-    v = bt.vertex_eigenstate(branch, psi, p) if constrained else None
+    pictures = {"sos_eigenstate": (psi, lambda mu: sos.sos_transfer(mu, theta, spec.sos_kind, p, psi))}
+    if constrained:
+        v = bt.vertex_eigenstate(branch, psi, p)
+        pictures["vertex_eigenstate"] = (v, lambda mu: vx.transfer_xxz(mu, p, v))
     lam = np.array(lams)
-    sos_worst = np.zeros(len(sols))
-    vertex_worst = np.zeros(len(sols))
+    worst = {name: np.zeros(len(sols)) for name in pictures}
     for j, mu in enumerate(mus):
-        t_psi = sos.sos_transfer(mu, theta, spec.sos_kind, p, psi)
-        sos_worst = np.maximum(sos_worst, _eigen_residual(t_psi, psi, lam[:, j]))
-        if constrained:
-            vertex_worst = np.maximum(vertex_worst, _eigen_residual(vx.transfer_xxz(mu, p, v), v, lam[:, j]))
-    rows = []
-    results = []
+        for name, (x, transfer) in pictures.items():
+            worst[name] = np.maximum(worst[name], _eigen_residual(transfer(mu), x, lam[:, j]))
+    rows, results = [], []
     for i, sol in enumerate(sols):
-        rows.append(_row(f"bethe.{branch}.{i}.equation", max(sol.residuals), tol_b))
-        rows.append(_row(f"bethe.{branch}.{i}.sos_eigenstate", sos_worst[i], tol_eig))
-        if constrained:
-            rows.append(_row(f"bethe.{branch}.{i}.vertex_eigenstate", vertex_worst[i], tol_eig))
+        rows.append(_row(f"bethe.{branch}.{i}.equation", max(sol.residuals), cfg.tolerances["bethe"]))
+        rows += [_row(f"bethe.{branch}.{i}.{name}", res[i], _eigen_tolerance(cfg)) for name, res in worst.items()]
         results.append(
             {
                 "roots": [_c2pair(z) for z in sol.roots],
@@ -274,54 +271,46 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
-    p = _params(cfg, constrained)
-    if not constrained and (p.N - cfg.sector_s) % 2 != 0:
-        # M = (N - s) / 2 b1 roots reach sector s only when N - s is even
-        raise BadSector(f"N - s = {p.N - cfg.sector_s} must be even")
+    if not constrained:
+        raise ConfigError("spectrum needs --constrained: it diagonalizes the S^z sector block under the constraints")
+    p = bt.apply_constraints(cfg.params, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
     # the boundary fields of the open chain divide by sinh(zeta) sinh(delta) of either pair
     for side in ("minus", "plus"):
         delta, zeta, _ = p.boundary(side)
         if abs(sinh(zeta)) <= p.eps_pole or abs(sinh(delta)) <= p.eps_pole:
             raise DegenerateParameter(f"{side} boundary field: sinh(zeta) sinh(delta) vanishes")
     tol = _eigen_tolerance(cfg)
-    rng = np.random.default_rng(cfg.seed + 2)
-    mu = sample_points(rng, p, 1)[0]
+    mu = sample_points(np.random.default_rng(cfg.seed + 2), p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
-    rows = []
-    if constrained:
-        # the height-picture transfer matrix keeps S^z: diagonalize its block of
-        # the sector, and check each eigenpair's gauge image in the vertex picture
-        idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s)
-        leakage = tn.max_abs(np.delete(cols, idx, axis=0)) / max(tn.max_abs(cols), 1e-300)
-        rows.append(_row("spectrum.sector_leakage", leakage, tol))
-        t_eigs, vecs = np.linalg.eig(cols[idx])
-        psi = np.zeros_like(cols)
-        psi[idx] = vecs
-        v = bt.vertex_eigenstate("b1", psi, p)
-        res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
-        rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
-    else:
-        t_eigs = np.linalg.eigvals(vx.transfer_xxz(mu, p))
+    # the height-picture transfer matrix keeps S^z: diagonalize its block of
+    # the sector, and check each eigenpair's gauge image in the vertex picture
+    idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s)
+    leakage = tn.max_abs(np.delete(cols, idx, axis=0)) / max(tn.max_abs(cols), 1e-300)
+    rows = [_row("spectrum.sector_leakage", leakage, tol)]
+    t_eigs, vecs = np.linalg.eig(cols[idx])
+    psi = np.zeros_like(cols)
+    psi[idx] = vecs
+    v = bt.vertex_eigenstate("b1", psi, p)
+    res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
+    rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
     sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
-    matched = 0
     details = []
     for sol in sols:
         lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
         dist = float(np.min(np.abs(t_eigs - lam)) / max(abs(lam), 1e-300))
-        if dist < tol:
-            matched += 1
         details.append({"roots": [_c2pair(z) for z in sol.roots], "lambda": _c2pair(lam), "match_residual": dist})
+    matched = sum(d["match_residual"] < tol for d in details)
     extra = {
         "mu": _c2pair(mu),
         "transfer_dimension": 2**p.N,
+        "sector_dimension": len(t_eigs),
+        "min_pole_gap": min_pole_gap(p, [mu]),
         "solutions_found": len(sols),
         "matched": matched,
         "unmatched_spectrum": 2**p.N - matched,
         "note": "incomplete Bethe coverage is expected in the doubly-constrained case",
         "solutions": details,
     }
-    if constrained:
-        extra.update(sector_dimension=len(t_eigs), min_pole_gap=min_pole_gap(p, [mu]))
     return rows, extra
 
 
@@ -387,15 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bethe", parents=[common], help="solve Bethe equations and verify eigenstates")
     b.add_argument("--branch", default="b1", choices=tuple(bt.BRANCHES))
     b.add_argument("--m", type=int, required=True, help="number of Bethe roots")
-    b.add_argument("--constrained", action="store_true", help="impose the boundary constraints")
+    b.add_argument("--constrained", action="store_true", help="also impose the vertex condition; adds vertex rows")
 
     s = sub.add_parser("spectrum", parents=[common], help="transfer-matrix eigenvalues vs Bethe eigenvalues")
-    s.add_argument(
-        "--constrained",
-        action="store_true",
-        help="impose the boundary constraints and diagonalize the S^z sector block "
-        "(default: the dense 2^N transfer matrix)",
-    )
+    s.add_argument("--constrained", action="store_true", help="impose the boundary constraints (required)")
 
     q = sub.add_parser("partition", parents=[common], help="domain-wall partition functions")
     q.add_argument("--kind", default="bminus", choices=pt.KINDS)

@@ -41,6 +41,71 @@ def test_bad_sector():
         bt.apply_constraints(p, bt.BoundaryConstraint(s=1))
 
 
+def test_constraints_are_the_height_then_the_vertex_condition():
+    p = generic_params(4)
+    c = bt.BoundaryConstraint(s=2, n=1, m=-1)
+    height, vertex = bt.height_condition(p, c), bt.vertex_condition(p, c)
+    assert height == p.replace(delta_bar=height.delta_bar)
+    assert vertex == p.replace(tau_bar=vertex.tau_bar)
+    assert bt.apply_constraints(p, c) == p.replace(delta_bar=height.delta_bar, tau_bar=vertex.tau_bar)
+
+
+@pytest.mark.parametrize("branch, sign", [("b1", 1), ("p1", 1), ("b2", -1), ("p2", -1)])
+def test_family_sector(branch, sign):
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            assert bt.family_sector(branch, m, n) == sign * (n - 2 * m)
+    for m in (0, 4):
+        with pytest.raises(ConfigError, match=f"^M = {m} Bethe roots"):
+            bt.family_sector(branch, m, 3)
+
+
+def _sos_and_vertex_residuals(branch, sols, p):
+    """The worst SOS and the worst vertex eigenpair residual of each solution over two points."""
+    mus = sample_points(np.random.default_rng(4), p, 2)
+    theta = bt.branch_theta(branch, p)
+    out = []
+    for sol in sols:
+        psi = bt.bethe_state(branch, sol, p)[:, None]
+        v = bt.vertex_eigenstate(branch, psi, p)
+        worst = [0.0, 0.0]
+        for mu in mus:
+            lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
+            images = ((sos.sos_transfer(mu, theta, bt.BRANCHES[branch].sos_kind, p, psi), psi),
+                      (vx.transfer_xxz(mu, p, v), v))
+            worst = [max(w, np.linalg.norm(t - lam * x) / (np.linalg.norm(x) * abs(lam)))
+                     for w, (t, x) in zip(worst, images)]
+        out.append(worst)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_height_condition_alone_gives_sos_eigenstates(branch, n):
+    # delta_bar at the family's sector is all the SOS rows need; tau_bar stays
+    # generic, so the gauge images are no vertex eigenstates
+    found = 0
+    for m in range(1, n + 1):
+        p = bt.height_condition(generic_params(n), bt.BoundaryConstraint(bt.family_sector(branch, m, n)))
+        sols = bt.find_bethe_solutions(branch, m, p, seed=0)
+        found += len(sols)
+        for sos_res, vertex_res in _sos_and_vertex_residuals(branch, sols, p):
+            assert sos_res < 1e-12
+            assert vertex_res > 1e-3
+    assert found
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_generic_delta_bar_fails_the_sos_row(branch):
+    # the same search at the generic delta_bar solves its Bethe equations,
+    # but their states are no eigenstates of the SOS transfer matrix
+    p = generic_params(4)
+    sols = bt.find_bethe_solutions(branch, 1, p, seed=0)
+    assert sols
+    for sos_res, _ in _sos_and_vertex_residuals(branch, sols, p):
+        assert sos_res > 1e-3
+
+
 def test_y2_is_swapped_y1(p2):
     lam = 0.21 + 0.12j
     roots = (lam,)

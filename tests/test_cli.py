@@ -60,6 +60,29 @@ def test_bethe_constrained_run(tmp_path):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (6, 2)])
+def test_unconstrained_bethe_checks_the_sos_rows_of_the_constrained_run(branch, n, m, tmp_path):
+    # both runs impose the height condition of the family's sector, which is
+    # all the Bethe equations and the SOS rows read; only the constrained run
+    # adds the vertex condition and the vertex rows
+    args = ["bethe", "--branch", branch, "--n", str(n), "--m", str(m), "--seed", "0"]
+    code, text = run_cli(args, tmp_path, "free.jsonl")
+    sector = str(bt.family_sector(branch, m, n))
+    fixed_code, fixed_text = run_cli([*args, "--constrained", "--sector", sector], tmp_path, "fixed.jsonl")
+    assert code == fixed_code and code in (0, 5)
+    if code == 0:
+        def sos_rows(rows):
+            return [{k: r[k] for k in ("check", "residual", "pass")} for r in rows
+                    if not r["check"].endswith(".vertex_eigenstate")]
+
+        rows, summary = rows_and_summary(text)
+        fixed_rows, fixed_summary = rows_and_summary(fixed_text)
+        assert all(r["pass"] for r in rows)
+        assert sos_rows(rows) == sos_rows(fixed_rows) and len(sos_rows(rows)) == len(rows)
+        assert summary["extra"] == fixed_summary["extra"]
+
+
 def test_spectrum_reports_incompleteness_without_failing(tmp_path):
     code, text = run_cli(["spectrum", "--constrained", "--n", "2", "--seed", "3"], tmp_path)
     assert code == 0
@@ -124,8 +147,13 @@ def test_constrained_spectrum_reports_sector_and_pole_gap(n, s, tmp_path):
     assert extra["transfer_dimension"] == 2**n
     assert extra["unmatched_spectrum"] == 2**n - extra["matched"]
     assert extra["min_pole_gap"] == min_pole_gap(p, [complex(*extra["mu"])])
-    _, summary = rows_and_summary(run_cli(["spectrum", "--n", str(n), "--sector", str(s)], tmp_path)[1])
-    assert "sector_dimension" not in summary["extra"] and "min_pole_gap" not in summary["extra"]
+
+
+def test_spectrum_without_constraints_is_config_error(tmp_path, capsys):
+    # the dense vertex spectrum has no sector block for the Bethe states to diagonalize
+    assert cli.main(["spectrum", "--n", "4", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (4, 2), (5, -3), (8, 2)])
@@ -280,17 +308,13 @@ def test_pole_at_one_charge_is_degenerate(tmp_path, capsys):
     assert capsys.readouterr().err == "degenerate parameters: |sinh(theta)| <= 1.0e-08 in dynamical R\n"
 
 
-@pytest.mark.parametrize(
-    "coupling, constrained",
-    [(c, False) for c in ("zeta", "delta", "zeta_bar", "delta_bar")]
-    + [(c, True) for c in ("zeta", "delta", "zeta_bar")],
-)
-def test_spectrum_zero_boundary_coupling_is_degenerate(coupling, constrained, tmp_path, capsys):
+@pytest.mark.parametrize("coupling", ["zeta", "delta", "zeta_bar"])
+def test_spectrum_zero_boundary_coupling_is_degenerate(coupling, tmp_path, capsys):
     # the Hamiltonian's boundary field divides by sinh(zeta) sinh(delta) and
     # by its barred pair; the constraints overwrite delta_bar
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps({coupling: 0}))
-    args = ["spectrum", "--n", "2", "--config", str(cfg), *(["--constrained"] if constrained else [])]
+    args = ["spectrum", "--constrained", "--n", "2", "--config", str(cfg)]
     assert run_cli(args, tmp_path)[0] == 3
     assert capsys.readouterr().err.startswith("degenerate parameters:")
 
@@ -390,7 +414,7 @@ def test_dense_budget_is_config_error(args, monkeypatch, tmp_path, capsys):
     [
         ["verify", "--n", "20"],
         ["bethe", "--m", "1", "--n", "12"],
-        ["spectrum", "--n", "12"],
+        ["spectrum", "--constrained", "--n", "12"],
         ["partition", "--n", "1000000"],
     ],
 )
@@ -417,13 +441,37 @@ def test_bethe_without_roots_is_config_error(m, tmp_path, capsys):
         ["spectrum", "--constrained", "--n", "3"],
         ["bethe", "--constrained", "--n", "3", "--m", "1"],
         ["bethe", "--constrained", "--n", "4", "--m", "1", "--sector", "4"],
-        ["spectrum", "--n", "3"],
+        ["spectrum", "--constrained", "--n", "4", "--sector", "4"],
+        ["bethe", "--constrained", "--n", "3", "--m", "3", "--sector", "-3"],
     ],
 )
-def test_bad_sector_is_config_error(args, tmp_path):
-    # the boundary constraints need N - s even and |s| < N; spectrum's
-    # M = (N - s) / 2 b1 roots need N - s even, constrained or not
+def test_bad_sector_is_config_error(args, tmp_path, capsys):
+    # the boundary constraints need N - s even and |s| < N, and the M roots
+    # of a constrained bethe run must reach its sector
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "args, implied",
+    [
+        (["--n", "4", "--m", "1", "--sector", "0"], 2),
+        (["--n", "3", "--m", "1"], 1),
+        (["--n", "6", "--m", "2", "--sector", "2", "--branch", "b2"], -2),
+        (["--n", "6", "--m", "4", "--sector", "-2", "--branch", "p2"], 2),
+    ],
+)
+def test_constrained_bethe_off_its_family_sector_is_config_error(args, implied, tmp_path, capsys):
+    # M roots of a family reach one sector only: N - 2M for b1 and p1, 2M - N for b2 and p2
+    assert cli.main(["bethe", "--constrained", *args, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sector s = ") and err.endswith(f"make sector {implied}\n")
+
+
+def test_root_count_is_checked_before_the_sector(tmp_path, capsys):
+    args = ["bethe", "--constrained", "--n", "2", "--m", "3", "--sector", "5", "--out", str(tmp_path / "x")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: M = 3 ")
 
 
 @pytest.mark.parametrize(
@@ -431,7 +479,7 @@ def test_bad_sector_is_config_error(args, tmp_path):
     [
         (800, ["verify"]),
         (800, ["partition"]),
-        (300, ["spectrum", "--n", "3", "--sector", "1"]),
+        (300, ["spectrum", "--constrained", "--n", "3", "--sector", "1"]),
         (100, ["verify", "--n", "3", "--trials", "1"]),
     ],
 )
@@ -456,17 +504,17 @@ def test_nan_residual_is_degenerate(tmp_path):
 
 @pytest.mark.parametrize(
     "command, entries",
-    [("spectrum", 4**6), ("partition", 2**8), ("verify", 2**10)],
+    [(["spectrum", "--constrained"], 4**6), (["partition"], 2**8), (["verify"], 2**10)],
     ids=["spectrum", "partition", "verify"],
 )
-def test_spectrum_obeys_dense_budget(command, entries, monkeypatch, tmp_path):
-    # at N = 5 the transfer matrix on the auxiliary leg and the sites is
-    # 64-square, each two-leg gate of the partition block string is a
-    # stack of 16 4 x 4 blocks, and the verify probe block on two auxiliary
-    # legs and the sites is 128 x 8; the budget is one entry short of each.
-    # Sector 1 keeps N - s even, which spectrum needs
+def test_spectrum_obeys_dense_budget(command, entries, monkeypatch, tmp_path, capsys):
+    # at N = 5 the spectrum entry is 4^6, each two-leg gate of the partition
+    # block string is a stack of 16 4 x 4 blocks, and the verify probe block
+    # on two auxiliary legs and the sites is 128 x 8; the budget is one entry
+    # short of each.  Sector 1 keeps N - s even, which spectrum needs
     monkeypatch.setattr(cli, "DENSE_BUDGET", 16 * (entries - 1))
-    assert cli.main([command, "--n", "5", "--sector", "1", "--out", str(tmp_path / "x")]) == 2
+    assert cli.main([*command, "--n", "5", "--sector", "1", "--out", str(tmp_path / "x")]) == 2
+    assert "over the" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -510,11 +558,13 @@ def test_integral_float_config_is_accepted(tmp_path):
     assert (summary["config"]["N"], summary["config"]["seed"]) == (1, 4)
 
 
-def test_spectrum_without_roots_is_config_error(tmp_path):
-    # unconstrained, the sector is not checked against N: s = N gives M = 0,
-    # and s = -10 at N = 4 gives M = 7 > N
+def test_spectrum_without_roots_is_config_error(tmp_path, capsys):
+    # s = N would give M = 0 roots, and s = -10 at N = 4 M = 7 > N; the
+    # constraints refuse both sectors before any matrix is built
     for n, s in ((2, 2), (4, -10)):
-        assert cli.main(["spectrum", "--n", str(n), "--sector", str(s), "--out", str(tmp_path / "x")]) == 2
+        args = ["spectrum", "--constrained", "--n", str(n), "--sector", str(s), "--out", str(tmp_path / "x")]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith("config error: sector |s|")
 
 
 def test_csv_format(tmp_path):
