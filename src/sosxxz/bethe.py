@@ -32,6 +32,7 @@ ROOT_SEP = 1e-6  # smallest |sinh| of root differences, sums + eta, 2 lam + eta
 BETHE_TOL = 1e-9  # largest per-root residual of an accepted solution
 RE_MAX = 2.5  # largest |Re| of an accepted root
 N_STARTS = 60  # multi-start points of the grid search
+RUNAWAY_RISES = 8  # consecutive outward steps past RE_MAX that retire a Newton start
 
 
 @dataclass(frozen=True)
@@ -265,14 +266,18 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
     Returns, per start, its converged roots or None.  A start leaves the
     batch when its largest mismatch is below ``tol``; it is dropped when a
     y vanishes or is not finite, when its Jacobian is not finite or is
-    singular, when 20 halvings of its step give no decrease, or after
-    ``max_iter`` steps.
+    singular, when 20 halvings of its step give no decrease, when its reach
+    (the largest canonical Re of its roots) grew past RE_MAX on
+    RUNAWAY_RISES steps running, or after ``max_iter`` steps.  A runaway
+    chases a mismatch decaying like e^(-2 lam), about 1/2 further each step.
     """
     found = [None] * len(starts)
     live = np.arange(len(starts))
     roots = starts.astype(complex)
     f, ok = _log_mismatch(branch, roots, p)
     live, roots, f = live[ok], roots[ok], f[ok]
+    reach = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
+    rises = np.zeros(len(live), dtype=int)
     for _ in range(max_iter):
         if not len(live):
             break
@@ -280,9 +285,9 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
         done = fn < tol
         for k, r in zip(live[done], roots[done]):
             found[k] = r
-        live, roots, f, fn = (a[~done] for a in (live, roots, f, fn))
+        live, roots, f, fn, reach, rises = (a[~done] for a in (live, roots, f, fn, reach, rises))
         step, ok = _newton_step(branch, roots, f, p)
-        live, roots, f, fn, step = (a[ok] for a in (live, roots, f, fn, step))
+        live, roots, f, fn, step, reach, rises = (a[ok] for a in (live, roots, f, fn, step, reach, rises))
         # damped update: each start halves its own step until its mismatch decreases
         pending = np.ones(len(live), dtype=bool)
         scale = 1.0
@@ -297,7 +302,10 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
             f[idx[better]] = fc[better]
             pending[idx[better]] = False
             scale /= 2
-        live, roots, f = live[~pending], roots[~pending], f[~pending]
+        grown = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
+        rises = np.where((grown > RE_MAX) & (grown > reach), rises + 1, 0)
+        keep = ~pending & (rises < RUNAWAY_RISES)
+        live, roots, f, reach, rises = live[keep], roots[keep], f[keep], grown[keep], rises[keep]
     return found
 
 
@@ -323,12 +331,14 @@ def find_bethe_solutions(
     """Multi-start damped-Newton search; returns deduplicated verified solutions.
 
     All starts are solved together as one batch (``_newton_batch``, at most
-    80 steps each); each converged start is then filtered, deduplicated and
-    verified by the scalar ``bethe_residual`` in start order.
+    80 steps each, fewer for a runaway); each converged start is then
+    filtered, deduplicated and verified by the scalar ``bethe_residual`` in
+    start order.
 
     Roots escaping beyond RE_MAX in real part are discarded: under the
     boundary constraints the equations become asymptotically satisfied as
-    Re(lam) grows, producing spurious runaway pseudo-solutions.
+    Re(lam) grows, producing spurious runaway pseudo-solutions.  This
+    filter still decides acceptance; the batch only retires runaways sooner.
     """
     sector = family_sector(branch, M, p.N)
     rng = np.random.default_rng(seed)

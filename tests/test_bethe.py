@@ -485,6 +485,104 @@ def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
             assert a is None or np.abs(a - b).max() < 1e-12
 
 
+def _newton_batch_to_the_end(branch, starts, p, max_iter, tol):
+    """The batch before runaway retirement: every start runs until it
+    converges, a drop condition hits, or ``max_iter`` steps pass.  The
+    reference of ``bt._newton_batch``, which must return the same roots
+    wherever a start ends inside RE_MAX."""
+    found = [None] * len(starts)
+    live = np.arange(len(starts))
+    roots = starts.astype(complex)
+    f, ok = bt._log_mismatch(branch, roots, p)
+    live, roots, f = live[ok], roots[ok], f[ok]
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        fn = np.abs(f).max(axis=1)
+        done = fn < tol
+        for k, r in zip(live[done], roots[done]):
+            found[k] = r
+        live, roots, f, fn = (a[~done] for a in (live, roots, f, fn))
+        step, ok = bt._newton_step(branch, roots, f, p)
+        live, roots, f, fn, step = (a[ok] for a in (live, roots, f, fn, step))
+        pending = np.ones(len(live), dtype=bool)
+        scale = 1.0
+        for _ in range(20):
+            idx = np.flatnonzero(pending)
+            if not len(idx):
+                break
+            cand = roots[idx] - scale * step[idx]
+            fc, ok = bt._log_mismatch(branch, cand, p)
+            better = ok & (np.abs(fc).max(axis=1) < fn[idx])
+            roots[idx[better]] = cand[better]
+            f[idx[better]] = fc[better]
+            pending[idx[better]] = False
+            scale /= 2
+        live, roots, f = live[~pending], roots[~pending], f[~pending]
+    return found
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_runaway_retirement_keeps_every_solution(branch, n, shift, monkeypatch):
+    # all four pairs of constraint and seed for every case take about 10 s;
+    # each case takes one pair, and along N every family and sector meets all four
+    k = list(bt.BRANCHES).index(branch) + n + shift // 2
+    constrain, seed = (bt.apply_constraints, bt.height_condition)[k % 2], k // 2 % 2
+    s = n % 2 + shift
+    p = constrain(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    new = bt.find_bethe_solutions(branch, m, p, seed=seed)
+    monkeypatch.setattr(bt, "_newton_batch", _newton_batch_to_the_end)
+    old = bt.find_bethe_solutions(branch, m, p, seed=seed)
+    assert new == old  # roots and residuals bit-equal, in the same order
+
+
+def _reach(roots, eta):
+    """The largest canonical real part of each start's roots."""
+    return np.maximum(roots.real, -roots.real - eta.real).max(axis=1)
+
+
+def _jacobian_inputs(monkeypatch):
+    """Wrap ``bt._jacobian`` to record the roots of each call."""
+    calls, jacobian = [], bt._jacobian
+
+    def recorded(branch, roots, p):
+        calls.append(roots.copy())
+        return jacobian(branch, roots, p)
+
+    monkeypatch.setattr(bt, "_jacobian", recorded)
+    return calls
+
+
+def test_a_start_that_returns_from_past_re_max_is_kept(monkeypatch):
+    p = bt.height_condition(generic_params(8), bt.BoundaryConstraint(s=4))
+    start = np.array(bt._start_grid(6, np.random.default_rng(5), p.eta)[24:25])
+    calls = _jacobian_inputs(monkeypatch)
+    [kept] = bt._newton_batch("p2", start, p, 80, 1e-13)
+    reach = [_reach(r, p.eta)[0] for r in calls if len(r)]
+    # the path runs out past |Re lam| = 8 and comes back
+    assert max(reach) > 8 > bt.RE_MAX > reach[-1]
+    [reference] = _newton_batch_to_the_end("p2", start, p, 80, 1e-13)
+    assert kept is not None and np.array_equal(kept, reference)
+
+
+def test_a_runaway_start_is_retired(monkeypatch):
+    p = bt.apply_constraints(generic_params(6), bt.BoundaryConstraint(s=2))
+    start = np.array(bt._start_grid(2, np.random.default_rng(0), p.eta)[:1])
+    calls = _jacobian_inputs(monkeypatch)
+    [reference] = _newton_batch_to_the_end("b1", start, p, 80, 1e-13)
+    # Jacobian call k (from 0) sees the roots after k steps
+    first_past = next(k for k, r in enumerate(calls) if _reach(r, p.eta)[0] > bt.RE_MAX)
+    assert reference is None or _reach(reference[None], p.eta)[0] > bt.RE_MAX
+    unretired = len(calls)
+    calls.clear()
+    [retired] = bt._newton_batch("b1", start, p, 80, 1e-13)
+    assert retired is None
+    assert len(calls) <= first_past + bt.RUNAWAY_RISES + 1 < unretired
+
+
 # counts and 8-digit canonical roots at seed 0, recorded from the scalar
 # per-start solver that the batched one replaced
 PINNED_SOLUTIONS = {
