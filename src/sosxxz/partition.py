@@ -43,49 +43,44 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
 
 
-def _apply_blocks(q: ModelParams, lams: Sequence[complex], side: str, creator: str, v: np.ndarray) -> np.ndarray:
-    """creator(lams[0]) ... creator(lams[-1]) v, the ``side`` blocks of
-    ``_kind_params`` output q; the last block is applied first."""
-    theta = q.theta(side)
-    for lam in reversed(lams):
-        v = sos.block_column(lam, theta, side, creator, q, v)[0]
-    return v
-
-
-def _ends(n: int, creator: str) -> tuple[np.ndarray, np.ndarray]:
-    """(ket, bra): the reference state the block string acts on, and the one it ends in."""
-    up, down = tn.all_up(n), tn.all_down(n)
-    return (up, down) if creator == "B" else (down, up)
-
-
 def _point_contraction(
-    p: ModelParams, lambdas: tuple[complex, ...], i: int, kind: str
+    p: ModelParams, lambdas: Sequence[complex], i: int, kind: str
 ) -> Callable[[complex], complex]:
     """``lam -> z_contraction(p, lambdas with lambdas[i] = lam, kind)``.
 
-    The tail B(lambdas[i+1]) ... B(lambdas[N-1]) |ref> is contracted once,
-    by the first call that passes the pole guard, and each call applies
-    only the blocks of lambdas[0..i] to it, last block first.  This is the
-    one contraction: ``z_contraction`` is its i = 0 case.
+    The kind's parameters, theta and reference states (ket, bra) are taken
+    once; each call runs the pole guard on its own point, so a non-generic
+    lam raises ``DegenerateParameter``.  The tail B(lambdas[i+1]) ...
+    B(lambdas[N-1]) |ref> is contracted by the first call that passes the
+    guard, and each call applies only the blocks of lambdas[0..i] to it,
+    last block first.  This is the one contraction: ``z_contraction`` is
+    its i = 0 case.
     """
+    q, lams = _kind_params(p, lambdas, kind)
     side, creator = KINDS[kind]
+    theta = q.theta(side)
+    up, down = tn.all_up(q.N), tn.all_down(q.N)
+    ket, bra = (up, down) if creator == "B" else (down, up)
     tail: list[np.ndarray] = []
 
+    def apply(points: Sequence[complex], v: np.ndarray) -> np.ndarray:
+        for lam in reversed(points):
+            v = sos.block_column(lam, theta, side, creator, q, v)[0]
+        return v
+
     def z(lam: complex) -> complex:
-        q, lams = _kind_params(p, lambdas[:i] + (lam,) + lambdas[i + 1:], kind)
-        params.assert_generic(q, lams, [q.theta(side)])
-        ket, bra = _ends(q.N, creator)
+        trial = lams[:i] + (complex(lam),) + lams[i + 1:]
+        params.assert_generic(q, trial, [theta])
         if not tail:
-            tail.append(_apply_blocks(q, lams[i + 1:], side, creator, ket))
-        return complex(bra @ _apply_blocks(q, lams[:i + 1], side, creator, tail[0]))
+            tail.append(apply(trial[i + 1:], ket))
+        return complex(bra @ apply(trial[:i + 1], tail[0]))
 
     return z
 
 
 def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
     """Matrix element of the defining block string between reference states."""
-    _, lams = _kind_params(p, lambdas, kind)
-    return _point_contraction(p, lams, 0, kind)(lams[0])
+    return _point_contraction(p, lambdas, 0, kind)(lambdas[0])
 
 
 def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> complex:
@@ -191,16 +186,11 @@ def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, meth
     return coeff * z_value(q.replace(N=n - 1, xi=xis[1:]), rest, "bminus", method)
 
 
-def polynomial_degree_residual(
-    p: ModelParams,
-    lambdas: Sequence[complex],
-    i: int,
-    z_at: Callable[[complex], complex],
-    rng: np.random.Generator | None = None,
-) -> float:
+def polynomial_degree_residual(p: ModelParams, z_at: Callable[[complex], complex], rng: np.random.Generator) -> float:
     """Interpolation test of the degree bound in exp(2 lam_i) of the bminus
-    function of p's (delta, zeta), with ``z_at(lam)`` its value at lambdas
-    with lambdas[i] = lam (``_point_contraction``, or any other method).
+    function of p's (delta, zeta), with ``z_at(lam)`` its value at lam_i =
+    lam (``_point_contraction``, or any other method).  ``z_at`` raises
+    ``DegenerateParameter`` at a non-generic point, which skips that draw.
 
     Samples 2N+4 points, fits the unique degree-(2N+3) interpolant to
     exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, a
@@ -208,19 +198,15 @@ def polynomial_degree_residual(
     coefficient relative to the largest sampled value; a true
     degree-(2N+2) polynomial leaves it at rounding level.
     """
-    q, lams = _kind_params(p, lambdas, "bminus")
-    rng = np.random.default_rng(0) if rng is None else rng
-    n_pts = 2 * q.N + 4
+    n_pts = 2 * p.N + 4
     nodes, vals = [], []
     tries = 0
     while len(nodes) < n_pts and tries < 200:
         tries += 1
         phase = pi * (len(nodes) + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
         lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
-        trial = lams[:i] + (lam,) + lams[i + 1:]
         try:
-            params.assert_generic(q, trial, [q.theta("minus")])
-            weight = exp((2 * q.N + 2) * lam) * sinh(q.delta + lam) * sinh(q.zeta + lam)
+            weight = exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
             vals.append(weight * z_at(lam))
             nodes.append(lam)
         except DegenerateParameter:
@@ -247,9 +233,10 @@ def z_property_suite(
     Every contracted value that varies only lam_1 (Z itself, the crossed
     point, the lam_1 = xi_1 recursion and the degree samples) applies one
     block to a single shared tail B(lam_2) ... B(lam_N) |ref>, and each
-    recursion's left side is contracted once, whatever the methods.  A
-    ``values`` dict receives that function's value at ``lambdas`` by method,
-    so a caller need not evaluate it again.
+    recursion's left side is contracted once, whatever the methods.  Each
+    residual is a ``rel_disagreement``, and each degree sample's pole guard
+    is the evaluator's own.  A ``values`` dict receives that function's
+    value at ``lambdas`` by method, so a caller need not evaluate it again.
     """
     q, lams = _kind_params(p, lambdas, kind)
     rng = np.random.default_rng(seed)
@@ -266,29 +253,25 @@ def z_property_suite(
         z0 = z_of1(lams[0])
         if values is not None:
             values[method] = z0
-        scale = max(abs(z0), 1e-300)
         if q.N >= 2:
             swapped = (lams[1], lams[0]) + lams[2:]
-            res[f"lambda_swap_{method}"] = abs(z_value(q, swapped, "bminus", method) - z0) / scale
+            res[f"lambda_swap_{method}"] = rel_disagreement(z_value(q, swapped, "bminus", method), z0)
             xs = q.replace(xi=(q.xi[1], q.xi[0]) + q.xi[2:])
-            res[f"xi_swap_{method}"] = abs(z_value(xs, lams, "bminus", method) - z0) / scale
+            res[f"xi_swap_{method}"] = rel_disagreement(z_value(xs, lams, "bminus", method), z0)
         pred = crossing_factor(lams[0], q.delta, q.zeta, q.eta) * z0
-        res[f"crossing_{method}"] = abs(z_of1(-lams[0] - q.eta) - pred) / max(abs(pred), 1e-300)
+        res[f"crossing_{method}"] = rel_disagreement(z_of1(-lams[0] - q.eta), pred)
         if q.N >= 2:
             at1 = (q.xi[0],) + lams[1:]
             lhs = z_at1()
-            res[f"recursion_lam1_{method}"] = abs(
-                lhs - recursion_value(q, at1, "lam1=xi1", method)
-            ) / max(abs(lhs), 1e-300)
+            res[f"recursion_lam1_{method}"] = rel_disagreement(recursion_value(q, at1, "lam1=xi1", method), lhs)
             atn = lams[:-1] + (-q.xi[0],)
             lhs = z_atn()
-            res[f"recursion_lamN_{method}"] = abs(
-                lhs - recursion_value(q, atn, "lamN=-xi1", method)
-            ) / max(abs(lhs), 1e-300)
-        res[f"degree_{method}"] = polynomial_degree_residual(q, lams, 0, z_of1, rng)
+            res[f"recursion_lamN_{method}"] = rel_disagreement(recursion_value(q, atn, "lamN=-xi1", method), lhs)
+        res[f"degree_{method}"] = polynomial_degree_residual(q, z_of1, rng)
     return res
 
 
-def rel_disagreement(zd: complex, zc: complex) -> float:
-    """|Z_det - Z_contract| relative to the contraction."""
-    return abs(zd - zc) / max(abs(zc), 1e-300)
+def rel_disagreement(a: complex, b: complex) -> float:
+    """|a - b| relative to |b|: a value against its reference, such as
+    Z_det against Z_contract."""
+    return abs(a - b) / max(abs(b), 1e-300)

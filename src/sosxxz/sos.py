@@ -585,20 +585,14 @@ def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
 
 def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> float:
     """Gauge relation between the dynamical monodromy T ("minus") or V ("plus") and the vertex one."""
-    eps = p.eps_pole
+    x, kind, s0 = (lam, "T", gauge_s2) if side == "minus" else (lam + p.eta, "V", gauge_s_tilde2)
     srow = gauge_row_gates(theta, omega, side, p)
     srow_aux = gauge_row_gates(theta, omega, side, p, extra_shift=((AUX, -1),))
     t0 = vx.monodromy_gates(lam, p)
-    if side == "minus":
-        lhs = [*srow, gauge_aux_gate(lam, theta, omega, side, p), *dyn_monodromy_gates(lam, theta, "T", p)]
-        rhs = [*t0, (gauge_s2(lam, theta, omega, eps), (AUX,)), *srow_aux]
-    else:
-        shifted = gauge_aux_gate(lam + p.eta, theta, omega, side, p)
-        lhs = [*srow, shifted, *dyn_monodromy_gates(lam, theta, "V", p)]
-        s0t = (gauge_s_tilde2(lam + p.eta, theta, omega, eps), (AUX,))
-        rhs = [*vx.aux_transposed(t0), s0t, *srow_aux]
-    legs = chain_legs(p.N)
-    return tn.product_residual(legs, lhs, rhs)
+    lhs = [*srow, gauge_aux_gate(x, theta, omega, side, p), *dyn_monodromy_gates(lam, theta, kind, p)]
+    s0_gate = (s0(x, theta, omega, p.eps_pole), (AUX,))
+    rhs = [*(t0 if side == "minus" else vx.aux_transposed(t0)), s0_gate, *srow_aux]
+    return tn.product_residual(chain_legs(p.N), lhs, rhs)
 
 
 def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:

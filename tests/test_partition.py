@@ -130,7 +130,7 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
     lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
     for i in (0, 1, n - 1):
         z_at = pt._point_contraction(p, lams, i, "bminus")
-        rel = pt.polynomial_degree_residual(p, lams, i, z_at, np.random.default_rng(7))
+        rel = pt.polynomial_degree_residual(p, z_at, np.random.default_rng(7))
         assert rel == degree_residual_oracle(p, lams, i, 7), i
 
     res = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
@@ -144,6 +144,47 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
     lhs = full_contraction(p, at1)
     rhs = pt.recursion_value(p, at1, "lam1=xi1", "contract")
     assert res["recursion_lam1_contract"] == abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rejected_degree_nodes_keep_bit_identity(n):
+    # delta ~ i pi - lam at the second node's phase, so sinh(delta + lam) sits
+    # within eps_pole of zero there and the contraction's guard rejects draws
+    d = complex(-0.05, pi - 1.37 * pi / (2 * n + 4))
+    p = generic_params(n, eps_pole=0.02).replace(delta=d)
+    lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
+    z_at = pt._point_contraction(p, lams, 0, "bminus")
+    rejected = []
+
+    def counted(lam):
+        try:
+            return z_at(lam)
+        except DegenerateParameter:
+            rejected.append(lam)
+            raise
+
+    rel = pt.polynomial_degree_residual(p, counted, np.random.default_rng(7))
+    assert len(rejected) == 2
+    assert rel == degree_residual_oracle(p, lams, 0, 7)
+
+
+def test_point_contraction_maps_the_kind_once(monkeypatch, p3):
+    calls = []
+    kind_params = pt._kind_params
+    monkeypatch.setattr(pt, "_kind_params", lambda *a: calls.append(a) or kind_params(*a))
+    lams = tuple(sample_points(np.random.default_rng(47), p3, 3))
+    z_at = pt._point_contraction(p3, lams, 0, "bminus")
+    for k in range(5):
+        z_at(lams[0] + 0.01 * k)
+    assert len(calls) == 1
+
+
+def test_degree_test_leaves_the_pole_guard_to_z_at(monkeypatch, p3):
+    calls = []
+    monkeypatch.setattr(params, "assert_generic", lambda *a: calls.append(a))
+    rel = pt.polynomial_degree_residual(p3, lambda lam: exp(-2 * lam), np.random.default_rng(3))
+    assert calls == []
+    assert rel < 1e-8
 
 
 def test_recursion_against_n1_closed_form(p2, closed_form_n1):
