@@ -11,7 +11,7 @@ class UnknownLeg(SosXxzError):
 
 class DegenerateParameter(SosXxzError):
     """A sinh denominator is too close to zero for a stable evaluation,
-    e.g. where coincident spectral or inhomogeneity parameters make a
+    e.g. where coincident spectral parameters make the determinant's
     prefactor blow up."""
 
 

@@ -3,8 +3,9 @@
 Four boundary configurations exist (reflecting end left or right, heights
 rising or falling along the top row).  Each is a matrix element of a string
 of creation-type double-row blocks between the two reference states, and
-each reduces to a single N x N determinant.  The direct contraction is the
-ground truth; the determinant and recursion paths are checked against it.
+each reduces to a single N x N determinant, free of poles at coincident xi_j.
+The direct contraction is the ground truth; the determinant and recursion
+paths are checked against it.
 """
 
 from __future__ import annotations
@@ -83,43 +84,36 @@ def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> comp
     return _point_contraction(p, lambdas, 0, kind)(lambdas[0])
 
 
-def m_entry(i: int, j: int, p: ModelParams, lambdas: Sequence[complex]) -> complex:
-    """Entry (i, j), zero-based, of the bminus determinant kernel of p's (delta, zeta)."""
-    lam, xi = lambdas[i], p.xi[j]
-    d, z, eta = p.delta, p.zeta, p.eta
-    den = sinh(lam - xi + eta) * sinh(lam + xi + eta) * sinh(lam - xi) * sinh(lam + xi)
-    if abs(den) <= p.eps_pole:
-        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
-    return (
-        sinh(d + xi) / sinh(d + lam) * sinh(z - xi) / sinh(z + lam) * sinh(2 * lam) * sinh(eta) / den
-    )
-
-
 def _z_determinant_bminus(q: ModelParams, lams: tuple[complex, ...]) -> complex:
-    params.assert_generic(q, lams, [q.theta("minus")])
-    n, xis = q.N, q.xi
-    d, z, eta = q.delta, q.zeta, q.eta
-    m = np.array([[m_entry(i, j, q, lams) for j in range(n)] for i in range(n)], dtype=complex)
-    # sign of the reversal permutation; the contraction oracle and the N=1
-    # closed form fix it to (-1)^(N(N-1)/2)
-    value = (-1) ** (n * (n - 1) // 2) * np.linalg.det(m)
-    for i in range(1, n + 1):
-        value *= sinh(d - z + eta * (n - 2 * i)) / sinh(d - z + eta * (n - i))
-    for lam in lams:
-        for xi in xis:
-            value *= sinh(lam + xi) * sinh(lam - xi) * sinh(lam + xi + eta) * sinh(lam - xi + eta)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = (
-                sinh(xis[j] + xis[i])
-                * sinh(xis[j] - xis[i])
-                * sinh(lams[j] - lams[i])
-                * sinh(lams[j] + lams[i] + eta)
-            )
-            if abs(den) <= q.eps_pole:
-                raise DegenerateParameter("coincident spectral or inhomogeneity parameters")
-            value /= den
-    return complex(value)
+    """Tsuchiya's determinant in u = cosh 2lam, v = cosh(2lam + 2eta), w = cosh(2lam + eta), x = cosh 2xi.
+
+    Kernel entry (i, j) is r_i c_j [1/(u_i - x_j) - 1/(v_i - x_j)].  Divided differences over x_1..x_j
+    make column j 1/prod_{m<=j}(u_i - x_m) - 1/prod_{m<=j}(v_i - x_m); their Jacobian cancels the xi-pair
+    prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).
+    """
+    th = q.theta("minus")
+    params.assert_generic(q, lams, [th])
+    n, eta, d, z = q.N, q.eta, q.delta, q.zeta
+    lam, xi = np.array(lams), np.array(q.xi)
+    u, v, w, x = np.cosh(2 * lam), np.cosh(2 * lam + 2 * eta), np.cosh(2 * lam + eta), np.cosh(2 * xi)
+    ux, vx = u[:, None] - x, v[:, None] - x
+    lam_xi = ux * vx / 4  # sinh(lam_i +- xi_j) sinh(lam_i + eta +- xi_j)
+    if np.min(np.abs(lam_xi)) <= q.eps_pole:
+        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
+    i = np.arange(n)
+    pair = (w - w[:, None])[i[:, None] < i] / 2  # sinh(lam_j - lam_i) sinh(lam_j + lam_i + eta), i < j
+    if np.any(np.abs(pair) <= q.eps_pole):
+        raise DegenerateParameter("coincident spectral parameters")
+    k = 1 / np.cumprod(ux, axis=1) - 1 / np.cumprod(vx, axis=1)
+    rows = np.max(np.abs(k), axis=1)
+    cols = np.max(np.abs(k / rows[:, None]), axis=0)
+    r = 4 * np.sinh(2 * lam) * np.sinh(eta) / ((v - u) * np.sinh(d + lam) * np.sinh(z + lam))
+    c = np.sinh(d + xi) * np.sinh(z - xi)
+    theta_ratio = np.sinh(th + eta * (n - 2 - 2 * i)) / np.sinh(th + eta * (n - 1 - i))
+    # (-2)^(N(N-1)/2): the 2 per pair left by the xi-pair cancellation, and the reversal sign
+    # (-1)^(N(N-1)/2), fixed by the contraction oracle and the N = 1 closed form
+    scale = (-2) ** (n * (n - 1) // 2) * np.prod(rows * cols * r * c * theta_ratio)
+    return complex(np.linalg.det(k / rows[:, None] / cols) * scale * np.prod(lam_xi) / np.prod(pair))
 
 
 def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:

@@ -1,5 +1,6 @@
 from cmath import exp, pi, sinh
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,19 +19,56 @@ def test_n1_closed_form(p1, closed_form_n1):
     assert abs(pt.z_contraction(p1, (lam,), "bminus") - cf) < 1e-12 * abs(cf)
 
 
-def test_m_entry_formula(p2):
-    from cmath import sinh
+def _z_determinant_reference(p, lambdas, kind):
+    """Tsuchiya's determinant at 60 digits, as written before divided differences: the sinh kernel
+    entry, the theta-ratio loop, the lambda x xi product and both pair divisions, reached from
+    ``kind`` by the same inter-kind map as ``z_determinant``."""
+    q, lams = pt._kind_params(p, lambdas, kind)
+    side, _ = pt.KINDS[kind]
+    n, d, z, xis = q.N, q.delta, q.zeta, q.xi
+    if kind in ("cminus", "bplus"):
+        d, z = z, d
+    sign = 1
+    if side == "plus":
+        lams, xis, sign = [q.k_point(l, side) for l in lams], [-x for x in xis], (-1) ** n
+    with mpmath.workdps(60):
+        d, z, eta = mpmath.mpc(d), mpmath.mpc(z), mpmath.mpc(q.eta)
+        lams, xis = [mpmath.mpc(l) for l in lams], [mpmath.mpc(x) for x in xis]
+        sh = mpmath.sinh
+        # sinh(lam_i - xi_j + eta) sinh(lam_i + xi_j + eta) sinh(lam_i - xi_j) sinh(lam_i + xi_j)
+        den = [[sh(l - x + eta) * sh(l + x + eta) * sh(l - x) * sh(l + x) for x in xis] for l in lams]
+        row = [sh(2 * l) * sh(eta) / (sh(d + l) * sh(z + l)) for l in lams]
+        col = [sh(d + x) * sh(z - x) for x in xis]
+        m = mpmath.matrix([[row[i] * col[j] / den[i][j] for j in range(n)] for i in range(n)])
+        value = sign * (-1) ** (n * (n - 1) // 2) * mpmath.det(m)
+        for i in range(1, n + 1):
+            value *= sh(d - z + eta * (n - 2 * i)) / sh(d - z + eta * (n - i))
+        for den_row in den:
+            value *= mpmath.fprod(den_row)
+        for i in range(n):
+            for j in range(i + 1, n):
+                value /= sh(xis[j] + xis[i]) * sh(xis[j] - xis[i]) * sh(lams[j] - lams[i]) * sh(lams[j] + lams[i] + eta)
+        return complex(value)
 
+
+def test_determinant_reference_formula_at_n1(p1, closed_form_n1):
     lam = 0.21 + 0.12j
-    got = pt.m_entry(0, 1, p2, (lam, -0.33 + 0.27j))
-    xi = p2.xi[1]
-    expect = (
-        sinh(p2.delta + xi) / sinh(p2.delta + lam)
-        * sinh(p2.zeta - xi) / sinh(p2.zeta + lam)
-        * sinh(2 * lam) * sinh(p2.eta)
-        / (sinh(lam - xi + p2.eta) * sinh(lam + xi + p2.eta) * sinh(lam - xi) * sinh(lam + xi))
-    )
-    assert abs(got - expect) < 1e-14 * abs(expect)
+    cf = closed_form_n1(lam, p1.xi[0], p1.delta, p1.zeta, p1.eta)
+    assert abs(_z_determinant_reference(p1, (lam,), "bminus") - cf) < 1e-14 * abs(cf)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_determinant_matches_extended_precision_reference(n):
+    # the default xi pool clusters x_j = cosh 2 xi_j, so the undivided sinh kernel has
+    # cond 9e8 at N = 6 and 9e12 at N = 8: a float evaluation of it cannot pass here
+    p = generic_params(n)
+    worst = 0.0
+    for seed in range(3):
+        lams = sample_points(np.random.default_rng(seed), p, n)
+        for kind in pt.KINDS:
+            rel = pt.rel_disagreement(pt.z_determinant(p, lams, kind), _z_determinant_reference(p, lams, kind))
+            worst = max(worst, rel)
+    assert worst < 1e-12, (n, worst)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -203,6 +241,22 @@ def test_coincident_parameters_raise(p2):
     lams = (0.21 + 0.12j, 0.21 + 0.12j)
     with pytest.raises(DegenerateParameter):
         pt.z_determinant(p2, lams, "bminus")
+
+
+@pytest.mark.parametrize(
+    "coincide",
+    [lambda x: (x[0], x[1], x[0], x[3]), lambda x: (x[0], x[1], -x[0], -x[1])],
+    ids=["xi3=xi1", "xi3=-xi1,xi4=-xi2"],
+)
+@pytest.mark.parametrize("kind", pt.KINDS)
+def test_coincident_inhomogeneities_are_regular(coincide, kind):
+    # the xi-pair factor sinh(xi_j + xi_i) sinh(xi_j - xi_i) vanishes here; the
+    # divided differences cancel it, and the contraction never had it
+    p = generic_params(4)
+    p = p.replace(xi=coincide(p.xi))
+    lams = sample_points(np.random.default_rng(0), p, 4)
+    rel = pt.rel_disagreement(pt.z_determinant(p, lams, kind), pt.z_contraction(p, lams, kind))
+    assert rel < 1e-12, rel
 
 
 def test_pole_hitting_raises(p2):
