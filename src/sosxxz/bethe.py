@@ -17,6 +17,7 @@ eigenstates, all four families giving the same states.
 from __future__ import annotations
 
 from cmath import pi, sinh
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,16 @@ BETHE_TOL = 1e-9  # largest per-root residual of an accepted solution
 RE_MAX = 2.5  # largest |Re| of an accepted root
 N_STARTS = 60  # multi-start points of the grid search
 RUNAWAY_RISES = 8  # consecutive outward steps past RE_MAX that retire a Newton start
+# the Newton step scales 1, 1/2, ..., 2^-19, in blocks of doubling length:
+# one mismatch evaluation per block, and few starts reach the long ones
+_STEP_SCALES = tuple(2.0 ** -np.arange(lo, hi) for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 20)))
+# how the starts of a search ended: every start in _newton_batch (converged,
+# bad_y ... iteration_cap sum to starts), then every converged start in the
+# filters of find_bethe_solutions (re_max ... accepted sum to converged)
+LEDGER = (
+    "starts", "converged", "bad_y", "bad_jacobian", "halvings_exhausted", "runaway", "iteration_cap",
+    "re_max", "fixed_point", "separation", "duplicate", "residual", "accepted",
+)
 
 
 @dataclass(frozen=True)
@@ -140,31 +151,54 @@ def bethe_residual(branch: str, roots: Sequence[complex], p: ModelParams) -> lis
     return out
 
 
+def _consts(branch: str, p: ModelParams) -> np.ndarray:
+    """The 4 + 2N constants c of the factors sinh(x + c) of y(x): z, db,
+    xi + eta and -xi + eta, and -d, -zb from sinh(d - x) sinh(zb - x) =
+    sinh(x - d) sinh(x - zb)."""
+    d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
+    xis = np.asarray(p.xi, dtype=complex)
+    return np.concatenate([[z, -d, -zb, db], xis + p.eta, -xis + p.eta])
+
+
 def _y_pair(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
     """y(lam_i) and y(-lam_i-eta) for an (S, M) array of S starts, shape (2, S, M).
 
-    Each entry holds the other roots of its own start fixed, as bethe_y does
-    with i given: the self factor k = i is masked out of the root product.
+    Every factor of y is sinh(a + b), with a one of x = (lam, -lam - eta)
+    and b one of the same 2M values of its start (the factors
+    sinh(x + lam_k) and sinh(x - lam_k - eta)) or one of the constants.
+    It is taken as (e^a e^b - e^-a e^-b) / 2 from one exponential per
+    value and per constant of each start, not one sinh per factor.  That
+    difference has relative error eps / |sinh(a + b)| near a zero, so
+    every factor below 1/2 in modulus is recomputed with np.sinh of the
+    explicit sum.  Each entry holds the other roots of its own start
+    fixed, as bethe_y does with i given: the self factors k = i are
+    masked out of the root product.
     """
-    d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
-    eta = p.eta
-    x = np.stack([roots, -roots - eta])
-    col = x[..., None]
-    others = roots[None, :, None, :]
-    xis = np.asarray(p.xi, dtype=complex)
-    pairs = np.where(np.eye(roots.shape[1], dtype=bool), 1, np.sinh(col + others) * np.sinh(col - others - eta))
-    v = np.sinh(z + x) * np.sinh(d - x) * np.sinh(zb - x) * np.sinh(db + x)
-    v = v * np.prod(pairs, axis=-1)
-    return v * np.prod(np.sinh(col + xis + eta) * np.sinh(col - xis + eta), axis=-1)
+    n, m = roots.shape
+    consts = _consts(branch, p)
+    x = np.concatenate([roots, -roots - p.eta], axis=1)
+    b = np.concatenate([x, np.broadcast_to(consts, (n, len(consts)))], axis=1)
+    e = np.exp(b)
+    e_inv = 1 / e
+    # s[:, j, k] = sinh(x_j + b_k), x the first 2M columns of b; halving the
+    # x factors is exact and spares a pass over s
+    s = (0.5 * e[:, : 2 * m, None]) * e[:, None, :] - (0.5 * e_inv[:, : 2 * m, None]) * e_inv[:, None, :]
+    # the self factors: x_j is lam_i or -lam_i - eta with i = j mod M
+    j = np.arange(2 * m)
+    s[:, j, j % m] = 1
+    s[:, j, j % m + m] = 1
+    np.sinh(x[:, :, None] + b[:, None, :], out=s, where=np.abs(s) < 0.5)
+    return s.prod(axis=-1).reshape(n, 2, m).swapaxes(0, 1)
 
 
 def _log_mismatch(branch: str, roots: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """log y(lam_i) - log y(-lam_i-eta) per start and root, imaginary part
     folded to (-pi, pi], and per start whether every y is nonzero and finite."""
     with np.errstate(all="ignore"):
-        a, b = _y_pair(branch, roots, p)
-        ok = np.all((a != 0) & (b != 0) & np.isfinite(np.abs(a)) & np.isfinite(np.abs(b)), axis=1)
-        f = np.log(a) - np.log(b)
+        y = _y_pair(branch, roots, p)
+        ok = np.all((y != 0) & np.isfinite(np.abs(y)), axis=(0, 2))
+        log_y = np.log(y)
+        f = log_y[0] - log_y[1]
         f.imag = np.mod(f.imag + pi, 2 * pi) - pi
     return f, ok
 
@@ -188,13 +222,10 @@ def _jacobian(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
     constants, so its exponential is a product of exponentials taken once
     per root and once per constant: O(S M) transcendentals, not O(S M (M + N)).
     """
-    d, z, db, zb = _pars(p, BRANCHES[branch].y_order)
     eta = p.eta
     diag = np.arange(roots.shape[1])
-    xis = np.asarray(p.xi, dtype=complex)
-    # y(x) has the factors sinh(x + c) with c = z, db, xi + eta, -xi + eta, and
-    # sinh(x - c) with c = d, zb, whose log-derivatives are coth(x + c) and coth(x - c)
-    consts = np.concatenate([[z, -d, -zb, db], xis + eta, -xis + eta])
+    # the log-derivative of each factor sinh(x + c) of y(x) is coth(x + c)
+    consts = _consts(branch, p)
     x = np.stack([roots, -roots - eta])
     with np.errstate(all="ignore"):
         e = np.exp(x)
@@ -260,7 +291,9 @@ def _newton_step(branch: str, roots: np.ndarray, f: np.ndarray, p: ModelParams) 
     return step, ok
 
 
-def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int, tol: float) -> list:
+def _newton_batch(
+    branch: str, starts: np.ndarray, p: ModelParams, max_iter: int, tol: float, ledger: dict | None = None
+) -> list:
     """Damped Newton on an (S, M) array of starts at once.
 
     Returns, per start, its converged roots or None.  A start leaves the
@@ -270,11 +303,21 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
     (the largest canonical Re of its roots) grew past RE_MAX on
     RUNAWAY_RISES steps running, or after ``max_iter`` steps.  A runaway
     chases a mismatch decaying like e^(-2 lam), about 1/2 further each step.
+
+    The line search tries the step scales 1, 1/2, ..., 2^-19 in the blocks
+    of ``_STEP_SCALES``, one mismatch evaluation per block for the starts
+    still pending, and each start takes the first scale of the block that
+    lowers its mismatch: the roots are those of trying one scale at a time.
+    With a ``ledger``, each start is counted under how it ended (``LEDGER``).
     """
+    ledger = Counter() if ledger is None else ledger
+    ledger["starts"] += len(starts)
     found = [None] * len(starts)
     live = np.arange(len(starts))
     roots = starts.astype(complex)
+    m = roots.shape[1]
     f, ok = _log_mismatch(branch, roots, p)
+    ledger["bad_y"] += int(np.count_nonzero(~ok))
     live, roots, f = live[ok], roots[ok], f[ok]
     reach = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
     rises = np.zeros(len(live), dtype=int)
@@ -283,29 +326,36 @@ def _newton_batch(branch: str, starts: np.ndarray, p: ModelParams, max_iter: int
             break
         fn = np.abs(f).max(axis=1)
         done = fn < tol
+        ledger["converged"] += int(np.count_nonzero(done))
         for k, r in zip(live[done], roots[done]):
             found[k] = r
         live, roots, f, fn, reach, rises = (a[~done] for a in (live, roots, f, fn, reach, rises))
         step, ok = _newton_step(branch, roots, f, p)
+        ledger["bad_jacobian"] += int(np.count_nonzero(~ok))
         live, roots, f, fn, step, reach, rises = (a[ok] for a in (live, roots, f, fn, step, reach, rises))
-        # damped update: each start halves its own step until its mismatch decreases
+        # damped update: each start takes the first scale that lowers its mismatch
         pending = np.ones(len(live), dtype=bool)
-        scale = 1.0
-        for _ in range(20):
+        for scales in _STEP_SCALES:
             idx = np.flatnonzero(pending)
             if not len(idx):
                 break
-            cand = roots[idx] - scale * step[idx]
-            fc, ok = _log_mismatch(branch, cand, p)
-            better = ok & (np.abs(fc).max(axis=1) < fn[idx])
-            roots[idx[better]] = cand[better]
-            f[idx[better]] = fc[better]
-            pending[idx[better]] = False
-            scale /= 2
+            cand = roots[idx, None] - scales[:, None] * step[idx, None]
+            fc, ok = _log_mismatch(branch, cand.reshape(-1, m), p)
+            fc, ok = fc.reshape(cand.shape), ok.reshape(cand.shape[:2])
+            better = ok & (np.abs(fc).max(axis=2) < fn[idx, None])
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)[hit]
+            roots[idx[hit]] = cand[hit, first]
+            f[idx[hit]] = fc[hit, first]
+            pending[idx[hit]] = False
         grown = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
         rises = np.where((grown > RE_MAX) & (grown > reach), rises + 1, 0)
-        keep = ~pending & (rises < RUNAWAY_RISES)
+        runaway = rises >= RUNAWAY_RISES
+        ledger["halvings_exhausted"] += int(np.count_nonzero(pending))
+        ledger["runaway"] += int(np.count_nonzero(runaway))
+        keep = ~pending & ~runaway
         live, roots, f, reach, rises = live[keep], roots[keep], f[keep], grown[keep], rises[keep]
+    ledger["iteration_cap"] += len(live)
     return found
 
 
@@ -327,13 +377,15 @@ def find_bethe_solutions(
     p: ModelParams,
     guesses: Sequence[Sequence[complex]] | None = None,
     seed: int = 0,
+    ledger: dict | None = None,
 ) -> list[BetheSolution]:
     """Multi-start damped-Newton search; returns deduplicated verified solutions.
 
     All starts are solved together as one batch (``_newton_batch``, at most
     80 steps each, fewer for a runaway); each converged start is then
     filtered, deduplicated and verified by the scalar ``bethe_residual`` in
-    start order.
+    start order.  With a ``ledger``, every start is counted under how it
+    ended (``LEDGER``): in the batch, and then in these filters.
 
     Roots escaping beyond RE_MAX in real part are discarded: under the
     boundary constraints the equations become asymptotically satisfied as
@@ -341,29 +393,32 @@ def find_bethe_solutions(
     filter still decides acceptance; the batch only retires runaways sooner.
     """
     sector = family_sector(branch, M, p.N)
+    ledger = Counter() if ledger is None else ledger
     rng = np.random.default_rng(seed)
     starts = list(guesses) if guesses else _start_grid(M, rng, p.eta)
     starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)
     found: list[BetheSolution] = []
     seen: list[tuple] = []
-    for roots in _newton_batch(branch, starts, p, 80, 1e-13):
+    for roots in _newton_batch(branch, starts, p, 80, 1e-13, ledger):
         if roots is None:
             continue
         canon = tuple(sorted((canonical_root(z, p.eta) for z in roots), key=lambda z: (round(z.real, 9), round(z.imag, 9))))
-        if any(abs(z.real) > RE_MAX for z in canon):
-            continue
-        if any(_near_fixed_point(z, p.eta, ROOT_SEP) for z in canon):
-            continue
-        if not _separation_ok(canon, p.eta, ROOT_SEP):
-            continue
         key = tuple((round(z.real, 8), round(z.imag, 8)) for z in canon)
-        if key in seen:
-            continue
-        res = bethe_residual(branch, canon, p)
-        if max(res) > BETHE_TOL:
-            continue
-        seen.append(key)
-        found.append(BetheSolution(branch=branch, roots=canon, M=M, residuals=tuple(res), sector=sector))
+        if any(abs(z.real) > RE_MAX for z in canon):
+            outcome = "re_max"
+        elif any(_near_fixed_point(z, p.eta, ROOT_SEP) for z in canon):
+            outcome = "fixed_point"
+        elif not _separation_ok(canon, p.eta, ROOT_SEP):
+            outcome = "separation"
+        elif key in seen:
+            outcome = "duplicate"
+        else:
+            res = bethe_residual(branch, canon, p)
+            outcome = "residual" if max(res) > BETHE_TOL else "accepted"
+        ledger[outcome] += 1
+        if outcome == "accepted":
+            seen.append(key)
+            found.append(BetheSolution(branch=branch, roots=canon, M=M, residuals=tuple(res), sector=sector))
     return found
 
 

@@ -112,11 +112,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raise ConfigError("config must be a JSON object")
     # a flag that is given wins over the config, the config over the default;
     # the config value is checked either way
-    def pick(flag: str | None, key: str, default: int) -> int:
+    def pick(flag: str | None, key: str, default: int | None) -> int | None:
         value = data.get(key, default)
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if key in data and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
         override = getattr(overrides, flag, None) if flag else None
         return value if override is None else override
@@ -166,9 +166,15 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     seed = pick("seed", "seed", 0)
     if seed < 0:
         raise ConfigError(f"seed = {seed} must be non-negative")
+    sector = pick("sector", "sector_s", None)
+    if sector is None:
+        # an unconstrained bethe run takes its family's sector; a constrained
+        # one, like every other run, reads sector 0
+        free_bethe = command == "bethe" and not overrides.constrained
+        sector = bt.family_sector(overrides.branch, overrides.m, n) if free_bethe else 0
     return RunConfig(
         params=params,
-        sector_s=pick("sector", "sector_s", 0),
+        sector_s=sector,
         constraint_n=pick(None, "constraint_n", 0),
         constraint_m=pick(None, "constraint_m", 0),
         seed=seed,
@@ -227,14 +233,16 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     # the SOS rows need the height condition at the family's sector; only the
     # vertex rows, checked with --constrained, need the vertex condition too
     sector = bt.family_sector(branch, m, cfg.params.N)
-    if constrained and cfg.sector_s != sector:
+    if cfg.sector_s != sector:
         raise BadSector(f"sector s = {cfg.sector_s}, but M = {m} {branch} roots on N = {cfg.params.N} sites "
                         f"make sector {sector}")
     c = bt.BoundaryConstraint(sector, cfg.constraint_n, cfg.constraint_m)
     p = bt.apply_constraints(cfg.params, c) if constrained else bt.height_condition(cfg.params, c)
-    sols = bt.find_bethe_solutions(branch, m, p, seed=cfg.seed)
+    ledger = dict.fromkeys(bt.LEDGER, 0)
+    sols = bt.find_bethe_solutions(branch, m, p, seed=cfg.seed, ledger=ledger)
     if not sols:
-        raise NoConvergence(f"no verified {branch} solutions with M = {m}")
+        counts = ", ".join(f"{k} {v}" for k, v in ledger.items())
+        raise NoConvergence(f"no verified {branch} solutions with M = {m} (Newton ledger: {counts})")
     mus = sample_points(np.random.default_rng(cfg.seed + 1), p, 3)
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
@@ -266,7 +274,7 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
                 "eigenvalues": [{"mu": _c2pair(mu), "lambda": _c2pair(lam)} for mu, lam in zip(mus, lams[i])],
             }
         )
-    return rows, {"branch": branch, "M": m, "solutions": results}
+    return rows, {"branch": branch, "M": m, "newton": ledger, "solutions": results}
 
 
 def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
@@ -287,7 +295,8 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     v = bt.vertex_eigenstate("b1", psi, p)
     res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
     rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
-    sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed)
+    ledger = dict.fromkeys(bt.LEDGER, 0)
+    sols = bt.find_bethe_solutions("b1", m, p, seed=cfg.seed, ledger=ledger)
     details = []
     for sol in sols:
         lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
@@ -299,6 +308,7 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         "transfer_dimension": 2**p.N,
         "sector_dimension": len(t_eigs),
         "min_pole_gap": min_pole_gap(p, [mu]),
+        "newton": ledger,
         "solutions_found": len(sols),
         "matched": matched,
         "unmatched_spectrum": 2**p.N - matched,
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, help="chain length override")
     common.add_argument("--seed", type=int, help="seed override")
     common.add_argument("--trials", type=int, help="trials per identity check")
-    common.add_argument("--sector", type=int, help="total-spin sector for constrained runs")
+    common.add_argument("--sector", type=int, help="total-spin sector; bethe needs the one its M roots reach")
 
     ap = argparse.ArgumentParser(prog="sosxxz", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

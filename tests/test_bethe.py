@@ -1,5 +1,7 @@
 from cmath import cosh, sinh
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -452,6 +454,100 @@ def test_search_finds_the_same_solutions_under_the_coth_jacobian(n, branch, monk
         assert np.abs(np.subtract(a.roots, b.roots)).max() < 1e-12
 
 
+def _sinh_y_pair(branch, roots, p):
+    """y(lam_i) and y(-lam_i-eta) as products of np.sinh of each factor's own
+    argument: the oracle of the exponential form of ``bt._y_pair``."""
+    d, z, db, zb = bt._pars(p, bt.BRANCHES[branch].y_order)
+    eta = p.eta
+    x = np.stack([roots, -roots - eta])
+    col = x[..., None]
+    others = roots[None, :, None, :]
+    xis = np.asarray(p.xi, dtype=complex)
+    pairs = np.where(np.eye(roots.shape[1], dtype=bool), 1, np.sinh(col + others) * np.sinh(col - others - eta))
+    v = np.sinh(z + x) * np.sinh(d - x) * np.sinh(zb - x) * np.sinh(db + x)
+    v = v * np.prod(pairs, axis=-1)
+    return v * np.prod(np.sinh(col + xis + eta) * np.sinh(col - xis + eta), axis=-1)
+
+
+def _mp_mismatch(branch, roots, p):
+    """The mismatch of an (S, M) array of starts from 50-digit y-products of
+    the same float inputs, imaginary part folded to (-pi, pi]."""
+    out = np.empty(roots.shape, dtype=complex)
+    with mpmath.workdps(50):
+        d, z, db, zb, eta = map(mpmath.mpc, (*bt._pars(p, bt.BRANCHES[branch].y_order), p.eta))
+        xis = [mpmath.mpc(v) for v in p.xi]
+        sh = mpmath.sinh
+
+        def y(x, row, i):
+            v = sh(z + x) * sh(d - x) * sh(zb - x) * sh(db + x)
+            for k, r in enumerate(row):
+                if k != i:
+                    v *= sh(x + r) * sh(x - r - eta)
+            for xj in xis:
+                v *= sh(x + xj + eta) * sh(x - xj + eta)
+            return v
+
+        for s, row in enumerate(roots):
+            row = [mpmath.mpc(r) for r in row]
+            for i, lam in enumerate(row):
+                f = mpmath.log(y(lam, row, i)) - mpmath.log(y(-lam - eta, row, i))
+                im = f.imag - 2 * mpmath.pi * mpmath.floor((f.imag + mpmath.pi) / (2 * mpmath.pi))
+                out[s, i] = complex(f.real, im)
+    return out
+
+
+def _near_zero_rows(kind, u, branch, p):
+    """Starts with one factor of y at sinh(+-u): a near string (lam_1 = lam_0 -
+    eta + u), a near reflection (lam_1 = -lam_0 + u) or a root near the
+    boundary pole (lam_0 = d + u, with d the first parameter of the branch)."""
+    rows = _random_roots(np.random.default_rng(11), 3, 3)
+    if kind == "string":
+        rows[:, 1] = rows[:, 0] - p.eta + u
+    elif kind == "reflection":
+        rows[:, 1] = -rows[:, 0] + u
+    else:
+        rows[:, 0] = bt._pars(p, bt.BRANCHES[branch].y_order)[0] + u
+    return rows
+
+
+@pytest.mark.parametrize("size", [1e-1, 1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("kind", ["string", "reflection", "pole"])
+def test_mismatch_near_a_zero_factor_is_as_accurate_as_the_sinh_oracle(kind, size, monkeypatch):
+    # the exponential form of sinh(u) loses eps / |u| where it cancels; the
+    # guarded kernel must stay within 2x of the sinh products, which lose as
+    # much only to the rounding of the argument itself
+    p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
+    u = size * np.exp(0.6j)
+    for branch in bt.BRANCHES:
+        roots = _near_zero_rows(kind, u, branch, p)
+        exact = _mp_mismatch(branch, roots, p)
+        new, ok = bt._log_mismatch(branch, roots, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(bt, "_y_pair", _sinh_y_pair)
+            oracle, ok_oracle = bt._log_mismatch(branch, roots, p)
+        assert ok.all() and ok_oracle.all()
+        assert np.abs(new - exact).max() <= 2 * np.abs(oracle - exact).max() + 1e-15
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_search_finds_the_same_solutions_under_the_sinh_mismatch(branch, n, shift, monkeypatch):
+    # each case takes one of the four pairs of constraint and seed, as the
+    # runaway test does; along N every family and sector meets all four
+    k = list(bt.BRANCHES).index(branch) + n + shift // 2
+    constrain, seed = (bt.apply_constraints, bt.height_condition)[k % 2], k // 2 % 2
+    s = n % 2 + shift
+    p = constrain(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    new = bt.find_bethe_solutions(branch, m, p, seed=seed)
+    monkeypatch.setattr(bt, "_y_pair", _sinh_y_pair)
+    old = bt.find_bethe_solutions(branch, m, p, seed=seed)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert np.abs(np.subtract(a.roots, b.roots)).max() < 1e-12
+
+
 @pytest.mark.parametrize("broken", [0.0, np.nan])
 def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
     p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
@@ -485,11 +581,12 @@ def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
             assert a is None or np.abs(a - b).max() < 1e-12
 
 
-def _newton_batch_to_the_end(branch, starts, p, max_iter, tol):
-    """The batch before runaway retirement: every start runs until it
-    converges, a drop condition hits, or ``max_iter`` steps pass.  The
-    reference of ``bt._newton_batch``, which must return the same roots
-    wherever a start ends inside RE_MAX."""
+def _newton_batch_to_the_end(branch, starts, p, max_iter, tol, ledger=None):
+    """The batch before runaway retirement, halving one scale at a time:
+    every start runs until it converges, a drop condition hits, or
+    ``max_iter`` steps pass.  The reference of ``bt._newton_batch``, which
+    must return the same roots wherever a start ends inside RE_MAX.  It
+    keeps no ``ledger``."""
     found = [None] * len(starts)
     live = np.arange(len(starts))
     roots = starts.astype(complex)
@@ -537,6 +634,56 @@ def test_runaway_retirement_keeps_every_solution(branch, n, shift, monkeypatch):
     monkeypatch.setattr(bt, "_newton_batch", _newton_batch_to_the_end)
     old = bt.find_bethe_solutions(branch, m, p, seed=seed)
     assert new == old  # roots and residuals bit-equal, in the same order
+
+
+def _ledger_search(branch, n, s, seed=0):
+    p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
+    m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
+    ledger = dict.fromkeys(bt.LEDGER, 0)
+    return bt.find_bethe_solutions(branch, m, p, seed=seed, ledger=ledger), ledger, p, m
+
+
+@pytest.mark.parametrize("n, s", [(4, 0), (4, 2), (6, 2), (8, 0)])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_newton_ledger_accounts_for_every_start(branch, n, s):
+    sols, ledger, p, m = _ledger_search(branch, n, s)
+    starts = np.array(bt._start_grid(m, np.random.default_rng(0), p.eta))
+    batch = ("converged", "bad_y", "bad_jacobian", "halvings_exhausted", "runaway", "iteration_cap")
+    filters = ("re_max", "fixed_point", "separation", "duplicate", "residual", "accepted")
+    assert list(ledger) == list(bt.LEDGER) == ["starts", *batch, *filters]
+    assert ledger["starts"] == len(starts) == sum(ledger[k] for k in batch)
+    assert ledger["converged"] == sum(ledger[k] for k in filters)
+    assert ledger["converged"] == sum(r is not None for r in bt._newton_batch(branch, starts, p, 80, 1e-13))
+    assert ledger["accepted"] == len(sols)
+
+
+# seed-0 ledgers of two searches that between them end starts in every way
+# but bad_y, duplicate, residual and the iteration cap
+PINNED_LEDGERS = {
+    ("b2", 4, 2): dict(starts=60, converged=9, bad_jacobian=1, halvings_exhausted=1, runaway=49,
+                       fixed_point=6, separation=3),
+    ("b1", 8, 0): dict(starts=60, converged=18, halvings_exhausted=4, runaway=38,
+                       re_max=1, fixed_point=7, separation=10),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_LEDGERS))
+def test_pinned_ledgers_at_seed_0(case):
+    _, ledger, _, _ = _ledger_search(*case)
+    assert ledger == {**dict.fromkeys(bt.LEDGER, 0), **PINNED_LEDGERS[case]}
+
+
+def test_ledger_names_how_a_start_ended(constrained2):
+    p = constrained2
+    # y vanishes at the boundary pole lam = delta; a start at Re lam = 3 runs away
+    for outcome, guess in (("bad_y", p.delta), ("runaway", 3 + 0.2j)):
+        ledger = Counter()
+        assert bt.find_bethe_solutions("b1", 1, p, guesses=[[guess]], ledger=ledger) == []
+        assert +ledger == Counter(starts=1, **{outcome: 1})
+    ledger = Counter()
+    starts = np.array(bt._start_grid(1, np.random.default_rng(0), p.eta))
+    assert not any(r is not None for r in bt._newton_batch("b1", starts, p, 1, 1e-13, ledger))
+    assert +ledger == Counter(starts=len(starts), iteration_cap=len(starts))
 
 
 def _reach(roots, eta):

@@ -343,6 +343,39 @@ def test_exit_code_solver_failure(tmp_path):
     assert cli.main([*args, "--out", str(tmp_path / "x")]) == 5
 
 
+def _ledger_sums_hold(ledger):
+    batch = ("converged", "bad_y", "bad_jacobian", "halvings_exhausted", "runaway", "iteration_cap")
+    filters = ("re_max", "fixed_point", "separation", "duplicate", "residual", "accepted")
+    assert sorted(ledger) == sorted(bt.LEDGER)
+    assert ledger["starts"] == sum(ledger[k] for k in batch)
+    assert ledger["converged"] == sum(ledger[k] for k in filters)
+
+
+def test_bethe_and_spectrum_report_the_newton_ledger(tmp_path):
+    code, text = run_cli(["bethe", "--constrained", "--sector", "2", "--n", "6", "--branch", "b1", "--m", "2"],
+                         tmp_path, "bethe.jsonl")
+    assert code == 0
+    extra = rows_and_summary(text)[1]["extra"]
+    _ledger_sums_hold(extra["newton"])
+    assert extra["newton"]["accepted"] == len(extra["solutions"])
+    code, text = run_cli(["spectrum", "--constrained", "--n", "4"], tmp_path, "spectrum.jsonl")
+    assert code == 0
+    extra = rows_and_summary(text)[1]["extra"]
+    _ledger_sums_hold(extra["newton"])
+    assert extra["newton"]["accepted"] == extra["solutions_found"] == len(extra["solutions"])
+
+
+def test_solver_failure_prints_the_newton_ledger(tmp_path, capsys):
+    args = ["bethe", "--constrained", "--n", "4", "--sector", "0", "--branch", "b1", "--m", "2"]
+    assert cli.main([*args, "--out", str(tmp_path / "x")]) == 5
+    err = capsys.readouterr().err
+    prefix = "solver failed: no verified b1 solutions with M = 2 (Newton ledger: "
+    assert err.startswith(prefix) and err.endswith(")\n") and len(err.splitlines()) == 1
+    ledger = {k: int(v) for k, v in (item.split() for item in err[len(prefix):-2].split(", "))}
+    _ledger_sums_hold(ledger)
+    assert ledger["starts"] == bt.N_STARTS and ledger["accepted"] == 0
+
+
 def test_sector_flag_wins_over_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"N": 1, "sector_s": 2, "seed": 4}))
@@ -473,6 +506,36 @@ def test_constrained_bethe_off_its_family_sector_is_config_error(args, implied, 
     assert cli.main(["bethe", "--constrained", *args, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: sector s = ") and err.endswith(f"make sector {implied}\n")
+
+
+@pytest.mark.parametrize(
+    "args, config, implied",
+    [
+        (["--n", "4", "--m", "1", "--sector", "0"], {}, 2),
+        (["--n", "6", "--m", "2", "--sector", "2", "--branch", "b2"], {}, -2),
+        (["--n", "4", "--m", "1"], {"sector_s": 0}, 2),
+    ],
+)
+def test_unconstrained_bethe_off_its_family_sector_is_config_error(args, config, implied, tmp_path, capsys):
+    # an explicit sector, from a flag or the config, must be the family's one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["bethe", *args, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sector s = ") and err.endswith(f"make sector {implied}\n")
+
+
+@pytest.mark.parametrize("branch, n, m", [("b1", 4, 1), ("p1", 5, 1), ("p2", 3, 2)])
+def test_unconstrained_bethe_reports_its_family_sector(branch, n, m, tmp_path):
+    args = ["bethe", "--branch", branch, "--n", str(n), "--m", str(m)]
+    sector = bt.family_sector(branch, m, n)
+    code, text = run_cli(args, tmp_path, "implied.jsonl")
+    given_code, given = run_cli([*args, "--sector", str(sector)], tmp_path, "given.jsonl")
+    assert code == given_code == 0
+    _, summary = rows_and_summary(text)
+    assert summary["config"]["sector_s"] == sector
+    assert {sol["sector"] for sol in summary["extra"]["solutions"]} == {sector}
+    assert strip_wall_time(text) == strip_wall_time(given)
 
 
 def test_root_count_is_checked_before_the_sector(tmp_path, capsys):
