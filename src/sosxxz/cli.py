@@ -311,8 +311,7 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         "newton": ledger,
         "solutions_found": len(sols),
         "matched": matched,
-        "unmatched_spectrum": 2**p.N - matched,
-        "note": "incomplete Bethe coverage is expected in the doubly-constrained case",
+        "unmatched_spectrum": len(t_eigs) - matched,
         "solutions": details,
     }
     return rows, extra

@@ -6,13 +6,19 @@ of creation-type double-row blocks between the two reference states, and
 each reduces to a single N x N determinant, free of poles at coincident xi_j.
 The direct contraction is the ground truth; the determinant and recursion
 paths are checked against it.
+
+The property suite evaluates its spectral-point sets in batches: block
+strings of one gate layout run together, one batched block application
+per step (``_contract``), and the determinant takes many point sets in one
+``np.linalg.det`` call (``_z_determinant_bminus``).  Each value keeps the
+arithmetic of its own evaluation, so batching changes no bit.
 """
 
 from __future__ import annotations
 
 import functools
 from cmath import exp, pi, sinh
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,76 +50,183 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
 
 
-def _point_contraction(
-    p: ModelParams, lambdas: Sequence[complex], i: int, kind: str
-) -> Callable[[complex], complex]:
-    """``lam -> z_contraction(p, lambdas with lambdas[i] = lam, kind)``.
+class Evaluator(NamedTuple):
+    """A function of one spectral point, the others fixed, evaluated in batches.
 
-    The kind's parameters, theta and reference states (ket, bra) are taken
-    once; each call runs the pole guard on its own point, so a non-generic
-    lam raises ``DegenerateParameter``.  The tail B(lambdas[i+1]) ...
-    B(lambdas[N-1]) |ref> is contracted by the first call that passes the
-    guard, and each call applies only the blocks of lambdas[0..i] to it,
-    last block first.  This is the one contraction: ``z_contraction`` is
-    its i = 0 case.
+    ``guard(lam)`` raises ``DegenerateParameter`` where the function is not
+    evaluated.  ``values(points)`` runs that guard on each point, so it
+    raises from the same function, then returns the values of all the
+    points as complex numbers, computed in batches.
+    """
+
+    guard: Callable[[complex], None]
+    values: Callable[[Sequence[complex]], list[complex]]
+
+
+def _batch_cap(n: int) -> int:
+    """Elements per batched block application at chain length n.
+
+    A batch's largest array is the gathered stack of its dynamical gates,
+    2^(n-1) 4 x 4 blocks per element, four times the element's vector.  A
+    batch is split so that this array holds no more than one element's does
+    at n = 12: from n = 12 on, every element runs alone, at the memory of
+    the unbatched contraction.
+    """
+    return max(1, 2 ** (12 - n))
+
+
+def _steps(q: ModelParams, kind: str, lam: np.ndarray, xi: np.ndarray, v: np.ndarray, steps: range) -> np.ndarray:
+    """The creation blocks of ``kind`` at lam[:, j], for j in ``steps``,
+    applied in turn to the batch v (B, 2^N), element b with its own points
+    lam[b] and inhomogeneities xi[b]: one batched block per step."""
+    side, creator = KINDS[kind]
+    for j in steps:
+        v = sos.block_column(lam[:, j], q.theta(side), side, creator, q, v, xi)[0]
+    return v
+
+
+def _contract(q: ModelParams, kind: str, rows, xi=None, fan: tuple[int, Sequence] | None = None) -> list[complex]:
+    """``kind``'s function of q (already mapped by ``_kind_params``) at each
+    row of N points of ``rows``, with the matching row of ``xi`` (default
+    q.xi) as its inhomogeneities.  The caller guards the points.
+
+    Each row is its own block string, applied to the reference state last
+    block first; the strings run together, one batched block per step, in
+    batches of ``_batch_cap`` rows.  ``fan`` = (i, points) shares the last
+    row's string: after its blocks N-1 .. i+1, that row becomes one element
+    per point, with the point in place of its block i, and the points'
+    values take the row's place at the end of the result.  No element shares
+    a block with another, save the points of the fan.
+    """
+    n = q.N
+    up, down = tn.all_up(n), tn.all_down(n)
+    ket, bra = (up, down) if KINDS[kind][1] == "B" else (down, up)
+    lam = np.array(rows, dtype=complex).reshape(-1, n)
+    xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
+    i, points = fan or (-1, ())
+    cap, out = _batch_cap(n), []
+    for s in range(0, len(lam), cap):
+        at, at_xi = lam[s : s + cap], xi[s : s + cap]
+        v = list(_steps(q, kind, at, at_xi, np.broadcast_to(ket, (len(at), ket.size)), range(n - 1, i, -1)))
+        if fan and s + cap >= len(lam):
+            fanned = np.repeat(at[-1:], len(points), axis=0)
+            fanned[:, i] = points
+            at = np.concatenate([at[:-1], fanned])
+            at_xi = np.concatenate([at_xi[:-1], np.repeat(at_xi[-1:], len(points), axis=0)])
+            v = v[:-1] + v[-1:] * len(points)
+        for t in range(0, len(at), cap):
+            w = _steps(q, kind, at[t : t + cap], at_xi[t : t + cap], np.stack(v[t : t + cap]), range(i, -1, -1))
+            out += [complex(bra @ row) for row in w]
+    return out
+
+
+def _guard_rows(q: ModelParams, kind: str, rows) -> None:
+    """The contraction's pole guard of each row of N points in turn."""
+    theta = q.theta(KINDS[kind][0])
+    for row in rows:
+        params.assert_generic(q, tuple(row), [theta])
+
+
+def _point_contraction(p: ModelParams, lambdas: Sequence[complex], i: int, kind: str) -> Evaluator:
+    """The contraction with lambdas[i] = lam, as an ``Evaluator``.
+
+    The kind's parameters and theta are taken once; the guard is the pole
+    guard of the N points with lam in place i, which checks the other points
+    and theta once and lam on each call.  ``values`` contracts the tail
+    B(lambdas[i+1]) ... B(lambdas[N-1]) |ref> once for all its points, and
+    applies only the blocks of each point and lambdas[i-1..0] to it, one
+    batched block per step (``_contract``'s fan).  A value equals the full
+    contraction of its N points bit for bit.
     """
     q, lams = _kind_params(p, lambdas, kind)
-    side, creator = KINDS[kind]
-    theta = q.theta(side)
-    up, down = tn.all_up(q.N), tn.all_down(q.N)
-    ket, bra = (up, down) if creator == "B" else (down, up)
-    tail: list[np.ndarray] = []
+    theta = q.theta(KINDS[kind][0])
+    # a call that raises is not cached, so a failing check raises on every guard
+    fixed = functools.cache(lambda: params.assert_generic(q, lams[:i] + lams[i + 1 :], [theta]))
 
-    def apply(points: Sequence[complex], v: np.ndarray) -> np.ndarray:
-        for lam in reversed(points):
-            v = sos.block_column(lam, theta, side, creator, q, v)[0]
-        return v
+    def guard(lam: complex) -> None:
+        fixed()
+        params.assert_generic(q, (complex(lam),))
 
-    def z(lam: complex) -> complex:
-        trial = lams[:i] + (complex(lam),) + lams[i + 1:]
-        params.assert_generic(q, trial, [theta])
-        if not tail:
-            tail.append(apply(trial[i + 1:], ket))
-        return complex(bra @ apply(trial[:i + 1], tail[0]))
+    def values(points: Sequence[complex]) -> list[complex]:
+        for lam in points:
+            guard(lam)
+        return _contract(q, kind, [lams], fan=(i, points)) if points else []
 
-    return z
+    return Evaluator(guard, values)
 
 
 def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
     """Matrix element of the defining block string between reference states."""
-    return _point_contraction(p, lambdas, 0, kind)(lambdas[0])
+    q, lams = _kind_params(p, lambdas, kind)
+    _guard_rows(q, kind, [lams])
+    return _contract(q, kind, [lams])[0]
 
 
-def _z_determinant_bminus(q: ModelParams, lams: tuple[complex, ...]) -> complex:
-    """Tsuchiya's determinant in u = cosh 2lam, v = cosh(2lam + 2eta), w = cosh(2lam + eta), x = cosh 2xi.
+def _kernel(q: ModelParams, lam: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u = cosh 2lam and v = cosh(2lam + 2eta) of the points lam (..., N), the
+    differences u_i - x_j and v_i - x_j (..., N, N) from x = cosh 2xi (xi of
+    the same shape), their product lam_xi / 4 and the pair factors of the
+    points (..., N(N-1)/2), each array taken over the last axes."""
+    eta = q.eta
+    u, v, w, x = np.cosh(2 * lam), np.cosh(2 * lam + 2 * eta), np.cosh(2 * lam + eta), np.cosh(2 * xi)
+    ux, vx = u[..., None] - x[..., None, :], v[..., None] - x[..., None, :]
+    lam_xi = ux * vx / 4  # sinh(lam_i +- xi_j) sinh(lam_i + eta +- xi_j)
+    i = np.arange(q.N)
+    # sinh(lam_j - lam_i) sinh(lam_j + lam_i + eta), i < j
+    pair = (w[..., None, :] - w[..., :, None])[..., i[:, None] < i] / 2
+    return u, v, ux, vx, lam_xi, pair
+
+
+def _det_guard(q: ModelParams, lams: Sequence[complex], xi: Sequence[complex] | None = None) -> None:
+    """The pole guard of the determinant at one set of N points (``_det_check``)."""
+    _det_check(q, lams, *_kernel(q, np.array(lams), np.array(q.xi if xi is None else xi))[-2:])
+
+
+def _det_check(q: ModelParams, lams: Sequence[complex], lam_xi: np.ndarray, pair: np.ndarray) -> None:
+    """The generic check of the N points and theta, then of the kernel's
+    lam/xi products and lambda pairs (``_kernel``) at those points."""
+    params.assert_generic(q, tuple(lams), [q.theta("minus")])
+    if np.min(np.abs(lam_xi)) <= q.eps_pole:
+        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
+    if np.any(np.abs(pair) <= q.eps_pole):
+        raise DegenerateParameter("coincident spectral parameters")
+
+
+def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
+    """Tsuchiya's determinant in u = cosh 2lam, v = cosh(2lam + 2eta), w = cosh(2lam + eta), x = cosh 2xi,
+    at each row of N points of ``lams``, with the matching row of ``xi`` (default q.xi).
 
     Kernel entry (i, j) is r_i c_j [1/(u_i - x_j) - 1/(v_i - x_j)].  Divided differences over x_1..x_j
     make column j 1/prod_{m<=j}(u_i - x_m) - 1/prod_{m<=j}(v_i - x_m); their Jacobian cancels the xi-pair
-    prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).
+    prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).  Each row
+    is guarded by ``_det_check``, as ``_det_guard`` guards it alone; one ``np.linalg.det`` call takes the
+    kernels of all rows, and each value is that of its row alone, bit for bit.
     """
-    th = q.theta("minus")
-    params.assert_generic(q, lams, [th])
     n, eta, d, z = q.N, q.eta, q.delta, q.zeta
-    lam, xi = np.array(lams), np.array(q.xi)
-    u, v, w, x = np.cosh(2 * lam), np.cosh(2 * lam + 2 * eta), np.cosh(2 * lam + eta), np.cosh(2 * xi)
-    ux, vx = u[:, None] - x, v[:, None] - x
-    lam_xi = ux * vx / 4  # sinh(lam_i +- xi_j) sinh(lam_i + eta +- xi_j)
-    if np.min(np.abs(lam_xi)) <= q.eps_pole:
-        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
-    i = np.arange(n)
-    pair = (w - w[:, None])[i[:, None] < i] / 2  # sinh(lam_j - lam_i) sinh(lam_j + lam_i + eta), i < j
-    if np.any(np.abs(pair) <= q.eps_pole):
-        raise DegenerateParameter("coincident spectral parameters")
-    k = 1 / np.cumprod(ux, axis=1) - 1 / np.cumprod(vx, axis=1)
-    rows = np.max(np.abs(k), axis=1)
-    cols = np.max(np.abs(k / rows[:, None]), axis=0)
+    lam = np.array(lams, dtype=complex).reshape(-1, n)
+    xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
+    u, v, ux, vx, lam_xi, pair = _kernel(q, lam, xi)
+    for checked in zip(lam, lam_xi, pair):
+        _det_check(q, *checked)
+    k = 1 / np.cumprod(ux, axis=-1) - 1 / np.cumprod(vx, axis=-1)
+    rows = np.max(np.abs(k), axis=-1)
+    cols = np.max(np.abs(k / rows[..., None]), axis=-2)
     r = 4 * np.sinh(2 * lam) * np.sinh(eta) / ((v - u) * np.sinh(d + lam) * np.sinh(z + lam))
     c = np.sinh(d + xi) * np.sinh(z - xi)
-    theta_ratio = np.sinh(th + eta * (n - 2 - 2 * i)) / np.sinh(th + eta * (n - 1 - i))
+    i = np.arange(n)
+    theta_ratio = np.sinh(q.theta("minus") + eta * (n - 2 - 2 * i)) / np.sinh(q.theta("minus") + eta * (n - 1 - i))
     # (-2)^(N(N-1)/2): the 2 per pair left by the xi-pair cancellation, and the reversal sign
     # (-1)^(N(N-1)/2), fixed by the contraction oracle and the N = 1 closed form
-    scale = (-2) ** (n * (n - 1) // 2) * np.prod(rows * cols * r * c * theta_ratio)
-    return complex(np.linalg.det(k / rows[:, None] / cols) * scale * np.prod(lam_xi) / np.prod(pair))
+    sign = (-2) ** (n * (n - 1) // 2)
+    dets = np.linalg.det(k / rows[..., None] / cols[..., None, :])
+    # the scale and the products are taken row by row, on 1-D rows and in numpy scalars, as for one
+    # row: numpy's complex product rounds by loop, and a reduction over the batch or a broadcast
+    # operand takes another loop
+    terms = zip(dets, rows, cols, r, c, lam_xi, pair)
+    return [
+        complex(dt * (sign * np.prod(rw * cl * rr * cc * theta_ratio)) * np.prod(lx) / np.prod(pr))
+        for dt, rw, cl, rr, cc, lx, pr in terms
+    ]
 
 
 def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
@@ -128,9 +241,9 @@ def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> comp
     if kind in ("cminus", "bplus"):
         q = q.replace(delta=q.zeta, zeta=q.delta, delta_bar=q.zeta, zeta_bar=q.delta)
     if side == "minus":
-        return _z_determinant_bminus(q, lams)
+        return _z_determinant_bminus(q, [lams])[0]
     reflected = q.replace(xi=tuple(-x for x in q.xi))
-    return (-1) ** q.N * _z_determinant_bminus(reflected, tuple(q.k_point(l, side) for l in lams))
+    return (-1) ** q.N * _z_determinant_bminus(reflected, [tuple(q.k_point(l, side) for l in lams)])[0]
 
 
 def z_value(p: ModelParams, lambdas: Sequence[complex], kind: str, method: str) -> complex:
@@ -152,14 +265,9 @@ def crossing_factor(lam: complex, delta: complex, zeta: complex, eta: complex) -
     )
 
 
-def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, method: str = "det") -> complex:
-    """The N-1 reduction of the bminus function of p's (delta, zeta) at the special points.
-
-    which "lam1=xi1" evaluates the coefficient of Z_{N-1}({lam}_{2..N},
-    {xi}_{2..N}) at lam_1 = xi_1; which "lamN=-xi1" the companion at
-    lam_N = -xi_1.  The spectral points must already satisfy the substitution.
-    """
-    q, lams = _kind_params(p, lambdas, "bminus")
+def _recursion(q: ModelParams, lams: tuple[complex, ...], which: str) -> tuple[complex, ModelParams, tuple]:
+    """The coefficient of recursion ``which`` of q's bminus function, and the
+    parameters and N-1 points of the Z_{N-1} it multiplies."""
     n, eta, xis = q.N, q.eta, q.xi
     th = q.theta("minus")
     # lam is the substituted point, member its boundary coupling, x0 = +-xi_1
@@ -177,14 +285,56 @@ def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, meth
     for xi, other in zip(xis[1:], rest):
         coeff *= sinh(lam - xi + eta) * sinh(lam + xi + eta)
         coeff *= sinh(other - x0 + eta)
-    return coeff * z_value(q.replace(N=n - 1, xi=xis[1:]), rest, "bminus", method)
+    return coeff, q.replace(N=n - 1, xi=xis[1:]), rest
 
 
-def polynomial_degree_residual(p: ModelParams, z_at: Callable[[complex], complex], rng: np.random.Generator) -> float:
+def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, method: str = "det") -> complex:
+    """The N-1 reduction of the bminus function of p's (delta, zeta) at the special points.
+
+    which "lam1=xi1" evaluates the coefficient of Z_{N-1}({lam}_{2..N},
+    {xi}_{2..N}) at lam_1 = xi_1; which "lamN=-xi1" the companion at
+    lam_N = -xi_1.  The spectral points must already satisfy the substitution.
+    """
+    coeff, sub, rest = _recursion(*_kind_params(p, lambdas, "bminus"), which)
+    return coeff * z_value(sub, rest, "bminus", method)
+
+
+def _degree_nodes(p: ModelParams, guard: Callable[[complex], None], rng: np.random.Generator) -> list[complex]:
+    """The 2N+4 interpolation nodes of the degree test, drawn near the
+    imaginary axis at phases spread by the count accepted so far; a draw
+    at which ``guard`` raises ``DegenerateParameter`` is skipped."""
+    n_pts = 2 * p.N + 4
+    nodes: list[complex] = []
+    tries = 0
+    while len(nodes) < n_pts and tries < 200:
+        tries += 1
+        phase = pi * (len(nodes) + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
+        lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
+        try:
+            guard(lam)
+        except DegenerateParameter:
+            continue
+        nodes.append(lam)
+    if len(nodes) < n_pts:
+        raise DegenerateParameter("could not sample generic interpolation nodes")
+    return nodes
+
+
+def _degree_fit(p: ModelParams, nodes: Sequence[complex], z: Sequence[complex]) -> float:
+    """The degree test's top coefficient from the values z of Z at the nodes."""
+    vals = [exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam) * zl for lam, zl in zip(nodes, z)]
+    x = np.array([exp(2 * l) for l in nodes])
+    vand = np.vander(x, N=len(nodes), increasing=True)
+    coeffs = np.linalg.solve(vand, np.array(vals))
+    return float(abs(coeffs[-1]) / max(np.max(np.abs(vals)), 1e-300))
+
+
+def polynomial_degree_residual(p: ModelParams, z_at: Evaluator, rng: np.random.Generator) -> float:
     """Interpolation test of the degree bound in exp(2 lam_i) of the bminus
-    function of p's (delta, zeta), with ``z_at(lam)`` its value at lam_i =
-    lam (``_point_contraction``, or any other method).  ``z_at`` raises
-    ``DegenerateParameter`` at a non-generic point, which skips that draw.
+    function of p's (delta, zeta), with ``z_at`` the ``Evaluator`` of its
+    value at lam_i = lam (``_point_contraction``, ``_point_determinant`` or
+    any other).  A draw at which ``z_at.guard`` raises is skipped, and the
+    accepted nodes are evaluated in one ``z_at.values`` call.
 
     Samples 2N+4 points, fits the unique degree-(2N+3) interpolant to
     exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, a
@@ -192,25 +342,15 @@ def polynomial_degree_residual(p: ModelParams, z_at: Callable[[complex], complex
     coefficient relative to the largest sampled value; a true
     degree-(2N+2) polynomial leaves it at rounding level.
     """
-    n_pts = 2 * p.N + 4
-    nodes, vals = [], []
-    tries = 0
-    while len(nodes) < n_pts and tries < 200:
-        tries += 1
-        phase = pi * (len(nodes) + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
-        lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
-        try:
-            weight = exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
-            vals.append(weight * z_at(lam))
-            nodes.append(lam)
-        except DegenerateParameter:
-            continue
-    if len(nodes) < n_pts:
-        raise DegenerateParameter("could not sample generic interpolation nodes")
-    x = np.array([exp(2 * l) for l in nodes])
-    vand = np.vander(x, N=n_pts, increasing=True)
-    coeffs = np.linalg.solve(vand, np.array(vals))
-    return float(abs(coeffs[-1]) / max(np.max(np.abs(vals)), 1e-300))
+    nodes = _degree_nodes(p, z_at.guard, rng)
+    return _degree_fit(p, nodes, z_at.values(nodes))
+
+
+def _point_determinant(q: ModelParams, lams: tuple[complex, ...]) -> Evaluator:
+    """The bminus determinant of q with lams[0] = lam, as an ``Evaluator``
+    guarded by ``_det_guard``."""
+    row = lambda lam: (complex(lam),) + lams[1:]
+    return Evaluator(lambda lam: _det_guard(q, row(lam)), lambda pts: _z_determinant_bminus(q, [row(l) for l in pts]))
 
 
 def z_property_suite(
@@ -224,44 +364,76 @@ def z_property_suite(
     """Symmetry, crossing, recursion, and degree checks on the given evaluation
     paths, for the bminus function of the pair that ``kind`` reflects on.
 
-    Every contracted value that varies only lam_1 (Z itself, the crossed
-    point, the lam_1 = xi_1 recursion and the degree samples) applies one
-    block to a single shared tail B(lam_2) ... B(lam_N) |ref>, and each
-    recursion's left side is contracted once, whatever the methods.  Each
-    residual is a ``rel_disagreement``, and each degree sample's pole guard
-    is the evaluator's own.  A ``values`` dict receives that function's
-    value at ``lambdas`` by method, so a caller need not evaluate it again.
+    The degree nodes of each method are drawn first, each draw asking that
+    method's own guard.  Then every value is computed in a few passes
+    (``_contract``, ``_z_determinant_bminus``):
+    - the contracted lambda swap, xi swap and lam_N = -xi_1 left side and
+      Z's own string run together, one batched block per step; Z's tail
+      B(lam_2) ... B(lam_N) |ref> is shared by the contracted values that
+      vary only lam_1 (Z itself, the crossed point, lam_1 = xi_1 and the
+      degree nodes), and by nothing else;
+    - the two recursions' N-1 point strings are a second pass;
+    - the determinant takes its N point sets in one call and the
+      recursions' N-1 point sets in another.
+    Each value is that of its own evaluation bit for bit.  Each recursion's
+    left side is contracted, whatever the methods; each residual is a
+    ``rel_disagreement``.  A ``values`` dict receives that function's value
+    at ``lambdas`` by method, so a caller need not evaluate it again.
     """
     q, lams = _kind_params(p, lambdas, kind)
-    rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
-    z1 = _point_contraction(q, lams, 0, "bminus")
-    # at the substitution points the determinant kernel is singular
-    # (removable), so the left sides are always contracted directly
-    z_at1 = functools.cache(lambda: z1(q.xi[0]))
-    z_atn = functools.cache(lambda: z_contraction(q, lams[:-1] + (-q.xi[0],), "bminus"))
     for method in methods:
-        z_of1 = (
-            z1 if method == "contract" else lambda lam: z_value(q, (lam,) + lams[1:], "bminus", method)
-        )
-        z0 = z_of1(lams[0])
+        if method not in ("det", "contract"):
+            raise ValueError(f"unknown method {method!r}")
+    rng = np.random.default_rng(seed)
+    n, x1 = q.N, q.xi[0]
+    point = {"det": _point_determinant(q, lams), "contract": _point_contraction(q, lams, 0, "bminus")}
+    nodes = {m: _degree_nodes(q, point[m].guard, rng) for m in methods}
+    firsts = {m: [lams[0], -lams[0] - q.eta, *nodes[m]] for m in methods}
+    # the N point sets beside lam_1, each with its xi: the lambda swap, the xi swap
+    others = []
+    if n >= 2:
+        others = [((lams[1], lams[0]) + lams[2:], q.xi), (lams, (q.xi[1], q.xi[0]) + q.xi[2:])]
+        at1, atn = (x1,) + lams[1:], lams[:-1] + (-x1,)
+        (c1, sub, rest1), (cn, _, restn) = _recursion(q, at1, "lam1=xi1"), _recursion(q, atn, "lamN=-xi1")
+    # method -> the values at firsts, then at others, then at the N-1 point sets
+    z: dict[str, list[complex]] = {}
+    if "det" in methods:
+        sets = [((lam,) + lams[1:], q.xi) for lam in firsts["det"]] + others
+        z["det"] = _z_determinant_bminus(q, *zip(*sets))
+        if n >= 2:
+            z["det"] += _z_determinant_bminus(sub, [rest1, restn])
+    # the contracted rows beside lam_1, the recursions' left sides included (at1
+    # a point on the shared tail, atn a row of its own), then Z's own row, whose
+    # string from block N down to block 2 is the tail the lam_1 points share
+    contract = "contract" in methods
+    points = (firsts["contract"] if contract else []) + ([x1] if n >= 2 else [])
+    rows = (others if contract else []) + ([(atn, q.xi)] if n >= 2 else [])
+    for lam in points:
+        point["contract"].guard(lam)
+    _guard_rows(q, "bminus", [row for row, _ in rows])
+    contracted = _contract(q, "bminus", *zip(*rows, (lams, q.xi)), fan=(0, points))
+    on_rows, on_tail = contracted[: len(rows)], contracted[len(rows) :]
+    if contract:
+        z["contract"] = on_tail[: len(firsts["contract"])] + on_rows[: len(others)]
+        if n >= 2:
+            _guard_rows(sub, "bminus", [rest1, restn])
+            z["contract"] += _contract(sub, "bminus", [rest1, restn])
+    res: dict[str, float] = {}
+    for method in methods:
+        k = len(firsts[method])
+        (z0, crossed, *at_nodes), swaps = z[method][:k], z[method][k : k + len(others)]
+        recursions = z[method][k + len(others) :]
         if values is not None:
             values[method] = z0
-        if q.N >= 2:
-            swapped = (lams[1], lams[0]) + lams[2:]
-            res[f"lambda_swap_{method}"] = rel_disagreement(z_value(q, swapped, "bminus", method), z0)
-            xs = q.replace(xi=(q.xi[1], q.xi[0]) + q.xi[2:])
-            res[f"xi_swap_{method}"] = rel_disagreement(z_value(xs, lams, "bminus", method), z0)
+        if n >= 2:
+            res[f"lambda_swap_{method}"] = rel_disagreement(swaps[0], z0)
+            res[f"xi_swap_{method}"] = rel_disagreement(swaps[1], z0)
         pred = crossing_factor(lams[0], q.delta, q.zeta, q.eta) * z0
-        res[f"crossing_{method}"] = rel_disagreement(z_of1(-lams[0] - q.eta), pred)
-        if q.N >= 2:
-            at1 = (q.xi[0],) + lams[1:]
-            lhs = z_at1()
-            res[f"recursion_lam1_{method}"] = rel_disagreement(recursion_value(q, at1, "lam1=xi1", method), lhs)
-            atn = lams[:-1] + (-q.xi[0],)
-            lhs = z_atn()
-            res[f"recursion_lamN_{method}"] = rel_disagreement(recursion_value(q, atn, "lamN=-xi1", method), lhs)
-        res[f"degree_{method}"] = polynomial_degree_residual(q, z_of1, rng)
+        res[f"crossing_{method}"] = rel_disagreement(crossed, pred)
+        if n >= 2:
+            res[f"recursion_lam1_{method}"] = rel_disagreement(c1 * recursions[0], on_tail[-1])
+            res[f"recursion_lamN_{method}"] = rel_disagreement(cn * recursions[1], on_rows[-1])
+        res[f"degree_{method}"] = _degree_fit(q, nodes[method], at_nodes)
     return res
 
 

@@ -16,7 +16,10 @@ the minus side, theta + eta sum_{i<k} sz_i on the plus side.  One table
 (``_CHAINS``) gives each chain its side, its site order and its gate legs,
 so its leg and charge structure depends only on the chain and N and is
 built once per pair (``_chain_layout``); a call computes only its spectral
-values.
+values.  The double-row builders (``dyn_monodromy_gates``,
+``dyn_double_row_gates``, ``k_diag``, ``block_column``) also take an array
+of B values of lam, with optional per-element inhomogeneities, and build
+the gates of B double rows in one call for a batched ``tn.product``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,20 @@ from .vertex import AUX, chain_legs, site_legs
 def _arrays(lam, theta) -> tuple[np.ndarray, np.ndarray]:
     """Spectral and dynamical arguments as complex arrays of one shape."""
     return np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex))
+
+
+def _spread(a, shape: tuple) -> np.ndarray:
+    """``a`` as a contiguous array of ``shape``, or ``a`` itself if it has that shape.
+
+    A factor of theta alone is computed once per theta and spread over a
+    batch of lam: the arithmetic then runs on arrays of one shape, as it
+    does without a batch, so each entry rounds as it would alone.
+    """
+    if a.shape == shape:
+        return a
+    out = np.empty(shape, dtype=complex)
+    out[...] = a
+    return out
 
 
 def _gauge_sinh(theta: np.ndarray, eps: float) -> np.ndarray:
@@ -90,17 +107,21 @@ def gauge_s_tilde2_inv(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarr
 def dyn_r4(lam, theta, eta: complex, eps: float = 0.0) -> np.ndarray:
     """Dynamical R-matrix (trigonometric SOS weights) as a raw 4x4 block,
     or a (..., 4, 4) stack for array lam and theta (broadcast together)."""
-    lam, theta = _arrays(lam, theta)
+    lam, theta = np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex)
     st = np.sinh(theta)
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter(f"|sinh(theta)| <= {eps:.1e} in dynamical R")
+    down, up = np.sinh(theta - eta), np.sinh(theta + eta)
+    if lam.shape != theta.shape:
+        shape = np.broadcast_shapes(lam.shape, theta.shape)
+        lam, theta, st, down, up = (_spread(a, shape) for a in (lam, theta, st, down, up))
     sl, se = np.sinh(lam), np.sinh(eta)
     r = np.zeros(lam.shape + (4, 4), dtype=complex)
     r[..., 0, 0] = r[..., 3, 3] = np.sinh(lam + eta)
-    r[..., 1, 1] = sl * np.sinh(theta - eta) / st
+    r[..., 1, 1] = sl * down / st
     r[..., 1, 2] = se * np.sinh(theta - lam) / st
     r[..., 2, 1] = se * np.sinh(theta + lam) / st
-    r[..., 2, 2] = sl * np.sinh(theta + eta) / st
+    r[..., 2, 2] = sl * up / st
     return r
 
 
@@ -116,7 +137,7 @@ def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> n
     """
     if kind not in ("L", "Lhat"):
         raise ValueError(f"unknown crossed L kind {kind!r}")
-    lam, theta = _arrays(lam, theta)
+    lam, theta = np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex)
     st = np.sinh(theta)
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter("crossed L needs |sinh(theta)| > eps")
@@ -127,7 +148,7 @@ def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> n
     # the sigma^z_1 argument acts first: it picks the columns of the
     # untransposed matrix (sz_1 = +1 are the first two), then leg 1 is transposed
     base = np.concatenate([r_up[..., :2], r_down[..., 2:]], axis=-1)
-    up, down = (np.sinh(theta - w * eta * s) / st for s in (1, -1))
+    up, down = (_spread(np.sinh(theta - w * eta * s) / st, base.shape[:-2]) for s in (1, -1))
     return tn.transpose_first4(base) * np.stack([up, down, up, down], axis=-1)[..., None, :]
 
 
@@ -135,18 +156,31 @@ def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> n
 # diagonal SOS boundary matrices
 
 
-def k2_minus_diag(lam: complex, delta: complex, zeta: complex, eps: float = 0.0) -> np.ndarray:
-    """Diagonalized boundary matrix of the height picture."""
+def _k2_minus_entries(lam: complex, delta: complex, zeta: complex, eps: float) -> tuple[complex, complex]:
     d1, d2 = sinh(delta + lam), sinh(zeta + lam)
     if abs(d1) <= eps or abs(d2) <= eps:
         raise DegenerateParameter("diagonal K_- denominator vanishes")
-    return np.diag([sinh(delta - lam) / d1, sinh(zeta - lam) / d2]).astype(complex)
+    return sinh(delta - lam) / d1, sinh(zeta - lam) / d2
 
 
-def k_diag(lam: complex, side: str, p: ModelParams) -> np.ndarray:
-    """Diagonal K_-(lam; delta, zeta) ("minus") or K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar) ("plus")."""
+def k2_minus_diag(lam: complex, delta: complex, zeta: complex, eps: float = 0.0) -> np.ndarray:
+    """Diagonalized boundary matrix of the height picture."""
+    return np.diag(_k2_minus_entries(lam, delta, zeta, eps)).astype(complex)
+
+
+def k_diag(lam, side: str, p: ModelParams) -> np.ndarray:
+    """Diagonal K_-(lam; delta, zeta) ("minus") or K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar) ("plus").
+
+    An array of B values of lam gives a (B, 2, 2) stack, its entries taken
+    one lam at a time in ``cmath``, as B calls would take them.
+    """
     delta, zeta, _ = p.boundary(side)
-    return k2_minus_diag(p.k_point(lam, side), delta, zeta, p.eps_pole)
+    if not getattr(lam, "ndim", 0):
+        return k2_minus_diag(p.k_point(lam, side), delta, zeta, p.eps_pole)
+    k = np.zeros((len(lam), 2, 2), dtype=complex)
+    entries = [_k2_minus_entries(p.k_point(complex(l), side), delta, zeta, p.eps_pole) for l in lam]
+    k[:, 0, 0], k[:, 1, 1] = zip(*entries)
+    return k
 
 
 def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:
@@ -203,13 +237,17 @@ def _chain_layout(chain: str, N: int, extra_shift: tuple) -> tuple:
     return tuple((k, tuple(l.format(k=k) for l in legs), _shift(side, N, k) + extra_shift) for k in sites)
 
 
-def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams) -> list:
+def dyn_monodromy_gates(lam, theta: complex, kind: str, p: ModelParams, xi=None) -> list:
     """Gates of the dynamical monodromy matrices on legs (aux, s1..sN), left to right.
 
     kind "T":    R_{01}(lam-xi_1; th - eta sum_{i>1} sz_i) ... R_{0N}(lam-xi_N; th)
     kind "That": R_{N0}(lam+xi_N; th) ... R_{10}(lam+xi_1; th - eta sum_{i>1} sz_i)
     kind "V":    L^{t0}_{0N}(lam-xi_N; th + eta sum_{i<N} sz_i) ... L^{t0}_{01}(lam-xi_1; th)
     kind "Vhat": Lhat^{t0}_{10}(lam+xi_1; th) ... Lhat^{t0}_{N0}(lam+xi_N; th + eta sum_{i<N} sz_i)
+
+    An array of B values of lam gives the gates of B monodromies, a
+    (B, count, 4, 4) stack per gate for a batched ``tn.product``; ``xi``, a
+    (B, N) array, then gives each its own inhomogeneities in place of p.xi.
     """
     if kind not in _DOUBLE_ROW["minus"] + _DOUBLE_ROW["plus"]:
         raise ValueError(f"unknown monodromy kind {kind!r}")
@@ -220,8 +258,9 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
         build = lambda x, c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
     else:
         build = lambda x, c: dyn_r4(x, theta + eta * c, eta, eps)
+    xis = p.xi if xi is None else np.asarray(xi, dtype=complex).T
     gates = [
-        (lam + p.xi[k - 1] if hatted else lam - p.xi[k - 1], on, charge)
+        (lam + xis[k - 1] if hatted else lam - xis[k - 1], on, charge)
         for k, on, charge in _chain_layout(kind, p.N, ())
     ]
     return tn.dynamical_gates(build, gates)
@@ -231,14 +270,16 @@ def dyn_monodromy_gates(lam: complex, theta: complex, kind: str, p: ModelParams)
 # dynamical double-row monodromy matrices and their blocks
 
 
-def dyn_double_row_gates(lam: complex, theta: complex, side: str, p: ModelParams) -> list:
+def dyn_double_row_gates(lam, theta: complex, side: str, p: ModelParams, xi=None) -> list:
     """Gates of U_-(lam; theta) = T K_- That for side "minus", of
     U_+^{t_0}(lam; theta) = V K_+ Vhat for side "plus".
 
-    Each side's K is its diagonal ``k_diag``.
+    Each side's K is its diagonal ``k_diag``.  An array of B values of lam
+    (with per-element ``xi``, as in ``dyn_monodromy_gates``) gives the gates
+    of B double rows, each block with a leading axis of B.
     """
     k = k_diag(lam, side, p)
-    left, right = (dyn_monodromy_gates(lam, theta, kind, p) for kind in _DOUBLE_ROW[side])
+    left, right = (dyn_monodromy_gates(lam, theta, kind, p, xi) for kind in _DOUBLE_ROW[side])
     return [*left, (k, (AUX,)), *right]
 
 
@@ -250,20 +291,29 @@ _BLOCK_INDEX = {
 
 
 def block_column(
-    lam: complex, theta: complex, side: str, name: str, p: ModelParams, v: np.ndarray
+    lam, theta: complex, side: str, name: str, p: ModelParams, v: np.ndarray, xi=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block ``name`` = U[r, c] applied to v, and the other block U[1 - r, c] of its column.
 
     Both are auxiliary rows of U(lam; theta)(e_c (x) v), built gate by gate
     without the double-row matrix; v is a (2^N,) vector or a (2^N, m)
     matrix, so the identity gives the blocks themselves.
+
+    An array of B values of lam (and optionally a (B, N) ``xi``, as in
+    ``dyn_monodromy_gates``) applies B blocks in one batched ``tn.product``:
+    v is then (B, 2^N) or (B, 2^N, m), one input per block, and each result
+    is that of the single call bit for bit.
     """
     r, c = _BLOCK_INDEX[side][name]
-    x = np.zeros((2,) + np.shape(v), dtype=complex)
-    x[c] = v
-    y = tn.product(chain_legs(p.N), dyn_double_row_gates(lam, theta, side, p), x.reshape((-1,) + x.shape[2:]))
+    lead = getattr(lam, "shape", ())
+    shape = np.shape(v)[len(lead):]
+    at = (slice(None),) * len(lead)
+    x = np.zeros(lead + (2,) + shape, dtype=complex)
+    x[at + (c,)] = v
+    gates = dyn_double_row_gates(lam, theta, side, p, xi)
+    y = tn.product(chain_legs(p.N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=bool(lead))
     y = y.reshape(x.shape)
-    return y[r], y[1 - r]
+    return y[at + (r,)], y[at + (1 - r,)]
 
 
 def _per_sz(N: int, fn: Callable[[int], complex]) -> np.ndarray:

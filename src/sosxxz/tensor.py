@@ -8,13 +8,17 @@ order), and basis value 0 of a leg is spin up (sigma^z = +1).
 Products of local gates are built by one kernel, ``product``, which
 applies a list of blocks, each on a few legs, to a plain array kept in a
 running axis order, so each gate costs one transposed copy and one
-batched matmul.  ``traced_product`` is the trace of such a product over
+batched matmul.  The array carries a leading batch axis: with ``batch``,
+B inputs of one gate layout, each with its own blocks or sharing them,
+run as one product, every input rounded as it would be alone.
+``traced_product`` is the trace of such a product over
 its first (auxiliary) leg, applied to an array on the other legs: the
 open-chain transfer matrices, on a few states or on all of them.  A
 dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
 per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
-builds the stacks of a whole gate list in one vectorised call.  The charge
+builds the stacks of a whole gate list in one vectorised call, for one
+spectral value or for a batch of B.  The charge
 table is computed once per weight pattern (``charge_table``), not once per
 gate.  Each gate's transpose, shapes and charge table depend only on the
 labels, so ``product`` takes them from a plan (``_plan``) cached per key:
@@ -150,10 +154,16 @@ def dynamical_gates(build, gates) -> list:
     back into one per gate.  A list of gates costs one vectorised call,
     not one call per gate or per charge, and ``c`` and the split points are
     computed once per tuple of charge lists (``_charge_layout``).
+
+    Each x may instead be an array of B values, the same B for every gate:
+    ``x`` is then (B, len(c)), ``build`` returns (B, len(c), d, d), and each
+    gate gets a (B, count, d, d) stack, one per input of a batched
+    ``product``, still from one call.
     """
     c, sizes, ends = _charge_layout(tuple(tuple(charge) for _, _, charge in gates))
-    stack = build(np.repeat(np.array([g[0] for g in gates], dtype=complex), sizes), c)
-    return [(stack[j - n : j], on, charge) for j, n, (_, on, charge) in zip(ends, sizes, gates)]
+    x = np.array([g[0] for g in gates], dtype=complex).T
+    stack = build(np.repeat(x, sizes, axis=-1), c)
+    return [(stack[..., j - n : j, :, :], on, charge) for j, n, (_, on, charge) in zip(ends, sizes, gates)]
 
 
 def relabel(gates, names: dict[str, str]) -> list:
@@ -167,24 +177,28 @@ def relabel(gates, names: dict[str, str]) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(legs: tuple[str, ...], layout: tuple, vector: bool) -> tuple[tuple, tuple[int, ...]]:
+def _plan(legs: tuple[str, ...], layout: tuple, vector: bool, batched: bool) -> tuple[tuple, tuple[int, ...]]:
     """The axis bookkeeping of ``product`` for one gate layout.
 
     ``layout`` holds each gate's ``(on, charge)``, left to right, with
     ``charge`` None for a static gate and a tuple of (leg, w) pairs for a
-    dynamical one; ``vector`` is whether ``x`` is a single column.  The
-    result is one step per gate, in the order they are applied (right to
-    left): the transpose permutation, the matmul shape and, for a dynamical
-    gate, its charge count and the ``which`` index of ``charge_table``
-    (None and None for a static gate); then the permutation that restores
-    the caller's axis order.  It depends on the labels alone, so a gate list
-    rebuilt at other spectral values replays it.  A leg outside ``legs``
-    raises UnknownLeg and a charge leg among the gate legs ValueError; the
-    cache stores no exception, so a bad layout raises on every call.
+    dynamical one; ``vector`` is whether ``x`` is a single column and
+    ``batched`` whether it leads with a batch axis, which stays first
+    throughout, so one plan serves any batch size.  The result is one step
+    per gate, in the order they are applied (right to left): the transpose
+    permutation, the matmul shape after the batch axis and, for a dynamical
+    gate, its charge count and the ``which`` index of ``charge_table`` (None
+    and None for a static gate); then the permutation that restores the
+    caller's axis order.  It depends on the labels
+    alone, so a gate list rebuilt at other spectral values replays it.  A
+    leg outside ``legs`` raises UnknownLeg and a charge leg among the gate
+    legs ValueError; the cache stores no exception, so a bad layout raises
+    on every call.
     """
-    n = len(legs)
-    # order[i] is the caller's axis held at axis i of t; axis n is the columns
-    order = list(range(n + 1))
+    n, b = len(legs), int(batched)
+    # order[i] is the caller's axis held at axis i of t: the batch axis (if
+    # any), then one axis per leg and last the columns
+    order = list(range(b + n + 1))
     steps = []
     for on, charge in reversed(layout):
         pairs = charge or ()
@@ -194,14 +208,14 @@ def _plan(legs: tuple[str, ...], layout: tuple, vector: bool) -> tuple[tuple, tu
         if any(l in on for l, _ in pairs):
             raise ValueError(f"charge legs {charge} overlap the gate legs {on}")
         net = _net_weights(pairs)
-        front = [legs.index(l) for l in net]
-        gate = [legs.index(l) for l in on]
-        other = [a for a in order[:-1] if a not in front + gate]
+        front = [b + legs.index(l) for l in net]
+        gate = [b + legs.index(l) for l in on]
+        other = [a for a in order[b:-1] if a not in front + gate]
         c, k, o = len(front), len(gate), len(other)
         if vector:
-            new, shape = front + other + gate + [n], (2**c, 2**o, 2**k, 1)
+            new, shape = order[:b] + front + other + gate + [b + n], (2**c, 2**o, 2**k, 1)
         else:
-            new, shape = front + gate + other + [n], (2**c, 1, 2**k, -1)
+            new, shape = order[:b] + front + gate + other + [b + n], (2**c, 1, 2**k, -1)
         count, which = None, None
         if charge is not None:
             values, which = charge_table(tuple(net.values()))
@@ -211,7 +225,7 @@ def _plan(legs: tuple[str, ...], layout: tuple, vector: bool) -> tuple[tuple, tu
     return tuple(steps), tuple(int(a) for a in np.argsort(order))
 
 
-def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
+def product(legs: Sequence[str], gates, x: np.ndarray | None = None, batch: bool = False) -> np.ndarray:
     """g_1 g_2 ... g_m @ x for gates (block, on) or (stack, on, charge)
     listed left to right.
 
@@ -225,46 +239,62 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarr
     that operator-valued dynamical arguments act first, before the matrix
     they parameterize.
 
-    The gates are applied right to left to an array of one axis per leg
-    and one column axis, whose axis order runs with the gates: each gate
-    transposes it once, to [charge legs, gate legs, other legs, columns],
-    and applies its block by one matmul batched over the charge-leg
-    configurations.  The caller's axis order is restored once, at the end.
-    A dynamical gate's charge table (the distinct charges and which one
-    each configuration has) is ``charge_table`` of the net weight of each
-    charge leg, computed once per weight pattern.
+    With ``batch``, ``x`` is a (B, 2^n) or (B, 2^n, m) array of B inputs,
+    and the result holds B products.  A block (2^k-square) or stack
+    (count, 2^k, 2^k) acts on every input alike; one with a leading axis of
+    length B, (B, 2^k, 2^k) or (B, count, 2^k, 2^k), gives input b its own
+    block or stack b, so B gate lists of one layout run as one list.
+
+    The gates are applied right to left to an array of a batch axis, one
+    axis per leg and one column axis, whose axis order runs with the gates:
+    each gate transposes it once, to [batch, charge legs, gate legs, other
+    legs, columns], and applies its block by one matmul batched over the
+    inputs and the charge-leg configurations.  The caller's axis order is
+    restored once, at the end.  A
+    dynamical gate's charge table (the distinct charges and which one each
+    configuration has) is ``charge_table`` of the net weight of each charge
+    leg, computed once per weight pattern.
 
     That bookkeeping is a plan (``_plan``), cached per key: the leg tuple,
-    each gate's (on, charge) with charge None for a static gate, and
-    whether ``x`` is a single column.  The blocks are not part of the key,
-    so a gate list rebuilt at new spectral values replays its plan, and a
-    call only builds the key and runs transpose, reshape, ``stack[which]``
-    and matmul per gate.  The length of each stack is checked on every
-    call.
+    each gate's (on, charge) with charge None for a static gate, whether
+    ``x`` is a single column and whether it is a batch.  The blocks and the
+    batch size are not part of the key, so a gate list rebuilt at new spectral values replays
+    its plan, and a call only builds the key and runs transpose, reshape,
+    ``stack[which]`` and matmul per gate.  The length of each stack is
+    checked on every call.
 
     A single column instead puts the gate legs after the other legs, so
     each configuration is its own matrix-vector product (BLAS gemv): gemv
     rounds differently from the gemm of the batched layout, and this keeps
-    the rounding of Bethe states and partition contractions fixed.
+    the rounding of Bethe states and partition contractions fixed.  Each
+    input of a batch takes the same gemv or gemm calls as it would alone,
+    so a batched product equals its B single products bit for bit.
     """
     legs = tuple(legs)
     n = len(legs)
     if x is None:
         x = np.eye(2**n, dtype=complex)
-    t = np.asarray(x).reshape((2,) * n + (-1,))
+    x = np.asarray(x)
+    lead = x.shape[:1] if batch else ()
+    legs_shape = lead + (2,) * n + (-1,)
+    t = x.reshape(legs_shape)
     layout = tuple((tuple(on), tuple(charge[0]) if charge else None) for _, on, *charge in gates)
-    steps, restore = _plan(legs, layout, t.shape[-1] == 1)
+    steps, restore = _plan(legs, layout, t.shape[-1] == 1, batch)
     for gate, (perm, shape, count, which) in zip(reversed(gates), steps):
         # rebinding t to the transposed copy first frees the previous array
         # before matmul allocates the next one
-        t = t.transpose(perm).reshape(shape)
+        t = t.transpose(perm).reshape(lead + shape)
         g = np.asarray(gate[0], dtype=complex)
+        # a block or stack with a leading batch axis gives each input its own
+        own = int(batch and g.ndim == (2 if which is None else 3) + 1)
         if which is not None:
-            if g.shape[:-2] != (count,):
+            if g.shape[own:-2] != (count,):
                 raise ValueError(f"a stack of shape {g.shape} for the {count} charges of {tuple(gate[2])}")
-            g = g[which, None]
-        t = np.matmul(g, t).reshape((2,) * n + (-1,))
-    return t.transpose(restore).reshape(np.shape(x))
+            g = g[:, which, None] if own else g[which, None]
+        elif own:
+            g = g[:, None, None]
+        t = np.matmul(g, t).reshape(legs_shape)
+    return t.transpose(restore).reshape(x.shape)
 
 
 def traced_product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:

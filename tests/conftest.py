@@ -202,7 +202,7 @@ def perturb_first_product(monkeypatch):
     def install(eps):
         calls = []
 
-        def perturbed(legs, gates, x=None):
+        def perturbed(legs, gates, x=None, **kw):
             if not calls:
                 block, on, *rest = gates[0]
                 rng = np.random.default_rng(0)
@@ -212,7 +212,7 @@ def perturb_first_product(monkeypatch):
                 scale = np.max(np.abs(block), axis=(-2, -1), keepdims=True)
                 gates = [(block + eps * scale * noise, on, *rest), *gates[1:]]
             calls.append(True)
-            return product(legs, gates, x)
+            return product(legs, gates, x, **kw)
 
         monkeypatch.setattr(tn, "product", perturbed)
 

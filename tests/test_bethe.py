@@ -170,8 +170,12 @@ def test_sector_count_sanity(constrained2, sector_indices):
 
 
 def test_solver_no_convergence(constrained2):
-    # a start far out on the real axis runs away; the search comes back empty
-    assert bt.find_bethe_solutions("b1", 1, constrained2, guesses=[[100.0 + 0.0j]]) == []
+    # y overflows at the first mismatch of a start far out on the real axis, so
+    # the batch drops it as bad_y (a runaway is a start that keeps growing past
+    # RE_MAX, as in test_ledger_names_how_a_start_ended); the search comes back empty
+    ledger = dict.fromkeys(bt.LEDGER, 0)
+    assert bt.find_bethe_solutions("b1", 1, constrained2, guesses=[[100.0 + 0.0j]], ledger=ledger) == []
+    assert ledger == {**dict.fromkeys(bt.LEDGER, 0), "starts": 1, "bad_y": 1}
 
 
 def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices):

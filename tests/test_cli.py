@@ -91,7 +91,8 @@ def test_spectrum_reports_incompleteness_without_failing(tmp_path):
     assert [r["check"] for r in rows] == ["spectrum.sector_in_vertex", "spectrum.sector_leakage"]
     extra = summary["extra"]
     assert extra["matched"] >= 1
-    assert extra["matched"] + extra["unmatched_spectrum"] == extra["transfer_dimension"]
+    assert extra["matched"] + extra["unmatched_spectrum"] == extra["sector_dimension"]
+    assert "note" not in extra
 
 
 def constrained_sectors(n):
@@ -143,9 +144,10 @@ def test_constrained_spectrum_reports_sector_and_pole_gap(n, s, tmp_path):
     _, extra = spectrum_report(n, s, 0, tmp_path)
     p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
     assert extra["sector_dimension"] == comb(n, (n - s) // 2)
-    # the Bethe coverage still counts against the whole space
+    # the unmatched count is of the sector block's eigenvalues, the ones a
+    # Bethe solution of this sector can match
     assert extra["transfer_dimension"] == 2**n
-    assert extra["unmatched_spectrum"] == 2**n - extra["matched"]
+    assert extra["unmatched_spectrum"] == extra["sector_dimension"] - extra["matched"]
     assert extra["min_pole_gap"] == min_pole_gap(p, [complex(*extra["mu"])])
 
 

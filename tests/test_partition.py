@@ -3,6 +3,8 @@ from cmath import exp, pi, sinh
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosxxz import params
 from sosxxz import partition as pt
@@ -170,6 +172,9 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
         z_at = pt._point_contraction(p, lams, i, "bminus")
         rel = pt.polynomial_degree_residual(p, z_at, np.random.default_rng(7))
         assert rel == degree_residual_oracle(p, lams, i, 7), i
+        # one batch of points on one tail, each its own full contraction
+        points = [lams[i], -lams[i] - p.eta, p.xi[0]]
+        assert z_at.values(points) == [full_contraction(p, lams[:i] + (lam,) + lams[i + 1:]) for lam in points]
 
     res = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
     assert res["degree_contract"] == degree_residual_oracle(p, lams, 0, 11)
@@ -196,14 +201,58 @@ def test_rejected_degree_nodes_keep_bit_identity(n):
 
     def counted(lam):
         try:
-            return z_at(lam)
+            z_at.guard(lam)
         except DegenerateParameter:
             rejected.append(lam)
             raise
 
-    rel = pt.polynomial_degree_residual(p, counted, np.random.default_rng(7))
+    rel = pt.polynomial_degree_residual(p, z_at._replace(guard=counted), np.random.default_rng(7))
     assert len(rejected) == 2
     assert rel == degree_residual_oracle(p, lams, 0, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(list(pt.KINDS)))
+def test_batched_determinant_equals_single_rows_bit_for_bit(n, b, seed, kind):
+    # b rows of points, each with its own order of the inhomogeneities, in one
+    # det call against one call per row
+    rng = np.random.default_rng(seed)
+    q, _ = pt._kind_params(generic_params(n), [0.0] * n, kind)
+    rows = [tuple(sample_points(rng, q, n)) for _ in range(b)]
+    xis = [tuple(rng.permutation(np.array(q.xi))) for _ in range(b)]
+    got = pt._z_determinant_bminus(q, rows, xis)
+    assert got == [pt._z_determinant_bminus(q.replace(xi=x), [row])[0] for row, x in zip(rows, xis)]
+    assert got[0] == pt.z_determinant(q.replace(xi=xis[0]), rows[0], "bminus")
+
+
+def test_batched_determinant_guards_every_row(p3):
+    good = tuple(sample_points(np.random.default_rng(61), p3, 3))
+    with pytest.raises(DegenerateParameter):
+        pt._z_determinant_bminus(p3, [good, (good[0], good[0], good[2])])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["bminus", "cplus"])
+def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
+    # with a cap of 1 or 2 every batch of the suite splits, down to one
+    # element per block application
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(71 + n), p, n))
+    runs = []
+    for cap in (None, 2, 1):
+        if cap is not None:
+            monkeypatch.setattr(pt, "_batch_cap", lambda _, cap=cap: cap)
+        values = {}
+        runs.append((pt.z_property_suite(p, lams, kind, seed=3, values=values), values))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
+    for n in range(1, 22):
+        cap = pt._batch_cap(n)
+        # a batch gathers cap stacks of 2^(n-1) 4 x 4 blocks
+        assert cap * 2 ** (n - 1) <= max(2**11, 2 ** (n - 1))
+        assert cap >= 1 and (cap == 1) == (n >= 12)
 
 
 def test_point_contraction_maps_the_kind_once(monkeypatch, p3):
@@ -213,15 +262,19 @@ def test_point_contraction_maps_the_kind_once(monkeypatch, p3):
     lams = tuple(sample_points(np.random.default_rng(47), p3, 3))
     z_at = pt._point_contraction(p3, lams, 0, "bminus")
     for k in range(5):
-        z_at(lams[0] + 0.01 * k)
+        z_at.values([lams[0] + 0.01 * k])
+    z_at.guard(lams[0])
     assert len(calls) == 1
 
 
 def test_degree_test_leaves_the_pole_guard_to_z_at(monkeypatch, p3):
-    calls = []
+    calls, asked = [], []
     monkeypatch.setattr(params, "assert_generic", lambda *a: calls.append(a))
-    rel = pt.polynomial_degree_residual(p3, lambda lam: exp(-2 * lam), np.random.default_rng(3))
+    z_at = pt.Evaluator(asked.append, lambda points: [exp(-2 * lam) for lam in points])
+    rel = pt.polynomial_degree_residual(p3, z_at, np.random.default_rng(3))
     assert calls == []
+    # one guard question per draw, and every draw accepted
+    assert len(asked) == 2 * p3.N + 4
     assert rel < 1e-8
 
 

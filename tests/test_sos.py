@@ -456,6 +456,33 @@ def test_block_string_matches_matrix_block(side, p3):
         assert np.max(np.abs(string - expect)) < 1e-13 * np.max(np.abs(expect)), name
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_batched_block_columns_equal_single_calls_bit_for_bit(n, side):
+    # B values of lam, each with its own inhomogeneities and input, against B
+    # calls on the same inputs; vectors and column blocks
+    p = generic_params(n)
+    rng = np.random.default_rng(10 * n)
+    lams = np.array(sample_points(rng, p, 4))
+    xis = np.array([rng.permutation(np.array(p.xi)) for _ in lams])
+    theta = p.theta(side)
+    for shape in [(len(lams), 2**n), (len(lams), 2**n, 3)]:
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for name in "ABCD":
+            got = sos.block_column(lams, theta, side, name, p, v, xis)
+            for b, lam in enumerate(lams):
+                one = sos.block_column(complex(lam), theta, side, name, p.replace(xi=tuple(xis[b])), v[b])
+                assert np.array_equal(got[0][b], one[0]) and np.array_equal(got[1][b], one[1]), (name, b)
+
+
+def test_batched_k_diag_keeps_the_scalar_entries(p3):
+    lams = [0.21 + 0.12j, -0.33 + 0.4j, 0.05 - 0.61j]
+    for side in ("minus", "plus"):
+        stack = sos.k_diag(np.array(lams), side, p3)
+        for k, lam in zip(stack, lams):
+            assert np.array_equal(k, sos.k_diag(lam, side, p3))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks):
     # the traced gate list against k_00 A + k_11 D from the block strings

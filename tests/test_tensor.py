@@ -149,6 +149,42 @@ def test_product_matches_one_gate_oracle(case):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+@settings(max_examples=80, deadline=None)
+@given(gate_lists(), st.integers(1, 4), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_batched_product_equals_single_products_bit_for_bit(case, b, own):
+    # each gate's block or stack either acts on every input (no batch axis)
+    # or gives each input its own (a leading axis of b); x is b vectors or b
+    # column blocks
+    legs, drawn, seed, cols = case
+    rng = np.random.default_rng(seed)
+    per_input = [random_gates(rng, drawn) for _ in range(b)]
+    gates = [
+        (np.stack([g[j][0] for g in per_input]) if own[j] else per_input[0][j][0], *per_input[0][j][1:])
+        for j in range(len(drawn))
+    ]
+    d = 2 ** len(legs)
+    shape = (b, d) if cols is None else (b, d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = tn.product(legs, gates, x, batch=True)
+    assert got.shape == x.shape
+    for k in range(b):
+        single = [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(drawn))]
+        assert np.array_equal(got[k], tn.product(legs, single, x[k]))
+
+
+def test_one_plan_serves_every_batch_size():
+    legs = ("a", "b", "c")
+    charge = [("c", 1)]
+    rng = np.random.default_rng(5)
+    stack = random_stack(rng, charge, 4)
+    gates = [(stack, ("a", "b"), charge), (rng.normal(size=(2, 2)) + 0j, ("c",))]
+    tn._plan.cache_clear()
+    for b in (3, 5, 1):
+        tn.product(legs, gates, rng.normal(size=(b, 8)) + 0j, batch=True)
+    info = tn._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_product_rejects_charge_on_gate_leg():
     # the plan cache stores no exception: a repeated call raises again
     for _ in range(2):
