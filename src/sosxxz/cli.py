@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -359,7 +360,9 @@ def render(rows: list[dict], summary: dict, fmt: str) -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON run configuration")
     common.add_argument("--format", default="json", choices=("json", "csv", "text"))

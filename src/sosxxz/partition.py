@@ -9,9 +9,11 @@ paths are checked against it.
 
 The property suite evaluates its spectral-point sets in batches: block
 strings of one gate layout run together, one batched block application
-per step (``_contract``), and the determinant takes many point sets in one
-``np.linalg.det`` call (``_z_determinant_bminus``).  Each value keeps the
-arithmetic of its own evaluation, so batching changes no bit.
+per step, with the gates of all the steps of a batch built in one call
+(``_contract``, ``_steps``), and the determinant takes many point sets in
+one ``np.linalg.det`` call (``_z_determinant_bminus``), guarded in one
+vectorised pass.  Each value keeps the arithmetic of its own evaluation,
+so batching changes no bit.
 """
 
 from __future__ import annotations
@@ -78,10 +80,22 @@ def _batch_cap(n: int) -> int:
 def _steps(q: ModelParams, kind: str, lam: np.ndarray, xi: np.ndarray, v: np.ndarray, steps: range) -> np.ndarray:
     """The creation blocks of ``kind`` at lam[:, j], for j in ``steps``,
     applied in turn to the batch v (B, 2^N), element b with its own points
-    lam[b] and inhomogeneities xi[b]: one batched block per step."""
+    lam[b] and inhomogeneities xi[b]: one batched block per step.
+
+    One ``sos.dyn_double_row_gates`` call builds the gates of every step, on
+    the S B points flattened step by step, and step t applies the contiguous
+    (B, ...) slice t of each stack.  Gate builds are elementwise, so each
+    block is that of its own build bit for bit.
+    """
     side, creator = KINDS[kind]
-    for j in steps:
-        v = sos.block_column(lam[:, j], q.theta(side), side, creator, q, v, xi)[0]
+    s, b = len(steps), len(lam)
+    if not s:
+        return v
+    flat = lam[:, list(steps)].T.reshape(-1)
+    gates = sos.dyn_double_row_gates(flat, q.theta(side), side, q, np.tile(xi, (s, 1)))
+    stacks = [(g.reshape(s, b, *g.shape[1:]), *rest) for g, *rest in gates]
+    for t in range(s):
+        v = sos.apply_block_column([(g[t], *rest) for g, *rest in stacks], side, creator, q.N, v, batch=True)[0]
     return v
 
 
@@ -92,7 +106,8 @@ def _contract(q: ModelParams, kind: str, rows, xi=None, fan: tuple[int, Sequence
 
     Each row is its own block string, applied to the reference state last
     block first; the strings run together, one batched block per step, in
-    batches of ``_batch_cap`` rows.  ``fan`` = (i, points) shares the last
+    batches of ``_batch_cap`` rows, and the gates of a batch's blocks are
+    built in one call (``_steps``).  ``fan`` = (i, points) shares the last
     row's string: after its blocks N-1 .. i+1, that row becomes one element
     per point, with the point in place of its block i, and the points'
     values take the row's place at the end of the result.  No element shares
@@ -163,33 +178,53 @@ def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> comp
 
 
 def _kernel(q: ModelParams, lam: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """u = cosh 2lam and v = cosh(2lam + 2eta) of the points lam (..., N), the
-    differences u_i - x_j and v_i - x_j (..., N, N) from x = cosh 2xi (xi of
-    the same shape), their product lam_xi / 4 and the pair factors of the
-    points (..., N(N-1)/2), each array taken over the last axes."""
+    """u = cosh 2lam, v = cosh(2lam + 2eta) and w = cosh(2lam + eta) of the
+    points lam (..., K), the differences u_i - x_j and v_i - x_j (..., K, N)
+    from x = cosh 2xi (xi (..., N)), their product lam_xi / 4 and the pair
+    factors of the points among themselves (..., K(K-1)/2), each array taken
+    over the last axes."""
     eta = q.eta
     u, v, w, x = np.cosh(2 * lam), np.cosh(2 * lam + 2 * eta), np.cosh(2 * lam + eta), np.cosh(2 * xi)
     ux, vx = u[..., None] - x[..., None, :], v[..., None] - x[..., None, :]
     lam_xi = ux * vx / 4  # sinh(lam_i +- xi_j) sinh(lam_i + eta +- xi_j)
-    i = np.arange(q.N)
+    i = np.arange(lam.shape[-1])
     # sinh(lam_j - lam_i) sinh(lam_j + lam_i + eta), i < j
     pair = (w[..., None, :] - w[..., :, None])[..., i[:, None] < i] / 2
-    return u, v, ux, vx, lam_xi, pair
-
-
-def _det_guard(q: ModelParams, lams: Sequence[complex], xi: Sequence[complex] | None = None) -> None:
-    """The pole guard of the determinant at one set of N points (``_det_check``)."""
-    _det_check(q, lams, *_kernel(q, np.array(lams), np.array(q.xi if xi is None else xi))[-2:])
+    return u, v, w, ux, vx, lam_xi, pair
 
 
 def _det_check(q: ModelParams, lams: Sequence[complex], lam_xi: np.ndarray, pair: np.ndarray) -> None:
-    """The generic check of the N points and theta, then of the kernel's
-    lam/xi products and lambda pairs (``_kernel``) at those points."""
+    """The generic check of the points and theta, then ``_kernel_check``."""
     params.assert_generic(q, tuple(lams), [q.theta("minus")])
-    if np.min(np.abs(lam_xi)) <= q.eps_pole:
+    _kernel_check(q, lam_xi, pair)
+
+
+def _kernel_check(q: ModelParams, lam_xi: np.ndarray, pair: np.ndarray) -> None:
+    """The check of the kernel's lam/xi products and lambda pairs (``_kernel``)."""
+    if np.any(np.abs(lam_xi) <= q.eps_pole):
         raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
     if np.any(np.abs(pair) <= q.eps_pole):
         raise DegenerateParameter("coincident spectral parameters")
+
+
+def _det_check_rows(q: ModelParams, lam: np.ndarray, lam_xi: np.ndarray, pair: np.ndarray) -> None:
+    """``_det_check`` of each row of points lam (R, N) with its kernel rows,
+    as one vectorised pass over every gap it reads.
+
+    numpy's sinh may round apart from the guard's ``cmath`` sinh, so when a
+    gap is not finite or lies within a relative 1e-9 of eps_pole, the rows
+    run through ``_det_check`` one by one: every decision and message is
+    that of ``_det_check``, first bad row first.
+    """
+    bases = np.array([q.delta, q.zeta, q.delta_bar, q.zeta_bar])
+    k = np.arange(-(q.N + 2), q.N + 3)
+    with np.errstate(all="ignore"):
+        sinhs = (np.sinh(bases + lam[..., None]), np.sinh(bases - lam[..., None]), np.sinh(2 * lam + q.eta))
+        theta = np.sinh(q.theta("minus") + k * q.eta)
+        gaps = np.concatenate([np.abs(a).ravel() for a in (*sinhs, theta, lam_xi, pair)])
+    if not np.all((gaps > q.eps_pole * (1 + 1e-9)) & (gaps < np.inf)):
+        for checked in zip(lam, lam_xi, pair):
+            _det_check(q, *checked)
 
 
 def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
@@ -199,15 +234,14 @@ def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
     Kernel entry (i, j) is r_i c_j [1/(u_i - x_j) - 1/(v_i - x_j)].  Divided differences over x_1..x_j
     make column j 1/prod_{m<=j}(u_i - x_m) - 1/prod_{m<=j}(v_i - x_m); their Jacobian cancels the xi-pair
     prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).  Each row
-    is guarded by ``_det_check``, as ``_det_guard`` guards it alone; one ``np.linalg.det`` call takes the
-    kernels of all rows, and each value is that of its row alone, bit for bit.
+    is guarded as ``_det_check`` guards it alone (``_det_check_rows``); one ``np.linalg.det`` call takes
+    the kernels of all rows, and each value is that of its row alone, bit for bit.
     """
     n, eta, d, z = q.N, q.eta, q.delta, q.zeta
     lam = np.array(lams, dtype=complex).reshape(-1, n)
     xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
-    u, v, ux, vx, lam_xi, pair = _kernel(q, lam, xi)
-    for checked in zip(lam, lam_xi, pair):
-        _det_check(q, *checked)
+    u, v, _, ux, vx, lam_xi, pair = _kernel(q, lam, xi)
+    _det_check_rows(q, lam, lam_xi, pair)
     k = 1 / np.cumprod(ux, axis=-1) - 1 / np.cumprod(vx, axis=-1)
     rows = np.max(np.abs(k), axis=-1)
     cols = np.max(np.abs(k / rows[..., None]), axis=-2)
@@ -347,10 +381,33 @@ def polynomial_degree_residual(p: ModelParams, z_at: Evaluator, rng: np.random.G
 
 
 def _point_determinant(q: ModelParams, lams: tuple[complex, ...]) -> Evaluator:
-    """The bminus determinant of q with lams[0] = lam, as an ``Evaluator``
-    guarded by ``_det_guard``."""
+    """The bminus determinant of q with lams[0] = lam, as an ``Evaluator``.
+
+    The guard raises where ``_det_check`` of the N points raises.  Its part
+    that lam does not enter, the other N-1 points, theta and their kernel
+    products and pairs, is checked once and cached on success; each call
+    checks only lam's own gaps, its N lam/xi products and its N-1 pairs
+    with the other points.
+    """
+    xi, rest = np.array(q.xi), np.array(lams[1:], dtype=complex)
+
+    # a call that raises is not cached, so a failing check raises on every guard
+    @functools.cache
+    def fixed() -> np.ndarray:
+        _, _, w, _, _, lam_xi, pair = _kernel(q, rest, xi)
+        _det_check(q, lams[1:], lam_xi, pair)
+        return w
+
+    def guard(lam: complex) -> None:
+        lam = complex(lam)
+        params.assert_generic(q, (lam,))
+        w_rest = fixed()
+        _, _, w, _, _, lam_xi, _ = _kernel(q, np.array([lam]), xi)
+        # the pairs (lam, lams[j]) of _kernel's row, w_j - w_lam over 2
+        _kernel_check(q, lam_xi, (w_rest - w) / 2)
+
     row = lambda lam: (complex(lam),) + lams[1:]
-    return Evaluator(lambda lam: _det_guard(q, row(lam)), lambda pts: _z_determinant_bminus(q, [row(l) for l in pts]))
+    return Evaluator(guard, lambda pts: _z_determinant_bminus(q, [row(l) for l in pts]))
 
 
 def z_property_suite(

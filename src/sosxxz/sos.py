@@ -302,16 +302,29 @@ def block_column(
     An array of B values of lam (and optionally a (B, N) ``xi``, as in
     ``dyn_monodromy_gates``) applies B blocks in one batched ``tn.product``:
     v is then (B, 2^N) or (B, 2^N, m), one input per block, and each result
-    is that of the single call bit for bit.
+    is that of the single call bit for bit.  Its two parts, the gate build
+    and ``apply_block_column``, can run apart, as for gates built once for
+    many blocks.
+    """
+    gates = dyn_double_row_gates(lam, theta, side, p, xi)
+    return apply_block_column(gates, side, name, p.N, v, batch=bool(getattr(lam, "ndim", 0)))
+
+
+def apply_block_column(gates: list, side: str, name: str, N: int, v: np.ndarray, batch: bool) -> tuple:
+    """``block_column`` of the double row(s) with these gates (``dyn_double_row_gates``)
+    on N sites: block ``name`` applied to v, and the other block of its column.
+
+    With ``batch``, v is (B, 2^N) or (B, 2^N, m) and each gate block or stack
+    leads with an axis of B, one double row per input, so gates built once
+    for many blocks can be applied a slice at a time.
     """
     r, c = _BLOCK_INDEX[side][name]
-    lead = getattr(lam, "shape", ())
-    shape = np.shape(v)[len(lead):]
+    lead = np.shape(v)[:1] if batch else ()
+    shape = np.shape(v)[len(lead) :]
     at = (slice(None),) * len(lead)
     x = np.zeros(lead + (2,) + shape, dtype=complex)
     x[at + (c,)] = v
-    gates = dyn_double_row_gates(lam, theta, side, p, xi)
-    y = tn.product(chain_legs(p.N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=bool(lead))
+    y = tn.product(chain_legs(N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=batch)
     y = y.reshape(x.shape)
     return y[at + (r,)], y[at + (1 - r,)]
 

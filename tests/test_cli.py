@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -222,6 +225,30 @@ def test_benchmark_command_same_bytes_cold_and_warm(args, tmp_path, capsys):
     built = tn._plan.cache_info().misses
     assert run("warm.jsonl") == cold
     assert tn._plan.cache_info().misses == built
+
+
+def test_commands_in_one_process_match_each_run_alone(tmp_path, capsys):
+    # the parser is built once per process: no parse state may carry from one
+    # command to the next, such as a refused run's --sector into the bethe
+    # run after it, which takes its family's sector
+    commands = [
+        ["partition", "--kind", "cplus", "--method", "both", "--n", "3"],
+        ["bethe", "--n", "4", "--m", "1", "--sector", "0"],
+        ["bethe", "--n", "4", "--m", "1"],
+        ["verify", "--suite", "vertex", "--n", "2", "--trials", "2", "--seed", "4"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for i, args in enumerate(commands):
+        code, text = run_cli(args, tmp_path, f"shared{i}.jsonl")
+        shared = (code, strip_wall_time(text) if text else text, capsys.readouterr().err)
+        out = tmp_path / f"alone{i}.jsonl"
+        alone = subprocess.run(
+            [sys.executable, "-m", "sosxxz.cli", *args, "--out", str(out)], capture_output=True, text=True, env=env
+        )
+        text = out.read_text() if out.exists() else ""
+        assert shared == (alone.returncode, strip_wall_time(text) if text else text, alone.stderr), args
+        assert code == (2 if "--sector" in args else 0)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosxxz import cli
 from sosxxz import params
 from sosxxz import partition as pt
 from sosxxz import sos
@@ -131,14 +132,16 @@ def test_property_suite(n):
         assert res < tol, (name, res)
 
 
-def full_contraction(p, lams):
-    """The bminus Z with every block applied in turn to the all-up state, last block first."""
-    q, lams = pt._kind_params(p, lams, "bminus")
-    params.assert_generic(q, lams, [q.delta - q.zeta])
-    v = tn.all_up(q.N)
+def full_contraction(p, lams, kind="bminus"):
+    """``kind``'s Z with every block applied in turn to its reference state, last block first."""
+    q, lams = pt._kind_params(p, lams, kind)
+    side, creator = pt.KINDS[kind]
+    params.assert_generic(q, lams, [q.theta(side)])
+    up, down = tn.all_up(q.N), tn.all_down(q.N)
+    v, bra = (up, down) if creator == "B" else (down, up)
     for lam in reversed(lams):
-        v = sos.block_column(lam, q.delta - q.zeta, "minus", "B", q, v)[0]
-    return complex(tn.all_down(q.N) @ v)
+        v = sos.block_column(lam, q.theta(side), side, creator, q, v)[0]
+    return complex(bra @ v)
 
 
 def degree_residual_oracle(p, lams, i, seed):
@@ -232,10 +235,11 @@ def test_batched_determinant_guards_every_row(p3):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["bminus", "cplus"])
+@pytest.mark.parametrize("kind", ["bminus", "cplus", "bplus"])
 def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
     # with a cap of 1 or 2 every batch of the suite splits, down to one
-    # element per block application
+    # element per block application, each batch still building its gates in
+    # one call; the kind's own Z is its string of single blocks
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(71 + n), p, n))
     runs = []
@@ -244,7 +248,17 @@ def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
             monkeypatch.setattr(pt, "_batch_cap", lambda _, cap=cap: cap)
         values = {}
         runs.append((pt.z_property_suite(p, lams, kind, seed=3, values=values), values))
+        assert pt.z_contraction(p, lams, kind) == full_contraction(p, lams, kind)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("kind", pt.KINDS)
+def test_det_only_suite_at_n1_fans_out_no_point(kind, p1):
+    # with the det method alone at N = 1, no contracted point fans out of
+    # Z's string, and there are no recursions to contract
+    lams = sample_points(np.random.default_rng(73), p1, 1)
+    res = pt.z_property_suite(p1, lams, kind, methods=("det",))
+    assert sorted(res) == ["crossing_det", "degree_det"]
 
 
 def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
@@ -347,3 +361,111 @@ def test_kind_reads_only_its_pair(kind, p3):
 def test_bad_kind_or_point_count_raises(kind, count, p2):
     with pytest.raises(ValueError):
         pt.z_contraction(p2, [0.2 + 0.1j * k for k in range(count)], kind)
+
+
+def det_guard_oracle(q, lams):
+    """The determinant's pole guard of one set of N points as a single call:
+    the generic check of the points and theta, then the kernel's lam/xi
+    products and lambda pairs over the whole N x N kernel."""
+    params.assert_generic(q, tuple(lams), [q.theta("minus")])
+    *_, lam_xi, pair = pt._kernel(q, np.array(lams), np.array(q.xi))
+    if np.min(np.abs(lam_xi)) <= q.eps_pole:
+        raise DegenerateParameter("coincident lambda/xi in the determinant kernel")
+    if np.any(np.abs(pair) <= q.eps_pole):
+        raise DegenerateParameter("coincident spectral parameters")
+
+
+def raised(f, *args):
+    """The message f(*args) raises DegenerateParameter with, or None."""
+    try:
+        f(*args)
+    except DegenerateParameter as exc:
+        return str(exc)
+    return None
+
+
+def _pole_points(q, lams):
+    """A generic point, then lam_1 at each pole kind of the determinant's guard."""
+    return {
+        "generic": 0.05 + 0.7j,
+        "-delta": -q.delta,
+        "+xi_2": q.xi[1],
+        "-xi_1": -q.xi[0],
+        "lam_2": lams[1],
+        "-lam_3-eta": -lams[2] - q.eta,
+        "2lam+eta": -q.eta / 2,
+    }
+
+
+@pytest.mark.parametrize("case", ["generic", "theta", "fixed_xi"])
+def test_point_determinant_guard_raises_where_the_oracle_raises(case, p3):
+    lams = tuple(sample_points(np.random.default_rng(79), p3, 3))
+    q = p3
+    if case == "theta":
+        # theta = 2 eta puts theta - 2 eta on the sinh lattice: every lam raises
+        q = p3.replace(delta=0.5 + 0.3j + 2 * p3.eta, zeta=0.5 + 0.3j)
+    elif case == "fixed_xi":
+        # a fixed point on xi_3: a pole of the kernel that no lam removes
+        lams = lams[:2] + (p3.xi[2],)
+    z_at = pt._point_determinant(q, lams)
+    for name, lam in _pole_points(q, lams).items():
+        want = raised(det_guard_oracle, q, (lam,) + lams[1:])
+        assert (name, raised(z_at.guard, lam)) == (name, want)
+        if case == "generic":
+            assert (want is None) == (name == "generic")
+        else:
+            assert want is not None
+
+
+@pytest.mark.parametrize("bad", ["-delta", "+xi_2", "lam_2", "2lam+eta"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_batched_determinant_raises_the_first_bad_rows_message(bad, at, p3):
+    rng = np.random.default_rng(83)
+    rows = [tuple(sample_points(rng, p3, 3)) for _ in range(5)]
+    rows[at] = (_pole_points(p3, rows[at])[bad],) + rows[at][1:]
+    # a second bad row of another kind after it
+    last = (rows[-1][0], rows[-1][0], rows[-1][2])
+    rows = rows + [last]
+    want = raised(det_guard_oracle, p3, rows[at])
+    assert want is not None
+    assert raised(pt._z_determinant_bminus, p3, rows) == want
+    assert raised(pt._z_determinant_bminus, p3, rows[:at] + rows[at + 1 : -1]) is None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 - 1e-15, 1 + 1e-15, 1 - 2e-9])
+def test_batched_determinant_guard_at_eps_pole(scale, p3):
+    # eps_pole on (or one rounding from) the smallest gap, |sinh(delta + lam)|
+    # of row 1: where numpy's sinh and cmath's may decide apart, the batch
+    # decides as the oracle does
+    rows = [tuple(sample_points(np.random.default_rng(91 + k), p3, 3)) for k in range(3)]
+    lam = -p3.delta + 1e-4 * (1 + 1j)
+    rows[1] = (lam,) + rows[1][1:]
+    q = p3.replace(eps_pole=abs(sinh(p3.delta + lam)) * scale)
+    want = [raised(det_guard_oracle, q, row) for row in rows]
+    assert want == [None, want[1], None] and (want[1] is None) == (scale < 1)
+    assert raised(pt._z_determinant_bminus, q, rows) == want[1]
+
+
+@pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 8, 17), ("bplus", 8, 17), ("cplus", 8, 17)])
+def test_partition_command_builds_each_string_once(kind, gates, products, monkeypatch, tmp_path):
+    # one dyn_double_row_gates call, two monodromy builds, per block string:
+    # the suite's tail and fan strings and its recursion string, and the
+    # other kinds' own Z
+    counts = {"gates": 0, "products": 0}
+
+    def counted(fn, key):
+        return lambda *a, **k: counts.__setitem__(key, counts[key] + 1) or fn(*a, **k)
+
+    monkeypatch.setattr(sos, "dyn_monodromy_gates", counted(sos.dyn_monodromy_gates, "gates"))
+    monkeypatch.setattr(tn, "product", counted(tn.product, "products"))
+    args = ["partition", "--kind", kind, "--method", "both", "--n", "6", "--out", str(tmp_path / "z.jsonl")]
+    assert cli.main(args) == 0
+    assert counts == {"gates": gates, "products": products}
+
+
+def test_perturbed_first_product_reaches_the_partition_gates(p3, perturb_first_product):
+    lams = tuple(sample_points(np.random.default_rng(97), p3, 3))
+    z = pt.z_contraction(p3, lams, "bminus")
+    perturb_first_product(1e-6)
+    moved = pt.rel_disagreement(pt.z_contraction(p3, lams, "bminus"), z)
+    assert 1e-9 < moved < 1e-4, moved
