@@ -215,18 +215,21 @@ def _eigen_residual(tx: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarra
 
 
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
-    # suite -> (its check registry, the function evaluating one check), looked
-    # up at call time so a wrapped suite function is the one that runs
+    # suite -> (its check registry, the function evaluating one check, its
+    # trial draws), looked up at call time so a wrapped suite function is the
+    # one that runs.  The checks of a suite share one set of draws, made for
+    # this call alone: nothing is kept from one command to the next
     suites = {
-        "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite),
-        "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite),
+        "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite, vx.vertex_draws),
+        "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite, sos.sos_draws),
     }
-    rows = [
-        _row(f"{name}.{chk}", run_suite(chk, cfg.params, seed=cfg.seed, trials=cfg.trials), cfg.tolerances["identity"])
-        for name, (checks, run_suite) in suites.items()
-        if suite in (name, "all")
-        for chk in checks
-    ]
+    rows = []
+    for name, (checks, run_suite, draws) in suites.items():
+        if suite in (name, "all"):
+            shared = draws(cfg.params, cfg.seed)
+            for chk in checks:
+                residual = run_suite(chk, cfg.params, trials=cfg.trials, draws=shared)
+                rows.append(_row(f"{name}.{chk}", residual, cfg.tolerances["identity"]))
     return rows, {"suite": suite}
 
 

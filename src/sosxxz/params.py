@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from cmath import sinh
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -126,18 +126,39 @@ def sample_points(
     """Draw spectral points from the [-1, 1]^2 square (at most 10,000 tries),
     rejecting any that come within SAMPLE_MARGIN of a pole of the standard
     denominators.  The theta gaps do not depend on the point, so they are
-    taken once."""
-    theta_gap = min_pole_gap(p, (), thetas)
+    taken once; if they alone fail, no point can pass and the call raises
+    without drawing."""
     pts: list[complex] = []
-    for _ in range(10_000):
-        if len(pts) == count:
-            break
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if min(min_pole_gap(p, [z]), theta_gap) > SAMPLE_MARGIN:
-            pts.append(z)
+    if min_pole_gap(p, (), thetas) > SAMPLE_MARGIN:
+        for _ in range(10_000):
+            if len(pts) == count:
+                break
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            if min_pole_gap(p, [z]) > SAMPLE_MARGIN:
+                pts.append(z)
     if len(pts) < count:
         raise DegenerateParameter("could not sample generic spectral points")
     return pts
+
+
+class TrialDraws:
+    """The draws of one seeded trial loop, each made on first use and kept.
+
+    ``draws[t]`` is the t-th ``draw(rng)`` of a generator seeded with
+    ``seed``, so every check that reads one object sees the same draws,
+    made once.  A check reads its trials in order, so a draw that fails
+    does so where a loop drawing for that check alone would meet it: after
+    the earlier trials' residuals."""
+
+    def __init__(self, draw: Callable[[np.random.Generator], Any], seed: int):
+        self._draw = draw
+        self._rng = np.random.default_rng(seed)
+        self._made: list = []
+
+    def __getitem__(self, t: int) -> Any:
+        while len(self._made) <= t:
+            self._made.append(self._draw(self._rng))
+        return self._made[t]
 
 
 def generic_params(N: int, eps_pole: float = POLE_EPS_DEFAULT) -> ModelParams:

@@ -20,12 +20,16 @@ values.  The double-row builders (``dyn_monodromy_gates``,
 ``dyn_double_row_gates``, ``k_diag``, ``block_column``) also take an array
 of B values of lam, with optional per-element inhomogeneities, and build
 the gates of B double rows in one call for a batched ``tn.product``.
+The checks of the identity suite can share one set of seeded trials
+(``sos_draws``); a trial (``SosTrial``) builds each monodromy gate list
+once for all the checks that read it.
 """
 
 from __future__ import annotations
 
 import functools
 from cmath import sinh
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 from . import tensor as tn
 from . import vertex as vx
 from .errors import DegenerateParameter
-from .params import SAMPLE_MARGIN, ModelParams, min_pole_gap, sample_points
+from .params import SAMPLE_MARGIN, ModelParams, TrialDraws, min_pole_gap, sample_points
 from .vertex import AUX, chain_legs, site_legs
 
 
@@ -270,16 +274,21 @@ def dyn_monodromy_gates(lam, theta: complex, kind: str, p: ModelParams, xi=None)
 # dynamical double-row monodromy matrices and their blocks
 
 
-def dyn_double_row_gates(lam, theta: complex, side: str, p: ModelParams, xi=None) -> list:
+def dyn_double_row_gates(lam, theta: complex, side: str, p: ModelParams, xi=None, monodromy=None) -> list:
     """Gates of U_-(lam; theta) = T K_- That for side "minus", of
     U_+^{t_0}(lam; theta) = V K_+ Vhat for side "plus".
 
     Each side's K is its diagonal ``k_diag``.  An array of B values of lam
     (with per-element ``xi``, as in ``dyn_monodromy_gates``) gives the gates
-    of B double rows, each block with a leading axis of B.
+    of B double rows, each block with a leading axis of B.  ``monodromy``,
+    called as ``monodromy(lam, theta, kind, p)`` in place of
+    ``dyn_monodromy_gates`` for scalar lam, can hand out gate lists already
+    built (``SosTrial.monodromy``).
     """
     k = k_diag(lam, side, p)
-    left, right = (dyn_monodromy_gates(lam, theta, kind, p, xi) for kind in _DOUBLE_ROW[side])
+    if monodromy is None:
+        monodromy = functools.partial(dyn_monodromy_gates, xi=xi)
+    left, right = (monodromy(lam, theta, kind, p) for kind in _DOUBLE_ROW[side])
     return [*left, (k, (AUX,)), *right]
 
 
@@ -425,19 +434,24 @@ def sector_transfer(mu: complex, theta: complex, which: str, p: ModelParams, s: 
 # discrete symmetries relating the two reflection algebras
 
 
-def gamma_parity_residual(lam, p: ModelParams) -> float:
+def gamma_parity_residual(lam, p: ModelParams, monodromy=None) -> float:
     """Both sides of the parity relation for the minus double-row matrix:
-    sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx."""
+    sigma^x_0 U_-(lam; delta-zeta) sigma^x_0  =  Gx U_-(lam; zeta-delta)|_swapped Gx.
+
+    ``monodromy``, here and in the residuals that take it, builds the
+    monodromy gate lists at lam itself and the side's own parameters, as in
+    ``dyn_double_row_gates``; the lists at other points or parameters,
+    which no other check reads, are built by ``dyn_monodromy_gates``."""
     theta = p.theta("minus")
     x0 = [(tn.SX, (AUX,))]
-    lhs = [*x0, *dyn_double_row_gates(lam, theta, "minus", p), *x0]
+    lhs = [*x0, *dyn_double_row_gates(lam, theta, "minus", p, monodromy=monodromy), *x0]
     swapped = p.replace(delta=p.zeta, zeta=p.delta)
     gx = [(tn.SX, (s,)) for s in site_legs(p.N)]
     rhs = [*gx, *dyn_double_row_gates(lam, -theta, "minus", swapped), *gx]
     return tn.product_residual(chain_legs(p.N), lhs, rhs)
 
 
-def isomorphism_residual(lam, theta, p: ModelParams) -> float:
+def isomorphism_residual(lam, theta, p: ModelParams, monodromy=None) -> float:
     """U_+^{t_0}(lam; theta) against the image of the minus double-row matrix
     under the algebra isomorphism.
 
@@ -447,7 +461,7 @@ def isomorphism_residual(lam, theta, p: ModelParams) -> float:
     one gate per site, and P the site-order reversal, which relabels leg
     s_k of the minus double row as s_{N+1-k}.
     """
-    lhs = dyn_double_row_gates(lam, theta, "plus", p)
+    lhs = dyn_double_row_gates(lam, theta, "plus", p, monodromy=monodromy)
     mapped = p.replace(
         delta=p.delta_bar,
         zeta=p.zeta_bar,
@@ -621,18 +635,18 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     return tn.product_residual(legs, lhs, rhs)
 
 
-def zero_weight_residual(lam, theta, p: ModelParams) -> float:
+def zero_weight_residual(lam, theta, p: ModelParams, monodromy=None) -> float:
     """T(lam; theta) commutes with the total sigma^z q of the auxiliary leg
     and the sites: T (q X) against q (T X) on the probe block X."""
     legs = chain_legs(p.N)
-    t = dyn_monodromy_gates(lam, theta, "T", p)
+    t = (monodromy or dyn_monodromy_gates)(lam, theta, "T", p)
     values, which = tn.charge_table((1,) * len(legs))
     q = values[which][:, None]
     x = tn.probe_block(len(legs))
     return tn.rel_residual(tn.product(legs, t, q * x), q * tn.product(legs, t, x))
 
 
-def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
+def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str, monodromy=None) -> float:
     """Inversion relation That(lam) T(-lam) = gamma_hat(lam) ("That") or
     Vhat(lam) V(-lam - 2 eta) = gamma_tilde(lam) ("Vhat"): both monodromies
     as gate lists, the right side a scalar on the auxiliary leg."""
@@ -642,23 +656,23 @@ def monodromy_inverse_residual(lam, theta, p: ModelParams, kind: str) -> float:
         inverse, gamma = dyn_monodromy_gates(-lam - 2 * p.eta, theta, "V", p), vx.gamma_tilde(lam, p)
     else:
         raise ValueError(f"no inversion relation for kind {kind!r}")
-    lhs = [*dyn_monodromy_gates(lam, theta, kind, p), *inverse]
+    lhs = [*(monodromy or dyn_monodromy_gates)(lam, theta, kind, p), *inverse]
     return tn.product_residual(chain_legs(p.N), lhs, [(gamma * tn.ID2, (AUX,))])
 
 
-def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str) -> float:
+def monodromy_gauge_residual(lam, theta, omega, p: ModelParams, side: str, monodromy=None) -> float:
     """Gauge relation between the dynamical monodromy T ("minus") or V ("plus") and the vertex one."""
     x, kind, s0 = (lam, "T", gauge_s2) if side == "minus" else (lam + p.eta, "V", gauge_s_tilde2)
     srow = gauge_row_gates(theta, omega, side, p)
     srow_aux = gauge_row_gates(theta, omega, side, p, extra_shift=((AUX, -1),))
     t0 = vx.monodromy_gates(lam, p)
-    lhs = [*srow, gauge_aux_gate(x, theta, omega, side, p), *dyn_monodromy_gates(lam, theta, kind, p)]
+    lhs = [*srow, gauge_aux_gate(x, theta, omega, side, p), *(monodromy or dyn_monodromy_gates)(lam, theta, kind, p)]
     s0_gate = (s0(x, theta, omega, p.eps_pole), (AUX,))
     rhs = [*(t0 if side == "minus" else vx.aux_transposed(t0)), s0_gate, *srow_aux]
     return tn.product_residual(chain_legs(p.N), lhs, rhs)
 
 
-def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
+def sos_algebra_residual(l1, l2, p: ModelParams, side: str, monodromy=None) -> float:
     """Dynamical reflection algebra of the double-row matrices (minus or plus).
 
     The R-matrices carry theta - eta S^z ("minus") or theta + eta S^z
@@ -668,49 +682,62 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str) -> float:
     build = lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta)
     return vx.reflection_type_residual(
         lambda a, b: tn.dynamical_gates(build, [(x, ("x1", "x2"), shift) for x in (a, b)]),
-        lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p), {AUX: leg}),
+        lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p, monodromy=monodromy), {AUX: leg}),
         ("x1", "x2") + site_legs(p.N), side, l1, l2, p.eta,
     )
 
 
-def vsos_state_residual(lam, p: ModelParams, side: str) -> float:
+def vsos_state_residual(lam, p: ModelParams, side: str, monodromy=None) -> float:
     """Double-row vertex-face relation between the two pictures, minus or plus side."""
     theta, (_, _, om) = p.theta(side), p.boundary(side)
     x = lam if side == "minus" else lam + p.eta
     left, right = (gauge_aux_gate(y, theta, om, side, p) for y in (x, -x))
     srow = gauge_row_gates(theta, om, side, p)
-    lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p)]
+    lhs = [*srow, left, *dyn_double_row_gates(lam, theta, side, p, monodromy=monodromy)]
     rhs = [*vx.double_row_gates(lam, side, p), *srow, right]
     legs = chain_legs(p.N)
     return tn.product_residual(legs, lhs, rhs)
 
 
-def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
-    """Three-term exchange relation of A_- ("A") or D-tilde_- ("D") past B_- at theta = delta - zeta."""
+def commutation_residual(l1, l2, p: ModelParams, monodromy=None) -> dict[str, float]:
+    """Three-term exchange relations of A_- and D-tilde_- past B_- at theta =
+    delta - zeta, from one evaluation: {"A": residual of the A_- relation,
+    "D": that of the D-tilde_- one}.
+
+    The double rows at l2 and l1 are built once each (``monodromy`` as in
+    ``dyn_double_row_gates``).  Five block strings serve both relations:
+    the A and D columns at l2 on the probe block x, the A and D columns at
+    l1 on [x, B(l2) x], and B(l1) on [A(l2) x, D-tilde(l2) x].  Each
+    relation has one string of its own, B(l2) on A(l1) x or on
+    D-tilde(l1) x.  Every string acts on the columns it acted on when each
+    relation was evaluated alone, so both residuals are those of a
+    separate evaluation bit for bit.
+    """
     eta = p.eta
     theta = p.theta("minus")
 
-    def blocks(lam, v):
+    def blocks(gates, lam, v):
         """A, B and D-tilde at (lam, theta) applied to v, from two block strings."""
-        a, _ = block_column(lam, theta, "minus", "A", p, v)
-        d, b = block_column(lam, theta, "minus", "D", p, v)
+        a, _ = apply_block_column(gates, "minus", "A", p.N, v, batch=False)
+        d, b = apply_block_column(gates, "minus", "D", p.N, v, batch=False)
         return a, b, _d_tilde(lam, theta, p, {"A": a, "D": d})
 
-    def b2(v):
-        return block_column(l2, theta, "minus", "B", p, v)[0]
+    def b(gates, v):
+        return apply_block_column(gates, "minus", "B", p.N, v, batch=False)[0]
 
     # every product of two blocks acts on the probe block x; each l1 block
     # string acts on two column groups at once
     x = tn.probe_block(p.N)
-    a2x, b2x, dt2x = blocks(l2, x)
-    (a1x, a1b2x), _, (dt1x, dt1b2x) = (np.hsplit(m, 2) for m in blocks(l1, np.hstack([x, b2x])))
-    b1a2x, b1dt2x = np.hsplit(block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
+    u2 = dyn_double_row_gates(l2, theta, "minus", p, monodromy=monodromy)
+    a2x, b2x, dt2x = blocks(u2, l2, x)
+    u1 = dyn_double_row_gates(l1, theta, "minus", p, monodromy=monodromy)
+    (a1x, a1b2x), _, (dt1x, dt1b2x) = (np.hsplit(m, 2) for m in blocks(u1, l1, np.hstack([x, b2x])))
+    b1a2x, b1dt2x = np.hsplit(b(u1, np.hstack([a2x, dt2x])), 2)
     lb, lm = l1 + l2, l1 - l2
-    if left == "A":
-        c1 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
-        c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
-        c3 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
-        return tn.rel_residual(a1b2x, c1 * b1dt2x + c2 * b2(a1x) + c3 * b1a2x)
+    c1 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
+    c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
+    c3 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
+    res_a = tn.rel_residual(a1b2x, c1 * b1dt2x + c2 * b(u2, a1x) + c3 * b1a2x)
     d1 = _per_sz(p.N, lambda s: sinh(lb + theta - eta * s)
         / sinh(theta - eta * s - eta)
         * sinh(eta) * sinh(2 * l2) * sinh(2 * l1 + 2 * eta)
@@ -718,62 +745,106 @@ def commutation_residual(l1, l2, p: ModelParams, left: str) -> float:
     d2 = sinh(lm + eta) * sinh(lb + 2 * eta) / (sinh(lm) * sinh(lb + eta))
     d3 = _per_sz(p.N, lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
         / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta)))
-    return tn.rel_residual(dt1b2x, d1 * b1a2x + d2 * b2(dt1x) + d3 * b1dt2x)
+    return {"A": res_a, "D": tn.rel_residual(dt1b2x, d1 * b1a2x + d2 * b(u2, dt1x) + d3 * b1dt2x)}
 
 
-# name -> residual at three seeded spectral points and a free theta
-SOS_RESIDUALS: dict[str, Callable[[list[complex], complex, ModelParams], float]] = {
-    "dybe1": lambda l, th, p: dybe_residual(l[0], l[1], l[2], th, p.eta, form=1),
-    "dybe2": lambda l, th, p: dybe_residual(l[0], l[1], l[2], th, p.eta, form=2),
-    "ice": lambda l, th, p: dyn_ice_residual(l[0], th, p.eta),
-    "unitarity": lambda l, th, p: dyn_unitarity_residual(l[0], th, p.eta),
-    "crossing1": lambda l, th, p: dyn_crossing_residual(l[0], th, p.eta, form=1),
-    "crossing2": lambda l, th, p: dyn_crossing_residual(l[0], th, p.eta, form=2),
-    "parity": lambda l, th, p: dyn_parity_residual(l[0], th, p.eta),
-    "l_unitarity": lambda l, th, p: crossed_l_unitarity_residual(l[0], th, p.eta),
-    "l_ice": lambda l, th, p: crossed_l_ice_residual(l[0], th, p.eta),
-    "l_parity": lambda l, th, p: crossed_l_parity_residual(l[0], th, p.eta),
-    "vertex_face1": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=1),
-    "vertex_face2": lambda l, th, p: vertex_face_residual(l[0], l[1], th, p.tau, p.eta, form=2),
-    "k_minus_diag": lambda l, th, p: k_diag_residual(l[0], p, "minus"),
-    "k_plus_diag": lambda l, th, p: k_diag_residual(l[0], p, "plus"),
-    "dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "minus"),
-    "dual_dyn_reflection": lambda l, th, p: dyn_reflection_residual(l[0], l[1], p, "plus"),
-    "reflection_equivalence": lambda l, th, p: reflection_equivalence_residual(l[0], l[1], p),
-    "zero_weight": lambda l, th, p: zero_weight_residual(l[0], th, p),
-    "that_inverse": lambda l, th, p: monodromy_inverse_residual(l[0], th, p, "That"),
-    "vhat_inverse": lambda l, th, p: monodromy_inverse_residual(l[0], th, p, "Vhat"),
-    "monodromy_gauge": lambda l, th, p: monodromy_gauge_residual(l[0], th, p.tau, p, "minus"),
-    "dual_monodromy_gauge": lambda l, th, p: monodromy_gauge_residual(l[0], th, p.tau, p, "plus"),
-    "sos_algebra": lambda l, th, p: sos_algebra_residual(l[0], l[1], p, "minus"),
-    "dual_sos_algebra": lambda l, th, p: sos_algebra_residual(l[0], l[1], p, "plus"),
-    "vsos_state": lambda l, th, p: vsos_state_residual(l[0], p, "minus"),
-    "dual_vsos_state": lambda l, th, p: vsos_state_residual(l[0], p, "plus"),
-    "gamma_parity": lambda l, th, p: gamma_parity_residual(l[0], p),
-    "isomorphism": lambda l, th, p: isomorphism_residual(l[0], th, p),
-    "commutation_ab": lambda l, th, p: commutation_residual(l[0], l[1], p, "A"),
-    "commutation_dtb": lambda l, th, p: commutation_residual(l[0], l[1], p, "D"),
+@dataclass(frozen=True)
+class SosTrial:
+    """One trial of the height-picture suite: three spectral points and a
+    free dynamical parameter, with what its checks share.
+
+    ``keep`` holds a value for the later checks of the trial, such as the
+    exchange residuals that ``commutation_ab`` evaluates and
+    ``commutation_dtb`` reads; ``monodromy`` is ``dyn_monodromy_gates``
+    building each (lam, theta, kind, p) gate list once for the trial.
+    The checks hand it only the lists that another check reads too, at
+    the trial's own points: every trial's lists stay alive until the
+    suite's last check, so a list read once is built for its reader alone.
+    """
+
+    lams: list[complex]
+    theta: complex
+    kept: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def keep(self, key, make: Callable[[], object]):
+        """make(), evaluated on the first call with this key and kept for the later ones."""
+        if key not in self.kept:
+            self.kept[key] = make()
+        return self.kept[key]
+
+    def monodromy(self, lam: complex, theta: complex, kind: str, p: ModelParams) -> list:
+        return self.keep((lam, theta, kind, p), lambda: dyn_monodromy_gates(lam, theta, kind, p))
+
+
+def _commutation(t: SosTrial, p: ModelParams, left: str) -> float:
+    l = t.lams
+    return t.keep(("commutation", p), lambda: commutation_residual(l[0], l[1], p, t.monodromy))[left]
+
+
+# name -> residual of one trial
+SOS_RESIDUALS: dict[str, Callable[[SosTrial, ModelParams], float]] = {
+    "dybe1": lambda t, p: dybe_residual(*t.lams, t.theta, p.eta, form=1),
+    "dybe2": lambda t, p: dybe_residual(*t.lams, t.theta, p.eta, form=2),
+    "ice": lambda t, p: dyn_ice_residual(t.lams[0], t.theta, p.eta),
+    "unitarity": lambda t, p: dyn_unitarity_residual(t.lams[0], t.theta, p.eta),
+    "crossing1": lambda t, p: dyn_crossing_residual(t.lams[0], t.theta, p.eta, form=1),
+    "crossing2": lambda t, p: dyn_crossing_residual(t.lams[0], t.theta, p.eta, form=2),
+    "parity": lambda t, p: dyn_parity_residual(t.lams[0], t.theta, p.eta),
+    "l_unitarity": lambda t, p: crossed_l_unitarity_residual(t.lams[0], t.theta, p.eta),
+    "l_ice": lambda t, p: crossed_l_ice_residual(t.lams[0], t.theta, p.eta),
+    "l_parity": lambda t, p: crossed_l_parity_residual(t.lams[0], t.theta, p.eta),
+    "vertex_face1": lambda t, p: vertex_face_residual(t.lams[0], t.lams[1], t.theta, p.tau, p.eta, form=1),
+    "vertex_face2": lambda t, p: vertex_face_residual(t.lams[0], t.lams[1], t.theta, p.tau, p.eta, form=2),
+    "k_minus_diag": lambda t, p: k_diag_residual(t.lams[0], p, "minus"),
+    "k_plus_diag": lambda t, p: k_diag_residual(t.lams[0], p, "plus"),
+    "dyn_reflection": lambda t, p: dyn_reflection_residual(t.lams[0], t.lams[1], p, "minus"),
+    "dual_dyn_reflection": lambda t, p: dyn_reflection_residual(t.lams[0], t.lams[1], p, "plus"),
+    "reflection_equivalence": lambda t, p: reflection_equivalence_residual(t.lams[0], t.lams[1], p),
+    "zero_weight": lambda t, p: zero_weight_residual(t.lams[0], t.theta, p, t.monodromy),
+    "that_inverse": lambda t, p: monodromy_inverse_residual(t.lams[0], t.theta, p, "That"),
+    "vhat_inverse": lambda t, p: monodromy_inverse_residual(t.lams[0], t.theta, p, "Vhat", t.monodromy),
+    "monodromy_gauge": lambda t, p: monodromy_gauge_residual(t.lams[0], t.theta, p.tau, p, "minus", t.monodromy),
+    "dual_monodromy_gauge": lambda t, p: monodromy_gauge_residual(t.lams[0], t.theta, p.tau, p, "plus", t.monodromy),
+    "sos_algebra": lambda t, p: sos_algebra_residual(t.lams[0], t.lams[1], p, "minus", t.monodromy),
+    "dual_sos_algebra": lambda t, p: sos_algebra_residual(t.lams[0], t.lams[1], p, "plus", t.monodromy),
+    "vsos_state": lambda t, p: vsos_state_residual(t.lams[0], p, "minus", t.monodromy),
+    "dual_vsos_state": lambda t, p: vsos_state_residual(t.lams[0], p, "plus", t.monodromy),
+    "gamma_parity": lambda t, p: gamma_parity_residual(t.lams[0], p, t.monodromy),
+    "isomorphism": lambda t, p: isomorphism_residual(t.lams[0], t.theta, p, t.monodromy),
+    "commutation_ab": lambda t, p: _commutation(t, p, "A"),
+    "commutation_dtb": lambda t, p: _commutation(t, p, "D"),
 }
 
 
-def sos_identity_suite(check: str, p: ModelParams, seed: int = 0, trials: int = 20) -> float:
+def sos_draws(p: ModelParams, seed: int) -> TrialDraws:
+    """The suite's seeded trials (``SosTrial``): each draws three spectral
+    points, then a free dynamical parameter."""
+    thetas = (p.theta("minus"), p.theta("plus"))
+
+    def draw(rng):
+        lams = sample_points(rng, p, 3, thetas=thetas)
+        for _ in range(10_000):
+            theta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if min_pole_gap(p, (), [theta]) > SAMPLE_MARGIN:
+                return SosTrial(lams, theta)
+        raise DegenerateParameter("could not sample a generic dynamical parameter")
+
+    return TrialDraws(draw, seed)
+
+
+def sos_identity_suite(
+    check: str, p: ModelParams, seed: int = 0, trials: int = 20, draws: TrialDraws | None = None
+) -> float:
     """Largest residual of one named height-picture identity over seeded random points.
 
-    Each trial draws three spectral points, then a free dynamical parameter.
+    ``draws``, the ``sos_draws`` of p and seed, lets the checks of one run
+    share their trials: each trial is drawn once, each of its monodromy
+    gate lists built once, and the exchange relations evaluated once for
+    both their checks.  Without it the suite draws its own.
     """
     if check not in SOS_RESIDUALS:
         raise ValueError(f"unknown height-picture check {check!r}")
     residual = SOS_RESIDUALS[check]
-    rng = np.random.default_rng(seed)
-    thetas = (p.theta("minus"), p.theta("plus"))
-
-    def draw_theta():
-        for _ in range(10_000):
-            t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if min_pole_gap(p, (), [t]) > SAMPLE_MARGIN:
-                return t
-        raise DegenerateParameter("could not sample a generic dynamical parameter")
-
+    draws = sos_draws(p, seed) if draws is None else draws
     # np.max keeps a NaN residual, which the caller's finite check then reports
-    residuals = [residual(sample_points(rng, p, 3, thetas=thetas), draw_theta(), p) for _ in range(trials)]
-    return float(np.max(residuals, initial=0.0))
+    return float(np.max([residual(draws[t], p) for t in range(trials)], initial=0.0))

@@ -113,6 +113,49 @@ def double_row_blocks():
     return _double_row_blocks
 
 
+def _commutation_alone(l1, l2, p, left):
+    """One exchange relation evaluated on its own, A_- ("A") or D-tilde_-
+    ("D") past B_- at theta = delta - zeta: six block strings, each built
+    from its own double row (``sos.block_column``), none shared with the
+    other relation."""
+    eta = p.eta
+    theta = p.theta("minus")
+
+    def blocks(lam, v):
+        a, _ = sos.block_column(lam, theta, "minus", "A", p, v)
+        d, b = sos.block_column(lam, theta, "minus", "D", p, v)
+        return a, b, sos._d_tilde(lam, theta, p, {"A": a, "D": d})
+
+    def b2(v):
+        return sos.block_column(l2, theta, "minus", "B", p, v)[0]
+
+    per_sz = lambda fn: sos._per_sz(p.N, fn)
+    x = tn.probe_block(p.N)
+    a2x, b2x, dt2x = blocks(l2, x)
+    (a1x, a1b2x), _, (dt1x, dt1b2x) = (np.hsplit(m, 2) for m in blocks(l1, np.hstack([x, b2x])))
+    b1a2x, b1dt2x = np.hsplit(sos.block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
+    lb, lm = l1 + l2, l1 - l2
+    if left == "A":
+        c1 = per_sz(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))
+        c2 = sinh(lb) * sinh(lm - eta) / (sinh(lm) * sinh(lb + eta))
+        c3 = per_sz(lambda s: -sinh(eta) * sinh(2 * l2) * sinh(lm - theta + eta * s + eta) / (sinh(theta - eta * s - eta) * sinh(lm) * sinh(2 * l2 + eta)))
+        return tn.rel_residual(a1b2x, c1 * b1dt2x + c2 * b2(a1x) + c3 * b1a2x)
+    d1 = per_sz(lambda s: sinh(lb + theta - eta * s)
+        / sinh(theta - eta * s - eta)
+        * sinh(eta) * sinh(2 * l2) * sinh(2 * l1 + 2 * eta)
+        / (sinh(lb + eta) * sinh(2 * l1 + eta) * sinh(2 * l2 + eta)))
+    d2 = sinh(lm + eta) * sinh(lb + 2 * eta) / (sinh(lm) * sinh(lb + eta))
+    d3 = per_sz(lambda s: -sinh(eta) * sinh(2 * (l1 + eta)) * sinh(lm + theta - eta * s - eta)
+        / (sinh(lm) * sinh(2 * l1 + eta) * sinh(theta - eta * s - eta)))
+    return tn.rel_residual(dt1b2x, d1 * b1a2x + d2 * b2(dt1x) + d3 * b1dt2x)
+
+
+@pytest.fixture(scope="session")
+def commutation_alone():
+    """``(l1, l2, p, left) -> residual`` of one exchange relation on its own."""
+    return _commutation_alone
+
+
 def _gauge_row(theta, omega, side, p):
     """The dense gauge row S_-({xi}; theta) or S_+({xi}; theta) on the sites,
     entry by entry: entry (out, in) is the product over sites k of
@@ -192,18 +235,19 @@ def whole_identity(monkeypatch):
 
 @pytest.fixture
 def perturb_first_product(monkeypatch):
-    """``eps -> None``: afterwards the first ``tn.product`` call perturbs the
-    leftmost gate of its list by eps times its largest entry times fixed
-    complex Gaussian noise (each block of a dynamical gate's stack by its
-    own largest entry).  The first product of a residual is one side of its
-    identity, so only that side moves."""
+    """``(eps, at=0) -> None``: afterwards the first ``tn.product`` call (or
+    call number ``at``, counted from 0) perturbs the leftmost gate of its
+    list by eps times its largest entry times fixed complex Gaussian noise
+    (each block of a dynamical gate's stack by its own largest entry).  The
+    first product of a residual is one side of its identity, so only that
+    side moves."""
     product = tn.product
 
-    def install(eps):
+    def install(eps, at=0):
         calls = []
 
         def perturbed(legs, gates, x=None, **kw):
-            if not calls:
+            if len(calls) == at:
                 block, on, *rest = gates[0]
                 rng = np.random.default_rng(0)
                 size = (2 ** len(on),) * 2

@@ -14,7 +14,7 @@ from sosxxz import cli
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
-from sosxxz.params import generic_params, min_pole_gap
+from sosxxz.params import SAMPLE_MARGIN, generic_params, min_pole_gap, sample_points
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -230,12 +230,17 @@ def test_benchmark_command_same_bytes_cold_and_warm(args, tmp_path, capsys):
 def test_commands_in_one_process_match_each_run_alone(tmp_path, capsys):
     # the parser is built once per process: no parse state may carry from one
     # command to the next, such as a refused run's --sector into the bethe
-    # run after it, which takes its family's sector
+    # run after it, which takes its family's sector.  Each verify draws its
+    # own trials and gate lists, none kept from the verify run before it
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"N": 3, "seed": 2, "trials": 3, "delta": [0.7, -0.2]}))
     commands = [
         ["partition", "--kind", "cplus", "--method", "both", "--n", "3"],
         ["bethe", "--n", "4", "--m", "1", "--sector", "0"],
         ["bethe", "--n", "4", "--m", "1"],
         ["verify", "--suite", "vertex", "--n", "2", "--trials", "2", "--seed", "4"],
+        ["verify", "--n", "3", "--trials", "3", "--seed", "1"],
+        ["verify", "--config", str(cfg)],
     ]
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -249,6 +254,50 @@ def test_commands_in_one_process_match_each_run_alone(tmp_path, capsys):
         text = out.read_text() if out.exists() else ""
         assert shared == (alone.returncode, strip_wall_time(text) if text else text, alone.stderr), args
         assert code == (2 if "--sector" in args else 0)
+
+
+def _check_by_check(p, seed, trials, commutation_alone):
+    """Every verify residual from the loop each check once ran on its own: a
+    generator seeded afresh per check, each trial's draws made again for it,
+    no gate list shared, and each exchange relation evaluated alone."""
+    residuals = {}
+    for check, residual in vx.VERTEX_RESIDUALS.items():
+        rng = np.random.default_rng(seed)
+        values = [residual(sample_points(rng, p, 3), p) for _ in range(trials)]
+        residuals[f"vertex.{check}"] = float(np.max(values, initial=0.0))
+    thetas = (p.theta("minus"), p.theta("plus"))
+    relation = {"commutation_ab": "A", "commutation_dtb": "D"}
+    for check, residual in sos.SOS_RESIDUALS.items():
+        rng = np.random.default_rng(seed)
+
+        def draw_theta():
+            for _ in range(10_000):
+                t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                if min_pole_gap(p, (), [t]) > SAMPLE_MARGIN:
+                    return t
+            raise AssertionError("no generic dynamical parameter")
+
+        values = []
+        for _ in range(trials):
+            lams, theta = sample_points(rng, p, 3, thetas=thetas), draw_theta()
+            if check in relation:
+                values.append(commutation_alone(lams[0], lams[1], p, relation[check]))
+            else:
+                values.append(residual(sos.SosTrial(lams, theta), p))
+        residuals[f"sos.{check}"] = float(np.max(values, initial=0.0))
+    return residuals
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shared_trials_equal_check_by_check(n, commutation_alone):
+    # one draw per trial and suite, one gate list per (lam, theta, kind, p)
+    # and one exchange evaluation for both its checks: every residual keeps
+    # its bits
+    p = generic_params(n)
+    for seed in range(3):
+        for trials in range(1, 5):
+            rows, _ = cli.run_verify(cli.RunConfig(params=p, seed=seed, trials=trials), "all")
+            assert {r["check"]: r["residual"] for r in rows} == _check_by_check(p, seed, trials, commutation_alone)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -287,6 +336,16 @@ def test_exit_code_degenerate(tmp_path):
     cfg.write_text(json.dumps({"N": 1, "zeta": [0.83, -0.31], "delta": [0.83, -0.31]}))
     # delta = zeta makes theta = 0, a pole of every height-picture object
     assert cli.main(["partition", "--kind", "bminus", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+
+def test_theta_on_a_pole_fails_the_sos_draws(tmp_path, capsys):
+    # theta = delta - zeta = 2 eta leaves no generic spectral point
+    p = generic_params(4)
+    delta = p.zeta + 2 * p.eta
+    cfg = tmp_path / "theta.json"
+    cfg.write_text(json.dumps({"N": 4, "delta": [delta.real, delta.imag]}))
+    assert run_cli(["verify", "--suite", "sos", "--config", str(cfg)], tmp_path) == (3, "")
+    assert capsys.readouterr().err == "degenerate parameters: could not sample generic spectral points\n"
 
 
 @pytest.mark.parametrize("xi2", [[0.11, -0.07], [-0.11, 0.07]], ids=["xi2=xi1", "xi2=-xi1"])

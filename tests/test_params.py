@@ -110,3 +110,19 @@ def test_sample_points_match_the_per_point_rejection_loop(n, seed):
     got_rng = np.random.default_rng(seed)
     assert sample_points(got_rng, p, 3, thetas=thetas) == expect
     assert got_rng.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_sample_points_raise_before_drawing_when_theta_gaps_fail(n):
+    # delta = zeta + 2 eta puts theta = delta - zeta on the pole theta - 2 eta:
+    # no point can pass, so no draw is made (the rejection loop once spun
+    # through all 10,000)
+    p = generic_params(n)
+    p = p.replace(delta=p.zeta + 2 * p.eta)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DegenerateParameter, match="^could not sample generic spectral points$"):
+        sample_points(rng, p, 3, thetas=[p.theta("minus")])
+    assert rng.bit_generator.state == state
+    # a request for no point still gets none, as before
+    assert sample_points(rng, p, 0, thetas=[p.theta("minus")]) == []

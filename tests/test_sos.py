@@ -248,8 +248,43 @@ def test_reference_state_actions(p2, double_row_blocks):
 
 def test_commutation_relations_full_operator(p3):
     l1, l2 = 0.21 + 0.12j, -0.33 + 0.27j
-    assert sos.commutation_residual(l1, l2, p3, "A") < 1e-10
-    assert sos.commutation_residual(l1, l2, p3, "D") < 1e-10
+    res = sos.commutation_residual(l1, l2, p3)
+    assert res["A"] < 1e-10
+    assert res["D"] < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_commutation_evaluation_equals_each_relation_alone(n, commutation_alone):
+    # the shared block strings act on the columns they acted on alone, so
+    # both residuals keep their bits
+    p = generic_params(n)
+    for seed in range(3):
+        l1, l2, _ = sample_points(np.random.default_rng(seed), p, 3)
+        res = sos.commutation_residual(l1, l2, p)
+        assert res == {left: commutation_alone(l1, l2, p, left) for left in "AD"}
+
+
+# the block strings of one commutation evaluation in the order it applies
+# them, with the relations that read each: the first five are shared, the
+# A and D columns at l2 on x, at l1 on [x, B(l2) x] and B(l1) on
+# [A(l2) x, D-tilde(l2) x]; the B column of the l1 D string feeds nothing,
+# so the A relation does not read that string.  The first product, the one
+# ``perturb_first_product`` hits by default, is the A column at l2.  There
+# is no eighth product, so perturbing one moves nothing
+COMMUTATION_STRINGS = ["AD", "AD", "AD", "D", "AD", "A", "D"]
+
+
+@pytest.mark.parametrize("at, readers", enumerate([*COMMUTATION_STRINGS, ""]))
+def test_perturbed_commutation_string_moves_every_relation_reading_it(at, readers, p3, perturb_first_product):
+    # a gate of one string moved by eps reads at least eps / 10 in each
+    # relation that reads the string, and leaves the other at rounding
+    eps = 1e-9
+    l1, l2, _ = sample_points(np.random.default_rng(3), p3, 3)
+    assert max(sos.commutation_residual(l1, l2, p3).values()) < 1e-13
+    perturb_first_product(eps, at=at)
+    res = sos.commutation_residual(l1, l2, p3)
+    for left in "AD":
+        assert (res[left] >= 0.1 * eps) if left in readers else (res[left] < 1e-13), (left, res)
 
 
 def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indices):
