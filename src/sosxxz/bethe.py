@@ -489,7 +489,7 @@ def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndar
             raise NullState(f"{branch} state is exactly zero")
         scale *= max(np.hypot(np.linalg.norm(created), np.linalg.norm(other)) / np.linalg.norm(v), 1e-300)
         v = created
-    if np.linalg.norm(v) <= 1e-10 * max(scale, 1.0):
+    if np.linalg.norm(v) <= 1e-10 * scale:
         raise NullState(f"{branch} state collapsed below the norm floor")
     return v
 

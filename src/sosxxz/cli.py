@@ -327,8 +327,7 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
     rng = np.random.default_rng(cfg.seed)
     lams = sample_points(rng, p, p.N)
     methods = ("det", "contract") if method == "both" else (method,)
-    suite_values: dict[str, complex] = {}
-    residuals = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods, values=suite_values)
+    residuals, suite_values = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods)
     # the suite checks the bminus function of the kind's pair: for bminus, Z itself
     values = suite_values if kind == "bminus" else {m: pt.z_value(p, lams, kind, m) for m in methods}
     if method == "both":

@@ -13,14 +13,15 @@ per step, with the gates of all the steps of a batch built in one call
 (``_contract``, ``_steps``), and the determinant takes many point sets in
 one ``np.linalg.det`` call (``_z_determinant_bminus``), guarded in one
 vectorised pass.  Each value keeps the arithmetic of its own evaluation,
-so batching changes no bit.
+so batching changes no bit.  Its degree nodes in lam_1 are drawn against
+plain pole guards (``_contract_guard``, ``_det_guard``).
 """
 
 from __future__ import annotations
 
 import functools
 from cmath import exp, pi, sinh
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,19 +51,6 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
         raise ValueError("need exactly N spectral parameters")
     d, z, _ = p.boundary(side)
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
-
-
-class Evaluator(NamedTuple):
-    """A function of one spectral point, the others fixed, evaluated in batches.
-
-    ``guard(lam)`` raises ``DegenerateParameter`` where the function is not
-    evaluated.  ``values(points)`` runs that guard on each point, so it
-    raises from the same function, then returns the values of all the
-    points as complex numbers, computed in batches.
-    """
-
-    guard: Callable[[complex], None]
-    values: Callable[[Sequence[complex]], list[complex]]
 
 
 def _batch_cap(n: int) -> int:
@@ -99,7 +87,7 @@ def _steps(q: ModelParams, kind: str, lam: np.ndarray, xi: np.ndarray, v: np.nda
     return v
 
 
-def _contract(q: ModelParams, kind: str, rows, xi=None, fan: tuple[int, Sequence] | None = None) -> list[complex]:
+def _contract(q: ModelParams, kind: str, rows, xi=None, fan: Sequence[complex] | None = None) -> list[complex]:
     """``kind``'s function of q (already mapped by ``_kind_params``) at each
     row of N points of ``rows``, with the matching row of ``xi`` (default
     q.xi) as its inhomogeneities.  The caller guards the points.
@@ -107,28 +95,30 @@ def _contract(q: ModelParams, kind: str, rows, xi=None, fan: tuple[int, Sequence
     Each row is its own block string, applied to the reference state last
     block first; the strings run together, one batched block per step, in
     batches of ``_batch_cap`` rows, and the gates of a batch's blocks are
-    built in one call (``_steps``).  ``fan`` = (i, points) shares the last
-    row's string: after its blocks N-1 .. i+1, that row becomes one element
-    per point, with the point in place of its block i, and the points'
-    values take the row's place at the end of the result.  No element shares
-    a block with another, save the points of the fan.
+    built in one call (``_steps``).  A ``fan`` of points shares the last
+    row's string: after its blocks N-1 .. 1, that row becomes one element
+    per point, with the point in place of its block 0, and the points'
+    values take the row's place at the end of the result (an empty fan
+    drops the row).  No element shares a block with another, save the
+    points of the fan.
     """
     n = q.N
     up, down = tn.all_up(n), tn.all_down(n)
     ket, bra = (up, down) if KINDS[kind][1] == "B" else (down, up)
     lam = np.array(rows, dtype=complex).reshape(-1, n)
     xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
-    i, points = fan or (-1, ())
+    # the rows' blocks N-1 .. i+1 run first; with a fan, block 0 waits for its points
+    i = -1 if fan is None else 0
     cap, out = _batch_cap(n), []
     for s in range(0, len(lam), cap):
         at, at_xi = lam[s : s + cap], xi[s : s + cap]
         v = list(_steps(q, kind, at, at_xi, np.broadcast_to(ket, (len(at), ket.size)), range(n - 1, i, -1)))
-        if fan and s + cap >= len(lam):
-            fanned = np.repeat(at[-1:], len(points), axis=0)
-            fanned[:, i] = points
+        if fan is not None and s + cap >= len(lam):
+            fanned = np.repeat(at[-1:], len(fan), axis=0)
+            fanned[:, 0] = fan
             at = np.concatenate([at[:-1], fanned])
-            at_xi = np.concatenate([at_xi[:-1], np.repeat(at_xi[-1:], len(points), axis=0)])
-            v = v[:-1] + v[-1:] * len(points)
+            at_xi = np.concatenate([at_xi[:-1], np.repeat(at_xi[-1:], len(fan), axis=0)])
+            v = v[:-1] + v[-1:] * len(fan)
         for t in range(0, len(at), cap):
             w = _steps(q, kind, at[t : t + cap], at_xi[t : t + cap], np.stack(v[t : t + cap]), range(i, -1, -1))
             out += [complex(bra @ row) for row in w]
@@ -142,32 +132,18 @@ def _guard_rows(q: ModelParams, kind: str, rows) -> None:
         params.assert_generic(q, tuple(row), [theta])
 
 
-def _point_contraction(p: ModelParams, lambdas: Sequence[complex], i: int, kind: str) -> Evaluator:
-    """The contraction with lambdas[i] = lam, as an ``Evaluator``.
-
-    The kind's parameters and theta are taken once; the guard is the pole
-    guard of the N points with lam in place i, which checks the other points
-    and theta once and lam on each call.  ``values`` contracts the tail
-    B(lambdas[i+1]) ... B(lambdas[N-1]) |ref> once for all its points, and
-    applies only the blocks of each point and lambdas[i-1..0] to it, one
-    batched block per step (``_contract``'s fan).  A value equals the full
-    contraction of its N points bit for bit.
-    """
-    q, lams = _kind_params(p, lambdas, kind)
-    theta = q.theta(KINDS[kind][0])
+def _contract_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
+    """The bminus contraction's pole guard of q's N points lams with lam in
+    place of lams[0], as a function of lam.  The other points and theta are
+    checked once and cached on success; each call checks lam alone."""
     # a call that raises is not cached, so a failing check raises on every guard
-    fixed = functools.cache(lambda: params.assert_generic(q, lams[:i] + lams[i + 1 :], [theta]))
+    fixed = functools.cache(lambda: params.assert_generic(q, lams[1:], [q.theta("minus")]))
 
     def guard(lam: complex) -> None:
         fixed()
         params.assert_generic(q, (complex(lam),))
 
-    def values(points: Sequence[complex]) -> list[complex]:
-        for lam in points:
-            guard(lam)
-        return _contract(q, kind, [lams], fan=(i, points)) if points else []
-
-    return Evaluator(guard, values)
+    return guard
 
 
 def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
@@ -322,17 +298,6 @@ def _recursion(q: ModelParams, lams: tuple[complex, ...], which: str) -> tuple[c
     return coeff, q.replace(N=n - 1, xi=xis[1:]), rest
 
 
-def recursion_value(p: ModelParams, lambdas: Sequence[complex], which: str, method: str = "det") -> complex:
-    """The N-1 reduction of the bminus function of p's (delta, zeta) at the special points.
-
-    which "lam1=xi1" evaluates the coefficient of Z_{N-1}({lam}_{2..N},
-    {xi}_{2..N}) at lam_1 = xi_1; which "lamN=-xi1" the companion at
-    lam_N = -xi_1.  The spectral points must already satisfy the substitution.
-    """
-    coeff, sub, rest = _recursion(*_kind_params(p, lambdas, "bminus"), which)
-    return coeff * z_value(sub, rest, "bminus", method)
-
-
 def _degree_nodes(p: ModelParams, guard: Callable[[complex], None], rng: np.random.Generator) -> list[complex]:
     """The 2N+4 interpolation nodes of the degree test, drawn near the
     imaginary axis at phases spread by the count accepted so far; a draw
@@ -355,7 +320,11 @@ def _degree_nodes(p: ModelParams, guard: Callable[[complex], None], rng: np.rand
 
 
 def _degree_fit(p: ModelParams, nodes: Sequence[complex], z: Sequence[complex]) -> float:
-    """The degree test's top coefficient from the values z of Z at the nodes."""
+    """The degree test from the values z of Z with lam_1 at each node: the
+    top coefficient of the degree-(2N+3) interpolant to exp((2N+2) lam_1)
+    sinh(delta + lam_1) sinh(zeta + lam_1) Z in exp(2 lam_1), relative to
+    the largest value.  A degree-(2N+2) polynomial leaves it at rounding level.
+    """
     vals = [exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam) * zl for lam, zl in zip(nodes, z)]
     x = np.array([exp(2 * l) for l in nodes])
     vand = np.vander(x, N=len(nodes), increasing=True)
@@ -363,31 +332,12 @@ def _degree_fit(p: ModelParams, nodes: Sequence[complex], z: Sequence[complex]) 
     return float(abs(coeffs[-1]) / max(np.max(np.abs(vals)), 1e-300))
 
 
-def polynomial_degree_residual(p: ModelParams, z_at: Evaluator, rng: np.random.Generator) -> float:
-    """Interpolation test of the degree bound in exp(2 lam_i) of the bminus
-    function of p's (delta, zeta), with ``z_at`` the ``Evaluator`` of its
-    value at lam_i = lam (``_point_contraction``, ``_point_determinant`` or
-    any other).  A draw at which ``z_at.guard`` raises is skipped, and the
-    accepted nodes are evaluated in one ``z_at.values`` call.
-
-    Samples 2N+4 points, fits the unique degree-(2N+3) interpolant to
-    exp((2N+2) lam_i) sinh(delta + lam_i) sinh(zeta + lam_i) Z, a
-    polynomial of degree <= 2N+2 in exp(2 lam_i), and returns the top
-    coefficient relative to the largest sampled value; a true
-    degree-(2N+2) polynomial leaves it at rounding level.
-    """
-    nodes = _degree_nodes(p, z_at.guard, rng)
-    return _degree_fit(p, nodes, z_at.values(nodes))
-
-
-def _point_determinant(q: ModelParams, lams: tuple[complex, ...]) -> Evaluator:
-    """The bminus determinant of q with lams[0] = lam, as an ``Evaluator``.
-
-    The guard raises where ``_det_check`` of the N points raises.  Its part
-    that lam does not enter, the other N-1 points, theta and their kernel
-    products and pairs, is checked once and cached on success; each call
-    checks only lam's own gaps, its N lam/xi products and its N-1 pairs
-    with the other points.
+def _det_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
+    """``_det_check`` of q's N points lams with lam in place of lams[0], as a
+    function of lam.  The part lam does not enter (the other points, theta
+    and their kernel products and pairs) is checked once and cached on
+    success; each call checks only lam's gaps, its N lam/xi products and its
+    N-1 pairs with the other points.
     """
     xi, rest = np.array(q.xi), np.array(lams[1:], dtype=complex)
 
@@ -406,8 +356,7 @@ def _point_determinant(q: ModelParams, lams: tuple[complex, ...]) -> Evaluator:
         # the pairs (lam, lams[j]) of _kernel's row, w_j - w_lam over 2
         _kernel_check(q, lam_xi, (w_rest - w) / 2)
 
-    row = lambda lam: (complex(lam),) + lams[1:]
-    return Evaluator(guard, lambda pts: _z_determinant_bminus(q, [row(l) for l in pts]))
+    return guard
 
 
 def z_property_suite(
@@ -416,14 +365,15 @@ def z_property_suite(
     kind: str,
     seed: int = 0,
     methods: tuple[str, ...] = ("det", "contract"),
-    values: dict[str, complex] | None = None,
-) -> dict[str, float]:
+) -> tuple[dict[str, float], dict[str, complex]]:
     """Symmetry, crossing, recursion, and degree checks on the given evaluation
     paths, for the bminus function of the pair that ``kind`` reflects on.
 
-    The degree nodes of each method are drawn first, each draw asking that
-    method's own guard.  Then every value is computed in a few passes
-    (``_contract``, ``_z_determinant_bminus``):
+    The 2N+4 degree nodes of each method are drawn first, from
+    default_rng(seed), each draw asking that method's pole guard
+    (``_det_guard``, ``_contract_guard``) and skipped where it raises.  Then
+    every value is computed in a few passes (``_contract``,
+    ``_z_determinant_bminus``):
     - the contracted lambda swap, xi swap and lam_N = -xi_1 left side and
       Z's own string run together, one batched block per step; Z's tail
       B(lam_2) ... B(lam_N) |ref> is shared by the contracted values that
@@ -433,9 +383,9 @@ def z_property_suite(
     - the determinant takes its N point sets in one call and the
       recursions' N-1 point sets in another.
     Each value is that of its own evaluation bit for bit.  Each recursion's
-    left side is contracted, whatever the methods; each residual is a
-    ``rel_disagreement``.  A ``values`` dict receives that function's value
-    at ``lambdas`` by method, so a caller need not evaluate it again.
+    left side is contracted, whatever the methods.  Returns the residuals,
+    and that function's value at ``lambdas`` by method, so a caller need not
+    evaluate it again.
     """
     q, lams = _kind_params(p, lambdas, kind)
     for method in methods:
@@ -443,8 +393,8 @@ def z_property_suite(
             raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     n, x1 = q.N, q.xi[0]
-    point = {"det": _point_determinant(q, lams), "contract": _point_contraction(q, lams, 0, "bminus")}
-    nodes = {m: _degree_nodes(q, point[m].guard, rng) for m in methods}
+    guard = {"det": _det_guard(q, lams), "contract": _contract_guard(q, lams)}
+    nodes = {m: _degree_nodes(q, guard[m], rng) for m in methods}
     firsts = {m: [lams[0], -lams[0] - q.eta, *nodes[m]] for m in methods}
     # the N point sets beside lam_1, each with its xi: the lambda swap, the xi swap
     others = []
@@ -466,9 +416,9 @@ def z_property_suite(
     points = (firsts["contract"] if contract else []) + ([x1] if n >= 2 else [])
     rows = (others if contract else []) + ([(atn, q.xi)] if n >= 2 else [])
     for lam in points:
-        point["contract"].guard(lam)
+        guard["contract"](lam)
     _guard_rows(q, "bminus", [row for row, _ in rows])
-    contracted = _contract(q, "bminus", *zip(*rows, (lams, q.xi)), fan=(0, points))
+    contracted = _contract(q, "bminus", *zip(*rows, (lams, q.xi)), fan=points)
     on_rows, on_tail = contracted[: len(rows)], contracted[len(rows) :]
     if contract:
         z["contract"] = on_tail[: len(firsts["contract"])] + on_rows[: len(others)]
@@ -480,8 +430,6 @@ def z_property_suite(
         k = len(firsts[method])
         (z0, crossed, *at_nodes), swaps = z[method][:k], z[method][k : k + len(others)]
         recursions = z[method][k + len(others) :]
-        if values is not None:
-            values[method] = z0
         if n >= 2:
             res[f"lambda_swap_{method}"] = rel_disagreement(swaps[0], z0)
             res[f"xi_swap_{method}"] = rel_disagreement(swaps[1], z0)
@@ -491,7 +439,7 @@ def z_property_suite(
             res[f"recursion_lam1_{method}"] = rel_disagreement(c1 * recursions[0], on_tail[-1])
             res[f"recursion_lamN_{method}"] = rel_disagreement(cn * recursions[1], on_rows[-1])
         res[f"degree_{method}"] = _degree_fit(q, nodes[method], at_nodes)
-    return res
+    return res, {m: z[m][0] for m in methods}
 
 
 def rel_disagreement(a: complex, b: complex) -> float:

@@ -397,11 +397,9 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
 # SOS transfer matrices
 
 
-def sos_transfer(
-    mu: complex, theta: complex, which: str, p: ModelParams, x: np.ndarray | None = None
-) -> np.ndarray:
+def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Height-picture transfer matrices with diagonal dressed boundaries,
-    applied to ``x`` (default: the matrix itself) as traced gate lists.
+    applied to ``x``, a (2^N,) or (2^N, m) array, as traced gate lists.
 
     "SOS1": Tr_0 ( K~_+(mu; db, zb) U_-(mu; theta) )
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )

@@ -23,7 +23,8 @@ table is computed once per weight pattern (``charge_table``), not once per
 gate.  Each gate's transpose, shapes and charge table depend only on the
 labels, so ``product`` takes them from a plan (``_plan``) cached per key:
 the leg tuple, each gate's (on, charge) with charge None for a static
-gate, and whether x is a single column.  A gate list rebuilt at new
+gate, whether x is a single column, and whether it leads with a batch
+axis.  A gate list rebuilt at new
 spectral values replays its plan, and ``dynamical_gates`` likewise takes
 its charge values per tuple of charge lists from a cache.  ``relabel``
 renames the legs of a gate list, its charge legs included, so a site
@@ -297,21 +298,19 @@ def product(legs: Sequence[str], gates, x: np.ndarray | None = None, batch: bool
     return t.transpose(restore).reshape(x.shape)
 
 
-def traced_product(legs: Sequence[str], gates, x: np.ndarray | None = None) -> np.ndarray:
+def traced_product(legs: Sequence[str], gates, x: np.ndarray) -> np.ndarray:
     """tr_0(g_1 ... g_m) @ x, the trace of ``product(legs, gates)`` over its
     first leg 0, for ``x`` a (2^(n-1),) or (2^(n-1), m) array on the other
-    legs (default: their identity).
+    legs.
 
     The gates are applied to the columns [e_0 (x) x, e_1 (x) x], and row
-    block a of column group a is kept and summed over a.  For the default
-    identity those columns are the identity on ``legs``, so the result is
-    the trace of the whole product.  With a few columns the operator is
-    never built: its cost and memory grow as 2^n, not 4^n.
+    block a of column group a is kept and summed over a.  For x the identity
+    those columns are the identity on ``legs``, so the result is the trace
+    of the whole product.  With a few columns the operator is never built:
+    its cost and memory grow as 2^n, not 4^n.
     """
     legs = tuple(legs)
     d = 2 ** (len(legs) - 1)
-    if x is None:
-        x = np.eye(d, dtype=complex)
     cols = np.asarray(x).reshape(d, -1)
     e = np.zeros((2, d, 2, cols.shape[1]), dtype=np.result_type(cols, complex))
     e[0, :, 0] = e[1, :, 1] = cols

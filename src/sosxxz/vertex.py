@@ -114,8 +114,8 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     return [*aux_transposed(t), (k.T, (AUX,)), *aux_transposed(that)]
 
 
-def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray | None = None) -> np.ndarray:
-    """Open-chain transfer matrix applied to ``x`` (default: the matrix itself).
+def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Open-chain transfer matrix applied to ``x``, a (2^N,) or (2^N, m) array.
 
     Both trace forms, tr_0 K_+ U_- and tr_0 K_-^t U_+^{t_0}, are traced gate
     lists applied to ``x`` (``tn.traced_product``), and must agree to 1e-11.

@@ -100,6 +100,17 @@ def sector_indices():
     return _sector_indices
 
 
+def _chain_identity(p):
+    """The identity on p's N sites: the x for which a transfer matrix
+    applied to x (``vx.transfer_xxz``, ``sos.sos_transfer``) is the dense matrix."""
+    return np.eye(2**p.N, dtype=complex)
+
+
+@pytest.fixture(scope="session")
+def chain_identity():
+    return _chain_identity
+
+
 def _double_row_blocks(lam, theta, side, p):
     """The four 2^N-square blocks A, B, C, D of one dynamical double row,
     each the block string applied to the identity (``sos.block_column``)."""
@@ -332,7 +343,7 @@ def hamiltonian(d_dz, hamiltonian_direct):
 
     def reconstruct(p):
         t0 = sinh(p.eta) ** (2 * p.N) * complex(np.trace(vx.k2(0, "plus", p)))
-        h_cand = tn.require_finite(sinh(p.eta) / t0 * d_dz(lambda z: vx.transfer_xxz(z, p), 0, 0.1, 32))
+        h_cand = tn.require_finite(sinh(p.eta) / t0 * d_dz(lambda z: vx.transfer_xxz(z, p, _chain_identity(p)), 0, 0.1, 32))
         diff = h_cand - hamiltonian_direct(p)
         return h_cand, complex(np.trace(diff) / diff.shape[0])
 

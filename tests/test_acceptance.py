@@ -66,7 +66,7 @@ def test_criterion_2_gauge_layer(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct):
+def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct, chain_identity):
     p = generic_params(n).replace(xi=(0,) * n)
     h_cand, kappa = hamiltonian(p)
     h_dir = hamiltonian_direct(p)
@@ -75,7 +75,7 @@ def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_dire
     rng = np.random.default_rng(SEED)
     worst_comm = 0.0
     for mu in sample_points(rng, p, 5):
-        t = vx.transfer_xxz(mu, p)
+        t = vx.transfer_xxz(mu, p, chain_identity(p))
         comm = tn.rel_residual(h_dir @ t, t @ h_dir)
         assert comm < 1e-9
         worst_comm = max(worst_comm, comm)
@@ -83,7 +83,7 @@ def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_dire
            f"[H, T(mu)] {worst_comm:.2e} < 1e-9 at 5 points: PASS")
 
 
-def test_criterion_4_bethe_verification(sector_indices):
+def test_criterion_4_bethe_verification(sector_indices, chain_identity):
     p = bt.apply_constraints(generic_params(2), bt.BoundaryConstraint(s=0, n=0, m=0))
     sols = bt.find_bethe_solutions("b1", 1, p, seed=SEED)
     assert len(sols) >= 1, "no psi_-^1 solution found"
@@ -97,19 +97,19 @@ def test_criterion_4_bethe_verification(sector_indices):
         v = bt.vertex_eigenstate("b1", psi, p)
         for mu in mus:
             lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
-            ts = sos.sos_transfer(mu, theta, "SOS1", p)
+            ts = sos.sos_transfer(mu, theta, "SOS1", p, chain_identity(p))
             r_s = np.linalg.norm(ts @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam))
             assert r_s < 1e-8, r_s
-            tv = vx.transfer_xxz(mu, p)
+            tv = vx.transfer_xxz(mu, p, chain_identity(p))
             r_v = np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam))
             assert r_v < 1e-8, r_v
-        block = sos.sos_transfer(mus[0], theta, "SOS1", p)[np.ix_(idx, idx)]
+        block = sos.sos_transfer(mus[0], theta, "SOS1", p, chain_identity(p))[np.ix_(idx, idx)]
         eigs = np.linalg.eigvals(block)
         lam0 = bt.branch_eigenvalue("b1", mus[0], sol.roots, p)
         dist = np.min(np.abs(eigs - lam0)) / abs(lam0)
         assert dist < 1e-8, dist
         matched += 1
-    full = np.linalg.eigvals(vx.transfer_xxz(mus[0], p))
+    full = np.linalg.eigvals(vx.transfer_xxz(mus[0], p, chain_identity(p)))
     lam_found = [bt.branch_eigenvalue("b1", mus[0], s.roots, p) for s in sols]
     n_matched = sum(1 for e in full if any(abs(e - l) / abs(l) < 1e-8 for l in lam_found))
     report(f"4 Bethe verification (N=2, s=0): {len(sols)} psi_-^1 solutions verified; "
@@ -139,7 +139,7 @@ def test_criterion_5_partition_functions(closed_form_n1):
         p = generic_params(n)
         rng = np.random.default_rng(SEED + n)
         lams = sample_points(rng, p, n)
-        for name, res in pt.z_property_suite(p, lams, "bminus", seed=SEED).items():
+        for name, res in pt.z_property_suite(p, lams, "bminus", seed=SEED)[0].items():
             tol = 1e-8 if name.startswith("degree") else 1e-9
             assert res < tol, (n, name, res)
             prop_worst = max(prop_worst, res)

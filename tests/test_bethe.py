@@ -178,13 +178,13 @@ def test_solver_no_convergence(constrained2):
     assert ledger == {**dict.fromkeys(bt.LEDGER, 0), "starts": 1, "bad_y": 1}
 
 
-def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices):
+def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices, chain_identity):
     p = constrained2
     mu = 0.17 - 0.23j
     theta = p.delta - p.zeta
     sols = bt.find_bethe_solutions("b1", 1, p, seed=1)
     idx = sector_indices(p.N)[0]
-    block = sos.sos_transfer(mu, theta, "SOS1", p)[np.ix_(idx, idx)]
+    block = sos.sos_transfer(mu, theta, "SOS1", p, chain_identity(p))[np.ix_(idx, idx)]
     eigs = np.linalg.eigvals(block)
     for sol in sols:
         lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
@@ -192,7 +192,7 @@ def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices):
 
 
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_all_families_give_eigenstates(branch, constrained2):
+def test_all_families_give_eigenstates(branch, constrained2, chain_identity):
     p = constrained2
     spec = bt.BRANCHES[branch]
     m = 1  # N = 2, s = 0 gives M = 1 for every family
@@ -205,10 +205,10 @@ def test_all_families_give_eigenstates(branch, constrained2):
         psi = bt.bethe_state(branch, sol, p)
         for mu in mus:
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
-            t = sos.sos_transfer(mu, theta, spec.sos_kind, p)
+            t = sos.sos_transfer(mu, theta, spec.sos_kind, p, chain_identity(p))
             assert np.linalg.norm(t @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)) < 1e-8
             v = bt.vertex_eigenstate(branch, psi, p)
-            tv = vx.transfer_xxz(mu, p)
+            tv = vx.transfer_xxz(mu, p, chain_identity(p))
             assert np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
 
 
@@ -220,6 +220,29 @@ def test_too_many_roots_is_null_state(branch, p2):
     sol = bt.BetheSolution(branch, roots, len(roots), (0.0,) * len(roots), 0)
     with pytest.raises(NullState):
         bt.bethe_state(branch, sol, p2)
+
+
+@pytest.mark.parametrize("size", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("keep, null", [(1e-13, True), (1e-9, False)])
+@pytest.mark.parametrize("branch", ["b1", "p2"])
+def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, constrained2, monkeypatch):
+    # each creation block keeps `keep` of its column's norm, the column
+    # growing by `size`: the state is refused when it keeps under 1e-10 of
+    # the growth, whatever the growth's size
+    block_column = sos.block_column
+
+    def leaky(*args):
+        created, other = block_column(*args)
+        norm = np.linalg.norm(created)
+        return size * keep * created, np.full_like(other, size * norm / np.sqrt(other.size))
+
+    sol = bt.find_bethe_solutions(branch, 1, constrained2, seed=2)[0]
+    monkeypatch.setattr(sos, "block_column", leaky)
+    if null:
+        with pytest.raises(NullState, match="norm floor"):
+            bt.bethe_state(branch, sol, constrained2)
+    else:
+        assert np.any(bt.bethe_state(branch, sol, constrained2))
 
 
 def test_minus_and_plus_families_build_the_same_states(constrained2):
@@ -237,7 +260,7 @@ def test_minus_and_plus_families_build_the_same_states(constrained2):
     assert abs(overlap) < 1e-8
 
 
-def test_plus_family_gauge_binding(constrained3, gauge_row):
+def test_plus_family_gauge_binding(constrained3, gauge_row, chain_identity):
     """At s = 1 the two dynamical parameters differ; only the barred pair
     (theta_bar, tau_bar) sends plus states to vertex eigenstates."""
     p = constrained3
@@ -246,7 +269,7 @@ def test_plus_family_gauge_binding(constrained3, gauge_row):
     assert sols
     sol = sols[0]
     lam = bt.branch_eigenvalue("p1", mu, sol.roots, p)
-    tv = vx.transfer_xxz(mu, p)
+    tv = vx.transfer_xxz(mu, p, chain_identity(p))
     psi = bt.bethe_state("p1", sol, p)
     good = bt.vertex_eigenstate("p1", psi, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))

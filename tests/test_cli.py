@@ -122,7 +122,7 @@ def test_sector_rows_pass_in_every_constrained_sector(n, tmp_path):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_sector_block_against_dense_vertex_spectrum(n, tmp_path):
+def test_sector_block_against_dense_vertex_spectrum(n, tmp_path, chain_identity):
     # the dense eigenvalues of the vertex transfer matrix, which the sector path
     # no longer builds, as the oracle of the block's eigenvalues and of the matches
     for seed in range(3):
@@ -131,7 +131,7 @@ def test_sector_block_against_dense_vertex_spectrum(n, tmp_path):
             tol = rows["spectrum.sector_in_vertex"]["tolerance"]
             p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
             mu = complex(*extra["mu"])
-            dense = np.linalg.eigvals(vx.transfer_xxz(mu, p))
+            dense = np.linalg.eigvals(vx.transfer_xxz(mu, p, chain_identity(p)))
             idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, s)
             for lam in np.linalg.eigvals(cols[idx]):
                 assert np.min(np.abs(dense - lam)) < 1e-10 * abs(lam)

@@ -126,7 +126,7 @@ def test_property_suite(n):
     p = generic_params(n)
     rng = np.random.default_rng(37 + n)
     lams = sample_points(rng, p, n)
-    residuals = pt.z_property_suite(p, lams, "bminus", seed=5)
+    residuals, _ = pt.z_property_suite(p, lams, "bminus", seed=5)
     for name, res in residuals.items():
         tol = 1e-8 if name.startswith("degree") else 1e-9
         assert res < tol, (name, res)
@@ -144,10 +144,16 @@ def full_contraction(p, lams, kind="bminus"):
     return complex(bra @ v)
 
 
-def degree_residual_oracle(p, lams, i, seed):
-    """polynomial_degree_residual of the shared-tail contraction at index i,
-    with the nodes redrawn from default_rng(seed) and each evaluated by
-    full_contraction."""
+def degree_residual(q, lams, guard, rng):
+    """The suite's contracted degree test: nodes drawn against ``guard``, then
+    contracted on the shared tail of Z's string (``_contract``'s fan)."""
+    nodes = pt._degree_nodes(q, guard, rng)
+    return pt._degree_fit(q, nodes, pt._contract(q, "bminus", [lams], fan=nodes))
+
+
+def degree_residual_oracle(p, lams, seed):
+    """The degree test in lam_1, with the nodes redrawn from default_rng(seed)
+    and each evaluated by full_contraction."""
     rng = np.random.default_rng(seed)
     n_pts = 2 * p.N + 4
     nodes, vals = [], []
@@ -158,7 +164,7 @@ def degree_residual_oracle(p, lams, i, seed):
         lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
         weight = exp((2 * p.N + 2) * lam) * sinh(p.delta + lam) * sinh(p.zeta + lam)
         try:
-            vals.append(weight * full_contraction(p, lams[:i] + (lam,) + lams[i + 1:]))
+            vals.append(weight * full_contraction(p, (lam,) + lams[1:]))
             nodes.append(lam)
         except DegenerateParameter:
             continue
@@ -171,16 +177,15 @@ def degree_residual_oracle(p, lams, i, seed):
 def test_shared_tail_is_bit_identical_to_full_contractions(n):
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
-    for i in (0, 1, n - 1):
-        z_at = pt._point_contraction(p, lams, i, "bminus")
-        rel = pt.polynomial_degree_residual(p, z_at, np.random.default_rng(7))
-        assert rel == degree_residual_oracle(p, lams, i, 7), i
-        # one batch of points on one tail, each its own full contraction
-        points = [lams[i], -lams[i] - p.eta, p.xi[0]]
-        assert z_at.values(points) == [full_contraction(p, lams[:i] + (lam,) + lams[i + 1:]) for lam in points]
+    q, _ = pt._kind_params(p, lams, "bminus")
+    rel = degree_residual(q, lams, pt._contract_guard(q, lams), np.random.default_rng(7))
+    assert rel == degree_residual_oracle(p, lams, 7)
+    # one batch of points on one tail, each its own full contraction
+    points = [lams[0], -lams[0] - p.eta, p.xi[0]]
+    assert pt._contract(q, "bminus", [lams], fan=points) == [full_contraction(p, (lam,) + lams[1:]) for lam in points]
 
-    res = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
-    assert res["degree_contract"] == degree_residual_oracle(p, lams, 0, 11)
+    res, _ = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
+    assert res["degree_contract"] == degree_residual_oracle(p, lams, 11)
     z0 = full_contraction(p, lams)
     assert pt.z_contraction(p, lams, "bminus") == z0
     pred = pt.crossing_factor(lams[0], p.delta, p.zeta, p.eta) * z0
@@ -188,7 +193,8 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
     assert res["crossing_contract"] == abs(crossed - pred) / max(abs(pred), 1e-300)
     at1 = (p.xi[0],) + lams[1:]
     lhs = full_contraction(p, at1)
-    rhs = pt.recursion_value(p, at1, "lam1=xi1", "contract")
+    coeff, sub, rest = pt._recursion(q, at1, "lam1=xi1")
+    rhs = coeff * full_contraction(sub, rest)
     assert res["recursion_lam1_contract"] == abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
@@ -199,19 +205,20 @@ def test_rejected_degree_nodes_keep_bit_identity(n):
     d = complex(-0.05, pi - 1.37 * pi / (2 * n + 4))
     p = generic_params(n, eps_pole=0.02).replace(delta=d)
     lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
-    z_at = pt._point_contraction(p, lams, 0, "bminus")
+    q, _ = pt._kind_params(p, lams, "bminus")
+    guard = pt._contract_guard(q, lams)
     rejected = []
 
     def counted(lam):
         try:
-            z_at.guard(lam)
+            guard(lam)
         except DegenerateParameter:
             rejected.append(lam)
             raise
 
-    rel = pt.polynomial_degree_residual(p, z_at._replace(guard=counted), np.random.default_rng(7))
+    rel = degree_residual(q, lams, counted, np.random.default_rng(7))
     assert len(rejected) == 2
-    assert rel == degree_residual_oracle(p, lams, 0, 7)
+    assert rel == degree_residual_oracle(p, lams, 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,8 +253,7 @@ def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
     for cap in (None, 2, 1):
         if cap is not None:
             monkeypatch.setattr(pt, "_batch_cap", lambda _, cap=cap: cap)
-        values = {}
-        runs.append((pt.z_property_suite(p, lams, kind, seed=3, values=values), values))
+        runs.append(pt.z_property_suite(p, lams, kind, seed=3))
         assert pt.z_contraction(p, lams, kind) == full_contraction(p, lams, kind)
     assert runs[0] == runs[1] == runs[2]
 
@@ -257,8 +263,24 @@ def test_det_only_suite_at_n1_fans_out_no_point(kind, p1):
     # with the det method alone at N = 1, no contracted point fans out of
     # Z's string, and there are no recursions to contract
     lams = sample_points(np.random.default_rng(73), p1, 1)
-    res = pt.z_property_suite(p1, lams, kind, methods=("det",))
+    res, _ = pt.z_property_suite(p1, lams, kind, methods=("det",))
     assert sorted(res) == ["crossing_det", "degree_det"]
+
+
+@pytest.mark.parametrize("cap", [None, 2, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_empty_fan_drops_only_zs_row(n, cap, monkeypatch):
+    # an empty fan leaves every other row's value as no fan does, and drops
+    # the last row, Z's, whose string the fan would share
+    if cap is not None:
+        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    p = generic_params(n)
+    rng = np.random.default_rng(101 + n)
+    q, _ = pt._kind_params(p, [0.0] * n, "bminus")
+    rows = [tuple(sample_points(rng, q, n)) for _ in range(4)]
+    whole = pt._contract(q, "bminus", rows)
+    assert pt._contract(q, "bminus", rows, fan=[]) == whole[:-1]
+    assert whole == [full_contraction(q, row) for row in rows]
 
 
 def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
@@ -269,23 +291,11 @@ def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
         assert cap >= 1 and (cap == 1) == (n >= 12)
 
 
-def test_point_contraction_maps_the_kind_once(monkeypatch, p3):
-    calls = []
-    kind_params = pt._kind_params
-    monkeypatch.setattr(pt, "_kind_params", lambda *a: calls.append(a) or kind_params(*a))
-    lams = tuple(sample_points(np.random.default_rng(47), p3, 3))
-    z_at = pt._point_contraction(p3, lams, 0, "bminus")
-    for k in range(5):
-        z_at.values([lams[0] + 0.01 * k])
-    z_at.guard(lams[0])
-    assert len(calls) == 1
-
-
 def test_degree_test_leaves_the_pole_guard_to_z_at(monkeypatch, p3):
     calls, asked = [], []
     monkeypatch.setattr(params, "assert_generic", lambda *a: calls.append(a))
-    z_at = pt.Evaluator(asked.append, lambda points: [exp(-2 * lam) for lam in points])
-    rel = pt.polynomial_degree_residual(p3, z_at, np.random.default_rng(3))
+    nodes = pt._degree_nodes(p3, asked.append, np.random.default_rng(3))
+    rel = pt._degree_fit(p3, nodes, [exp(-2 * lam) for lam in nodes])
     assert calls == []
     # one guard question per draw, and every draw accepted
     assert len(asked) == 2 * p3.N + 4
@@ -297,7 +307,8 @@ def test_recursion_against_n1_closed_form(p2, closed_form_n1):
     lams = sample_points(rng, p2, 2)
     at1 = (p2.xi[0], lams[1])
     lhs = pt.z_contraction(p2, at1, "bminus")
-    rhs = pt.recursion_value(p2, at1, "lam1=xi1", method="det")
+    coeff, sub, rest = pt._recursion(*pt._kind_params(p2, at1, "bminus"), "lam1=xi1")
+    rhs = coeff * pt.z_determinant(sub, rest, "bminus")
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
     sub = closed_form_n1(lams[1], p2.xi[1], p2.delta, p2.zeta, p2.eta)
     direct = pt.z_determinant(p2.replace(N=1, xi=(p2.xi[1],)), (lams[1],), "bminus")
@@ -407,10 +418,10 @@ def test_point_determinant_guard_raises_where_the_oracle_raises(case, p3):
     elif case == "fixed_xi":
         # a fixed point on xi_3: a pole of the kernel that no lam removes
         lams = lams[:2] + (p3.xi[2],)
-    z_at = pt._point_determinant(q, lams)
+    guard = pt._det_guard(q, lams)
     for name, lam in _pole_points(q, lams).items():
         want = raised(det_guard_oracle, q, (lam,) + lams[1:])
-        assert (name, raised(z_at.guard, lam)) == (name, want)
+        assert (name, raised(guard, lam)) == (name, want)
         if case == "generic":
             assert (want is None) == (name == "generic")
         else:

@@ -314,14 +314,14 @@ def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indic
     assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
 
 
-def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_row):
+def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_row, chain_identity):
     """T_XXZ conjugated by the gauge row equals the dressed height trace."""
     p = constrained2
     lam = 0.21 + 0.12j
     theta = p.delta - p.zeta
     legs = vx.chain_legs(p.N)
     srow = gauge_row(theta, p.tau, "minus", p)
-    t = vx.transfer_xxz(lam, p)
+    t = vx.transfer_xxz(lam, p, chain_identity(p))
     # S_0^{-1}(-lam; theta - eta S^z) as a dynamical gate
     charge = [(l, -1) for l in vx.site_legs(p.N)]
     s_inv = (sos.gauge_s2_inv(-lam, theta + p.eta * tn.charge_values(charge), p.tau, p.eps_pole), (vx.AUX,), charge)
@@ -335,7 +335,7 @@ def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10
     # on the constrained sector the dressed trace is the height transfer matrix
     idx = sector_indices(p.N)[0]
-    ts = sos.sos_transfer(lam, theta, "SOS1", p)
+    ts = sos.sos_transfer(lam, theta, "SOS1", p, chain_identity(p))
     diff = trace[np.ix_(idx, idx)] - ts[np.ix_(idx, idx)]
     assert np.max(np.abs(diff)) / np.max(np.abs(ts[np.ix_(idx, idx)])) < 1e-10
 
@@ -376,11 +376,11 @@ def test_constraints_hold_only_where_imposed(p2, constrained2):
     assert max(constraint_residuals(constrained2, 0)) < 1e-10
 
 
-def test_sos_transfer_commutes_on_sector(constrained2, sector_indices):
+def test_sos_transfer_commutes_on_sector(constrained2, sector_indices, chain_identity):
     p = constrained2
     theta = p.delta - p.zeta
-    t1 = sos.sos_transfer(0.21 + 0.12j, theta, "SOS1", p)
-    t2 = sos.sos_transfer(-0.31 + 0.24j, theta, "SOS1", p)
+    t1 = sos.sos_transfer(0.21 + 0.12j, theta, "SOS1", p, chain_identity(p))
+    t2 = sos.sos_transfer(-0.31 + 0.24j, theta, "SOS1", p, chain_identity(p))
     idx = sector_indices(p.N)[0]
     a = t1[np.ix_(idx, idx)]
     b = t2[np.ix_(idx, idx)]
@@ -414,14 +414,14 @@ def test_isomorphism_block_form(p2, dense_symmetry, double_row_blocks):
     assert tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy) < 1e-10
 
 
-def test_gamma_relation_for_transfer(p2, dense_symmetry):
+def test_gamma_relation_for_transfer(p2, dense_symmetry, chain_identity):
     lam = 0.21 + 0.12j
     theta = p2.delta - p2.zeta
     swapped = p2.replace(
         delta=p2.zeta, zeta=p2.delta, delta_bar=p2.zeta_bar, zeta_bar=p2.delta_bar
     )
-    t1 = sos.sos_transfer(lam, theta, "SOS1", p2)
-    t2 = sos.sos_transfer(lam, -theta, "SOS1", swapped)
+    t1 = sos.sos_transfer(lam, theta, "SOS1", p2, chain_identity(p2))
+    t2 = sos.sos_transfer(lam, -theta, "SOS1", swapped, chain_identity(swapped))
     gx, _ = dense_symmetry(tn.SX, p2.N)
     assert tn.rel_residual(t1, gx @ t2 @ gx) < 1e-10
 
@@ -519,7 +519,7 @@ def test_batched_k_diag_keeps_the_scalar_entries(p3):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks):
+def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks, chain_identity):
     # the traced gate list against k_00 A + k_11 D from the block strings
     p = generic_params(n)
     theta = 0.63 + 0.29j
@@ -530,18 +530,18 @@ def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks):
         ):
             blocks = double_row_blocks(mu, theta, side, p)
             expect = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
-            assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p), expect) < 1e-15
+            assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p, chain_identity(p)), expect) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices):
+def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices, chain_identity):
     # both transfer kinds keep S^z exactly at generic couplings: every column
     # of a sector lands in it, and nothing leaves
     p = generic_params(n)
     theta = 0.63 + 0.29j
     for mu in sample_points(np.random.default_rng(n), p, 2):
         for which in ("SOS1", "SOS2"):
-            full = sos.sos_transfer(mu, theta, which, p)
+            full = sos.sos_transfer(mu, theta, which, p, chain_identity(p))
             for s, expect in sector_indices(n).items():
                 idx, cols = sos.sector_transfer(mu, theta, which, p, s)
                 assert np.array_equal(idx, np.sort(expect))

@@ -317,25 +317,26 @@ def test_partial_transpose_involution():
 
 def test_traced_product_identity_and_kron():
     legs = ("a", "b")
-    assert np.array_equal(tn.traced_product(legs, []), 2 * np.eye(2))
+    eye = np.eye(2, dtype=complex)
+    assert np.array_equal(tn.traced_product(legs, [], eye), 2 * eye)
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    tr = tn.traced_product(legs, [(np.kron(a, b), legs)])
+    tr = tn.traced_product(legs, [(np.kron(a, b), legs)], eye)
     assert tn.max_abs(tr - np.trace(a) * b) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
 @given(gate_lists())
 def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
-    # the default identity gives the oracle bit for bit; a vector or a
-    # block of columns gives the oracle times it
+    # the identity gives the oracle bit for bit; a vector or a block of
+    # columns gives the oracle times it
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, drawn)
     whole = aux_trace(tn.product(legs, gates))
-    assert np.array_equal(tn.traced_product(legs, gates), whole)
     d = 2 ** (len(legs) - 1)
+    assert np.array_equal(tn.traced_product(legs, gates, np.eye(d, dtype=complex)), whole)
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = tn.traced_product(legs, gates, x)
@@ -348,8 +349,9 @@ def test_traced_product_transpose_invariant():
     rng = np.random.default_rng(5)
     legs = ("a", "b", "c")
     op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    direct = tn.traced_product(legs, [(op, legs)])
-    via = tn.traced_product(legs, [(tn.partial_transpose(op, legs, "a"), legs)])
+    eye = np.eye(4, dtype=complex)
+    direct = tn.traced_product(legs, [(op, legs)], eye)
+    via = tn.traced_product(legs, [(tn.partial_transpose(op, legs, "a"), legs)], eye)
     assert tn.max_abs(direct - via) < 1e-14
 
 

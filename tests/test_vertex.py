@@ -120,9 +120,9 @@ def test_reflection_algebra_of_double_row(p2):
     assert vx.reflection_algebra_residual(0.21 + 0.12j, -0.33 + 0.27j, p2, "plus") < 1e-10
 
 
-def test_transfer_matrices_commute(p2):
-    t1 = vx.transfer_xxz(0.23 + 0.11j, p2)
-    t2 = vx.transfer_xxz(-0.37 + 0.29j, p2)
+def test_transfer_matrices_commute(p2, chain_identity):
+    t1 = vx.transfer_xxz(0.23 + 0.11j, p2, chain_identity(p2))
+    t2 = vx.transfer_xxz(-0.37 + 0.29j, p2, chain_identity(p2))
     assert tn.rel_residual(t1 @ t2, t2 @ t1) < 1e-10
 
 
@@ -146,33 +146,33 @@ def _transfer_n1_by_hand(lam, p):
     return out
 
 
-def test_transfer_n1_hand_expansion(p1):
+def test_transfer_n1_hand_expansion(p1, chain_identity):
     lam = 0.19 - 0.27j
     hand = _transfer_n1_by_hand(lam, p1)
-    built = vx.transfer_xxz(lam, p1)
+    built = vx.transfer_xxz(lam, p1, chain_identity(p1))
     assert tn.max_abs(hand - built) / tn.max_abs(hand) < 1e-12
 
 
-def test_transfer_spectrum_symmetric_in_inhomogeneities(p2):
+def test_transfer_spectrum_symmetric_in_inhomogeneities(p2, chain_identity):
     mu = 0.21 - 0.17j
-    e1 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, p2)))
+    e1 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, p2, chain_identity(p2))))
     swapped = p2.replace(xi=(p2.xi[1], p2.xi[0]))
-    e2 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, swapped)))
+    e2 = np.sort_complex(np.linalg.eigvals(vx.transfer_xxz(mu, swapped, chain_identity(swapped))))
     assert np.max(np.abs(e1 - e2)) / np.max(np.abs(e1)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_transfer_xxz_is_trace_of_whole_product(n, aux_trace):
-    # with no x, the traced gate lists read the trace of the whole product bit for bit
+def test_transfer_xxz_is_trace_of_whole_product(n, aux_trace, chain_identity):
+    # on the identity, the traced gate lists read the trace of the whole product bit for bit
     p = generic_params(n)
     legs = vx.chain_legs(n)
     for lam in sample_points(np.random.default_rng(n), p, 2):
         whole = tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,)), *vx.double_row_gates(lam, "minus", p)])
-        assert np.array_equal(vx.transfer_xxz(lam, p), aux_trace(whole))
+        assert np.array_equal(vx.transfer_xxz(lam, p, chain_identity(p)), aux_trace(whole))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_transfer_matrices_on_a_block_match_dense(n):
+def test_transfer_matrices_on_a_block_match_dense(n, chain_identity):
     """Each transfer matrix applied to a (2^N, k) block, or to one vector,
     equals the dense matrix times it."""
     p = generic_params(n)
@@ -181,12 +181,12 @@ def test_transfer_matrices_on_a_block_match_dense(n):
     mu = sample_points(rng, p, 1)[0]
     theta = 0.63 + 0.29j
     transfers = [
-        lambda y=None: vx.transfer_xxz(mu, p, y),
-        lambda y=None: sos.sos_transfer(mu, theta, "SOS1", p, y),
-        lambda y=None: sos.sos_transfer(mu, theta, "SOS2", p, y),
+        lambda y: vx.transfer_xxz(mu, p, y),
+        lambda y: sos.sos_transfer(mu, theta, "SOS1", p, y),
+        lambda y: sos.sos_transfer(mu, theta, "SOS2", p, y),
     ]
     for transfer in transfers:
-        dense = transfer()
+        dense = transfer(chain_identity(p))
         for y in (x, x[:, 0]):
             assert tn.rel_residual(transfer(y), dense @ y) < 1e-13
 
@@ -205,7 +205,7 @@ def test_hamiltonian_spectrum_symmetric_in_boundary_swap(p2, hamiltonian_direct)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct):
+def test_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct, chain_identity):
     p = generic_params(n).replace(xi=(0,) * n)
     h_cand, kappa = hamiltonian(p)
     h_dir = hamiltonian_direct(p)
@@ -213,7 +213,7 @@ def test_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_direct):
     assert resid < 1e-8
     rng = np.random.default_rng(9)
     for mu in sample_points(rng, p, 3):
-        t = vx.transfer_xxz(mu, p)
+        t = vx.transfer_xxz(mu, p, chain_identity(p))
         assert tn.rel_residual(h_dir @ t, t @ h_dir) < 1e-9
 
 
