@@ -327,9 +327,8 @@ def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], d
     rng = np.random.default_rng(cfg.seed)
     lams = sample_points(rng, p, p.N)
     methods = ("det", "contract") if method == "both" else (method,)
-    residuals, suite_values = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods)
-    # the suite checks the bminus function of the kind's pair: for bminus, Z itself
-    values = suite_values if kind == "bminus" else {m: pt.z_value(p, lams, kind, m) for m in methods}
+    # the suite checks the bminus function of the kind's pair, and returns the kind's own Z
+    residuals, values = pt.z_property_suite(p, lams, kind, seed=cfg.seed, methods=methods)
     if method == "both":
         residuals["det_vs_contract"] = pt.rel_disagreement(values["det"], values["contract"])
     rows = [_row(f"partition.{kind}.{name}", res, tol) for name, res in residuals.items()]

@@ -8,13 +8,16 @@ The direct contraction is the ground truth; the determinant and recursion
 paths are checked against it.
 
 The property suite evaluates its spectral-point sets in batches: block
-strings of one gate layout run together, one batched block application
-per step, with the gates of all the steps of a batch built in one call
-(``_contract``, ``_steps``), and the determinant takes many point sets in
-one ``np.linalg.det`` call (``_z_determinant_bminus``), guarded in one
-vectorised pass.  Each value keeps the arithmetic of its own evaluation,
-so batching changes no bit.  Its degree nodes in lam_1 are drawn against
-plain pole guards (``_contract_guard``, ``_det_guard``).
+strings of one gate layout run together, each with its own creation block
+and reference states (so cminus's own string joins bminus's), one batched
+block application per step, with the gates of all the steps of a batch
+built in one call (``_contract``, ``_steps``), and the determinant takes
+many point sets in one ``np.linalg.det`` call (``_z_determinant_bminus``),
+guarded in one vectorised pass, its scales and products formed over the
+batch.  Each value keeps the arithmetic of its own evaluation, so
+batching changes no bit.  Its degree nodes in lam_1 are drawn against
+plain pole guards (``_contract_guard``, ``_det_guard``) that take only
+the drawn point's own terms per draw.
 """
 
 from __future__ import annotations
@@ -65,34 +68,40 @@ def _batch_cap(n: int) -> int:
     return max(1, 2 ** (12 - n))
 
 
-def _steps(q: ModelParams, kind: str, lam: np.ndarray, xi: np.ndarray, v: np.ndarray, steps: range) -> np.ndarray:
-    """The creation blocks of ``kind`` at lam[:, j], for j in ``steps``,
-    applied in turn to the batch v (B, 2^N), element b with its own points
-    lam[b] and inhomogeneities xi[b]: one batched block per step.
+def _steps(
+    q: ModelParams, side: str, creators, lam: np.ndarray, xi: np.ndarray, v: np.ndarray, steps: range
+) -> np.ndarray:
+    """The creation blocks of ``side`` at lam[:, j], for j in ``steps``,
+    applied in turn to the batch v (B, 2^N), element b with its own block
+    creators[b], points lam[b] and inhomogeneities xi[b]: one batched block
+    per step.  A batch of one block names it once.
 
     One ``sos.dyn_double_row_gates`` call builds the gates of every step, on
     the S B points flattened step by step, and step t applies the contiguous
     (B, ...) slice t of each stack.  Gate builds are elementwise, so each
     block is that of its own build bit for bit.
     """
-    side, creator = KINDS[kind]
     s, b = len(steps), len(lam)
     if not s:
         return v
+    if len(set(creators)) == 1:
+        creators = creators[0]
     flat = lam[:, list(steps)].T.reshape(-1)
     gates = sos.dyn_double_row_gates(flat, q.theta(side), side, q, np.tile(xi, (s, 1)))
     stacks = [(g.reshape(s, b, *g.shape[1:]), *rest) for g, *rest in gates]
     for t in range(s):
-        v = sos.apply_block_column([(g[t], *rest) for g, *rest in stacks], side, creator, q.N, v, batch=True)[0]
+        v = sos.apply_block_column([(g[t], *rest) for g, *rest in stacks], side, creators, q.N, v, batch=True)[0]
     return v
 
 
-def _contract(q: ModelParams, kind: str, rows, xi=None, fan: Sequence[complex] | None = None) -> list[complex]:
+def _contract(q: ModelParams, kind, rows, xi=None, fan: Sequence[complex] | None = None) -> list[complex]:
     """``kind``'s function of q (already mapped by ``_kind_params``) at each
     row of N points of ``rows``, with the matching row of ``xi`` (default
-    q.xi) as its inhomogeneities.  The caller guards the points.
+    q.xi) as its inhomogeneities.  ``kind`` may instead name one kind per
+    row, all of one side: each row then takes its own creation block and
+    reference states.  The caller guards the points.
 
-    Each row is its own block string, applied to the reference state last
+    Each row is its own block string, applied to its reference state last
     block first; the strings run together, one batched block per step, in
     batches of ``_batch_cap`` rows, and the gates of a batch's blocks are
     built in one call (``_steps``).  A ``fan`` of points shares the last
@@ -103,33 +112,44 @@ def _contract(q: ModelParams, kind: str, rows, xi=None, fan: Sequence[complex] |
     points of the fan.
     """
     n = q.N
-    up, down = tn.all_up(n), tn.all_down(n)
-    ket, bra = (up, down) if KINDS[kind][1] == "B" else (down, up)
     lam = np.array(rows, dtype=complex).reshape(-1, n)
     xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
+    kinds = [kind] * len(lam) if isinstance(kind, str) else list(kind)
+    (side,) = {KINDS[k][0] for k in kinds}
+    creators = [KINDS[k][1] for k in kinds]
+    up, down = tn.all_up(n), tn.all_down(n)
+    # creator -> (ket, bra): B raises the all-up state to all-down, C the reverse
+    refs = {"B": (up, down), "C": (down, up)}
     # the rows' blocks N-1 .. i+1 run first; with a fan, block 0 waits for its points
     i = -1 if fan is None else 0
     cap, out = _batch_cap(n), []
     for s in range(0, len(lam), cap):
-        at, at_xi = lam[s : s + cap], xi[s : s + cap]
-        v = list(_steps(q, kind, at, at_xi, np.broadcast_to(ket, (len(at), ket.size)), range(n - 1, i, -1)))
+        at, at_xi, by = lam[s : s + cap], xi[s : s + cap], creators[s : s + cap]
+        kets = np.stack([refs[c][0] for c in by])
+        v = list(_steps(q, side, by, at, at_xi, kets, range(n - 1, i, -1)))
         if fan is not None and s + cap >= len(lam):
             fanned = np.repeat(at[-1:], len(fan), axis=0)
             fanned[:, 0] = fan
             at = np.concatenate([at[:-1], fanned])
             at_xi = np.concatenate([at_xi[:-1], np.repeat(at_xi[-1:], len(fan), axis=0)])
-            v = v[:-1] + v[-1:] * len(fan)
+            v, by = v[:-1] + v[-1:] * len(fan), by[:-1] + by[-1:] * len(fan)
         for t in range(0, len(at), cap):
-            w = _steps(q, kind, at[t : t + cap], at_xi[t : t + cap], np.stack(v[t : t + cap]), range(i, -1, -1))
-            out += [complex(bra @ row) for row in w]
+            by_t = by[t : t + cap]
+            w = _steps(q, side, by_t, at[t : t + cap], at_xi[t : t + cap], np.stack(v[t : t + cap]), range(i, -1, -1))
+            out += [complex(refs[c][1] @ row) for c, row in zip(by_t, w)]
     return out
 
 
 def _guard_rows(q: ModelParams, kind: str, rows) -> None:
-    """The contraction's pole guard of each row of N points in turn."""
+    """The contraction's pole guard of each row of N points in turn.
+
+    The 2N+5 theta gaps do not depend on the row, so they are taken once,
+    after the first row's own gaps, where the first row's check took them:
+    every decision and message is that of checking each row with theta.
+    """
     theta = q.theta(KINDS[kind][0])
-    for row in rows:
-        params.assert_generic(q, tuple(row), [theta])
+    for j, row in enumerate(rows):
+        params.assert_generic(q, tuple(row), [theta] if j == 0 else [])
 
 
 def _contract_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
@@ -211,7 +231,8 @@ def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
     make column j 1/prod_{m<=j}(u_i - x_m) - 1/prod_{m<=j}(v_i - x_m); their Jacobian cancels the xi-pair
     prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).  Each row
     is guarded as ``_det_check`` guards it alone (``_det_check_rows``); one ``np.linalg.det`` call takes
-    the kernels of all rows, and each value is that of its row alone, bit for bit.
+    the kernels of all rows, the scales and products run over the batch save the steps that round apart
+    batched, and each value is that of its row alone, bit for bit.
     """
     n, eta, d, z = q.N, q.eta, q.delta, q.zeta
     lam = np.array(lams, dtype=complex).reshape(-1, n)
@@ -229,14 +250,13 @@ def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
     # (-1)^(N(N-1)/2), fixed by the contraction oracle and the N = 1 closed form
     sign = (-2) ** (n * (n - 1) // 2)
     dets = np.linalg.det(k / rows[..., None] / cols[..., None, :])
-    # the scale and the products are taken row by row, on 1-D rows and in numpy scalars, as for one
-    # row: numpy's complex product rounds by loop, and a reduction over the batch or a broadcast
-    # operand takes another loop
-    terms = zip(dets, rows, cols, r, c, lam_xi, pair)
-    return [
-        complex(dt * (sign * np.prod(rw * cl * rr * cc * theta_ratio)) * np.prod(lx) / np.prod(pr))
-        for dt, rw, cl, rr, cc, lx, pr in terms
-    ]
+    # the scales and lam/xi products are taken over the batch, on operands of one shape (theta_ratio tiled
+    # to it), as a row alone takes them; the pair product and the final combination are taken row by row,
+    # on 1-D rows and in numpy scalars, as for one row: there a reduction over the batch or a broadcast
+    # operand takes another loop, and numpy's complex product rounds by loop
+    scale = np.prod(rows * cols * r * c * np.tile(theta_ratio, (len(lam), 1)), axis=-1)
+    lam_xi = np.prod(lam_xi.reshape(len(lam), -1), axis=-1)
+    return [complex(dt * (sign * sc) * lx / np.prod(pr)) for dt, sc, lx, pr in zip(dets, scale, lam_xi, pair)]
 
 
 def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
@@ -298,22 +318,42 @@ def _recursion(q: ModelParams, lams: tuple[complex, ...], which: str) -> tuple[c
     return coeff, q.replace(N=n - 1, xi=xis[1:]), rest
 
 
+# rejections running after which a degree node's phase window moves by its width
+WINDOW_STAY = 16
+
+
 def _degree_nodes(p: ModelParams, guard: Callable[[complex], None], rng: np.random.Generator) -> list[complex]:
     """The 2N+4 interpolation nodes of the degree test, drawn near the
-    imaginary axis at phases spread by the count accepted so far; a draw
-    at which ``guard`` raises ``DegenerateParameter`` is skipped."""
+    imaginary axis in phase windows spread by the count accepted so far; a
+    draw at which ``guard`` raises ``DegenerateParameter`` is skipped.
+
+    Node k's window is (k + 0.37 +- 0.08) pi / (2N+4).  A window that
+    rejects ``WINDOW_STAY`` draws running is taken to lie on a zero of the
+    guard, and moves by its width, 0.16, per ``WINDOW_STAY`` rejections,
+    away from the nearer end of the phase range (0, pi), where lam_1 nears
+    0 and i pi and so every small xi_j; a window never starts within one
+    width of the node before it.  So the nodes' phases rise strictly, each
+    exp(2 lam) has its own argument, and a run whose windows reject fewer
+    draws running draws the phases of fixed windows.
+    """
     n_pts = 2 * p.N + 4
     nodes: list[complex] = []
-    tries = 0
+    tries = rejected = 0
+    last = -1.0
     while len(nodes) < n_pts and tries < 200:
         tries += 1
-        phase = pi * (len(nodes) + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
+        k = len(nodes)
+        away = 1 if 2 * k < n_pts else -1
+        centre = max(k + 0.37 + away * 0.16 * (rejected // WINDOW_STAY), last + 0.24)
+        phase = pi * (centre + 0.08 * rng.uniform(-1, 1)) / n_pts
         lam = complex(0.05 + 0.02 * rng.uniform(-1, 1), phase)
         try:
             guard(lam)
         except DegenerateParameter:
+            rejected += 1
             continue
         nodes.append(lam)
+        rejected, last = 0, phase * n_pts / pi
     if len(nodes) < n_pts:
         raise DegenerateParameter("could not sample generic interpolation nodes")
     return nodes
@@ -336,10 +376,12 @@ def _det_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex],
     """``_det_check`` of q's N points lams with lam in place of lams[0], as a
     function of lam.  The part lam does not enter (the other points, theta
     and their kernel products and pairs) is checked once and cached on
-    success; each call checks only lam's gaps, its N lam/xi products and its
-    N-1 pairs with the other points.
+    success, and x = cosh 2xi is taken once; each call takes only lam's own
+    terms of ``_kernel``, u, v and w, and checks lam's gaps, its N lam/xi
+    products and its N-1 pairs with the other points.
     """
-    xi, rest = np.array(q.xi), np.array(lams[1:], dtype=complex)
+    xi, rest, eta = np.array(q.xi), np.array(lams[1:], dtype=complex), q.eta
+    x = np.cosh(2 * xi)
 
     # a call that raises is not cached, so a failing check raises on every guard
     @functools.cache
@@ -352,9 +394,10 @@ def _det_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex],
         lam = complex(lam)
         params.assert_generic(q, (lam,))
         w_rest = fixed()
-        _, _, w, _, _, lam_xi, _ = _kernel(q, np.array([lam]), xi)
-        # the pairs (lam, lams[j]) of _kernel's row, w_j - w_lam over 2
-        _kernel_check(q, lam_xi, (w_rest - w) / 2)
+        at = 2 * np.array([lam])
+        u, v, w = np.cosh(at), np.cosh(at + 2 * eta), np.cosh(at + eta)
+        # lam's row of _kernel: (u - x_j)(v - x_j) / 4, and its pairs w_j - w_lam over 2
+        _kernel_check(q, (u - x) * (v - x) / 4, (w_rest - w) / 2)
 
     return guard
 
@@ -374,18 +417,23 @@ def z_property_suite(
     (``_det_guard``, ``_contract_guard``) and skipped where it raises.  Then
     every value is computed in a few passes (``_contract``,
     ``_z_determinant_bminus``):
-    - the contracted lambda swap, xi swap and lam_N = -xi_1 left side and
-      Z's own string run together, one batched block per step; Z's tail
-      B(lam_2) ... B(lam_N) |ref> is shared by the contracted values that
-      vary only lam_1 (Z itself, the crossed point, lam_1 = xi_1 and the
-      degree nodes), and by nothing else;
+    - the contracted lambda swap, xi swap and lam_N = -xi_1 left side,
+      cminus's own string (for kind cminus, when contracting: its string
+      has this gate layout, with C blocks and swapped reference states)
+      and Z's own string run together, one batched block per step; Z's
+      tail B(lam_2) ... B(lam_N) |ref> is shared by the contracted values
+      that vary only lam_1 (Z itself, the crossed point, lam_1 = xi_1 and
+      the degree nodes), and by nothing else;
     - the two recursions' N-1 point strings are a second pass;
     - the determinant takes its N point sets in one call and the
       recursions' N-1 point sets in another.
     Each value is that of its own evaluation bit for bit.  Each recursion's
     left side is contracted, whatever the methods.  Returns the residuals,
-    and that function's value at ``lambdas`` by method, so a caller need not
-    evaluate it again.
+    and ``kind``'s own value at ``lambdas`` by method, so a caller need not
+    evaluate it again: for bminus the suite's Z, for cminus's contraction
+    its row of the pass; the plus kinds' strings (the other gate layout)
+    and cminus's determinant (the swapped pair) are evaluated after the
+    checks, one ``z_value`` call per method.
     """
     q, lams = _kind_params(p, lambdas, kind)
     for method in methods:
@@ -410,16 +458,22 @@ def z_property_suite(
         if n >= 2:
             z["det"] += _z_determinant_bminus(sub, [rest1, restn])
     # the contracted rows beside lam_1, the recursions' left sides included (at1
-    # a point on the shared tail, atn a row of its own), then Z's own row, whose
-    # string from block N down to block 2 is the tail the lam_1 points share
+    # a point on the shared tail, atn a row of its own), then cminus's own row,
+    # which has this gate layout and its own block and reference states, then
+    # Z's own row, whose string from block N down to block 2 is the tail the
+    # lam_1 points share
     contract = "contract" in methods
     points = (firsts["contract"] if contract else []) + ([x1] if n >= 2 else [])
     rows = (others if contract else []) + ([(atn, q.xi)] if n >= 2 else [])
     for lam in points:
         guard["contract"](lam)
     _guard_rows(q, "bminus", [row for row, _ in rows])
-    contracted = _contract(q, "bminus", *zip(*rows, (lams, q.xi)), fan=points)
-    on_rows, on_tail = contracted[: len(rows)], contracted[len(rows) :]
+    # cminus's points are Z's, whose gaps the guard of the lam_1 points has taken
+    own = [(lams, q.xi)] if kind == "cminus" and contract else []
+    kinds = ["bminus"] * len(rows) + ["cminus"] * len(own) + ["bminus"]
+    contracted = _contract(q, kinds, *zip(*rows, *own, (lams, q.xi)), fan=points)
+    j = len(rows) + len(own)
+    on_rows, on_own, on_tail = contracted[: len(rows)], contracted[len(rows) : j], contracted[j:]
     if contract:
         z["contract"] = on_tail[: len(firsts["contract"])] + on_rows[: len(others)]
         if n >= 2:
@@ -439,7 +493,16 @@ def z_property_suite(
             res[f"recursion_lam1_{method}"] = rel_disagreement(c1 * recursions[0], on_tail[-1])
             res[f"recursion_lamN_{method}"] = rel_disagreement(cn * recursions[1], on_rows[-1])
         res[f"degree_{method}"] = _degree_fit(q, nodes[method], at_nodes)
-    return res, {m: z[m][0] for m in methods}
+
+    def own_value(method: str) -> complex:
+        if kind == "bminus":
+            return z[method][0]
+        if on_own and method == "contract":
+            return on_own[0]
+        # the plus kinds' strings have the other gate layout, and cminus's determinant the swapped pair
+        return z_value(p, lambdas, kind, method)
+
+    return res, {m: own_value(m) for m in methods}
 
 
 def rel_disagreement(a: complex, b: complex) -> float:

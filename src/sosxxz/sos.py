@@ -108,20 +108,29 @@ def gauge_s_tilde2_inv(lam, theta, omega: complex, eps: float = 0.0) -> np.ndarr
 # dynamical R-matrix and crossed L-operators
 
 
-def dyn_r4(lam, theta, eta: complex, eps: float = 0.0) -> np.ndarray:
+def dyn_r4(lam, theta, eta: complex, eps: float = 0.0, repeat=None) -> np.ndarray:
     """Dynamical R-matrix (trigonometric SOS weights) as a raw 4x4 block,
-    or a (..., 4, 4) stack for array lam and theta (broadcast together)."""
+    or a (..., 4, 4) stack for array lam and theta (broadcast together).
+
+    ``repeat``, if given, maps an array over lam to one over theta's last
+    axis (``tn.dynamical_gates``): sinh(lam) and sinh(lam + eta) are then
+    taken once per lam and repeated, entry for entry as over the repeated lam.
+    """
     lam, theta = np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex)
     st = np.sinh(theta)
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter(f"|sinh(theta)| <= {eps:.1e} in dynamical R")
     down, up = np.sinh(theta - eta), np.sinh(theta + eta)
+    # the factors of lam alone, taken before lam is repeated or spread
+    sl, sle = np.sinh(lam), np.sinh(lam + eta)
+    if repeat is not None:
+        lam, sl, sle = repeat(lam), repeat(sl), repeat(sle)
     if lam.shape != theta.shape:
         shape = np.broadcast_shapes(lam.shape, theta.shape)
-        lam, theta, st, down, up = (_spread(a, shape) for a in (lam, theta, st, down, up))
-    sl, se = np.sinh(lam), np.sinh(eta)
+        lam, theta, st, down, up, sl, sle = (_spread(a, shape) for a in (lam, theta, st, down, up, sl, sle))
+    se = np.sinh(eta)
     r = np.zeros(lam.shape + (4, 4), dtype=complex)
-    r[..., 0, 0] = r[..., 3, 3] = np.sinh(lam + eta)
+    r[..., 0, 0] = r[..., 3, 3] = sle
     r[..., 1, 1] = sl * down / st
     r[..., 1, 2] = se * np.sinh(theta - lam) / st
     r[..., 2, 1] = se * np.sinh(theta + lam) / st
@@ -132,9 +141,10 @@ def dyn_r4(lam, theta, eta: complex, eps: float = 0.0) -> np.ndarray:
 _L_LEGS = ("c1", "c2")
 
 
-def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> np.ndarray:
+def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0, repeat=None) -> np.ndarray:
     """Crossed L-operator on two legs as a raw 4x4 block, or a (..., 4, 4)
-    stack for array lam and theta (broadcast together).
+    stack for array lam and theta (broadcast together); ``repeat`` is
+    passed to ``dyn_r4``.
 
     kind "L":    L^{t1}_{12}(lam; th) = R^{t1}_{12}(lam; th + eta sz_1) sinh(th - eta sz_2)/sinh th
     kind "Lhat": Lhat^{t1}_{21}(lam; th) = R^{t1}_{21}(lam; th - eta sz_1) sinh(th + eta sz_2)/sinh th
@@ -146,7 +156,7 @@ def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0) -> n
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter("crossed L needs |sinh(theta)| > eps")
     w = 1 if kind == "L" else -1
-    r_up, r_down = (dyn_r4(lam, theta + w * s * eta, eta, eps) for s in (1, -1))
+    r_up, r_down = (dyn_r4(lam, theta + w * s * eta, eta, eps, repeat) for s in (1, -1))
     if kind == "Lhat":
         r_up, r_down = tn.swapped4(r_up), tn.swapped4(r_down)
     # the sigma^z_1 argument acts first: it picks the columns of the
@@ -259,9 +269,9 @@ def dyn_monodromy_gates(lam, theta: complex, kind: str, p: ModelParams, xi=None)
     eta, eps = p.eta, p.eps_pole
     if kind in _DOUBLE_ROW["plus"]:
         l_kind = "Lhat" if hatted else "L"
-        build = lambda x, c: crossed_l4(x, theta + eta * c, eta, l_kind, eps)
+        build = lambda x, c, rep: crossed_l4(x, theta + eta * c, eta, l_kind, eps, rep)
     else:
-        build = lambda x, c: dyn_r4(x, theta + eta * c, eta, eps)
+        build = lambda x, c, rep: dyn_r4(x, theta + eta * c, eta, eps, rep)
     xis = p.xi if xi is None else np.asarray(xi, dtype=complex).T
     gates = [
         (lam + xis[k - 1] if hatted else lam - xis[k - 1], on, charge)
@@ -325,12 +335,19 @@ def apply_block_column(gates: list, side: str, name: str, N: int, v: np.ndarray,
 
     With ``batch``, v is (B, 2^N) or (B, 2^N, m) and each gate block or stack
     leads with an axis of B, one double row per input, so gates built once
-    for many blocks can be applied a slice at a time.
+    for many blocks can be applied a slice at a time.  ``name`` may then
+    list one block per input, so strings of different blocks on one gate
+    layout share the product; each input's result is that of its block
+    alone.
     """
-    r, c = _BLOCK_INDEX[side][name]
     lead = np.shape(v)[:1] if batch else ()
     shape = np.shape(v)[len(lead) :]
-    at = (slice(None),) * len(lead)
+    if isinstance(name, str):
+        r, c = _BLOCK_INDEX[side][name]
+        at = (slice(None),) * len(lead)
+    else:
+        r, c = np.array([_BLOCK_INDEX[side][n] for n in name]).T
+        at = (np.arange(len(r)),)
     x = np.zeros(lead + (2,) + shape, dtype=complex)
     x[at + (c,)] = v
     y = tn.product(chain_legs(N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=batch)
@@ -380,7 +397,7 @@ def gauge_row_gates(
     (used for the theta - eta sz_aux variants in the gauge relations).
     """
     p.boundary(side)  # rejects an unknown side
-    build = lambda x, c: gauge_s2(x, theta + p.eta * c, omega, p.eps_pole)
+    build = lambda x, c, rep: gauge_s2(rep(x), theta + p.eta * c, omega, p.eps_pole)
     layout = _chain_layout(f"S_{side}", p.N, tuple(extra_shift))
     return tn.dynamical_gates(build, [(p.xi[k - 1], on, charge) for k, on, charge in layout])
 
@@ -389,7 +406,7 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
     """Gate of S_0(lam; theta - eta S^z) ("minus") or of the sigma^y-conjugated
     S-tilde_0(lam; theta + eta S^z) ("plus") on the chain legs."""
     build2 = gauge_s2 if side == "minus" else gauge_s_tilde2
-    build = lambda x, c: build2(x, theta + p.eta * c, omega, p.eps_pole)
+    build = lambda x, c, rep: build2(rep(x), theta + p.eta * c, omega, p.eps_pole)
     return tn.dynamical_gates(build, [(lam, (AUX,), _chain_shift(side, p.N))])[0]
 
 
@@ -489,7 +506,7 @@ def dybe_residual(l1, l2, l3, theta, eta, form: int = 1) -> float:
         for weight in (0, w):
             keys.append((name, weight))
             gates.append((x, pair, [(third, weight)]))
-    r = dict(zip(keys, tn.dynamical_gates(lambda x, c: dyn_r4(x, theta + eta * c, eta), gates)))
+    r = dict(zip(keys, tn.dynamical_gates(lambda x, c, rep: dyn_r4(x, theta + eta * c, eta, repeat=rep), gates)))
     if form == 1:
         lhs = [r["12", w], r["13", 0], r["23", w]]
         rhs = [r["23", 0], r["13", w], r["12", 0]]
@@ -567,7 +584,7 @@ def vertex_face_residual(l1, l2, theta, omega, eta, form: int = 1) -> float:
         for weight in (0, w):
             keys.append((leg, weight))
             gates.append((x, (leg,), [(other, weight)]))
-    s = dict(zip(keys, tn.dynamical_gates(lambda x, c: gauge_s2(x, theta + eta * c, omega), gates)))
+    s = dict(zip(keys, tn.dynamical_gates(lambda x, c, rep: gauge_s2(rep(x), theta + eta * c, omega), gates)))
     rv = (vx.r4(l1 - l2, eta), legs)
     rd = (dyn_r4(l1 - l2, theta, eta), legs)
     if form == 1:
@@ -611,7 +628,7 @@ def reflection_equivalence_residual(l1, l2, p: ModelParams) -> float:
     om = p.tau
     # the inner gauge pair reads theta - eta sz_2
     inner = lambda build, x: tn.dynamical_gates(
-        lambda y, c: build(y, theta + eta * c, om, p.eps_pole), [(x, ("c1",), (("c2", -1),))]
+        lambda y, c, rep: build(rep(y), theta + eta * c, om, p.eps_pole), [(x, ("c1",), (("c2", -1),))]
     )[0]
 
     lhs = [
@@ -677,7 +694,7 @@ def sos_algebra_residual(l1, l2, p: ModelParams, side: str, monodromy=None) -> f
     ("plus") of the quantum sites.
     """
     theta, shift = p.theta(side), _chain_shift(side, p.N)
-    build = lambda x, c: dyn_r4(x, theta + p.eta * c, p.eta)
+    build = lambda x, c, rep: dyn_r4(x, theta + p.eta * c, p.eta, repeat=rep)
     return vx.reflection_type_residual(
         lambda a, b: tn.dynamical_gates(build, [(x, ("x1", "x2"), shift) for x in (a, b)]),
         lambda lam, leg: tn.relabel(dyn_double_row_gates(lam, theta, side, p, monodromy=monodromy), {AUX: leg}),

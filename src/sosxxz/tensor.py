@@ -135,35 +135,39 @@ def charge_values(charge) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _charge_layout(charges: tuple) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """The ``charge_values`` of each charge list, concatenated (read-only),
-    with each list's value count and the running ends of the counts."""
+def _charge_layout(charges: tuple) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """The ``charge_values`` of each charge list, concatenated, and the
+    index of the list each value belongs to (both read-only), with each
+    list's value count and the running ends of the counts."""
     values = [charge_values(charge) for charge in charges]
     sizes = tuple(len(v) for v in values)
-    c = np.concatenate(values)
-    c.flags.writeable = False
-    return c, sizes, tuple(itertools.accumulate(sizes))
+    c, owner = np.concatenate(values), np.repeat(np.arange(len(sizes)), sizes)
+    c.flags.writeable = owner.flags.writeable = False
+    return c, owner, sizes, tuple(itertools.accumulate(sizes))
 
 
 def dynamical_gates(build, gates) -> list:
     """Dynamical gates (stack, on, charge) for the triples (x, on, charge),
-    with every stack from one call ``build(x, c)``.
+    with every stack from one call ``build(x, c, repeat)``.
 
-    ``c`` concatenates each gate's ``charge_values`` and ``x`` repeats each
-    gate's scalar x once per value, so ``build`` maps the two equal-length
-    arrays to a stack of blocks, one per entry; the stack is then split
-    back into one per gate.  A list of gates costs one vectorised call,
-    not one call per gate or per charge, and ``c`` and the split points are
-    computed once per tuple of charge lists (``_charge_layout``).
+    ``x`` holds each gate's spectral value once, ``c`` concatenates each
+    gate's ``charge_values``, and ``repeat`` maps an array over ``x`` to one
+    over ``c``, each gate's entry repeated once per value: ``build`` maps
+    them to a stack of blocks, one per entry of ``c``, and can take the
+    factors of x alone once per gate before repeating them.  The stack is
+    then split back into one per gate.  A list of gates costs one
+    vectorised call, not one call per gate or per charge, and ``c``, the
+    gate of each of its values and the split points are computed once per
+    tuple of charge lists (``_charge_layout``).
 
     Each x may instead be an array of B values, the same B for every gate:
-    ``x`` is then (B, len(c)), ``build`` returns (B, len(c), d, d), and each
-    gate gets a (B, count, d, d) stack, one per input of a batched
-    ``product``, still from one call.
+    ``x`` is then (B, gates), ``repeat`` gives (B, len(c)), ``build``
+    returns (B, len(c), d, d), and each gate gets a (B, count, d, d) stack,
+    one per input of a batched ``product``, still from one call.
     """
-    c, sizes, ends = _charge_layout(tuple(tuple(charge) for _, _, charge in gates))
+    c, owner, sizes, ends = _charge_layout(tuple(tuple(charge) for _, _, charge in gates))
     x = np.array([g[0] for g in gates], dtype=complex).T
-    stack = build(np.repeat(x, sizes, axis=-1), c)
+    stack = build(x, c, lambda a: a.take(owner, axis=-1))
     return [(stack[..., j - n : j, :, :], on, charge) for j, n, (_, on, charge) in zip(ends, sizes, gates)]
 
 

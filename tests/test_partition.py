@@ -1,3 +1,4 @@
+import json
 from cmath import exp, pi, sinh
 
 import mpmath
@@ -235,6 +236,104 @@ def test_batched_determinant_equals_single_rows_bit_for_bit(n, b, seed, kind):
     assert got[0] == pt.z_determinant(q.replace(xi=xis[0]), rows[0], "bminus")
 
 
+def determinant_rows_oracle(q, lams, xi=None):
+    """``_z_determinant_bminus`` as it took its scales and products row by
+    row, unguarded: every product of a row on its own 1-D arrays and numpy
+    scalars."""
+    n, eta, d, z = q.N, q.eta, q.delta, q.zeta
+    lam = np.array(lams, dtype=complex).reshape(-1, n)
+    xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
+    u, v, _, ux, vx, lam_xi, pair = pt._kernel(q, lam, xi)
+    k = 1 / np.cumprod(ux, axis=-1) - 1 / np.cumprod(vx, axis=-1)
+    rows = np.max(np.abs(k), axis=-1)
+    cols = np.max(np.abs(k / rows[..., None]), axis=-2)
+    r = 4 * np.sinh(2 * lam) * np.sinh(eta) / ((v - u) * np.sinh(d + lam) * np.sinh(z + lam))
+    c = np.sinh(d + xi) * np.sinh(z - xi)
+    i = np.arange(n)
+    theta_ratio = np.sinh(q.theta("minus") + eta * (n - 2 - 2 * i)) / np.sinh(q.theta("minus") + eta * (n - 1 - i))
+    sign = (-2) ** (n * (n - 1) // 2)
+    dets = np.linalg.det(k / rows[..., None] / cols[..., None, :])
+    terms = zip(dets, rows, cols, r, c, lam_xi, pair)
+    return [
+        complex(dt * (sign * np.prod(rw * cl * rr * cc * theta_ratio)) * np.prod(lx) / np.prod(pr))
+        for dt, rw, cl, rr, cc, lx, pr in terms
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_determinant_equals_the_row_by_row_products(n):
+    # batches of 1 to 40 rows, each with its own xi order: the scales and
+    # lam/xi products taken over the batch round as each row's own did (a
+    # theta ratio broadcast over a single row at N = 1 rounds apart in about
+    # 1 of 75 rows, so single rows come many times)
+    rng = np.random.default_rng(500 + n)
+    q, _ = pt._kind_params(generic_params(n), [0.0] * n, "bminus")
+    for b in (1,) * 300 + (2, 3, 7, 40):
+        rows = [tuple(sample_points(rng, q, n)) for _ in range(b)]
+        xis = [tuple(rng.permutation(np.array(q.xi))) for _ in range(b)]
+        assert pt._z_determinant_bminus(q, rows) == determinant_rows_oracle(q, rows)
+        assert pt._z_determinant_bminus(q, rows, xis) == determinant_rows_oracle(q, rows, xis)
+
+
+@pytest.mark.parametrize("cap", [None, 2, 1])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cminus_row_of_the_suite_is_its_own_contraction(n, cap, monkeypatch):
+    # cminus's own string rides the suite's first pass, with its C blocks and
+    # swapped reference states, in batches of any size
+    if cap is not None:
+        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(131 + n), p, n))
+    _, values = pt.z_property_suite(p, lams, "cminus", seed=2, methods=("contract",))
+    assert values["contract"] == full_contraction(p, lams, "cminus")
+    _, values = pt.z_property_suite(p, lams, "cminus", seed=2)
+    assert values == {"det": pt.z_determinant(p, lams, "cminus"), "contract": full_contraction(p, lams, "cminus")}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", pt.KINDS)
+def test_partition_command_reports_each_kinds_own_value(n, kind):
+    # run_partition reads every value from the suite; each is the kind's own Z
+    cfg = cli.RunConfig(params=generic_params(n), seed=n)
+    lams = sample_points(np.random.default_rng(n), cfg.params, n)
+    for method in ("det", "contract", "both"):
+        _, extra = cli.run_partition(cfg, kind, method)
+        methods = ("det", "contract") if method == "both" else (method,)
+        assert {k: v for k, v in extra.items() if k.startswith("value_")} == {
+            f"value_{m}": cli._c2pair(pt.z_value(cfg.params, lams, kind, m)) for m in methods
+        }
+
+
+def test_stuck_degree_windows_move_off_the_det_guards_zero(tmp_path):
+    # at pole tolerance 0.02 the det guard rejects every phase within about
+    # one window of 0 and pi (lam_1 near 0 or i pi, so near every small xi_j):
+    # the first and last windows move inward, and the nodes stay distinct
+    p = generic_params(4, eps_pole=0.02)
+    lams = tuple(sample_points(np.random.default_rng(0), p, 4))
+    q, _ = pt._kind_params(p, lams, "bminus")
+    nodes = pt._degree_nodes(q, pt._det_guard(q, lams), np.random.default_rng(0))
+    units = [lam.imag * 12 / pi for lam in nodes]
+    assert all(0 < a < b < 12 for a, b in zip(units, units[1:]))
+    assert units[0] > 0.45 and units[-1] < 11.29
+    for lam in nodes:
+        pt._det_guard(q, lams)(lam)
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps({"tolerances": {"pole": 0.02}}))
+    for method in ("det", "both"):
+        args = ["partition", "--kind", "bminus", "--method", method, "--n", "4", "--config", str(config)]
+        assert cli.main(args + ["--out", str(tmp_path / "z.jsonl")]) == 0
+
+
+def test_degree_windows_without_rejections_draw_fixed_phases(p3):
+    # a guard that accepts every draw sees the phases of fixed windows
+    n_pts, rng = 2 * p3.N + 4, np.random.default_rng(19)
+    want = []
+    for k in range(n_pts):
+        phase = pi * (k + 0.37 + 0.08 * rng.uniform(-1, 1)) / n_pts
+        want.append(complex(0.05 + 0.02 * rng.uniform(-1, 1), phase))
+    assert pt._degree_nodes(p3, lambda lam: None, np.random.default_rng(19)) == want
+
+
 def test_batched_determinant_guards_every_row(p3):
     good = tuple(sample_points(np.random.default_rng(61), p3, 3))
     with pytest.raises(DegenerateParameter):
@@ -457,11 +556,11 @@ def test_batched_determinant_guard_at_eps_pole(scale, p3):
     assert raised(pt._z_determinant_bminus, q, rows) == want[1]
 
 
-@pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 8, 17), ("bplus", 8, 17), ("cplus", 8, 17)])
+@pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 6, 11), ("bplus", 8, 17), ("cplus", 8, 17)])
 def test_partition_command_builds_each_string_once(kind, gates, products, monkeypatch, tmp_path):
     # one dyn_double_row_gates call, two monodromy builds, per block string:
-    # the suite's tail and fan strings and its recursion string, and the
-    # other kinds' own Z
+    # the suite's tail and fan strings and its recursion string, and the plus
+    # kinds' own Z; cminus's own Z is a row of the suite's first pass
     counts = {"gates": 0, "products": 0}
 
     def counted(fn, key):

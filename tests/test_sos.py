@@ -144,6 +144,24 @@ def test_array_builder_broadcasts_a_scalar_argument(name, p3):
         assert tn.max_abs(stack[i] - build(0.31 + 0.17j, t, p3)) <= 1e-15 * tn.max_abs(stack[i])
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("name", ["dyn_r4", "crossed_L", "crossed_Lhat"])
+def test_lam_factors_once_per_gate_equal_the_repeated_build(name, batch, p3):
+    # sinh(lam) and sinh(lam + eta) taken once per gate value and repeated
+    # give the blocks of the build on the repeated values, bit for bit
+    sizes = np.array([1, 3, 2, 4])
+    rng = np.random.default_rng(len(batch))
+    x = rng.uniform(-1, 1, batch + (4,)) + 1j * rng.uniform(-1, 1, batch + (4,))
+    theta = 0.63 + 0.29j + p3.eta * rng.integers(-3, 4, sizes.sum())
+    repeat = lambda a: np.repeat(a, sizes, axis=-1)
+    build = {
+        "dyn_r4": lambda l, rep=None: sos.dyn_r4(l, theta, p3.eta, repeat=rep),
+        "crossed_L": lambda l, rep=None: sos.crossed_l4(l, theta, p3.eta, "L", repeat=rep),
+        "crossed_Lhat": lambda l, rep=None: sos.crossed_l4(l, theta, p3.eta, "Lhat", repeat=rep),
+    }[name]
+    assert np.array_equal(build(x, repeat), build(repeat(x)))
+
+
 @pytest.mark.parametrize("kind", ["T", "That", "V", "Vhat"])
 def test_pole_at_one_charge_is_degenerate(kind, p3):
     # at theta = 2 eta the shift theta + eta c vanishes at the charge c = -2

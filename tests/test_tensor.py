@@ -412,13 +412,14 @@ def test_charge_table_of_a_gate_listing_one_leg_twice():
 def test_dynamical_gates_build_every_stack_in_one_call():
     calls = []
 
-    def build(x, c):
+    def build(x, c, repeat):
         calls.append((x.copy(), c.copy()))
-        return (x + c)[:, None, None] * np.eye(2)
+        return (repeat(x) + c)[:, None, None] * np.eye(2)
 
     gates = [(0.5, ("a",), [("b", 1), ("c", 1)]), (2j, ("b",), []), (-1.0, ("c",), [("a", -1), ("b", 2)])]
     built = tn.dynamical_gates(build, gates)
-    assert len(calls) == 1 and len(calls[0][0]) == 3 + 1 + 4
+    # each gate's value once, and one charge value per block
+    assert len(calls) == 1 and list(calls[0][0]) == [0.5, 2j, -1.0] and len(calls[0][1]) == 3 + 1 + 4
     for (stack, on, charge), (x, on0, charge0) in zip(built, gates):
         assert on == on0 and charge is charge0
         expect = np.array([(x + c) * np.eye(2) for c in oracle_charge_values(charge)])
