@@ -56,6 +56,11 @@ DENSE_ENTRIES = {
     # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
     "partition": lambda n: 2 ** (n + 3),
 }
+# the largest N of a det-only partition run, which nothing contracts: past it
+# the LU of the ill-conditioned kernel (cond 2.8e5 at N = 16, 1.3e9 at
+# N = 20) loses more than the 1e-9 tolerance against a 60-digit reference,
+# which the property rows need not see; --method both ties det to the contraction
+DET_ONLY_MAX_N = 16
 
 
 @dataclass
@@ -323,6 +328,11 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
 
 def run_partition(cfg: RunConfig, kind: str, method: str) -> tuple[list[dict], dict]:
     p = cfg.params
+    if method == "det" and p.N > DET_ONLY_MAX_N:
+        raise ConfigError(
+            f"--method det is certified up to N = {DET_ONLY_MAX_N}: past it the determinant kernel's "
+            "conditioning costs more than the tolerance; use --method both"
+        )
     tol = cfg.tolerances["partition"]
     rng = np.random.default_rng(cfg.seed)
     lams = sample_points(rng, p, p.N)

@@ -4,8 +4,9 @@ Four boundary configurations exist (reflecting end left or right, heights
 rising or falling along the top row).  Each is a matrix element of a string
 of creation-type double-row blocks between the two reference states, and
 each reduces to a single N x N determinant, free of poles at coincident xi_j.
-The direct contraction is the ground truth; the determinant and recursion
-paths are checked against it.
+The contraction and the determinant are two constructions, each checked on
+its own values against the property list that characterises Z (symmetry,
+crossing, both recursions, degree); ``det_vs_contract`` ties the two.
 
 The property suite evaluates its spectral-point sets in batches: block
 strings of one gate layout run together, each with its own creation block
@@ -22,7 +23,6 @@ the drawn point's own terms per draw.
 
 from __future__ import annotations
 
-import functools
 from cmath import exp, pi, sinh
 from typing import Callable, Sequence
 
@@ -155,15 +155,10 @@ def _guard_rows(q: ModelParams, kind: str, rows) -> None:
 def _contract_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
     """The bminus contraction's pole guard of q's N points lams with lam in
     place of lams[0], as a function of lam.  The other points and theta are
-    checked once and cached on success; each call checks lam alone."""
-    # a call that raises is not cached, so a failing check raises on every guard
-    fixed = functools.cache(lambda: params.assert_generic(q, lams[1:], [q.theta("minus")]))
-
-    def guard(lam: complex) -> None:
-        fixed()
-        params.assert_generic(q, (complex(lam),))
-
-    return guard
+    checked here, once, so a failing fixed part raises its own message; each
+    call checks lam alone."""
+    params.assert_generic(q, lams[1:], [q.theta("minus")])
+    return lambda lam: params.assert_generic(q, (complex(lam),))
 
 
 def z_contraction(p: ModelParams, lambdas: Sequence[complex], kind: str) -> complex:
@@ -223,7 +218,7 @@ def _det_check_rows(q: ModelParams, lam: np.ndarray, lam_xi: np.ndarray, pair: n
             _det_check(q, *checked)
 
 
-def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
+def _z_determinant_bminus(q: ModelParams, lams, xi=None, pole=None) -> list[complex]:
     """Tsuchiya's determinant in u = cosh 2lam, v = cosh(2lam + 2eta), w = cosh(2lam + eta), x = cosh 2xi,
     at each row of N points of ``lams``, with the matching row of ``xi`` (default q.xi).
 
@@ -233,13 +228,24 @@ def _z_determinant_bminus(q: ModelParams, lams, xi=None) -> list[complex]:
     is guarded as ``_det_check`` guards it alone (``_det_check_rows``); one ``np.linalg.det`` call takes
     the kernels of all rows, the scales and products run over the batch save the steps that round apart
     batched, and each value is that of its row alone, bit for bit.
+
+    ``pole`` gives, per row of points, the index i of a point at lam_i = +-xi_1 (u_i = x_1, x_1 at any node
+    of the row's xi), or None.  That kernel row, times prod_m (u_i - x_m), is taken at its removable pole
+    (Korepin's recursion): entry j is prod_{m>j}(u_i - x_m), zero before x_1's node, the v term vanishes,
+    and its lam/xi factors are (v_i - x_m)/4.  Nothing divides by u_i - x_1, nor by x_1 - x_m (zero at coincident xi).
     """
     n, eta, d, z = q.N, q.eta, q.delta, q.zeta
     lam = np.array(lams, dtype=complex).reshape(-1, n)
     xi = np.broadcast_to(np.array(q.xi if xi is None else xi, dtype=complex), lam.shape)
+    at = tuple(np.array([(s, i) for s, i in enumerate(pole or ()) if i is not None], dtype=int).reshape(-1, 2).T)
     u, v, _, ux, vx, lam_xi, pair = _kernel(q, lam, xi)
+    lam_xi[at] = vx[at] / 4
     _det_check_rows(q, lam, lam_xi, pair)
+    # prod_{m>j}(u_i - x_m): the reversed running product of columns N-1 .. 1, after an empty product
+    tail = np.cumprod(np.concatenate([np.ones((len(at[0]), 1)), ux[at][:, :0:-1]], axis=-1), axis=-1)[:, ::-1]
+    ux[at] = 1
     k = 1 / np.cumprod(ux, axis=-1) - 1 / np.cumprod(vx, axis=-1)
+    k[at] = tail
     rows = np.max(np.abs(k), axis=-1)
     cols = np.max(np.abs(k / rows[..., None]), axis=-2)
     r = 4 * np.sinh(2 * lam) * np.sinh(eta) / ((v - u) * np.sinh(d + lam) * np.sinh(z + lam))
@@ -274,14 +280,6 @@ def z_determinant(p: ModelParams, lambdas: Sequence[complex], kind: str) -> comp
         return _z_determinant_bminus(q, [lams])[0]
     reflected = q.replace(xi=tuple(-x for x in q.xi))
     return (-1) ** q.N * _z_determinant_bminus(reflected, [tuple(q.k_point(l, side) for l in lams)])[0]
-
-
-def z_value(p: ModelParams, lambdas: Sequence[complex], kind: str, method: str) -> complex:
-    if method == "det":
-        return z_determinant(p, lambdas, kind)
-    if method == "contract":
-        return z_contraction(p, lambdas, kind)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def crossing_factor(lam: complex, delta: complex, zeta: complex, eta: complex) -> complex:
@@ -375,25 +373,19 @@ def _degree_fit(p: ModelParams, nodes: Sequence[complex], z: Sequence[complex]) 
 def _det_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
     """``_det_check`` of q's N points lams with lam in place of lams[0], as a
     function of lam.  The part lam does not enter (the other points, theta
-    and their kernel products and pairs) is checked once and cached on
-    success, and x = cosh 2xi is taken once; each call takes only lam's own
-    terms of ``_kernel``, u, v and w, and checks lam's gaps, its N lam/xi
-    products and its N-1 pairs with the other points.
+    and their kernel products and pairs) is checked here, once, so a failing
+    fixed part raises its own message, and x = cosh 2xi is taken once; each
+    call takes only lam's own terms of ``_kernel``, u, v and w, and checks
+    lam's gaps, its N lam/xi products and its N-1 pairs with the other points.
     """
-    xi, rest, eta = np.array(q.xi), np.array(lams[1:], dtype=complex), q.eta
+    xi, eta = np.array(q.xi), q.eta
     x = np.cosh(2 * xi)
-
-    # a call that raises is not cached, so a failing check raises on every guard
-    @functools.cache
-    def fixed() -> np.ndarray:
-        _, _, w, _, _, lam_xi, pair = _kernel(q, rest, xi)
-        _det_check(q, lams[1:], lam_xi, pair)
-        return w
+    _, _, w_rest, _, _, lam_xi, pair = _kernel(q, np.array(lams[1:], dtype=complex), xi)
+    _det_check(q, lams[1:], lam_xi, pair)
 
     def guard(lam: complex) -> None:
         lam = complex(lam)
         params.assert_generic(q, (lam,))
-        w_rest = fixed()
         at = 2 * np.array([lam])
         u, v, w = np.cosh(at), np.cosh(at + 2 * eta), np.cosh(at + eta)
         # lam's row of _kernel: (u - x_j)(v - x_j) / 4, and its pairs w_j - w_lam over 2
@@ -412,28 +404,28 @@ def z_property_suite(
     """Symmetry, crossing, recursion, and degree checks on the given evaluation
     paths, for the bminus function of the pair that ``kind`` reflects on.
 
-    The 2N+4 degree nodes of each method are drawn first, from
+    The 2N+4 degree nodes of each requested method are drawn first, from
     default_rng(seed), each draw asking that method's pole guard
     (``_det_guard``, ``_contract_guard``) and skipped where it raises.  Then
-    every value is computed in a few passes (``_contract``,
-    ``_z_determinant_bminus``):
+    each method evaluates its own values, both recursions' left sides
+    included, in a few passes (``_z_determinant_bminus``, ``_contract``):
+    - the determinant takes its N point sets in one call, the left sides
+      in their limit form at the kernel's removable pole (xi_1 last), and
+      the recursions' N-1 point sets in another; it never contracts;
     - the contracted lambda swap, xi swap and lam_N = -xi_1 left side,
-      cminus's own string (for kind cminus, when contracting: its string
-      has this gate layout, with C blocks and swapped reference states)
-      and Z's own string run together, one batched block per step; Z's
-      tail B(lam_2) ... B(lam_N) |ref> is shared by the contracted values
-      that vary only lam_1 (Z itself, the crossed point, lam_1 = xi_1 and
-      the degree nodes), and by nothing else;
-    - the two recursions' N-1 point strings are a second pass;
-    - the determinant takes its N point sets in one call and the
-      recursions' N-1 point sets in another.
-    Each value is that of its own evaluation bit for bit.  Each recursion's
-    left side is contracted, whatever the methods.  Returns the residuals,
-    and ``kind``'s own value at ``lambdas`` by method, so a caller need not
-    evaluate it again: for bminus the suite's Z, for cminus's contraction
-    its row of the pass; the plus kinds' strings (the other gate layout)
-    and cminus's determinant (the swapped pair) are evaluated after the
-    checks, one ``z_value`` call per method.
+      cminus's own string (for kind cminus: its string has this gate
+      layout, with C blocks and swapped reference states) and Z's own
+      string run together, one batched block per step; Z's tail
+      B(lam_2) ... B(lam_N) |ref> is shared by the values that vary only
+      lam_1 (Z itself, the crossed point, lam_1 = xi_1 and the degree
+      nodes), and by nothing else; the recursions' N-1 point strings are
+      a second pass.
+    Each value is that of its own evaluation bit for bit.  Returns the
+    residuals, and ``kind``'s own value at ``lambdas`` by method, so a
+    caller need not evaluate it again: for bminus the suite's Z, for
+    cminus's contraction its row of the pass; the plus kinds' strings (the
+    other gate layout) and cminus's determinant (the swapped pair) are
+    evaluated after the checks, one call per method.
     """
     q, lams = _kind_params(p, lambdas, kind)
     for method in methods:
@@ -441,7 +433,7 @@ def z_property_suite(
             raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     n, x1 = q.N, q.xi[0]
-    guard = {"det": _det_guard(q, lams), "contract": _contract_guard(q, lams)}
+    guard = {m: {"det": _det_guard, "contract": _contract_guard}[m](q, lams) for m in methods}
     nodes = {m: _degree_nodes(q, guard[m], rng) for m in methods}
     firsts = {m: [lams[0], -lams[0] - q.eta, *nodes[m]] for m in methods}
     # the N point sets beside lam_1, each with its xi: the lambda swap, the xi swap
@@ -450,59 +442,58 @@ def z_property_suite(
         others = [((lams[1], lams[0]) + lams[2:], q.xi), (lams, (q.xi[1], q.xi[0]) + q.xi[2:])]
         at1, atn = (x1,) + lams[1:], lams[:-1] + (-x1,)
         (c1, sub, rest1), (cn, _, restn) = _recursion(q, at1, "lam1=xi1"), _recursion(q, atn, "lamN=-xi1")
-    # method -> the values at firsts, then at others, then at the N-1 point sets
+    # method -> the values at firsts, at1, others and atn, then at the recursions' N-1 point sets
     z: dict[str, list[complex]] = {}
+    own: dict[str, complex] = {}
     if "det" in methods:
-        sets = [((lam,) + lams[1:], q.xi) for lam in firsts["det"]] + others
+        sets = [((lam,) + lams[1:], q.xi, None) for lam in firsts["det"]]
+        if n >= 2:
+            # each left side's point sits at the pole (row 0 of at1, row N-1 of atn), with xi_1 the last
+            # divided-difference node (Z is symmetric in xi): its limit row is e_N, and the kernel keeps
+            # Z_{N-1}'s conditioning; with xi_1 first, cond grew 1e3-fold (N = 14, CLI seed 25), losing 1e-9
+            last = q.xi[1:] + q.xi[:1]
+            sets += [(at1, last, 0)] + [(*s, None) for s in others] + [(atn, last, n - 1)]
         z["det"] = _z_determinant_bminus(q, *zip(*sets))
         if n >= 2:
             z["det"] += _z_determinant_bminus(sub, [rest1, restn])
-    # the contracted rows beside lam_1, the recursions' left sides included (at1
-    # a point on the shared tail, atn a row of its own), then cminus's own row,
-    # which has this gate layout and its own block and reference states, then
-    # Z's own row, whose string from block N down to block 2 is the tail the
-    # lam_1 points share
-    contract = "contract" in methods
-    points = (firsts["contract"] if contract else []) + ([x1] if n >= 2 else [])
-    rows = (others if contract else []) + ([(atn, q.xi)] if n >= 2 else [])
-    for lam in points:
-        guard["contract"](lam)
-    _guard_rows(q, "bminus", [row for row, _ in rows])
-    # cminus's points are Z's, whose gaps the guard of the lam_1 points has taken
-    own = [(lams, q.xi)] if kind == "cminus" and contract else []
-    kinds = ["bminus"] * len(rows) + ["cminus"] * len(own) + ["bminus"]
-    contracted = _contract(q, kinds, *zip(*rows, *own, (lams, q.xi)), fan=points)
-    j = len(rows) + len(own)
-    on_rows, on_own, on_tail = contracted[: len(rows)], contracted[len(rows) : j], contracted[j:]
-    if contract:
-        z["contract"] = on_tail[: len(firsts["contract"])] + on_rows[: len(others)]
+    if "contract" in methods:
+        # the contracted rows beside lam_1 and atn, then cminus's own row, which
+        # has this gate layout and its own block and reference states, then Z's
+        # own row, whose string from block N down to block 2 is the tail the
+        # lam_1 points share, at1's among them
+        points = firsts["contract"] + ([x1] if n >= 2 else [])
+        rows = others + ([(atn, q.xi)] if n >= 2 else [])
+        for lam in points:
+            guard["contract"](lam)
+        _guard_rows(q, "bminus", [row for row, _ in rows])
+        # cminus's points are Z's, whose gaps the guard of the lam_1 points has taken
+        mine = [(lams, q.xi)] if kind == "cminus" else []
+        kinds = ["bminus"] * len(rows) + ["cminus"] * len(mine) + ["bminus"]
+        contracted = _contract(q, kinds, *zip(*rows, *mine, (lams, q.xi)), fan=points)
+        z["contract"] = contracted[len(rows) + len(mine) :] + contracted[: len(rows)]
+        if mine:
+            own["contract"] = contracted[len(rows)]
         if n >= 2:
             _guard_rows(sub, "bminus", [rest1, restn])
             z["contract"] += _contract(sub, "bminus", [rest1, restn])
     res: dict[str, float] = {}
     for method in methods:
         k = len(firsts[method])
-        (z0, crossed, *at_nodes), swaps = z[method][:k], z[method][k : k + len(others)]
-        recursions = z[method][k + len(others) :]
-        if n >= 2:
-            res[f"lambda_swap_{method}"] = rel_disagreement(swaps[0], z0)
-            res[f"xi_swap_{method}"] = rel_disagreement(swaps[1], z0)
+        z0, crossed, *at_nodes = z[method][:k]
         pred = crossing_factor(lams[0], q.delta, q.zeta, q.eta) * z0
         res[f"crossing_{method}"] = rel_disagreement(crossed, pred)
         if n >= 2:
-            res[f"recursion_lam1_{method}"] = rel_disagreement(c1 * recursions[0], on_tail[-1])
-            res[f"recursion_lamN_{method}"] = rel_disagreement(cn * recursions[1], on_rows[-1])
+            left1, lambda_swapped, xi_swapped, leftn, right1, rightn = z[method][k:]
+            res[f"lambda_swap_{method}"] = rel_disagreement(lambda_swapped, z0)
+            res[f"xi_swap_{method}"] = rel_disagreement(xi_swapped, z0)
+            res[f"recursion_lam1_{method}"] = rel_disagreement(c1 * right1, left1)
+            res[f"recursion_lamN_{method}"] = rel_disagreement(cn * rightn, leftn)
         res[f"degree_{method}"] = _degree_fit(q, nodes[method], at_nodes)
-
-    def own_value(method: str) -> complex:
         if kind == "bminus":
-            return z[method][0]
-        if on_own and method == "contract":
-            return on_own[0]
-        # the plus kinds' strings have the other gate layout, and cminus's determinant the swapped pair
-        return z_value(p, lambdas, kind, method)
-
-    return res, {m: own_value(m) for m in methods}
+            own[method] = z0
+    # the plus kinds' strings have the other gate layout, and cminus's determinant the swapped pair
+    evaluate = {"det": z_determinant, "contract": z_contraction}
+    return res, {m: own[m] if m in own else evaluate[m](p, lambdas, kind) for m in methods}
 
 
 def rel_disagreement(a: complex, b: complex) -> float:

@@ -116,15 +116,23 @@ def dyn_r4(lam, theta, eta: complex, eps: float = 0.0, repeat=None) -> np.ndarra
     axis (``tn.dynamical_gates``): sinh(lam) and sinh(lam + eta) are then
     taken once per lam and repeated, entry for entry as over the repeated lam.
     """
-    lam, theta = np.asarray(lam, dtype=complex), np.asarray(theta, dtype=complex)
+    return _dyn_r4(_lam_factors(lam, eta, repeat), theta, eta, eps)
+
+
+def _lam_factors(lam, eta: complex, repeat=None) -> tuple[np.ndarray, ...]:
+    """lam, sinh(lam) and sinh(lam + eta): the factors of lam alone, taken before lam is repeated or spread."""
+    lam = np.asarray(lam, dtype=complex)
+    factors = lam, np.sinh(lam), np.sinh(lam + eta)
+    return factors if repeat is None else tuple(map(repeat, factors))
+
+
+def _dyn_r4(factors: tuple[np.ndarray, ...], theta, eta: complex, eps: float) -> np.ndarray:
+    """``dyn_r4`` from the ``_lam_factors`` of its lam."""
+    (lam, sl, sle), theta = factors, np.asarray(theta, dtype=complex)
     st = np.sinh(theta)
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter(f"|sinh(theta)| <= {eps:.1e} in dynamical R")
     down, up = np.sinh(theta - eta), np.sinh(theta + eta)
-    # the factors of lam alone, taken before lam is repeated or spread
-    sl, sle = np.sinh(lam), np.sinh(lam + eta)
-    if repeat is not None:
-        lam, sl, sle = repeat(lam), repeat(sl), repeat(sle)
     if lam.shape != theta.shape:
         shape = np.broadcast_shapes(lam.shape, theta.shape)
         lam, theta, st, down, up, sl, sle = (_spread(a, shape) for a in (lam, theta, st, down, up, sl, sle))
@@ -143,8 +151,8 @@ _L_LEGS = ("c1", "c2")
 
 def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0, repeat=None) -> np.ndarray:
     """Crossed L-operator on two legs as a raw 4x4 block, or a (..., 4, 4)
-    stack for array lam and theta (broadcast together); ``repeat`` is
-    passed to ``dyn_r4``.
+    stack for array lam and theta (broadcast together); ``repeat`` is as
+    for ``dyn_r4``, and the factors of lam are taken once for both builds.
 
     kind "L":    L^{t1}_{12}(lam; th) = R^{t1}_{12}(lam; th + eta sz_1) sinh(th - eta sz_2)/sinh th
     kind "Lhat": Lhat^{t1}_{21}(lam; th) = R^{t1}_{21}(lam; th - eta sz_1) sinh(th + eta sz_2)/sinh th
@@ -156,7 +164,8 @@ def crossed_l4(lam, theta, eta: complex, kind: str = "L", eps: float = 0.0, repe
     if np.any(np.abs(st) <= eps):
         raise DegenerateParameter("crossed L needs |sinh(theta)| > eps")
     w = 1 if kind == "L" else -1
-    r_up, r_down = (dyn_r4(lam, theta + w * s * eta, eta, eps, repeat) for s in (1, -1))
+    factors = _lam_factors(lam, eta, repeat)
+    r_up, r_down = (_dyn_r4(factors, theta + w * s * eta, eta, eps) for s in (1, -1))
     if kind == "Lhat":
         r_up, r_down = tn.swapped4(r_up), tn.swapped4(r_down)
     # the sigma^z_1 argument acts first: it picks the columns of the

@@ -296,11 +296,12 @@ def test_partition_command_reports_each_kinds_own_value(n, kind):
     # run_partition reads every value from the suite; each is the kind's own Z
     cfg = cli.RunConfig(params=generic_params(n), seed=n)
     lams = sample_points(np.random.default_rng(n), cfg.params, n)
+    evaluate = {"det": pt.z_determinant, "contract": pt.z_contraction}
     for method in ("det", "contract", "both"):
         _, extra = cli.run_partition(cfg, kind, method)
         methods = ("det", "contract") if method == "both" else (method,)
         assert {k: v for k, v in extra.items() if k.startswith("value_")} == {
-            f"value_{m}": cli._c2pair(pt.z_value(cfg.params, lams, kind, m)) for m in methods
+            f"value_{m}": cli._c2pair(evaluate[m](cfg.params, lams, kind)) for m in methods
         }
 
 
@@ -414,6 +415,114 @@ def test_recursion_against_n1_closed_form(p2, closed_form_n1):
     assert abs(sub - direct) < 1e-12 * abs(sub)
 
 
+def _pole_sets(q, lams):
+    """The recursions' left sides of q's points lams, each with the row of its
+    point at the kernel's removable pole: lam_1 = xi_1 and lam_N = -xi_1."""
+    x1, n = q.xi[0], q.N
+    return [((x1,) + lams[1:], 0, "lam1=xi1"), (lams[:-1] + (-x1,), n - 1, "lamN=-xi1")]
+
+
+# the divided-difference node orders of a left side's kernel: xi_1, at the
+# pole, first, or last as the suite takes it (its limit row is then e_N)
+NODE_ORDERS = {"xi1_first": lambda xi: xi, "xi1_last": lambda xi: xi[1:] + xi[:1]}
+
+
+@pytest.mark.parametrize("order", NODE_ORDERS)
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "coincide",
+    [lambda x: x, lambda x: (x[0],) * len(x), lambda x: (x[0], x[0]) + x[2:], lambda x: (x[0], -x[0]) + x[2:]],
+    ids=["inhomogeneous", "homogeneous", "xi2=xi1", "xi2=-xi1"],
+)
+def test_limit_rows_match_the_contraction_at_the_pole(coincide, n, order):
+    # the division-free limit row at u_i = x_1 is regular where x_1 - x_m vanishes
+    q, _ = pt._kind_params(generic_params(n), [0.0] * n, "bminus")
+    q = q.replace(xi=coincide(q.xi)[:n])
+    for trial in range(3):
+        lams = tuple(sample_points(np.random.default_rng(100 * n + trial), q, n))
+        sets, poles, _ = zip(*_pole_sets(q, lams))
+        got = pt._z_determinant_bminus(q, sets, [NODE_ORDERS[order](q.xi)] * 2, pole=poles)
+        for det, contracted in zip(got, pt._contract(q, "bminus", sets)):
+            assert pt.rel_disagreement(det, contracted) < 1e-12, (n, trial, det, contracted)
+
+
+def test_left_sides_with_xi1_last_keep_the_conditioning_of_z_n_minus_1():
+    # at N = 14, CLI seed 25, the left sides with xi_1 as the first node have a
+    # kernel 1e3 times worse conditioned than Z's and miss their recursion by
+    # 1.2e-9 and 2.0e-9; with xi_1 last, as the suite takes them, by ~1e-11
+    n = 14
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(25), p, n))
+    res, _ = pt.z_property_suite(p, lams, "bminus", seed=25, methods=("det",))
+    assert max(res["recursion_lam1_det"], res["recursion_lamN_det"]) < 1e-10, res
+    q, _ = pt._kind_params(p, lams, "bminus")
+    first = []
+    for left, i, which in _pole_sets(q, lams):
+        coeff, sub, rest = pt._recursion(q, left, which)
+        right = coeff * pt._z_determinant_bminus(sub, [rest])[0]
+        first.append(pt.rel_disagreement(right, pt._z_determinant_bminus(q, [left], pole=[i])[0]))
+    assert min(first) > 1e-10, first
+
+
+def test_determinant_approaches_the_limit_row_as_o_of_epsilon():
+    # the plain kernel at lam_1 = xi_1 + eps tends to the limit form linearly in eps
+    q = generic_params(4)
+    lams = tuple(sample_points(np.random.default_rng(401), q, 4))
+    at1 = (q.xi[0],) + lams[1:]
+    limit = pt._z_determinant_bminus(q, [at1], pole=[0])[0]
+    eps = [1e-3, 1e-4, 1e-5, 1e-6]
+    near = pt._z_determinant_bminus(q, [(q.xi[0] + e,) + lams[1:] for e in eps])
+    slopes = [pt.rel_disagreement(z, limit) / e for z, e in zip(near, eps)]
+    assert all(0 < s < 1e3 for s in slopes), slopes
+    assert max(slopes) / min(slopes) < 1.1, slopes
+
+
+def limit_determinant_oracle(q, lams, i, node, drop=None, keep_pole_factor=False):
+    """q's bminus Z at points lams whose point i sits at the kernel's
+    removable pole, u_i = x_node, unscaled and element by element: row i is
+    prod_{m>j}(u_i - x_m) and keeps the lam/xi factors (v_i - x_m)/4.  A
+    mutant row leaves out its factor m = ``drop``, or keeps the vanishing
+    (u_i - x_node)(v_i - x_node)/4 in place of (v_i - x_node)/4."""
+    n, eta, d, z = q.N, q.eta, q.delta, q.zeta
+    lam, xi = np.array(lams, dtype=complex), np.array(q.xi, dtype=complex)
+    u, v, _, ux, vx, lam_xi, pair = pt._kernel(q, lam, xi)
+    k = np.empty((n, n), dtype=complex)
+    for r in range(n):
+        for j in range(n):
+            if r == i:
+                k[r, j] = np.prod([ux[r, m] for m in range(j + 1, n) if m != drop])
+            else:
+                k[r, j] = 1 / np.prod(ux[r, : j + 1]) - 1 / np.prod(vx[r, : j + 1])
+    lam_xi[i] = vx[i] / 4
+    if keep_pole_factor:
+        lam_xi[i, node] = ux[i, node] * vx[i, node] / 4
+    row = 4 * np.sinh(2 * lam) * np.sinh(eta) / ((v - u) * np.sinh(d + lam) * np.sinh(z + lam))
+    col = np.sinh(d + xi) * np.sinh(z - xi)
+    theta = q.theta("minus")
+    ratio = [sinh(theta + eta * (n - 2 - 2 * a)) / sinh(theta + eta * (n - 1 - a)) for a in range(n)]
+    scale = np.prod(row * col * np.array(ratio)) * np.prod(lam_xi) / np.prod(pair)
+    return complex((-2) ** (n * (n - 1) // 2) * np.linalg.det(k) * scale)
+
+
+@pytest.mark.parametrize("order", NODE_ORDERS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mutated_limit_rows_fail_the_recursion_row(n, order):
+    # the recursion row (c Z_{N-1} against the left side) passes the limit
+    # row and fails it with a tail factor dropped (x_N's with xi_1 first, the
+    # vanishing x_1's with xi_1 last) or the pole factor kept
+    q, _ = pt._kind_params(generic_params(n), [0.0] * n, "bminus")
+    lams = tuple(sample_points(np.random.default_rng(409 + n), q, n))
+    ordered = q.replace(xi=NODE_ORDERS[order](q.xi))
+    node = ordered.xi.index(q.xi[0])
+    for left, i, which in _pole_sets(q, lams):
+        coeff, sub, rest = pt._recursion(q, left, which)
+        right = coeff * pt._z_determinant_bminus(sub, [rest])[0]
+        assert pt.rel_disagreement(right, pt._z_determinant_bminus(ordered, [left], pole=[i])[0]) < 1e-12
+        assert pt.rel_disagreement(right, limit_determinant_oracle(ordered, left, i, node)) < 1e-12
+        for mutant in ({"drop": n - 1}, {"keep_pole_factor": True}):
+            assert pt.rel_disagreement(right, limit_determinant_oracle(ordered, left, i, node, **mutant)) > 1e-3, mutant
+
+
 def test_coincident_parameters_raise(p2):
     lams = (0.21 + 0.12j, 0.21 + 0.12j)
     with pytest.raises(DegenerateParameter):
@@ -517,14 +626,18 @@ def test_point_determinant_guard_raises_where_the_oracle_raises(case, p3):
     elif case == "fixed_xi":
         # a fixed point on xi_3: a pole of the kernel that no lam removes
         lams = lams[:2] + (p3.xi[2],)
+    points = _pole_points(q, lams)
+    if case != "generic":
+        # the fixed part fails: the guard raises as it is built, with the
+        # message the oracle gives where lam itself is generic
+        want = raised(det_guard_oracle, q, (points["generic"],) + lams[1:])
+        assert want is not None and raised(pt._det_guard, q, lams) == want
+        return
     guard = pt._det_guard(q, lams)
-    for name, lam in _pole_points(q, lams).items():
+    for name, lam in points.items():
         want = raised(det_guard_oracle, q, (lam,) + lams[1:])
         assert (name, raised(guard, lam)) == (name, want)
-        if case == "generic":
-            assert (want is None) == (name == "generic")
-        else:
-            assert want is not None
+        assert (want is None) == (name == "generic")
 
 
 @pytest.mark.parametrize("bad", ["-delta", "+xi_2", "lam_2", "2lam+eta"])
@@ -571,6 +684,43 @@ def test_partition_command_builds_each_string_once(kind, gates, products, monkey
     args = ["partition", "--kind", kind, "--method", "both", "--n", "6", "--out", str(tmp_path / "z.jsonl")]
     assert cli.main(args) == 0
     assert counts == {"gates": gates, "products": products}
+
+
+@pytest.mark.parametrize("kind", pt.KINDS)
+def test_det_only_partition_command_never_contracts(kind, monkeypatch, tmp_path):
+    # every det-only value, the recursions' left sides included, is a determinant
+    counts = {"contract": 0, "gates": 0}
+
+    def counted(fn, key):
+        return lambda *a, **k: counts.__setitem__(key, counts[key] + 1) or fn(*a, **k)
+
+    monkeypatch.setattr(pt, "_contract", counted(pt._contract, "contract"))
+    monkeypatch.setattr(sos, "dyn_double_row_gates", counted(sos.dyn_double_row_gates, "gates"))
+    args = ["partition", "--kind", kind, "--method", "det", "--n", "6", "--out", str(tmp_path / "z.jsonl")]
+    assert cli.main(args) == 0
+    assert counts == {"contract": 0, "gates": 0}
+    # the same counters see the contraction under --method both
+    assert cli.main(args[:4] + ["both"] + args[5:]) == 0
+    assert counts["contract"] > 0 and counts["gates"] > 0
+
+
+def test_det_only_partition_command_refuses_n_above_its_certified_range(tmp_path, capsys):
+    args = ["partition", "--kind", "bminus", "--method", "det", "--out", str(tmp_path / "z.jsonl")]
+    assert cli.main(args + ["--n", str(cli.DET_ONLY_MAX_N + 1)]) == 2
+    assert "certified up to N = 16" in capsys.readouterr().err
+    assert cli.main(args + ["--n", "3"]) == 0
+
+
+def test_failing_fixed_part_of_a_degree_guard_raises_its_own_message(tmp_path, capsys):
+    # at pole 0.02 and seed 1 the other N-1 points fail the det guard's kernel
+    # check: building the guard says so, where every draw used to be rejected
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps({"tolerances": {"pole": 0.02}}))
+    args = ["partition", "--kind", "bminus", "--n", "4", "--seed", "1", "--config", str(config)]
+    for method in ("det", "both"):
+        assert cli.main(args + ["--method", method, "--out", str(tmp_path / "z.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert err == "degenerate parameters: coincident lambda/xi in the determinant kernel\n"
 
 
 def test_perturbed_first_product_reaches_the_partition_gates(p3, perturb_first_product):
