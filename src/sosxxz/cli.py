@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bethe as bt
+from . import params
 from . import partition as pt
 from . import sos
 from . import tensor as tn
@@ -156,7 +157,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     try:
         xi = tuple(_pair2c(v) for v in data["xi"]) if "xi" in data else base.xi
         couplings = {k: _pair2c(data[k]) if k in data else getattr(base, k) for k in COUPLINGS}
-        params = ModelParams(N=n, xi=xi, **couplings, eps_pole=float(tol["pole"]))
+        model = ModelParams(N=n, xi=xi, **couplings, eps_pole=float(tol["pole"]))
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
     scale = getattr(overrides, "tol_scale", None)
@@ -179,7 +180,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         free_bethe = command == "bethe" and not overrides.constrained
         sector = bt.family_sector(overrides.branch, overrides.m, n) if free_bethe else 0
     return RunConfig(
-        params=params,
+        params=model,
         sector_s=sector,
         constraint_n=pick(None, "constraint_n", 0),
         constraint_m=pick(None, "constraint_m", 0),
@@ -220,21 +221,15 @@ def _eigen_residual(tx: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarra
 
 
 def run_verify(cfg: RunConfig, suite: str) -> tuple[list[dict], dict]:
-    # suite -> (its check registry, the function evaluating one check, its
-    # trial draws), looked up at call time so a wrapped suite function is the
-    # one that runs.  The checks of a suite share one set of draws, made for
-    # this call alone: nothing is kept from one command to the next
-    suites = {
-        "vertex": (vx.VERTEX_RESIDUALS, vx.vertex_identity_suite, vx.vertex_draws),
-        "sos": (sos.SOS_RESIDUALS, sos.sos_identity_suite, sos.sos_draws),
-    }
+    # suite -> (its check registry, its trial draw).  Each suite draws its
+    # trials afresh for this call, one at a time, for all its checks; the
+    # runner is looked up at call time, so a wrapped one is the one that runs
+    suites = {"vertex": (vx.VERTEX_RESIDUALS, vx.vertex_trial), "sos": (sos.SOS_RESIDUALS, sos.sos_trial)}
     rows = []
-    for name, (checks, run_suite, draws) in suites.items():
+    for name, (checks, draw) in suites.items():
         if suite in (name, "all"):
-            shared = draws(cfg.params, cfg.seed)
-            for chk in checks:
-                residual = run_suite(chk, cfg.params, trials=cfg.trials, draws=shared)
-                rows.append(_row(f"{name}.{chk}", residual, cfg.tolerances["identity"]))
+            worst = params.identity_suite(checks, draw, cfg.params, cfg.seed, cfg.trials)
+            rows += [_row(f"{name}.{chk}", r, cfg.tolerances["identity"]) for chk, r in worst.items()]
     return rows, {"suite": suite}
 
 

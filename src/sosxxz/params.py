@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from cmath import sinh
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,24 +141,31 @@ def sample_points(
     return pts
 
 
-class TrialDraws:
-    """The draws of one seeded trial loop, each made on first use and kept.
+def identity_suite(
+    residuals: Mapping[str, Callable[[Any, ModelParams], float]],
+    draw: Callable[[np.random.Generator, ModelParams], Any],
+    p: ModelParams,
+    seed: int,
+    trials: int,
+) -> dict[str, float]:
+    """Largest residual of each named check over seeded random trials.
 
-    ``draws[t]`` is the t-th ``draw(rng)`` of a generator seeded with
-    ``seed``, so every check that reads one object sees the same draws,
-    made once.  A check reads its trials in order, so a draw that fails
-    does so where a loop drawing for that check alone would meet it: after
-    the earlier trials' residuals."""
-
-    def __init__(self, draw: Callable[[np.random.Generator], Any], seed: int):
-        self._draw = draw
-        self._rng = np.random.default_rng(seed)
-        self._made: list = []
-
-    def __getitem__(self, t: int) -> Any:
-        while len(self._made) <= t:
-            self._made.append(self._draw(self._rng))
-        return self._made[t]
+    Trial-major: each ``draw(rng, p)`` of one generator seeded with
+    ``seed`` is read by every check, in registry order, and then dropped,
+    so whatever a trial memoizes is shared by its checks alone.  The
+    trials depend on the seed, not on the registry: a one-entry registry
+    reads the trials the whole one does.  A NaN residual sticks, for the
+    caller's finite check to report.
+    """
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(residuals, 0.0)
+    for _ in range(trials):
+        trial = draw(rng, p)
+        for check, residual in residuals.items():
+            r = residual(trial, p)
+            if r > worst[check] or r != r:
+                worst[check] = r
+    return {check: float(r) for check, r in worst.items()}
 
 
 def generic_params(N: int, eps_pole: float = POLE_EPS_DEFAULT) -> ModelParams:

@@ -463,7 +463,9 @@ def z_property_suite(
         # lam_1 points share, at1's among them
         points = firsts["contract"] + ([x1] if n >= 2 else [])
         rows = others + ([(atn, q.xi)] if n >= 2 else [])
-        for lam in points:
+        # lam_1, its crossed point and x1; the degree nodes between them
+        # passed this guard as they were drawn
+        for lam in firsts["contract"][:2] + points[len(firsts["contract"]) :]:
             guard["contract"](lam)
         _guard_rows(q, "bminus", [row for row, _ in rows])
         # cminus's points are Z's, whose gaps the guard of the lam_1 points has taken

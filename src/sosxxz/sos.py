@@ -20,9 +20,9 @@ values.  The double-row builders (``dyn_monodromy_gates``,
 ``dyn_double_row_gates``, ``k_diag``, ``block_column``) also take an array
 of B values of lam, with optional per-element inhomogeneities, and build
 the gates of B double rows in one call for a batched ``tn.product``.
-The checks of the identity suite can share one set of seeded trials
-(``sos_draws``); a trial (``SosTrial``) builds each monodromy gate list
-once for all the checks that read it.
+The identity suite draws each seeded trial once (``sos_trial``) for all
+its checks; a trial (``SosTrial``) builds each monodromy gate list once
+for the checks that read it, and is dropped after them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from . import tensor as tn
 from . import vertex as vx
 from .errors import DegenerateParameter
-from .params import SAMPLE_MARGIN, ModelParams, TrialDraws, min_pole_gap, sample_points
+from .params import SAMPLE_MARGIN, ModelParams, min_pole_gap, sample_points
 from .vertex import AUX, chain_legs, site_legs
 
 
@@ -781,9 +781,7 @@ class SosTrial:
     exchange residuals that ``commutation_ab`` evaluates and
     ``commutation_dtb`` reads; ``monodromy`` is ``dyn_monodromy_gates``
     building each (lam, theta, kind, p) gate list once for the trial.
-    The checks hand it only the lists that another check reads too, at
-    the trial's own points: every trial's lists stay alive until the
-    suite's last check, so a list read once is built for its reader alone.
+    The trial, and all it keeps, is dropped once its checks have read it.
     """
 
     lams: list[complex]
@@ -825,7 +823,7 @@ SOS_RESIDUALS: dict[str, Callable[[SosTrial, ModelParams], float]] = {
     "dual_dyn_reflection": lambda t, p: dyn_reflection_residual(t.lams[0], t.lams[1], p, "plus"),
     "reflection_equivalence": lambda t, p: reflection_equivalence_residual(t.lams[0], t.lams[1], p),
     "zero_weight": lambda t, p: zero_weight_residual(t.lams[0], t.theta, p, t.monodromy),
-    "that_inverse": lambda t, p: monodromy_inverse_residual(t.lams[0], t.theta, p, "That"),
+    "that_inverse": lambda t, p: monodromy_inverse_residual(t.lams[0], t.theta, p, "That", t.monodromy),
     "vhat_inverse": lambda t, p: monodromy_inverse_residual(t.lams[0], t.theta, p, "Vhat", t.monodromy),
     "monodromy_gauge": lambda t, p: monodromy_gauge_residual(t.lams[0], t.theta, p.tau, p, "minus", t.monodromy),
     "dual_monodromy_gauge": lambda t, p: monodromy_gauge_residual(t.lams[0], t.theta, p.tau, p, "plus", t.monodromy),
@@ -840,35 +838,12 @@ SOS_RESIDUALS: dict[str, Callable[[SosTrial, ModelParams], float]] = {
 }
 
 
-def sos_draws(p: ModelParams, seed: int) -> TrialDraws:
-    """The suite's seeded trials (``SosTrial``): each draws three spectral
-    points, then a free dynamical parameter."""
-    thetas = (p.theta("minus"), p.theta("plus"))
-
-    def draw(rng):
-        lams = sample_points(rng, p, 3, thetas=thetas)
-        for _ in range(10_000):
-            theta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if min_pole_gap(p, (), [theta]) > SAMPLE_MARGIN:
-                return SosTrial(lams, theta)
-        raise DegenerateParameter("could not sample a generic dynamical parameter")
-
-    return TrialDraws(draw, seed)
-
-
-def sos_identity_suite(
-    check: str, p: ModelParams, seed: int = 0, trials: int = 20, draws: TrialDraws | None = None
-) -> float:
-    """Largest residual of one named height-picture identity over seeded random points.
-
-    ``draws``, the ``sos_draws`` of p and seed, lets the checks of one run
-    share their trials: each trial is drawn once, each of its monodromy
-    gate lists built once, and the exchange relations evaluated once for
-    both their checks.  Without it the suite draws its own.
-    """
-    if check not in SOS_RESIDUALS:
-        raise ValueError(f"unknown height-picture check {check!r}")
-    residual = SOS_RESIDUALS[check]
-    draws = sos_draws(p, seed) if draws is None else draws
-    # np.max keeps a NaN residual, which the caller's finite check then reports
-    return float(np.max([residual(draws[t], p) for t in range(trials)], initial=0.0))
+def sos_trial(rng: np.random.Generator, p: ModelParams) -> SosTrial:
+    """One trial of the height-picture suite (``params.identity_suite``):
+    three spectral points, then a free dynamical parameter."""
+    lams = sample_points(rng, p, 3, thetas=(p.theta("minus"), p.theta("plus")))
+    for _ in range(10_000):
+        theta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if min_pole_gap(p, (), [theta]) > SAMPLE_MARGIN:
+            return SosTrial(lams, theta)
+    raise DegenerateParameter("could not sample a generic dynamical parameter")

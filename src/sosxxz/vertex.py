@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import DegenerateParameter, FormMismatch
-from .params import ModelParams, TrialDraws, assert_generic, sample_points
+from .params import ModelParams, assert_generic, sample_points
 
 AUX = "a0"
 
@@ -234,22 +234,6 @@ VERTEX_RESIDUALS: dict[str, Callable[[list[complex], ModelParams], float]] = {
 }
 
 
-def vertex_draws(p: ModelParams, seed: int) -> TrialDraws:
-    """The suite's seeded trials, three spectral points each."""
-    return TrialDraws(lambda rng: sample_points(rng, p, 3), seed)
-
-
-def vertex_identity_suite(
-    check: str, p: ModelParams, seed: int = 0, trials: int = 20, draws: TrialDraws | None = None
-) -> float:
-    """Largest residual of one named vertex identity over seeded random spectral points.
-
-    ``draws``, the ``vertex_draws`` of p and seed, lets the checks of one
-    run share their points, drawn once; without it the suite draws its own.
-    """
-    if check not in VERTEX_RESIDUALS:
-        raise ValueError(f"unknown vertex check {check!r}")
-    residual = VERTEX_RESIDUALS[check]
-    draws = vertex_draws(p, seed) if draws is None else draws
-    # np.max keeps a NaN residual, which the caller's finite check then reports
-    return float(np.max([residual(draws[t], p) for t in range(trials)], initial=0.0))
+def vertex_trial(rng: np.random.Generator, p: ModelParams) -> list[complex]:
+    """One trial of the vertex suite (``params.identity_suite``): three spectral points."""
+    return sample_points(rng, p, 3)

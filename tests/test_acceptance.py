@@ -17,7 +17,7 @@ from sosxxz import partition as pt
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
-from sosxxz.params import generic_params, sample_points
+from sosxxz.params import generic_params, identity_suite, sample_points
 
 SEED = 20260808
 
@@ -33,19 +33,16 @@ def test_criterion_1_identity_suites():
         "ybe", "unitarity", "z2", "crossing", "reflection", "dual_reflection",
         "reflection_algebra", "dual_reflection_algebra",
     )
-    worst = 0.0
-    for chk in vertex_checks:
-        res = vx.vertex_identity_suite(chk, p3, seed=SEED, trials=20)
-        assert res < 1e-10, (chk, res)
-        worst = max(worst, res)
     sos_checks = (
         "dybe1", "dybe2", "ice", "unitarity", "crossing1", "crossing2", "parity",
         "dyn_reflection", "dual_dyn_reflection", "sos_algebra", "dual_sos_algebra",
     )
-    for chk in sos_checks:
-        res = sos.sos_identity_suite(chk, p3, seed=SEED, trials=20)
-        assert res < 1e-10, (chk, res)
-        worst = max(worst, res)
+    res = {
+        **identity_suite({c: vx.VERTEX_RESIDUALS[c] for c in vertex_checks}, vx.vertex_trial, p3, SEED, 20),
+        **identity_suite({c: sos.SOS_RESIDUALS[c] for c in sos_checks}, sos.sos_trial, p3, SEED, 20),
+    }
+    assert all(r < 1e-10 for r in res.values()), res
+    worst = max(res.values())
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"identity suites took {elapsed:.1f}s"
     report(f"1 identity suites (vertex + height, 20 points each, N=3): "
@@ -55,12 +52,10 @@ def test_criterion_1_identity_suites():
 @pytest.mark.parametrize("n", [2, 3])
 def test_criterion_2_gauge_layer(n):
     p = generic_params(n)
-    worst = 0.0
-    for chk in ("vertex_face1", "vertex_face2", "monodromy_gauge", "dual_monodromy_gauge",
-                "vsos_state", "dual_vsos_state"):
-        res = sos.sos_identity_suite(chk, p, seed=SEED, trials=8)
-        assert res < 1e-10, (chk, res)
-        worst = max(worst, res)
+    checks = ("vertex_face1", "vertex_face2", "monodromy_gauge", "dual_monodromy_gauge", "vsos_state", "dual_vsos_state")
+    res = identity_suite({c: sos.SOS_RESIDUALS[c] for c in checks}, sos.sos_trial, p, SEED, 8)
+    assert all(r < 1e-10 for r in res.values()), res
+    worst = max(res.values())
     report(f"2 gauge layer (vertex-face, monodromy gauge, double-row relations, N={n}): "
            f"max residual {worst:.2e} < 1e-10: PASS")
 

@@ -11,6 +11,7 @@ import pytest
 
 from sosxxz import bethe as bt
 from sosxxz import cli
+from sosxxz import params
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
@@ -379,15 +380,23 @@ def test_main_calls_functions_wrapped_after_import(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((cli, "run_partition"), (vx, "vertex_identity_suite"), (sos, "sos_identity_suite")):
+    for module, name in ((cli, "run_partition"), (params, "identity_suite")):
         counting(module, name)
     assert run_cli(["verify", "--n", "2", "--trials", "1"], tmp_path)[0] == 0
     assert run_cli(["partition", "--n", "2"], tmp_path)[0] == 0
-    assert calls == {
-        "vertex_identity_suite": len(vx.VERTEX_RESIDUALS),
-        "sos_identity_suite": len(sos.SOS_RESIDUALS),
-        "run_partition": 1,
-    }
+    assert calls == {"identity_suite": 2, "run_partition": 1}
+
+
+@pytest.mark.parametrize("n, trials, builds", [(7, 2, 36), (5, 20, 360)])
+def test_sos_suite_builds_each_trial_gate_list_once(n, trials, builds, monkeypatch, tmp_path):
+    # every check of a trial that reads a monodromy at the trial's points
+    # takes it from the trial's memo, so no (lam, theta, kind, p) list is built twice
+    calls = []
+    build = sos.dyn_monodromy_gates
+    monkeypatch.setattr(sos, "dyn_monodromy_gates", lambda *a, **k: calls.append(a) or build(*a, **k))
+    args = ["verify", "--suite", "sos", "--n", str(n), "--trials", str(trials)]
+    assert run_cli(args, tmp_path)[0] == 0
+    assert len(calls) == len(set(calls)) == builds
 
 
 def test_pole_at_one_charge_is_degenerate(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from sosxxz import sos
 from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter
-from sosxxz.params import SAMPLE_MARGIN, assert_generic, generic_params, min_pole_gap, sample_points
+from sosxxz.params import SAMPLE_MARGIN, assert_generic, generic_params, identity_suite, min_pole_gap, sample_points
 
 
 def labelled_gaps(p, lams=(), thetas=()):
@@ -126,3 +126,45 @@ def test_sample_points_raise_before_drawing_when_theta_gaps_fail(n):
     assert rng.bit_generator.state == state
     # a request for no point still gets none, as before
     assert sample_points(rng, p, 0, thetas=[p.theta("minus")]) == []
+
+
+@pytest.mark.parametrize(
+    "values, expect",
+    [
+        ([np.nan, 1e-12, 3e-13], np.nan),
+        ([1e-12, np.nan, 3e-13], np.nan),
+        ([3e-13, 1e-12], 1e-12),
+        ([0.0, 0.0], 0.0),
+    ],
+    ids=["nan-first", "nan-later", "finite", "zeros"],
+)
+def test_identity_suite_keeps_the_largest_residual_and_a_nan(values, expect):
+    # the stub's t-th trial carries t; its residual reads values[t]
+    draws = iter(range(len(values)))
+    worst = identity_suite({"c": lambda t, p: values[t]}, lambda rng, p: next(draws), generic_params(1), 0, len(values))
+    assert list(worst) == ["c"] and type(worst["c"]) is float
+    assert np.isnan(worst["c"]) if np.isnan(expect) else worst["c"] == expect
+
+
+def test_identity_suite_draws_each_trial_once_for_every_check_in_turn():
+    # trial t is drawn once, read by every check in registry order, and only
+    # then is trial t + 1 drawn; the draws come from one generator of the seed
+    p, trials, log = generic_params(2), 5, []
+
+    def draw(rng, q):
+        assert q is p
+        trial = [rng.uniform()]
+        log.append(("draw", trial))
+        return trial
+
+    def check(name):
+        return lambda t, q: log.append((name, t)) or t[0]
+
+    worst = identity_suite({"a": check("a"), "b": check("b")}, draw, p, 3, trials)
+    drawn = [entry[1] for entry in log if entry[0] == "draw"]
+    assert len(drawn) == trials
+    expect = [e for t in drawn for e in (("draw", t), ("a", t), ("b", t))]
+    assert len(log) == len(expect) and all(x[0] == y[0] and x[1] is y[1] for x, y in zip(log, expect))
+    rng = np.random.default_rng(3)
+    assert [t[0] for t in drawn] == [rng.uniform() for _ in range(trials)]
+    assert worst == {"a": max(t[0] for t in drawn), "b": max(t[0] for t in drawn)}

@@ -335,6 +335,28 @@ def test_degree_windows_without_rejections_draw_fixed_phases(p3):
     assert pt._degree_nodes(p3, lambda lam: None, np.random.default_rng(19)) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_contract_suite_guards_each_point_once(n, monkeypatch):
+    # the degree nodes pass the contraction guard as they are drawn; the
+    # contracted rows then guard only lam_1, its crossed point and x1
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(n), p, n))
+    asked = []
+    contract_guard = pt._contract_guard
+
+    def recording(q, points):
+        guard = contract_guard(q, points)
+        return lambda lam: asked.append(lam) or guard(lam)
+
+    monkeypatch.setattr(pt, "_contract_guard", recording)
+    pt.z_property_suite(p, lams, "bminus", seed=0, methods=("contract",))
+    q, _ = pt._kind_params(p, lams, "bminus")
+    nodes = pt._degree_nodes(q, contract_guard(q, lams), np.random.default_rng(0))
+    tail = [lams[0], -lams[0] - q.eta] + ([q.xi[0]] if n >= 2 else [])
+    assert asked[len(asked) - len(tail) :] == tail
+    assert [lam for lam in asked[: len(asked) - len(tail)] if lam in nodes] == nodes
+
+
 def test_batched_determinant_guards_every_row(p3):
     good = tuple(sample_points(np.random.default_rng(61), p3, 3))
     with pytest.raises(DegenerateParameter):

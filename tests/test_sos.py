@@ -10,7 +10,7 @@ from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter
-from sosxxz.params import generic_params, sample_points
+from sosxxz.params import generic_params, identity_suite, sample_points
 
 
 def bounded_complex(lo=0.15, hi=1.2):
@@ -213,7 +213,7 @@ def test_d_tilde_matches_per_state_coefficients(n):
 
 @pytest.mark.parametrize("check", tuple(sos.SOS_RESIDUALS))
 def test_sos_identity_suite(check, p2):
-    res = sos.sos_identity_suite(check, p2, seed=11, trials=4)
+    res = identity_suite({check: sos.SOS_RESIDUALS[check]}, sos.sos_trial, p2, 11, 4)[check]
     assert res < 1e-10, (check, res)
 
 

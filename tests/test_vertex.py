@@ -7,7 +7,7 @@ from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
 from sosxxz.errors import DegenerateParameter
-from sosxxz.params import generic_params, sample_points
+from sosxxz.params import generic_params, identity_suite, sample_points
 
 
 # permutation operator on C^2 x C^2: P |a b> = |b a>
@@ -260,7 +260,7 @@ def test_hamiltonian_build_twice_determinism(p2, hamiltonian_direct):
 
 @pytest.mark.parametrize("check", tuple(vx.VERTEX_RESIDUALS))
 def test_vertex_identity_suite(check, p2):
-    res = vx.vertex_identity_suite(check, p2, seed=7, trials=5)
+    res = identity_suite({check: vx.VERTEX_RESIDUALS[check]}, vx.vertex_trial, p2, 7, 5)[check]
     assert res < 1e-10, (check, res)
 
 
@@ -285,7 +285,9 @@ PROBE_CHECKS = [
 
 
 def _suite(suite):
-    return vx.vertex_identity_suite if suite == "vertex" else sos.sos_identity_suite
+    """``(check, p, seed, trials) -> residual`` of one check of ``suite`` run alone."""
+    registry, draw = (vx.VERTEX_RESIDUALS, vx.vertex_trial) if suite == "vertex" else (sos.SOS_RESIDUALS, sos.sos_trial)
+    return lambda check, p, seed, trials: identity_suite({check: registry[check]}, draw, p, seed, trials)[check]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
