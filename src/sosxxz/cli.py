@@ -5,8 +5,8 @@ the requested command, and emits a stream of check rows followed by a
 summary object.  Identical config and seed produce byte-identical output
 except for the summary's wall_time field.
 
-Exit codes: 0 success, 2 config error, 3 degenerate parameters,
-4 tolerance failure, 5 solver non-convergence.
+Exit codes: 0 success, 2 config error (an unwritable ``--out`` included),
+3 degenerate parameters, 4 tolerance failure, 5 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -443,8 +443,12 @@ def main(argv=None) -> int:
     }
     text = render(rows, summary, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all_pass else 4

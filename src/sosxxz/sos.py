@@ -195,15 +195,12 @@ def k_diag(lam, side: str, p: ModelParams) -> np.ndarray:
     """Diagonal K_-(lam; delta, zeta) ("minus") or K_+(lam) = K_-(-lam-eta; delta_bar, zeta_bar) ("plus").
 
     An array of B values of lam gives a (B, 2, 2) stack, its entries taken
-    one lam at a time in ``cmath``, as B calls would take them.
+    one lam at a time in ``cmath``, as B calls would take them; a scalar
+    lam runs as a batch of one and gives its one block.
     """
     delta, zeta, _ = p.boundary(side)
-    if not getattr(lam, "ndim", 0):
-        return k2_minus_diag(p.k_point(lam, side), delta, zeta, p.eps_pole)
-    k = np.zeros((len(lam), 2, 2), dtype=complex)
-    entries = [_k2_minus_entries(p.k_point(complex(l), side), delta, zeta, p.eps_pole) for l in lam]
-    k[:, 0, 0], k[:, 1, 1] = zip(*entries)
-    return k
+    k = np.array([k2_minus_diag(p.k_point(complex(l), side), delta, zeta, p.eps_pole) for l in np.atleast_1d(lam)])
+    return k if np.ndim(lam) else k[0]
 
 
 def tilde_k2(lam: complex, delta: complex, zeta: complex, eta: complex, eps: float = 0.0) -> np.ndarray:

@@ -257,7 +257,7 @@ def perturb_first_product(monkeypatch):
     def install(eps, at=0):
         calls = []
 
-        def perturbed(legs, gates, x=None, **kw):
+        def perturbed(legs, gates, x, **kw):
             if len(calls) == at:
                 block, on, *rest = gates[0]
                 rng = np.random.default_rng(0)
@@ -308,7 +308,7 @@ def hamiltonian_direct():
         N, eta = p.N, p.eta
         legs = vx.site_legs(N)
         bond = np.kron(tn.SX, tn.SX) + np.kron(tn.SY, tn.SY) + cosh(eta) * np.kron(tn.SZ, tn.SZ)
-        h = sum(tn.product(legs, [(bond, (f"s{i}", f"s{i + 1}"))]) for i in range(1, N))
+        h = sum(tn.product(legs, [(bond, (f"s{i}", f"s{i + 1}"))], _chain_identity(p)) for i in range(1, N))
 
         def boundary_term(delta, zeta, tau, leg, z_sign, xy_sign):
             sz, sd = sinh(zeta), sinh(delta)
@@ -318,7 +318,7 @@ def hamiltonian_direct():
             m = z_sign * cosh(zeta) * cosh(delta) * tn.SZ + xy_sign * (
                 sinh(tau) * tn.SX - 1j * cosh(tau) * tn.SY
             )
-            return tn.product(legs, [(pref * m, (leg,))])
+            return tn.product(legs, [(pref * m, (leg,))], _chain_identity(p))
 
         h = h + boundary_term(*p.boundary("plus"), "s1", +1, +1)
         h = h + boundary_term(*p.boundary("minus"), f"s{N}", -1, -1)

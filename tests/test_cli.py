@@ -506,6 +506,14 @@ def test_negative_seed_is_config_error(args, source, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: seed")
 
 
+def test_unwritable_out_path_is_config_error(tmp_path, capsys):
+    # a directory that does not exist: one message line, no traceback
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["verify", "--suite", "vertex", "--n", "1", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the report") and err.count("\n") == 1
+
+
 def test_n_zero_is_config_error(tmp_path):
     assert cli.main(["verify", "--suite", "vertex", "--n", "0", "--out", str(tmp_path / "x")]) == 2
 

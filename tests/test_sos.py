@@ -13,6 +13,11 @@ from sosxxz.errors import DegenerateParameter
 from sosxxz.params import generic_params, identity_suite, sample_points
 
 
+def leg_identity(legs):
+    """The identity on ``legs``: the x for which ``tn.product`` reads the dense operator."""
+    return np.eye(2 ** len(legs), dtype=complex)
+
+
 def bounded_complex(lo=0.15, hi=1.2):
     mag = st.floats(lo, hi, allow_nan=False)
     phase = st.floats(0, 6.28, allow_nan=False)
@@ -344,10 +349,10 @@ def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_
     charge = [(l, -1) for l in vx.site_legs(p.N)]
     s_inv = (sos.gauge_s2_inv(-lam, theta + p.eta * tn.charge_values(charge), p.tau, p.eps_pole), (vx.AUX,), charge)
     w = (
-        tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,))])
-        @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)])
-        @ tn.product(legs, sos.dyn_double_row_gates(lam, theta, "minus", p))
-        @ tn.product(legs, [s_inv])
+        tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,))], leg_identity(legs))
+        @ tn.product(legs, [sos.gauge_aux_gate(lam, theta, p.tau, "minus", p)], leg_identity(legs))
+        @ tn.product(legs, sos.dyn_double_row_gates(lam, theta, "minus", p), leg_identity(legs))
+        @ tn.product(legs, [s_inv], leg_identity(legs))
     )
     trace = aux_trace(w)
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10
@@ -455,8 +460,9 @@ def test_isomorphism_gate_form_matches_dense_oracle(n, dense_symmetry, within_10
     mapped = p.replace(delta=p.delta_bar, zeta=p.zeta_bar, xi=tuple(-x for x in reversed(p.xi)))
     lams = sample_points(np.random.default_rng(40 + n), p, 3)
     for lam, theta in zip(lams, (0.63 + 0.29j, -0.41 + 0.37j, 0.27 - 0.52j)):
-        u_plus = tn.product(legs, sos.dyn_double_row_gates(lam, theta, "plus", p))
-        u_minus = tn.product(legs, sos.dyn_double_row_gates(-lam - p.eta, theta, "minus", mapped))
+        u_plus = tn.product(legs, sos.dyn_double_row_gates(lam, theta, "plus", p), leg_identity(legs))
+        mirrored = sos.dyn_double_row_gates(-lam - p.eta, theta, "minus", mapped)
+        u_minus = tn.product(legs, mirrored, leg_identity(legs))
         dense = tn.rel_residual(u_plus, gy @ perm @ u_minus @ perm.T @ gy)
         res = sos.isomorphism_residual(lam, theta, p)
         assert within_10x(res, dense), (res, dense)
@@ -469,7 +475,7 @@ def dense_inverse_residual(lam, theta, p, kind):
     legs = vx.chain_legs(p.N)
 
     def monodromy(mu, which):
-        return tn.product(legs, sos.dyn_monodromy_gates(mu, theta, which, p))
+        return tn.product(legs, sos.dyn_monodromy_gates(mu, theta, which, p), leg_identity(legs))
 
     if kind == "That":
         via = vx.gamma_hat(lam, p) * np.linalg.inv(monodromy(-lam, "T"))
@@ -500,7 +506,8 @@ def test_block_string_matches_matrix_block(side, p3):
     lam, theta = 0.21 + 0.12j, 0.63 + 0.29j
     rng = np.random.default_rng(4)
     v = rng.normal(size=2**p3.N) + 1j * rng.normal(size=2**p3.N)
-    u = tn.product(vx.chain_legs(p3.N), sos.dyn_double_row_gates(lam, theta, side, p3))
+    legs = vx.chain_legs(p3.N)
+    u = tn.product(legs, sos.dyn_double_row_gates(lam, theta, side, p3), leg_identity(legs))
     u = u.reshape(2, 2**p3.N, 2, 2**p3.N)
     blocks = {name: u[r, :, c] for name, (r, c) in sos._BLOCK_INDEX[side].items()}
     for name in "ABCD":

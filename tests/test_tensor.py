@@ -9,6 +9,11 @@ from sosxxz import tensor as tn
 from sosxxz.errors import DegenerateParameter, UnknownLeg
 
 
+def leg_identity(legs):
+    """The identity on ``legs``: the x for which ``tn.product`` reads the dense operator."""
+    return np.eye(2 ** len(legs), dtype=complex)
+
+
 def finite_complex(mag=3.0):
     part = st.floats(-mag, mag, allow_nan=False, allow_infinity=False)
     return st.builds(complex, part, part)
@@ -178,18 +183,21 @@ def test_one_plan_serves_every_batch_size():
     rng = np.random.default_rng(5)
     stack = random_stack(rng, charge, 4)
     gates = [(stack, ("a", "b"), charge), (rng.normal(size=(2, 2)) + 0j, ("c",))]
+    # a single column, a block of columns, and a batch of each: one layout,
+    # so one plan, whatever the batch size
+    inputs = [((8,), False), ((8, 3), False), ((5, 8), True), ((1, 8, 3), True), ((3, 8), True)]
     tn._plan.cache_clear()
-    for b in (3, 5, 1):
-        tn.product(legs, gates, rng.normal(size=(b, 8)) + 0j, batch=True)
+    for shape, batch in inputs:
+        tn.product(legs, gates, rng.normal(size=shape) + 0j, batch=batch)
     info = tn._plan.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, len(inputs) - 1)
 
 
 def test_product_rejects_charge_on_gate_leg():
     # the plan cache stores no exception: a repeated call raises again
     for _ in range(2):
         with pytest.raises(ValueError, match="overlap"):
-            tn.product(("a", "b"), [(np.stack([np.eye(2)] * 2), ("a",), [("a", 1)])])
+            tn.product(("a", "b"), [(np.stack([np.eye(2)] * 2), ("a",), [("a", 1)])], leg_identity(("a", "b")))
 
 
 @pytest.mark.parametrize("size", [1, 2, 4])
@@ -200,7 +208,7 @@ def test_product_rejects_a_stack_of_the_wrong_length(size):
     block = np.stack([np.eye(2)] * size) if size > 1 else np.eye(2)
     for _ in range(2):
         with pytest.raises(ValueError, match="stack"):
-            tn.product(("a", "b", "c"), [(block, ("a",), [("b", 1), ("c", 1)])])
+            tn.product(("a", "b", "c"), [(block, ("a",), [("b", 1), ("c", 1)])], leg_identity(("a", "b", "c")))
 
 
 def test_one_plan_replays_other_blocks():
@@ -232,20 +240,21 @@ def test_a_charge_list_and_tuple_share_a_plan():
     block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     as_list = [(stack, ("a", "c"), [("b", 1), ("d", 2)]), (block, ("b",))]
     as_tuple = [(stack, ("a", "c"), (("b", 1), ("d", 2))), (block, ("b",))]
+    eye = leg_identity(legs)
     tn._plan.cache_clear()
-    assert np.array_equal(tn.product(legs, as_list), tn.product(legs, as_tuple))
+    assert np.array_equal(tn.product(legs, as_list, eye), tn.product(legs, as_tuple, eye))
     assert tn._plan.cache_info().misses == 1
     # renamed legs are another layout, so another plan
     renamed = tn.relabel(as_list, {"b": "d", "d": "b"})
-    assert np.array_equal(tn.product(("a", "d", "c", "b"), renamed), tn.product(legs, as_list))
+    assert np.array_equal(tn.product(("a", "d", "c", "b"), renamed, eye), tn.product(legs, as_list, eye))
     assert tn._plan.cache_info().misses == 2
 
 
 def test_tensor_product_identities():
     legs = ("a", "b")
-    i4 = tn.product(legs, [(tn.ID2, ("a",))])
+    i4 = tn.product(legs, [(tn.ID2, ("a",))], leg_identity(legs))
     assert np.allclose(i4, np.eye(4))
-    zi = tn.product(legs, [(tn.SZ, ("a",))])
+    zi = tn.product(legs, [(tn.SZ, ("a",))], leg_identity(legs))
     assert zi[0, 0] == 1
     assert zi[2, 2] == -1
 
@@ -254,15 +263,15 @@ def test_tensor_product_identities():
 @given(mat2(), mat2(), mat2(), mat2())
 def test_mixed_product_property(a, b, c, d):
     legs = ("x", "y")
-    lhs = tn.product(legs, [(a, ("x",)), (b, ("y",)), (c, ("x",)), (d, ("y",))])
-    rhs = tn.product(legs, [(a @ c, ("x",)), (b @ d, ("y",))])
+    lhs = tn.product(legs, [(a, ("x",)), (b, ("y",)), (c, ("x",)), (d, ("y",))], leg_identity(legs))
+    rhs = tn.product(legs, [(a @ c, ("x",)), (b @ d, ("y",))], leg_identity(legs))
     bound = 1e-13 * max(tn.max_abs(a), 1) * max(tn.max_abs(b), 1) * max(tn.max_abs(c), 1) * max(tn.max_abs(d), 1)
     assert tn.max_abs(lhs - rhs) < max(bound, 1e-13)
 
 
 def test_embed_single_site():
     full = ("s1", "s2")
-    e = tn.product(full, [(tn.SX, ("s1",))])
+    e = tn.product(full, [(tn.SX, ("s1",))], leg_identity(full))
     assert np.allclose(e, np.kron(tn.SX, np.eye(2)))
     assert np.allclose(e, embed_oracle(tn.SX, full, ("s1",)))
 
@@ -272,7 +281,8 @@ def test_embed_disjoint_supports_commute():
     full = ("s1", "s2", "s3")
     gx = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s1",))
     gy = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), ("s3",))
-    assert tn.max_abs(tn.product(full, [gx, gy]) - tn.product(full, [gy, gx])) < 1e-13
+    eye = leg_identity(full)
+    assert tn.max_abs(tn.product(full, [gx, gy], eye) - tn.product(full, [gy, gx], eye)) < 1e-13
 
 
 def test_embed_middle_leg_permutation_oracle():
@@ -281,7 +291,7 @@ def test_embed_middle_leg_permutation_oracle():
     rng = np.random.default_rng(1)
     r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     full = ("a", "s1", "s2")
-    emb = tn.product(full, [(r, ("a", "s2"))])
+    emb = tn.product(full, [(r, ("a", "s2"))], leg_identity(full))
     perm = np.eye(8)[[0, 2, 1, 3, 4, 6, 5, 7]]  # swap the two site legs
     assert np.allclose(emb, perm @ np.kron(r, np.eye(2)) @ perm)
     assert np.allclose(emb, embed_oracle(r, full, ("a", "s2")))
@@ -290,9 +300,9 @@ def test_embed_middle_leg_permutation_oracle():
 def test_embed_unknown_leg():
     for _ in range(2):
         with pytest.raises(UnknownLeg):
-            tn.product(("s1", "s2"), [(tn.SX, ("q",))])
+            tn.product(("s1", "s2"), [(tn.SX, ("q",))], leg_identity(("s1", "s2")))
         with pytest.raises(UnknownLeg):
-            tn.product(("s1", "s2"), [(np.stack([tn.SX] * 2), ("s1",), [("q", 1)])])
+            tn.product(("s1", "s2"), [(np.stack([tn.SX] * 2), ("s1",), [("q", 1)])], leg_identity(("s1", "s2")))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -300,7 +310,7 @@ def test_embed_preserves_spectrum(n):
     rng = np.random.default_rng(2)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     full = tuple(f"s{i}" for i in range(n))
-    emb = tn.product(full, [(m, ("s0",))])
+    emb = tn.product(full, [(m, ("s0",))], leg_identity(full))
     small = np.sort_complex(np.linalg.eigvals(m))
     big = np.sort_complex(np.linalg.eigvals(emb))
     expect = np.sort_complex(np.repeat(small, 2 ** (n - 1)))
@@ -334,7 +344,7 @@ def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, drawn)
-    whole = aux_trace(tn.product(legs, gates))
+    whole = aux_trace(tn.product(legs, gates, leg_identity(legs)))
     d = 2 ** (len(legs) - 1)
     assert np.array_equal(tn.traced_product(legs, gates, np.eye(d, dtype=complex)), whole)
     shape = (d,) if cols is None else (d, cols)
@@ -368,10 +378,11 @@ def test_charge_resolved_matches_column_diag():
     charge = [("s1", 1), ("s2", 1)]
     values = oracle_charge_values(charge)
     assert values == [-2, 0, 2] and list(tn.charge_values(charge)) == values
-    built = tn.product(full, [(np.stack([np.eye(2) * complex(c) for c in values]), ("a",), charge)])
+    scalars = np.stack([np.eye(2) * complex(c) for c in values])
+    built = tn.product(full, [(scalars, ("a",), charge)], leg_identity(full))
     assert np.allclose(built, np.diag(vals.astype(complex)))
     stack = np.array([[[1.0, c], [0.5 * c, 2.0]] for c in values], dtype=complex)
-    built = tn.product(full, [(stack, ("a",), charge)])
+    built = tn.product(full, [(stack, ("a",), charge)], leg_identity(full))
     assert np.allclose(built, embed_oracle(stack, full, ("a",), charge))
 
 
@@ -405,7 +416,7 @@ def test_charge_table_of_a_gate_listing_one_leg_twice():
     values = oracle_charge_values(charge)
     assert list(tn.charge_values(charge)) == values
     stack = np.array([[[1.0, c], [0.5 * c, 2.0]] for c in values], dtype=complex)
-    built = tn.product(full, [(stack, ("a",), charge)])
+    built = tn.product(full, [(stack, ("a",), charge)], leg_identity(full))
     assert np.allclose(built, embed_oracle(stack, full, ("a",), charge))
 
 
@@ -454,7 +465,8 @@ def test_relabel_renames_gate_and_charge_legs():
     assert [g[1:] for g in renamed] == [(("d", "b"),), (("b", "c"), [("d", 1), ("a", 2)])]
     assert renamed[0][0] is r and renamed[1][0] is gates[1][0]
     # the renamed list on legs (a, b, c, d) is the original on (d, b, c, a)
-    assert (tn.product(("a", "b", "c", "d"), renamed) == tn.product(("d", "b", "c", "a"), gates)).all()
+    eye = np.eye(16, dtype=complex)
+    assert (tn.product(("a", "b", "c", "d"), renamed, eye) == tn.product(("d", "b", "c", "a"), gates, eye)).all()
 
 
 def test_rel_residual_scales_by_larger_side():

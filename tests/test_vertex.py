@@ -14,6 +14,11 @@ from sosxxz.params import generic_params, identity_suite, sample_points
 PERM4 = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
+def leg_identity(legs):
+    """The identity on ``legs``: the x for which ``tn.product`` reads the dense operator."""
+    return np.eye(2 ** len(legs), dtype=complex)
+
+
 def test_r_matrix_entries(p2):
     lam = 0.31 + 0.17j
     r = vx.r4(lam, p2.eta)
@@ -56,7 +61,8 @@ def test_k_reflection_equation(p2):
 
 def test_bulk_monodromy_initial_condition():
     p = generic_params(1)
-    t = tn.product(vx.chain_legs(1), vx.monodromy_gates(p.xi[0], p))
+    legs = vx.chain_legs(1)
+    t = tn.product(legs, vx.monodromy_gates(p.xi[0], p), leg_identity(legs))
     expected = sinh(p.eta) * PERM4
     assert tn.rel_residual(t, expected) < 1e-14
 
@@ -67,11 +73,13 @@ def test_yang_baxter_algebra(p2):
     r12 = [(vx.r4(l1 - l2, p2.eta), ("x1", "x2"))]
     t1 = tn.relabel(vx.monodromy_gates(l1, p2), {vx.AUX: "x1"})
     t2 = tn.relabel(vx.monodromy_gates(l2, p2), {vx.AUX: "x2"})
-    assert tn.rel_residual(tn.product(legs, r12 + t1 + t2), tn.product(legs, t2 + t1 + r12)) < 1e-11
+    eye = leg_identity(legs)
+    assert tn.rel_residual(tn.product(legs, r12 + t1 + t2, eye), tn.product(legs, t2 + t1 + r12, eye)) < 1e-11
 
 
 def monodromy(lam, p, hatted=False):
-    return tn.product(vx.chain_legs(p.N), vx.monodromy_gates(lam, p, hatted))
+    legs = vx.chain_legs(p.N)
+    return tn.product(legs, vx.monodromy_gates(lam, p, hatted), leg_identity(legs))
 
 
 def hat_monodromy_via_inverse(lam, p):
@@ -91,7 +99,7 @@ def test_hat_monodromy_two_paths(p2):
 def test_double_row_two_path_consistency(p2):
     lam = 0.27 - 0.19j
     legs = vx.chain_legs(p2.N)
-    u_direct = tn.product(legs, vx.double_row_gates(lam, "minus", p2))
+    u_direct = tn.product(legs, vx.double_row_gates(lam, "minus", p2), leg_identity(legs))
     k_that = tn.product(legs, [(vx.k2(lam, "minus", p2), (vx.AUX,))], hat_monodromy_via_inverse(lam, p2))
     u_inverse = monodromy(lam, p2) @ k_that
     assert tn.rel_residual(u_direct, u_inverse) < 1e-10
@@ -105,12 +113,13 @@ def test_diagonal_boundary_annihilates_reference(p2):
     from sosxxz.sos import k2_minus_diag
 
     kd = (k2_minus_diag(lam, p2.delta, p2.zeta), ("a0",))
-    u = tn.product(legs, [*vx.monodromy_gates(lam, p2), kd, *vx.monodromy_gates(lam, p2, hatted=True)])
+    gates = [*vx.monodromy_gates(lam, p2), kd, *vx.monodromy_gates(lam, p2, hatted=True)]
+    u = tn.product(legs, gates, leg_identity(legs))
     d = 2**p2.N
     c_block = u[d:, :d]
     v0 = tn.all_up(p2.N)
     assert np.max(np.abs(c_block @ v0)) < 1e-12 * tn.max_abs(c_block)
-    u_gen = tn.product(legs, vx.double_row_gates(lam, "minus", p2))
+    u_gen = tn.product(legs, vx.double_row_gates(lam, "minus", p2), leg_identity(legs))
     c_gen = u_gen[d:, :d]
     assert np.max(np.abs(c_gen @ v0)) > 1e-6 * tn.max_abs(c_gen)
 
@@ -167,7 +176,8 @@ def test_transfer_xxz_is_trace_of_whole_product(n, aux_trace, chain_identity):
     p = generic_params(n)
     legs = vx.chain_legs(n)
     for lam in sample_points(np.random.default_rng(n), p, 2):
-        whole = tn.product(legs, [(vx.k2(lam, "plus", p), (vx.AUX,)), *vx.double_row_gates(lam, "minus", p)])
+        gates = [(vx.k2(lam, "plus", p), (vx.AUX,)), *vx.double_row_gates(lam, "minus", p)]
+        whole = tn.product(legs, gates, leg_identity(legs))
         assert np.array_equal(vx.transfer_xxz(lam, p, chain_identity(p)), aux_trace(whole))
 
 
