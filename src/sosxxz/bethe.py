@@ -160,42 +160,77 @@ def _consts(branch: str, p: ModelParams) -> np.ndarray:
     return np.concatenate([[z, -d, -zb, db], xis + p.eta, -xis + p.eta])
 
 
-def _y_pair(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Search:
+    """What every mismatch and Jacobian of one search reads, built once per
+    search (``_search``): the family and parameters, the constants c of y
+    (``_consts``) and their exponentials, and the index arrays of y's self
+    factors."""
+
+    branch: str
+    p: ModelParams
+    consts: np.ndarray
+    consts_re: np.ndarray
+    e_c: np.ndarray  # e^c, which y and the Jacobian take
+    e_c_inv: np.ndarray  # 1 / e^c, which y takes
+    e_neg_c: np.ndarray  # e^-c, which the Jacobian takes
+    e_eta: complex
+    # x_j, j < 2M, is lam_i or -lam_i - eta with i = j mod M: its self
+    # factors sit in columns i and i + M of y's factor array
+    self_rows: np.ndarray
+    self_cols: np.ndarray
+
+
+def _search(branch: str, p: ModelParams, m: int) -> _Search:
+    """The ``_Search`` record of a search for M = ``m`` roots of ``branch``."""
+    consts = _consts(branch, p)
+    e_c = np.exp(consts)
+    j = np.arange(2 * m)
+    return _Search(branch, p, consts, consts.real, e_c, 1 / e_c, np.exp(-consts), np.exp(p.eta), j, j % m)
+
+
+def _y_pair(search: _Search, roots: np.ndarray) -> np.ndarray:
     """y(lam_i) and y(-lam_i-eta) for an (S, M) array of S starts, shape (2, S, M).
 
     Every factor of y is sinh(a + b), with a one of x = (lam, -lam - eta)
     and b one of the same 2M values of its start (the factors
     sinh(x + lam_k) and sinh(x - lam_k - eta)) or one of the constants.
     It is taken as (e^a e^b - e^-a e^-b) / 2 from one exponential per
-    value and per constant of each start, not one sinh per factor.  That
-    difference has relative error eps / |sinh(a + b)| near a zero, so
-    every factor below 1/2 in modulus is recomputed with np.sinh of the
-    explicit sum.  Each entry holds the other roots of its own start
+    value of each start and the search's exponentials of the constants,
+    not one sinh per factor.  That difference has relative error
+    eps / |sinh(a + b)| near a zero, so every factor below 1/2 in modulus
+    is recomputed with np.sinh of the explicit sum.  Each entry holds the other roots of its own start
     fixed, as bethe_y does with i given: the self factors k = i are
     masked out of the root product.
     """
     n, m = roots.shape
-    consts = _consts(branch, p)
-    x = np.concatenate([roots, -roots - p.eta], axis=1)
-    b = np.concatenate([x, np.broadcast_to(consts, (n, len(consts)))], axis=1)
-    e = np.exp(b)
-    e_inv = 1 / e
-    # s[:, j, k] = sinh(x_j + b_k), x the first 2M columns of b; halving the
-    # x factors is exact and spares a pass over s
-    s = (0.5 * e[:, : 2 * m, None]) * e[:, None, :] - (0.5 * e_inv[:, : 2 * m, None]) * e_inv[:, None, :]
-    # the self factors: x_j is lam_i or -lam_i - eta with i = j mod M
-    j = np.arange(2 * m)
-    s[:, j, j % m] = 1
-    s[:, j, j % m + m] = 1
+    w = 2 * m
+    # b = [x, consts] per start, and e^b and e^-b from e^x and the stored e^c
+    b = np.empty((n, w + len(search.consts)), dtype=complex)
+    b[:, :m] = roots
+    b[:, m:w] = -roots - search.p.eta
+    b[:, w:] = search.consts
+    x = b[:, :w]
+    e = np.empty_like(b)
+    np.exp(x, out=e[:, :w])
+    e[:, w:] = search.e_c
+    e_inv = np.empty_like(b)
+    np.divide(1, e[:, :w], out=e_inv[:, :w])
+    e_inv[:, w:] = search.e_c_inv
+    # s[:, j, k] = sinh(x_j + b_k); halving the x factors is exact and
+    # spares a pass over s
+    s = (0.5 * e[:, :w, None]) * e[:, None, :] - (0.5 * e_inv[:, :w, None]) * e_inv[:, None, :]
+    s[:, search.self_rows, search.self_cols] = 1
+    s[:, search.self_rows, search.self_cols + m] = 1
     np.sinh(x[:, :, None] + b[:, None, :], out=s, where=np.abs(s) < 0.5)
     return s.prod(axis=-1).reshape(n, 2, m).swapaxes(0, 1)
 
 
-def _log_mismatch(branch: str, roots: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _log_mismatch(search: _Search, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log y(lam_i) - log y(-lam_i-eta) per start and root, imaginary part
     folded to (-pi, pi], and per start whether every y is nonzero and finite."""
     with np.errstate(all="ignore"):
-        y = _y_pair(branch, roots, p)
+        y = _y_pair(search, roots)
         ok = np.all((y != 0) & np.isfinite(np.abs(y)), axis=(0, 2))
         log_y = np.log(y)
         f = log_y[0] - log_y[1]
@@ -215,21 +250,20 @@ def _coth(neg: np.ndarray, w: np.ndarray, w_inv: np.ndarray) -> np.ndarray:
     return np.where(neg, 1 + c, -1 - c)
 
 
-def _jacobian(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
+def _jacobian(search: _Search, roots: np.ndarray) -> np.ndarray:
     """d mismatch_i / d lam_k for an (S, M) array of starts, shape (S, M, M).
 
     Every coth argument is a sum of two of x = (lam, -lam - eta) and the
     constants, so its exponential is a product of exponentials taken once
-    per root and once per constant: O(S M) transcendentals, not O(S M (M + N)).
+    per root and once per search for the constants: O(S M)
+    transcendentals, not O(S M (M + N)).
     """
-    eta = p.eta
     diag = np.arange(roots.shape[1])
     # the log-derivative of each factor sinh(x + c) of y(x) is coth(x + c)
-    consts = _consts(branch, p)
-    x = np.stack([roots, -roots - eta])
+    x = np.stack([roots, -roots - search.p.eta])
     with np.errstate(all="ignore"):
         e = np.exp(x)
-        e_inv = e[::-1] * np.exp(eta)  # e^-lam = e^(-lam-eta) e^eta, and back
+        e_inv = e[::-1] * search.e_eta  # e^-lam = e^(-lam-eta) e^eta, and back
         re = x.real
         # pair[a, b, s, i, k] = coth(x_a[s, i] + x_b[s, k]): b = 0 is the factor
         # sinh(x + lam_k) of y, b = 1 the factor sinh(x - lam_k - eta)
@@ -240,7 +274,9 @@ def _jacobian(branch: str, roots: np.ndarray, p: ModelParams) -> np.ndarray:
         )
         pair[..., diag, diag] = 0
         plus, minus = pair[:, 0], pair[:, 1]
-        fixed = _coth(re[..., None] + consts.real <= 0, e[..., None] * np.exp(consts), e_inv[..., None] * np.exp(-consts))
+        fixed = _coth(
+            re[..., None] + search.consts_re <= 0, e[..., None] * search.e_c, e_inv[..., None] * search.e_neg_c
+        )
         # d/dx log y(x) at both arguments, holding the other roots fixed
         dlog = fixed.sum(axis=-1) + (plus + minus).sum(axis=-1)
     jac = (plus[0] - minus[0]) - (plus[1] - minus[1])
@@ -273,10 +309,10 @@ def _separation_ok(roots: Sequence[complex], eta: complex, eps: float) -> bool:
     return True
 
 
-def _newton_step(branch: str, roots: np.ndarray, f: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _newton_step(search: _Search, roots: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps J^-1 f for every start, and per start whether its
     Jacobian was finite and nonsingular."""
-    jac = _jacobian(branch, roots, p)
+    jac = _jacobian(search, roots)
     ok = np.isfinite(jac).all(axis=(1, 2))
     step = np.zeros_like(f)
     try:
@@ -308,6 +344,9 @@ def _newton_batch(
     of ``_STEP_SCALES``, one mismatch evaluation per block for the starts
     still pending, and each start takes the first scale of the block that
     lowers its mismatch: the roots are those of trying one scale at a time.
+    The constants of y and their exponentials are built once for the whole
+    search (``_search``), and the per-start arrays are compressed only on
+    a step that some start leaves.
     With a ``ledger``, each start is counted under how it ended (``LEDGER``).
     """
     ledger = Counter() if ledger is None else ledger
@@ -316,7 +355,8 @@ def _newton_batch(
     live = np.arange(len(starts))
     roots = starts.astype(complex)
     m = roots.shape[1]
-    f, ok = _log_mismatch(branch, roots, p)
+    search = _search(branch, p, m)
+    f, ok = _log_mismatch(search, roots)
     ledger["bad_y"] += int(np.count_nonzero(~ok))
     live, roots, f = live[ok], roots[ok], f[ok]
     reach = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
@@ -326,13 +366,15 @@ def _newton_batch(
             break
         fn = np.abs(f).max(axis=1)
         done = fn < tol
-        ledger["converged"] += int(np.count_nonzero(done))
-        for k, r in zip(live[done], roots[done]):
-            found[k] = r
-        live, roots, f, fn, reach, rises = (a[~done] for a in (live, roots, f, fn, reach, rises))
-        step, ok = _newton_step(branch, roots, f, p)
-        ledger["bad_jacobian"] += int(np.count_nonzero(~ok))
-        live, roots, f, fn, step, reach, rises = (a[ok] for a in (live, roots, f, fn, step, reach, rises))
+        if done.any():
+            ledger["converged"] += int(np.count_nonzero(done))
+            for k, r in zip(live[done], roots[done]):
+                found[k] = r
+            live, roots, f, fn, reach, rises = (a[~done] for a in (live, roots, f, fn, reach, rises))
+        step, ok = _newton_step(search, roots, f)
+        if not ok.all():
+            ledger["bad_jacobian"] += int(np.count_nonzero(~ok))
+            live, roots, f, fn, step, reach, rises = (a[ok] for a in (live, roots, f, fn, step, reach, rises))
         # damped update: each start takes the first scale that lowers its mismatch
         pending = np.ones(len(live), dtype=bool)
         for scales in _STEP_SCALES:
@@ -340,7 +382,7 @@ def _newton_batch(
             if not len(idx):
                 break
             cand = roots[idx, None] - scales[:, None] * step[idx, None]
-            fc, ok = _log_mismatch(branch, cand.reshape(-1, m), p)
+            fc, ok = _log_mismatch(search, cand.reshape(-1, m))
             fc, ok = fc.reshape(cand.shape), ok.reshape(cand.shape[:2])
             better = ok & (np.abs(fc).max(axis=2) < fn[idx, None])
             hit = better.any(axis=1)
@@ -351,24 +393,27 @@ def _newton_batch(
         grown = np.maximum(roots.real, -roots.real - p.eta.real).max(axis=1)
         rises = np.where((grown > RE_MAX) & (grown > reach), rises + 1, 0)
         runaway = rises >= RUNAWAY_RISES
-        ledger["halvings_exhausted"] += int(np.count_nonzero(pending))
-        ledger["runaway"] += int(np.count_nonzero(runaway))
         keep = ~pending & ~runaway
-        live, roots, f, reach, rises = live[keep], roots[keep], f[keep], grown[keep], rises[keep]
+        reach = grown
+        if not keep.all():
+            ledger["halvings_exhausted"] += int(np.count_nonzero(pending))
+            ledger["runaway"] += int(np.count_nonzero(runaway))
+            live, roots, f, reach, rises = (a[keep] for a in (live, roots, f, reach, rises))
     ledger["iteration_cap"] += len(live)
     return found
 
 
-def _start_grid(m: int, rng: np.random.Generator, eta: complex) -> list[np.ndarray]:
-    """Deterministic multi-start points over the fundamental strip."""
+def _start_grid(m: int, rng: np.random.Generator, eta: complex) -> np.ndarray:
+    """Deterministic multi-start points over the fundamental strip: an (S, m)
+    array, S = N_STARTS, or for m = 1 one row per grid point up to N_STARTS."""
     res = np.linspace(-1.0, 1.0, 7)
     ims = np.linspace(-pi / 2 + 0.12, pi / 2, 7)
     singles = [complex(r, i) for r in res for i in ims if abs(sinh(2 * complex(r, i) + eta)) > 1e-3]
     rng.shuffle(singles)
     if m == 1:
-        return [np.array([z]) for z in singles[:N_STARTS]]
-    picks = (rng.choice(len(singles), size=m, replace=False) for _ in range(N_STARTS))
-    return [np.array([singles[int(k)] for k in pick]) for pick in picks]
+        return np.array(singles[:N_STARTS])[:, None]
+    picks = [rng.choice(len(singles), size=m, replace=False) for _ in range(N_STARTS)]
+    return np.array(singles)[np.array(picks)]
 
 
 def find_bethe_solutions(
@@ -395,8 +440,10 @@ def find_bethe_solutions(
     sector = family_sector(branch, M, p.N)
     ledger = Counter() if ledger is None else ledger
     rng = np.random.default_rng(seed)
-    starts = list(guesses) if guesses else _start_grid(M, rng, p.eta)
-    starts = np.asarray(starts, dtype=complex).reshape(len(starts), M)
+    if guesses:
+        starts = np.asarray(guesses, dtype=complex).reshape(len(guesses), M)
+    else:
+        starts = _start_grid(M, rng, p.eta)
     found: list[BetheSolution] = []
     seen: list[tuple] = []
     for roots in _newton_batch(branch, starts, p, 80, 1e-13, ledger):
@@ -475,23 +522,44 @@ def branch_theta(branch: str, p: ModelParams) -> complex:
     return p.theta(BRANCHES[branch].side)
 
 
-def bethe_state(branch: str, solution: BetheSolution, p: ModelParams) -> np.ndarray:
-    """Apply the family's creation blocks to its reference state (unnormalized)."""
+def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams) -> np.ndarray:
+    """The family's creation blocks applied to its reference state
+    (unnormalized) for each of ``solutions``, all of one M: a
+    (2^N, len(solutions)) array, one state per column.
+
+    Root position k of every solution is one batched ``sos.block_column``
+    call, M calls in all, and each state is bit for bit the one its
+    solution gives alone (a single solution is a batch of one).  Each
+    state keeps its own norm floor; when several fail, the NullState
+    raised is that of the first in order.
+    """
     spec = BRANCHES[branch]
     theta = branch_theta(branch, p)
-    v = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
-    # growth of the whole double-row column on each input; the state has
+    ref = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
+    roots = np.array([sol.roots for sol in solutions], dtype=complex)
+    v = np.tile(ref, (len(roots), 1))
+    # growth of the whole double-row column on each input; a state has
     # collapsed when the creation rows keep almost none of it
-    scale = 1.0
-    for lam in reversed(solution.roots):
+    scale = np.ones(len(roots))
+    failed = [None] * len(roots)
+    for lam in roots.T[::-1]:
         created, other = sos.block_column(lam, theta, spec.side, spec.creator, p, v)
-        if not np.any(created):
-            raise NullState(f"{branch} state is exactly zero")
-        scale *= max(np.hypot(np.linalg.norm(created), np.linalg.norm(other)) / np.linalg.norm(v), 1e-300)
+        for i, f in enumerate(failed):
+            if f is not None:
+                continue
+            if not np.any(created[i]):
+                failed[i] = "is exactly zero"
+            else:
+                growth = np.hypot(np.linalg.norm(created[i]), np.linalg.norm(other[i])) / np.linalg.norm(v[i])
+                scale[i] *= max(growth, 1e-300)
         v = created
-    if np.linalg.norm(v) <= 1e-10 * scale:
-        raise NullState(f"{branch} state collapsed below the norm floor")
-    return v
+    for i, f in enumerate(failed):
+        if f is None and np.linalg.norm(v[i]) <= 1e-10 * scale[i]:
+            failed[i] = "collapsed below the norm floor"
+    reason = next((f for f in failed if f is not None), None)
+    if reason is not None:
+        raise NullState(f"{branch} state {reason}")
+    return np.ascontiguousarray(v.T)
 
 
 def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarray:

@@ -45,9 +45,11 @@ DENSE_ENTRIES = {
     # probe block over two auxiliary legs and the sites; no dynamical gate's
     # stack (at most 2^N 4 x 4 blocks) or two-group block string is larger
     "verify": lambda n: 2 ** (n + 5),
-    # bethe applies the gauge row and both transfer matrices to its few
-    # stacked states as gate lists, columns of 2^(N+1) entries, and builds no
-    # square matrix; it keeps the bound of spectrum, so the two refuse the same N
+    # bethe applies the gauge row and both transfer matrices to its stacked
+    # states as gate lists, the transfer matrices at its three points in one
+    # batch, and builds no square matrix: 3 x 2^(N+2) entries per state, at
+    # most N_STARTS = 60 states, under this bound from N = 8 on.  It keeps
+    # the bound of spectrum, so the two refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
     # spectrum applies the transfer matrix to the C(N, M) <= 2^N basis columns
     # of its sector, 2^(N+1) entries each: at most half this bound.  The bound
@@ -250,22 +252,22 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     mus = sample_points(np.random.default_rng(cfg.seed + 1), p, 3)
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
-    psis, lams = [], []
-    for sol in sols:
-        psis.append(bt.bethe_state(branch, sol, p))
-        lams.append([bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus])
-    # the gauge row and each transfer matrix act on all states at once, stacked
-    # as columns; each picture pairs its states with its transfer matrix at mu
-    psi = np.stack(psis, axis=1)
-    pictures = {"sos_eigenstate": (psi, lambda mu: sos.sos_transfer(mu, theta, spec.sos_kind, p, psi))}
+    # all states come from one batched string of creation blocks, stacked as
+    # columns; the gauge row acts on them at once, and each picture's
+    # transfer matrix at all three mu is one batched traced product per
+    # trace form, each mu's image checked against its own eigenvalues
+    psi = bt.bethe_state(branch, sols, p)
+    lams = [[bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus] for sol in sols]
+    pictures = {"sos_eigenstate": (psi, sos.sos_transfer(np.array(mus), theta, spec.sos_kind, p, psi))}
     if constrained:
         v = bt.vertex_eigenstate(branch, psi, p)
-        pictures["vertex_eigenstate"] = (v, lambda mu: vx.transfer_xxz(mu, p, v))
+        pictures["vertex_eigenstate"] = (v, vx.transfer_xxz(np.array(mus), p, v))
     lam = np.array(lams)
-    worst = {name: np.zeros(len(sols)) for name in pictures}
-    for j, mu in enumerate(mus):
-        for name, (x, transfer) in pictures.items():
-            worst[name] = np.maximum(worst[name], _eigen_residual(transfer(mu), x, lam[:, j]))
+    worst = {}
+    for name, (x, images) in pictures.items():
+        worst[name] = np.zeros(len(sols))
+        for j, tx in enumerate(images):
+            worst[name] = np.maximum(worst[name], _eigen_residual(tx, x, lam[:, j]))
     rows, results = [], []
     for i, sol in enumerate(sols):
         rows.append(_row(f"bethe.{branch}.{i}.equation", max(sol.residuals), cfg.tolerances["bethe"]))

@@ -19,7 +19,8 @@ built once per pair (``_chain_layout``); a call computes only its spectral
 values.  The double-row builders (``dyn_monodromy_gates``,
 ``dyn_double_row_gates``, ``k_diag``, ``block_column``) also take an array
 of B values of lam, with optional per-element inhomogeneities, and build
-the gates of B double rows in one call for a batched ``tn.product``.
+the gates of B double rows in one call for a batched ``tn.product``;
+``sos_transfer`` takes one too, for one batched ``tn.traced_product``.
 The identity suite draws each seeded trial once (``sos_trial``) for all
 its checks; a trial (``SosTrial``) builds each monodromy gate list once
 for the checks that read it, and is dropped after them.
@@ -420,7 +421,7 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
 # SOS transfer matrices
 
 
-def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams, x: np.ndarray) -> np.ndarray:
+def sos_transfer(mu, theta: complex, which: str, p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Height-picture transfer matrices with diagonal dressed boundaries,
     applied to ``x``, a (2^N,) or (2^N, m) array, as traced gate lists.
 
@@ -428,15 +429,23 @@ def sos_transfer(mu: complex, theta: complex, which: str, p: ModelParams, x: np.
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )
 
     Both put the diagonal K~ first, the trace being cyclic over an
-    operator on the auxiliary leg alone.
+    operator on the auxiliary leg alone.  An array of B values of mu
+    applies the B transfer matrices to the same ``x`` as one batched
+    ``tn.traced_product`` of their stacked gates, a (B,) + x.shape result
+    whose every slice equals its single call bit for bit; a scalar mu runs
+    as a batch of one and gives x.shape.
     """
     if which not in ("SOS1", "SOS2"):
         raise ValueError(f"unknown transfer kind {which!r}")
     # the dressed K~ sits at the boundary opposite the double row's
     k_side, side = ("plus", "minus") if which == "SOS1" else ("minus", "plus")
     delta, zeta, _ = p.boundary(k_side)
-    kt = tilde_k2(p.k_point(mu, k_side), delta, zeta, p.eta, p.eps_pole)
-    return tn.traced_product(chain_legs(p.N), [(kt, (AUX,)), *dyn_double_row_gates(mu, theta, side, p)], x)
+    mus = np.atleast_1d(np.asarray(mu, dtype=complex))
+    kt = np.array([tilde_k2(p.k_point(complex(m), k_side), delta, zeta, p.eta, p.eps_pole) for m in mus])
+    gates = [(kt, (AUX,)), *dyn_double_row_gates(mus, theta, side, p)]
+    x = np.broadcast_to(x, mus.shape + np.shape(x))
+    t = tn.traced_product(chain_legs(p.N), gates, x, batch=True)
+    return t if np.ndim(mu) else t[0]
 
 
 def sector_transfer(mu: complex, theta: complex, which: str, p: ModelParams, s: int) -> tuple[np.ndarray, np.ndarray]:

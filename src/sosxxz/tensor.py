@@ -13,7 +13,8 @@ B inputs of one gate layout, each with its own blocks or sharing them,
 run as one product, every input rounded as it would be alone.
 ``traced_product`` is the trace of such a product over
 its first (auxiliary) leg, applied to an array on the other legs: the
-open-chain transfer matrices, on a few states or on all of them.  A
+open-chain transfer matrices, on a few states or on all of them, and
+batched as ``product`` is, at several spectral points in one call.  A
 dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
 per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
@@ -297,7 +298,7 @@ def product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> n
     return t.transpose(restore).reshape(x.shape)
 
 
-def traced_product(legs: Sequence[str], gates, x: np.ndarray) -> np.ndarray:
+def traced_product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> np.ndarray:
     """tr_0(g_1 ... g_m) @ x, the trace of ``product(legs, gates)`` over its
     first leg 0, for ``x`` a (2^(n-1),) or (2^(n-1), m) array on the other
     legs.
@@ -307,14 +308,22 @@ def traced_product(legs: Sequence[str], gates, x: np.ndarray) -> np.ndarray:
     those columns are the identity on ``legs``, so the result is the trace
     of the whole product.  With a few columns the operator is never built:
     its cost and memory grow as 2^n, not 4^n.
+
+    With ``batch``, as in ``product``, ``x`` is a (B, 2^(n-1)) or
+    (B, 2^(n-1), m) array of B inputs and a block or stack with a leading
+    axis of B gives input b its own: B traced gate lists of one layout, as
+    a transfer matrix at B spectral points, run as one product, and each
+    result equals its single call bit for bit.
     """
     legs = tuple(legs)
+    x = np.asarray(x)
+    lead = x.shape[:1] if batch else ()
     d = 2 ** (len(legs) - 1)
-    cols = np.asarray(x).reshape(d, -1)
-    e = np.zeros((2, d, 2, cols.shape[1]), dtype=np.result_type(cols, complex))
-    e[0, :, 0] = e[1, :, 1] = cols
-    y = product(legs, gates, e.reshape(2 * d, -1)).reshape(e.shape)
-    return (y[0, :, 0] + y[1, :, 1]).reshape(np.shape(x))
+    cols = x.reshape(lead + (d, -1))
+    e = np.zeros(lead + (2, d, 2, cols.shape[-1]), dtype=np.result_type(cols, complex))
+    e[..., 0, :, 0, :] = e[..., 1, :, 1, :] = cols
+    y = product(legs, gates, e.reshape(lead + (2 * d, -1)), batch).reshape(e.shape)
+    return (y[..., 0, :, 0, :] + y[..., 1, :, 1, :]).reshape(x.shape)
 
 
 # columns of the seeded probe block that ``product_residual`` applies both sides to

@@ -114,19 +114,35 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
     return [*aux_transposed(t), (k.T, (AUX,)), *aux_transposed(that)]
 
 
-def transfer_xxz(lam: complex, p: ModelParams, x: np.ndarray) -> np.ndarray:
+def transfer_xxz(lam, p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Open-chain transfer matrix applied to ``x``, a (2^N,) or (2^N, m) array.
 
     Both trace forms, tr_0 K_+ U_- and tr_0 K_-^t U_+^{t_0}, are traced gate
     lists applied to ``x`` (``tn.traced_product``), and must agree to 1e-11.
+    An array of B values of lam stacks each point's blocks into one batched
+    traced product per form, a (B,) + x.shape result whose every slice
+    equals its single call bit for bit, and the forms are compared point by
+    point: a stack-wide residual would let one point's mismatch hide under
+    a larger point's entries.  A scalar lam runs as a batch of one and
+    gives x.shape.
     """
     legs = chain_legs(p.N)
-    form1 = tn.traced_product(legs, [(k2(lam, "plus", p), (AUX,)), *double_row_gates(lam, "minus", p)], x)
-    form2 = tn.traced_product(legs, [(k2(lam, "minus", p).T, (AUX,)), *double_row_gates(lam, "plus", p)], x)
-    res = tn.rel_residual(form1, form2)
-    if res > 1e-11:
-        raise FormMismatch(f"transfer-matrix trace forms disagree: {res:.3e}")
-    return form1
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    x = np.broadcast_to(x, lams.shape + np.shape(x))
+    forms = []
+    for build in (
+        lambda l: [(k2(l, "plus", p), (AUX,)), *double_row_gates(l, "minus", p)],
+        lambda l: [(k2(l, "minus", p).T, (AUX,)), *double_row_gates(l, "plus", p)],
+    ):
+        # each gate's blocks at every point, stacked: one gate list for the batch
+        per_point = zip(*(build(l) for l in map(complex, lams)))
+        gates = [(np.stack([block for block, _ in gate]), gate[0][1]) for gate in per_point]
+        forms.append(tn.traced_product(legs, gates, x, batch=True))
+    for form1, form2 in zip(*forms):
+        res = tn.rel_residual(form1, form2)
+        if res > 1e-11:
+            raise FormMismatch(f"transfer-matrix trace forms disagree: {res:.3e}")
+    return forms[0] if np.ndim(lam) else forms[0][0]
 
 
 # ----------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_criterion_4_bethe_verification(sector_indices, chain_identity):
     idx = sector_indices(p.N)[0]
     matched = 0
     for sol in sols:
-        psi = bt.bethe_state("b1", sol, p)
+        psi = bt.bethe_state("b1", [sol], p)[:, 0]
         v = bt.vertex_eigenstate("b1", psi, p)
         for mu in mus:
             lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)

@@ -68,7 +68,7 @@ def _sos_and_vertex_residuals(branch, sols, p):
     theta = bt.branch_theta(branch, p)
     out = []
     for sol in sols:
-        psi = bt.bethe_state(branch, sol, p)[:, None]
+        psi = bt.bethe_state(branch, [sol], p)
         v = bt.vertex_eigenstate(branch, psi, p)
         worst = [0.0, 0.0]
         for mu in mus:
@@ -202,7 +202,7 @@ def test_all_families_give_eigenstates(branch, constrained2, chain_identity):
     mus = sample_points(rng, p, 2)
     theta = bt.branch_theta(branch, p)
     for sol in sols:
-        psi = bt.bethe_state(branch, sol, p)
+        psi = bt.bethe_state(branch, [sol], p)[:, 0]
         for mu in mus:
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
             t = sos.sos_transfer(mu, theta, spec.sos_kind, p, chain_identity(p))
@@ -219,7 +219,7 @@ def test_too_many_roots_is_null_state(branch, p2):
     roots = (0.21 + 0.12j, -0.33 + 0.27j, 0.41 - 0.18j, -0.52 - 0.09j)
     sol = bt.BetheSolution(branch, roots, len(roots), (0.0,) * len(roots), 0)
     with pytest.raises(NullState):
-        bt.bethe_state(branch, sol, p2)
+        bt.bethe_state(branch, [sol], p2)
 
 
 @pytest.mark.parametrize("size", [1e-6, 1.0, 1e6])
@@ -240,9 +240,77 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
     monkeypatch.setattr(sos, "block_column", leaky)
     if null:
         with pytest.raises(NullState, match="norm floor"):
-            bt.bethe_state(branch, sol, constrained2)
+            bt.bethe_state(branch, [sol], constrained2)
     else:
-        assert np.any(bt.bethe_state(branch, sol, constrained2))
+        assert np.any(bt.bethe_state(branch, [sol], constrained2))
+
+
+def _state_alone(branch, sol, p):
+    """One solution's Bethe state, root by root through single-input
+    ``sos.block_column`` calls: the reference of the batched ``bt.bethe_state``."""
+    spec = bt.BRANCHES[branch]
+    v = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
+    for lam in reversed(sol.roots):
+        v, _ = sos.block_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v)
+    return v
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_batched_states_equal_each_state_alone(branch, n):
+    largest = 0
+    for m in range(1, n):
+        p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(bt.family_sector(branch, m, n)))
+        sols = bt.find_bethe_solutions(branch, m, p, seed=0)
+        if not sols:
+            continue
+        states = bt.bethe_state(branch, sols, p)
+        assert states.shape == (2**n, len(sols)) and states.flags.c_contiguous
+        for i, sol in enumerate(sols):
+            assert np.array_equal(states[:, i], _state_alone(branch, sol, p))
+        largest = max(largest, len(sols))
+    assert largest >= 2
+
+
+@pytest.mark.parametrize("zero, floor, reason", [(0, 1, "exactly zero"), (1, 0, "norm floor")])
+def test_first_failing_state_in_order_is_raised(zero, floor, reason, constrained2, monkeypatch):
+    # in a batch of two, one state is exactly zero after its first block and
+    # the other falls below its norm floor only at the end: the NullState
+    # raised is that of the first state in order, not the first to fail
+    block_column = sos.block_column
+
+    def failing(*args):
+        created, other = block_column(*args)
+        norm = np.linalg.norm(created)
+        created = created.copy()
+        created[zero] = 0
+        created[floor] *= 1e-13
+        return created, np.full_like(other, norm)
+
+    sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
+    monkeypatch.setattr(sos, "block_column", failing)
+    with pytest.raises(NullState, match=reason):
+        bt.bethe_state("b1", [sol, sol], constrained2)
+
+
+def test_each_state_keeps_its_own_norm_floor(constrained2, monkeypatch):
+    # the first state's column grows 1e6 times faster than the second's,
+    # which keeps 1e-9 of its own growth: above its own floor, below a floor
+    # taken from the whole batch's growth
+    block_column = sos.block_column
+
+    def uneven(*args):
+        created, other = (a.copy() for a in block_column(*args))
+        created[0] *= 1e6
+        other[0] *= 1e6
+        other[1] = np.linalg.norm(created[1]) / np.sqrt(other[1].size)
+        created[1] *= 1e-9
+        return created, other
+
+    sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
+    monkeypatch.setattr(sos, "block_column", uneven)
+    states = bt.bethe_state("b1", [sol, sol], constrained2)
+    assert np.all(np.any(states, axis=0))
 
 
 def test_minus_and_plus_families_build_the_same_states(constrained2):
@@ -253,9 +321,9 @@ def test_minus_and_plus_families_build_the_same_states(constrained2):
     roots_p = sorted((round(s.roots[0].real, 8), round(s.roots[0].imag, 8)) for s in sols_p)
     assert roots_m == roots_p
     sol = sols_m[0]
-    a = bt.vertex_eigenstate("b1", bt.bethe_state("b1", sol, p), p)
+    a = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], p)
     plus = bt.BetheSolution("p1", sol.roots, 1, sol.residuals, sol.sector)
-    b = bt.vertex_eigenstate("p1", bt.bethe_state("p1", plus, p), p)
+    b = bt.vertex_eigenstate("p1", bt.bethe_state("p1", [plus], p)[:, 0], p)
     overlap = 1 - abs(np.conj(a) @ b) ** 2 / ((np.conj(a) @ a).real * (np.conj(b) @ b).real)
     assert abs(overlap) < 1e-8
 
@@ -270,7 +338,7 @@ def test_plus_family_gauge_binding(constrained3, gauge_row, chain_identity):
     sol = sols[0]
     lam = bt.branch_eigenvalue("p1", mu, sol.roots, p)
     tv = vx.transfer_xxz(mu, p, chain_identity(p))
-    psi = bt.bethe_state("p1", sol, p)
+    psi = bt.bethe_state("p1", [sol], p)[:, 0]
     good = bt.vertex_eigenstate("p1", psi, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
@@ -286,7 +354,7 @@ def test_vertex_image_matches_dense_gauge_row(n, s, branch, gauge_row):
     m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
     sols = bt.find_bethe_solutions(branch, m, p, seed=0)
     assert sols
-    psi = np.stack([bt.bethe_state(branch, sol, p) for sol in sols], axis=1)
+    psi = bt.bethe_state(branch, sols, p)
     side = bt.BRANCHES[branch].side
     row = gauge_row(bt.branch_theta(branch, p), p.tau if side == "minus" else p.tau_bar, side, p)
     block = bt.vertex_eigenstate(branch, psi, p)
@@ -296,7 +364,7 @@ def test_vertex_image_matches_dense_gauge_row(n, s, branch, gauge_row):
 
 def test_vertex_image_of_a_zero_state_is_null(constrained3):
     p = constrained3
-    psi = bt.bethe_state("b1", bt.find_bethe_solutions("b1", 1, p, seed=0)[0], p)
+    psi = bt.bethe_state("b1", bt.find_bethe_solutions("b1", 1, p, seed=0)[:1], p)[:, 0]
     with pytest.raises(NullState):
         bt.vertex_eigenstate("b1", np.zeros_like(psi), p)
     # one zero column fails the whole block
@@ -339,7 +407,7 @@ def test_hamiltonian_energy_matches_rayleigh(constrained2, hamiltonian, hamilton
     c1v = c1(p)
     offsets = []
     for sol in sols:
-        v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", sol, p), p)
+        v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], p)
         rq = (np.conj(v) @ (h_dir @ v)) / (np.conj(v) @ v)
         he = hamiltonian_energy("b1", sol, p, kappa)
         assert abs(rq - he) < 1e-7 * abs(rq)
@@ -366,7 +434,7 @@ def test_batched_mismatch_matches_scalar_y(branch, m):
     # a root at 0 makes its own factor sinh(lam_i + lam_i) vanish: y stays
     # nonzero only if the self term k = i is masked
     roots[0, 0] = 0
-    f, ok = bt._log_mismatch(branch, roots, p)
+    f, ok = bt._log_mismatch(bt._search(branch, p, m), roots)
     assert ok.all()
     for s, row in enumerate(roots):
         for i, lam in enumerate(row):
@@ -380,22 +448,25 @@ def test_batched_mismatch_matches_scalar_y(branch, m):
 def test_batched_jacobian_matches_finite_differences(branch, m):
     p = bt.apply_constraints(generic_params(3), bt.BoundaryConstraint(s=1))
     roots = _random_roots(np.random.default_rng(m), 4, m)
-    jac = bt._jacobian(branch, roots, p)
+    search = bt._search(branch, p, m)
+    jac = bt._jacobian(search, roots)
     h = 1e-6
     for k in range(m):
         shift = np.zeros(m)
         shift[k] = h
-        up, ok_up = bt._log_mismatch(branch, roots + shift, p)
-        down, ok_down = bt._log_mismatch(branch, roots - shift, p)
+        up, ok_up = bt._log_mismatch(search, roots + shift)
+        down, ok_down = bt._log_mismatch(search, roots - shift)
         assert ok_up.all() and ok_down.all()
         diff = up - down
         diff.imag = np.mod(diff.imag + np.pi, 2 * np.pi) - np.pi
         assert np.abs(jac[:, :, k] - diff / (2 * h)).max() < 1e-6 * max(np.abs(jac).max(), 1.0)
 
 
-def _coth_jacobian(branch, roots, p):
+def _coth_jacobian(search, roots):
     """The Jacobian with every coth from np.tanh of its own argument: the
-    oracle of the exponential form of ``bt._jacobian``."""
+    oracle of the exponential form of ``bt._jacobian``.  It reads only the
+    family and the parameters of the search record."""
+    branch, p = search.branch, search.p
     d, z, db, zb = bt._pars(p, bt.BRANCHES[branch].y_order)
     eta = p.eta
     diag = np.arange(roots.shape[1])
@@ -432,11 +503,12 @@ def _far_rows(branch, m, p):
     last one at which the mismatch is still finite and nonzero."""
     rows = []
     base = _random_roots(np.random.default_rng(7), 1, m)[0]
+    search = bt._search(branch, p, m)
     for r in np.arange(2.0, 400.0, 2.0):
         batch = np.array([base, base])
         batch[0, 0] = r + 0.3j
         batch[1, -1] = -r - 0.2j
-        if not bt._log_mismatch(branch, batch, p)[1].all():
+        if not bt._log_mismatch(search, batch)[1].all():
             break
         rows.append(batch)
     return np.concatenate(rows)
@@ -449,8 +521,9 @@ def test_jacobian_matches_coth_oracle(branch, n, s, m):
     random_rows = _random_roots(np.random.default_rng(n + 10 * m), 40, m)
     far = _far_rows(branch, m, p)
     assert np.abs(far.real).max() > 30
+    search = bt._search(branch, p, m)
     for roots in (random_rows, far):
-        jac, oracle = bt._jacobian(branch, roots, p), _coth_jacobian(branch, roots, p)
+        jac, oracle = bt._jacobian(search, roots), _coth_jacobian(search, roots)
         assert np.isfinite(oracle).all() and np.isfinite(jac).all()
         assert (_rel_diff(jac, oracle) <= 1e-12).all()
 
@@ -460,9 +533,10 @@ def test_jacobian_finite_where_coth_oracle_is():
     # safely as (W^2 + 1) / (W^2 - 1); the oracle reads coth = +-1 there
     p = generic_params(2)
     roots = np.array([[400 + 0.3j, -0.2 + 0.1j], [-400 - 0.3j, 0.4 - 0.5j], [400.0, 400.1 + 0.2j]])
-    oracle = _coth_jacobian("b1", roots, p)
+    search = bt._search("b1", p, 2)
+    oracle = _coth_jacobian(search, roots)
     assert np.isfinite(oracle).all()
-    jac = bt._jacobian("b1", roots, p)
+    jac = bt._jacobian(search, roots)
     assert np.isfinite(jac).all()
     assert (_rel_diff(jac, oracle) <= 1e-12).all()
 
@@ -481,9 +555,11 @@ def test_search_finds_the_same_solutions_under_the_coth_jacobian(n, branch, monk
         assert np.abs(np.subtract(a.roots, b.roots)).max() < 1e-12
 
 
-def _sinh_y_pair(branch, roots, p):
+def _sinh_y_pair(search, roots):
     """y(lam_i) and y(-lam_i-eta) as products of np.sinh of each factor's own
-    argument: the oracle of the exponential form of ``bt._y_pair``."""
+    argument: the oracle of the exponential form of ``bt._y_pair``.  It
+    reads only the family and the parameters of the search record."""
+    branch, p = search.branch, search.p
     d, z, db, zb = bt._pars(p, bt.BRANCHES[branch].y_order)
     eta = p.eta
     x = np.stack([roots, -roots - eta])
@@ -548,10 +624,11 @@ def test_mismatch_near_a_zero_factor_is_as_accurate_as_the_sinh_oracle(kind, siz
     for branch in bt.BRANCHES:
         roots = _near_zero_rows(kind, u, branch, p)
         exact = _mp_mismatch(branch, roots, p)
-        new, ok = bt._log_mismatch(branch, roots, p)
+        search = bt._search(branch, p, roots.shape[1])
+        new, ok = bt._log_mismatch(search, roots)
         with monkeypatch.context() as patch:
             patch.setattr(bt, "_y_pair", _sinh_y_pair)
-            oracle, ok_oracle = bt._log_mismatch(branch, roots, p)
+            oracle, ok_oracle = bt._log_mismatch(search, roots)
         assert ok.all() and ok_oracle.all()
         assert np.abs(new - exact).max() <= 2 * np.abs(oracle - exact).max() + 1e-15
 
@@ -575,25 +652,61 @@ def test_search_finds_the_same_solutions_under_the_sinh_mismatch(branch, n, shif
         assert np.abs(np.subtract(a.roots, b.roots)).max() < 1e-12
 
 
+def test_consts_are_built_once_per_search(monkeypatch):
+    # every mismatch and Jacobian of the search reads one record
+    p = bt.apply_constraints(generic_params(6), bt.BoundaryConstraint(s=2))
+    consts, mismatch = bt._consts, bt._log_mismatch
+    built, evaluated = [], []
+    monkeypatch.setattr(bt, "_consts", lambda branch, p: built.append(branch) or consts(branch, p))
+    monkeypatch.setattr(bt, "_log_mismatch", lambda search, roots: evaluated.append(search) or mismatch(search, roots))
+    assert bt.find_bethe_solutions("b1", 2, p, seed=0)
+    assert built == ["b1"]
+    assert len(evaluated) > 10 and all(search is evaluated[0] for search in evaluated)
+
+
+def _start_rows(m, rng, eta):
+    """The start grid as a list of one-row arrays, one draw per row: the
+    reference of ``bt._start_grid``'s single array."""
+    res = np.linspace(-1.0, 1.0, 7)
+    ims = np.linspace(-np.pi / 2 + 0.12, np.pi / 2, 7)
+    singles = [complex(r, i) for r in res for i in ims if abs(sinh(2 * complex(r, i) + eta)) > 1e-3]
+    rng.shuffle(singles)
+    if m == 1:
+        return [np.array([z]) for z in singles[: bt.N_STARTS]]
+    picks = (rng.choice(len(singles), size=m, replace=False) for _ in range(bt.N_STARTS))
+    return [np.array([singles[int(k)] for k in pick]) for pick in picks]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_start_grid_is_one_array_of_the_row_draws(m):
+    eta = generic_params(4).eta
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got, rows = bt._start_grid(m, rng, eta), _start_rows(m, ref_rng, eta)
+    # m = 1 takes one start per grid point, of which there are at most 49
+    assert got.shape == (min(len(rows), bt.N_STARTS), m) and got.dtype == complex
+    assert np.array_equal(got, np.array(rows))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("broken", [0.0, np.nan])
 def test_bad_jacobian_drops_only_its_start(broken, monkeypatch):
     p = bt.apply_constraints(generic_params(4), bt.BoundaryConstraint(s=0))
-    starts = np.array(bt._start_grid(2, np.random.default_rng(0), p.eta))
+    starts = bt._start_grid(2, np.random.default_rng(0), p.eta)
     clean = bt._newton_batch("b2", starts, p, 80, 1e-13)
     bad = next(k for k, roots in enumerate(clean) if roots is not None)
     jacobian, mismatch = bt._jacobian, bt._log_mismatch
     jac_sizes, mismatch_sizes = [], []
 
-    def first_call_broken(branch, roots, p):
-        jac = jacobian(branch, roots, p)
+    def first_call_broken(search, roots):
+        jac = jacobian(search, roots)
         if not jac_sizes:
             jac[bad] = broken  # all zero is singular; NaN is not finite
         jac_sizes.append(len(roots))
         return jac
 
-    def counted(branch, roots, p):
+    def counted(search, roots):
         mismatch_sizes.append(len(roots))
-        return mismatch(branch, roots, p)
+        return mismatch(search, roots)
 
     monkeypatch.setattr(bt, "_jacobian", first_call_broken)
     monkeypatch.setattr(bt, "_log_mismatch", counted)
@@ -617,7 +730,8 @@ def _newton_batch_to_the_end(branch, starts, p, max_iter, tol, ledger=None):
     found = [None] * len(starts)
     live = np.arange(len(starts))
     roots = starts.astype(complex)
-    f, ok = bt._log_mismatch(branch, roots, p)
+    search = bt._search(branch, p, roots.shape[1])
+    f, ok = bt._log_mismatch(search, roots)
     live, roots, f = live[ok], roots[ok], f[ok]
     for _ in range(max_iter):
         if not len(live):
@@ -627,7 +741,7 @@ def _newton_batch_to_the_end(branch, starts, p, max_iter, tol, ledger=None):
         for k, r in zip(live[done], roots[done]):
             found[k] = r
         live, roots, f, fn = (a[~done] for a in (live, roots, f, fn))
-        step, ok = bt._newton_step(branch, roots, f, p)
+        step, ok = bt._newton_step(search, roots, f)
         live, roots, f, fn, step = (a[ok] for a in (live, roots, f, fn, step))
         pending = np.ones(len(live), dtype=bool)
         scale = 1.0
@@ -636,7 +750,7 @@ def _newton_batch_to_the_end(branch, starts, p, max_iter, tol, ledger=None):
             if not len(idx):
                 break
             cand = roots[idx] - scale * step[idx]
-            fc, ok = bt._log_mismatch(branch, cand, p)
+            fc, ok = bt._log_mismatch(search, cand)
             better = ok & (np.abs(fc).max(axis=1) < fn[idx])
             roots[idx[better]] = cand[better]
             f[idx[better]] = fc[better]
@@ -674,7 +788,7 @@ def _ledger_search(branch, n, s, seed=0):
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
 def test_newton_ledger_accounts_for_every_start(branch, n, s):
     sols, ledger, p, m = _ledger_search(branch, n, s)
-    starts = np.array(bt._start_grid(m, np.random.default_rng(0), p.eta))
+    starts = bt._start_grid(m, np.random.default_rng(0), p.eta)
     batch = ("converged", "bad_y", "bad_jacobian", "halvings_exhausted", "runaway", "iteration_cap")
     filters = ("re_max", "fixed_point", "separation", "duplicate", "residual", "accepted")
     assert list(ledger) == list(bt.LEDGER) == ["starts", *batch, *filters]
@@ -708,7 +822,7 @@ def test_ledger_names_how_a_start_ended(constrained2):
         assert bt.find_bethe_solutions("b1", 1, p, guesses=[[guess]], ledger=ledger) == []
         assert +ledger == Counter(starts=1, **{outcome: 1})
     ledger = Counter()
-    starts = np.array(bt._start_grid(1, np.random.default_rng(0), p.eta))
+    starts = bt._start_grid(1, np.random.default_rng(0), p.eta)
     assert not any(r is not None for r in bt._newton_batch("b1", starts, p, 1, 1e-13, ledger))
     assert +ledger == Counter(starts=len(starts), iteration_cap=len(starts))
 
@@ -722,9 +836,9 @@ def _jacobian_inputs(monkeypatch):
     """Wrap ``bt._jacobian`` to record the roots of each call."""
     calls, jacobian = [], bt._jacobian
 
-    def recorded(branch, roots, p):
+    def recorded(search, roots):
         calls.append(roots.copy())
-        return jacobian(branch, roots, p)
+        return jacobian(search, roots)
 
     monkeypatch.setattr(bt, "_jacobian", recorded)
     return calls
@@ -732,7 +846,7 @@ def _jacobian_inputs(monkeypatch):
 
 def test_a_start_that_returns_from_past_re_max_is_kept(monkeypatch):
     p = bt.height_condition(generic_params(8), bt.BoundaryConstraint(s=4))
-    start = np.array(bt._start_grid(6, np.random.default_rng(5), p.eta)[24:25])
+    start = bt._start_grid(6, np.random.default_rng(5), p.eta)[24:25]
     calls = _jacobian_inputs(monkeypatch)
     [kept] = bt._newton_batch("p2", start, p, 80, 1e-13)
     reach = [_reach(r, p.eta)[0] for r in calls if len(r)]
@@ -744,7 +858,7 @@ def test_a_start_that_returns_from_past_re_max_is_kept(monkeypatch):
 
 def test_a_runaway_start_is_retired(monkeypatch):
     p = bt.apply_constraints(generic_params(6), bt.BoundaryConstraint(s=2))
-    start = np.array(bt._start_grid(2, np.random.default_rng(0), p.eta)[:1])
+    start = bt._start_grid(2, np.random.default_rng(0), p.eta)[:1]
     calls = _jacobian_inputs(monkeypatch)
     [reference] = _newton_batch_to_the_end("b1", start, p, 80, 1e-13)
     # Jacobian call k (from 0) sees the roots after k steps

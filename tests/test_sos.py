@@ -558,6 +558,23 @@ def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks, chain_ide
             assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p, chain_identity(p)), expect) < 1e-15
 
 
+@pytest.mark.parametrize("which", ["SOS1", "SOS2"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_sos_transfer_at_three_points_equals_each_point_alone(n, which):
+    # one batched traced product for the three points, on a vector and on a
+    # block of columns, against one call per point, bit for bit
+    p = generic_params(n)
+    rng = np.random.default_rng(n)
+    mus = np.array(sample_points(rng, p, 3))
+    theta = 0.63 + 0.29j
+    x = rng.normal(size=(2**n, 4)) + 1j * rng.normal(size=(2**n, 4))
+    for y in (x, x[:, 0]):
+        got = sos.sos_transfer(mus, theta, which, p, y)
+        assert got.shape == (3,) + y.shape
+        for mu, t in zip(mus, got):
+            assert np.array_equal(t, sos.sos_transfer(mu, theta, which, p, y))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices, chain_identity):
     # both transfer kinds keep S^z exactly at generic couplings: every column

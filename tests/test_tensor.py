@@ -355,6 +355,28 @@ def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+@settings(max_examples=60, deadline=None)
+@given(gate_lists(), st.integers(1, 4), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_batched_traced_product_equals_single_calls_bit_for_bit(case, b, own):
+    # as for product: each gate's block or stack is shared or one per input,
+    # and x is b vectors or b column blocks on the legs after the first
+    legs, drawn, seed, cols = case
+    rng = np.random.default_rng(seed)
+    per_input = [random_gates(rng, drawn) for _ in range(b)]
+    gates = [
+        (np.stack([g[j][0] for g in per_input]) if own[j] else per_input[0][j][0], *per_input[0][j][1:])
+        for j in range(len(drawn))
+    ]
+    d = 2 ** (len(legs) - 1)
+    shape = (b, d) if cols is None else (b, d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = tn.traced_product(legs, gates, x, batch=True)
+    assert got.shape == x.shape
+    for k in range(b):
+        single = [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(drawn))]
+        assert np.array_equal(got[k], tn.traced_product(legs, single, x[k]))
+
+
 def test_traced_product_transpose_invariant():
     rng = np.random.default_rng(5)
     legs = ("a", "b", "c")

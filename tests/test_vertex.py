@@ -6,7 +6,7 @@ import pytest
 from sosxxz import sos
 from sosxxz import tensor as tn
 from sosxxz import vertex as vx
-from sosxxz.errors import DegenerateParameter
+from sosxxz.errors import DegenerateParameter, FormMismatch
 from sosxxz.params import generic_params, identity_suite, sample_points
 
 
@@ -199,6 +199,43 @@ def test_transfer_matrices_on_a_block_match_dense(n, chain_identity):
         dense = transfer(chain_identity(p))
         for y in (x, x[:, 0]):
             assert tn.rel_residual(transfer(y), dense @ y) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_transfer_xxz_at_three_points_equals_each_point_alone(n):
+    p = generic_params(n)
+    rng = np.random.default_rng(n)
+    mus = np.array(sample_points(rng, p, 3))
+    x = rng.normal(size=(2**n, 4)) + 1j * rng.normal(size=(2**n, 4))
+    for y in (x, x[:, 0]):
+        got = vx.transfer_xxz(mus, p, y)
+        assert got.shape == (3,) + y.shape
+        for mu, t in zip(mus, got):
+            assert np.array_equal(t, vx.transfer_xxz(mu, p, y))
+
+
+def test_batched_trace_forms_are_compared_point_by_point(monkeypatch):
+    # one point's second trace form is off by 1e-9 relative while another
+    # point's entries are over 1e3 times larger: compared point by point the
+    # mismatch is seen; against the stack's largest entry it would hide
+    p = generic_params(3)
+    x = np.random.default_rng(2).normal(size=(8, 2)) + 0j
+    mus = np.array([0.21 + 0.12j, 2.4 + 0.17j])
+    sizes = [tn.max_abs(vx.transfer_xxz(mu, p, x)) for mu in mus]
+    assert sizes[1] > 1e3 * sizes[0]
+    traced, calls = tn.traced_product, []
+
+    def second_form_off(legs, gates, y, batch=False):
+        t = traced(legs, gates, y, batch)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            t[0] *= 1 + 1e-9
+        return t
+
+    monkeypatch.setattr(tn, "traced_product", second_form_off)
+    with pytest.raises(FormMismatch):
+        vx.transfer_xxz(mus, p, x)
+    assert calls == [0, 1]
 
 
 def _match_spectra(a, b):
