@@ -527,11 +527,11 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     (unnormalized) for each of ``solutions``, all of one M: a
     (2^N, len(solutions)) array, one state per column.
 
-    Root position k of every solution is one batched ``sos.block_column``
-    call, M calls in all, and each state is bit for bit the one its
-    solution gives alone (a single solution is a batch of one).  Each
-    state keeps its own norm floor; when several fail, the NullState
-    raised is that of the first in order.
+    The solutions' roots are the rows of one ``sos.block_strings`` call,
+    one gate build for all M root positions, and each state is bit for bit
+    the one its solution gives alone (a single solution is a batch of
+    one).  Each state keeps its own norm floor; when several fail, the
+    NullState raised is that of the first in order.
     """
     spec = BRANCHES[branch]
     theta = branch_theta(branch, p)
@@ -542,8 +542,7 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     # collapsed when the creation rows keep almost none of it
     scale = np.ones(len(roots))
     failed = [None] * len(roots)
-    for lam in roots.T[::-1]:
-        created, other = sos.block_column(lam, theta, spec.side, spec.creator, p, v)
+    for created, other in sos.block_strings(roots, theta, spec.side, spec.creator, p, v):
         for i, f in enumerate(failed):
             if f is not None:
                 continue

@@ -12,7 +12,9 @@ The property suite evaluates its spectral-point sets in batches: block
 strings of one gate layout run together, each with its own creation block
 and reference states (so cminus's own string joins bminus's), one batched
 block application per step, with the gates of all the steps of a batch
-built in one call (``_contract``, ``_steps``), and the determinant takes
+built in one call (``_contract`` on ``sos.block_strings``, the engine of
+the Bethe states too); strings that differ only in their first block
+share the rest of the string, found by content, and the determinant takes
 many point sets in one ``np.linalg.det`` call (``_z_determinant_bminus``),
 guarded in one vectorised pass, its scales and products formed over the
 batch.  Each value keeps the arithmetic of its own evaluation, so
@@ -68,33 +70,7 @@ def _batch_cap(n: int) -> int:
     return max(1, 2 ** (12 - n))
 
 
-def _steps(
-    q: ModelParams, side: str, creators, lam: np.ndarray, xi: np.ndarray, v: np.ndarray, steps: range
-) -> np.ndarray:
-    """The creation blocks of ``side`` at lam[:, j], for j in ``steps``,
-    applied in turn to the batch v (B, 2^N), element b with its own block
-    creators[b], points lam[b] and inhomogeneities xi[b]: one batched block
-    per step.  A batch of one block names it once.
-
-    One ``sos.dyn_double_row_gates`` call builds the gates of every step, on
-    the S B points flattened step by step, and step t applies the contiguous
-    (B, ...) slice t of each stack.  Gate builds are elementwise, so each
-    block is that of its own build bit for bit.
-    """
-    s, b = len(steps), len(lam)
-    if not s:
-        return v
-    if len(set(creators)) == 1:
-        creators = creators[0]
-    flat = lam[:, list(steps)].T.reshape(-1)
-    gates = sos.dyn_double_row_gates(flat, q.theta(side), side, q, np.tile(xi, (s, 1)))
-    stacks = [(g.reshape(s, b, *g.shape[1:]), *rest) for g, *rest in gates]
-    for t in range(s):
-        v = sos.apply_block_column([(g[t], *rest) for g, *rest in stacks], side, creators, q.N, v, batch=True)[0]
-    return v
-
-
-def _contract(q: ModelParams, kind, rows, xi=None, fan: Sequence[complex] | None = None) -> list[complex]:
+def _contract(q: ModelParams, kind, rows, xi=None) -> list[complex]:
     """``kind``'s function of q (already mapped by ``_kind_params``) at each
     row of N points of ``rows``, with the matching row of ``xi`` (default
     q.xi) as its inhomogeneities.  ``kind`` may instead name one kind per
@@ -102,14 +78,12 @@ def _contract(q: ModelParams, kind, rows, xi=None, fan: Sequence[complex] | None
     reference states.  The caller guards the points.
 
     Each row is its own block string, applied to its reference state last
-    block first; the strings run together, one batched block per step, in
-    batches of ``_batch_cap`` rows, and the gates of a batch's blocks are
-    built in one call (``_steps``).  A ``fan`` of points shares the last
-    row's string: after its blocks N-1 .. 1, that row becomes one element
-    per point, with the point in place of its block 0, and the points'
-    values take the row's place at the end of the result (an empty fan
-    drops the row).  No element shares a block with another, save the
-    points of the fan.
+    block first (``sos.block_strings``), in batches of ``_batch_cap`` rows.
+    Rows share a tail when their blocks N-1 .. 1 agree, the same creation
+    block at the same points with the same xi row, compared byte for byte:
+    each distinct tail runs once, then every row applies its own block 0.
+    With no tail shared, the whole strings run in one pass.  Each value is
+    that of its own string bit for bit.
     """
     n = q.N
     lam = np.array(rows, dtype=complex).reshape(-1, n)
@@ -120,24 +94,30 @@ def _contract(q: ModelParams, kind, rows, xi=None, fan: Sequence[complex] | None
     up, down = tn.all_up(n), tn.all_down(n)
     # creator -> (ket, bra): B raises the all-up state to all-down, C the reverse
     refs = {"B": (up, down), "C": (down, up)}
-    # the rows' blocks N-1 .. i+1 run first; with a fan, block 0 waits for its points
-    i = -1 if fan is None else 0
-    cap, out = _batch_cap(n), []
-    for s in range(0, len(lam), cap):
-        at, at_xi, by = lam[s : s + cap], xi[s : s + cap], creators[s : s + cap]
-        kets = np.stack([refs[c][0] for c in by])
-        v = list(_steps(q, side, by, at, at_xi, kets, range(n - 1, i, -1)))
-        if fan is not None and s + cap >= len(lam):
-            fanned = np.repeat(at[-1:], len(fan), axis=0)
-            fanned[:, 0] = fan
-            at = np.concatenate([at[:-1], fanned])
-            at_xi = np.concatenate([at_xi[:-1], np.repeat(at_xi[-1:], len(fan), axis=0)])
-            v, by = v[:-1] + v[-1:] * len(fan), by[:-1] + by[-1:] * len(fan)
-        for t in range(0, len(at), cap):
-            by_t = by[t : t + cap]
-            w = _steps(q, side, by_t, at[t : t + cap], at_xi[t : t + cap], np.stack(v[t : t + cap]), range(i, -1, -1))
-            out += [complex(refs[c][1] @ row) for c, row in zip(by_t, w)]
-    return out
+    theta, cap = q.theta(side), _batch_cap(n)
+
+    def strings(at: list[int], kets: list[np.ndarray], blocks: slice):
+        """Each row j of ``at``, with the blocks ``blocks`` of its string
+        applied to its ket, in batches of cap rows, each dropped once read."""
+        for s in range(0, len(at), cap):
+            b = at[s : s + cap]
+            v = np.stack(kets[s : s + cap])
+            for v, _ in sos.block_strings(lam[b, blocks], theta, side, [creators[j] for j in b], q, v, xi[b]):
+                pass
+            yield from zip(b, v)
+
+    # a row's tail, blocks N-1 .. 1, by its creator, points and xi, byte for byte
+    keys = [(c, row[1:].tobytes(), x.tobytes()) for c, row, x in zip(creators, lam, xi)]
+    tails = list(dict.fromkeys(keys))
+    everyone = list(range(len(lam)))
+    if len(tails) == len(lam):
+        ends = strings(everyone, [refs[c][0] for c in creators], slice(None))
+    else:
+        first = [keys.index(k) for k in tails]
+        # copied out of the batch's product, which also holds the other blocks
+        shared = {keys[j]: v.copy() for j, v in strings(first, [refs[creators[j]][0] for j in first], slice(1, None))}
+        ends = strings(everyone, [shared[k] for k in keys], slice(0, 1))
+    return [complex(refs[creators[j]][1] @ v) for j, v in ends]
 
 
 def _guard_rows(q: ModelParams, kind: str, rows) -> None:
@@ -184,12 +164,6 @@ def _kernel(q: ModelParams, lam: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray
     return u, v, w, ux, vx, lam_xi, pair
 
 
-def _det_check(q: ModelParams, lams: Sequence[complex], lam_xi: np.ndarray, pair: np.ndarray) -> None:
-    """The generic check of the points and theta, then ``_kernel_check``."""
-    params.assert_generic(q, tuple(lams), [q.theta("minus")])
-    _kernel_check(q, lam_xi, pair)
-
-
 def _kernel_check(q: ModelParams, lam_xi: np.ndarray, pair: np.ndarray) -> None:
     """The check of the kernel's lam/xi products and lambda pairs (``_kernel``)."""
     if np.any(np.abs(lam_xi) <= q.eps_pole):
@@ -199,13 +173,14 @@ def _kernel_check(q: ModelParams, lam_xi: np.ndarray, pair: np.ndarray) -> None:
 
 
 def _det_check_rows(q: ModelParams, lam: np.ndarray, lam_xi: np.ndarray, pair: np.ndarray) -> None:
-    """``_det_check`` of each row of points lam (R, N) with its kernel rows,
-    as one vectorised pass over every gap it reads.
+    """The determinant's pole guard of each row of points lam (R, N) with
+    its kernel rows: the generic check of the points and theta, then
+    ``_kernel_check``, as one vectorised pass over every gap they read.
 
     numpy's sinh may round apart from the guard's ``cmath`` sinh, so when a
     gap is not finite or lies within a relative 1e-9 of eps_pole, the rows
-    run through ``_det_check`` one by one: every decision and message is
-    that of ``_det_check``, first bad row first.
+    run through the two checks one by one: every decision and message is
+    that of checking each row alone, first bad row first.
     """
     bases = np.array([q.delta, q.zeta, q.delta_bar, q.zeta_bar])
     k = np.arange(-(q.N + 2), q.N + 3)
@@ -214,8 +189,9 @@ def _det_check_rows(q: ModelParams, lam: np.ndarray, lam_xi: np.ndarray, pair: n
         theta = np.sinh(q.theta("minus") + k * q.eta)
         gaps = np.concatenate([np.abs(a).ravel() for a in (*sinhs, theta, lam_xi, pair)])
     if not np.all((gaps > q.eps_pole * (1 + 1e-9)) & (gaps < np.inf)):
-        for checked in zip(lam, lam_xi, pair):
-            _det_check(q, *checked)
+        for row, row_xi, row_pair in zip(lam, lam_xi, pair):
+            params.assert_generic(q, tuple(row), [q.theta("minus")])
+            _kernel_check(q, row_xi, row_pair)
 
 
 def _z_determinant_bminus(q: ModelParams, lams, xi=None, pole=None) -> list[complex]:
@@ -225,7 +201,7 @@ def _z_determinant_bminus(q: ModelParams, lams, xi=None, pole=None) -> list[comp
     Kernel entry (i, j) is r_i c_j [1/(u_i - x_j) - 1/(v_i - x_j)].  Divided differences over x_1..x_j
     make column j 1/prod_{m<=j}(u_i - x_m) - 1/prod_{m<=j}(v_i - x_m); their Jacobian cancels the xi-pair
     prefactor prod (x_j - x_i)/2.  Rows, then columns, are scaled to unit max (Higham, ch. 9).  Each row
-    is guarded as ``_det_check`` guards it alone (``_det_check_rows``); one ``np.linalg.det`` call takes
+    is guarded as it would be alone (``_det_check_rows``); one ``np.linalg.det`` call takes
     the kernels of all rows, the scales and products run over the batch save the steps that round apart
     batched, and each value is that of its row alone, bit for bit.
 
@@ -371,22 +347,24 @@ def _degree_fit(p: ModelParams, nodes: Sequence[complex], z: Sequence[complex]) 
 
 
 def _det_guard(q: ModelParams, lams: tuple[complex, ...]) -> Callable[[complex], None]:
-    """``_det_check`` of q's N points lams with lam in place of lams[0], as a
-    function of lam.  The part lam does not enter (the other points, theta
-    and their kernel products and pairs) is checked here, once, so a failing
-    fixed part raises its own message, and x = cosh 2xi is taken once; each
-    call takes only lam's own terms of ``_kernel``, u, v and w, and checks
-    lam's gaps, its N lam/xi products and its N-1 pairs with the other points.
+    """The determinant's pole guard of q's N points lams with lam in place
+    of lams[0], as a function of lam: ``_contract_guard``, then the kernel
+    check (``_kernel_check``).  The part lam does not enter (the other
+    points, theta and their kernel products and pairs) is checked here,
+    once, so a failing fixed part raises its own message, and x = cosh 2xi
+    is taken once; each call takes only lam's own terms of ``_kernel``, u,
+    v and w, and checks lam's gaps, its N lam/xi products and its N-1
+    pairs with the other points.
     """
     xi, eta = np.array(q.xi), q.eta
     x = np.cosh(2 * xi)
     _, _, w_rest, _, _, lam_xi, pair = _kernel(q, np.array(lams[1:], dtype=complex), xi)
-    _det_check(q, lams[1:], lam_xi, pair)
+    generic = _contract_guard(q, lams)
+    _kernel_check(q, lam_xi, pair)
 
     def guard(lam: complex) -> None:
-        lam = complex(lam)
-        params.assert_generic(q, (lam,))
-        at = 2 * np.array([lam])
+        generic(lam)
+        at = 2 * np.array([complex(lam)])
         u, v, w = np.cosh(at), np.cosh(at + 2 * eta), np.cosh(at + eta)
         # lam's row of _kernel: (u - x_j)(v - x_j) / 4, and its pairs w_j - w_lam over 2
         _kernel_check(q, (u - x) * (v - x) / 4, (w_rest - w) / 2)
@@ -412,14 +390,13 @@ def z_property_suite(
     - the determinant takes its N point sets in one call, the left sides
       in their limit form at the kernel's removable pole (xi_1 last), and
       the recursions' N-1 point sets in another; it never contracts;
-    - the contracted lambda swap, xi swap and lam_N = -xi_1 left side,
-      cminus's own string (for kind cminus: its string has this gate
-      layout, with C blocks and swapped reference states) and Z's own
-      string run together, one batched block per step; Z's tail
-      B(lam_2) ... B(lam_N) |ref> is shared by the values that vary only
-      lam_1 (Z itself, the crossed point, lam_1 = xi_1 and the degree
-      nodes), and by nothing else; the recursions' N-1 point strings are
-      a second pass.
+    - the contraction takes the same point sets as rows of one call, in
+      the same order, and cminus's own string after them (for kind
+      cminus: its string has this gate layout, with C blocks and swapped
+      reference states); Z's tail B(lam_2) ... B(lam_N) |ref> is shared
+      by the rows that vary only lam_1 (Z itself, the crossed point, the
+      degree nodes and lam_1 = xi_1), and by nothing else; the
+      recursions' N-1 point strings are a second call.
     Each value is that of its own evaluation bit for bit.  Returns the
     residuals, and ``kind``'s own value at ``lambdas`` by method, so a
     caller need not evaluate it again: for bminus the suite's Z, for
@@ -457,24 +434,22 @@ def z_property_suite(
         if n >= 2:
             z["det"] += _z_determinant_bminus(sub, [rest1, restn])
     if "contract" in methods:
-        # the contracted rows beside lam_1 and atn, then cminus's own row, which
-        # has this gate layout and its own block and reference states, then Z's
-        # own row, whose string from block N down to block 2 is the tail the
-        # lam_1 points share, at1's among them
+        # the rows in the determinant's order: lam_1, its crossed point, the
+        # degree nodes and x1 in place of lams[0] (these share Z's tail),
+        # then the two swaps and atn; then cminus's own row, which has this
+        # gate layout and its own block and reference states
         points = firsts["contract"] + ([x1] if n >= 2 else [])
-        rows = others + ([(atn, q.xi)] if n >= 2 else [])
-        # lam_1, its crossed point and x1; the degree nodes between them
-        # passed this guard as they were drawn
+        rows = [((lam,) + lams[1:], q.xi) for lam in points] + others + ([(atn, q.xi)] if n >= 2 else [])
+        # the degree nodes passed this guard as they were drawn
         for lam in firsts["contract"][:2] + points[len(firsts["contract"]) :]:
             guard["contract"](lam)
-        _guard_rows(q, "bminus", [row for row, _ in rows])
+        _guard_rows(q, "bminus", [row for row, _ in rows[len(points) :]])
         # cminus's points are Z's, whose gaps the guard of the lam_1 points has taken
         mine = [(lams, q.xi)] if kind == "cminus" else []
-        kinds = ["bminus"] * len(rows) + ["cminus"] * len(mine) + ["bminus"]
-        contracted = _contract(q, kinds, *zip(*rows, *mine, (lams, q.xi)), fan=points)
-        z["contract"] = contracted[len(rows) + len(mine) :] + contracted[: len(rows)]
+        kinds = ["bminus"] * len(rows) + ["cminus"] * len(mine)
+        z["contract"] = _contract(q, kinds, *zip(*rows, *mine))
         if mine:
-            own["contract"] = contracted[len(rows)]
+            own["contract"] = z["contract"].pop()
         if n >= 2:
             _guard_rows(sub, "bminus", [rest1, restn])
             z["contract"] += _contract(sub, "bminus", [rest1, restn])

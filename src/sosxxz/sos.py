@@ -17,10 +17,14 @@ the minus side, theta + eta sum_{i<k} sz_i on the plus side.  One table
 so its leg and charge structure depends only on the chain and N and is
 built once per pair (``_chain_layout``); a call computes only its spectral
 values.  The double-row builders (``dyn_monodromy_gates``,
-``dyn_double_row_gates``, ``k_diag``, ``block_column``) also take an array
-of B values of lam, with optional per-element inhomogeneities, and build
-the gates of B double rows in one call for a batched ``tn.product``;
-``sos_transfer`` takes one too, for one batched ``tn.traced_product``.
+``dyn_double_row_gates``, ``k_diag``) also take an array of B values of
+lam, with optional per-element inhomogeneities, and build the gates of B
+double rows in one call for a batched ``tn.product``; ``sos_transfer``
+takes one too, for one batched ``tn.traced_product``.  Strings of
+creation blocks on a reference state, the Bethe states and the
+domain-wall partition functions alike, run in one place
+(``block_strings``): one gate build for all the blocks of a batch of
+strings, one batched block application per step.
 The identity suite draws each seeded trial once (``sos_trial``) for all
 its checks; a trial (``SosTrial``) builds each monodromy gate list once
 for the checks that read it, and is dropped after them.
@@ -316,29 +320,40 @@ _BLOCK_INDEX = {
 }
 
 
-def block_column(
-    lam, theta: complex, side: str, name: str, p: ModelParams, v: np.ndarray, xi=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block ``name`` = U[r, c] applied to v, and the other block U[1 - r, c] of its column.
+def block_strings(lam, theta: complex, side: str, names, p: ModelParams, v: np.ndarray, xi=None):
+    """Strings of S blocks applied to the batch v (B, 2^N), last block first:
+    string b applies block names[b] (one name for all) at lam[b, S-1], then
+    at lam[b, S-2], ..., then at lam[b, 0] to v[b], with the inhomogeneities
+    xi[b] (a (B, N) array; default p.xi).  Yields each step's pair of
+    ``apply_block_column``, the blocks applied and the other blocks of their
+    column, so the last pair's first part holds the strings' results.
 
-    Both are auxiliary rows of U(lam; theta)(e_c (x) v), built gate by gate
-    without the double-row matrix; v is a (2^N,) vector or a (2^N, m)
-    matrix, so the identity gives the blocks themselves.
-
-    An array of B values of lam (and optionally a (B, N) ``xi``, as in
-    ``dyn_monodromy_gates``) applies B blocks in one batched ``tn.product``:
-    v is then (B, 2^N) or (B, 2^N, m), one input per block, and each result
-    is that of the single call bit for bit.  Its two parts, the gate build
-    and ``apply_block_column``, can run apart, as for gates built once for
-    many blocks.
+    One ``dyn_double_row_gates`` call builds the gates of all S B blocks, on
+    the points flattened step by step, and step t applies the contiguous
+    (B, ...) slice t of each stack.  Gate builds are elementwise and a
+    batched product is its single products bit for bit, so each string's
+    result is that of its own blocks applied one by one.
     """
-    gates = dyn_double_row_gates(lam, theta, side, p, xi)
-    return apply_block_column(gates, side, name, p.N, v, batch=bool(getattr(lam, "ndim", 0)))
+    b, s = np.shape(lam)
+    if not s:
+        return
+    if not isinstance(names, str) and len(set(names)) == 1:
+        names = names[0]
+    flat = np.asarray(lam, dtype=complex)[:, ::-1].T.reshape(-1)
+    gates = dyn_double_row_gates(flat, theta, side, p, None if xi is None else np.tile(xi, (s, 1)))
+    stacks = [(g.reshape(s, b, *g.shape[1:]), *rest) for g, *rest in gates]
+    for t in range(s):
+        pair = apply_block_column([(g[t], *rest) for g, *rest in stacks], side, names, p.N, v, batch=True)
+        yield pair
+        v = pair[0]
 
 
 def apply_block_column(gates: list, side: str, name: str, N: int, v: np.ndarray, batch: bool) -> tuple:
-    """``block_column`` of the double row(s) with these gates (``dyn_double_row_gates``)
-    on N sites: block ``name`` applied to v, and the other block of its column.
+    """Block ``name`` = U[r, c] of the double row(s) with these gates
+    (``dyn_double_row_gates``) on N sites applied to v, and the other block
+    U[1 - r, c] of its column: both are auxiliary rows of U(e_c (x) v), built
+    gate by gate without the double-row matrix.  v is a (2^N,) vector or a
+    (2^N, m) matrix, so the identity gives the blocks themselves.
 
     With ``batch``, v is (B, 2^N) or (B, 2^N, m) and each gate block or stack
     leads with an axis of B, one double row per input, so gates built once

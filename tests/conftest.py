@@ -111,11 +111,30 @@ def chain_identity():
     return _chain_identity
 
 
+def _block_column(lam, theta, side, name, p, v, xi=None):
+    """Block ``name`` of the double row U(lam; theta) applied to v, and the
+    other block of its column, each from its own gate build: the
+    single-block oracle of ``sos.block_strings``.
+
+    An array of B values of lam (and optionally a (B, N) ``xi``, as in
+    ``sos.dyn_monodromy_gates``) applies B blocks in one batched product, v
+    then (B, 2^N) or (B, 2^N, m), one input per block.
+    """
+    gates = sos.dyn_double_row_gates(lam, theta, side, p, xi)
+    return sos.apply_block_column(gates, side, name, p.N, v, batch=bool(getattr(lam, "ndim", 0)))
+
+
+@pytest.fixture(scope="session")
+def block_column():
+    """``(lam, theta, side, name, p, v, xi=None) -> (applied, other)``."""
+    return _block_column
+
+
 def _double_row_blocks(lam, theta, side, p):
     """The four 2^N-square blocks A, B, C, D of one dynamical double row,
-    each the block string applied to the identity (``sos.block_column``)."""
+    each the block applied to the identity (``_block_column``)."""
     eye = np.eye(2**p.N, dtype=complex)
-    return {name: sos.block_column(lam, theta, side, name, p, eye)[0] for name in "ABCD"}
+    return {name: _block_column(lam, theta, side, name, p, eye)[0] for name in "ABCD"}
 
 
 @pytest.fixture(scope="session")
@@ -127,24 +146,24 @@ def double_row_blocks():
 def _commutation_alone(l1, l2, p, left):
     """One exchange relation evaluated on its own, A_- ("A") or D-tilde_-
     ("D") past B_- at theta = delta - zeta: six block strings, each built
-    from its own double row (``sos.block_column``), none shared with the
+    from its own double row (``_block_column``), none shared with the
     other relation."""
     eta = p.eta
     theta = p.theta("minus")
 
     def blocks(lam, v):
-        a, _ = sos.block_column(lam, theta, "minus", "A", p, v)
-        d, b = sos.block_column(lam, theta, "minus", "D", p, v)
+        a, _ = _block_column(lam, theta, "minus", "A", p, v)
+        d, b = _block_column(lam, theta, "minus", "D", p, v)
         return a, b, sos._d_tilde(lam, theta, p, {"A": a, "D": d})
 
     def b2(v):
-        return sos.block_column(l2, theta, "minus", "B", p, v)[0]
+        return _block_column(l2, theta, "minus", "B", p, v)[0]
 
     per_sz = lambda fn: sos._per_sz(p.N, fn)
     x = tn.probe_block(p.N)
     a2x, b2x, dt2x = blocks(l2, x)
     (a1x, a1b2x), _, (dt1x, dt1b2x) = (np.hsplit(m, 2) for m in blocks(l1, np.hstack([x, b2x])))
-    b1a2x, b1dt2x = np.hsplit(sos.block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
+    b1a2x, b1dt2x = np.hsplit(_block_column(l1, theta, "minus", "B", p, np.hstack([a2x, dt2x]))[0], 2)
     lb, lm = l1 + l2, l1 - l2
     if left == "A":
         c1 = per_sz(lambda s: -sinh(eta) * sinh(theta - eta * s - 2 * eta - lb) / (sinh(theta - eta * s - eta) * sinh(lb + eta)))

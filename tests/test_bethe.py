@@ -229,15 +229,15 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
     # each creation block keeps `keep` of its column's norm, the column
     # growing by `size`: the state is refused when it keeps under 1e-10 of
     # the growth, whatever the growth's size
-    block_column = sos.block_column
+    apply = sos.apply_block_column
 
-    def leaky(*args):
-        created, other = block_column(*args)
+    def leaky(*args, **kwargs):
+        created, other = apply(*args, **kwargs)
         norm = np.linalg.norm(created)
         return size * keep * created, np.full_like(other, size * norm / np.sqrt(other.size))
 
     sol = bt.find_bethe_solutions(branch, 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "block_column", leaky)
+    monkeypatch.setattr(sos, "apply_block_column", leaky)
     if null:
         with pytest.raises(NullState, match="norm floor"):
             bt.bethe_state(branch, [sol], constrained2)
@@ -245,19 +245,19 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
         assert np.any(bt.bethe_state(branch, [sol], constrained2))
 
 
-def _state_alone(branch, sol, p):
+def _state_alone(branch, sol, p, block_column):
     """One solution's Bethe state, root by root through single-input
-    ``sos.block_column`` calls: the reference of the batched ``bt.bethe_state``."""
+    ``block_column`` calls: the reference of the batched ``bt.bethe_state``."""
     spec = bt.BRANCHES[branch]
     v = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
     for lam in reversed(sol.roots):
-        v, _ = sos.block_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v)
+        v, _ = block_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v)
     return v
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_batched_states_equal_each_state_alone(branch, n):
+def test_batched_states_equal_each_state_alone(branch, n, block_column):
     largest = 0
     for m in range(1, n):
         p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(bt.family_sector(branch, m, n)))
@@ -267,7 +267,7 @@ def test_batched_states_equal_each_state_alone(branch, n):
         states = bt.bethe_state(branch, sols, p)
         assert states.shape == (2**n, len(sols)) and states.flags.c_contiguous
         for i, sol in enumerate(sols):
-            assert np.array_equal(states[:, i], _state_alone(branch, sol, p))
+            assert np.array_equal(states[:, i], _state_alone(branch, sol, p, block_column))
         largest = max(largest, len(sols))
     assert largest >= 2
 
@@ -277,10 +277,10 @@ def test_first_failing_state_in_order_is_raised(zero, floor, reason, constrained
     # in a batch of two, one state is exactly zero after its first block and
     # the other falls below its norm floor only at the end: the NullState
     # raised is that of the first state in order, not the first to fail
-    block_column = sos.block_column
+    apply = sos.apply_block_column
 
-    def failing(*args):
-        created, other = block_column(*args)
+    def failing(*args, **kwargs):
+        created, other = apply(*args, **kwargs)
         norm = np.linalg.norm(created)
         created = created.copy()
         created[zero] = 0
@@ -288,7 +288,7 @@ def test_first_failing_state_in_order_is_raised(zero, floor, reason, constrained
         return created, np.full_like(other, norm)
 
     sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "block_column", failing)
+    monkeypatch.setattr(sos, "apply_block_column", failing)
     with pytest.raises(NullState, match=reason):
         bt.bethe_state("b1", [sol, sol], constrained2)
 
@@ -297,10 +297,10 @@ def test_each_state_keeps_its_own_norm_floor(constrained2, monkeypatch):
     # the first state's column grows 1e6 times faster than the second's,
     # which keeps 1e-9 of its own growth: above its own floor, below a floor
     # taken from the whole batch's growth
-    block_column = sos.block_column
+    apply = sos.apply_block_column
 
-    def uneven(*args):
-        created, other = (a.copy() for a in block_column(*args))
+    def uneven(*args, **kwargs):
+        created, other = (a.copy() for a in apply(*args, **kwargs))
         created[0] *= 1e6
         other[0] *= 1e6
         other[1] = np.linalg.norm(created[1]) / np.sqrt(other[1].size)
@@ -308,9 +308,24 @@ def test_each_state_keeps_its_own_norm_floor(constrained2, monkeypatch):
         return created, other
 
     sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "block_column", uneven)
+    monkeypatch.setattr(sos, "apply_block_column", uneven)
     states = bt.bethe_state("b1", [sol, sol], constrained2)
     assert np.all(np.any(states, axis=0))
+
+
+@pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
+def test_bethe_state_builds_the_gates_of_all_roots_once(branch, monkeypatch):
+    # two solutions of M = 3 roots: one dyn_double_row_gates call builds
+    # all six blocks
+    p = generic_params(4)
+    roots = ((0.21 + 0.12j, -0.33 + 0.27j, 0.41 - 0.18j), (0.17 - 0.31j, 0.52 + 0.09j, -0.26 + 0.44j))
+    sols = [bt.BetheSolution(branch, r, 3, (0.0,) * 3, 0) for r in roots]
+    calls = []
+    gates = sos.dyn_double_row_gates
+    monkeypatch.setattr(sos, "dyn_double_row_gates", lambda *a, **k: calls.append(a) or gates(*a, **k))
+    states = bt.bethe_state(branch, sols, p)
+    assert len(calls) == 1 and len(calls[0][0]) == 6
+    assert states.shape == (16, 2) and np.all(np.any(states, axis=0))
 
 
 def test_minus_and_plus_families_build_the_same_states(constrained2):

@@ -133,26 +133,33 @@ def test_property_suite(n):
         assert res < tol, (name, res)
 
 
-def full_contraction(p, lams, kind="bminus"):
-    """``kind``'s Z with every block applied in turn to its reference state, last block first."""
-    q, lams = pt._kind_params(p, lams, kind)
-    side, creator = pt.KINDS[kind]
-    params.assert_generic(q, lams, [q.theta(side)])
-    up, down = tn.all_up(q.N), tn.all_down(q.N)
-    v, bra = (up, down) if creator == "B" else (down, up)
-    for lam in reversed(lams):
-        v = sos.block_column(lam, q.theta(side), side, creator, q, v)[0]
-    return complex(bra @ v)
+@pytest.fixture(scope="module")
+def full_contraction(block_column):
+    """``(p, lams, kind="bminus") -> Z``: ``kind``'s Z with every block
+    applied in turn to its reference state, last block first, each block
+    from its own gate build."""
+
+    def contract(p, lams, kind="bminus"):
+        q, lams = pt._kind_params(p, lams, kind)
+        side, creator = pt.KINDS[kind]
+        params.assert_generic(q, lams, [q.theta(side)])
+        up, down = tn.all_up(q.N), tn.all_down(q.N)
+        v, bra = (up, down) if creator == "B" else (down, up)
+        for lam in reversed(lams):
+            v = block_column(lam, q.theta(side), side, creator, q, v)[0]
+        return complex(bra @ v)
+
+    return contract
 
 
 def degree_residual(q, lams, guard, rng):
     """The suite's contracted degree test: nodes drawn against ``guard``, then
-    contracted on the shared tail of Z's string (``_contract``'s fan)."""
+    contracted as rows that share the tail of Z's string."""
     nodes = pt._degree_nodes(q, guard, rng)
-    return pt._degree_fit(q, nodes, pt._contract(q, "bminus", [lams], fan=nodes))
+    return pt._degree_fit(q, nodes, pt._contract(q, "bminus", [(lam,) + lams[1:] for lam in nodes]))
 
 
-def degree_residual_oracle(p, lams, seed):
+def degree_residual_oracle(p, lams, seed, full_contraction):
     """The degree test in lam_1, with the nodes redrawn from default_rng(seed)
     and each evaluated by full_contraction."""
     rng = np.random.default_rng(seed)
@@ -175,18 +182,19 @@ def degree_residual_oracle(p, lams, seed):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_shared_tail_is_bit_identical_to_full_contractions(n):
+def test_shared_tail_is_bit_identical_to_full_contractions(n, full_contraction):
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(53 + n), p, n))
     q, _ = pt._kind_params(p, lams, "bminus")
     rel = degree_residual(q, lams, pt._contract_guard(q, lams), np.random.default_rng(7))
-    assert rel == degree_residual_oracle(p, lams, 7)
+    assert rel == degree_residual_oracle(p, lams, 7, full_contraction)
     # one batch of points on one tail, each its own full contraction
     points = [lams[0], -lams[0] - p.eta, p.xi[0]]
-    assert pt._contract(q, "bminus", [lams], fan=points) == [full_contraction(p, (lam,) + lams[1:]) for lam in points]
+    rows = [(lam,) + lams[1:] for lam in points]
+    assert pt._contract(q, "bminus", rows) == [full_contraction(p, row) for row in rows]
 
     res, _ = pt.z_property_suite(p, lams, "bminus", seed=11, methods=("contract",))
-    assert res["degree_contract"] == degree_residual_oracle(p, lams, 11)
+    assert res["degree_contract"] == degree_residual_oracle(p, lams, 11, full_contraction)
     z0 = full_contraction(p, lams)
     assert pt.z_contraction(p, lams, "bminus") == z0
     pred = pt.crossing_factor(lams[0], p.delta, p.zeta, p.eta) * z0
@@ -200,7 +208,7 @@ def test_shared_tail_is_bit_identical_to_full_contractions(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_rejected_degree_nodes_keep_bit_identity(n):
+def test_rejected_degree_nodes_keep_bit_identity(n, full_contraction):
     # delta ~ i pi - lam at the second node's phase, so sinh(delta + lam) sits
     # within eps_pole of zero there and the contraction's guard rejects draws
     d = complex(-0.05, pi - 1.37 * pi / (2 * n + 4))
@@ -219,7 +227,7 @@ def test_rejected_degree_nodes_keep_bit_identity(n):
 
     rel = degree_residual(q, lams, counted, np.random.default_rng(7))
     assert len(rejected) == 2
-    assert rel == degree_residual_oracle(p, lams, 7)
+    assert rel == degree_residual_oracle(p, lams, 7, full_contraction)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,7 +285,7 @@ def test_batched_determinant_equals_the_row_by_row_products(n):
 
 @pytest.mark.parametrize("cap", [None, 2, 1])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_cminus_row_of_the_suite_is_its_own_contraction(n, cap, monkeypatch):
+def test_cminus_row_of_the_suite_is_its_own_contraction(n, cap, monkeypatch, full_contraction):
     # cminus's own string rides the suite's first pass, with its C blocks and
     # swapped reference states, in batches of any size
     if cap is not None:
@@ -365,7 +373,7 @@ def test_batched_determinant_guards_every_row(p3):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["bminus", "cplus", "bplus"])
-def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
+def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch, full_contraction):
     # with a cap of 1 or 2 every batch of the suite splits, down to one
     # element per block application, each batch still building its gates in
     # one call; the kind's own Z is its string of single blocks
@@ -382,8 +390,8 @@ def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", pt.KINDS)
 def test_det_only_suite_at_n1_fans_out_no_point(kind, p1):
-    # with the det method alone at N = 1, no contracted point fans out of
-    # Z's string, and there are no recursions to contract
+    # with the det method alone at N = 1, no contracted row shares Z's
+    # string, and there are no recursions to contract
     lams = sample_points(np.random.default_rng(73), p1, 1)
     res, _ = pt.z_property_suite(p1, lams, kind, methods=("det",))
     assert sorted(res) == ["crossing_det", "degree_det"]
@@ -391,9 +399,9 @@ def test_det_only_suite_at_n1_fans_out_no_point(kind, p1):
 
 @pytest.mark.parametrize("cap", [None, 2, 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_empty_fan_drops_only_zs_row(n, cap, monkeypatch):
-    # an empty fan leaves every other row's value as no fan does, and drops
-    # the last row, Z's, whose string the fan would share
+def test_empty_fan_drops_only_zs_row(n, cap, monkeypatch, full_contraction):
+    # four rows with no tail in common, each its own whole string: without
+    # the last row, Z's, every other row keeps its value
     if cap is not None:
         monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
     p = generic_params(n)
@@ -401,8 +409,41 @@ def test_empty_fan_drops_only_zs_row(n, cap, monkeypatch):
     q, _ = pt._kind_params(p, [0.0] * n, "bminus")
     rows = [tuple(sample_points(rng, q, n)) for _ in range(4)]
     whole = pt._contract(q, "bminus", rows)
-    assert pt._contract(q, "bminus", rows, fan=[]) == whole[:-1]
+    assert pt._contract(q, "bminus", rows[:-1]) == whole[:-1]
     assert whole == [full_contraction(q, row) for row in rows]
+
+
+@pytest.mark.parametrize("cap", [None, 2, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rows_share_their_tails_by_content(n, cap, monkeypatch, full_contraction):
+    # shuffled rows: three lam_1 variants of one string, its lambda swap, its
+    # xi swap, its cminus string and a variant whose tail differs only in the
+    # sign of a zero; the lam_1 variants share one tail, and the passes over
+    # blocks N-1 .. 1 carry each distinct tail once, then every row its block 0
+    if cap is not None:
+        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    p = generic_params(n)
+    rng = np.random.default_rng(151 + n)
+    lams = tuple(sample_points(rng, p, n))
+    lams = lams[:-1] + (complex(lams[-1].real, 0.0),)
+    signed = lams[:-1] + (complex(lams[-1].real, -0.0),)
+    q, _ = pt._kind_params(p, lams, "bminus")
+    swapped_xi = (q.xi[1], q.xi[0]) + q.xi[2:]
+    cases = [((lam,) + lams[1:], q.xi, "bminus") for lam in (lams[0], -lams[0] - q.eta, q.xi[0])]
+    cases += [((lams[1], lams[0]) + lams[2:], q.xi, "bminus"), (lams, swapped_xi, "bminus"), (lams, q.xi, "cminus")]
+    cases += [((q.xi[0],) + signed[1:], q.xi, "bminus")]
+    cases = [cases[i] for i in rng.permutation(len(cases))]
+    sizes = []
+    apply = sos.apply_block_column
+    monkeypatch.setattr(sos, "apply_block_column", lambda *a, **k: sizes.append(len(a[4])) or apply(*a, **k))
+    rows, xis, kinds = zip(*cases)
+    got = pt._contract(q, list(kinds), rows, xis)
+    # Z's tail, shared by the three variants, and the four others' own
+    tails = 5
+    step = cap or pt._batch_cap(n)
+    chunks = lambda count: [min(step, count - s) for s in range(0, count, step)]
+    assert sizes == [b for b in chunks(tails) for _ in range(n - 1)] + chunks(len(cases))
+    assert got == [full_contraction(p.replace(xi=x), row, kind) for row, x, kind in cases]
 
 
 def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
@@ -694,7 +735,7 @@ def test_batched_determinant_guard_at_eps_pole(scale, p3):
 @pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 6, 11), ("bplus", 8, 17), ("cplus", 8, 17)])
 def test_partition_command_builds_each_string_once(kind, gates, products, monkeypatch, tmp_path):
     # one dyn_double_row_gates call, two monodromy builds, per block string:
-    # the suite's tail and fan strings and its recursion string, and the plus
+    # the suite's tail and block-0 passes and its recursion string, and the plus
     # kinds' own Z; cminus's own Z is a row of the suite's first pass
     counts = {"gates": 0, "products": 0}
 

@@ -501,7 +501,7 @@ def test_inverse_probe_residual_against_dense_inverse(kind, n):
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
-def test_block_string_matches_matrix_block(side, p3):
+def test_block_string_matches_matrix_block(side, p3, block_column):
     """Each block applied gate by gate to a vector equals the block of the full double row times it."""
     lam, theta = 0.21 + 0.12j, 0.63 + 0.29j
     rng = np.random.default_rng(4)
@@ -511,14 +511,14 @@ def test_block_string_matches_matrix_block(side, p3):
     u = u.reshape(2, 2**p3.N, 2, 2**p3.N)
     blocks = {name: u[r, :, c] for name, (r, c) in sos._BLOCK_INDEX[side].items()}
     for name in "ABCD":
-        string = sos.block_column(lam, theta, side, name, p3, v)[0]
+        string = block_column(lam, theta, side, name, p3, v)[0]
         expect = blocks[name] @ v
         assert np.max(np.abs(string - expect)) < 1e-13 * np.max(np.abs(expect)), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("side", ["minus", "plus"])
-def test_batched_block_columns_equal_single_calls_bit_for_bit(n, side):
+def test_batched_block_columns_equal_single_calls_bit_for_bit(n, side, block_column):
     # B values of lam, each with its own inhomogeneities and input, against B
     # calls on the same inputs; vectors and column blocks
     p = generic_params(n)
@@ -529,10 +529,36 @@ def test_batched_block_columns_equal_single_calls_bit_for_bit(n, side):
     for shape in [(len(lams), 2**n), (len(lams), 2**n, 3)]:
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for name in "ABCD":
-            got = sos.block_column(lams, theta, side, name, p, v, xis)
+            got = block_column(lams, theta, side, name, p, v, xis)
             for b, lam in enumerate(lams):
-                one = sos.block_column(complex(lam), theta, side, name, p.replace(xi=tuple(xis[b])), v[b])
+                one = block_column(complex(lam), theta, side, name, p.replace(xi=tuple(xis[b])), v[b])
                 assert np.array_equal(got[0][b], one[0]) and np.array_equal(got[1][b], one[1]), (name, b)
+
+
+@pytest.mark.parametrize("n, steps", [(1, 1), (3, 2), (4, 4)])
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_block_strings_apply_each_block_as_its_own_build(n, steps, side, block_column, monkeypatch):
+    # three strings, each with its own blocks, points and inhomogeneities,
+    # last column first: every step's pair equals the single block on that
+    # string's input bit for bit, and all the blocks share one gate build
+    p = generic_params(n)
+    rng = np.random.default_rng(7 * n + steps)
+    lam = np.array([sample_points(rng, p, steps) for _ in range(3)])
+    xis = np.array([rng.permutation(np.array(p.xi)) for _ in lam])
+    names = ["B", "C", "B"]
+    v = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    builds = []
+    gates = sos.dyn_double_row_gates
+    monkeypatch.setattr(sos, "dyn_double_row_gates", lambda *a: builds.append(a) or gates(*a))
+    pairs = list(sos.block_strings(lam, p.theta(side), side, names, p, v, xis))
+    assert list(sos.block_strings(lam[:, :0], p.theta(side), side, names, p, v, xis)) == []
+    assert len(builds) == 1 and len(pairs) == steps
+    for b, name in enumerate(names):
+        w = v[b]
+        for t, (applied, other) in enumerate(pairs):
+            want = block_column(lam[b, steps - 1 - t], p.theta(side), side, name, p.replace(xi=tuple(xis[b])), w)
+            assert np.array_equal(applied[b], want[0]) and np.array_equal(other[b], want[1]), (b, t)
+            w = want[0]
 
 
 def test_batched_k_diag_keeps_the_scalar_entries(p3):
