@@ -535,14 +535,14 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     """
     spec = BRANCHES[branch]
     theta = branch_theta(branch, p)
-    ref = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
     roots = np.array([sol.roots for sol in solutions], dtype=complex)
-    v = np.tile(ref, (len(roots), 1))
+    # the reference state, packed on its one-state sector
+    v, s = [np.ones(1, dtype=complex)] * len(roots), [p.N if spec.reference == "up" else -p.N] * len(roots)
     # growth of the whole double-row column on each input; a state has
     # collapsed when the creation rows keep almost none of it
     scale = np.ones(len(roots))
     failed = [None] * len(roots)
-    for created, other in sos.block_strings(roots, theta, spec.side, spec.creator, p, v):
+    for created, other, s in sos.block_strings(roots, theta, spec.side, spec.creator, p, v, s):
         for i, f in enumerate(failed):
             if f is not None:
                 continue
@@ -558,7 +558,9 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     reason = next((f for f in failed if f is not None), None)
     if reason is not None:
         raise NullState(f"{branch} state {reason}")
-    return np.ascontiguousarray(v.T)
+    states = np.zeros((2**p.N, len(v)), dtype=complex)
+    states[tn.sector_states((1,) * p.N, s[0])] = np.transpose(v)
+    return states
 
 
 def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarray:

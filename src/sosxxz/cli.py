@@ -55,8 +55,8 @@ DENSE_ENTRIES = {
     # of its sector, 2^(N+1) entries each: at most half this bound.  The bound
     # refuses N >= 12, where the vertex images' norm floor rejects good states
     "spectrum": lambda n: 4 ** (n + 1),
-    # the block string acts on a vector over the auxiliary leg and the sites;
-    # each two-leg dynamical gate on it is a stack of 2^(N-1) 4 x 4 blocks
+    # the block strings act on vectors packed on one charge sector of the aux
+    # leg and the sites (tensor.sector_product); kept from the dense path
     "partition": lambda n: 2 ** (n + 3),
 }
 # the largest N of a det-only partition run, which nothing contracts: past it
@@ -298,7 +298,9 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     t_eigs, vecs = np.linalg.eig(cols[idx])
     psi = np.zeros_like(cols)
     psi[idx] = vecs
+    del cols  # the vertex transfer matrix below holds the command's largest arrays
     v = bt.vertex_eigenstate("b1", psi, p)
+    del psi
     res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
     rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
     ledger = dict.fromkeys(bt.LEDGER, 0)

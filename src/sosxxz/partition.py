@@ -10,11 +10,10 @@ crossing, both recursions, degree); ``det_vs_contract`` ties the two.
 
 The property suite evaluates its spectral-point sets in batches: block
 strings of one gate layout run together, each with its own creation block
-and reference states (so cminus's own string joins bminus's), one batched
-block application per step, with the gates of all the steps of a batch
-built in one call (``_contract`` on ``sos.block_strings``, the engine of
-the Bethe states too); strings that differ only in their first block
-share the rest of the string, found by content, and the determinant takes
+and reference states (so cminus's own string joins bminus's), packed on
+their charge sectors, with the gates of all the steps built in one call
+(``_contract`` on ``sos.block_strings``); strings that differ only in
+their first block share the rest, found by content, and the determinant takes
 many point sets in one ``np.linalg.det`` call (``_z_determinant_bminus``),
 guarded in one vectorised pass, its scales and products formed over the
 batch.  Each value keeps the arithmetic of its own evaluation, so
@@ -58,18 +57,6 @@ def _kind_params(p: ModelParams, lambdas: Sequence[complex], kind: str) -> tuple
     return p.replace(delta=d, zeta=z, tau=0.0, delta_bar=d, zeta_bar=z, tau_bar=0.0), lams
 
 
-def _batch_cap(n: int) -> int:
-    """Elements per batched block application at chain length n.
-
-    A batch's largest array is the gathered stack of its dynamical gates,
-    2^(n-1) 4 x 4 blocks per element, four times the element's vector.  A
-    batch is split so that this array holds no more than one element's does
-    at n = 12: from n = 12 on, every element runs alone, at the memory of
-    the unbatched contraction.
-    """
-    return max(1, 2 ** (12 - n))
-
-
 def _contract(q: ModelParams, kind, rows, xi=None) -> list[complex]:
     """``kind``'s function of q (already mapped by ``_kind_params``) at each
     row of N points of ``rows``, with the matching row of ``xi`` (default
@@ -78,12 +65,12 @@ def _contract(q: ModelParams, kind, rows, xi=None) -> list[complex]:
     reference states.  The caller guards the points.
 
     Each row is its own block string, applied to its reference state last
-    block first (``sos.block_strings``), in batches of ``_batch_cap`` rows.
-    Rows share a tail when their blocks N-1 .. 1 agree, the same creation
-    block at the same points with the same xi row, compared byte for byte:
-    each distinct tail runs once, then every row applies its own block 0.
-    With no tail shared, the whole strings run in one pass.  Each value is
-    that of its own string bit for bit.
+    block first (``sos.block_strings``), all rows in one batch, packed on
+    their charge sectors.  Rows share a tail when their blocks N-1 .. 1
+    agree, the same creation block at the same points with the same xi
+    row, compared byte for byte: each distinct tail runs once, then every
+    row applies its own block 0.  With no tail shared, the whole strings
+    run in one pass.  Each value is that of its own string bit for bit.
     """
     n = q.N
     lam = np.array(rows, dtype=complex).reshape(-1, n)
@@ -91,33 +78,30 @@ def _contract(q: ModelParams, kind, rows, xi=None) -> list[complex]:
     kinds = [kind] * len(lam) if isinstance(kind, str) else list(kind)
     (side,) = {KINDS[k][0] for k in kinds}
     creators = [KINDS[k][1] for k in kinds]
-    up, down = tn.all_up(n), tn.all_down(n)
-    # creator -> (ket, bra): B raises the all-up state to all-down, C the reverse
-    refs = {"B": (up, down), "C": (down, up)}
-    theta, cap = q.theta(side), _batch_cap(n)
+    # creator -> S^z of its reference state, packed as its one entry: B lowers
+    # all-up to all-down and C raises all-down to all-up, so Z is the one entry
+    start = {"B": n, "C": -n}
+    theta = q.theta(side)
 
-    def strings(at: list[int], kets: list[np.ndarray], blocks: slice):
-        """Each row j of ``at``, with the blocks ``blocks`` of its string
-        applied to its ket, in batches of cap rows, each dropped once read."""
-        for s in range(0, len(at), cap):
-            b = at[s : s + cap]
-            v = np.stack(kets[s : s + cap])
-            for v, _ in sos.block_strings(lam[b, blocks], theta, side, [creators[j] for j in b], q, v, xi[b]):
-                pass
-            yield from zip(b, v)
+    def strings(at: list[int], kets: list, blocks: slice) -> list:
+        """(packed result, S^z) of each row of ``at``: ``blocks`` of its string on its (ket, S^z)."""
+        v, s = map(list, zip(*kets))
+        for v, _, s in sos.block_strings(lam[at, blocks], theta, side, [creators[j] for j in at], q, v, s, xi[at]):
+            pass
+        return list(zip(v, s))
 
     # a row's tail, blocks N-1 .. 1, by its creator, points and xi, byte for byte
     keys = [(c, row[1:].tobytes(), x.tobytes()) for c, row, x in zip(creators, lam, xi)]
     tails = list(dict.fromkeys(keys))
     everyone = list(range(len(lam)))
+    refs = lambda at: [(np.ones(1, dtype=complex), start[creators[j]]) for j in at]
     if len(tails) == len(lam):
-        ends = strings(everyone, [refs[c][0] for c in creators], slice(None))
+        ends = strings(everyone, refs(everyone), slice(None))
     else:
         first = [keys.index(k) for k in tails]
-        # copied out of the batch's product, which also holds the other blocks
-        shared = {keys[j]: v.copy() for j, v in strings(first, [refs[creators[j]][0] for j in first], slice(1, None))}
+        shared = dict(zip(tails, strings(first, refs(first), slice(1, None))))
         ends = strings(everyone, [shared[k] for k in keys], slice(0, 1))
-    return [complex(refs[creators[j]][1] @ v) for j, v in ends]
+    return [complex(v[0]) for v, _ in ends]
 
 
 def _guard_rows(q: ModelParams, kind: str, rows) -> None:

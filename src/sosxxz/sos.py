@@ -20,11 +20,11 @@ values.  The double-row builders (``dyn_monodromy_gates``,
 ``dyn_double_row_gates``, ``k_diag``) also take an array of B values of
 lam, with optional per-element inhomogeneities, and build the gates of B
 double rows in one call for a batched ``tn.product``; ``sos_transfer``
-takes one too, for one batched ``tn.traced_product``.  Strings of
-creation blocks on a reference state, the Bethe states and the
-domain-wall partition functions alike, run in one place
-(``block_strings``): one gate build for all the blocks of a batch of
-strings, one batched block application per step.
+takes one too, for one batched ``tn.traced_product``.  Every gate of a
+double row keeps the charge w sz_0 + S^z (w = +1 minus, -1 plus), so the
+creation strings (``block_strings``: Bethe states and partition functions,
+one gate build per batch) and the sector transfer blocks run packed on
+one sector (``sector_block_column`` on ``tn.sector_product``).
 The identity suite draws each seeded trial once (``sos_trial``) for all
 its checks; a trial (``SosTrial``) builds each monodromy gate list once
 for the checks that read it, and is dropped after them.
@@ -320,61 +320,58 @@ _BLOCK_INDEX = {
 }
 
 
-def block_strings(lam, theta: complex, side: str, names, p: ModelParams, v: np.ndarray, xi=None):
-    """Strings of S blocks applied to the batch v (B, 2^N), last block first:
-    string b applies block names[b] (one name for all) at lam[b, S-1], then
-    at lam[b, S-2], ..., then at lam[b, 0] to v[b], with the inhomogeneities
-    xi[b] (a (B, N) array; default p.xi).  Yields each step's pair of
-    ``apply_block_column``, the blocks applied and the other blocks of their
-    column, so the last pair's first part holds the strings' results.
+BLOCK_SZ = {"A": 0, "B": -2, "C": 2, "D": 0}  # the change of the sites' S^z each block makes, on either side
 
-    One ``dyn_double_row_gates`` call builds the gates of all S B blocks, on
-    the points flattened step by step, and step t applies the contiguous
-    (B, ...) slice t of each stack.  Gate builds are elementwise and a
-    batched product is its single products bit for bit, so each string's
-    result is that of its own blocks applied one by one.
+
+def sector_block_column(gates: list, side: str, name: str, N: int, v: np.ndarray, s: int) -> tuple:
+    """Block ``name`` = U[r, c] of the B double rows with these gates (each
+    leading with an axis of B) on v, (B, D) or (B, D, m) packed on the
+    sector S^z = s, and the other block U[1 - r, c], each packed on its own
+    sector (``BLOCK_SZ``): the halves of U(e_c (x) v), whose packed input
+    is v in half c (aux-0 half first) of one sector of the gates' charge.
     """
-    b, s = np.shape(lam)
-    if not s:
+    r, c = _BLOCK_INDEX[side][name]
+    # the aux leg's weight: the plus side's L^{t0} gates are transposed on it
+    weights = (1 if side == "minus" else -1,) + (1,) * N
+    q = weights[0] * (1 - 2 * c) + s
+    half = len(tn.sector_states(weights[1:], q - weights[0]))
+    x = np.zeros(v.shape[:1] + tn.sector_states(weights, q).shape + v.shape[2:], dtype=complex)
+    x[:, slice(half, None) if c else slice(half)] = v
+    halves = np.split(tn.sector_product(chain_legs(N), gates, x, weights, q), [half], axis=1)
+    return halves[r], halves[1 - r]
+
+
+def block_strings(lam, theta: complex, side: str, names, p: ModelParams, v, s, xi=None):
+    """Strings of S blocks on B vectors v[b] packed on the sectors S^z = s[b]
+    (or one s for all), last block first: string b applies names[b] (or one
+    name for all) at lam[b, S-1], ..., lam[b, 0], with xi[b] (a (B, N)
+    array; default p.xi).  Yields per step the lists of the B packed blocks
+    applied and other blocks of their column, and the applied blocks' S^z.
+
+    One ``dyn_double_row_gates`` call builds the gates of all S B blocks;
+    step t applies slice t of each stack, one ``sector_block_column`` per
+    group of one block and starting sector (B and C keep their own).  It
+    is all elementwise: each string is its blocks one by one, bit for bit.
+    """
+    b, steps = np.shape(lam)
+    if not steps:
         return
-    if not isinstance(names, str) and len(set(names)) == 1:
-        names = names[0]
+    names = [names] * b if isinstance(names, str) else list(names)
+    s = [int(c) for c in np.broadcast_to(s, (b,))]
     flat = np.asarray(lam, dtype=complex)[:, ::-1].T.reshape(-1)
-    gates = dyn_double_row_gates(flat, theta, side, p, None if xi is None else np.tile(xi, (s, 1)))
-    stacks = [(g.reshape(s, b, *g.shape[1:]), *rest) for g, *rest in gates]
-    for t in range(s):
-        pair = apply_block_column([(g[t], *rest) for g, *rest in stacks], side, names, p.N, v, batch=True)
-        yield pair
-        v = pair[0]
-
-
-def apply_block_column(gates: list, side: str, name: str, N: int, v: np.ndarray, batch: bool) -> tuple:
-    """Block ``name`` = U[r, c] of the double row(s) with these gates
-    (``dyn_double_row_gates``) on N sites applied to v, and the other block
-    U[1 - r, c] of its column: both are auxiliary rows of U(e_c (x) v), built
-    gate by gate without the double-row matrix.  v is a (2^N,) vector or a
-    (2^N, m) matrix, so the identity gives the blocks themselves.
-
-    With ``batch``, v is (B, 2^N) or (B, 2^N, m) and each gate block or stack
-    leads with an axis of B, one double row per input, so gates built once
-    for many blocks can be applied a slice at a time.  ``name`` may then
-    list one block per input, so strings of different blocks on one gate
-    layout share the product; each input's result is that of its block
-    alone.
-    """
-    lead = np.shape(v)[:1] if batch else ()
-    shape = np.shape(v)[len(lead) :]
-    if isinstance(name, str):
-        r, c = _BLOCK_INDEX[side][name]
-        at = (slice(None),) * len(lead)
-    else:
-        r, c = np.array([_BLOCK_INDEX[side][n] for n in name]).T
-        at = (np.arange(len(r)),)
-    x = np.zeros(lead + (2,) + shape, dtype=complex)
-    x[at + (c,)] = v
-    y = tn.product(chain_legs(N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=batch)
-    y = y.reshape(x.shape)
-    return y[at + (r,)], y[at + (1 - r,)]
+    gates = dyn_double_row_gates(flat, theta, side, p, None if xi is None else np.tile(xi, (steps, 1)))
+    stacks = [(g.reshape(steps, b, *g.shape[1:]), *rest) for g, *rest in gates]
+    groups = {key: [j for j, k in enumerate(zip(names, s)) if k == key] for key in dict.fromkeys(zip(names, s))}
+    for t in range(steps):
+        applied, other = [None] * b, [None] * b
+        for (name, charge), rows in groups.items():
+            at = slice(None) if len(rows) == b else np.array(rows)
+            x = np.stack([v[j] for j in rows])
+            pair = sector_block_column([(g[t, at], *rest) for g, *rest in stacks], side, name, p.N, x, charge + t * BLOCK_SZ[name])
+            for j, created, left in zip(rows, *pair):
+                applied[j], other[j] = created, left
+        v = applied
+        yield applied, other, [c + (t + 1) * BLOCK_SZ[name] for name, c in zip(names, s)]
 
 
 def _per_sz(N: int, fn: Callable[[int], complex]) -> np.ndarray:
@@ -436,6 +433,18 @@ def gauge_aux_gate(lam: complex, theta: complex, omega: complex, side: str, p: M
 # SOS transfer matrices
 
 
+def _transfer_gates(mus: np.ndarray, theta: complex, which: str, p: ModelParams) -> tuple[list, str]:
+    """The gates of the transfer matrices ``which`` at each of mus, the
+    dressed diagonal K~ first, and the side of their double row: K~ sits at
+    the boundary opposite the double row's."""
+    if which not in ("SOS1", "SOS2"):
+        raise ValueError(f"unknown transfer kind {which!r}")
+    k_side, side = ("plus", "minus") if which == "SOS1" else ("minus", "plus")
+    delta, zeta, _ = p.boundary(k_side)
+    kt = np.array([tilde_k2(p.k_point(complex(m), k_side), delta, zeta, p.eta, p.eps_pole) for m in mus])
+    return [(kt, (AUX,)), *dyn_double_row_gates(mus, theta, side, p)], side
+
+
 def sos_transfer(mu, theta: complex, which: str, p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Height-picture transfer matrices with diagonal dressed boundaries,
     applied to ``x``, a (2^N,) or (2^N, m) array, as traced gate lists.
@@ -450,29 +459,27 @@ def sos_transfer(mu, theta: complex, which: str, p: ModelParams, x: np.ndarray) 
     whose every slice equals its single call bit for bit; a scalar mu runs
     as a batch of one and gives x.shape.
     """
-    if which not in ("SOS1", "SOS2"):
-        raise ValueError(f"unknown transfer kind {which!r}")
-    # the dressed K~ sits at the boundary opposite the double row's
-    k_side, side = ("plus", "minus") if which == "SOS1" else ("minus", "plus")
-    delta, zeta, _ = p.boundary(k_side)
     mus = np.atleast_1d(np.asarray(mu, dtype=complex))
-    kt = np.array([tilde_k2(p.k_point(complex(m), k_side), delta, zeta, p.eta, p.eps_pole) for m in mus])
-    gates = [(kt, (AUX,)), *dyn_double_row_gates(mus, theta, side, p)]
+    gates, _ = _transfer_gates(mus, theta, which, p)
     x = np.broadcast_to(x, mus.shape + np.shape(x))
     t = tn.traced_product(chain_legs(p.N), gates, x, batch=True)
     return t if np.ndim(mu) else t[0]
 
 
 def sector_transfer(mu: complex, theta: complex, which: str, p: ModelParams, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sos_transfer`` applied to the basis columns of the sector
-    sum_i sigma^z_i = s: the C(N, M) basis indices of the sector, ascending
-    (M = (N - s)/2 spins down), and the (2^N, C(N, M)) columns they map to.
-    The sector's block is the rows at those indices."""
-    values, charge = tn.charge_table((1,) * p.N)
-    idx = np.flatnonzero(values[charge] == s)
-    x = np.zeros((2**p.N, len(idx)), dtype=complex)
-    x[idx, np.arange(len(idx))] = 1.0
-    return idx, sos_transfer(mu, theta, which, p, x)
+    """``sos_transfer`` on the sector sum_i sigma^z_i = s: the C(N, M) basis
+    indices of the sector, ascending (M = (N - s)/2 spins down), and the
+    (2^N, C(N, M)) columns of its basis vectors, zero off the sector; the
+    block is their rows at those indices.  With K~ among the gates, the
+    trace over the auxiliary leg is the sum of the A and D blocks, each
+    packed on the sector's identity.
+    """
+    gates, side = _transfer_gates(np.array([mu], dtype=complex), theta, which, p)
+    idx = tn.sector_states((1,) * p.N, s)
+    eye = np.eye(len(idx), dtype=complex)[None]
+    cols = np.zeros((2**p.N, len(idx)), dtype=complex)
+    cols[idx] = sum(sector_block_column(gates, side, name, p.N, eye, s)[0][0] for name in "AD")
+    return idx, cols
 
 
 # ----------------------------------------------------------------------
@@ -761,14 +768,22 @@ def commutation_residual(l1, l2, p: ModelParams, monodromy=None) -> dict[str, fl
     eta = p.eta
     theta = p.theta("minus")
 
+    def column(gates, name, v):
+        """Block ``name`` and the other block of its column on v, dense: v lies in no sector."""
+        r, c = _BLOCK_INDEX["minus"][name]
+        x = np.zeros((2,) + v.shape, dtype=complex)
+        x[c] = v
+        y = tn.product(chain_legs(p.N), gates, x.reshape(-1, v.shape[1])).reshape(x.shape)
+        return y[r], y[1 - r]
+
     def blocks(gates, lam, v):
         """A, B and D-tilde at (lam, theta) applied to v, from two block strings."""
-        a, _ = apply_block_column(gates, "minus", "A", p.N, v, batch=False)
-        d, b = apply_block_column(gates, "minus", "D", p.N, v, batch=False)
+        a, _ = column(gates, "A", v)
+        d, b = column(gates, "D", v)
         return a, b, _d_tilde(lam, theta, p, {"A": a, "D": d})
 
     def b(gates, v):
-        return apply_block_column(gates, "minus", "B", p.N, v, batch=False)[0]
+        return column(gates, "B", v)[0]
 
     # every product of two blocks acts on the probe block x; each l1 block
     # string acts on two column groups at once

@@ -19,20 +19,15 @@ dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
 per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
 builds the stacks of a whole gate list in one vectorised call, for one
-spectral value or for a batch of B.  The charge
-table is computed once per weight pattern (``charge_table``), not once per
-gate.  Each gate's transpose, shapes and charge table depend only on the
-labels, so ``product`` takes them from a plan (``_plan``) cached per key:
-the leg tuple and each gate's (on, charge), with charge None for a static
-gate.  Every input takes one layout, a single column or an unbatched
-input included: a single column costs gemm over its other legs as a
-matrix does, not one gemv per configuration, so one plan serves every
-input shape of a gate layout.  A gate list rebuilt at new spectral
-values replays its plan, and ``dynamical_gates`` likewise takes its
-charge values per tuple of charge lists from a cache.  ``relabel``
-renames the legs of a gate list, its charge legs included, so a site
-reversal or a renamed auxiliary leg is a new list of labels, never a
-permutation matrix.
+spectral value or for a batch of B.  ``product`` takes its transposes,
+shapes and charge tables (``charge_table``, once per weight pattern) from
+a plan cached per gate layout (``_plan``), one for every input shape, so
+a gate list rebuilt at new spectral values replays it.  Gates that keep a
+U(1) charge of their legs run on one charge sector instead
+(``sector_product``: the creation strings and sector transfer blocks),
+by gathers whose plans hold only indices.  ``relabel`` renames the legs
+of a gate list, its charge legs included, so a site reversal or a
+renamed auxiliary leg is a new list of labels, never a permutation matrix.
 ``product_residual`` checks an operator identity, two gate lists, on a
 seeded block of ``PROBES`` random columns (``probe_block``) instead of
 the identity, so its cost and memory grow as 2^n, not 4^n, and it never
@@ -257,13 +252,9 @@ def product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> n
     So every input takes this one layout, a single column too: the other
     legs join the columns, and each charge configuration costs one
     matrix-matrix product (BLAS gemm) of the 2^k-square block by a
-    (2^k, 2^o m) slab, not 2^o matrix-vector products (gemv).  That is
-    one code path and one plan per gate layout, and for a single column
-    on many other legs, as in a block string applied to a vector, one
-    gemm takes a fraction of the time of the gemvs it replaces (the
-    partition contraction at N = 16 runs in about half the time).  Each
-    input of a batch takes the same gemm calls as it would alone, so a
-    batched product equals its B single products bit for bit.  A
+    (2^k, 2^o m) slab.  Each input of a batch takes the same gemm calls as
+    it would alone, so a batched product equals its B single products bit
+    for bit.  A
     dynamical gate's charge table (the distinct charges and which one each
     configuration has) is ``charge_table`` of the net weight of each charge
     leg, computed once per weight pattern.
@@ -296,6 +287,86 @@ def product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> n
             g = g[:, which] if own else g[which]
         t = np.matmul(g, t).reshape(legs_shape)
     return t.transpose(restore).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def sector_states(weights: tuple[int, ...], charge: int) -> np.ndarray:
+    """The ascending basis indices, read-only, of the configurations with charge
+    sum_j weights[j] * sigma^z_j = ``charge``: a packed vector's entries."""
+    values, which = charge_table(weights)
+    states = np.flatnonzero(values[which] == charge)
+    states.flags.writeable = False
+    return states
+
+
+def _build_sector_plan(legs: tuple[str, ...], layout: tuple, weights: tuple[int, ...], charge: int) -> tuple:
+    """The gathers of ``sector_product`` by bit operations on the sector's
+    states, per gate right to left: its stack shape, the flat index of each
+    state's diagonal entry and of its partner's entry, those of the entries
+    that break the charge, and each partner's source rank.  A partner has
+    the other gate configuration of the state's local charge; with none,
+    the state pairs with itself by a forbidden entry.
+    """
+    states = sector_states(weights, charge)
+    bits = {l: len(legs) - 1 - legs.index(l) for l in legs}
+    # the configuration of the legs ``on`` in each state, first leg most significant
+    config = lambda on: sum(((states >> bits[l]) & 1) << (len(on) - 1 - j) for j, l in enumerate(on))
+    small = lambda a, top: a.astype(np.min_scalar_type(top))
+    steps = []
+    for on, pairs in reversed(layout):
+        _plan(legs, ((on, pairs),))  # the leg checks of ``product``
+        d, cfg = 2 ** len(on), np.arange(2 ** len(on))
+        _, local = charge_table(tuple(weights[legs.index(l)] for l in on))
+        same = local[:, None] == local
+        if np.any(same.sum(axis=1) > 2):
+            raise ValueError(f"more than two configurations of {on} share a charge of the weights {weights}")
+        # each configuration's partner, itself if it has none, and the entry
+        # pairing them: the partner's, or with none the first forbidden one
+        partner = np.where(same.sum(axis=1) == 2, np.argmax(same & (cfg[:, None] != cfg), axis=1), cfg)
+        entry = np.where(partner != cfg, partner, np.argmin(same, axis=1))
+        net = _net_weights(pairs or ())
+        values, which = charge_table(tuple(net.values()))
+        count, chi = len(values), which[config(tuple(net))]
+        c, spread = config(on), sum(((cfg >> (len(on) - 1 - j)) & 1) << bits[l] for j, l in enumerate(on))
+        row, top = (chi * d + c) * d, count * d * d
+        src = np.searchsorted(states, states - spread[c] + spread[partner[c]])
+        coefs = (small(i, top) for i in (row + c, row + entry[c], np.flatnonzero(np.tile(~same.ravel(), count))))
+        steps.append(((d, d) if pairs is None else (count, d, d), *coefs, small(src, len(states))))
+    return tuple(steps)
+
+
+# sector plans of up to this many state-gate pairs are cached, larger ones rebuilt
+SECTOR_PLAN_CACHED = 2**16
+_cached_sector_plan = functools.lru_cache(maxsize=None)(_build_sector_plan)
+
+
+def sector_product(legs: Sequence[str], gates, x: np.ndarray, weights: Sequence[int], charge: int) -> np.ndarray:
+    """``product(legs, gates, x, batch=True)`` for gates that keep the
+    charge sum_j weights[j] * sigma^z_j, on x (B, D) or (B, D, m) packed on
+    the sector ``charge`` (``sector_states``) and likewise out: the U(1)
+    symmetric contraction (Singh, Pfeifer and Vidal, Phys. Rev. B 83 (2011)
+    115125).  Each gate is gathers (``_build_sector_plan``), two products
+    and a sum, with no BLAS call, so a batch equals its inputs alone bit
+    for bit; its entries that break the charge must be 0 (ValueError).
+    """
+    layout = tuple((tuple(on), tuple(charge[0]) if charge else None) for _, on, *charge in gates)
+    key = (tuple(legs), layout, tuple(weights), charge)
+    plan = _build_sector_plan if len(sector_states(*key[2:])) * len(gates) > SECTOR_PLAN_CACHED else _cached_sector_plan
+    expand = (lambda a: a) if x.ndim == 2 else (lambda a: a[..., None])
+    for gate, (shape, diag, off, forbid, src) in zip(reversed(gates), plan(*key)):
+        g = np.asarray(gate[0], dtype=complex)
+        own = int(g.ndim > len(shape))
+        if g.shape[own:] != shape:
+            raise ValueError(f"a block of shape {g.shape} for a gate of shape {shape} on {tuple(gate[1])}")
+        g = g.reshape(g.shape[:own] + (-1,))
+        if np.count_nonzero(g.take(forbid, axis=-1)):
+            raise ValueError(f"a gate on {tuple(gate[1])} breaks the charge of the weights {tuple(weights)}")
+        # in place where the shapes allow: at N = 16 this keeps the peak below the dense path's
+        moved = x.take(src, axis=1)
+        moved *= expand(g.take(off, axis=-1))
+        x = expand(g.take(diag, axis=-1)) * x
+        x += moved
+    return x
 
 
 def traced_product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -358,20 +429,6 @@ def product_residual(legs: Sequence[str], lhs, rhs) -> float:
     """
     x = probe_block(len(legs))
     return rel_residual(product(legs, lhs, x), product(legs, rhs, x))
-
-
-def basis_vector(nlegs: int, index: int) -> np.ndarray:
-    v = np.zeros(2**nlegs, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def all_up(nlegs: int) -> np.ndarray:
-    return basis_vector(nlegs, 0)
-
-
-def all_down(nlegs: int) -> np.ndarray:
-    return basis_vector(nlegs, 2**nlegs - 1)
 
 
 def max_abs(a) -> float:

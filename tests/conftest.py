@@ -112,22 +112,62 @@ def chain_identity():
 
 
 def _block_column(lam, theta, side, name, p, v, xi=None):
-    """Block ``name`` of the double row U(lam; theta) applied to v, and the
-    other block of its column, each from its own gate build: the
-    single-block oracle of ``sos.block_strings``.
+    """Block ``name`` = U[r, c] of the double row U(lam; theta) applied to
+    v, and the other block U[1 - r, c] of its column, from its own gate
+    build: both auxiliary rows of U(e_c (x) v), applied densely to the
+    2^(N+1)-entry vector.  The dense oracle of the packed
+    ``sos.block_strings``; v is a (2^N,) vector or a (2^N, m) matrix, so the
+    identity gives the blocks themselves.
 
     An array of B values of lam (and optionally a (B, N) ``xi``, as in
     ``sos.dyn_monodromy_gates``) applies B blocks in one batched product, v
     then (B, 2^N) or (B, 2^N, m), one input per block.
     """
     gates = sos.dyn_double_row_gates(lam, theta, side, p, xi)
-    return sos.apply_block_column(gates, side, name, p.N, v, batch=bool(getattr(lam, "ndim", 0)))
+    lead = np.shape(v)[:1] if np.ndim(lam) else ()
+    shape = np.shape(v)[len(lead) :]
+    r, c = sos._BLOCK_INDEX[side][name]
+    x = np.zeros(lead + (2,) + shape, dtype=complex)
+    x[(slice(None),) * len(lead) + (c,)] = v
+    y = tn.product(vx.chain_legs(p.N), gates, x.reshape(lead + (-1,) + shape[1:]), batch=bool(lead)).reshape(x.shape)
+    at = (slice(None),) * len(lead)
+    return y[at + (r,)], y[at + (1 - r,)]
 
 
 @pytest.fixture(scope="session")
 def block_column():
     """``(lam, theta, side, name, p, v, xi=None) -> (applied, other)``."""
     return _block_column
+
+
+def _sector_column(lam, theta, side, name, p, v, s, xi=None):
+    """Block ``name`` of the double row U(lam; theta) applied to the vector
+    v packed on the sites' sector S^z = s, and the other block of its
+    column, both packed, from its own gate build as a batch of one: the
+    single-block oracle of ``sos.block_strings`` bit for bit, whose values
+    ``_block_column`` checks to rounding."""
+    gates = sos.dyn_double_row_gates(np.array([lam], dtype=complex), theta, side, p, None if xi is None else [xi])
+    applied, other = sos.sector_block_column(gates, side, name, p.N, np.asarray(v)[None], s)
+    return applied[0], other[0]
+
+
+@pytest.fixture(scope="session")
+def sector_column():
+    """``(lam, theta, side, name, p, v, s, xi=None) -> (applied, other)``, packed."""
+    return _sector_column
+
+
+def _unpack(n, s, v):
+    """The 2^n-entry vector (or 2^n-row array) of v packed on the sites' sector S^z = s."""
+    full = np.zeros((2**n,) + np.shape(v)[1:], dtype=complex)
+    full[tn.sector_states((1,) * n, s)] = v
+    return full
+
+
+@pytest.fixture(scope="session")
+def unpack():
+    """``(n, s, v) -> the full vector of v packed on sector s``."""
+    return _unpack
 
 
 def _double_row_blocks(lam, theta, side, p):
@@ -265,30 +305,33 @@ def whole_identity(monkeypatch):
 
 @pytest.fixture
 def perturb_first_product(monkeypatch):
-    """``(eps, at=0) -> None``: afterwards the first ``tn.product`` call (or
-    call number ``at``, counted from 0) perturbs the leftmost gate of its
-    list by eps times its largest entry times fixed complex Gaussian noise
-    (each block of a dynamical gate's stack by its own largest entry).  The
-    first product of a residual is one side of its identity, so only that
-    side moves."""
-    product = tn.product
+    """``(eps, at=0, kernel="product") -> None``: afterwards the first
+    ``tn.product`` call (or call number ``at``, counted from 0) perturbs the
+    leftmost gate of its list by eps times its largest entry times fixed
+    complex Gaussian noise (each block of a dynamical gate's stack by its
+    own largest entry).  The first product of a residual is one side of its
+    identity, so only that side moves.  With kernel "sector_product" the
+    packed kernel's calls are counted instead, and only the entries the
+    block holds move: a charge-breaking one is refused."""
 
-    def install(eps, at=0):
+    def install(eps, at=0, kernel="product"):
         calls = []
+        product = getattr(tn, kernel)
 
-        def perturbed(legs, gates, x, **kw):
+        def perturbed(legs, gates, *args, **kw):
             if len(calls) == at:
                 block, on, *rest = gates[0]
                 rng = np.random.default_rng(0)
                 size = (2 ** len(on),) * 2
                 noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-
+                if kernel == "sector_product":
+                    noise = noise * (block != 0)
                 scale = np.max(np.abs(block), axis=(-2, -1), keepdims=True)
                 gates = [(block + eps * scale * noise, on, *rest), *gates[1:]]
             calls.append(True)
-            return product(legs, gates, x, **kw)
+            return product(legs, gates, *args, **kw)
 
-        monkeypatch.setattr(tn, "product", perturbed)
+        monkeypatch.setattr(tn, kernel, perturbed)
 
     return install
 

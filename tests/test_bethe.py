@@ -229,7 +229,7 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
     # each creation block keeps `keep` of its column's norm, the column
     # growing by `size`: the state is refused when it keeps under 1e-10 of
     # the growth, whatever the growth's size
-    apply = sos.apply_block_column
+    apply = sos.sector_block_column
 
     def leaky(*args, **kwargs):
         created, other = apply(*args, **kwargs)
@@ -237,7 +237,7 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
         return size * keep * created, np.full_like(other, size * norm / np.sqrt(other.size))
 
     sol = bt.find_bethe_solutions(branch, 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "apply_block_column", leaky)
+    monkeypatch.setattr(sos, "sector_block_column", leaky)
     if null:
         with pytest.raises(NullState, match="norm floor"):
             bt.bethe_state(branch, [sol], constrained2)
@@ -245,11 +245,21 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
         assert np.any(bt.bethe_state(branch, [sol], constrained2))
 
 
-def _state_alone(branch, sol, p, block_column):
-    """One solution's Bethe state, root by root through single-input
-    ``block_column`` calls: the reference of the batched ``bt.bethe_state``."""
+def _state_alone(branch, sol, p, sector_column, unpack):
+    """One solution's Bethe state, root by root through single packed
+    ``sector_column`` calls: the reference of the batched ``bt.bethe_state``."""
     spec = bt.BRANCHES[branch]
-    v = tn.all_up(p.N) if spec.reference == "up" else tn.all_down(p.N)
+    v, s = np.ones(1, dtype=complex), p.N if spec.reference == "up" else -p.N
+    for lam in reversed(sol.roots):
+        v, _ = sector_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v, s)
+        s += sos.BLOCK_SZ[spec.creator]
+    return unpack(p.N, s, v)
+
+
+def _dense_state(branch, sol, p, block_column):
+    """The same state through the dense ``block_column``, root by root."""
+    spec = bt.BRANCHES[branch]
+    v = np.eye(2**p.N, dtype=complex)[0 if spec.reference == "up" else -1]
     for lam in reversed(sol.roots):
         v, _ = block_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v)
     return v
@@ -257,7 +267,9 @@ def _state_alone(branch, sol, p, block_column):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_batched_states_equal_each_state_alone(branch, n, block_column):
+def test_batched_states_equal_each_state_alone(branch, n, sector_column, block_column, unpack):
+    # each state of the batch is its packed string alone bit for bit, and the
+    # dense string to rounding
     largest = 0
     for m in range(1, n):
         p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(bt.family_sector(branch, m, n)))
@@ -267,7 +279,8 @@ def test_batched_states_equal_each_state_alone(branch, n, block_column):
         states = bt.bethe_state(branch, sols, p)
         assert states.shape == (2**n, len(sols)) and states.flags.c_contiguous
         for i, sol in enumerate(sols):
-            assert np.array_equal(states[:, i], _state_alone(branch, sol, p, block_column))
+            assert np.array_equal(states[:, i], _state_alone(branch, sol, p, sector_column, unpack))
+            assert tn.rel_residual(states[:, i], _dense_state(branch, sol, p, block_column)) < 1e-12
         largest = max(largest, len(sols))
     assert largest >= 2
 
@@ -277,7 +290,7 @@ def test_first_failing_state_in_order_is_raised(zero, floor, reason, constrained
     # in a batch of two, one state is exactly zero after its first block and
     # the other falls below its norm floor only at the end: the NullState
     # raised is that of the first state in order, not the first to fail
-    apply = sos.apply_block_column
+    apply = sos.sector_block_column
 
     def failing(*args, **kwargs):
         created, other = apply(*args, **kwargs)
@@ -288,7 +301,7 @@ def test_first_failing_state_in_order_is_raised(zero, floor, reason, constrained
         return created, np.full_like(other, norm)
 
     sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "apply_block_column", failing)
+    monkeypatch.setattr(sos, "sector_block_column", failing)
     with pytest.raises(NullState, match=reason):
         bt.bethe_state("b1", [sol, sol], constrained2)
 
@@ -297,7 +310,7 @@ def test_each_state_keeps_its_own_norm_floor(constrained2, monkeypatch):
     # the first state's column grows 1e6 times faster than the second's,
     # which keeps 1e-9 of its own growth: above its own floor, below a floor
     # taken from the whole batch's growth
-    apply = sos.apply_block_column
+    apply = sos.sector_block_column
 
     def uneven(*args, **kwargs):
         created, other = (a.copy() for a in apply(*args, **kwargs))
@@ -308,7 +321,7 @@ def test_each_state_keeps_its_own_norm_floor(constrained2, monkeypatch):
         return created, other
 
     sol = bt.find_bethe_solutions("b1", 1, constrained2, seed=2)[0]
-    monkeypatch.setattr(sos, "apply_block_column", uneven)
+    monkeypatch.setattr(sos, "sector_block_column", uneven)
     states = bt.bethe_state("b1", [sol, sol], constrained2)
     assert np.all(np.any(states, axis=0))
 

@@ -134,22 +134,70 @@ def test_property_suite(n):
 
 
 @pytest.fixture(scope="module")
-def full_contraction(block_column):
+def full_contraction(sector_column):
     """``(p, lams, kind="bminus") -> Z``: ``kind``'s Z with every block
-    applied in turn to its reference state, last block first, each block
-    from its own gate build."""
+    applied in turn to its packed reference state, last block first, each
+    block from its own gate build (``sector_column``)."""
 
     def contract(p, lams, kind="bminus"):
         q, lams = pt._kind_params(p, lams, kind)
         side, creator = pt.KINDS[kind]
         params.assert_generic(q, lams, [q.theta(side)])
-        up, down = tn.all_up(q.N), tn.all_down(q.N)
+        v, s = np.ones(1, dtype=complex), q.N if creator == "B" else -q.N
+        for lam in reversed(lams):
+            v = sector_column(lam, q.theta(side), side, creator, q, v, s)[0]
+            s += sos.BLOCK_SZ[creator]
+        return complex(v[0])
+
+    return contract
+
+
+@pytest.fixture(scope="module")
+def dense_contraction(block_column):
+    """``(p, lams, kind="bminus") -> Z`` as ``full_contraction``, on the dense
+    2^N vectors of ``block_column``."""
+
+    def contract(p, lams, kind="bminus"):
+        q, lams = pt._kind_params(p, lams, kind)
+        side, creator = pt.KINDS[kind]
+        up, down = np.eye(2**q.N, dtype=complex)[[0, -1]]
         v, bra = (up, down) if creator == "B" else (down, up)
         for lam in reversed(lams):
             v = block_column(lam, q.theta(side), side, creator, q, v)[0]
         return complex(bra @ v)
 
     return contract
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", pt.KINDS)
+def test_packed_contraction_matches_the_dense_string(n, kind, full_contraction, dense_contraction):
+    # the packed string against the dense one to rounding, and
+    # z_contraction's value against the packed oracle bit for bit
+    p = generic_params(n)
+    lams = tuple(sample_points(np.random.default_rng(211 + n), p, n))
+    z = full_contraction(p, lams, kind)
+    assert pt.rel_disagreement(z, dense_contraction(p, lams, kind)) < 1e-11
+    assert pt.z_contraction(p, lams, kind) == z
+
+
+CONTRACT = pt._contract
+
+
+def split_batches(monkeypatch, cap):
+    """Every ``pt._contract`` call afterwards runs as calls of at most cap
+    rows each, so a caller's batch splits at any size (cap None: no split)."""
+    monkeypatch.setattr(pt, "_contract", CONTRACT)
+    if cap is None:
+        return
+
+    def split(q, kind, rows, xi=None):
+        rows = list(rows)
+        kinds = [kind] * len(rows) if isinstance(kind, str) else list(kind)
+        xis = [q.xi] * len(rows) if xi is None else list(xi)
+        return [z for s in range(0, len(rows), cap) for z in CONTRACT(q, kinds[s : s + cap], rows[s : s + cap], xis[s : s + cap])]
+
+    monkeypatch.setattr(pt, "_contract", split)
 
 
 def degree_residual(q, lams, guard, rng):
@@ -288,8 +336,7 @@ def test_batched_determinant_equals_the_row_by_row_products(n):
 def test_cminus_row_of_the_suite_is_its_own_contraction(n, cap, monkeypatch, full_contraction):
     # cminus's own string rides the suite's first pass, with its C blocks and
     # swapped reference states, in batches of any size
-    if cap is not None:
-        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    split_batches(monkeypatch, cap)
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(131 + n), p, n))
     _, values = pt.z_property_suite(p, lams, "cminus", seed=2, methods=("contract",))
@@ -375,14 +422,13 @@ def test_batched_determinant_guards_every_row(p3):
 @pytest.mark.parametrize("kind", ["bminus", "cplus", "bplus"])
 def test_split_batches_keep_the_suite_bit_identical(n, kind, monkeypatch, full_contraction):
     # with a cap of 1 or 2 every batch of the suite splits, down to one
-    # element per block application, each batch still building its gates in
-    # one call; the kind's own Z is its string of single blocks
+    # string per call, each call still building its gates once; the kind's
+    # own Z is its string of single blocks
     p = generic_params(n)
     lams = tuple(sample_points(np.random.default_rng(71 + n), p, n))
     runs = []
     for cap in (None, 2, 1):
-        if cap is not None:
-            monkeypatch.setattr(pt, "_batch_cap", lambda _, cap=cap: cap)
+        split_batches(monkeypatch, cap)
         runs.append(pt.z_property_suite(p, lams, kind, seed=3))
         assert pt.z_contraction(p, lams, kind) == full_contraction(p, lams, kind)
     assert runs[0] == runs[1] == runs[2]
@@ -402,8 +448,7 @@ def test_det_only_suite_at_n1_fans_out_no_point(kind, p1):
 def test_empty_fan_drops_only_zs_row(n, cap, monkeypatch, full_contraction):
     # four rows with no tail in common, each its own whole string: without
     # the last row, Z's, every other row keeps its value
-    if cap is not None:
-        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    split_batches(monkeypatch, cap)
     p = generic_params(n)
     rng = np.random.default_rng(101 + n)
     q, _ = pt._kind_params(p, [0.0] * n, "bminus")
@@ -419,9 +464,10 @@ def test_rows_share_their_tails_by_content(n, cap, monkeypatch, full_contraction
     # shuffled rows: three lam_1 variants of one string, its lambda swap, its
     # xi swap, its cminus string and a variant whose tail differs only in the
     # sign of a zero; the lam_1 variants share one tail, and the passes over
-    # blocks N-1 .. 1 carry each distinct tail once, then every row its block 0
-    if cap is not None:
-        monkeypatch.setattr(pt, "_batch_cap", lambda _: cap)
+    # blocks N-1 .. 1 carry each distinct tail once, then every row its block
+    # 0, the B and C strings of each step in their own packed groups; a split
+    # batch shares tails within each call
+    split_batches(monkeypatch, cap)
     p = generic_params(n)
     rng = np.random.default_rng(151 + n)
     lams = tuple(sample_points(rng, p, n))
@@ -434,24 +480,21 @@ def test_rows_share_their_tails_by_content(n, cap, monkeypatch, full_contraction
     cases += [((q.xi[0],) + signed[1:], q.xi, "bminus")]
     cases = [cases[i] for i in rng.permutation(len(cases))]
     sizes = []
-    apply = sos.apply_block_column
-    monkeypatch.setattr(sos, "apply_block_column", lambda *a, **k: sizes.append(len(a[4])) or apply(*a, **k))
+    apply = sos.sector_block_column
+    monkeypatch.setattr(sos, "sector_block_column", lambda *a, **k: sizes.append(len(a[4])) or apply(*a, **k))
     rows, xis, kinds = zip(*cases)
     got = pt._contract(q, list(kinds), rows, xis)
-    # Z's tail, shared by the three variants, and the four others' own
-    tails = 5
-    step = cap or pt._batch_cap(n)
-    chunks = lambda count: [min(step, count - s) for s in range(0, count, step)]
-    assert sizes == [b for b in chunks(tails) for _ in range(n - 1)] + chunks(len(cases))
+    # per call and step, one group per creation block, in order of first
+    # appearance; tails are keyed byte for byte, so -0.0 differs from 0.0
+    groups = lambda kinds: [kinds.count(k) for k in dict.fromkeys(kinds)]
+    step = cap or len(cases)
+    want = []
+    for chunk in (cases[s : s + step] for s in range(0, len(cases), step)):
+        tails = {(np.array(row[1:]).tobytes(), x, kind): kind for row, x, kind in chunk}
+        every = [kind for _, _, kind in chunk]
+        want += groups(every) * n if len(tails) == len(chunk) else groups(list(tails.values())) * (n - 1) + groups(every)
+    assert sizes == want
     assert got == [full_contraction(p.replace(xi=x), row, kind) for row, x, kind in cases]
-
-
-def test_batch_cap_keeps_the_largest_array_of_one_element_at_n12():
-    for n in range(1, 22):
-        cap = pt._batch_cap(n)
-        # a batch gathers cap stacks of 2^(n-1) 4 x 4 blocks
-        assert cap * 2 ** (n - 1) <= max(2**11, 2 ** (n - 1))
-        assert cap >= 1 and (cap == 1) == (n >= 12)
 
 
 def test_degree_test_leaves_the_pole_guard_to_z_at(monkeypatch, p3):
@@ -732,18 +775,19 @@ def test_batched_determinant_guard_at_eps_pole(scale, p3):
     assert raised(pt._z_determinant_bminus, q, rows) == want[1]
 
 
-@pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 6, 11), ("bplus", 8, 17), ("cplus", 8, 17)])
+@pytest.mark.parametrize("kind, gates, products", [("bminus", 6, 11), ("cminus", 6, 17), ("bplus", 8, 17), ("cplus", 8, 17)])
 def test_partition_command_builds_each_string_once(kind, gates, products, monkeypatch, tmp_path):
     # one dyn_double_row_gates call, two monodromy builds, per block string:
     # the suite's tail and block-0 passes and its recursion string, and the plus
-    # kinds' own Z; cminus's own Z is a row of the suite's first pass
+    # kinds' own Z; cminus's own Z is a row of the suite's first pass, whose
+    # C string keeps its own sector: one more packed product per step
     counts = {"gates": 0, "products": 0}
 
     def counted(fn, key):
         return lambda *a, **k: counts.__setitem__(key, counts[key] + 1) or fn(*a, **k)
 
     monkeypatch.setattr(sos, "dyn_monodromy_gates", counted(sos.dyn_monodromy_gates, "gates"))
-    monkeypatch.setattr(tn, "product", counted(tn.product, "products"))
+    monkeypatch.setattr(tn, "sector_product", counted(tn.sector_product, "products"))
     args = ["partition", "--kind", kind, "--method", "both", "--n", "6", "--out", str(tmp_path / "z.jsonl")]
     assert cli.main(args) == 0
     assert counts == {"gates": gates, "products": products}
@@ -789,6 +833,34 @@ def test_failing_fixed_part_of_a_degree_guard_raises_its_own_message(tmp_path, c
 def test_perturbed_first_product_reaches_the_partition_gates(p3, perturb_first_product):
     lams = tuple(sample_points(np.random.default_rng(97), p3, 3))
     z = pt.z_contraction(p3, lams, "bminus")
-    perturb_first_product(1e-6)
+    perturb_first_product(1e-6, kernel="sector_product")
     moved = pt.rel_disagreement(pt.z_contraction(p3, lams, "bminus"), z)
     assert 1e-9 < moved < 1e-4, moved
+
+
+@pytest.mark.parametrize("side, entry", [("minus", (1, 2)), ("plus", (3, 0))])
+def test_an_allowed_entry_defect_shows_in_a_contraction_row(side, entry, monkeypatch, tmp_path):
+    # the kernel drops only charge-breaking entries: a relative 1e-9 defect in
+    # an off-diagonal entry the first gate keeps, one into the B block's
+    # auxiliary row, still reaches Z, far above the rounding of the clean row
+    # against the determinant
+    kind = "bminus" if side == "minus" else "bplus"
+    args = ["partition", "--kind", kind, "--method", "both", "--n", "4", "--out", str(tmp_path / "z.jsonl")]
+
+    def det_vs_contract():
+        rows = [json.loads(line) for line in (tmp_path / "z.jsonl").read_text().splitlines()[:-1]]
+        return next(r["residual"] for r in rows if r["check"] == f"partition.{kind}.det_vs_contract")
+
+    assert cli.main(args) == 0
+    clean = det_vs_contract()
+    gates = sos.dyn_double_row_gates
+
+    def defect(*a):
+        g = gates(*a)
+        stack = g[0][0].copy()
+        stack[(...,) + entry] *= 1 + 1e-9
+        return [(stack, *g[0][1:]), *g[1:]]
+
+    monkeypatch.setattr(sos, "dyn_double_row_gates", defect)
+    cli.main(args)
+    assert clean < 1e-13 and det_vs_contract() > 1e-11, (clean, det_vs_contract())

@@ -559,3 +559,65 @@ def test_product_residual_nonfinite_block_raises(side, col):
     assert tn.product_residual(legs, plain, plain) == 0.0
     with pytest.raises(DegenerateParameter):
         tn.product_residual(legs, lhs, rhs)
+
+
+def charge_keeping(rng, legs, weights, on, charge=None):
+    """A random gate on ``on`` (a stack for a charge list) whose entries
+    that break the charge of ``weights`` are exactly 0."""
+    _, local = tn.charge_table(tuple(weights[legs.index(l)] for l in on))
+    d = 2 ** len(on)
+    size = (d, d) if charge is None else (len(oracle_charge_values(charge)), d, d)
+    block = (rng.normal(size=size) + 1j * rng.normal(size=size)) * (local[:, None] == local)
+    return (block, on) if charge is None else (block, on, charge)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, -1)])
+def test_sector_product_is_the_sector_block_of_the_dense_product(weights):
+    # one- and two-leg gates, static and dynamical, on every sector: the
+    # packed product against the dense one to rounding, nothing leaving the
+    # sector, and a batch of per-input stacks against its inputs bit for bit
+    legs = ("a", "b", "c", "d")
+    rng = np.random.default_rng(sum(weights) + 7)
+    layout = [(("a", "b"), [("c", 1), ("d", -1)]), (("a",), None), (("c", "a"), [("b", 1)]), (("a", "d"), None), (("d",), [("a", 1)])]
+    gates = [charge_keeping(rng, legs, weights, on, charge) for on, charge in layout]
+    full = tn.product(legs, gates, leg_identity(legs))
+    for q in tn.charge_table(weights)[0]:
+        states = tn.sector_states(weights, int(q))
+        x = rng.normal(size=(1, len(states), 3)) + 1j * rng.normal(size=(1, len(states), 3))
+        got = tn.sector_product(legs, gates, x, weights, int(q))
+        assert tn.rel_residual(got[0], full[np.ix_(states, states)] @ x[0]) < 1e-14
+        assert not np.any(np.delete(full[:, states], states, axis=0))
+        own = [charge_keeping(rng, legs, weights, on, charge) for on, charge in layout for _ in range(2)]
+        stacked = [(np.stack([a[0], b[0]]), *a[1:]) for a, b in zip(own[::2], own[1::2])]
+        pair = tn.sector_product(legs, stacked, np.concatenate([x, 2 * x]), weights, int(q))
+        for k in range(2):
+            alone = tn.sector_product(legs, [(g[0][k], *g[1:]) for g in stacked], (k + 1) * x, weights, int(q))
+            assert np.array_equal(pair[k], alone[0])
+
+
+def test_cached_and_rebuilt_sector_plans_agree(monkeypatch):
+    # above the cache's size a plan is rebuilt on every call, to the same indices
+    legs = ("a", "b", "c")
+    weights = (1, 1, 1)
+    rng = np.random.default_rng(3)
+    gates = [charge_keeping(rng, legs, weights, ("a", "b"), [("c", 1)]), charge_keeping(rng, legs, weights, ("b", "c"))]
+    x = rng.normal(size=(2, 3)) + 0j
+    cached = tn.sector_product(legs, gates, x, weights, 1)
+    monkeypatch.setattr(tn, "SECTOR_PLAN_CACHED", 0)
+    assert np.array_equal(tn.sector_product(legs, gates, x, weights, 1), cached)
+
+
+def test_sector_product_refuses_bad_gates():
+    legs = ("a", "b", "c")
+    rng = np.random.default_rng(4)
+    x = np.ones((1, 3), dtype=complex)
+    gate = charge_keeping(rng, legs, (1, 1, 1), ("a", "b"))
+    with pytest.raises(ValueError, match="breaks the charge"):
+        tn.sector_product(legs, [(gate[0] + 1e-9 * (gate[0] == 0), ("a", "b"))], x, (1, 1, 1), 1)
+    with pytest.raises(ValueError, match="of shape"):
+        tn.sector_product(legs, [(gate[0][:2], ("a", "b"))], x, (1, 1, 1), 1)
+    # three configurations of (a, b, c) share each charge of the weights
+    with pytest.raises(ValueError, match="more than two"):
+        tn.sector_product(legs, [(np.eye(8, dtype=complex), legs)], x, (1, 1, 1), 1)
+    with pytest.raises(UnknownLeg):
+        tn.sector_product(legs, [(gate[0], ("a", "q"))], x, (1, 1, 1), 1)
