@@ -525,7 +525,8 @@ def branch_theta(branch: str, p: ModelParams) -> complex:
 def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams) -> np.ndarray:
     """The family's creation blocks applied to its reference state
     (unnormalized) for each of ``solutions``, all of one M: a
-    (2^N, len(solutions)) array, one state per column.
+    (C(N, M), len(solutions)) array packed on the family's sector
+    (``family_sector``), one state per column.
 
     The solutions' roots are the rows of one ``sos.block_strings`` call,
     one gate build for all M root positions, and each state is bit for bit
@@ -537,12 +538,12 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     theta = branch_theta(branch, p)
     roots = np.array([sol.roots for sol in solutions], dtype=complex)
     # the reference state, packed on its one-state sector
-    v, s = [np.ones(1, dtype=complex)] * len(roots), [p.N if spec.reference == "up" else -p.N] * len(roots)
+    v, s = [np.ones(1, dtype=complex)] * len(roots), p.N if spec.reference == "up" else -p.N
     # growth of the whole double-row column on each input; a state has
     # collapsed when the creation rows keep almost none of it
     scale = np.ones(len(roots))
     failed = [None] * len(roots)
-    for created, other, s in sos.block_strings(roots, theta, spec.side, spec.creator, p, v, s):
+    for created, other, _ in sos.block_strings(roots, theta, spec.side, spec.creator, p, v, s):
         for i, f in enumerate(failed):
             if f is not None:
                 continue
@@ -558,15 +559,15 @@ def bethe_state(branch: str, solutions: Sequence[BetheSolution], p: ModelParams)
     reason = next((f for f in failed if f is not None), None)
     if reason is not None:
         raise NullState(f"{branch} state {reason}")
-    states = np.zeros((2**p.N, len(v)), dtype=complex)
-    states[tn.sector_states((1,) * p.N, s[0])] = np.transpose(v)
-    return states
+    return np.stack(v, axis=1)
 
 
-def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarray:
+def vertex_eigenstate(branch: str, psi: np.ndarray, s: int, p: ModelParams) -> np.ndarray:
     """Vertex-picture eigenstates: the gauge row applied, as a gate list, to
-    the family's Bethe state ``psi`` (``bethe_state``), a (2^N,) vector or
-    a (2^N, m) block of states as columns.
+    the family's Bethe states ``psi`` (``bethe_state``), a (D,) vector or a
+    (D, m) block of states as columns packed on the sector S^z = s: a
+    (2^N,) or (2^N, m) array.  Here alone a packed state takes the 2^N
+    rows of the sites, zero off its sector.
 
     The minus families use S_-({xi}; theta, tau); the plus families
     S_+({xi}; theta_bar, tau_bar).  Each column must keep a norm above
@@ -580,10 +581,12 @@ def vertex_eigenstate(branch: str, psi: np.ndarray, p: ModelParams) -> np.ndarra
     theta = branch_theta(branch, p)
     _, _, omega = p.boundary(side)
     gates = sos.gauge_row_gates(theta, omega, side, p)
-    v = tn.product(vx.site_legs(p.N), gates, psi)
+    full = np.zeros((2**p.N,) + np.shape(psi)[1:], dtype=complex)
+    full[tn.sector_states((1,) * p.N, s)] = psi
+    v = tn.product(vx.site_legs(p.N), gates, full)
     scale = 1.0
     for stack, _, _ in gates:
         scale *= tn.max_abs(stack)
-    if np.any(np.linalg.norm(v, axis=0) <= 1e-12 * np.linalg.norm(psi, axis=0) * max(scale, 1.0)):
+    if np.any(np.linalg.norm(v, axis=0) <= 1e-12 * np.linalg.norm(full, axis=0) * max(scale, 1.0)):
         raise NullState("vertex image collapsed below the norm floor")
     return v

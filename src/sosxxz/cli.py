@@ -45,15 +45,18 @@ DENSE_ENTRIES = {
     # probe block over two auxiliary legs and the sites; no dynamical gate's
     # stack (at most 2^N 4 x 4 blocks) or two-group block string is larger
     "verify": lambda n: 2 ** (n + 5),
-    # bethe applies the gauge row and both transfer matrices to its stacked
-    # states as gate lists, the transfer matrices at its three points in one
-    # batch, and builds no square matrix: 3 x 2^(N+2) entries per state, at
-    # most N_STARTS = 60 states, under this bound from N = 8 on.  It keeps
-    # the bound of spectrum, so the two refuse the same N
+    # bethe keeps its stacked states packed on their sector for the SOS
+    # transfer matrix; with --constrained it applies the gauge row and the
+    # vertex transfer matrix, at its three points in one batch, to their
+    # 2^N-row images.  It builds no square matrix: 3 x 2^(N+2) entries per
+    # state in the vertex trace, at most N_STARTS = 60 states, under this
+    # bound from N = 8 on.  It keeps the bound of spectrum, so the two
+    # refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
-    # spectrum applies the transfer matrix to the C(N, M) <= 2^N basis columns
-    # of its sector, 2^(N+1) entries each: at most half this bound.  The bound
-    # refuses N >= 12, where the vertex images' norm floor rejects good states
+    # spectrum applies the vertex transfer matrix to the gauge images of the
+    # C(N, M) <= 2^N eigenvectors of its sector block, 2^(N+2) entries each:
+    # at most this bound.  The bound refuses N >= 12, where the vertex
+    # images' norm floor rejects good states
     "spectrum": lambda n: 4 ** (n + 1),
     # the block strings act on vectors packed on one charge sector of the aux
     # leg and the sites (tensor.sector_product); kept from the dense path
@@ -253,14 +256,15 @@ def run_bethe(cfg: RunConfig, branch: str, m: int, constrained: bool) -> tuple[l
     spec = bt.BRANCHES[branch]
     theta = bt.branch_theta(branch, p)
     # all states come from one batched string of creation blocks, stacked as
-    # columns; the gauge row acts on them at once, and each picture's
-    # transfer matrix at all three mu is one batched traced product per
-    # trace form, each mu's image checked against its own eigenvalues
+    # columns packed on their sector; the SOS transfer matrix acts on them
+    # packed, the gauge row on them at once, and each picture's transfer
+    # matrix at all three mu is one batched call, each mu's image checked
+    # against its own eigenvalues
     psi = bt.bethe_state(branch, sols, p)
     lams = [[bt.branch_eigenvalue(branch, mu, sol.roots, p) for mu in mus] for sol in sols]
-    pictures = {"sos_eigenstate": (psi, sos.sos_transfer(np.array(mus), theta, spec.sos_kind, p, psi))}
+    pictures = {"sos_eigenstate": (psi, sos.sector_transfer(np.array(mus), theta, spec.sos_kind, p, sector, psi))}
     if constrained:
-        v = bt.vertex_eigenstate(branch, psi, p)
+        v = bt.vertex_eigenstate(branch, psi, sector, p)
         pictures["vertex_eigenstate"] = (v, vx.transfer_xxz(np.array(mus), p, v))
     lam = np.array(lams)
     worst = {}
@@ -291,16 +295,15 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
     mu = sample_points(np.random.default_rng(cfg.seed + 2), p, 1)[0]
     m = (p.N - cfg.sector_s) // 2
     # the height-picture transfer matrix keeps S^z: diagonalize its block of
-    # the sector, and check each eigenpair's gauge image in the vertex picture
-    idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s)
-    leakage = tn.max_abs(np.delete(cols, idx, axis=0)) / max(tn.max_abs(cols), 1e-300)
-    rows = [_row("spectrum.sector_leakage", leakage, tol)]
-    t_eigs, vecs = np.linalg.eig(cols[idx])
-    psi = np.zeros_like(cols)
-    psi[idx] = vecs
-    del cols  # the vertex transfer matrix below holds the command's largest arrays
-    v = bt.vertex_eigenstate("b1", psi, p)
-    del psi
+    # the sector, its images of the packed identity, and check each
+    # eigenpair's gauge image in the vertex picture
+    eye = np.eye(math.comb(p.N, m), dtype=complex)
+    block = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s, eye)
+    # packed images have no entry outside the sector, so the leakage reads 0
+    # by construction; a non-finite block still fails the row
+    rows = [_row("spectrum.sector_leakage", 0.0 / max(tn.max_abs(block), 1e-300), tol)]
+    t_eigs, vecs = np.linalg.eig(block)
+    v = bt.vertex_eigenstate("b1", vecs, cfg.sector_s, p)
     res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)
     rows.append(_row("spectrum.sector_in_vertex", np.max(res), tol))
     ledger = dict.fromkeys(bt.LEDGER, 0)

@@ -19,12 +19,12 @@ built once per pair (``_chain_layout``); a call computes only its spectral
 values.  The double-row builders (``dyn_monodromy_gates``,
 ``dyn_double_row_gates``, ``k_diag``) also take an array of B values of
 lam, with optional per-element inhomogeneities, and build the gates of B
-double rows in one call for a batched ``tn.product``; ``sos_transfer``
-takes one too, for one batched ``tn.traced_product``.  Every gate of a
+double rows in one call for a batched ``tn.product``.  Every gate of a
 double row keeps the charge w sz_0 + S^z (w = +1 minus, -1 plus), so the
 creation strings (``block_strings``: Bethe states and partition functions,
-one gate build per batch) and the sector transfer blocks run packed on
-one sector (``sector_block_column`` on ``tn.sector_product``).
+one gate build per batch) and the transfer matrices (``sector_transfer``,
+at B points from one gate build) run packed on one sector
+(``sector_block_column`` on ``tn.sector_product``), packed in and out.
 The identity suite draws each seeded trial once (``sos_trial``) for all
 its checks; a trial (``SosTrial``) builds each monodromy gate list once
 for the checks that read it, and is dropped after them.
@@ -445,41 +445,28 @@ def _transfer_gates(mus: np.ndarray, theta: complex, which: str, p: ModelParams)
     return [(kt, (AUX,)), *dyn_double_row_gates(mus, theta, side, p)], side
 
 
-def sos_transfer(mu, theta: complex, which: str, p: ModelParams, x: np.ndarray) -> np.ndarray:
+def sector_transfer(mu, theta: complex, which: str, p: ModelParams, s: int, v: np.ndarray) -> np.ndarray:
     """Height-picture transfer matrices with diagonal dressed boundaries,
-    applied to ``x``, a (2^N,) or (2^N, m) array, as traced gate lists.
+    applied to ``v``, a (D,) or (D, m) array packed on the sector
+    sum_i sigma^z_i = s (``tn.sector_states``, D = C(N, (N - s)/2)), which
+    they keep: the packed images.
 
     "SOS1": Tr_0 ( K~_+(mu; db, zb) U_-(mu; theta) )
     "SOS2": Tr_0 ( U_+^{t_0}(mu; theta) K~_-^{t_0}(mu; d, z) )
 
     Both put the diagonal K~ first, the trace being cyclic over an
-    operator on the auxiliary leg alone.  An array of B values of mu
-    applies the B transfer matrices to the same ``x`` as one batched
-    ``tn.traced_product`` of their stacked gates, a (B,) + x.shape result
-    whose every slice equals its single call bit for bit; a scalar mu runs
-    as a batch of one and gives x.shape.
+    operator on the auxiliary leg alone, so the trace is the sum of the A
+    and D blocks of the gate list (``sector_block_column``).  An array of
+    B values of mu applies the B transfer matrices to the same ``v`` from
+    one gate build, a (B,) + v.shape result whose every slice equals its
+    single call bit for bit; a scalar mu runs as a batch of one and gives
+    v.shape.
     """
     mus = np.atleast_1d(np.asarray(mu, dtype=complex))
-    gates, _ = _transfer_gates(mus, theta, which, p)
-    x = np.broadcast_to(x, mus.shape + np.shape(x))
-    t = tn.traced_product(chain_legs(p.N), gates, x, batch=True)
+    gates, side = _transfer_gates(mus, theta, which, p)
+    x = np.broadcast_to(v, mus.shape + np.shape(v))
+    t = sum(sector_block_column(gates, side, name, p.N, x, s)[0] for name in "AD")
     return t if np.ndim(mu) else t[0]
-
-
-def sector_transfer(mu: complex, theta: complex, which: str, p: ModelParams, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sos_transfer`` on the sector sum_i sigma^z_i = s: the C(N, M) basis
-    indices of the sector, ascending (M = (N - s)/2 spins down), and the
-    (2^N, C(N, M)) columns of its basis vectors, zero off the sector; the
-    block is their rows at those indices.  With K~ among the gates, the
-    trace over the auxiliary leg is the sum of the A and D blocks, each
-    packed on the sector's identity.
-    """
-    gates, side = _transfer_gates(np.array([mu], dtype=complex), theta, which, p)
-    idx = tn.sector_states((1,) * p.N, s)
-    eye = np.eye(len(idx), dtype=complex)[None]
-    cols = np.zeros((2**p.N, len(idx)), dtype=complex)
-    cols[idx] = sum(sector_block_column(gates, side, name, p.N, eye, s)[0][0] for name in "AD")
-    return idx, cols
 
 
 # ----------------------------------------------------------------------

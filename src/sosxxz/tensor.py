@@ -12,9 +12,9 @@ batched matmul.  The array carries a leading batch axis: with ``batch``,
 B inputs of one gate layout, each with its own blocks or sharing them,
 run as one product, every input rounded as it would be alone.
 ``traced_product`` is the trace of such a product over
-its first (auxiliary) leg, applied to an array on the other legs: the
-open-chain transfer matrices, on a few states or on all of them, and
-batched as ``product`` is, at several spectral points in one call.  A
+its first (auxiliary) leg, applied to a batch of arrays on the other legs:
+the vertex picture's open-chain transfer matrices, on a few states or on
+all of them, at several spectral points in one call.  A
 dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
 per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
@@ -24,10 +24,12 @@ shapes and charge tables (``charge_table``, once per weight pattern) from
 a plan cached per gate layout (``_plan``), one for every input shape, so
 a gate list rebuilt at new spectral values replays it.  Gates that keep a
 U(1) charge of their legs run on one charge sector instead
-(``sector_product``: the creation strings and sector transfer blocks),
-by gathers whose plans hold only indices.  ``relabel`` renames the legs
-of a gate list, its charge legs included, so a site reversal or a
-renamed auxiliary leg is a new list of labels, never a permutation matrix.
+(``sector_product``: the creation strings and the height-picture
+transfer matrices), by gathers whose plans hold only indices, on vectors
+packed on the sector's states in ascending order (``sector_states``).
+``relabel`` renames the legs of a gate list, its charge legs included,
+so a site reversal or a renamed auxiliary leg is a new list of labels,
+never a permutation matrix.
 ``product_residual`` checks an operator identity, two gate lists, on a
 seeded block of ``PROBES`` random columns (``probe_block``) instead of
 the identity, so its cost and memory grow as 2^n, not 4^n, and it never
@@ -369,10 +371,10 @@ def sector_product(legs: Sequence[str], gates, x: np.ndarray, weights: Sequence[
     return x
 
 
-def traced_product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = False) -> np.ndarray:
-    """tr_0(g_1 ... g_m) @ x, the trace of ``product(legs, gates)`` over its
-    first leg 0, for ``x`` a (2^(n-1),) or (2^(n-1), m) array on the other
-    legs.
+def traced_product(legs: Sequence[str], gates, x: np.ndarray) -> np.ndarray:
+    """tr_0(g_1 ... g_m) @ x[b] for each of B inputs, the trace of
+    ``product(legs, gates, batch=True)`` over its first leg 0, for ``x`` a
+    (B, 2^(n-1)) or (B, 2^(n-1), m) array on the other legs.
 
     The gates are applied to the columns [e_0 (x) x, e_1 (x) x], and row
     block a of column group a is kept and summed over a.  For x the identity
@@ -380,21 +382,20 @@ def traced_product(legs: Sequence[str], gates, x: np.ndarray, batch: bool = Fals
     of the whole product.  With a few columns the operator is never built:
     its cost and memory grow as 2^n, not 4^n.
 
-    With ``batch``, as in ``product``, ``x`` is a (B, 2^(n-1)) or
-    (B, 2^(n-1), m) array of B inputs and a block or stack with a leading
-    axis of B gives input b its own: B traced gate lists of one layout, as
-    a transfer matrix at B spectral points, run as one product, and each
-    result equals its single call bit for bit.
+    As in ``product``, a block or stack with a leading axis of B gives
+    input b its own: B traced gate lists of one layout, as a transfer
+    matrix at B spectral points, run as one product, and each result
+    equals its batch of one bit for bit.
     """
     legs = tuple(legs)
     x = np.asarray(x)
-    lead = x.shape[:1] if batch else ()
+    lead = x.shape[:1]
     d = 2 ** (len(legs) - 1)
     cols = x.reshape(lead + (d, -1))
     e = np.zeros(lead + (2, d, 2, cols.shape[-1]), dtype=np.result_type(cols, complex))
-    e[..., 0, :, 0, :] = e[..., 1, :, 1, :] = cols
-    y = product(legs, gates, e.reshape(lead + (2 * d, -1)), batch).reshape(e.shape)
-    return (y[..., 0, :, 0, :] + y[..., 1, :, 1, :]).reshape(x.shape)
+    e[:, 0, :, 0, :] = e[:, 1, :, 1, :] = cols
+    y = product(legs, gates, e.reshape(lead + (2 * d, -1)), batch=True).reshape(e.shape)
+    return (y[:, 0, :, 0, :] + y[:, 1, :, 1, :]).reshape(x.shape)
 
 
 # columns of the seeded probe block that ``product_residual`` applies both sides to

@@ -137,7 +137,7 @@ def transfer_xxz(lam, p: ModelParams, x: np.ndarray) -> np.ndarray:
         # each gate's blocks at every point, stacked: one gate list for the batch
         per_point = zip(*(build(l) for l in map(complex, lams)))
         gates = [(np.stack([block for block, _ in gate]), gate[0][1]) for gate in per_point]
-        forms.append(tn.traced_product(legs, gates, x, batch=True))
+        forms.append(tn.traced_product(legs, gates, x))
     for form1, form2 in zip(*forms):
         res = tn.rel_residual(form1, form2)
         if res > 1e-11:

@@ -102,13 +102,29 @@ def sector_indices():
 
 def _chain_identity(p):
     """The identity on p's N sites: the x for which a transfer matrix
-    applied to x (``vx.transfer_xxz``, ``sos.sos_transfer``) is the dense matrix."""
+    applied to x (``vx.transfer_xxz``, ``_sos_transfer``) is the dense matrix."""
     return np.eye(2**p.N, dtype=complex)
 
 
 @pytest.fixture(scope="session")
 def chain_identity():
     return _chain_identity
+
+
+def _sos_transfer(mu, theta, which, p):
+    """The dense 2^N-square height-picture transfer matrix ``which`` at mu:
+    the gates of ``sos._transfer_gates``, the dressed K~ first, traced over
+    the auxiliary leg by ``tn.traced_product`` on the explicit identity.
+    The dense oracle of the packed ``sos.sector_transfer``, whose A and D
+    blocks it never splits."""
+    gates, _ = sos._transfer_gates(np.array([mu], dtype=complex), theta, which, p)
+    return tn.traced_product(vx.chain_legs(p.N), gates, _chain_identity(p)[None])[0]
+
+
+@pytest.fixture(scope="session")
+def sos_transfer():
+    """``(mu, theta, which, p) -> T``, dense on the 2^N states of the sites."""
+    return _sos_transfer
 
 
 def _block_column(lam, theta, side, name, p, v, xi=None):

@@ -78,7 +78,7 @@ def test_criterion_3_hamiltonian_reconstruction(n, hamiltonian, hamiltonian_dire
            f"[H, T(mu)] {worst_comm:.2e} < 1e-9 at 5 points: PASS")
 
 
-def test_criterion_4_bethe_verification(sector_indices, chain_identity):
+def test_criterion_4_bethe_verification(sector_indices, chain_identity, sos_transfer, unpack):
     p = bt.apply_constraints(generic_params(2), bt.BoundaryConstraint(s=0, n=0, m=0))
     sols = bt.find_bethe_solutions("b1", 1, p, seed=SEED)
     assert len(sols) >= 1, "no psi_-^1 solution found"
@@ -88,17 +88,18 @@ def test_criterion_4_bethe_verification(sector_indices, chain_identity):
     idx = sector_indices(p.N)[0]
     matched = 0
     for sol in sols:
-        psi = bt.bethe_state("b1", [sol], p)[:, 0]
-        v = bt.vertex_eigenstate("b1", psi, p)
+        packed = bt.bethe_state("b1", [sol], p)[:, 0]
+        psi = unpack(p.N, sol.sector, packed)
+        v = bt.vertex_eigenstate("b1", packed, sol.sector, p)
         for mu in mus:
             lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
-            ts = sos.sos_transfer(mu, theta, "SOS1", p, chain_identity(p))
+            ts = sos_transfer(mu, theta, "SOS1", p)
             r_s = np.linalg.norm(ts @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam))
             assert r_s < 1e-8, r_s
             tv = vx.transfer_xxz(mu, p, chain_identity(p))
             r_v = np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam))
             assert r_v < 1e-8, r_v
-        block = sos.sos_transfer(mus[0], theta, "SOS1", p, chain_identity(p))[np.ix_(idx, idx)]
+        block = sos_transfer(mus[0], theta, "SOS1", p)[np.ix_(idx, idx)]
         eigs = np.linalg.eigvals(block)
         lam0 = bt.branch_eigenvalue("b1", mus[0], sol.roots, p)
         dist = np.min(np.abs(eigs - lam0)) / abs(lam0)

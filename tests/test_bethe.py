@@ -1,5 +1,6 @@
 from cmath import cosh, sinh
 from collections import Counter
+from math import comb
 
 import mpmath
 import numpy as np
@@ -62,18 +63,20 @@ def test_family_sector(branch, sign):
             bt.family_sector(branch, m, 3)
 
 
-def _sos_and_vertex_residuals(branch, sols, p):
-    """The worst SOS and the worst vertex eigenpair residual of each solution over two points."""
+def _sos_and_vertex_residuals(branch, sols, p, sos_transfer, unpack):
+    """The worst SOS and the worst vertex eigenpair residual of each solution
+    over two points, the SOS one on the dense oracle ``sos_transfer``."""
     mus = sample_points(np.random.default_rng(4), p, 2)
     theta = bt.branch_theta(branch, p)
     out = []
     for sol in sols:
-        psi = bt.bethe_state(branch, [sol], p)
-        v = bt.vertex_eigenstate(branch, psi, p)
+        packed = bt.bethe_state(branch, [sol], p)
+        psi = unpack(p.N, sol.sector, packed)
+        v = bt.vertex_eigenstate(branch, packed, sol.sector, p)
         worst = [0.0, 0.0]
         for mu in mus:
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
-            images = ((sos.sos_transfer(mu, theta, bt.BRANCHES[branch].sos_kind, p, psi), psi),
+            images = ((sos_transfer(mu, theta, bt.BRANCHES[branch].sos_kind, p) @ psi, psi),
                       (vx.transfer_xxz(mu, p, v), v))
             worst = [max(w, np.linalg.norm(t - lam * x) / (np.linalg.norm(x) * abs(lam)))
                      for w, (t, x) in zip(worst, images)]
@@ -83,7 +86,7 @@ def _sos_and_vertex_residuals(branch, sols, p):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_height_condition_alone_gives_sos_eigenstates(branch, n):
+def test_height_condition_alone_gives_sos_eigenstates(branch, n, sos_transfer, unpack):
     # delta_bar at the family's sector is all the SOS rows need; tau_bar stays
     # generic, so the gauge images are no vertex eigenstates
     found = 0
@@ -91,20 +94,20 @@ def test_height_condition_alone_gives_sos_eigenstates(branch, n):
         p = bt.height_condition(generic_params(n), bt.BoundaryConstraint(bt.family_sector(branch, m, n)))
         sols = bt.find_bethe_solutions(branch, m, p, seed=0)
         found += len(sols)
-        for sos_res, vertex_res in _sos_and_vertex_residuals(branch, sols, p):
+        for sos_res, vertex_res in _sos_and_vertex_residuals(branch, sols, p, sos_transfer, unpack):
             assert sos_res < 1e-12
             assert vertex_res > 1e-3
     assert found
 
 
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_generic_delta_bar_fails_the_sos_row(branch):
+def test_generic_delta_bar_fails_the_sos_row(branch, sos_transfer, unpack):
     # the same search at the generic delta_bar solves its Bethe equations,
     # but their states are no eigenstates of the SOS transfer matrix
     p = generic_params(4)
     sols = bt.find_bethe_solutions(branch, 1, p, seed=0)
     assert sols
-    for sos_res, _ in _sos_and_vertex_residuals(branch, sols, p):
+    for sos_res, _ in _sos_and_vertex_residuals(branch, sols, p, sos_transfer, unpack):
         assert sos_res > 1e-3
 
 
@@ -178,13 +181,13 @@ def test_solver_no_convergence(constrained2):
     assert ledger == {**dict.fromkeys(bt.LEDGER, 0), "starts": 1, "bad_y": 1}
 
 
-def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices, chain_identity):
+def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices, sos_transfer):
     p = constrained2
     mu = 0.17 - 0.23j
     theta = p.delta - p.zeta
     sols = bt.find_bethe_solutions("b1", 1, p, seed=1)
     idx = sector_indices(p.N)[0]
-    block = sos.sos_transfer(mu, theta, "SOS1", p, chain_identity(p))[np.ix_(idx, idx)]
+    block = sos_transfer(mu, theta, "SOS1", p)[np.ix_(idx, idx)]
     eigs = np.linalg.eigvals(block)
     for sol in sols:
         lam = bt.branch_eigenvalue("b1", mu, sol.roots, p)
@@ -192,7 +195,7 @@ def test_eigenvalue_matches_dense_diagonalization(constrained2, sector_indices, 
 
 
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_all_families_give_eigenstates(branch, constrained2, chain_identity):
+def test_all_families_give_eigenstates(branch, constrained2, chain_identity, sos_transfer, unpack):
     p = constrained2
     spec = bt.BRANCHES[branch]
     m = 1  # N = 2, s = 0 gives M = 1 for every family
@@ -202,12 +205,13 @@ def test_all_families_give_eigenstates(branch, constrained2, chain_identity):
     mus = sample_points(rng, p, 2)
     theta = bt.branch_theta(branch, p)
     for sol in sols:
-        psi = bt.bethe_state(branch, [sol], p)[:, 0]
+        packed = bt.bethe_state(branch, [sol], p)[:, 0]
+        psi = unpack(p.N, sol.sector, packed)
         for mu in mus:
             lam = bt.branch_eigenvalue(branch, mu, sol.roots, p)
-            t = sos.sos_transfer(mu, theta, spec.sos_kind, p, chain_identity(p))
+            t = sos_transfer(mu, theta, spec.sos_kind, p)
             assert np.linalg.norm(t @ psi - lam * psi) / (np.linalg.norm(psi) * abs(lam)) < 1e-8
-            v = bt.vertex_eigenstate(branch, psi, p)
+            v = bt.vertex_eigenstate(branch, packed, sol.sector, p)
             tv = vx.transfer_xxz(mu, p, chain_identity(p))
             assert np.linalg.norm(tv @ v - lam * v) / (np.linalg.norm(v) * abs(lam)) < 1e-8
 
@@ -245,15 +249,16 @@ def test_norm_floor_is_relative_to_the_column_growth(branch, keep, null, size, c
         assert np.any(bt.bethe_state(branch, [sol], constrained2))
 
 
-def _state_alone(branch, sol, p, sector_column, unpack):
-    """One solution's Bethe state, root by root through single packed
+def _state_alone(branch, sol, p, sector_column):
+    """One solution's packed Bethe state, root by root through single packed
     ``sector_column`` calls: the reference of the batched ``bt.bethe_state``."""
     spec = bt.BRANCHES[branch]
     v, s = np.ones(1, dtype=complex), p.N if spec.reference == "up" else -p.N
     for lam in reversed(sol.roots):
         v, _ = sector_column(lam, bt.branch_theta(branch, p), spec.side, spec.creator, p, v, s)
         s += sos.BLOCK_SZ[spec.creator]
-    return unpack(p.N, s, v)
+    assert s == sol.sector
+    return v
 
 
 def _dense_state(branch, sol, p, block_column):
@@ -277,10 +282,11 @@ def test_batched_states_equal_each_state_alone(branch, n, sector_column, block_c
         if not sols:
             continue
         states = bt.bethe_state(branch, sols, p)
-        assert states.shape == (2**n, len(sols)) and states.flags.c_contiguous
+        assert states.shape == (comb(n, m), len(sols)) and states.flags.c_contiguous
         for i, sol in enumerate(sols):
-            assert np.array_equal(states[:, i], _state_alone(branch, sol, p, sector_column, unpack))
-            assert tn.rel_residual(states[:, i], _dense_state(branch, sol, p, block_column)) < 1e-12
+            assert np.array_equal(states[:, i], _state_alone(branch, sol, p, sector_column))
+            dense = _dense_state(branch, sol, p, block_column)
+            assert tn.rel_residual(unpack(n, sol.sector, states[:, i]), dense) < 1e-12
         largest = max(largest, len(sols))
     assert largest >= 2
 
@@ -338,7 +344,8 @@ def test_bethe_state_builds_the_gates_of_all_roots_once(branch, monkeypatch):
     monkeypatch.setattr(sos, "dyn_double_row_gates", lambda *a, **k: calls.append(a) or gates(*a, **k))
     states = bt.bethe_state(branch, sols, p)
     assert len(calls) == 1 and len(calls[0][0]) == 6
-    assert states.shape == (16, 2) and np.all(np.any(states, axis=0))
+    # packed on the C(4, 3) = 4 states of the family's sector
+    assert states.shape == (4, 2) and np.all(np.any(states, axis=0))
 
 
 def test_minus_and_plus_families_build_the_same_states(constrained2):
@@ -349,14 +356,14 @@ def test_minus_and_plus_families_build_the_same_states(constrained2):
     roots_p = sorted((round(s.roots[0].real, 8), round(s.roots[0].imag, 8)) for s in sols_p)
     assert roots_m == roots_p
     sol = sols_m[0]
-    a = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], p)
+    a = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], sol.sector, p)
     plus = bt.BetheSolution("p1", sol.roots, 1, sol.residuals, sol.sector)
-    b = bt.vertex_eigenstate("p1", bt.bethe_state("p1", [plus], p)[:, 0], p)
+    b = bt.vertex_eigenstate("p1", bt.bethe_state("p1", [plus], p)[:, 0], plus.sector, p)
     overlap = 1 - abs(np.conj(a) @ b) ** 2 / ((np.conj(a) @ a).real * (np.conj(b) @ b).real)
     assert abs(overlap) < 1e-8
 
 
-def test_plus_family_gauge_binding(constrained3, gauge_row, chain_identity):
+def test_plus_family_gauge_binding(constrained3, gauge_row, chain_identity, unpack):
     """At s = 1 the two dynamical parameters differ; only the barred pair
     (theta_bar, tau_bar) sends plus states to vertex eigenstates."""
     p = constrained3
@@ -366,38 +373,41 @@ def test_plus_family_gauge_binding(constrained3, gauge_row, chain_identity):
     sol = sols[0]
     lam = bt.branch_eigenvalue("p1", mu, sol.roots, p)
     tv = vx.transfer_xxz(mu, p, chain_identity(p))
-    psi = bt.bethe_state("p1", [sol], p)[:, 0]
-    good = bt.vertex_eigenstate("p1", psi, p)  # defaults to (theta_bar, tau_bar)
+    packed = bt.bethe_state("p1", [sol], p)[:, 0]
+    good = bt.vertex_eigenstate("p1", packed, sol.sector, p)  # defaults to (theta_bar, tau_bar)
     r_good = np.linalg.norm(tv @ good - lam * good) / (np.linalg.norm(good) * abs(lam))
     assert r_good < 1e-8
-    bad = gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ psi
+    bad = gauge_row(p.delta - p.zeta, p.tau_bar, "plus", p) @ unpack(p.N, sol.sector, packed)
     r_bad = np.linalg.norm(tv @ bad - lam * bad) / (np.linalg.norm(bad) * abs(lam))
     assert r_bad > 1e-3
 
 
 @pytest.mark.parametrize("n, s", [(3, 1), (5, 1)])
 @pytest.mark.parametrize("branch", ["b1", "b2", "p1", "p2"])
-def test_vertex_image_matches_dense_gauge_row(n, s, branch, gauge_row):
+def test_vertex_image_matches_dense_gauge_row(n, s, branch, gauge_row, unpack):
     p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s=s))
     m = (n - s) // 2 if bt.BRANCHES[branch].sign > 0 else (n + s) // 2
     sols = bt.find_bethe_solutions(branch, m, p, seed=0)
     assert sols
-    psi = bt.bethe_state(branch, sols, p)
+    packed = bt.bethe_state(branch, sols, p)
+    psi = unpack(n, s, packed)
     side = bt.BRANCHES[branch].side
     row = gauge_row(bt.branch_theta(branch, p), p.tau if side == "minus" else p.tau_bar, side, p)
-    block = bt.vertex_eigenstate(branch, psi, p)
+    block = bt.vertex_eigenstate(branch, packed, s, p)
     assert tn.rel_residual(block, row @ psi) < 1e-13
-    assert tn.rel_residual(bt.vertex_eigenstate(branch, psi[:, 0], p), row @ psi[:, 0]) < 1e-13
+    assert tn.rel_residual(bt.vertex_eigenstate(branch, packed[:, 0], s, p), row @ psi[:, 0]) < 1e-13
 
 
 def test_vertex_image_of_a_zero_state_is_null(constrained3):
     p = constrained3
-    psi = bt.bethe_state("b1", bt.find_bethe_solutions("b1", 1, p, seed=0)[:1], p)[:, 0]
+    sols = bt.find_bethe_solutions("b1", 1, p, seed=0)[:1]
+    psi, s = bt.bethe_state("b1", sols, p)[:, 0], sols[0].sector
+    assert bt.vertex_eigenstate("b1", psi, s, p).shape == (2**p.N,)
     with pytest.raises(NullState):
-        bt.vertex_eigenstate("b1", np.zeros_like(psi), p)
+        bt.vertex_eigenstate("b1", np.zeros_like(psi), s, p)
     # one zero column fails the whole block
     with pytest.raises(NullState):
-        bt.vertex_eigenstate("b1", np.stack([psi, np.zeros_like(psi)], axis=1), p)
+        bt.vertex_eigenstate("b1", np.stack([psi, np.zeros_like(psi)], axis=1), s, p)
 
 
 def test_energy_single_root_closed_form(c1, energy):
@@ -435,7 +445,7 @@ def test_hamiltonian_energy_matches_rayleigh(constrained2, hamiltonian, hamilton
     c1v = c1(p)
     offsets = []
     for sol in sols:
-        v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], p)
+        v = bt.vertex_eigenstate("b1", bt.bethe_state("b1", [sol], p)[:, 0], sol.sector, p)
         rq = (np.conj(v) @ (h_dir @ v)) / (np.conj(v) @ v)
         he = hamiltonian_energy("b1", sol, p, kappa)
         assert abs(rq - he) < 1e-7 * abs(rq)

@@ -133,8 +133,9 @@ def test_sector_block_against_dense_vertex_spectrum(n, tmp_path, chain_identity)
             p = bt.apply_constraints(generic_params(n), bt.BoundaryConstraint(s))
             mu = complex(*extra["mu"])
             dense = np.linalg.eigvals(vx.transfer_xxz(mu, p, chain_identity(p)))
-            idx, cols = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, s)
-            for lam in np.linalg.eigvals(cols[idx]):
+            eye = np.eye(comb(n, (n - s) // 2), dtype=complex)
+            block = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, s, eye)
+            for lam in np.linalg.eigvals(block):
                 assert np.min(np.abs(dense - lam)) < 1e-10 * abs(lam)
             for sol in extra["solutions"]:
                 lam = complex(*sol["lambda"])
@@ -167,25 +168,36 @@ def test_sector_in_vertex_fails_on_the_opposite_sector(n, s, monkeypatch, tmp_pa
     # the block of sector -s is not gauge-equivalent to the vertex transfer matrix
     # under the constraints of sector s, so its gauge images are no eigenstates
     block = sos.sector_transfer
-    monkeypatch.setattr(sos, "sector_transfer", lambda mu, theta, which, p, s: block(mu, theta, which, p, -s))
+    monkeypatch.setattr(sos, "sector_transfer", lambda mu, theta, which, p, s, v: block(mu, theta, which, p, -s, v))
     rows, _ = spectrum_report(n, s, 0, tmp_path, expect=4)
     assert rows["spectrum.sector_leakage"]["pass"]
     assert not rows["spectrum.sector_in_vertex"]["pass"]
     assert rows["spectrum.sector_in_vertex"]["residual"] > 0.1
 
 
-def test_sector_leakage_fails_on_the_vertex_columns(monkeypatch, tmp_path):
-    # the vertex transfer matrix, with its non-diagonal boundaries, does not keep S^z
-    block = sos.sector_transfer
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("branch, n, m", [("b1", 4, 1), ("b1", 5, 2), ("p1", 4, 1), ("p1", 5, 2)])
+def test_sos_eigenstate_rows_see_a_defect_of_k_tilde(branch, n, m, entry, monkeypatch, tmp_path):
+    # the packed SOS rows read rounding; a relative 1e-9 defect in a
+    # diagonal entry of the dressed boundary K~, which the sector kernel
+    # keeps, lifts every state's row above 1e-10 (to 7e-10 .. 9e-9 here)
+    args = ["bethe", "--branch", branch, "--n", str(n), "--m", str(m), "--seed", "0"]
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    clean = [r for r in rows_and_summary(text)[0] if r["check"].endswith(".sos_eigenstate")]
+    assert clean and all(r["residual"] < 1e-12 for r in clean)
+    tilde_k2 = sos.tilde_k2
 
-    def vertex_columns(mu, theta, which, p, s):
-        idx, _ = block(mu, theta, which, p, s)
-        return idx, vx.transfer_xxz(mu, p, np.eye(2**p.N, dtype=complex)[:, idx])
+    def defective(*a, **k):
+        kt = tilde_k2(*a, **k)
+        kt[entry] *= 1 + 1e-9
+        return kt
 
-    monkeypatch.setattr(sos, "sector_transfer", vertex_columns)
-    rows, _ = spectrum_report(4, 0, 0, tmp_path, expect=4)
-    assert not rows["spectrum.sector_leakage"]["pass"]
-    assert rows["spectrum.sector_leakage"]["residual"] > 0.1
+    monkeypatch.setattr(sos, "tilde_k2", defective)
+    code, text = run_cli(args, tmp_path)
+    rows = [r for r in rows_and_summary(text)[0] if r["check"].endswith(".sos_eigenstate")]
+    assert len(rows) == len(clean)
+    assert all(r["residual"] > 1e-10 for r in rows), [r["residual"] for r in rows]
 
 
 def strip_wall_time(text):

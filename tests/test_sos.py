@@ -337,7 +337,7 @@ def test_generalized_transfer_via_modified_d(p2, double_row_blocks, sector_indic
     assert tn.max_abs(t_via - out) / tn.max_abs(out) < 1e-12
 
 
-def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_row, chain_identity):
+def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_row, chain_identity, sos_transfer):
     """T_XXZ conjugated by the gauge row equals the dressed height trace."""
     p = constrained2
     lam = 0.21 + 0.12j
@@ -358,7 +358,7 @@ def test_transfer_gauge_identity(constrained2, aux_trace, sector_indices, gauge_
     assert tn.rel_residual(t @ srow, srow @ trace) < 1e-10
     # on the constrained sector the dressed trace is the height transfer matrix
     idx = sector_indices(p.N)[0]
-    ts = sos.sos_transfer(lam, theta, "SOS1", p, chain_identity(p))
+    ts = sos_transfer(lam, theta, "SOS1", p)
     diff = trace[np.ix_(idx, idx)] - ts[np.ix_(idx, idx)]
     assert np.max(np.abs(diff)) / np.max(np.abs(ts[np.ix_(idx, idx)])) < 1e-10
 
@@ -399,11 +399,11 @@ def test_constraints_hold_only_where_imposed(p2, constrained2):
     assert max(constraint_residuals(constrained2, 0)) < 1e-10
 
 
-def test_sos_transfer_commutes_on_sector(constrained2, sector_indices, chain_identity):
+def test_sos_transfer_commutes_on_sector(constrained2, sector_indices, sos_transfer):
     p = constrained2
     theta = p.delta - p.zeta
-    t1 = sos.sos_transfer(0.21 + 0.12j, theta, "SOS1", p, chain_identity(p))
-    t2 = sos.sos_transfer(-0.31 + 0.24j, theta, "SOS1", p, chain_identity(p))
+    t1 = sos_transfer(0.21 + 0.12j, theta, "SOS1", p)
+    t2 = sos_transfer(-0.31 + 0.24j, theta, "SOS1", p)
     idx = sector_indices(p.N)[0]
     a = t1[np.ix_(idx, idx)]
     b = t2[np.ix_(idx, idx)]
@@ -437,14 +437,14 @@ def test_isomorphism_block_form(p2, dense_symmetry, double_row_blocks):
     assert tn.rel_residual(cp, gy @ perm @ bm @ perm.T @ gy) < 1e-10
 
 
-def test_gamma_relation_for_transfer(p2, dense_symmetry, chain_identity):
+def test_gamma_relation_for_transfer(p2, dense_symmetry, sos_transfer):
     lam = 0.21 + 0.12j
     theta = p2.delta - p2.zeta
     swapped = p2.replace(
         delta=p2.zeta, zeta=p2.delta, delta_bar=p2.zeta_bar, zeta_bar=p2.delta_bar
     )
-    t1 = sos.sos_transfer(lam, theta, "SOS1", p2, chain_identity(p2))
-    t2 = sos.sos_transfer(lam, -theta, "SOS1", swapped, chain_identity(swapped))
+    t1 = sos_transfer(lam, theta, "SOS1", p2)
+    t2 = sos_transfer(lam, -theta, "SOS1", swapped)
     gx, _ = dense_symmetry(tn.SX, p2.N)
     assert tn.rel_residual(t1, gx @ t2 @ gx) < 1e-10
 
@@ -644,8 +644,8 @@ def test_batched_k_diag_keeps_the_scalar_entries(p3):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks, chain_identity):
-    # the traced gate list against k_00 A + k_11 D from the block strings
+def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks, sos_transfer):
+    # the dense traced gate list against k_00 A + k_11 D from the block strings
     p = generic_params(n)
     theta = 0.63 + 0.29j
     for mu in sample_points(np.random.default_rng(n), p, 2):
@@ -655,40 +655,49 @@ def test_sos_transfer_is_the_trace_of_its_blocks(n, double_row_blocks, chain_ide
         ):
             blocks = double_row_blocks(mu, theta, side, p)
             expect = kt[0, 0] * blocks["A"] + kt[1, 1] * blocks["D"]
-            assert tn.rel_residual(sos.sos_transfer(mu, theta, which, p, chain_identity(p)), expect) < 1e-15
+            assert tn.rel_residual(sos_transfer(mu, theta, which, p), expect) < 1e-15
 
 
 @pytest.mark.parametrize("which", ["SOS1", "SOS2"])
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_sos_transfer_at_three_points_equals_each_point_alone(n, which):
-    # one batched traced product for the three points, on a vector and on a
-    # block of columns, against one call per point, bit for bit
+    # the packed transfer matrices at three points from one gate build, on a
+    # vector and on a block of columns of every sector, against one call per
+    # point, bit for bit
     p = generic_params(n)
     rng = np.random.default_rng(n)
     mus = np.array(sample_points(rng, p, 3))
     theta = 0.63 + 0.29j
-    x = rng.normal(size=(2**n, 4)) + 1j * rng.normal(size=(2**n, 4))
-    for y in (x, x[:, 0]):
-        got = sos.sos_transfer(mus, theta, which, p, y)
-        assert got.shape == (3,) + y.shape
-        for mu, t in zip(mus, got):
-            assert np.array_equal(t, sos.sos_transfer(mu, theta, which, p, y))
+    for s in range(-n, n + 1, 2):
+        d = len(tn.sector_states((1,) * n, s))
+        x = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+        for y in (x, x[:, 0]):
+            got = sos.sector_transfer(mus, theta, which, p, s, y)
+            assert got.shape == (3,) + y.shape
+            for mu, t in zip(mus, got):
+                assert np.array_equal(t, sos.sector_transfer(mu, theta, which, p, s, y))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices, chain_identity):
-    # both transfer kinds keep S^z exactly at generic couplings: every column
-    # of a sector lands in it, and nothing leaves
+def test_sector_transfer_is_the_sector_columns_of_sos_transfer(n, sector_indices, sos_transfer):
+    # both transfer kinds keep S^z exactly at generic couplings: the dense
+    # oracle sends every column of a sector into it, and the packed path
+    # gives its sector block on the packed identity and on random packed
+    # columns; three points at once equal each point alone bit for bit
     p = generic_params(n)
+    rng = np.random.default_rng(n)
     theta = 0.63 + 0.29j
-    for mu in sample_points(np.random.default_rng(n), p, 2):
-        for which in ("SOS1", "SOS2"):
-            full = sos.sos_transfer(mu, theta, which, p, chain_identity(p))
-            for s, expect in sector_indices(n).items():
-                idx, cols = sos.sector_transfer(mu, theta, which, p, s)
-                assert np.array_equal(idx, np.sort(expect))
-                # the packed A and D blocks round apart from the dense trace:
-                # at most 2.3e-15 at N <= 5 and 1.7e-14 at N = 8 here
-                assert tn.rel_residual(cols, full[:, idx]) < 1e-13
-                outside = np.setdiff1d(np.arange(2**n), idx)
-                assert not np.any(cols[outside])
+    mus = np.array(sample_points(rng, p, 3))
+    for which in ("SOS1", "SOS2"):
+        full = [sos_transfer(mu, theta, which, p) for mu in mus]
+        for s, idx in sector_indices(n).items():
+            outside = np.setdiff1d(np.arange(2**n), idx)
+            x = rng.normal(size=(len(idx), 3)) + 1j * rng.normal(size=(len(idx), 3))
+            for v in (np.eye(len(idx), dtype=complex), x):
+                batch = sos.sector_transfer(mus, theta, which, p, s, v)
+                for mu, t, dense in zip(mus, batch, full):
+                    assert not np.any(dense[np.ix_(outside, idx)])
+                    assert np.array_equal(t, sos.sector_transfer(mu, theta, which, p, s, v))
+                    # the packed A and D blocks round apart from the dense trace:
+                    # at most 2.3e-15 at N <= 5 and 1.7e-14 at N = 8 on the identity
+                    assert tn.rel_residual(t, dense[np.ix_(idx, idx)] @ v) < 1e-13, (which, s)

@@ -327,12 +327,12 @@ def test_partial_transpose_involution():
 
 def test_traced_product_identity_and_kron():
     legs = ("a", "b")
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(2, dtype=complex)[None]
     assert np.array_equal(tn.traced_product(legs, [], eye), 2 * eye)
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    tr = tn.traced_product(legs, [(np.kron(a, b), legs)], eye)
+    tr = tn.traced_product(legs, [(np.kron(a, b), legs)], eye)[0]
     assert tn.max_abs(tr - np.trace(a) * b) < 1e-13
 
 
@@ -340,16 +340,16 @@ def test_traced_product_identity_and_kron():
 @given(gate_lists())
 def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
     # the identity gives the oracle bit for bit; a vector or a block of
-    # columns gives the oracle times it
+    # columns gives the oracle times it, each a batch of one
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, drawn)
     whole = aux_trace(tn.product(legs, gates, leg_identity(legs)))
     d = 2 ** (len(legs) - 1)
-    assert np.array_equal(tn.traced_product(legs, gates, np.eye(d, dtype=complex)), whole)
+    assert np.array_equal(tn.traced_product(legs, gates, np.eye(d, dtype=complex)[None])[0], whole)
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.traced_product(legs, gates, x)
+    got = tn.traced_product(legs, gates, x[None])[0]
     expect = whole @ x
     assert got.shape == x.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -370,18 +370,18 @@ def test_batched_traced_product_equals_single_calls_bit_for_bit(case, b, own):
     d = 2 ** (len(legs) - 1)
     shape = (b, d) if cols is None else (b, d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.traced_product(legs, gates, x, batch=True)
+    got = tn.traced_product(legs, gates, x)
     assert got.shape == x.shape
     for k in range(b):
         single = [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(drawn))]
-        assert np.array_equal(got[k], tn.traced_product(legs, single, x[k]))
+        assert np.array_equal(got[k], tn.traced_product(legs, single, x[k : k + 1])[0])
 
 
 def test_traced_product_transpose_invariant():
     rng = np.random.default_rng(5)
     legs = ("a", "b", "c")
     op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    eye = np.eye(4, dtype=complex)
+    eye = np.eye(4, dtype=complex)[None]
     direct = tn.traced_product(legs, [(op, legs)], eye)
     via = tn.traced_product(legs, [(tn.partial_transpose(op, legs, "a"), legs)], eye)
     assert tn.max_abs(direct - via) < 1e-14

@@ -182,23 +182,24 @@ def test_transfer_xxz_is_trace_of_whole_product(n, aux_trace, chain_identity):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_transfer_matrices_on_a_block_match_dense(n, chain_identity):
+def test_transfer_matrices_on_a_block_match_dense(n, chain_identity, sos_transfer, sector_indices):
     """Each transfer matrix applied to a (2^N, k) block, or to one vector,
-    equals the dense matrix times it."""
+    equals the dense matrix times it; the height-picture ones, packed on
+    each sector, equal the dense oracle's sector block times it."""
     p = generic_params(n)
     rng = np.random.default_rng(n)
     x = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
     mu = sample_points(rng, p, 1)[0]
     theta = 0.63 + 0.29j
-    transfers = [
-        lambda y: vx.transfer_xxz(mu, p, y),
-        lambda y: sos.sos_transfer(mu, theta, "SOS1", p, y),
-        lambda y: sos.sos_transfer(mu, theta, "SOS2", p, y),
-    ]
-    for transfer in transfers:
-        dense = transfer(chain_identity(p))
-        for y in (x, x[:, 0]):
-            assert tn.rel_residual(transfer(y), dense @ y) < 1e-13
+    dense = vx.transfer_xxz(mu, p, chain_identity(p))
+    for y in (x, x[:, 0]):
+        assert tn.rel_residual(vx.transfer_xxz(mu, p, y), dense @ y) < 1e-13
+    for which in ("SOS1", "SOS2"):
+        dense = sos_transfer(mu, theta, which, p)
+        for s, idx in sector_indices(n).items():
+            for y in (x[: len(idx)], x[: len(idx), 0]):
+                block = dense[np.ix_(idx, idx)]
+                assert tn.rel_residual(sos.sector_transfer(mu, theta, which, p, s, y), block @ y) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -225,8 +226,8 @@ def test_batched_trace_forms_are_compared_point_by_point(monkeypatch):
     assert sizes[1] > 1e3 * sizes[0]
     traced, calls = tn.traced_product, []
 
-    def second_form_off(legs, gates, y, batch=False):
-        t = traced(legs, gates, y, batch)
+    def second_form_off(legs, gates, y):
+        t = traced(legs, gates, y)
         calls.append(len(calls))
         if len(calls) == 2:
             t[0] *= 1 + 1e-9
