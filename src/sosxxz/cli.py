@@ -48,15 +48,15 @@ DENSE_ENTRIES = {
     # bethe keeps its stacked states packed on their sector for the SOS
     # transfer matrix; with --constrained it applies the gauge row and the
     # vertex transfer matrix, at its three points in one batch, to their
-    # 2^N-row images.  It builds no square matrix: 3 x 2^(N+2) entries per
-    # state in the vertex trace, at most N_STARTS = 60 states, under this
-    # bound from N = 8 on.  It keeps the bound of spectrum, so the two
-    # refuse the same N
+    # 2^N-row images.  It builds no square matrix: the vertex trace pads one
+    # auxiliary column at a time, 3 x 2^(N+1) entries per state, at most
+    # N_STARTS = 60 states, under this bound from N = 7 on.  It keeps the
+    # bound of spectrum, so the two refuse the same N
     "bethe": lambda n: 4 ** (n + 1),
     # spectrum applies the vertex transfer matrix to the gauge images of the
-    # C(N, M) <= 2^N eigenvectors of its sector block, 2^(N+2) entries each:
-    # at most this bound.  The bound refuses N >= 12, where the vertex
-    # images' norm floor rejects good states
+    # C(N, M) <= 2^N eigenvectors of its sector block, one auxiliary column
+    # of 2^(N+1) entries each at a time: at most half this bound.  The bound
+    # refuses N >= 12, where the vertex images' norm floor rejects good states
     "spectrum": lambda n: 4 ** (n + 1),
     # the block strings act on vectors packed on one charge sector of the aux
     # leg and the sites (tensor.sector_product); kept from the dense path
@@ -292,16 +292,15 @@ def run_spectrum(cfg: RunConfig, constrained: bool) -> tuple[list[dict], dict]:
         raise ConfigError("spectrum needs --constrained: it diagonalizes the S^z sector block under the constraints")
     p = bt.apply_constraints(cfg.params, bt.BoundaryConstraint(cfg.sector_s, cfg.constraint_n, cfg.constraint_m))
     tol = _eigen_tolerance(cfg)
-    mu = sample_points(np.random.default_rng(cfg.seed + 2), p, 1)[0]
+    mu, mu2 = sample_points(np.random.default_rng(cfg.seed + 2), p, 2)
     m = (p.N - cfg.sector_s) // 2
     # the height-picture transfer matrix keeps S^z: diagonalize its block of
-    # the sector, its images of the packed identity, and check each
-    # eigenpair's gauge image in the vertex picture
+    # the sector at mu, its images of the packed identity, and check each
+    # eigenpair's gauge image in the vertex picture; the blocks at mu and a
+    # second point must commute
     eye = np.eye(math.comb(p.N, m), dtype=complex)
-    block = sos.sector_transfer(mu, bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s, eye)
-    # packed images have no entry outside the sector, so the leakage reads 0
-    # by construction; a non-finite block still fails the row
-    rows = [_row("spectrum.sector_leakage", 0.0 / max(tn.max_abs(block), 1e-300), tol)]
+    block, other = sos.sector_transfer(np.array([mu, mu2]), bt.branch_theta("b1", p), "SOS1", p, cfg.sector_s, eye)
+    rows = [_row("spectrum.sector_commute", tn.rel_residual(block @ other, other @ block), tol)]
     t_eigs, vecs = np.linalg.eig(block)
     v = bt.vertex_eigenstate("b1", vecs, cfg.sector_s, p)
     res = _eigen_residual(vx.transfer_xxz(mu, p, v), v, t_eigs)

@@ -758,9 +758,7 @@ def commutation_residual(l1, l2, p: ModelParams, monodromy=None) -> dict[str, fl
     def column(gates, name, v):
         """Block ``name`` and the other block of its column on v, dense: v lies in no sector."""
         r, c = _BLOCK_INDEX["minus"][name]
-        x = np.zeros((2,) + v.shape, dtype=complex)
-        x[c] = v
-        y = tn.product(chain_legs(p.N), gates, x.reshape(-1, v.shape[1])).reshape(x.shape)
+        y = tn.column_product(chain_legs(p.N), gates, v[None], c)[0]
         return y[r], y[1 - r]
 
     def blocks(gates, lam, v):

@@ -11,10 +11,11 @@ running axis order, so each gate costs one transposed copy and one
 batched matmul.  The array carries a leading batch axis: with ``batch``,
 B inputs of one gate layout, each with its own blocks or sharing them,
 run as one product, every input rounded as it would be alone.
-``traced_product`` is the trace of such a product over
-its first (auxiliary) leg, applied to a batch of arrays on the other legs:
-the vertex picture's open-chain transfer matrices, on a few states or on
-all of them, at several spectral points in one call.  A
+``column_product`` is one column of such a product over its first
+(auxiliary) leg, applied to a batch of arrays on the other legs: the
+vertex picture's open-chain transfer matrices trace it one column at a
+time, on a few states or on all of them, at several spectral points in
+one call.  A
 dynamical gate ``(stack, on, charge)`` carries its blocks as a stack, one
 per distinct value of its charge in ascending order (``charge_values``),
 so the kernel indexes it and calls no code per charge; ``dynamical_gates``
@@ -371,31 +372,26 @@ def sector_product(legs: Sequence[str], gates, x: np.ndarray, weights: Sequence[
     return x
 
 
-def traced_product(legs: Sequence[str], gates, x: np.ndarray) -> np.ndarray:
-    """tr_0(g_1 ... g_m) @ x[b] for each of B inputs, the trace of
-    ``product(legs, gates, batch=True)`` over its first leg 0, for ``x`` a
-    (B, 2^(n-1)) or (B, 2^(n-1), m) array on the other legs.
+def column_product(legs: Sequence[str], gates, x: np.ndarray, c: int) -> np.ndarray:
+    """Auxiliary column c of ``product(legs, gates, batch=True)``: the
+    product applied to e_c (x) x[b] on its first leg and the others, for
+    ``x`` a (B, 2^(n-1)) or (B, 2^(n-1), m) array on the other legs.  The
+    (B, 2) + x.shape[1:] result holds in row r the block (r, c) of the
+    product applied to x[b].
 
-    The gates are applied to the columns [e_0 (x) x, e_1 (x) x], and row
-    block a of column group a is kept and summed over a.  For x the identity
-    those columns are the identity on ``legs``, so the result is the trace
-    of the whole product.  With a few columns the operator is never built:
-    its cost and memory grow as 2^n, not 4^n.
-
-    As in ``product``, a block or stack with a leading axis of B gives
-    input b its own: B traced gate lists of one layout, as a transfer
-    matrix at B spectral points, run as one product, and each result
-    equals its batch of one bit for bit.
+    Only the padded column e_c (x) x, twice the size of x, is built, never
+    the operator, so the cost and memory grow as 2^n, not 4^n; the trace
+    over the first leg is row 0 of column 0 plus row 1 of column 1.  As in
+    ``product``, a block or stack with a leading axis of B gives input b
+    its own, and each result equals its batch of one bit for bit.
     """
-    legs = tuple(legs)
     x = np.asarray(x)
     lead = x.shape[:1]
-    d = 2 ** (len(legs) - 1)
-    cols = x.reshape(lead + (d, -1))
-    e = np.zeros(lead + (2, d, 2, cols.shape[-1]), dtype=np.result_type(cols, complex))
-    e[:, 0, :, 0, :] = e[:, 1, :, 1, :] = cols
-    y = product(legs, gates, e.reshape(lead + (2 * d, -1)), batch=True).reshape(e.shape)
-    return (y[:, 0, :, 0, :] + y[:, 1, :, 1, :]).reshape(x.shape)
+    cols = x.reshape(lead + (2 ** (len(legs) - 1), -1))
+    e = np.zeros(lead + (2,) + cols.shape[1:], dtype=np.result_type(cols, complex))
+    e[:, c] = cols
+    y = product(legs, gates, e.reshape(lead + (-1, cols.shape[-1])), batch=True)
+    return y.reshape(lead + (2,) + x.shape[1:])
 
 
 # columns of the seeded probe block that ``product_residual`` applies both sides to

@@ -117,14 +117,16 @@ def double_row_gates(lam: complex, side: str, p: ModelParams) -> list:
 def transfer_xxz(lam, p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Open-chain transfer matrix applied to ``x``, a (2^N,) or (2^N, m) array.
 
-    Both trace forms, tr_0 K_+ U_- and tr_0 K_-^t U_+^{t_0}, are traced gate
-    lists applied to ``x`` (``tn.traced_product``), and must agree to 1e-11.
-    An array of B values of lam stacks each point's blocks into one batched
-    traced product per form, a (B,) + x.shape result whose every slice
-    equals its single call bit for bit, and the forms are compared point by
-    point: a stack-wide residual would let one point's mismatch hide under
-    a larger point's entries.  A scalar lam runs as a batch of one and
-    gives x.shape.
+    Both trace forms, tr_0 K_+ U_- and tr_0 K_-^t U_+^{t_0}, are gate
+    lists applied to ``x`` one auxiliary column at a time
+    (``tn.column_product``): row block 0 of column 0 plus row block 1 of
+    column 1.  So a call holds one padded column, twice the size of x, and
+    the forms must agree to 1e-11.  An array of B values of lam stacks each
+    point's blocks into one batched product per column and form, a (B,) +
+    x.shape result whose every slice equals its single call bit for bit,
+    and the forms are compared point by point: a stack-wide residual would
+    let one point's mismatch hide under a larger point's entries.  A scalar
+    lam runs as a batch of one and gives x.shape.
     """
     legs = chain_legs(p.N)
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -137,7 +139,10 @@ def transfer_xxz(lam, p: ModelParams, x: np.ndarray) -> np.ndarray:
         # each gate's blocks at every point, stacked: one gate list for the batch
         per_point = zip(*(build(l) for l in map(complex, lams)))
         gates = [(np.stack([block for block, _ in gate]), gate[0][1]) for gate in per_point]
-        forms.append(tn.traced_product(legs, gates, x))
+        # a copy of row block 0 frees column 0 before column 1 is built
+        form = tn.column_product(legs, gates, x, 0)[:, 0].copy()
+        form += tn.column_product(legs, gates, x, 1)[:, 1]
+        forms.append(form)
     for form1, form2 in zip(*forms):
         res = tn.rel_residual(form1, form2)
         if res > 1e-11:

@@ -111,14 +111,26 @@ def chain_identity():
     return _chain_identity
 
 
+def _column_trace(legs, gates, x):
+    """tr_0(g_1 ... g_m) @ x[b] for a batch x on the legs after the first:
+    row block 0 of auxiliary column 0 plus row block 1 of column 1
+    (``tn.column_product``), summed in that order."""
+    return tn.column_product(legs, gates, x, 0)[:, 0] + tn.column_product(legs, gates, x, 1)[:, 1]
+
+
+@pytest.fixture(scope="session")
+def column_trace():
+    return _column_trace
+
+
 def _sos_transfer(mu, theta, which, p):
     """The dense 2^N-square height-picture transfer matrix ``which`` at mu:
     the gates of ``sos._transfer_gates``, the dressed K~ first, traced over
-    the auxiliary leg by ``tn.traced_product`` on the explicit identity.
-    The dense oracle of the packed ``sos.sector_transfer``, whose A and D
+    the auxiliary leg by ``_column_trace`` on the explicit identity.  The
+    dense oracle of the packed ``sos.sector_transfer``, whose A and D
     blocks it never splits."""
     gates, _ = sos._transfer_gates(np.array([mu], dtype=complex), theta, which, p)
-    return tn.traced_product(vx.chain_legs(p.N), gates, _chain_identity(p)[None])[0]
+    return _column_trace(vx.chain_legs(p.N), gates, _chain_identity(p)[None])[0]
 
 
 @pytest.fixture(scope="session")
@@ -274,7 +286,7 @@ def _aux_trace(m):
 
 @pytest.fixture(scope="session")
 def aux_trace():
-    """``m -> tr_0 m``: the dense oracle of ``tn.traced_product``."""
+    """``m -> tr_0 m``: the dense oracle of ``column_trace``."""
     return _aux_trace
 
 

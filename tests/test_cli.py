@@ -92,7 +92,7 @@ def test_spectrum_reports_incompleteness_without_failing(tmp_path):
     assert code == 0
     rows, summary = rows_and_summary(text)
     # the matches are counted in extra; only the sector checks are rows
-    assert [r["check"] for r in rows] == ["spectrum.sector_in_vertex", "spectrum.sector_leakage"]
+    assert [r["check"] for r in rows] == ["spectrum.sector_commute", "spectrum.sector_in_vertex"]
     extra = summary["extra"]
     assert extra["matched"] >= 1
     assert extra["matched"] + extra["unmatched_spectrum"] == extra["sector_dimension"]
@@ -117,9 +117,9 @@ def test_sector_rows_pass_in_every_constrained_sector(n, tmp_path):
     for seed in range(3):
         for s in constrained_sectors(n):
             rows, _ = spectrum_report(n, s, seed, tmp_path)
-            assert rows["spectrum.sector_leakage"]["residual"] == 0.0
+            assert rows["spectrum.sector_commute"]["residual"] < 1e-13
             assert rows["spectrum.sector_in_vertex"]["residual"] < 1e-10
-            assert rows["spectrum.sector_leakage"]["pass"] and rows["spectrum.sector_in_vertex"]["pass"]
+            assert rows["spectrum.sector_commute"]["pass"] and rows["spectrum.sector_in_vertex"]["pass"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -166,13 +166,15 @@ def test_spectrum_without_constraints_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("n, s", [(3, 1), (4, 2), (5, -3), (8, 2)])
 def test_sector_in_vertex_fails_on_the_opposite_sector(n, s, monkeypatch, tmp_path):
     # the block of sector -s is not gauge-equivalent to the vertex transfer matrix
-    # under the constraints of sector s, so its gauge images are no eigenstates
+    # under the constraints of sector s, so its gauge images are no eigenstates;
+    # nor does the height condition of sector s hold there, so its blocks at
+    # two points do not commute
     block = sos.sector_transfer
     monkeypatch.setattr(sos, "sector_transfer", lambda mu, theta, which, p, s, v: block(mu, theta, which, p, -s, v))
     rows, _ = spectrum_report(n, s, 0, tmp_path, expect=4)
-    assert rows["spectrum.sector_leakage"]["pass"]
-    assert not rows["spectrum.sector_in_vertex"]["pass"]
-    assert rows["spectrum.sector_in_vertex"]["residual"] > 0.1
+    for name in ("spectrum.sector_commute", "spectrum.sector_in_vertex"):
+        assert not rows[name]["pass"]
+        assert rows[name]["residual"] > 0.1
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
@@ -198,6 +200,25 @@ def test_sos_eigenstate_rows_see_a_defect_of_k_tilde(branch, n, m, entry, monkey
     rows = [r for r in rows_and_summary(text)[0] if r["check"].endswith(".sos_eigenstate")]
     assert len(rows) == len(clean)
     assert all(r["residual"] > 1e-10 for r in rows), [r["residual"] for r in rows]
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 2), (5, -1), (6, 0)])
+def test_sector_commute_sees_a_defect_of_k_tilde(n, s, entry, monkeypatch, tmp_path):
+    # the sector blocks at two points commute to rounding; a relative 1e-6
+    # defect in a diagonal entry of the dressed boundary K~ breaks the
+    # commuting family, and the row fails with exit 4
+    tilde_k2 = sos.tilde_k2
+
+    def defective(*a, **k):
+        kt = tilde_k2(*a, **k)
+        kt[entry] *= 1 + 1e-6
+        return kt
+
+    monkeypatch.setattr(sos, "tilde_k2", defective)
+    rows, _ = spectrum_report(n, s, 0, tmp_path, expect=4)
+    assert not rows["spectrum.sector_commute"]["pass"]
+    assert rows["spectrum.sector_commute"]["residual"] > 1e-7
 
 
 def strip_wall_time(text):

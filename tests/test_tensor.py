@@ -136,6 +136,22 @@ def random_gates(rng, drawn):
     return gates
 
 
+def batched_gates(rng, drawn, b, own):
+    """b random gate lists of the drawn layout, and the one batched list
+    whose gate j stacks them (own[j]) or shares the first list's block."""
+    per_input = [random_gates(rng, drawn) for _ in range(b)]
+    gates = [
+        (np.stack([g[j][0] for g in per_input]) if own[j] else per_input[0][j][0], *per_input[0][j][1:])
+        for j in range(len(drawn))
+    ]
+    return per_input, gates
+
+
+def single_gates(per_input, gates, own, k):
+    """Input k's own gate list out of ``batched_gates``."""
+    return [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(gates))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(gate_lists())
 def test_product_matches_one_gate_oracle(case):
@@ -162,19 +178,14 @@ def test_batched_product_equals_single_products_bit_for_bit(case, b, own):
     # column blocks
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
-    per_input = [random_gates(rng, drawn) for _ in range(b)]
-    gates = [
-        (np.stack([g[j][0] for g in per_input]) if own[j] else per_input[0][j][0], *per_input[0][j][1:])
-        for j in range(len(drawn))
-    ]
+    per_input, gates = batched_gates(rng, drawn, b, own)
     d = 2 ** len(legs)
     shape = (b, d) if cols is None else (b, d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = tn.product(legs, gates, x, batch=True)
     assert got.shape == x.shape
     for k in range(b):
-        single = [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(drawn))]
-        assert np.array_equal(got[k], tn.product(legs, single, x[k]))
+        assert np.array_equal(got[k], tn.product(legs, single_gates(per_input, gates, own, k), x[k]))
 
 
 def test_one_plan_serves_every_batch_size():
@@ -325,31 +336,35 @@ def test_partial_transpose_involution():
     assert np.array_equal(twice, op)
 
 
-def test_traced_product_identity_and_kron():
+def test_traced_product_identity_and_kron(column_trace):
     legs = ("a", "b")
     eye = np.eye(2, dtype=complex)[None]
-    assert np.array_equal(tn.traced_product(legs, [], eye), 2 * eye)
+    assert np.array_equal(column_trace(legs, [], eye), 2 * eye)
     rng = np.random.default_rng(4)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    tr = tn.traced_product(legs, [(np.kron(a, b), legs)], eye)[0]
+    tr = column_trace(legs, [(np.kron(a, b), legs)], eye)[0]
     assert tn.max_abs(tr - np.trace(a) * b) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
 @given(gate_lists())
-def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
-    # the identity gives the oracle bit for bit; a vector or a block of
-    # columns gives the oracle times it, each a batch of one
+def test_traced_product_matches_trace_of_whole_product(aux_trace, column_trace, case):
+    # the identity gives the oracle bit for bit when the oracle applies the
+    # product to the identity one auxiliary column group at a time, and to
+    # rounding when it applies it at once; a vector or a block of columns
+    # gives the oracle times it, each a batch of one
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, drawn)
-    whole = aux_trace(tn.product(legs, gates, leg_identity(legs)))
     d = 2 ** (len(legs) - 1)
-    assert np.array_equal(tn.traced_product(legs, gates, np.eye(d, dtype=complex)[None])[0], whole)
+    eye = leg_identity(legs)
+    whole = aux_trace(np.hstack([tn.product(legs, gates, eye[:, :d]), tn.product(legs, gates, eye[:, d:])]))
+    assert np.array_equal(column_trace(legs, gates, np.eye(d, dtype=complex)[None])[0], whole)
+    assert tn.max_abs(aux_trace(tn.product(legs, gates, eye)) - whole) <= 1e-13 * tn.max_abs(whole)
     shape = (d,) if cols is None else (d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.traced_product(legs, gates, x[None])[0]
+    got = column_trace(legs, gates, x[None])[0]
     expect = whole @ x
     assert got.shape == x.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -357,34 +372,54 @@ def test_traced_product_matches_trace_of_whole_product(aux_trace, case):
 
 @settings(max_examples=60, deadline=None)
 @given(gate_lists(), st.integers(1, 4), st.lists(st.booleans(), min_size=6, max_size=6))
-def test_batched_traced_product_equals_single_calls_bit_for_bit(case, b, own):
+def test_batched_traced_product_equals_single_calls_bit_for_bit(column_trace, case, b, own):
     # as for product: each gate's block or stack is shared or one per input,
     # and x is b vectors or b column blocks on the legs after the first
     legs, drawn, seed, cols = case
     rng = np.random.default_rng(seed)
-    per_input = [random_gates(rng, drawn) for _ in range(b)]
-    gates = [
-        (np.stack([g[j][0] for g in per_input]) if own[j] else per_input[0][j][0], *per_input[0][j][1:])
-        for j in range(len(drawn))
-    ]
+    per_input, gates = batched_gates(rng, drawn, b, own)
     d = 2 ** (len(legs) - 1)
     shape = (b, d) if cols is None else (b, d, cols)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = tn.traced_product(legs, gates, x)
+    got = column_trace(legs, gates, x)
     assert got.shape == x.shape
     for k in range(b):
-        single = [(per_input[k][j][0] if own[j] else gates[j][0], *gates[j][1:]) for j in range(len(drawn))]
-        assert np.array_equal(got[k], tn.traced_product(legs, single, x[k : k + 1])[0])
+        assert np.array_equal(got[k], column_trace(legs, single_gates(per_input, gates, own, k), x[k : k + 1])[0])
 
 
-def test_traced_product_transpose_invariant():
+def test_traced_product_transpose_invariant(column_trace):
     rng = np.random.default_rng(5)
     legs = ("a", "b", "c")
     op = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     eye = np.eye(4, dtype=complex)[None]
-    direct = tn.traced_product(legs, [(op, legs)], eye)
-    via = tn.traced_product(legs, [(tn.partial_transpose(op, legs, "a"), legs)], eye)
+    direct = column_trace(legs, [(op, legs)], eye)
+    via = column_trace(legs, [(tn.partial_transpose(op, legs, "a"), legs)], eye)
     assert tn.max_abs(direct - via) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_lists(), st.integers(1, 3), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_column_product_is_a_column_of_the_dense_product(case, b, own):
+    # static and dynamical gates, shared or one per input: row block r of
+    # column c is block (r, c) of the kron-oracle product over the first
+    # leg, applied to x[k]; a batch equals its singles bit for bit
+    legs, drawn, seed, cols = case
+    rng = np.random.default_rng(seed)
+    per_input, gates = batched_gates(rng, drawn, b, own)
+    d = 2 ** (len(legs) - 1)
+    shape = (b, d) if cols is None else (b, d, cols)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for c in (0, 1):
+        got = tn.column_product(legs, gates, x, c)
+        assert got.shape == (b, 2) + shape[1:]
+        for k in range(b):
+            single = single_gates(per_input, gates, own, k)
+            dense = leg_identity(legs)
+            for block, on, *charge in single:
+                dense = dense @ embed_oracle(block, legs, on, *charge)
+            expect = (dense[:, c * d : (c + 1) * d] @ x[k]).reshape(got.shape[1:])
+            assert np.max(np.abs(got[k] - expect)) <= 1e-13 * np.max(np.abs(expect))
+            assert np.array_equal(got[k], tn.column_product(legs, single, x[k : k + 1], c)[0])
 
 
 def test_partial_ops_unknown_leg():

@@ -1,3 +1,4 @@
+import tracemalloc
 from cmath import cosh, sinh
 
 import numpy as np
@@ -224,19 +225,39 @@ def test_batched_trace_forms_are_compared_point_by_point(monkeypatch):
     mus = np.array([0.21 + 0.12j, 2.4 + 0.17j])
     sizes = [tn.max_abs(vx.transfer_xxz(mu, p, x)) for mu in mus]
     assert sizes[1] > 1e3 * sizes[0]
-    traced, calls = tn.traced_product, []
+    column, calls = tn.column_product, []
 
-    def second_form_off(legs, gates, y):
-        t = traced(legs, gates, y)
+    def second_form_off(legs, gates, y, c):
+        # the calls run form by form, column 0 then column 1
+        t = column(legs, gates, y, c)
         calls.append(len(calls))
-        if len(calls) == 2:
+        if len(calls) == 3:
             t[0] *= 1 + 1e-9
         return t
 
-    monkeypatch.setattr(tn, "traced_product", second_form_off)
+    monkeypatch.setattr(tn, "column_product", second_form_off)
     with pytest.raises(FormMismatch):
         vx.transfer_xxz(mus, p, x)
-    assert calls == [0, 1]
+    assert calls == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n", [6, 8])
+def test_transfer_xxz_holds_one_auxiliary_column_at_a_time(n, b):
+    # the trace pads one auxiliary column, 2 x the input, at a time: the
+    # traced allocations peak at about 8 x the B inputs, where padding both
+    # columns at once read 13 x
+    p = generic_params(n)
+    mus = np.array(sample_points(np.random.default_rng(n), p, b))
+    x = np.random.default_rng(1).normal(size=(2**n, 32)) + 0j
+    vx.transfer_xxz(mus, p, x)  # the plans are cached before the measurement
+    tracemalloc.start()
+    try:
+        vx.transfer_xxz(mus, p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * b * x.nbytes, peak / (b * x.nbytes)
 
 
 def _match_spectra(a, b):
